@@ -1,6 +1,8 @@
 #include "bench/reporting.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
@@ -57,6 +59,29 @@ bool ParsePort(const std::string& text, int* port) {
 
 }  // namespace
 
+std::uint64_t ParseCountFlag(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  // strtoull accepts (and wraps) a leading minus — reject it explicitly.
+  if (end != text.c_str() + text.size() || text.empty() || text[0] == '-' ||
+      errno == ERANGE) {
+    throw ConfigError(flag + " needs a non-negative integer, got '" + text +
+                      "'");
+  }
+  return value;
+}
+
+double ParseNumberFlag(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || text.empty() ||
+      !std::isfinite(value)) {
+    throw ConfigError(flag + " needs a number, got '" + text + "'");
+  }
+  return value;
+}
+
 ReportOptions ParseReportArgs(int argc, char** argv) {
   ReportOptions options;
   const auto value_of = [&](int* i, const std::string& arg) -> std::string {
@@ -65,17 +90,8 @@ ReportOptions ParseReportArgs(int argc, char** argv) {
     }
     return argv[++*i];
   };
-  const auto count_of = [&](int* i, const std::string& arg) -> std::size_t {
-    const std::string text = value_of(i, arg);
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    // strtoull accepts (and wraps) a leading minus — reject it explicitly.
-    if (end != text.c_str() + text.size() || text.empty() ||
-        text[0] == '-') {
-      throw ConfigError("ParseReportArgs: " + arg +
-                        " needs a non-negative integer, got '" + text + "'");
-    }
-    return static_cast<std::size_t>(value);
+  const auto count_of = [&](int* i, const std::string& arg) {
+    return static_cast<std::size_t>(ParseCountFlag(arg, value_of(i, arg)));
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -107,10 +123,8 @@ ReportOptions ParseReportArgs(int argc, char** argv) {
       options.max_retries = count_of(&i, arg);
     } else if (arg == "--leg-timeout") {
       const std::string text = value_of(&i, arg);
-      char* end = nullptr;
-      options.leg_timeout_s = std::strtod(text.c_str(), &end);
-      if (end != text.c_str() + text.size() || text.empty() ||
-          options.leg_timeout_s <= 0.0) {
+      options.leg_timeout_s = ParseNumberFlag(arg, text);
+      if (options.leg_timeout_s <= 0.0) {
         throw ConfigError(
             "ParseReportArgs: --leg-timeout needs a positive number of "
             "seconds, got '" +

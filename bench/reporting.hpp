@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -98,6 +99,16 @@ struct ReportOptions {
   /// excluded) — the binary's own positional arguments.
   std::vector<std::string> positional;
 };
+
+/// The checked numeric flag-value parsers behind ParseReportArgs, shared by
+/// every binary that parses flags of its own.  ParseCountFlag takes a
+/// whole base-10 unsigned integer: no sign (strtoull would silently wrap
+/// "-1"), no trailing garbage ("8x"), nothing past 2^64 - 1.
+/// ParseNumberFlag takes a whole finite decimal number ("0.5", "-2",
+/// "1e-3"; not "8x", "nan" or "inf").
+/// \throws vrl::ConfigError naming `flag` and quoting `text`.
+std::uint64_t ParseCountFlag(const std::string& flag, const std::string& text);
+double ParseNumberFlag(const std::string& flag, const std::string& text);
 
 /// Parses `--json <path>` / `--csv <path>` / `--trace-out <path>` /
 /// `--profile` / `--serve [port]` / `--watchdog <rules.json>` out of argv.

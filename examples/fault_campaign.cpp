@@ -83,8 +83,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto& args = report_options.positional;
-  for (std::size_t i = 0; i + 1 < args.size(); i += 2) {
+  for (std::size_t i = 0; i < args.size(); i += 2) {
     const std::string& flag = args[i];
+    if (i + 1 == args.size()) {
+      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
+      return 2;
+    }
     const std::string& value = args[i + 1];
     try {
       if (flag == "--config") {
@@ -93,21 +97,21 @@ int main(int argc, char** argv) {
       } else if (flag == "--policy") {
         policy_name = value;
       } else if (flag == "--windows") {
-        windows = std::stoul(value);
+        windows = static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
       } else if (flag == "--seed") {
-        seed = std::stoull(value);
+        seed = bench::ParseCountFlag(flag, value);
       } else if (flag == "--row-fraction") {
-        vrt.row_fraction = std::stod(value);
+        vrt.row_fraction = bench::ParseNumberFlag(flag, value);
       } else if (flag == "--low-ratio") {
-        vrt.low_ratio = std::stod(value);
+        vrt.low_ratio = bench::ParseNumberFlag(flag, value);
       } else if (flag == "--dwell-s") {
-        vrt.mean_dwell_s = std::stod(value);
+        vrt.mean_dwell_s = bench::ParseNumberFlag(flag, value);
       } else if (flag == "--temp-excursion") {
-        temp_excursion_celsius = std::stod(value);
+        temp_excursion_celsius = bench::ParseNumberFlag(flag, value);
       } else if (flag == "--drift") {
-        drift_rate = std::stod(value);
+        drift_rate = bench::ParseNumberFlag(flag, value);
       } else if (flag == "--corruption") {
-        corruption_fraction = std::stod(value);
+        corruption_fraction = bench::ParseNumberFlag(flag, value);
       } else {
         std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
         return 2;

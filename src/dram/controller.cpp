@@ -121,14 +121,13 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
                                    SchedulerKind scheduler,
                                    RowBufferPolicy page_policy,
                                    std::size_t subarrays)
-    : table_(table), timing_(table.core), scheduler_(scheduler) {
+    : table_(table), scheduler_(scheduler) {
   table_.Validate();
-  hierarchical_ = table_.IsHierarchical();
   const std::size_t banks = table_.topology.TotalBanks();
   banks_.reserve(banks);
   policies_.reserve(banks);
   for (std::size_t b = 0; b < banks; ++b) {
-    banks_.emplace_back(rows, timing_, page_policy, subarrays);
+    banks_.emplace_back(rows, table_.core, page_policy, subarrays);
     auto policy = factory();
     if (!policy) {
       throw ConfigError("MemoryController: policy factory returned null");
@@ -138,7 +137,7 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
     }
     policies_.push_back(std::move(policy));
   }
-  if (hierarchical_) {
+  if (table_.IsHierarchical()) {
     engine_ = std::make_unique<ConstraintEngine>(table_);
     for (std::size_t b = 0; b < banks; ++b) {
       banks_[b].SetConstraintEngine(engine_.get(),
@@ -172,30 +171,40 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
                       })) {
     throw ConfigError("MemoryController::Run: requests must be arrival-sorted");
   }
-  return hierarchical_ ? RunHierarchical(requests, horizon)
-                       : RunFlat(requests, horizon);
-}
-
-SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
-                                          Cycles horizon) {
   const telemetry::ScopedTimer run_timer(telemetry_, "time.controller_run");
+  const Topology& topo = table_.topology;
   // The service loop is only tens of nanoseconds per request, so the
   // telemetry-gated per-request work is kept to this one accumulator;
   // everything else exported below is a delta of the banks' always-on
   // stats (docs/TELEMETRY.md).
   std::uint64_t reordered_picks_n = 0;
   RefreshGrantStats grant_stats;
-  // Spans land on a fresh track group (one Chrome "process" per run) with
-  // one track per bank; null tracer costs one compare per refresh tick.
+  // Spans land on fresh track groups, one Chrome "process" per rank (a
+  // flat run's single rank is just "run:<policy>") with one track per
+  // bank; a null tracer costs one compare per refresh tick.
   telemetry::Tracer* tracer =
       telemetry_ == nullptr ? nullptr : telemetry_->tracer();
-  std::uint32_t trace_group = 0;
+  std::vector<std::uint32_t> rank_groups;
   std::uint32_t burst_label = 0;
+  std::uint32_t bank_label = 0;
   if (tracer != nullptr) {
-    trace_group = tracer->NewTrackGroup("run:" + policies_[0]->Name());
+    const std::string run_label = "run:" + policies_[0]->Name();
+    if (engine_ == nullptr) {
+      rank_groups.push_back(tracer->NewTrackGroup(run_label));
+    } else {
+      for (std::size_t c = 0; c < topo.channels; ++c) {
+        for (std::size_t r = 0; r < topo.ranks_per_channel; ++r) {
+          rank_groups.push_back(tracer->NewTrackGroup(
+              run_label + "/ch" + std::to_string(c) + ".rk" +
+              std::to_string(r)));
+        }
+      }
+    }
     // Interned once: the per-tick burst spans skip the label lookup.
     burst_label = tracer->Intern("refresh_burst");
+    bank_label = tracer->Intern("bank_run");
   }
+  const std::size_t banks_per_rank = topo.BanksPerRank();
   // Phase profiling (--profile, docs/PROFILING.md): per-tick phases are
   // timed on a 1-in-N sample (exact call counts, scaled time estimate —
   // prof::PhaseAccumulator) and folded once into the time.phase.* timers
@@ -213,133 +222,187 @@ SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
             .count();
       };
   // Run() absorbs only this run's deltas, so re-running a controller does
-  // not double-count the cumulative BankStats.
+  // not double-count the cumulative BankStats or engine counters.
   SimulationStats before;
   if (telemetry_ != nullptr) {
     for (const Bank& bank : banks_) {
       before.per_bank.push_back(bank.stats());
     }
   }
+  const ConstraintStats engine_before =
+      engine_ == nullptr ? ConstraintStats{} : engine_->stats();
+  const HierarchyActivity activity_before =
+      engine_ == nullptr ? HierarchyActivity{} : engine_->activity();
 
   // Split requests per bank, preserving order.
-  std::vector<std::vector<Request>> queues(banks_.size());
+  struct BankCursor {
+    std::vector<Request> queue;    // this bank's requests, arrival order
+    std::size_t qi = 0;            // next request not yet pending
+    std::vector<Request> pending;  // arrived but not yet serviced
+  };
+  std::vector<BankCursor> cursors(banks_.size());
   for (const Request& r : requests) {
     if (r.bank >= banks_.size()) {
       throw ConfigError("MemoryController::Run: request bank out of range");
     }
-    queues[r.bank].push_back(r);
+    cursors[r.bank].queue.push_back(r);
   }
+  // Refresh bursts are buffered per bank and emitted under that bank's
+  // bank_run span once the group finishes, so every burst is a child of
+  // its own bank's span even while a group's banks interleave.
+  struct Burst {
+    Cycles tick = 0;
+    Cycles busy = 0;
+    std::int64_t ops = 0;
+    std::int64_t fulls = 0;
+  };
+  std::vector<std::vector<Burst>> bursts;
 
+  // Banks run in groups, each group on one timeline interleaving its
+  // request streams with the global tREFI ticks.  Without inter-bank
+  // constraints every bank is its own group, so each decision below looks
+  // at one bank; a hierarchical table puts all banks in one group so the
+  // constraint engine sees commands in approximate issue order.
+  const std::size_t group_size = engine_ == nullptr ? 1 : banks_.size();
   Cycles end = horizon;
+  for (std::size_t first = 0; first < banks_.size(); first += group_size) {
+    const std::size_t last = first + group_size;
+    if (tracer != nullptr) {
+      bursts.assign(group_size, {});
+    }
 
-  // Each bank runs an independent timeline: interleave its request stream
-  // with the global tREFI ticks.
-  for (std::size_t b = 0; b < banks_.size(); ++b) {
-    Bank& bank = banks_[b];
-    RefreshPolicy& policy = *policies_[b];
-    const auto& queue = queues[b];
-    std::size_t qi = 0;
-    std::vector<Request> pending;  // arrived but not yet serviced
-
-    // Services every request arriving before `limit`, letting the scheduler
-    // reorder among the ones pending at each decision instant.
-    const auto service_until = [&](Cycles limit) {
+    // One pass per refresh tick, then a final drain pass for requests
+    // arriving up to the horizon after the last tick.  The passes are
+    // written inline rather than as lambdas so the compiler keeps the
+    // per-request state in registers (the flat run was ~7% slower with
+    // the service step behind a lambda).
+    for (Cycles tick = 0;; tick += table_.core.t_refi) {
+      const bool drain = tick > horizon;
+      const Cycles limit = drain ? horizon + 1 : tick;
+      // Service every request arriving before `limit`, letting the
+      // scheduler reorder among the ones pending at each decision instant.
+      // Each step serves the group's bank whose decision instant comes
+      // first (ties to the lowest index).  Under --profile the clock is
+      // read only on sampled passes.
+      const bool time_scheduler = profile && phases.scheduler.Sample();
+      const auto scheduler_t0 = time_scheduler
+                                    ? phase_clock()
+                                    : std::chrono::steady_clock::time_point{};
       while (true) {
-        // Decision instant: when the bank frees up, or — with nothing
-        // pending — when the next request arrives.
-        Cycles t_decide = bank.busy_until();
-        if (pending.empty()) {
-          if (qi >= queue.size() || queue[qi].arrival >= limit) {
-            return;
+        std::size_t b = last;
+        Cycles t_decide = 0;
+        for (std::size_t i = first; i < last; ++i) {
+          // Decision instant: when the bank frees up, or — with nothing
+          // pending — when its next request arrives.
+          const BankCursor& cur = cursors[i];
+          Cycles t = banks_[i].busy_until();
+          if (cur.pending.empty()) {
+            if (cur.qi >= cur.queue.size() ||
+                cur.queue[cur.qi].arrival >= limit) {
+              continue;
+            }
+            t = std::max(t, cur.queue[cur.qi].arrival);
           }
-          t_decide = std::max(t_decide, queue[qi].arrival);
+          if (b == last || t < t_decide) {
+            t_decide = t;
+            b = i;
+          }
         }
+        if (b == last) {
+          break;
+        }
+        Bank& bank = banks_[b];
+        BankCursor& cur = cursors[b];
         // Everything arrived by then competes for the slot.
-        while (qi < queue.size() && queue[qi].arrival <= t_decide &&
-               queue[qi].arrival < limit) {
-          pending.push_back(queue[qi]);
-          ++qi;
+        while (cur.qi < cur.queue.size() &&
+               cur.queue[cur.qi].arrival <= t_decide &&
+               cur.queue[cur.qi].arrival < limit) {
+          cur.pending.push_back(cur.queue[cur.qi]);
+          ++cur.qi;
         }
-        const std::size_t pick = SelectNextRequest(scheduler_, pending, bank);
-        bank.ServiceRequest(pending[pick]);
-        policy.OnRowAccess(pending[pick].row);
+        const std::size_t pick =
+            SelectNextRequest(scheduler_, cur.pending, bank);
+        bank.ServiceRequest(cur.pending[pick]);
+        policies_[b]->OnRowAccess(cur.pending[pick].row);
         if (telemetry_ != nullptr) {
           // `pending` stays arrival-ordered, so any pick other than the
           // front is the scheduler reordering for row locality.
           reordered_picks_n += pick != 0 ? 1 : 0;
         }
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
+        cur.pending.erase(cur.pending.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
       }
-    };
+      if (time_scheduler) {
+        phases.scheduler.Add(seconds_since(scheduler_t0));
+      }
+      if (drain) {
+        break;
+      }
 
-    // Profiled wrappers; the non-profiling path calls straight through,
-    // and the profiling path only reads the clock on sampled calls.
-    const auto run_service_until = [&](Cycles limit) {
-      if (profile && phases.scheduler.Sample()) {
-        const auto t0 = phase_clock();
-        service_until(limit);
-        phases.scheduler.Add(seconds_since(t0));
-        return;
-      }
-      service_until(limit);
-    };
-    // Propose/grant per refresh tick.  service_until drains `pending`
-    // completely before returning, so the queue cursor *is* the demand
-    // view: the next request this bank will see.
-    const auto collect_due = [&](Cycles now) {
-      RefreshGrantContext ctx;
-      ctx.now = now;
-      ctx.demand.now = now;
-      if (qi < queue.size()) {
-        ctx.demand.has_next = true;
-        ctx.demand.next_arrival = queue[qi].arrival;
-        ctx.demand.next_row = queue[qi].row;
-      }
-      ctx.bank = &bank;
-      if (profile && phases.collect.Sample()) {
-        const auto t0 = phase_clock();
-        auto ops = GrantRefreshes(policy, ctx, &grant_stats);
-        phases.collect.Add(seconds_since(t0));
-        return ops;
-      }
-      return GrantRefreshes(policy, ctx, &grant_stats);
-    };
-
-    const telemetry::SpanId bank_span =
-        tracer == nullptr
-            ? telemetry::SpanId{0}
-            : tracer->BeginSpan("bank_run", 0, trace_group, b);
-
-    for (Cycles tick = 0; tick <= horizon; tick += timing_.t_refi) {
-      // Service requests that arrived before this refresh tick.
-      run_service_until(tick);
-      // Execute the refresh operations due at this tick.  Each op waits
-      // for its own subarray inside the bank; ops to distinct subarrays
-      // overlap (SALP), ops to the same one serialize.
-      const std::vector<RefreshOp> ops = collect_due(tick);
-      for (const RefreshOp& op : ops) {
-        bank.ExecuteRefresh(op, tick);
-      }
-      if (tracer != nullptr && !ops.empty()) {
-        Cycles busy = 0;
-        std::int64_t fulls = 0;
-        for (const RefreshOp& op : ops) {
-          busy += op.trfc;
-          fulls += op.is_full ? 1 : 0;
+      // Propose/grant per bank, then execute the tick's refresh operations
+      // bank by bank (index order — deterministic).  The pass above
+      // drained every bank's `pending`, so the queue cursor *is* the
+      // demand view: the next request this bank will see.  The constraint
+      // engine (null on flat tables) joins the context so non-urgent REFpb
+      // proposals defer instead of stalling in the rank's ACT windows.
+      for (std::size_t b = first; b < last; ++b) {
+        RefreshGrantContext ctx;
+        ctx.now = tick;
+        ctx.demand.now = tick;
+        const BankCursor& cur = cursors[b];
+        if (cur.qi < cur.queue.size()) {
+          ctx.demand.has_next = true;
+          ctx.demand.next_arrival = cur.queue[cur.qi].arrival;
+          ctx.demand.next_row = cur.queue[cur.qi].row;
         }
-        // Duration aggregates the burst's tRFC cycles (subarray overlap
-        // can retire it faster; the bank stats carry the exact busy time).
-        tracer->CompleteSpan(burst_label, tick, tick + busy, trace_group,
-                             b, static_cast<std::int64_t>(ops.size()), fulls);
+        ctx.bank = &banks_[b];
+        ctx.engine = engine_.get();
+        if (engine_ != nullptr) {
+          ctx.addr = DecomposeBank(topo, b);
+        }
+        const bool time_collect = profile && phases.collect.Sample();
+        const auto collect_t0 = time_collect
+                                    ? phase_clock()
+                                    : std::chrono::steady_clock::time_point{};
+        const std::vector<RefreshOp> ops =
+            GrantRefreshes(*policies_[b], ctx, &grant_stats);
+        if (time_collect) {
+          phases.collect.Add(seconds_since(collect_t0));
+        }
+        // Each op waits for its own subarray inside the bank; ops to
+        // distinct subarrays overlap (SALP), ops to the same one
+        // serialize.
+        for (const RefreshOp& op : ops) {
+          banks_[b].ExecuteRefresh(op, tick);
+        }
+        if (tracer != nullptr && !ops.empty()) {
+          Burst burst{tick, 0, static_cast<std::int64_t>(ops.size()), 0};
+          for (const RefreshOp& op : ops) {
+            burst.busy += op.trfc;
+            burst.fulls += op.is_full ? 1 : 0;
+          }
+          bursts[b - first].push_back(burst);
+        }
       }
     }
-    // Drain any requests arriving up to the horizon after the last tick.
-    run_service_until(horizon + 1);
-    end = std::max(end, bank.stats().last_completion);
-    if (tracer != nullptr) {
-      tracer->EndSpan(bank_span,
-                      std::max(horizon, bank.stats().last_completion));
+    for (std::size_t b = first; b < last; ++b) {
+      const Cycles bank_end =
+          std::max(horizon, banks_[b].stats().last_completion);
+      end = std::max(end, bank_end);
+      if (tracer == nullptr) {
+        continue;
+      }
+      const std::uint32_t group = rank_groups[b / banks_per_rank];
+      const std::uint64_t track = b % banks_per_rank;
+      const telemetry::SpanId bank_span =
+          tracer->BeginSpan(bank_label, 0, group, track);
+      for (const Burst& burst : bursts[b - first]) {
+        // Duration aggregates the burst's tRFC cycles (subarray overlap
+        // can retire it faster; the bank stats carry the exact busy time).
+        tracer->CompleteSpan(burst_label, burst.tick, burst.tick + burst.busy,
+                             group, track, burst.ops, burst.fulls);
+      }
+      tracer->EndSpan(bank_span, bank_end);
     }
   }
 
@@ -359,221 +422,9 @@ SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
 
   ExportRunTelemetry(before, stats, reordered_picks_n, end);
   ExportGrantTelemetry(grant_stats);
-  if (profile) {
-    // The flush phase covers the policy folds plus the delta export above.
-    phases.flush_s = seconds_since(flush_t0);
-    FoldPhaseProfile(phases,
-                     stats.TotalReads() + stats.TotalWrites() -
-                         before.TotalReads() - before.TotalWrites(),
-                     grant_stats.granted);
-  }
-  return stats;
-}
-
-SimulationStats MemoryController::RunHierarchical(
-    const std::vector<Request>& requests, Cycles horizon) {
-  const telemetry::ScopedTimer run_timer(telemetry_, "time.controller_run");
-  const Topology& topo = table_.topology;
-  std::uint64_t reordered_picks_n = 0;
-  RefreshGrantStats grant_stats;
-  telemetry::Tracer* tracer =
-      telemetry_ == nullptr ? nullptr : telemetry_->tracer();
-  // One track group per rank (a Chrome "process" per ch<c>.rk<r>), one
-  // track per bank within the rank — the hierarchy is visible in the trace.
-  std::vector<std::uint32_t> rank_groups;
-  std::uint32_t burst_label = 0;
-  if (tracer != nullptr) {
-    rank_groups.reserve(topo.TotalRanks());
-    for (std::size_t c = 0; c < topo.channels; ++c) {
-      for (std::size_t r = 0; r < topo.ranks_per_channel; ++r) {
-        rank_groups.push_back(tracer->NewTrackGroup(
-            "run:" + policies_[0]->Name() + "/ch" + std::to_string(c) +
-            ".rk" + std::to_string(r)));
-      }
-    }
-    burst_label = tracer->Intern("refresh_burst");
-  }
-  const bool profile =
-      telemetry_ != nullptr && telemetry_->options().profile_phases;
-  prof::Profiler* profiler = profile ? telemetry_->profiler() : nullptr;
-  const prof::ScopedPhase run_phase(profiler, "controller.run");
-  PhaseProfile phases;
-  const auto phase_clock = [] { return std::chrono::steady_clock::now(); };
-  const auto seconds_since =
-      [](std::chrono::steady_clock::time_point from) {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             from)
-            .count();
-      };
-  SimulationStats before;
-  if (telemetry_ != nullptr) {
-    for (const Bank& bank : banks_) {
-      before.per_bank.push_back(bank.stats());
-    }
-  }
-  const ConstraintStats engine_before = engine_->stats();
-  const HierarchyActivity activity_before = engine_->activity();
-
-  std::vector<std::vector<Request>> queues(banks_.size());
-  for (const Request& r : requests) {
-    if (r.bank >= banks_.size()) {
-      throw ConfigError("MemoryController::Run: request bank out of range");
-    }
-    queues[r.bank].push_back(r);
-  }
-
-  struct BankCursor {
-    std::size_t qi = 0;
-    std::vector<Request> pending;  // arrived but not yet serviced
-  };
-  std::vector<BankCursor> cursors(banks_.size());
-
-  const std::size_t banks_per_rank = topo.BanksPerRank();
-  std::vector<telemetry::SpanId> bank_spans;
-  if (tracer != nullptr) {
-    bank_spans.reserve(banks_.size());
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-      bank_spans.push_back(tracer->BeginSpan(
-          "bank_run", 0, rank_groups[b / banks_per_rank],
-          b % banks_per_rank));
-    }
-  }
-
-  // Services every request arriving before `limit`, interleaving the banks
-  // globally: each step picks the bank with the earliest decision instant
-  // (ties to the lowest index), so the constraint engine sees commands in
-  // approximate issue order and its conservative floors apply.
-  const auto service_until = [&](Cycles limit) {
-    while (true) {
-      bool found = false;
-      std::size_t pick_bank = 0;
-      Cycles t_decide = 0;
-      for (std::size_t b = 0; b < banks_.size(); ++b) {
-        const BankCursor& cur = cursors[b];
-        Cycles t = banks_[b].busy_until();
-        if (cur.pending.empty()) {
-          const auto& queue = queues[b];
-          if (cur.qi >= queue.size() || queue[cur.qi].arrival >= limit) {
-            continue;
-          }
-          t = std::max(t, queue[cur.qi].arrival);
-        }
-        if (!found || t < t_decide) {
-          t_decide = t;
-          pick_bank = b;
-          found = true;
-        }
-      }
-      if (!found) {
-        return;
-      }
-      Bank& bank = banks_[pick_bank];
-      BankCursor& cur = cursors[pick_bank];
-      const auto& queue = queues[pick_bank];
-      // Everything arrived by the decision instant competes for the slot.
-      while (cur.qi < queue.size() && queue[cur.qi].arrival <= t_decide &&
-             queue[cur.qi].arrival < limit) {
-        cur.pending.push_back(queue[cur.qi]);
-        ++cur.qi;
-      }
-      const std::size_t pick =
-          SelectNextRequest(scheduler_, cur.pending, bank);
-      bank.ServiceRequest(cur.pending[pick]);
-      policies_[pick_bank]->OnRowAccess(cur.pending[pick].row);
-      if (telemetry_ != nullptr) {
-        reordered_picks_n += pick != 0 ? 1 : 0;
-      }
-      cur.pending.erase(cur.pending.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
-    }
-  };
-  const auto run_service_until = [&](Cycles limit) {
-    if (profile && phases.scheduler.Sample()) {
-      const auto t0 = phase_clock();
-      service_until(limit);
-      phases.scheduler.Add(seconds_since(t0));
-      return;
-    }
-    service_until(limit);
-  };
-  // Propose/grant per (bank, tick).  service_until drains every bank's
-  // `pending` before returning, so each bank's queue cursor is its demand
-  // view; the constraint engine joins the context so non-urgent REFpb
-  // proposals defer instead of stalling in the rank's ACT windows.
-  const auto collect_due = [&](std::size_t b, Cycles now) {
-    RefreshGrantContext ctx;
-    ctx.now = now;
-    ctx.demand.now = now;
-    const BankCursor& cur = cursors[b];
-    const auto& queue = queues[b];
-    if (cur.qi < queue.size()) {
-      ctx.demand.has_next = true;
-      ctx.demand.next_arrival = queue[cur.qi].arrival;
-      ctx.demand.next_row = queue[cur.qi].row;
-    }
-    ctx.bank = &banks_[b];
-    ctx.engine = engine_.get();
-    ctx.addr = DecomposeBank(table_.topology, b);
-    if (profile && phases.collect.Sample()) {
-      const auto t0 = phase_clock();
-      auto ops = GrantRefreshes(*policies_[b], ctx, &grant_stats);
-      phases.collect.Add(seconds_since(t0));
-      return ops;
-    }
-    return GrantRefreshes(*policies_[b], ctx, &grant_stats);
-  };
-
-  Cycles end = horizon;
-  for (Cycles tick = 0; tick <= horizon; tick += timing_.t_refi) {
-    // Service requests arriving before this refresh tick, then execute the
-    // tick's refresh operations bank by bank (index order — deterministic).
-    run_service_until(tick);
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-      const std::vector<RefreshOp> ops = collect_due(b, tick);
-      for (const RefreshOp& op : ops) {
-        banks_[b].ExecuteRefresh(op, tick);
-      }
-      if (tracer != nullptr && !ops.empty()) {
-        Cycles busy = 0;
-        std::int64_t fulls = 0;
-        for (const RefreshOp& op : ops) {
-          busy += op.trfc;
-          fulls += op.is_full ? 1 : 0;
-        }
-        tracer->CompleteSpan(burst_label, tick, tick + busy,
-                             rank_groups[b / banks_per_rank],
-                             b % banks_per_rank,
-                             static_cast<std::int64_t>(ops.size()), fulls);
-      }
-    }
-  }
-  // Drain any requests arriving up to the horizon after the last tick.
-  run_service_until(horizon + 1);
-  for (std::size_t b = 0; b < banks_.size(); ++b) {
-    end = std::max(end, banks_[b].stats().last_completion);
-    if (tracer != nullptr) {
-      tracer->EndSpan(bank_spans[b],
-                      std::max(horizon, banks_[b].stats().last_completion));
-    }
-  }
-
-  const auto flush_t0 = phase_clock();
-  for (const auto& policy : policies_) {
-    policy->FlushTelemetry();
-  }
-
-  SimulationStats stats;
-  stats.simulated_cycles = end;
-  stats.per_bank.reserve(banks_.size());
-  for (const Bank& bank : banks_) {
-    stats.per_bank.push_back(bank.stats());
-  }
-
-  ExportRunTelemetry(before, stats, reordered_picks_n, end);
-  ExportGrantTelemetry(grant_stats);
-  if (telemetry_ != nullptr) {
+  if (telemetry_ != nullptr && engine_ != nullptr) {
     // Hierarchy-only export: the constraint engine's stall accounting and
-    // per-rank/channel activity.  Never registered in flat mode, so flat
+    // per-rank/channel activity.  Never registered on flat tables, so flat
     // reports stay byte-identical.
     const ConstraintStats& cs = engine_->stats();
     const auto delta = [&](std::string_view name, std::uint64_t now,
@@ -612,6 +463,7 @@ SimulationStats MemoryController::RunHierarchical(
     }
   }
   if (profile) {
+    // The flush phase covers the policy folds plus the delta exports above.
     phases.flush_s = seconds_since(flush_t0);
     FoldPhaseProfile(phases,
                      stats.TotalReads() + stats.TotalWrites() -
@@ -624,9 +476,6 @@ SimulationStats MemoryController::RunHierarchical(
 void MemoryController::FoldPhaseProfile(const PhaseProfile& phases,
                                         std::uint64_t serviced,
                                         std::uint64_t granted) {
-  // Both run loops fold through here, so the flat and hierarchical phase
-  // breakdowns — legacy time.phase.* timers and attribution tree alike —
-  // cannot drift apart.
   const double scheduler_s = phases.scheduler.EstimatedSeconds();
   const double collect_s = phases.collect.EstimatedSeconds();
   telemetry_->metrics()

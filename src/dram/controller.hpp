@@ -22,14 +22,16 @@
 /// policy declares due (the paper's §3.2 implementation point — VRL-DRAM
 /// lives entirely in the controller).
 ///
-/// Two run loops live side by side.  The flat loop — the original — walks
-/// the banks one at a time, each on its own independent timeline; it is
-/// what every TimingTable with IsHierarchical() == false gets, preserved
-/// byte-for-byte (the golden-master tests in tests/golden_master_test.cpp
-/// pin this).  The hierarchical loop interleaves the banks globally by
-/// decision instant so the ConstraintEngine sees commands in approximate
-/// issue order, and charges tRRD/tFAW/tCCD/tRTRS/bus stalls where the
-/// hierarchy binds (docs/TOPOLOGY.md).
+/// One run loop serves every timing table.  It walks *bank groups*, each on
+/// its own timeline, and at every decision instant serves the group's bank
+/// that frees up first.  On a flat table (IsHierarchical() == false) each
+/// bank is its own group, so a decision looks at one bank and the banks run
+/// one after another — the flat model, pinned byte-for-byte by the
+/// golden-master tests in tests/golden_master_test.cpp.  On a hierarchical
+/// table all banks form one group, interleaved by decision instant so the
+/// ConstraintEngine sees commands in approximate issue order and charges
+/// tRRD/tFAW/tCCD/tRTRS/bus stalls where the hierarchy binds
+/// (docs/TOPOLOGY.md).
 
 namespace vrl::dram {
 
@@ -62,6 +64,9 @@ using PolicyFactory = std::function<std::unique_ptr<RefreshPolicy>(void)>;
 
 class MemoryController {
  public:
+  /// Flat construction: `banks` independent banks under one `timing`
+  /// (a single-bank-equivalent table), each run as its own bank group.
+  ///
   /// \param banks       number of banks
   /// \param rows        rows per bank
   /// \param timing      command timing
@@ -77,9 +82,10 @@ class MemoryController {
 
   /// Hierarchical construction: the bank count is the table's topology
   /// product and each bank knows its channel/rank/bank-group address.  A
-  /// degenerate table (TimingPreset::kSingleBankEquivalent) runs the flat
-  /// loop byte-for-byte; anything else runs the hierarchical loop with the
-  /// table's inter-bank constraints enforced.
+  /// degenerate table (TimingPreset::kSingleBankEquivalent) runs every bank
+  /// as its own group, byte-for-byte the flat constructor; anything else
+  /// runs all banks as one group with the table's inter-bank constraints
+  /// enforced by a ConstraintEngine.
   MemoryController(const TimingTable& table, std::size_t rows,
                    const PolicyFactory& factory,
                    SchedulerKind scheduler = SchedulerKind::kFcfs,
@@ -103,7 +109,9 @@ class MemoryController {
   std::size_t banks() const { return banks_.size(); }
 
   const TimingTable& timing_table() const { return table_; }
-  bool hierarchical() const { return hierarchical_; }
+  /// True when the table's inter-bank constraints are enforced (all banks
+  /// run as one group under a ConstraintEngine).
+  bool hierarchical() const { return engine_ != nullptr; }
 
   /// Turns on command logging: every PRE/ACT/RD/WR/REF the banks issue from
   /// now on lands in the returned log, for TimingAuditor replay.  Idempotent;
@@ -118,10 +126,6 @@ class MemoryController {
   const ConstraintEngine* constraint_engine() const { return engine_.get(); }
 
  private:
-  SimulationStats RunFlat(const std::vector<Request>& requests,
-                          Cycles horizon);
-  SimulationStats RunHierarchical(const std::vector<Request>& requests,
-                                  Cycles horizon);
   /// Per-run phase costs under --profile: sampled 1-in-N wall clock with
   /// exact call counts (prof::PhaseAccumulator), plus the unsampled
   /// telemetry-flush time.
@@ -131,11 +135,10 @@ class MemoryController {
     double flush_s = 0.0;
   };
   /// Folds one run's phase costs into the `time.phase.*` timers and the
-  /// attribution profiler.  Shared by both run loops so the flat and
-  /// hierarchical phase breakdowns cannot drift.  Requires telemetry.
+  /// attribution profiler.  Requires telemetry.
   void FoldPhaseProfile(const PhaseProfile& phases, std::uint64_t serviced,
                         std::uint64_t granted);
-  /// The per-run telemetry delta export shared by both loops.
+  /// The per-run telemetry delta export of the banks' always-on stats.
   void ExportRunTelemetry(const SimulationStats& before,
                           const SimulationStats& stats,
                           std::uint64_t reordered_picks_n, Cycles end);
@@ -145,12 +148,10 @@ class MemoryController {
   void ExportGrantTelemetry(const RefreshGrantStats& grants);
 
   TimingTable table_;
-  TimingParams timing_;  ///< = table_.core (the flat loop's working copy).
-  bool hierarchical_ = false;
   SchedulerKind scheduler_;
   std::vector<Bank> banks_;
   std::vector<std::unique_ptr<RefreshPolicy>> policies_;
-  std::unique_ptr<ConstraintEngine> engine_;  ///< Hierarchical runs only.
+  std::unique_ptr<ConstraintEngine> engine_;  ///< Hierarchical tables only.
   std::unique_ptr<CommandLog> audit_log_;     ///< Non-null after EnableAudit.
   telemetry::Recorder* telemetry_ = nullptr;
 };

@@ -64,8 +64,9 @@ struct TimingTable {
 
   /// True when any inter-bank machinery is active — a non-degenerate
   /// topology, a shared channel bus, or any non-zero constraint.  The
-  /// controller picks its hierarchical run loop off this; false runs the
-  /// original flat per-bank loop unchanged.
+  /// controller keys its bank grouping off this: true runs all banks as
+  /// one group under a ConstraintEngine, false runs each bank as its own
+  /// group — the flat model, unchanged.
   bool IsHierarchical() const {
     return !topology.IsDegenerate() || per_channel_bus || t_rrd_s != 0 ||
            t_rrd_l != 0 || t_faw != 0 || t_ccd_s != 0 || t_ccd_l != 0 ||

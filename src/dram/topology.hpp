@@ -15,8 +15,8 @@
 /// maps that index onto the hierarchy (channel-major, then rank, then bank
 /// group) so existing traces and policies are untouched.  The degenerate
 /// topology (one channel, one rank, one group) is exactly today's flat
-/// model: no constraint below ever binds and the controller runs its
-/// original per-bank loop byte-for-byte (see TimingPreset::
+/// model: no constraint below ever binds and the controller runs each bank
+/// as its own group, byte-for-byte the flat model (see TimingPreset::
 /// kSingleBankEquivalent in timing_table.hpp).
 ///
 /// The ConstraintEngine is the *active* half of the timing story: the bank

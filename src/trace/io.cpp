@@ -3,6 +3,7 @@
 #include <array>
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -32,6 +33,25 @@ void CheckReadHealth(const std::istream& is, std::size_t line_no) {
     throw ParseError("trace: read error after line " +
                      std::to_string(line_no) + ErrnoDetail());
   }
+}
+
+/// Parses one whole unsigned field (`base` 0 takes C prefixes: 0x hex, 0
+/// octal).  Unlike a bare strtoull/stoull it rejects trailing garbage
+/// ("0x10zz"), a leading minus (which strtoull silently wraps) and values
+/// past 2^64 - 1.
+/// \throws ParseError "trace: bad <what> '<text>' on line <n>".
+std::uint64_t ParseUnsignedField(const std::string& text, int base,
+                                 const std::string& what,
+                                 std::size_t line_no) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
+  if (text.empty() || text[0] == '-' || end != text.c_str() + text.size() ||
+      errno == ERANGE) {
+    throw ParseError("trace: bad " + what + " '" + text + "' on line " +
+                     std::to_string(line_no));
+  }
+  return value;
 }
 
 template <typename T>
@@ -93,9 +113,10 @@ std::vector<TraceRecord> ReadText(std::istream& is) {
     }
     std::istringstream ls(line);
     TraceRecord rec;
+    std::string cycle;
     std::string op;
     std::string addr;
-    if (!(ls >> rec.cycle >> op >> addr)) {
+    if (!(ls >> cycle >> op >> addr)) {
       if (torn_tail) {
         throw ParseError("trace: truncated final line " +
                          std::to_string(line_no) +
@@ -104,6 +125,7 @@ std::vector<TraceRecord> ReadText(std::istream& is) {
       }
       throw ParseError("trace: malformed line " + std::to_string(line_no));
     }
+    rec.cycle = ParseUnsignedField(cycle, 10, "cycle", line_no);
     if (op == "W" || op == "w") {
       rec.is_write = true;
     } else if (op == "R" || op == "r") {
@@ -112,12 +134,7 @@ std::vector<TraceRecord> ReadText(std::istream& is) {
       throw ParseError("trace: bad op '" + op + "' on line " +
                        std::to_string(line_no));
     }
-    try {
-      rec.address = std::stoull(addr, nullptr, 0);
-    } catch (const std::exception&) {
-      throw ParseError("trace: bad address '" + addr + "' on line " +
-                       std::to_string(line_no));
-    }
+    rec.address = ParseUnsignedField(addr, 0, "address", line_no);
     records.push_back(rec);
   }
   CheckReadHealth(is, line_no);
@@ -220,12 +237,7 @@ std::vector<TraceRecord> ReadRamulatorTrace(std::istream& is,
     }
     TraceRecord rec;
     rec.cycle = static_cast<Cycles>(records.size()) * issue_gap_cycles;
-    try {
-      rec.address = std::stoull(addr, nullptr, 0);
-    } catch (const std::exception&) {
-      throw ParseError("trace: bad ramulator address '" + addr +
-                       "' on line " + std::to_string(line_no));
-    }
+    rec.address = ParseUnsignedField(addr, 0, "ramulator address", line_no);
     if (op == "W" || op == "w" || op == "WRITE") {
       rec.is_write = true;
     } else if (op == "R" || op == "r" || op == "READ") {

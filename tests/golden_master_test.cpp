@@ -8,6 +8,12 @@
 // only those — are scrubbed from both sides before comparing.  The figure
 // fixtures are fully deterministic and compare raw.
 //
+// The traced_flat_vrl_access.* fixtures pin what a fully observed run
+// exports rather than what it reports: the Chrome trace, the lineage
+// JSONL, the time-scrubbed attribution profile and the telemetry JSONL of
+// a flat 8-bank VRL-Access run.  Spans and lineage are on the simulator
+// clock and every count is exact, so these also compare raw.
+//
 // The bench and fixture directories arrive as compile definitions
 // (VRL_BENCH_DIR, VRL_GOLDEN_DIR) from tests/CMakeLists.txt.
 
@@ -19,6 +25,16 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
+#include "core/vrl_system.hpp"
+#include "prof/report.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/recorder.hpp"
+#include "telemetry/trace_export.hpp"
+#include "trace/address.hpp"
+#include "trace/synthetic.hpp"
+
+namespace vrl {
 namespace {
 
 std::string BenchDir() { return VRL_BENCH_DIR; }
@@ -45,8 +61,8 @@ std::string RunBench(const std::string& name) {
   return output;
 }
 
-std::string ReadFixture(const std::string& name) {
-  const std::string path = GoldenDir() + "/" + name + ".json";
+std::string ReadFixture(const std::string& file) {
+  const std::string path = GoldenDir() + "/" + file;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     ADD_FAILURE() << "missing fixture " << path;
@@ -65,9 +81,9 @@ std::string ScrubWallClock(const std::string& text) {
   return std::regex_replace(text, kDuration, "<time>");
 }
 
-void ExpectMatchesGolden(const std::string& name, bool scrub = false) {
-  std::string actual = RunBench(name);
-  std::string expected = ReadFixture(name);
+void ExpectMatchesFixture(std::string actual, const std::string& file,
+                          bool scrub = false) {
+  std::string expected = ReadFixture(file);
   ASSERT_FALSE(actual.empty());
   ASSERT_FALSE(expected.empty());
   if (scrub) {
@@ -75,10 +91,14 @@ void ExpectMatchesGolden(const std::string& name, bool scrub = false) {
     expected = ScrubWallClock(expected);
   }
   EXPECT_EQ(actual, expected)
-      << name << " --json output drifted from tests/golden/" << name
-      << ".json — if the change is intentional, regenerate the fixture and "
-         "say so in the PR; if not, the flat model is no longer "
+      << "output drifted from tests/golden/" << file
+      << " — if the change is intentional, regenerate the fixture and say "
+         "so in the PR; if not, the flat model is no longer "
          "byte-equivalent.";
+}
+
+void ExpectMatchesGolden(const std::string& name, bool scrub = false) {
+  ExpectMatchesFixture(RunBench(name), name + ".json", scrub);
 }
 
 TEST(GoldenMaster, Fig1aRestoreCurve) {
@@ -105,6 +125,65 @@ TEST(GoldenMaster, Table1Accuracy) {
   ExpectMatchesGolden("table1_accuracy", /*scrub=*/true);
 }
 
+/// The four exports of one flat 8-bank VRL-Access run with every observer
+/// on: spans, per-op lineage, the per-op event ring and the phase profiler.
+struct TracedRunExports {
+  std::string chrome_trace;
+  std::string lineage;
+  std::string profile;
+  std::string telemetry;
+};
+
+TracedRunExports TracedFlatVrlAccessRun() {
+  core::VrlConfig config;
+  config.banks = 8;
+  const core::VrlSystem system(config);
+
+  telemetry::RecorderOptions options;
+  options.enable_tracing = true;
+  options.tracing.lineage_ops = true;
+  options.trace_refresh_ops = true;
+  options.profile_phases = true;
+  telemetry::Recorder recorder(options);
+
+  // A few dozen refresh ticks keep the fixtures small while every bank
+  // still services requests and issues both full and partial refreshes.
+  const Cycles horizon = 24 * config.timing.t_refi;
+  Rng rng(42);
+  const auto records = trace::GenerateTrace(
+      trace::SuiteWorkload("streamcluster"), system.Geometry(), horizon, rng);
+  const auto requests =
+      trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
+  system.Simulate(core::PolicyKind::kVrlAccess, requests, horizon, &recorder);
+
+  TracedRunExports exports;
+  std::ostringstream chrome;
+  telemetry::WriteChromeTrace(chrome, *recorder.tracer());
+  exports.chrome_trace = chrome.str();
+  std::ostringstream lineage;
+  telemetry::WriteLineageJsonl(lineage, *recorder.tracer());
+  exports.lineage = lineage.str();
+  std::ostringstream profile;
+  prof::WriteProfileJson(profile,
+                         recorder.profiler()->Snapshot(/*scrub_times=*/true));
+  exports.profile = profile.str();
+  std::ostringstream metrics;
+  telemetry::WriteMetricsJsonl(metrics, recorder.Snapshot());
+  telemetry::WriteEventsJsonl(metrics, recorder.events());
+  exports.telemetry = metrics.str();
+  return exports;
+}
+
+TEST(GoldenMaster, TracedFlatRunExports) {
+  const TracedRunExports exports = TracedFlatVrlAccessRun();
+  ExpectMatchesFixture(exports.chrome_trace,
+                       "traced_flat_vrl_access.trace.json");
+  ExpectMatchesFixture(exports.lineage, "traced_flat_vrl_access.lineage.jsonl");
+  ExpectMatchesFixture(exports.profile, "traced_flat_vrl_access.profile.json");
+  ExpectMatchesFixture(exports.telemetry,
+                       "traced_flat_vrl_access.telemetry.jsonl");
+}
+
 TEST(GoldenMaster, ScrubberOnlyTouchesDurations) {
   EXPECT_EQ(ScrubWallClock("\"t(circuit)\":\"29.84 ms\",\"x\":\"43.2 us\""),
             "\"t(circuit)\":\"<time>\",\"x\":\"<time>\"");
@@ -115,3 +194,4 @@ TEST(GoldenMaster, ScrubberOnlyTouchesDurations) {
 }
 
 }  // namespace
+}  // namespace vrl

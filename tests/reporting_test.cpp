@@ -1,9 +1,17 @@
 // Tests for the shared report writer (bench/reporting.hpp): CSV quoting,
-// the uniform CLI flag parser, and the policy-name resolver the reporting
-// binaries feed their positional arguments through.
+// the uniform CLI flag parser and its checked numeric value parsers, the
+// fault_campaign flags parsed through them, and the policy-name resolver
+// the reporting binaries feed their positional arguments through.
+//
+// The examples' directory arrives as a compile definition
+// (VRL_EXAMPLES_DIR) from tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -166,6 +174,64 @@ TEST(ParseReportArgs, ResilienceFlagsParseAndValidate) {
   EXPECT_THROW(Parse({"--max-retries", "-1"}), ConfigError);
   EXPECT_THROW(Parse({"--leg-timeout", "0"}), ConfigError);
   EXPECT_THROW(Parse({"--leg-timeout", "fast"}), ConfigError);
+}
+
+TEST(ParseCountFlag, AcceptsWholeUnsignedIntegers) {
+  EXPECT_EQ(ParseCountFlag("--windows", "0"), 0u);
+  EXPECT_EQ(ParseCountFlag("--windows", "16"), 16u);
+  EXPECT_EQ(ParseCountFlag("--seed", "18446744073709551615"),
+            18446744073709551615ull);
+}
+
+TEST(ParseCountFlag, RejectsSignsGarbageAndOverflow) {
+  for (const char* text :
+       {"", "-1", "-0", "8x", "x8", "1.5", "0x10", "18446744073709551616"}) {
+    EXPECT_THROW(ParseCountFlag("--windows", text), ConfigError) << text;
+  }
+  try {
+    ParseCountFlag("--windows", "8x");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("--windows"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("'8x'"), std::string::npos);
+  }
+}
+
+TEST(ParseNumberFlag, AcceptsWholeFiniteNumbers) {
+  EXPECT_EQ(ParseNumberFlag("--drift", "0.5"), 0.5);
+  EXPECT_EQ(ParseNumberFlag("--drift", "-2"), -2.0);
+  EXPECT_EQ(ParseNumberFlag("--drift", "1e-3"), 1e-3);
+}
+
+TEST(ParseNumberFlag, RejectsGarbageAndNonFinite) {
+  for (const char* text : {"", "8x", "0.5.1", "fast", "nan", "inf", "1e999"}) {
+    EXPECT_THROW(ParseNumberFlag("--drift", text), ConfigError) << text;
+  }
+}
+
+// -- fault_campaign flags -----------------------------------------------------
+
+/// Exit status of `fault_campaign <args>`, output discarded.
+int RunFaultCampaign(const std::string& args) {
+  const std::string command = std::string(VRL_EXAMPLES_DIR) +
+                              "/fault_campaign " + args +
+                              " >/dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(FaultCampaignFlags, ValidFlagsRun) {
+  EXPECT_EQ(RunFaultCampaign("--windows 1 --seed 7 --low-ratio 0.5"), 0);
+}
+
+TEST(FaultCampaignFlags, TrailingFlagWithoutValueIsAUsageError) {
+  EXPECT_EQ(RunFaultCampaign("--windows 1 --seed"), 2);
+}
+
+TEST(FaultCampaignFlags, NegativeAndTrailingGarbageValuesAreUsageErrors) {
+  EXPECT_EQ(RunFaultCampaign("--windows 1 --seed -1"), 2);
+  EXPECT_EQ(RunFaultCampaign("--windows 1x"), 2);
+  EXPECT_EQ(RunFaultCampaign("--windows 1 --low-ratio 0.5x"), 2);
 }
 
 TEST(ParseReportArgs, MakeRuntimeOptionsMapsTheResilienceFlags) {

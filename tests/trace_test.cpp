@@ -128,6 +128,19 @@ TEST(TraceIo, TextRejectsMalformed) {
   EXPECT_THROW(ReadText(bad_addr), ParseError);
   std::stringstream missing("10\n");
   EXPECT_THROW(ReadText(missing), ParseError);
+  // strtoull-style leniency: trailing garbage and a wrapped minus.
+  for (const char* line : {"10 R 0x10zz\n", "10 R 12abc\n", "10 R -5\n",
+                           "-3 R 0x20\n", "12abc R 0x20\n",
+                           "10 R 0x10000000000000000\n"}) {
+    std::stringstream bad(line);
+    EXPECT_THROW(ReadText(bad), ParseError) << line;
+  }
+  std::stringstream prefixes("10 R 0x10\n11 W 017\n12 R 42\n");
+  const auto records = ReadText(prefixes);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].address, 16u);
+  EXPECT_EQ(records[1].address, 15u);  // C octal prefix
+  EXPECT_EQ(records[2].address, 42u);
 }
 
 TEST(TraceIo, TruncatedFinalLineIsDiagnosedNotDropped) {
@@ -181,6 +194,10 @@ TEST(TraceIo, RamulatorImportRejectsMalformed) {
   EXPECT_THROW(ReadRamulatorTrace(bad_op, 4), ParseError);
   std::stringstream bad_addr("zzz R\n");
   EXPECT_THROW(ReadRamulatorTrace(bad_addr, 4), ParseError);
+  for (const char* line : {"0x10zz R\n", "12abc R\n", "-5 R\n"}) {
+    std::stringstream bad(line);
+    EXPECT_THROW(ReadRamulatorTrace(bad, 4), ParseError) << line;
+  }
   std::stringstream ok("0x1 R\n");
   EXPECT_THROW(ReadRamulatorTrace(ok, 0), ParseError);
 }

@@ -10,7 +10,8 @@
 //     summary accounting.
 //  3. The acceptance contracts end to end: a VRL-Access run records
 //     activation-reset lineage, the adaptive campaign records demotion
-//     lineage, and the evaluation suite's merged trace exports
+//     lineage, a hierarchical run parents each refresh burst to its own
+//     bank's span, and the evaluation suite's merged trace exports
 //     byte-identically at 1, 2 and 8 threads.
 
 #include "telemetry/tracing.hpp"
@@ -18,13 +19,18 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/controller.hpp"
+#include "dram/timing_table.hpp"
 #include "retention/vrt.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
@@ -409,6 +415,65 @@ TEST(TracingIntegration, AdaptiveCampaignRecordsDemotionLineage) {
   }
   EXPECT_GT(demotions, 0u) << "adaptive degradation left no demotion lineage";
   EXPECT_GT(failures, 0u) << "campaign sensing failures left no lineage";
+}
+
+TEST(TracingIntegration, HierarchicalRunParentsEachBurstToItsOwnBank) {
+  // DDR4_2400 interleaves its 8 banks on one timeline; each bank's
+  // refresh bursts must still nest under that bank's own bank_run span,
+  // and the bank_run spans are siblings under the enclosing span.
+  const dram::TimingTable table =
+      dram::MakeTimingTable(dram::TimingPreset::kDdr4_2400, 8);
+  const std::size_t rows = 16;
+  const Cycles window = rows * table.core.t_refi;  // one row per tick
+  dram::MemoryController controller(table, rows, [&] {
+    return std::make_unique<dram::JedecPolicy>(rows, window, 26);
+  });
+  ASSERT_TRUE(controller.hierarchical());
+  Recorder recorder(TracingOptions());
+  controller.AttachTelemetry(&recorder);
+  Tracer& tracer = *recorder.tracer();
+
+  std::vector<dram::Request> requests;
+  for (std::size_t i = 0; i < 64; ++i) {
+    dram::Request request;
+    request.arrival = static_cast<Cycles>(i) * 97;
+    request.bank = i % controller.banks();
+    request.row = (i * 5) % rows;
+    requests.push_back(request);
+  }
+  const Cycles horizon = 2 * window;
+  const SpanId outer = tracer.BeginSpan("workload", 0);
+  ASSERT_NO_THROW(controller.Run(requests, horizon));
+  tracer.EndSpan(outer, horizon);
+  EXPECT_EQ(tracer.open_depth(), 0u);
+
+  // (group, track) of every bank_run, keyed by span id.
+  std::map<SpanId, std::pair<std::uint32_t, std::uint64_t>> bank_runs;
+  for (const SpanRecord& span : tracer.spans()) {
+    if (tracer.label(span.name) == "bank_run") {
+      EXPECT_EQ(span.parent, outer);
+      EXPECT_GE(span.end, horizon);
+      bank_runs[span.id] = {span.group, span.track};
+    }
+  }
+  EXPECT_EQ(bank_runs.size(), controller.banks());
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> bursts;
+  for (const SpanRecord& span : tracer.spans()) {
+    if (tracer.label(span.name) != "refresh_burst") {
+      continue;
+    }
+    const auto parent = bank_runs.find(span.parent);
+    ASSERT_NE(parent, bank_runs.end())
+        << "burst at cycle " << span.start << " is not under a bank_run";
+    EXPECT_EQ(parent->second, std::make_pair(span.group, span.track))
+        << "burst at cycle " << span.start << " is under another bank's span";
+    ++bursts[parent->second];
+  }
+  // Every bank refreshed on every tick of the run.
+  EXPECT_EQ(bursts.size(), controller.banks());
+  for (const auto& [bank, count] : bursts) {
+    EXPECT_EQ(count, horizon / table.core.t_refi + 1);
+  }
 }
 
 std::string TraceBytes(const Recorder& recorder) {
