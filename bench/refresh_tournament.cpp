@@ -25,8 +25,10 @@
 //   --gate-latency      exit non-zero unless DARP and SARP beat JEDEC's
 //                       average demand latency on every preset
 //
-// Exit code: 1 on any timing violation, 2 on a failed latency gate.
+// Exit code: 1 on any timing violation, 2 on a failed latency gate or a
+// malformed flag.
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -88,42 +90,49 @@ std::string Fixed(double value, int decimals) {
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgs(argc, argv);
+  bench::ReportOptions report_options;
   std::string audit_out;
   std::size_t windows = 4;
   std::size_t max_workloads = 0;
   std::size_t subarrays = 4;
   bool gate_latency = false;
-  for (std::size_t i = 0; i < report_options.positional.size(); ++i) {
-    const std::string& arg = report_options.positional[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= report_options.positional.size()) {
-        throw ConfigError("refresh_tournament: " + arg + " needs a value");
+  std::vector<dram::TimingPreset> presets = {dram::TimingPreset::kDdr3_1600,
+                                             dram::TimingPreset::kDdr4_2400,
+                                             dram::TimingPreset::kLpddr4_3200};
+  try {
+    report_options = bench::ParseReportArgs(argc, argv);
+    const auto& args = report_options.positional;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& arg = args[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= args.size()) {
+          throw ConfigError(arg + " needs a value");
+        }
+        return args[++i];
+      };
+      const auto count = [&]() {
+        return static_cast<std::size_t>(bench::ParseCountFlag(arg, value()));
+      };
+      if (arg == "--audit-out") {
+        audit_out = value();
+      } else if (arg == "--windows") {
+        windows = count();
+      } else if (arg == "--workloads") {
+        max_workloads = count();
+      } else if (arg == "--subarrays") {
+        subarrays = count();
+      } else if (arg == "--gate-latency") {
+        gate_latency = true;
+      } else {
+        throw ConfigError("unknown argument '" + arg + "'");
       }
-      return report_options.positional[++i];
-    };
-    if (arg == "--audit-out") {
-      audit_out = value();
-    } else if (arg == "--windows") {
-      windows = static_cast<std::size_t>(std::stoul(value()));
-    } else if (arg == "--workloads") {
-      max_workloads = static_cast<std::size_t>(std::stoul(value()));
-    } else if (arg == "--subarrays") {
-      subarrays = static_cast<std::size_t>(std::stoul(value()));
-    } else if (arg == "--gate-latency") {
-      gate_latency = true;
-    } else {
-      throw ConfigError("refresh_tournament: unknown argument '" + arg +
-                        "'");
     }
-  }
-
-  std::vector<dram::TimingPreset> presets;
-  if (report_options.preset.empty()) {
-    presets = {dram::TimingPreset::kDdr3_1600, dram::TimingPreset::kDdr4_2400,
-               dram::TimingPreset::kLpddr4_3200};
-  } else {
-    presets = {dram::PresetFromName(report_options.preset)};
+    if (!report_options.preset.empty()) {
+      presets = {dram::PresetFromName(report_options.preset)};
+    }
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
   }
 
   // Every registered policy competes; names come from the registry so a

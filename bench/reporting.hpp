@@ -185,10 +185,11 @@ class Report {
                     bool include_timers = false);
 
   /// Builds the `--profile` phase report: a "profile" table attributing
-  /// wall time to the `time.phase.*` timers (policy CollectDue, scheduler,
-  /// telemetry flush, circuit solve, ...) with each phase's share of the
-  /// phase total, followed by the remaining `time.*` timers as unshared
-  /// context rows.  Wall clock — not part of the determinism contract.
+  /// wall time to the `time.phase.*` timers (refresh propose/grant as
+  /// `policy_collect_due`, scheduler, telemetry flush, circuit solve, ...)
+  /// with each phase's share of the phase total, followed by the remaining
+  /// `time.*` timers as unshared context rows.  Wall clock — not part of
+  /// the determinism contract.
   void AddProfile(const telemetry::MetricsSnapshot& snapshot);
 
   /// The upgraded `--profile` report: renders the recorder's hierarchical

@@ -13,7 +13,10 @@
 //                       this artifact and scripts/check_timing_audit.py
 //                       validates it
 //   --windows <n>       base refresh windows per simulation (default 4)
+//
+// A malformed flag prints one `error:` line and exits 2.
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -32,32 +35,38 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgs(argc, argv);
+  bench::ReportOptions report_options;
   std::string audit_out;
   std::size_t windows = 4;
-  for (std::size_t i = 0; i < report_options.positional.size(); ++i) {
-    const std::string& arg = report_options.positional[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= report_options.positional.size()) {
-        throw ConfigError("timing_conformance: " + arg + " needs a value");
+  std::vector<dram::TimingPreset> presets = {dram::TimingPreset::kDdr3_1600,
+                                             dram::TimingPreset::kDdr4_2400,
+                                             dram::TimingPreset::kLpddr4_3200};
+  try {
+    report_options = bench::ParseReportArgs(argc, argv);
+    const auto& args = report_options.positional;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& arg = args[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= args.size()) {
+          throw ConfigError(arg + " needs a value");
+        }
+        return args[++i];
+      };
+      if (arg == "--audit-out") {
+        audit_out = value();
+      } else if (arg == "--windows") {
+        windows =
+            static_cast<std::size_t>(bench::ParseCountFlag(arg, value()));
+      } else {
+        throw ConfigError("unknown argument '" + arg + "'");
       }
-      return report_options.positional[++i];
-    };
-    if (arg == "--audit-out") {
-      audit_out = value();
-    } else if (arg == "--windows") {
-      windows = static_cast<std::size_t>(std::stoul(value()));
-    } else {
-      throw ConfigError("timing_conformance: unknown argument '" + arg + "'");
     }
-  }
-
-  std::vector<dram::TimingPreset> presets;
-  if (report_options.preset.empty()) {
-    presets = {dram::TimingPreset::kDdr3_1600, dram::TimingPreset::kDdr4_2400,
-               dram::TimingPreset::kLpddr4_3200};
-  } else {
-    presets = {dram::PresetFromName(report_options.preset)};
+    if (!report_options.preset.empty()) {
+      presets = {dram::PresetFromName(report_options.preset)};
+    }
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
   }
   // The scheduler-coupled policies ride along so REFpb (DARP) and
   // subarray-granular (SARP) command streams are conformance-audited too.

@@ -74,9 +74,12 @@ RATIO_KEYS = [
         "BM_VrlPolicyCollectDueTelemetry/2",
         "BM_VrlPolicyCollectDue",
     ),
-    # Two-phase refresh API (PR 8): the cost of pulling a legacy policy
-    # through dram::GrantRefreshes instead of CollectDue directly, and the
-    # scheduler-coupled policies against the same direct-pull baseline.
+    # Propose/grant refresh ticks, all against the plain VRL tick
+    # (BM_VrlPolicyCollectDue, which also goes through
+    # dram::GrantRefreshes; the key and arm names predate that and stay so
+    # the committed baselines keep gating them): the controller's grant
+    # accounting (propose_grant_shim_overhead), and the deferrable
+    # DARP/SARP/VRL-Skip policies.
     (
         "propose_grant_shim_overhead",
         "BM_VrlPolicyGrantRefreshes",

@@ -83,16 +83,6 @@ WorkloadResult RunWorkload(const VrlSystem& system,
                          ResolveSink(system, options));
 }
 
-WorkloadResult RunWorkload(const VrlSystem& system,
-                           const trace::SyntheticWorkloadParams& workload,
-                           std::size_t windows,
-                           const power::EnergyParams& energy) {
-  ExperimentOptions options;
-  options.windows = windows;
-  options.energy = energy;
-  return RunWorkload(system, workload, options);
-}
-
 std::vector<WorkloadResult> RunEvaluationSuite(
     const VrlSystem& system, const ExperimentOptions& options) {
   // One task per workload: RunWorkload builds all of its mutable state
@@ -123,15 +113,6 @@ std::vector<WorkloadResult> RunEvaluationSuite(
       options.threads);
   shards.MergeInto(*sink);
   return results;
-}
-
-std::vector<WorkloadResult> RunEvaluationSuite(
-    const VrlSystem& system, std::size_t windows,
-    const power::EnergyParams& energy) {
-  ExperimentOptions options;
-  options.windows = windows;
-  options.energy = energy;
-  return RunEvaluationSuite(system, options);
 }
 
 std::vector<ResilienceLeg> ResilienceLegs(PolicyKind kind) {
@@ -194,17 +175,6 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
     shards->MergeInto(*sink);
   }
   return result;
-}
-
-ResilienceResult RunResilienceComparison(const VrlSystem& system,
-                                         PolicyKind kind,
-                                         const retention::VrtParams& vrt,
-                                         std::size_t windows,
-                                         std::uint64_t fault_seed) {
-  ExperimentOptions options;
-  options.windows = windows;
-  options.fault_seed = fault_seed;
-  return RunResilienceComparison(system, kind, vrt, options);
 }
 
 SuiteAverages Average(const std::vector<WorkloadResult>& results) {

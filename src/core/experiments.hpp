@@ -15,8 +15,7 @@
 namespace vrl::core {
 
 /// Options shared by the experiment drivers below.  One struct instead of
-/// positional parameters so call sites stay readable as knobs accumulate;
-/// the legacy positional overloads delegate here unchanged.
+/// positional parameters so call sites stay readable as knobs accumulate.
 struct ExperimentOptions {
   /// Base refresh windows (64 ms each) each simulation covers.
   std::size_t windows = 8;
@@ -66,23 +65,12 @@ WorkloadResult RunWorkload(const VrlSystem& system,
                            const trace::SyntheticWorkloadParams& workload,
                            const ExperimentOptions& options);
 
-/// Legacy positional overload; delegates to the ExperimentOptions form.
-WorkloadResult RunWorkload(const VrlSystem& system,
-                           const trace::SyntheticWorkloadParams& workload,
-                           std::size_t windows,
-                           const power::EnergyParams& energy);
-
 /// Runs the full evaluation suite (Fig. 4): every PARSEC workload plus
 /// bgsave.  Workloads run in parallel (common/parallel.hpp) with
 /// bit-identical results — including the merged telemetry — at any thread
 /// count.
 std::vector<WorkloadResult> RunEvaluationSuite(
     const VrlSystem& system, const ExperimentOptions& options);
-
-/// Legacy positional overload; delegates to the ExperimentOptions form.
-std::vector<WorkloadResult> RunEvaluationSuite(const VrlSystem& system,
-                                               std::size_t windows,
-                                               const power::EnergyParams& energy);
 
 /// Geometric-mean-free average of the normalized overheads across results
 /// (the paper reports arithmetic averages of normalized overhead).
@@ -151,12 +139,5 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          PolicyKind kind,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options);
-
-/// Legacy positional overload; delegates to the ExperimentOptions form.
-ResilienceResult RunResilienceComparison(const VrlSystem& system,
-                                         PolicyKind kind,
-                                         const retention::VrtParams& vrt,
-                                         std::size_t windows,
-                                         std::uint64_t fault_seed);
 
 }  // namespace vrl::core

@@ -74,9 +74,9 @@ IntegrityReport IntegrityChecker::Replay(dram::RefreshPolicy& policy,
 
   for (Cycles tick = 0; tick <= horizon; tick += t_refi) {
     const double now_s = CyclesToSeconds(tick, clock);
-    // Propose/grant with no bank context: every proposal is granted, which
-    // matches the old blind CollectDue pull for legacy policies and lets
-    // the checker audit the scheduler-coupled policies' schedules too.
+    // Propose/grant with no bank context: every proposal is granted on the
+    // tick it is proposed, so the checker audits each policy's schedule
+    // without demand-driven deferral.
     dram::RefreshGrantContext grant_ctx;
     grant_ctx.now = tick;
     grant_ctx.demand.now = tick;

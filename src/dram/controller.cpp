@@ -499,9 +499,8 @@ void MemoryController::FoldPhaseProfile(const PhaseProfile& phases,
 
 void MemoryController::ExportGrantTelemetry(const RefreshGrantStats& grants) {
   // Registered only when a scheduler-coupled policy actually produced
-  // non-urgent proposals: legacy policies (whose shim proposals are all
-  // urgent) leave the snapshot untouched, keeping the golden fixtures
-  // byte-identical through the new propose/grant path.
+  // non-urgent proposals: the fixed-schedule policies (defer window 0, so
+  // every proposal is urgent) leave the snapshot untouched.
   if (telemetry_ == nullptr || grants.nonurgent_proposals == 0) {
     return;
   }

@@ -143,8 +143,8 @@ class MemoryController {
                           const SimulationStats& stats,
                           std::uint64_t reordered_picks_n, Cycles end);
   /// Exports `dram.refresh.*` grant/deferral counters — only when the run
-  /// saw non-urgent proposals (scheduler-coupled policies), so legacy runs
-  /// register nothing new.
+  /// saw non-urgent proposals (scheduler-coupled policies), so runs of the
+  /// fixed-schedule policies register nothing new.
   void ExportGrantTelemetry(const RefreshGrantStats& grants);
 
   TimingTable table_;

@@ -38,32 +38,6 @@ std::string RefreshGranularityName(RefreshGranularity granularity) {
   return "?";
 }
 
-std::vector<RefreshOp> RefreshPolicy::CollectDue(Cycles now) {
-  // Legacy shim over the two-phase contract: propose with no demand in
-  // sight and grant everything on the spot.  Subclasses override this or
-  // Propose (the defaults are mutually recursive — see the header).
-  std::vector<RefreshOp> ops;
-  for (const RefreshProposal& proposal : Propose(now, DemandView{})) {
-    OnGrant(proposal, now);
-    ops.push_back(proposal.op);
-  }
-  return ops;
-}
-
-std::vector<RefreshProposal> RefreshPolicy::Propose(Cycles now,
-                                                    const DemandView& demand) {
-  (void)demand;
-  // Legacy policies pull through CollectDue, which already records
-  // telemetry and re-arms deadlines, so these proposals are pre-granted:
-  // urgent with a deadline of `now` (the scheduler may not defer them) and
-  // an OnGrant that is a no-op.
-  std::vector<RefreshProposal> proposals;
-  for (const RefreshOp& op : CollectDue(now)) {
-    proposals.push_back({op, now, now, true});
-  }
-  return proposals;
-}
-
 void RefreshPolicy::set_telemetry(telemetry::Recorder* recorder) {
   FlushTelemetry();  // Batched state belongs to the previous recorder.
   telemetry_ = recorder;
@@ -163,7 +137,7 @@ void RefreshPolicy::RecordMprsfResetSlow(std::size_t row,
 
 void RefreshPolicy::RequireMonotonicNow(Cycles now) {
   if (now < last_now_) {
-    throw ConfigError("RefreshPolicy::CollectDue: now must be non-decreasing"
+    throw ConfigError("RefreshPolicy::Propose: now must be non-decreasing"
                       " (got " +
                       std::to_string(now) + " after " +
                       std::to_string(last_now_) + ")");
@@ -200,122 +174,6 @@ RowRefreshPlan MakeRefreshPlan(const retention::BinningResult& binning,
 }
 
 // ---------------------------------------------------------------------------
-// JedecPolicy
-// ---------------------------------------------------------------------------
-
-JedecPolicy::JedecPolicy(std::size_t rows, Cycles window_cycles,
-                         Cycles trfc_full)
-    : rows_(rows), window_(window_cycles), trfc_full_(trfc_full) {
-  if (rows == 0 || window_cycles == 0 || trfc_full == 0) {
-    throw ConfigError("JedecPolicy: rows, window and tRFC must be non-zero");
-  }
-  due_ = StaggeredDeadlines(std::vector<Cycles>(rows, window_));
-}
-
-std::vector<RefreshOp> JedecPolicy::CollectDue(Cycles now) {
-  RequireMonotonicNow(now);
-  std::vector<RefreshOp> ops;
-  while (!due_.empty() && due_.top().first <= now && !AtCap(ops.size())) {
-    const auto [when, row] = due_.top();
-    due_.pop();
-    ops.push_back({row, trfc_full_, true});
-    RecordOp(ops.back(), now, when);
-    due_.emplace(when + window_, row);
-  }
-  return ops;
-}
-
-// ---------------------------------------------------------------------------
-// RaidrPolicy
-// ---------------------------------------------------------------------------
-
-RaidrPolicy::RaidrPolicy(RowRefreshPlan plan, Cycles trfc_full)
-    : plan_(std::move(plan)), trfc_full_(trfc_full) {
-  if (plan_.period_cycles.empty() || trfc_full == 0) {
-    throw ConfigError("RaidrPolicy: empty plan or zero tRFC");
-  }
-  due_ = StaggeredDeadlines(plan_.period_cycles);
-}
-
-std::vector<RefreshOp> RaidrPolicy::CollectDue(Cycles now) {
-  RequireMonotonicNow(now);
-  std::vector<RefreshOp> ops;
-  while (!due_.empty() && due_.top().first <= now && !AtCap(ops.size())) {
-    const auto [when, row] = due_.top();
-    due_.pop();
-    ops.push_back({row, trfc_full_, true});
-    RecordOp(ops.back(), now, when);
-    due_.emplace(when + plan_.period_cycles[row], row);
-  }
-  return ops;
-}
-
-// ---------------------------------------------------------------------------
-// VrlPolicy (Algorithm 1)
-// ---------------------------------------------------------------------------
-
-VrlPolicy::VrlPolicy(RowRefreshPlan plan, Cycles trfc_full,
-                     Cycles trfc_partial)
-    : plan_(std::move(plan)),
-      trfc_full_(trfc_full),
-      trfc_partial_(trfc_partial) {
-  if (plan_.period_cycles.empty()) {
-    throw ConfigError("VrlPolicy: empty plan");
-  }
-  if (plan_.mprsf.size() != plan_.period_cycles.size()) {
-    throw ConfigError("VrlPolicy: plan must carry one MPRSF per row");
-  }
-  if (trfc_partial_ == 0 || trfc_partial_ >= trfc_full_) {
-    throw ConfigError("VrlPolicy: need 0 < tau_partial < tau_full");
-  }
-  due_ = StaggeredDeadlines(plan_.period_cycles);
-  // Stagger the initial counter phases across rows so a finite simulation
-  // window samples the steady-state full/partial mix instead of the
-  // all-partial transient right after power-up (every row starts fully
-  // charged, so early partials are safe regardless of phase).
-  rcount_.resize(plan_.period_cycles.size());
-  for (std::size_t r = 0; r < rcount_.size(); ++r) {
-    rcount_[r] = static_cast<std::uint8_t>(
-        r % (static_cast<std::size_t>(plan_.mprsf[r]) + 1));
-  }
-}
-
-std::vector<RefreshOp> VrlPolicy::CollectDue(Cycles now) {
-  RequireMonotonicNow(now);
-  std::vector<RefreshOp> ops;
-  while (!due_.empty() && due_.top().first <= now && !AtCap(ops.size())) {
-    const auto [when, row] = due_.top();
-    due_.pop();
-    // Algorithm 1: full refresh when the counter reaches the row's MPRSF,
-    // partial refresh (and count) otherwise.
-    if (rcount_[row] == plan_.mprsf[row]) {
-      ops.push_back({row, trfc_full_, true});
-      rcount_[row] = 0;
-    } else {
-      ops.push_back({row, trfc_partial_, false});
-      ++rcount_[row];
-    }
-    RecordOp(ops.back(), now, when);
-    due_.emplace(when + plan_.period_cycles[row], row);
-  }
-  return ops;
-}
-
-// ---------------------------------------------------------------------------
-// VrlAccessPolicy
-// ---------------------------------------------------------------------------
-
-void VrlAccessPolicy::OnRowAccess(std::size_t row) {
-  if (row >= rcount_.size()) {
-    throw ConfigError("VrlAccessPolicy: access to unknown row");
-  }
-  // A row activation fully restores the charge of the row, so the next
-  // refreshes may again be partial: reset the counter (§3.2).
-  RecordMprsfReset(row, rcount_[row]);
-  rcount_[row] = 0;
-}
-
-// ---------------------------------------------------------------------------
 // ProposingPolicy
 // ---------------------------------------------------------------------------
 
@@ -333,8 +191,8 @@ std::vector<RefreshProposal> ProposingPolicy::Propose(
   (void)demand;
   RequireMonotonicNow(now);
   // Rows coming due turn into outstanding proposals; the op (full/partial,
-  // latency) is frozen here.  AtCap bounds the outstanding set the same way
-  // it bounds a legacy CollectDue burst: excess rows stay in the queue.
+  // latency) is frozen here.  AtCap bounds the outstanding set: excess rows
+  // stay in the queue and come due first on the next tick.
   while (!due_.empty() && due_.top().first <= now &&
          !AtCap(outstanding_.size())) {
     const auto [when, row] = due_.top();
@@ -383,6 +241,83 @@ bool ProposingPolicy::RearmOutstanding(std::size_t row, Cycles at) {
 }
 
 // ---------------------------------------------------------------------------
+// JedecPolicy / RaidrPolicy
+// ---------------------------------------------------------------------------
+
+JedecPolicy::JedecPolicy(std::size_t rows, Cycles window_cycles,
+                         Cycles trfc_full)
+    : ProposingPolicy(std::vector<Cycles>(rows, window_cycles), 0),
+      trfc_full_(trfc_full) {
+  if (window_cycles == 0 || trfc_full == 0) {
+    throw ConfigError("JedecPolicy: window and tRFC must be non-zero");
+  }
+}
+
+RaidrPolicy::RaidrPolicy(RowRefreshPlan plan, Cycles trfc_full)
+    : ProposingPolicy(std::move(plan.period_cycles), 0),
+      trfc_full_(trfc_full) {
+  if (trfc_full == 0) {
+    throw ConfigError("RaidrPolicy: tRFC must be non-zero");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// VrlPolicy (Algorithm 1) / VrlAccessPolicy
+// ---------------------------------------------------------------------------
+
+VrlPolicy::VrlPolicy(RowRefreshPlan plan, Cycles trfc_full,
+                     Cycles trfc_partial, Cycles defer_window)
+    : ProposingPolicy(std::move(plan.period_cycles), defer_window),
+      mprsf_(std::move(plan.mprsf)),
+      trfc_full_(trfc_full),
+      trfc_partial_(trfc_partial) {
+  if (mprsf_.size() != rows()) {
+    throw ConfigError("VrlPolicy: plan must carry one MPRSF per row");
+  }
+  if (trfc_partial_ == 0 || trfc_partial_ >= trfc_full_) {
+    throw ConfigError("VrlPolicy: need 0 < tau_partial < tau_full");
+  }
+  // Stagger the initial counter phases across rows so a finite simulation
+  // window samples the steady-state full/partial mix instead of the
+  // all-partial transient right after power-up (every row starts fully
+  // charged, so early partials are safe regardless of phase).
+  rcount_.resize(rows());
+  for (std::size_t r = 0; r < rcount_.size(); ++r) {
+    rcount_[r] = static_cast<std::uint8_t>(
+        r % (static_cast<std::size_t>(mprsf_[r]) + 1));
+  }
+}
+
+RefreshOp VrlPolicy::MakeOp(std::size_t row) {
+  const bool full = rcount_[row] == mprsf_[row];
+  return {row, full ? trfc_full_ : trfc_partial_, full};
+}
+
+void VrlPolicy::OnGrant(const RefreshProposal& proposal, Cycles at) {
+  // Walk the ladder at grant time.  The op was frozen at propose time and
+  // nothing moves the counter in between: with a defer window of 0 the
+  // grant lands on the proposing tick, and a VRL-Skip access that resets
+  // the counter also cancels the row's outstanding proposal.
+  const std::size_t row = proposal.op.row;
+  if (proposal.op.is_full) {
+    rcount_[row] = 0;
+  } else {
+    ++rcount_[row];
+  }
+  ProposingPolicy::OnGrant(proposal, at);
+}
+
+void VrlAccessPolicy::OnRowAccess(std::size_t row) {
+  if (row >= rcount_.size()) {
+    throw ConfigError("VrlAccessPolicy: access to unknown row");
+  }
+  // A row activation fully restores the charge of the row, so the next
+  // refreshes may again be partial: reset the counter (§3.2).
+  RecordMprsfReset(row, rcount_[row]);
+  rcount_[row] = 0;
+}
+
+// ---------------------------------------------------------------------------
 // DarpPolicy / SarpPolicy
 // ---------------------------------------------------------------------------
 
@@ -410,36 +345,16 @@ SarpPolicy::SarpPolicy(std::size_t rows, Cycles window_cycles,
 
 VrlSkipPolicy::VrlSkipPolicy(RowRefreshPlan plan, Cycles trfc_full,
                              Cycles trfc_partial, Cycles defer_window)
-    : ProposingPolicy(plan.period_cycles, defer_window),
-      plan_(std::move(plan)),
-      trfc_full_(trfc_full),
-      trfc_partial_(trfc_partial) {
-  if (plan_.mprsf.size() != plan_.period_cycles.size()) {
-    throw ConfigError("VrlSkipPolicy: plan must carry one MPRSF per row");
-  }
-  if (trfc_partial_ == 0 || trfc_partial_ >= trfc_full_) {
-    throw ConfigError("VrlSkipPolicy: need 0 < tau_partial < tau_full");
-  }
-  // Same staggered counter phases as VrlPolicy (see its constructor).
-  rcount_.resize(plan_.period_cycles.size());
-  for (std::size_t r = 0; r < rcount_.size(); ++r) {
-    rcount_[r] = static_cast<std::uint8_t>(
-        r % (static_cast<std::size_t>(plan_.mprsf[r]) + 1));
-  }
-  last_restore_.assign(rcount_.size(), kNeverRestored);
+    : VrlAccessPolicy(std::move(plan), trfc_full, trfc_partial,
+                      defer_window) {
+  last_restore_.assign(rows(), kNeverRestored);
 }
 
-RefreshOp VrlSkipPolicy::MakeOp(std::size_t row) {
-  RefreshOp op;
-  op.row = row;
-  if (rcount_[row] == plan_.mprsf[row]) {
-    op.trfc = trfc_full_;
-    op.is_full = true;
-  } else {
-    op.trfc = trfc_partial_;
-    op.is_full = false;
+void VrlSkipPolicy::CountSkip() {
+  ++skipped_;
+  if (skipped_cell_ != nullptr) {
+    skipped_cell_->Add(1);
   }
-  return op;
 }
 
 Cycles VrlSkipPolicy::SkipUntil(std::size_t row, Cycles due) {
@@ -448,36 +363,21 @@ Cycles VrlSkipPolicy::SkipUntil(std::size_t row, Cycles due) {
   }
   const Cycles safe = last_restore_[row] + PeriodOf(row);
   if (safe > due) {
-    ++skipped_;
-    if (skipped_cell_ != nullptr) {
-      skipped_cell_->Add(1);
-    }
+    CountSkip();
     return safe;
   }
   return 0;
 }
 
 void VrlSkipPolicy::OnGrant(const RefreshProposal& proposal, Cycles at) {
-  const std::size_t row = proposal.op.row;
-  // Walk the MPRSF ladder at grant time (the op was frozen at propose time;
-  // nothing can change the counter in between — see docs/POLICIES.md).
-  if (proposal.op.is_full) {
-    rcount_[row] = 0;
-  } else {
-    ++rcount_[row];
-  }
   // Any refresh restores at least one period of charge from its execution
   // cycle, so a deferred grant pushes the row's next safe point out too.
-  last_restore_[row] = at;
-  ProposingPolicy::OnGrant(proposal, at);
+  last_restore_[proposal.op.row] = at;
+  VrlAccessPolicy::OnGrant(proposal, at);
 }
 
 void VrlSkipPolicy::OnRowAccess(std::size_t row) {
-  if (row >= rcount_.size()) {
-    throw ConfigError("VrlSkipPolicy: access to unknown row");
-  }
-  RecordMprsfReset(row, rcount_[row]);
-  rcount_[row] = 0;
+  VrlAccessPolicy::OnRowAccess(row);
   // OnRowAccess arrives without its own clock; last_now() (the most recent
   // tick) is earlier than the true access cycle, so the restore point is
   // conservative.
@@ -485,10 +385,7 @@ void VrlSkipPolicy::OnRowAccess(std::size_t row) {
   if (RearmOutstanding(row, last_restore_[row] + PeriodOf(row))) {
     // The access restored a row that was already proposed: the pending
     // refresh is no longer needed at all.
-    ++skipped_;
-    if (skipped_cell_ != nullptr) {
-      skipped_cell_->Add(1);
-    }
+    CountSkip();
   }
 }
 

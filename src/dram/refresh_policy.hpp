@@ -21,23 +21,24 @@ class Tracer;
 /// \file refresh_policy.hpp
 /// Refresh scheduling policies for one DRAM bank.
 ///
-/// The memory controller consults the policy at every tREFI tick through a
-/// two-phase scheduler-coupled interface: the policy *proposes* refresh
-/// commands (each with an urgency deadline and a target granularity —
-/// subarray, per-bank REFpb, or all-bank REF) and the controller's scheduler
-/// *grants* or *defers* them against the pending demand requests and the
-/// hierarchy's ConstraintEngine (see GrantRefreshes in scheduler.hpp and
-/// docs/POLICIES.md).  Each granted op carries its own tRFC — variable
-/// refresh latency is the paper's mechanism.
+/// Every policy speaks one two-phase contract, consulted by the memory
+/// controller at every tREFI tick (see GrantRefreshes in scheduler.hpp and
+/// docs/POLICIES.md):
+///  * Propose freezes the op: rows coming due become proposals carrying
+///    the refresh op (row, tRFC, full/partial, granularity — subarray,
+///    per-bank REFpb or all-bank REF), the cycle the schedule wanted it and
+///    a deadline.
+///  * OnGrant records the op (telemetry, lineage) and re-arms the row's
+///    schedule one period after its due cycle; OnDefer leaves the proposal
+///    outstanding, to be offered again on the next tick.
+///  * A defer window of 0 makes every proposal urgent, so the scheduler
+///    grants it on the tick it is proposed — the fixed-schedule policies
+///    (JEDEC, RAIDR, VRL, VRL-Access) use that; DARP/SARP/VRL-Skip defer
+///    around demand inside a non-zero window.
+/// Each granted op carries its own tRFC — variable refresh latency is the
+/// paper's mechanism.
 ///
-/// `CollectDue` is kept as a legacy shim: policies written against the old
-/// blind-pull contract keep working unchanged (their proposals come out
-/// urgent, so the scheduler grants them immediately and the emitted op
-/// stream is byte-identical — golden-master gated).  A policy must override
-/// at least one of CollectDue / Propose; the two defaults are implemented
-/// in terms of each other.
-///
-/// Implemented policies:
+/// Implemented policies (all ProposingPolicy subclasses):
 ///  * JedecPolicy     — every row refreshed each 64 ms window, full latency
 ///                      (the conventional baseline).
 ///  * RaidrPolicy     — RAIDR (Liu et al., ISCA 2012): retention-binned
@@ -112,28 +113,17 @@ class RefreshPolicy {
  public:
   virtual ~RefreshPolicy() = default;
 
-  /// Legacy shim: rows due for refresh at (or before) cycle `now`, granted
-  /// unconditionally.  Advances internal deadlines; each call must use a
-  /// non-decreasing `now`.  The default proposes (ignoring demand) and
-  /// self-grants everything — override this *or* Propose, never neither.
-  virtual std::vector<RefreshOp> CollectDue(Cycles now);
-
-  /// Phase one of the scheduler-coupled contract: the refresh commands this
-  /// policy wants considered at `now`.  Deferred proposals must be offered
-  /// again on later calls until granted.  The default wraps CollectDue as
-  /// urgent proposals, which makes every legacy policy byte-identical
-  /// through the new path.  `now` must be non-decreasing across calls.
+  /// Phase one: the refresh commands this policy wants considered at
+  /// `now`, each with its op frozen.  Proposals the scheduler deferred are
+  /// offered again on later calls until granted.  `now` must be
+  /// non-decreasing across calls.
   virtual std::vector<RefreshProposal> Propose(Cycles now,
-                                               const DemandView& demand);
+                                               const DemandView& demand) = 0;
 
   /// Phase two: the scheduler granted `proposal` for execution at cycle
-  /// `at` (>= the proposal's due cycle).  The policy re-arms the row's
-  /// schedule and records telemetry here.  No-op for legacy policies —
-  /// their CollectDue already did both.
-  virtual void OnGrant(const RefreshProposal& proposal, Cycles at) {
-    (void)proposal;
-    (void)at;
-  }
+  /// `at` (>= the proposal's due cycle).  The policy records the op and
+  /// re-arms the row's schedule here.
+  virtual void OnGrant(const RefreshProposal& proposal, Cycles at) = 0;
 
   /// Phase two, negative edge: the scheduler deferred `proposal` to a later
   /// tick.  Default no-op (deferred proposals simply stay outstanding).
@@ -146,9 +136,9 @@ class RefreshPolicy {
 
   virtual std::size_t rows() const = 0;
 
-  /// Caps the refresh operations emitted per CollectDue call, modelling
-  /// the DDR-standard allowance to postpone refresh commands: rows left
-  /// over stay due and are emitted first on the next tick.  0 = unlimited.
+  /// Caps the refresh proposals outstanding per tick, modelling the
+  /// DDR-standard allowance to postpone refresh commands: rows left over
+  /// stay due and are proposed first on the next tick.  0 = unlimited.
   /// Postponement trades burst length against extra decay time — validate
   /// aggressive caps with core::IntegrityChecker.
   void set_max_ops_per_tick(std::size_t cap) { max_ops_per_tick_ = cap; }
@@ -167,7 +157,7 @@ class RefreshPolicy {
   /// Folds the batched per-op updates (see RecordOp) into the attached
   /// recorder's cells.  The simulation drivers (MemoryController::Run,
   /// fault::RunCampaign) call this before returning; anything driving
-  /// CollectDue directly must call it before snapshotting the recorder.
+  /// GrantRefreshes directly must call it before snapshotting the recorder.
   /// No-op when detached.
   void FlushTelemetry();
 
@@ -176,12 +166,12 @@ class RefreshPolicy {
     return max_ops_per_tick_ != 0 && emitted >= max_ops_per_tick_;
   }
 
-  /// Enforces the documented CollectDue contract: `now` must be
-  /// non-decreasing across calls.  Every CollectDue implementation calls
-  /// this first.  \throws vrl::ConfigError on a decreasing `now`.
+  /// Enforces the documented Propose contract: `now` must be
+  /// non-decreasing across calls.  Every Propose implementation calls this
+  /// first.  \throws vrl::ConfigError on a decreasing `now`.
   void RequireMonotonicNow(Cycles now);
 
-  /// The most recent CollectDue tick (event timestamps for notifications
+  /// The most recent Propose tick (event timestamps for notifications
   /// that arrive without their own clock, e.g. OnRowAccess).
   Cycles last_now() const { return last_now_; }
 
@@ -261,7 +251,6 @@ RowRefreshPlan MakeRefreshPlan(const retention::BinningResult& binning,
                                double clock_period_s,
                                const std::vector<std::size_t>& mprsf = {});
 
-/// Conventional JEDEC baseline: all rows at the base window, full latency.
 /// Min-heap of (next-due cycle, row) pairs shared by the policies; pops all
 /// rows due at a tick in O(due * log rows) instead of scanning every row.
 using DeadlineQueue =
@@ -269,74 +258,12 @@ using DeadlineQueue =
                         std::vector<std::pair<Cycles, std::size_t>>,
                         std::greater<>>;
 
-class JedecPolicy : public RefreshPolicy {
- public:
-  JedecPolicy(std::size_t rows, Cycles window_cycles, Cycles trfc_full);
-
-  std::vector<RefreshOp> CollectDue(Cycles now) override;
-  std::string Name() const override { return "JEDEC"; }
-  std::size_t rows() const override { return rows_; }
-
- private:
-  std::size_t rows_;
-  Cycles window_;
-  Cycles trfc_full_;
-  DeadlineQueue due_;
-};
-
-/// RAIDR: per-row binned periods, always full refresh.
-class RaidrPolicy : public RefreshPolicy {
- public:
-  RaidrPolicy(RowRefreshPlan plan, Cycles trfc_full);
-
-  std::vector<RefreshOp> CollectDue(Cycles now) override;
-  std::string Name() const override { return "RAIDR"; }
-  std::size_t rows() const override { return plan_.period_cycles.size(); }
-
- private:
-  RowRefreshPlan plan_;
-  Cycles trfc_full_;
-  DeadlineQueue due_;
-};
-
-/// VRL-DRAM Algorithm 1.
-class VrlPolicy : public RefreshPolicy {
- public:
-  /// \param plan        per-row periods + MPRSF values (already nbits-capped)
-  /// \param trfc_full   τ_full in cycles
-  /// \param trfc_partial τ_partial in cycles
-  VrlPolicy(RowRefreshPlan plan, Cycles trfc_full, Cycles trfc_partial);
-
-  std::vector<RefreshOp> CollectDue(Cycles now) override;
-  std::string Name() const override { return "VRL"; }
-  std::size_t rows() const override { return plan_.period_cycles.size(); }
-
-  /// Current partial-refresh counter of a row (tests/inspection).
-  std::uint8_t RefreshCount(std::size_t row) const { return rcount_[row]; }
-
- protected:
-  RowRefreshPlan plan_;
-  Cycles trfc_full_;
-  Cycles trfc_partial_;
-  DeadlineQueue due_;
-  std::vector<std::uint8_t> rcount_;
-};
-
-/// VRL-Access: Algorithm 1 plus counter reset on row activation.
-class VrlAccessPolicy : public VrlPolicy {
- public:
-  using VrlPolicy::VrlPolicy;
-
-  void OnRowAccess(std::size_t row) override;
-  std::string Name() const override { return "VRL-Access"; }
-};
-
-/// Shared machinery for the scheduler-coupled policies (DARP/SARP/VRL-Skip):
-/// a deadline queue plus the set of outstanding proposals.  Rows come due
-/// from the queue, turn into proposals with deadline = due + defer window,
-/// and stay outstanding (re-offered every Propose) until granted.  A grant
-/// records telemetry and re-arms the row one period after its *due* cycle,
-/// so deferral never stretches the retention schedule.
+/// Shared machinery for every shipped policy: a deadline queue plus the set
+/// of outstanding proposals.  Rows come due from the queue, turn into
+/// proposals with deadline = due + defer window, and stay outstanding
+/// (re-offered every Propose) until granted.  A grant records telemetry and
+/// re-arms the row one period after its *due* cycle, so deferral never
+/// stretches the retention schedule.  Subclasses supply MakeOp.
 class ProposingPolicy : public RefreshPolicy {
  public:
   std::vector<RefreshProposal> Propose(Cycles now,
@@ -382,6 +309,80 @@ class ProposingPolicy : public RefreshPolicy {
   std::vector<RefreshProposal> outstanding_;  ///< Creation order.
 };
 
+/// Conventional JEDEC baseline: all rows at the base window, full latency.
+class JedecPolicy : public ProposingPolicy {
+ public:
+  JedecPolicy(std::size_t rows, Cycles window_cycles, Cycles trfc_full);
+
+  std::string Name() const override { return "JEDEC"; }
+
+ protected:
+  RefreshOp MakeOp(std::size_t row) override {
+    return {row, trfc_full_, true};
+  }
+
+ private:
+  Cycles trfc_full_;
+};
+
+/// RAIDR: per-row binned periods, always full refresh.
+class RaidrPolicy : public ProposingPolicy {
+ public:
+  RaidrPolicy(RowRefreshPlan plan, Cycles trfc_full);
+
+  std::string Name() const override { return "RAIDR"; }
+
+ protected:
+  RefreshOp MakeOp(std::size_t row) override {
+    return {row, trfc_full_, true};
+  }
+
+ private:
+  Cycles trfc_full_;
+};
+
+/// VRL-DRAM Algorithm 1.
+class VrlPolicy : public ProposingPolicy {
+ public:
+  /// \param plan        per-row periods + MPRSF values (already nbits-capped)
+  /// \param trfc_full   τ_full in cycles
+  /// \param trfc_partial τ_partial in cycles
+  VrlPolicy(RowRefreshPlan plan, Cycles trfc_full, Cycles trfc_partial)
+      : VrlPolicy(std::move(plan), trfc_full, trfc_partial, 0) {}
+
+  std::string Name() const override { return "VRL"; }
+
+  /// Current partial-refresh counter of a row (tests/inspection).
+  std::uint8_t RefreshCount(std::size_t row) const { return rcount_[row]; }
+
+ protected:
+  /// The same ladder with deferrable proposals (VRL-Skip).
+  VrlPolicy(RowRefreshPlan plan, Cycles trfc_full, Cycles trfc_partial,
+            Cycles defer_window);
+
+  /// Algorithm 1: a full refresh when the row's counter has reached its
+  /// MPRSF, a partial refresh otherwise.
+  RefreshOp MakeOp(std::size_t row) override;
+  /// Steps the granted row's counter (reset after a full, count a partial).
+  void OnGrant(const RefreshProposal& proposal, Cycles at) override;
+
+  std::vector<std::uint8_t> rcount_;  ///< Partial refreshes since a full.
+
+ private:
+  std::vector<std::uint8_t> mprsf_;
+  Cycles trfc_full_;
+  Cycles trfc_partial_;
+};
+
+/// VRL-Access: Algorithm 1 plus counter reset on row activation.
+class VrlAccessPolicy : public VrlPolicy {
+ public:
+  using VrlPolicy::VrlPolicy;
+
+  void OnRowAccess(std::size_t row) override;
+  std::string Name() const override { return "VRL-Access"; }
+};
+
 /// DARP-style out-of-order per-bank refresh (arXiv:1712.07754): the JEDEC
 /// all-rows schedule expressed as deferrable REFpb proposals.  The grant
 /// scheduler slides each refresh into an idle gap of the demand queue; the
@@ -423,12 +424,12 @@ class SarpPolicy : public ProposingPolicy {
 };
 
 /// VRL-Access generalized into a charge-aware scheduler hint: the VRL
-/// full/partial ladder, plus per-row restore tracking.  A row restored
-/// (accessed or refreshed) more recently than its scheduled due cycle skips
-/// the refresh entirely and reschedules one period after the restore; live
-/// proposals are deferrable like SARP's.  Skips are counted in the
-/// `policy.skipped_refreshes` telemetry counter.
-class VrlSkipPolicy : public ProposingPolicy {
+/// full/partial ladder and access reset, plus per-row restore tracking.  A
+/// row restored (accessed or refreshed) more recently than its scheduled due
+/// cycle skips the refresh entirely and reschedules one period after the
+/// restore; live proposals are deferrable like SARP's.  Skips are counted in
+/// the `policy.skipped_refreshes` telemetry counter.
+class VrlSkipPolicy : public VrlAccessPolicy {
  public:
   VrlSkipPolicy(RowRefreshPlan plan, Cycles trfc_full, Cycles trfc_partial,
                 Cycles defer_window);
@@ -436,11 +437,9 @@ class VrlSkipPolicy : public ProposingPolicy {
   void OnRowAccess(std::size_t row) override;
   std::string Name() const override { return "VRL-Skip"; }
 
-  std::uint8_t RefreshCount(std::size_t row) const { return rcount_[row]; }
   std::uint64_t skipped() const { return skipped_; }
 
  protected:
-  RefreshOp MakeOp(std::size_t row) override;
   Cycles SkipUntil(std::size_t row, Cycles due) override;
   void OnGrant(const RefreshProposal& proposal, Cycles at) override;
   void OnTelemetryAttached() override;
@@ -448,10 +447,8 @@ class VrlSkipPolicy : public ProposingPolicy {
  private:
   static constexpr Cycles kNeverRestored = ~Cycles{0};
 
-  RowRefreshPlan plan_;
-  Cycles trfc_full_;
-  Cycles trfc_partial_;
-  std::vector<std::uint8_t> rcount_;
+  void CountSkip();
+
   /// Cycle of the last full restore (access or granted refresh);
   /// kNeverRestored until the first one, keeping the staggered initial
   /// schedule authoritative.

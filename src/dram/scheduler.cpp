@@ -127,8 +127,8 @@ std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
     if (stats != nullptr) {
       ++stats->granted;
       if (urgent && proposal.deadline > proposal.due) {
-        // Deadline-forced grant of a genuinely deferrable proposal (the
-        // legacy shim's deadline equals its due cycle and is not counted).
+        // Deadline-forced grant of a genuinely deferrable proposal (with a
+        // defer window of 0 the deadline equals the due cycle: not counted).
         // A high count means the defer window never found an idle gap.
         ++stats->urgent_grants;
       }

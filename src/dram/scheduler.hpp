@@ -54,8 +54,8 @@ std::size_t SelectNextRequest(SchedulerKind kind,
 
 /// Grant accounting across one run, exported by the controller as
 /// `dram.refresh.*` telemetry when a scheduler-coupled policy was active
-/// (i.e. at least one non-urgent proposal was seen — legacy policies leave
-/// the export untouched, keeping golden snapshots byte-identical).
+/// (i.e. at least one non-urgent proposal was seen — policies with a defer
+/// window of 0 propose only urgent work and leave the export untouched).
 struct RefreshGrantStats {
   std::uint64_t proposals = 0;
   std::uint64_t nonurgent_proposals = 0;
@@ -65,10 +65,10 @@ struct RefreshGrantStats {
 };
 
 /// Everything the grant decision may consult.  `bank`, `engine` and `addr`
-/// are optional: without a bank there is no collision probe and non-urgent
-/// proposals are granted (the shim behaviour of campaign/integrity
-/// replays); without an engine the REFpb activation-window probe is
-/// skipped.
+/// are optional: without a bank there is no collision probe and every
+/// proposal is granted on the tick it is proposed (the campaign and
+/// integrity replays); without an engine the REFpb activation-window probe
+/// is skipped.
 struct RefreshGrantContext {
   Cycles now = 0;
   DemandView demand;

@@ -1,5 +1,6 @@
 #include "fault/adaptive_policy.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
@@ -147,27 +148,24 @@ void AdaptiveVrlPolicy::EnterFallback(Cycles now) {
   }
 }
 
-std::vector<dram::RefreshOp> AdaptiveVrlPolicy::CollectDue(Cycles now) {
+std::vector<dram::RefreshProposal> AdaptiveVrlPolicy::Propose(
+    Cycles now, const dram::DemandView& demand) {
   RequireMonotonicNow(now);
   RollWindows(now);
-  std::vector<dram::RefreshOp> ops;
+  forced_in_flight_.clear();
+  forwarded_.clear();
+  // Every proposal is urgent (deadline = due): the scheduler grants them
+  // all on this tick, and OnGrant records each one.
+  std::vector<dram::RefreshProposal> proposals;
+  const auto propose = [&proposals](dram::RefreshOp op, Cycles due) {
+    proposals.push_back({op, due, due, true});
+  };
 
   // Recovery write-backs outrank scheduled work.
   for (const std::size_t row : pending_forced_) {
-    ops.push_back({row, trfc_full_, true});
+    propose({row, trfc_full_, true}, now);
     pending_forced_flag_[row] = false;
-    ++stats_.forced_full_refreshes;
-    RecordOp(ops.back(), now, now);
-    if (telemetry() != nullptr) {
-      forced_fulls_->Add();
-      telemetry()->Record({telemetry::EventKind::kForcedFullRefresh, now,
-                           static_cast<std::uint64_t>(row), 0, 0.0});
-    }
-    if (tracer() != nullptr) {
-      tracer()->Lineage({telemetry::EventKind::kForcedFullRefresh, now,
-                         static_cast<std::uint64_t>(row), cause_label(), 0,
-                         0.0});
-    }
+    forced_in_flight_.push_back(row);
   }
   pending_forced_.clear();
 
@@ -182,17 +180,26 @@ std::vector<dram::RefreshOp> AdaptiveVrlPolicy::CollectDue(Cycles now) {
     }
     auto& demoted = it->second;
     const bool full = demoted.rcount >= demoted.mprsf;
-    ops.push_back({row, full ? trfc_full_ : trfc_partial_, full});
+    propose({row, full ? trfc_full_ : trfc_partial_, full}, when);
     demoted.rcount =
         full ? std::uint8_t{0} : static_cast<std::uint8_t>(demoted.rcount + 1);
-    RecordOp(ops.back(), now, when);
     demoted_due_.emplace(when + demoted.period, row, generation);
   }
 
   // The inner policy keeps ticking even in fallback so its per-row phases
-  // stay aligned for re-entry; only its emissions are replaced by the
-  // full-rate baseline while fallback is active.
-  auto inner_ops = inner_->CollectDue(now);
+  // stay aligned for re-entry.  Proposals the wrapper suppresses (demoted
+  // rows, everything in fallback) are granted to it right here; forwarded
+  // ones are granted when the wrapper's own grant arrives.
+  for (const dram::RefreshProposal& inner : inner_->Propose(now, demand)) {
+    if (in_fallback_ || demoted_.find(inner.op.row) != demoted_.end()) {
+      inner_->OnGrant(inner, now);
+    } else {
+      // The wrapper records forwarded ops with slack 0 (due = now); the
+      // inner proposal keeps its own due cycle for the inner re-arm.
+      propose(inner.op, now);
+      forwarded_.push_back(inner);
+    }
+  }
   if (in_fallback_) {
     while (!fallback_due_.empty() && fallback_due_.top().first <= now) {
       const auto [when, row] = fallback_due_.top();
@@ -201,21 +208,43 @@ std::vector<dram::RefreshOp> AdaptiveVrlPolicy::CollectDue(Cycles now) {
       if (demoted_.find(row) != demoted_.end()) {
         continue;  // has its own, faster schedule
       }
-      ops.push_back({row, trfc_full_, true});
-      RecordOp(ops.back(), now, when);
-    }
-  } else {
-    for (const auto& op : inner_ops) {
-      if (demoted_.find(op.row) == demoted_.end()) {
-        ops.push_back(op);
-        // The detached inner policy popped its own deadline, so the due
-        // cycle is not visible here; slack 0 keeps the counters exact and
-        // only the slack histogram approximate for forwarded ops.
-        RecordOp(op, now, now);
-      }
+      propose({row, trfc_full_, true}, when);
     }
   }
-  return ops;
+  return proposals;
+}
+
+void AdaptiveVrlPolicy::OnGrant(const dram::RefreshProposal& proposal,
+                                Cycles at) {
+  const std::size_t row = proposal.op.row;
+  RecordOp(proposal.op, at, proposal.due);
+  // A row can be proposed twice on one tick (a forced write-back, then its
+  // demoted or forwarded schedule); grants arrive in proposal order, so the
+  // first grant of the row is the forced one.
+  const auto forced =
+      std::find(forced_in_flight_.begin(), forced_in_flight_.end(), row);
+  if (forced != forced_in_flight_.end()) {
+    forced_in_flight_.erase(forced);
+    ++stats_.forced_full_refreshes;
+    if (telemetry() != nullptr) {
+      forced_fulls_->Add();
+      telemetry()->Record({telemetry::EventKind::kForcedFullRefresh, at,
+                           static_cast<std::uint64_t>(row), 0, 0.0});
+    }
+    if (tracer() != nullptr) {
+      tracer()->Lineage({telemetry::EventKind::kForcedFullRefresh, at,
+                         static_cast<std::uint64_t>(row), cause_label(), 0,
+                         0.0});
+    }
+    return;
+  }
+  const auto forwarded = std::find_if(
+      forwarded_.begin(), forwarded_.end(),
+      [row](const dram::RefreshProposal& inner) { return inner.op.row == row; });
+  if (forwarded != forwarded_.end()) {
+    inner_->OnGrant(*forwarded, at);
+    forwarded_.erase(forwarded);
+  }
 }
 
 void AdaptiveVrlPolicy::OnRowAccess(std::size_t row) {

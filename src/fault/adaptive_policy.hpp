@@ -26,7 +26,7 @@
 ///    demoted one level (each level halves its MPRSF until it reaches 0,
 ///    then halves its refresh period, floored at `min_period`) and an
 ///    immediate full refresh is forced.  Demoted rows are scheduled by the
-///    wrapper; the inner policy's emissions for them are suppressed.
+///    wrapper; the inner policy's proposals for them are suppressed.
 ///  * Re-promotion — a demoted row that stays failure-free for
 ///    `promote_after_clean_windows` base windows is promoted one level at
 ///    its next clean full refresh; at level 0 the inner policy resumes.
@@ -90,7 +90,13 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
                     Cycles trfc_partial, Cycles base_window,
                     Cycles min_period, AdaptiveParams params = {});
 
-  std::vector<dram::RefreshOp> CollectDue(Cycles now) override;
+  /// Proposes forced write-backs first, then demoted rows' schedules, then
+  /// the inner policy's proposals (or, in fallback, the full-rate
+  /// baseline).  Every proposal is urgent.
+  std::vector<dram::RefreshProposal> Propose(
+      Cycles now, const dram::DemandView& demand) override;
+  /// Records the op; forwards the grant of a forwarded inner proposal.
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override;
   void OnRowAccess(std::size_t row) override;
   std::string Name() const override { return "Adaptive(" + inner_->Name() + ")"; }
   std::size_t rows() const override { return inner_->rows(); }
@@ -118,7 +124,7 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
 
  protected:
   /// The wrapper records the ops *it* returns (the executed schedule);
-  /// the inner policy stays detached so its suppressed emissions (demoted
+  /// the inner policy stays detached so its suppressed proposals (demoted
   /// rows, fallback) never inflate the `policy.*` metrics.  Also resolves
   /// the `adaptive.*` cells.
   void OnTelemetryAttached() override;
@@ -162,6 +168,10 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
 
   std::vector<std::size_t> pending_forced_;
   std::vector<bool> pending_forced_flag_;
+  /// Proposals of the latest Propose awaiting their grant: forced
+  /// write-backs (counted at grant) and forwarded inner proposals.
+  std::vector<std::size_t> forced_in_flight_;
+  std::vector<dram::RefreshProposal> forwarded_;
 
   bool in_fallback_ = false;
   dram::DeadlineQueue fallback_due_;

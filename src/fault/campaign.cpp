@@ -144,9 +144,8 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     } else {
       faults.Advance(now_s, rows);
     }
-    // Propose/grant with no bank context: every proposal is granted (the
-    // campaign replays physics, not bank timing), which is byte-identical
-    // to the old blind CollectDue pull for legacy policies.
+    // Propose/grant with no bank context: every proposal is granted on the
+    // tick it is proposed (the campaign replays physics, not bank timing).
     dram::RefreshGrantContext grant_ctx;
     grant_ctx.now = tick;
     grant_ctx.demand.now = tick;

@@ -115,8 +115,10 @@ TEST_F(VrlSystemTest, GeometryMatchesConfig) {
 }
 
 TEST_F(VrlSystemTest, RunWorkloadNormalizations) {
-  const auto result = RunWorkload(*system_, trace::SuiteWorkload("vips"), 4,
-                                  power::EnergyParams{});
+  ExperimentOptions options;
+  options.windows = 4;
+  const auto result =
+      RunWorkload(*system_, trace::SuiteWorkload("vips"), options);
   EXPECT_EQ(result.workload, "vips");
   EXPECT_LT(result.VrlNormalized(), 1.0);
   EXPECT_LE(result.VrlAccessNormalized(), result.VrlNormalized());

@@ -10,6 +10,8 @@
 #include "dram/timing.hpp"
 #include "retention/profile.hpp"
 
+#include "grant_all.hpp"
+
 namespace vrl::dram {
 namespace {
 
@@ -368,7 +370,7 @@ TEST(JedecPolicy, RefreshesEveryRowOncePerWindow) {
   JedecPolicy policy(16, 1600, 26);
   std::size_t ops = 0;
   for (Cycles t = 0; t < 3200; t += 100) {
-    for (const auto& op : policy.CollectDue(t)) {
+    for (const auto& op : GrantAll(policy, t)) {
       EXPECT_TRUE(op.is_full);
       EXPECT_EQ(op.trfc, 26u);
       ++ops;
@@ -389,7 +391,7 @@ TEST(RaidrPolicy, WeakRowsRefreshMoreOften) {
   std::size_t row1 = 0;
   const Cycles period64 = plan.period_cycles[0];
   for (Cycles t = 0; t < 8 * period64; t += period64 / 16) {
-    for (const auto& op : policy.CollectDue(t)) {
+    for (const auto& op : GrantAll(policy, t)) {
       (op.row == 0 ? row0 : row1) += 1;
       EXPECT_TRUE(op.is_full);
     }
@@ -406,7 +408,7 @@ TEST(VrlPolicy, FollowsAlgorithmOne) {
 
   std::vector<bool> fulls;
   for (Cycles t = 0; t < 9 * period; t += period) {
-    for (const auto& op : policy.CollectDue(t)) {
+    for (const auto& op : GrantAll(policy, t)) {
       fulls.push_back(op.is_full);
       EXPECT_EQ(op.trfc, op.is_full ? 26u : 15u);
     }
@@ -425,7 +427,7 @@ TEST(VrlPolicy, ZeroMprsfMeansAllFull) {
   VrlPolicy policy(plan, 26, 15);
   const Cycles period = plan.period_cycles[0];
   for (Cycles t = 0; t < 5 * period; t += period) {
-    for (const auto& op : policy.CollectDue(t)) {
+    for (const auto& op : GrantAll(policy, t)) {
       EXPECT_TRUE(op.is_full);
     }
   }
@@ -454,13 +456,13 @@ TEST(VrlAccessPolicy, AccessResetsCounter) {
   const Cycles period = plan.period_cycles[0];
 
   // Two partials bring the counter to 2 (next would be full)...
-  (void)policy.CollectDue(0);
-  (void)policy.CollectDue(period);
+  (void)GrantAll(policy, 0);
+  (void)GrantAll(policy, period);
   EXPECT_EQ(policy.RefreshCount(0), 2);
   // ...but an access resets it, so the next refresh is partial again.
   policy.OnRowAccess(0);
   EXPECT_EQ(policy.RefreshCount(0), 0);
-  const auto ops = policy.CollectDue(2 * period);
+  const auto ops = GrantAll(policy, 2 * period);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_FALSE(ops[0].is_full);
 }
@@ -471,7 +473,7 @@ TEST(VrlAccessPolicy, RejectsUnknownRow) {
   EXPECT_THROW(policy.OnRowAccess(1), ConfigError);
 }
 
-TEST(RefreshPolicyContract, CollectDueRejectsDecreasingNow) {
+TEST(RefreshPolicyContract, ProposeRejectsDecreasingNow) {
   // Every policy enforces the documented non-decreasing `now` contract.
   const auto plan = MakeRefreshPlan(MakeBinning({1.0, 1.0}), 2.5e-9, {1, 1});
   const auto raidr_plan = MakeRefreshPlan(MakeBinning({1.0, 1.0}), 2.5e-9);
@@ -481,11 +483,11 @@ TEST(RefreshPolicyContract, CollectDueRejectsDecreasingNow) {
   policies.push_back(std::make_unique<VrlPolicy>(plan, 26, 15));
   policies.push_back(std::make_unique<VrlAccessPolicy>(plan, 26, 15));
   for (auto& policy : policies) {
-    (void)policy->CollectDue(100);
-    EXPECT_NO_THROW(policy->CollectDue(100)) << policy->Name();
-    EXPECT_THROW(policy->CollectDue(99), ConfigError) << policy->Name();
+    (void)GrantAll(*policy, 100);
+    EXPECT_NO_THROW(GrantAll(*policy, 100)) << policy->Name();
+    EXPECT_THROW(GrantAll(*policy, 99), ConfigError) << policy->Name();
     // The clock did not move backward; later ticks still work.
-    EXPECT_NO_THROW(policy->CollectDue(200)) << policy->Name();
+    EXPECT_NO_THROW(GrantAll(*policy, 200)) << policy->Name();
   }
 }
 

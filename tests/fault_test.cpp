@@ -16,6 +16,8 @@
 #include "retention/temperature.hpp"
 #include "retention/vrt.hpp"
 
+#include "grant_all.hpp"
+
 namespace vrl::fault {
 namespace {
 
@@ -259,7 +261,7 @@ TEST(AdaptivePolicy, HealthyRowsPassThroughInner) {
   EXPECT_EQ(policy.rows(), 4u);
   std::size_t inner_ops = 0;
   for (Cycles now = 0; now <= 10 * kWindow; now += 50) {
-    inner_ops += policy.CollectDue(now).size();
+    inner_ops += GrantAll(policy, now).size();
   }
   EXPECT_GT(inner_ops, 0u);
   EXPECT_EQ(policy.stats().demotions, 0u);
@@ -290,7 +292,7 @@ TEST(AdaptivePolicy, DemotionHalvesMprsfThenPeriod) {
 TEST(AdaptivePolicy, FailureForcesImmediateFullRefresh) {
   auto policy = MakeAdaptive();
   policy.OnSensingFailure(2, 500);
-  const auto ops = policy.CollectDue(501);
+  const auto ops = GrantAll(policy, 501);
   ASSERT_FALSE(ops.empty());
   EXPECT_EQ(ops.front().row, 2u);
   EXPECT_TRUE(ops.front().is_full);
@@ -304,7 +306,7 @@ TEST(AdaptivePolicy, DemotedRowLeavesInnerSchedule) {
   std::size_t row0_ops = 0;
   std::size_t full_row0 = 0;
   for (Cycles now = 11; now <= 20 * kWindow; now += 50) {
-    for (const auto& op : policy.CollectDue(now)) {
+    for (const auto& op : GrantAll(policy, now)) {
       if (op.row == 0) {
         ++row0_ops;
         full_row0 += op.is_full ? 1u : 0u;
@@ -368,7 +370,7 @@ TEST(AdaptivePolicy, FallbackEntersAtThresholdAndRefreshesFullRate) {
   // Row 3 (healthy) is now refreshed at the full JEDEC rate by the wrapper.
   std::size_t row3_fulls = 0;
   for (Cycles now = 121; now < 121 + 2 * kWindow; now += 10) {
-    for (const auto& op : policy.CollectDue(now)) {
+    for (const auto& op : GrantAll(policy, now)) {
       if (op.row == 3) {
         EXPECT_TRUE(op.is_full);
         ++row3_fulls;
@@ -391,11 +393,11 @@ TEST(AdaptivePolicy, FallbackExitsAfterCleanWindowsWithHysteresis) {
   policy.OnSensingFailure(2, 1 * kWindow + 50);
 
   // Windows 2 and 3 are clean; the exit lands when window 4 begins.
-  policy.CollectDue(2 * kWindow + 1);
+  GrantAll(policy, 2 * kWindow + 1);
   EXPECT_TRUE(policy.InFallback());
-  policy.CollectDue(3 * kWindow + 1);
+  GrantAll(policy, 3 * kWindow + 1);
   EXPECT_TRUE(policy.InFallback());  // only one clean window so far
-  policy.CollectDue(4 * kWindow + 1);
+  GrantAll(policy, 4 * kWindow + 1);
   EXPECT_FALSE(policy.InFallback());
   EXPECT_EQ(policy.stats().fallback_exits, 1u);
 }
@@ -413,12 +415,12 @@ TEST(AdaptivePolicy, FallbackDisabledWhenThresholdZero) {
 TEST(AdaptivePolicy, RowAccessResetsDemotedPartialCounter) {
   auto policy = MakeAdaptive();
   policy.OnSensingFailure(1, 10);  // mprsf 1, period 1000
-  policy.CollectDue(11);           // drain the forced full
+  GrantAll(policy, 11);  // drain the forced full
   // First scheduled op would be a partial (rcount 0 -> 1)...
   std::size_t partials = 0;
   for (Cycles now = 12; now <= 5 * kWindow; now += 100) {
     policy.OnRowAccess(1);  // ...but every access resets the counter,
-    for (const auto& op : policy.CollectDue(now)) {
+    for (const auto& op : GrantAll(policy, now)) {
       if (op.row == 1 && !op.is_full) {
         ++partials;
       }
@@ -453,9 +455,11 @@ TEST(Campaign, AdaptiveSurvivesVrtWherePlainVrlLosesData) {
   const core::VrlSystem system(config);
 
   retention::VrtParams vrt;  // defaults: row_fraction 0.02, low_ratio 0.6
+  core::ExperimentOptions options;
+  options.windows = 8;
+  options.fault_seed = 0xFA11ULL;
   const auto result = core::RunResilienceComparison(
-      system, core::PolicyKind::kVrl, vrt, /*windows=*/8,
-      /*fault_seed=*/0xFA11ULL);
+      system, core::PolicyKind::kVrl, vrt, options);
 
   // The JEDEC baseline never fails (full rate, full latency).
   EXPECT_EQ(result.jedec.detected_failures, 0u);
@@ -487,10 +491,13 @@ TEST(Campaign, ThreeLegsShareTheFaultTrace) {
   config.banks = 1;
   const core::VrlSystem system(config);
   retention::VrtParams vrt;
+  core::ExperimentOptions options;
+  options.windows = 4;
+  options.fault_seed = 77;
   const auto a = core::RunResilienceComparison(system, core::PolicyKind::kVrl,
-                                               vrt, 4, 77);
+                                               vrt, options);
   const auto b = core::RunResilienceComparison(system, core::PolicyKind::kVrl,
-                                               vrt, 4, 77);
+                                               vrt, options);
   // Deterministic end to end.
   EXPECT_EQ(a.plain.detected_failures, b.plain.detected_failures);
   EXPECT_EQ(a.adaptive.detected_failures, b.adaptive.detected_failures);
@@ -503,8 +510,11 @@ TEST(Campaign, RejectsJedecAsComparisonPolicy) {
   config.banks = 1;
   const core::VrlSystem system(config);
   retention::VrtParams vrt;
+  core::ExperimentOptions options;
+  options.windows = 2;
+  options.fault_seed = 1;
   EXPECT_THROW(core::RunResilienceComparison(
-                   system, core::PolicyKind::kJedec, vrt, 2, 1),
+                   system, core::PolicyKind::kJedec, vrt, options),
                ConfigError);
 }
 

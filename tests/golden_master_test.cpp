@@ -14,6 +14,12 @@
 // a flat 8-bank VRL-Access run.  Spans and lineage are on the simulator
 // clock and every count is exact, so these also compare raw.
 //
+// The refresh_op_streams.* fixtures pin the refresh contract itself: the
+// op stream GrantRefreshes grants for every registered policy plus the
+// Adaptive(VRL) wrapper, with and without a one-op burst cap, under
+// periodic row activations (and one sensing failure for the wrapper),
+// together with the policy's telemetry and lineage exports.
+//
 // The bench and fixture directories arrive as compile definitions
 // (VRL_BENCH_DIR, VRL_GOLDEN_DIR) from tests/CMakeLists.txt.
 
@@ -21,18 +27,25 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
+#include "dram/refresh_policy.hpp"
+#include "fault/adaptive_policy.hpp"
 #include "prof/report.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
 #include "trace/address.hpp"
 #include "trace/synthetic.hpp"
+
+#include "grant_all.hpp"
 
 namespace vrl {
 namespace {
@@ -182,6 +195,120 @@ TEST(GoldenMaster, TracedFlatRunExports) {
   ExpectMatchesFixture(exports.profile, "traced_flat_vrl_access.profile.json");
   ExpectMatchesFixture(exports.telemetry,
                        "traced_flat_vrl_access.telemetry.jsonl");
+}
+
+/// The three exports of the refresh op-stream runs, one section per run.
+struct RefreshStreamExports {
+  std::string ops;
+  std::string telemetry;
+  std::string lineage;
+};
+
+/// An 8-row bank whose RAIDR/VRL periods span 1x, 2x and 4x a base window
+/// of two refresh ticks: several rows come due on most ticks, so a burst
+/// cap of one op postpones work, and the MPRSF ladder (0..3) mixes full
+/// and partial refreshes.
+dram::PolicyBuildContext StreamContext() {
+  dram::PolicyBuildContext ctx;
+  ctx.rows = 8;
+  ctx.t_refi = 100;
+  ctx.base_window = 2 * ctx.t_refi;
+  ctx.trfc_full = 35;
+  ctx.trfc_partial = 20;
+  ctx.defer_window = 2 * ctx.t_refi;
+  for (std::size_t r = 0; r < ctx.rows; ++r) {
+    const Cycles period = ctx.base_window << (r % 3);
+    ctx.binned_plan.period_cycles.push_back(period);
+    ctx.vrl_plan.period_cycles.push_back(period);
+    ctx.vrl_plan.mprsf.push_back(static_cast<std::uint8_t>(r % 4));
+  }
+  return ctx;
+}
+
+/// One op as "<row><F|P><tRFC>/<granularity>".
+std::string FormatOp(const dram::RefreshOp& op) {
+  return std::to_string(op.row) + (op.is_full ? "F" : "P") +
+         std::to_string(op.trfc) + "/" +
+         dram::RefreshGranularityName(op.granularity);
+}
+
+RefreshStreamExports RefreshOpStreams() {
+  const dram::PolicyBuildContext ctx = StreamContext();
+  const auto& registry = dram::PolicyRegistry::Global();
+  std::vector<std::string> names;
+  for (const dram::PolicyInfo& info : registry.entries()) {
+    names.push_back(info.name);
+  }
+  names.emplace_back("Adaptive(VRL)");
+
+  RefreshStreamExports exports;
+  for (const std::string& name : names) {
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+      std::unique_ptr<dram::RefreshPolicy> policy;
+      fault::AdaptiveVrlPolicy* adaptive = nullptr;
+      if (name == "Adaptive(VRL)") {
+        auto inner = registry.Build("VRL", ctx);
+        inner->set_max_ops_per_tick(cap);
+        auto wrapper = std::make_unique<fault::AdaptiveVrlPolicy>(
+            std::move(inner), ctx.vrl_plan, ctx.trfc_full, ctx.trfc_partial,
+            ctx.base_window, ctx.t_refi);
+        adaptive = wrapper.get();
+        policy = std::move(wrapper);
+      } else {
+        policy = registry.Build(name, ctx);
+      }
+      policy->set_max_ops_per_tick(cap);
+
+      telemetry::RecorderOptions options;
+      options.event_capacity = 4096;
+      options.trace_refresh_ops = true;
+      options.enable_tracing = true;
+      options.tracing.lineage_ops = true;
+      telemetry::Recorder recorder(options);
+      policy->set_telemetry(&recorder);
+
+      const std::string header = "{\"run\":\"" + name +
+                                 "\",\"max_ops_per_tick\":" +
+                                 std::to_string(cap) + "}\n";
+      exports.ops += header;
+      // Eight base windows: two periods of the slowest rows.
+      for (std::size_t tick = 0; tick <= 16; ++tick) {
+        const Cycles now = static_cast<Cycles>(tick) * ctx.t_refi;
+        const auto ops = GrantAll(*policy, now);
+        if (!ops.empty()) {
+          exports.ops += "t=" + std::to_string(now);
+          for (const dram::RefreshOp& op : ops) {
+            exports.ops += " " + FormatOp(op);
+          }
+          exports.ops += "\n";
+        }
+        if (tick % 3 == 1) {
+          policy->OnRowAccess(tick * 5 % ctx.rows);
+        }
+        if (adaptive != nullptr && tick == 5) {
+          adaptive->OnSensingFailure(3, now);
+        }
+      }
+      policy->FlushTelemetry();
+
+      std::ostringstream metrics;
+      telemetry::WriteMetricsJsonl(metrics, recorder.Snapshot());
+      telemetry::WriteEventsJsonl(metrics, recorder.events());
+      exports.telemetry += header + metrics.str();
+      std::ostringstream lineage;
+      telemetry::WriteLineageJsonl(lineage, *recorder.tracer());
+      exports.lineage += header + lineage.str();
+    }
+  }
+  return exports;
+}
+
+TEST(GoldenMaster, RefreshOpStreams) {
+  const RefreshStreamExports exports = RefreshOpStreams();
+  ExpectMatchesFixture(exports.ops, "refresh_op_streams.ops.txt");
+  ExpectMatchesFixture(exports.telemetry,
+                       "refresh_op_streams.telemetry.jsonl");
+  ExpectMatchesFixture(exports.lineage, "refresh_op_streams.lineage.jsonl");
 }
 
 TEST(GoldenMaster, ScrubberOnlyTouchesDurations) {

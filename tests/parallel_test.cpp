@@ -284,12 +284,14 @@ TEST(Determinism, FaultCampaignLegsBitIdenticalAtOneTwoAndEightThreads) {
   const core::VrlSystem system(config);
   const retention::VrtParams vrt;
 
+  core::ExperimentOptions options;
+  options.windows = 4;
+  options.fault_seed = 0xFA11ULL;
   std::vector<core::ResilienceResult> runs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     const ScopedThreadCount scoped(threads);
     runs.push_back(core::RunResilienceComparison(
-        system, core::PolicyKind::kVrl, vrt, /*windows=*/4,
-        /*fault_seed=*/0xFA11ULL));
+        system, core::PolicyKind::kVrl, vrt, options));
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
     ExpectReportBitIdentical(runs[0].jedec, runs[r].jedec);
@@ -316,8 +318,11 @@ TEST(SharedState, ResilienceLegsMatchIndependentlyBuiltCampaigns) {
   constexpr std::uint64_t kSeed = 77;
 
   const ScopedThreadCount scoped(8);
+  core::ExperimentOptions experiment;
+  experiment.windows = kWindows;
+  experiment.fault_seed = kSeed;
   const auto comparison = core::RunResilienceComparison(
-      system, core::PolicyKind::kVrl, vrt, kWindows, kSeed);
+      system, core::PolicyKind::kVrl, vrt, experiment);
 
   const auto run_leg = [&](core::PolicyKind kind, bool adaptive) {
     fault::FaultSchedule faults(kSeed);

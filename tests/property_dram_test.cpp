@@ -14,6 +14,8 @@
 #include "dram/scheduler.hpp"
 #include "retention/profile.hpp"
 
+#include "grant_all.hpp"
+
 namespace vrl::dram {
 namespace {
 
@@ -42,7 +44,7 @@ TEST_P(VrlFractionProperty, SteadyStatePartialShare) {
   const Cycles period = plan.period_cycles[0];
   const std::size_t super_cycles = 30;
   for (Cycles t = 0; t < super_cycles * (mprsf + 1) * period; t += period / 8) {
-    for (const auto& op : policy.CollectDue(t)) {
+    for (const auto& op : GrantAll(policy, t)) {
       (op.is_full ? fulls : partials) += 1;
     }
   }
@@ -81,11 +83,11 @@ TEST_P(CountConservation, VrlChangesLatencyNotCount) {
   Cycles raidr_cycles = 0;
   const Cycles horizon = 16 * 25'600'000;
   for (Cycles t = 0; t <= horizon; t += 3120) {
-    for (const auto& op : raidr.CollectDue(t)) {
+    for (const auto& op : GrantAll(raidr, t)) {
       ++raidr_ops;
       raidr_cycles += op.trfc;
     }
-    for (const auto& op : vrl.CollectDue(t)) {
+    for (const auto& op : GrantAll(vrl, t)) {
       ++vrl_ops;
       vrl_cycles += op.trfc;
     }
@@ -188,8 +190,8 @@ TEST_P(BurstCapProperty, PostponedOpsAreNeverDropped) {
   std::size_t ops_capped = 0;
   const Cycles horizon = 8 * 25'600'000;
   for (Cycles t = 0; t <= horizon; t += 3120) {
-    ops_uncapped += uncapped.CollectDue(t).size();
-    const auto batch = capped.CollectDue(t);
+    ops_uncapped += GrantAll(uncapped, t).size();
+    const auto batch = GrantAll(capped, t);
     if (cap != 0) {
       EXPECT_LE(batch.size(), cap);
     }
@@ -218,7 +220,7 @@ TEST(BurstCap, DeferredRowsComeFirstNextTick) {
   const Cycles late = plan.period_cycles[0] + 10;
   std::vector<std::size_t> order;
   for (int tick = 0; tick < 4; ++tick) {
-    const auto ops = policy.CollectDue(late + static_cast<Cycles>(tick));
+    const auto ops = GrantAll(policy, late + static_cast<Cycles>(tick));
     ASSERT_EQ(ops.size(), 1u);
     order.push_back(ops[0].row);
   }

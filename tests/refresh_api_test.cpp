@@ -1,11 +1,9 @@
 // Tests for the scheduler-coupled refresh API (propose/grant), the policy
 // registry, and the DARP/SARP/VRL-Skip deferral machinery.
 //
-// The load-bearing property: every legacy policy driven through the new
-// GrantRefreshes path emits the byte-identical op stream its CollectDue
-// shim emits, and the parallel experiment drivers stay bit-identical at
-// every thread count (the tests/golden fixtures pin the end-to-end bench
-// output; these tests pin the mechanism).
+// The parallel experiment drivers stay bit-identical at every thread count
+// (the tests/golden fixtures pin the end-to-end bench output and every
+// policy's granted op stream; these tests pin the mechanism).
 
 #include <gtest/gtest.h>
 
@@ -23,27 +21,14 @@
 #include "dram/scheduler.hpp"
 #include "dram/timing_table.hpp"
 #include "dram/topology.hpp"
-#include "fault/adaptive_policy.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
+
+#include "grant_all.hpp"
 
 namespace {
 
 using namespace vrl;
-
-bool SameOp(const dram::RefreshOp& a, const dram::RefreshOp& b) {
-  return a.row == b.row && a.trfc == b.trfc && a.is_full == b.is_full &&
-         a.granularity == b.granularity;
-}
-
-/// Grants with no bank context: the shim replay used by campaign/integrity.
-std::vector<dram::RefreshOp> GrantAll(dram::RefreshPolicy& policy,
-                                      Cycles now) {
-  dram::RefreshGrantContext ctx;
-  ctx.now = now;
-  ctx.demand.now = now;
-  return dram::GrantRefreshes(policy, ctx);
-}
 
 core::VrlConfig SmallConfig() {
   core::VrlConfig config;
@@ -52,73 +37,8 @@ core::VrlConfig SmallConfig() {
 }
 
 // ---------------------------------------------------------------------------
-// Shim byte-identity
+// Determinism
 // ---------------------------------------------------------------------------
-
-TEST(RefreshApiShim, LegacyPoliciesByteIdenticalThroughProposeGrant) {
-  const core::VrlSystem system(SmallConfig());
-  const Cycles t_refi = system.config().timing.t_refi;
-  const Cycles horizon = system.HorizonForWindows(2);
-
-  for (const core::PolicyKind kind :
-       {core::PolicyKind::kJedec, core::PolicyKind::kRaidr,
-        core::PolicyKind::kVrl, core::PolicyKind::kVrlAccess}) {
-    auto legacy = system.MakePolicyFactory(kind)();
-    auto granted = system.MakePolicyFactory(kind)();
-    for (Cycles tick = 0; tick <= horizon; tick += t_refi) {
-      const auto ops_a = legacy->CollectDue(tick);
-      const auto ops_b = GrantAll(*granted, tick);
-      ASSERT_EQ(ops_a.size(), ops_b.size())
-          << core::PolicyName(kind) << " at tick " << tick;
-      for (std::size_t i = 0; i < ops_a.size(); ++i) {
-        ASSERT_TRUE(SameOp(ops_a[i], ops_b[i]))
-            << core::PolicyName(kind) << " op " << i << " at tick " << tick;
-      }
-      // Exercise the activation-reset path identically on both instances.
-      if (tick / t_refi % 7 == 0) {
-        const std::size_t row = (tick / t_refi) % legacy->rows();
-        legacy->OnRowAccess(row);
-        granted->OnRowAccess(row);
-      }
-    }
-  }
-}
-
-TEST(RefreshApiShim, AdaptiveWrapperByteIdenticalThroughProposeGrant) {
-  const core::VrlSystem system(SmallConfig());
-  const auto& config = system.config();
-  const Cycles t_refi = config.timing.t_refi;
-  const Cycles horizon = system.HorizonForWindows(2);
-  const auto plan = dram::MakeRefreshPlan(
-      system.binning(), config.tech.clock_period_s, system.row_mprsf());
-
-  fault::AdaptiveVrlPolicy legacy(system.MakePolicyFactory(
-                                      core::PolicyKind::kVrl)(),
-                                  plan, system.TauFullCycles(),
-                                  system.TauPartialCycles(),
-                                  config.timing.t_refw, t_refi);
-  fault::AdaptiveVrlPolicy granted(system.MakePolicyFactory(
-                                       core::PolicyKind::kVrl)(),
-                                   plan, system.TauFullCycles(),
-                                   system.TauPartialCycles(),
-                                   config.timing.t_refw, t_refi);
-
-  for (Cycles tick = 0; tick <= horizon; tick += t_refi) {
-    const auto ops_a = legacy.CollectDue(tick);
-    const auto ops_b = GrantAll(granted, tick);
-    ASSERT_EQ(ops_a.size(), ops_b.size()) << "at tick " << tick;
-    for (std::size_t i = 0; i < ops_a.size(); ++i) {
-      ASSERT_TRUE(SameOp(ops_a[i], ops_b[i])) << "op " << i << " at tick "
-                                              << tick;
-    }
-    // Mirror a sensing failure mid-run so the demotion machinery is
-    // exercised through both paths.
-    if (tick == 64 * t_refi) {
-      legacy.OnSensingFailure(3, tick);
-      granted.OnSensingFailure(3, tick);
-    }
-  }
-}
 
 TEST(RefreshApiShim, SuiteTelemetryAndLineageIdenticalAcrossThreadCounts) {
   const core::VrlSystem system(SmallConfig());

@@ -1,10 +1,11 @@
 // Tests for the shared report writer (bench/reporting.hpp): CSV quoting,
 // the uniform CLI flag parser and its checked numeric value parsers, the
-// fault_campaign flags parsed through them, and the policy-name resolver
-// the reporting binaries feed their positional arguments through.
+// fault_campaign, refresh_tournament and timing_conformance flags parsed
+// through them, and the policy-name resolver the reporting binaries feed
+// their positional arguments through.
 //
-// The examples' directory arrives as a compile definition
-// (VRL_EXAMPLES_DIR) from tests/CMakeLists.txt.
+// The examples' and benches' directories arrive as compile definitions
+// (VRL_EXAMPLES_DIR, VRL_BENCH_DIR) from tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -209,15 +210,18 @@ TEST(ParseNumberFlag, RejectsGarbageAndNonFinite) {
   }
 }
 
-// -- fault_campaign flags -----------------------------------------------------
+// -- Binary flag parsing ------------------------------------------------------
 
-/// Exit status of `fault_campaign <args>`, output discarded.
-int RunFaultCampaign(const std::string& args) {
-  const std::string command = std::string(VRL_EXAMPLES_DIR) +
-                              "/fault_campaign " + args +
-                              " >/dev/null 2>&1";
+/// Exit status of the built binary at `path` run with `args`, output
+/// discarded.
+int RunBinary(const std::string& path, const std::string& args) {
+  const std::string command = path + " " + args + " >/dev/null 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int RunFaultCampaign(const std::string& args) {
+  return RunBinary(std::string(VRL_EXAMPLES_DIR) + "/fault_campaign", args);
 }
 
 TEST(FaultCampaignFlags, ValidFlagsRun) {
@@ -232,6 +236,23 @@ TEST(FaultCampaignFlags, NegativeAndTrailingGarbageValuesAreUsageErrors) {
   EXPECT_EQ(RunFaultCampaign("--windows 1 --seed -1"), 2);
   EXPECT_EQ(RunFaultCampaign("--windows 1x"), 2);
   EXPECT_EQ(RunFaultCampaign("--windows 1 --low-ratio 0.5x"), 2);
+}
+
+TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
+  const std::string bench_dir = VRL_BENCH_DIR;
+  for (const char* binary : {"refresh_tournament", "timing_conformance"}) {
+    const std::string path = bench_dir + "/" + binary;
+    for (const char* args : {"--windows abc", "--windows -1", "--windows 2x",
+                             "--windows", "--bogus 1", "--preset DDR9"}) {
+      EXPECT_EQ(RunBinary(path, args), 2) << binary << " " << args;
+    }
+  }
+  const std::string tournament = bench_dir + "/refresh_tournament";
+  for (const char* args : {"--workloads abc", "--workloads -1",
+                           "--subarrays 4x", "--subarrays -2",
+                           "--windows 1 --subarrays"}) {
+    EXPECT_EQ(RunBinary(tournament, args), 2) << args;
+  }
 }
 
 TEST(ParseReportArgs, MakeRuntimeOptionsMapsTheResilienceFlags) {

@@ -7,9 +7,7 @@
 //  2. The determinism contract end to end: the merged telemetry of
 //     RunEvaluationSuite and of the fault-campaign comparison must export
 //     byte-identically at 1, 2 and 8 threads.
-//  3. The API-redesign seams: PolicyFromName inverts PolicyName, and the
-//     legacy positional experiment overloads delegate to the
-//     ExperimentOptions form with identical results.
+//  3. The API-redesign seam: PolicyFromName inverts PolicyName.
 
 #include "telemetry/recorder.hpp"
 
@@ -343,24 +341,6 @@ TEST(PolicyFromName, InvertsPolicyNameAndNormalizes) {
   EXPECT_EQ(core::PolicyFromName("jedec"), core::PolicyKind::kJedec);
   EXPECT_THROW(core::PolicyFromName("ddr5"), ConfigError);
   EXPECT_THROW(core::PolicyFromName(""), ConfigError);
-}
-
-TEST(ExperimentOptions, LegacyOverloadsDelegateWithIdenticalResults) {
-  core::VrlConfig config;
-  config.banks = 1;
-  const core::VrlSystem system(config);
-  const auto workload = trace::SuiteWorkload("canneal");
-  const power::EnergyParams energy;
-
-  const auto legacy = core::RunWorkload(system, workload, 2, energy);
-  core::ExperimentOptions options;
-  options.windows = 2;
-  const auto modern = core::RunWorkload(system, workload, options);
-  EXPECT_EQ(legacy.workload, modern.workload);
-  EXPECT_DOUBLE_EQ(legacy.raidr_overhead, modern.raidr_overhead);
-  EXPECT_DOUBLE_EQ(legacy.vrl_overhead, modern.vrl_overhead);
-  EXPECT_DOUBLE_EQ(legacy.vrl_access_overhead, modern.vrl_access_overhead);
-  EXPECT_DOUBLE_EQ(legacy.vrl_refresh_power_mw, modern.vrl_refresh_power_mw);
 }
 
 TEST(VrlSystemTelemetry, SimulatePopulatesPolicyAndDramMetrics) {
