@@ -305,7 +305,7 @@ void BM_FederatedAbsorb(benchmark::State& state) {
   telemetry::Recorder scratch;
   scratch.counter("policy.full_refreshes").Add(3);
   scratch.gauge("campaign.progress_cycles").Set(64.0);
-  frame.delta = scratch.Snapshot().WithoutTimers();
+  frame.delta = scratch.Snapshot();
   frame.events = {{telemetry::EventKind::kFullRefresh, 1, 0, 0, 0.0}};
   std::ostringstream encoded;
   runtime::EncodeWorkerFrame(encoded, frame);

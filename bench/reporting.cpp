@@ -267,8 +267,7 @@ TextTable& Report::AddTable(std::string name,
   return tables_.back().second;
 }
 
-void Report::AddTelemetry(const telemetry::MetricsSnapshot& snapshot,
-                          bool include_timers) {
+void Report::AddTelemetry(const telemetry::MetricsSnapshot& snapshot) {
   TextTable& table =
       AddTable("telemetry", {"name", "kind", "field", "value"});
   for (const auto& [name, value] : snapshot.metrics) {
@@ -295,94 +294,53 @@ void Report::AddTelemetry(const telemetry::MetricsSnapshot& snapshot,
         }
         break;
       }
-      case telemetry::MetricKind::kTimer:
-        if (include_timers) {
-          table.AddRow({name, "timer", "count", std::to_string(value.count)});
-          table.AddRow({name, "timer", "total_s",
-                        telemetry::FormatDouble(value.value)});
-        }
-        break;
-    }
-  }
-}
-
-void Report::AddProfile(const telemetry::MetricsSnapshot& snapshot) {
-  constexpr std::string_view kPhasePrefix = "time.phase.";
-  constexpr std::string_view kTimePrefix = "time.";
-  TextTable& table =
-      AddTable("profile", {"phase", "calls", "total_s", "share_pct"});
-  double phase_total = 0.0;
-  for (const auto& [name, value] : snapshot.metrics) {
-    if (value.kind == telemetry::MetricKind::kTimer &&
-        name.compare(0, kPhasePrefix.size(), kPhasePrefix) == 0) {
-      phase_total += value.value;
-    }
-  }
-  for (const auto& [name, value] : snapshot.metrics) {
-    if (value.kind != telemetry::MetricKind::kTimer) {
-      continue;
-    }
-    if (name.compare(0, kPhasePrefix.size(), kPhasePrefix) == 0) {
-      table.AddRow({name.substr(kPhasePrefix.size()),
-                    std::to_string(value.count), Fmt(value.value, 6),
-                    phase_total > 0.0
-                        ? Fmt(100.0 * value.value / phase_total, 1)
-                        : "-"});
-    }
-  }
-  // The driver-level timers give the unattributed remainder context.
-  for (const auto& [name, value] : snapshot.metrics) {
-    if (value.kind == telemetry::MetricKind::kTimer &&
-        name.compare(0, kPhasePrefix.size(), kPhasePrefix) != 0 &&
-        name.compare(0, kTimePrefix.size(), kTimePrefix) == 0) {
-      table.AddRow({name, std::to_string(value.count), Fmt(value.value, 6),
-                    "-"});
     }
   }
 }
 
 void Report::AddProfile(const telemetry::Recorder& recorder) {
-  if (const prof::Profiler* profiler = recorder.profiler()) {
-    const prof::ProfileSnapshot snapshot = profiler->Snapshot();
-    TextTable& table = AddTable(
-        "profile_tree",
-        {"phase", "calls", "units", "incl_ms", "excl_ms", "excl_pct"});
-    double total = 0.0;
-    for (const prof::ProfileNode& node : snapshot.nodes) {
-      if (node.parent < 0) {
-        total += node.inclusive_s;
-      }
-    }
-    // Depth-first so the indentation reads as a tree (creation order can
-    // interleave siblings of different subtrees).
-    std::vector<std::vector<std::size_t>> children(snapshot.nodes.size());
-    std::vector<std::size_t> stack;
-    for (std::size_t i = snapshot.nodes.size(); i-- > 0;) {
-      const std::int32_t parent = snapshot.nodes[i].parent;
-      if (parent < 0) {
-        stack.push_back(i);
-      } else {
-        children[static_cast<std::size_t>(parent)].push_back(i);
-      }
-    }
-    while (!stack.empty()) {
-      const std::size_t index = stack.back();
-      stack.pop_back();
-      const prof::ProfileNode& node = snapshot.nodes[index];
-      table.AddRow(
-          {std::string(static_cast<std::size_t>(node.depth) * 2, ' ') +
-               node.name,
-           std::to_string(node.calls), std::to_string(node.units),
-           Fmt(node.inclusive_s * 1e3, 3), Fmt(node.exclusive_s * 1e3, 3),
-           total > 0.0 ? Fmt(100.0 * node.exclusive_s / total, 1) : "-"});
-      for (const std::size_t child : children[index]) {
-        stack.push_back(child);
-      }
-    }
-    AddMeta("prof.frames", profiler->frames());
-    AddMeta("prof.drops", profiler->drops());
+  const prof::Profiler* profiler = recorder.profiler();
+  if (profiler == nullptr) {
+    return;
   }
-  AddProfile(recorder.Snapshot());
+  const prof::ProfileSnapshot snapshot = profiler->Snapshot();
+  TextTable& table = AddTable(
+      "profile_tree",
+      {"phase", "calls", "units", "incl_ms", "excl_ms", "excl_pct"});
+  double total = 0.0;
+  for (const prof::ProfileNode& node : snapshot.nodes) {
+    if (node.parent < 0) {
+      total += node.inclusive_s;
+    }
+  }
+  // Depth-first so the indentation reads as a tree (creation order can
+  // interleave siblings of different subtrees).
+  std::vector<std::vector<std::size_t>> children(snapshot.nodes.size());
+  std::vector<std::size_t> stack;
+  for (std::size_t i = snapshot.nodes.size(); i-- > 0;) {
+    const std::int32_t parent = snapshot.nodes[i].parent;
+    if (parent < 0) {
+      stack.push_back(i);
+    } else {
+      children[static_cast<std::size_t>(parent)].push_back(i);
+    }
+  }
+  while (!stack.empty()) {
+    const std::size_t index = stack.back();
+    stack.pop_back();
+    const prof::ProfileNode& node = snapshot.nodes[index];
+    table.AddRow(
+        {std::string(static_cast<std::size_t>(node.depth) * 2, ' ') +
+             node.name,
+         std::to_string(node.calls), std::to_string(node.units),
+         Fmt(node.inclusive_s * 1e3, 3), Fmt(node.exclusive_s * 1e3, 3),
+         total > 0.0 ? Fmt(100.0 * node.exclusive_s / total, 1) : "-"});
+    for (const std::size_t child : children[index]) {
+      stack.push_back(child);
+    }
+  }
+  AddMeta("prof.frames", profiler->frames());
+  AddMeta("prof.drops", profiler->drops());
 }
 
 void WriteProfileOutput(const ReportOptions& options,

@@ -25,9 +25,8 @@
 ///                       or JSONL when the path ends in ".jsonl") — binaries
 ///                       that support it enable tracing when the flag is set
 ///   --profile           enable the phase self-profiler and append its
-///                       wall-time attribution tables (AddProfile): the
-///                       hierarchical tree (docs/PROFILING.md) plus the
-///                       legacy time.phase.* timer table
+///                       wall-time attribution tree (AddProfile,
+///                       docs/PROFILING.md)
 ///   --profile-out <path>  also write the attribution tree to a file
 ///                       (implies --profile): ".json" = vrl.profile.v1,
 ///                       ".collapsed"/".folded" = flamegraph stacks,
@@ -179,24 +178,15 @@ class Report {
   TextTable& AddTable(std::string name, std::vector<std::string> headers);
 
   /// Flattens a telemetry snapshot into a "telemetry" table (name, kind,
-  /// field, value — the exporters' long CSV format).  Timers are excluded
-  /// unless `include_timers`, mirroring telemetry::ExportOptions.
-  void AddTelemetry(const telemetry::MetricsSnapshot& snapshot,
-                    bool include_timers = false);
+  /// field, value — the exporters' long CSV format).
+  void AddTelemetry(const telemetry::MetricsSnapshot& snapshot);
 
-  /// Builds the `--profile` phase report: a "profile" table attributing
-  /// wall time to the `time.phase.*` timers (refresh propose/grant as
-  /// `policy_collect_due`, scheduler, telemetry flush, circuit solve, ...)
-  /// with each phase's share of the phase total, followed by the remaining
-  /// `time.*` timers as unshared context rows.  Wall clock — not part of
-  /// the determinism contract.
-  void AddProfile(const telemetry::MetricsSnapshot& snapshot);
-
-  /// The upgraded `--profile` report: renders the recorder's hierarchical
+  /// The `--profile` report: renders the recorder's hierarchical
   /// attribution tree (docs/PROFILING.md) as a "profile_tree" table —
-  /// indented phases, calls, units, inclusive/exclusive ms, exclusive
-  /// share — then falls through to the timer table above for the legacy
-  /// breakdown.  With no profiler attached only the timer table appears.
+  /// phases depth-first, indented two spaces per level, with calls, units,
+  /// inclusive/exclusive ms and exclusive share — plus `prof.frames` /
+  /// `prof.drops` meta.  Wall clock — not part of the determinism
+  /// contract.  Adds nothing when the recorder has no profiler.
   void AddProfile(const telemetry::Recorder& recorder);
 
   // -- Rendering -------------------------------------------------------------

@@ -69,15 +69,20 @@ int main(int argc, char** argv) {
   report.AddMeta("threads", vrl::DefaultThreadCount());
 
   // --profile: attribute wall time to the transient circuit solves — the
-  // dominant cost of this harness (docs/TRACING.md).  Every parallel task
-  // times into its own shard; shards merge in index order.
+  // dominant cost of this harness (docs/PROFILING.md).  Every parallel task
+  // profiles into its own shard; shards merge in index order, so the tree
+  // is identical at any thread count.
   std::unique_ptr<telemetry::Recorder> profile_sink;
   std::unique_ptr<telemetry::ShardedRecorder> part_a_shards;
   std::unique_ptr<telemetry::ShardedRecorder> part_b_shards;
   if (report_options.profile) {
-    profile_sink = std::make_unique<telemetry::Recorder>();
-    part_a_shards = std::make_unique<telemetry::ShardedRecorder>(3);
-    part_b_shards = std::make_unique<telemetry::ShardedRecorder>(4);
+    telemetry::RecorderOptions recorder_options;
+    recorder_options.profile_phases = true;
+    profile_sink = std::make_unique<telemetry::Recorder>(recorder_options);
+    part_a_shards =
+        std::make_unique<telemetry::ShardedRecorder>(3, recorder_options);
+    part_b_shards =
+        std::make_unique<telemetry::ShardedRecorder>(4, recorder_options);
   }
 
   // ---- Part A: geometry sweep --------------------------------------------
@@ -97,9 +102,9 @@ int main(int argc, char** argv) {
         tech.columns = 8;
         tech.cbw_ratio = 0.0;  // see header comment
 
-        const telemetry::ScopedTimer solve_timer(
-            part_a_shards ? &part_a_shards->shard(g) : nullptr,
-            "time.phase.circuit_solve");
+        const prof::ScopedPhase solve_phase(
+            part_a_shards ? part_a_shards->shard(g).profiler() : nullptr,
+            "circuit.solve");
         const model::EqualizationModel eq(tech);
         auto eq_circuit = circuit::BuildEqualizationCircuit(tech, 0.0);
         circuit::TransientOptions options;
@@ -149,9 +154,9 @@ int main(int argc, char** argv) {
         // zero-offset ideal latch still needs a small residual margin.
         margin_tech.v_sense_min = std::max(1e-3, offset_mv * 1e-3);
         const model::RefreshModel margin_model(margin_tech);
-        const telemetry::ScopedTimer solve_timer(
-            part_b_shards ? &part_b_shards->shard(o) : nullptr,
-            "time.phase.circuit_solve");
+        const prof::ScopedPhase solve_phase(
+            part_b_shards ? part_b_shards->shard(o).profiler() : nullptr,
+            "circuit.solve");
         return {Fmt(offset_mv, 0),
                 Fmt(CircuitReadableFraction(tech, offset_mv * 1e-3), 3),
                 Fmt(margin_model.MinReadableFraction(), 3)};
@@ -166,7 +171,8 @@ int main(int argc, char** argv) {
   if (profile_sink) {
     part_a_shards->MergeInto(*profile_sink);
     part_b_shards->MergeInto(*profile_sink);
-    report.AddProfile(profile_sink->Snapshot());
+    report.AddProfile(*profile_sink);
+    bench::WriteProfileOutput(report_options, *profile_sink);
   }
   report.Emit(report_options, std::cout);
   return 0;

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--corruption") {
         corruption_fraction = bench::ParseNumberFlag(flag, value);
       } else {
-        std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+        std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
         return 2;
       }
     } catch (const std::exception& error) {

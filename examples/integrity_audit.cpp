@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (i + 1 >= args.size()) {
-      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
       return 2;
     }
     const std::string& value = args[++i];
@@ -57,11 +57,11 @@ int main(int argc, char** argv) {
       } else if (flag == "--policy") {
         policy_name = value;
       } else if (flag == "--windows") {
-        windows = std::stoul(value);
+        windows = static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
       } else if (flag == "--max-celsius") {
-        max_celsius = std::stod(value);
+        max_celsius = bench::ParseNumberFlag(flag, value);
       } else {
-        std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+        std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
         return 2;
       }
     } catch (const std::exception& error) {

@@ -30,34 +30,40 @@ int main(int argc, char** argv) {
     report_options = bench::ParseReportArgs(argc, argv);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
+    return 2;
   }
   const auto& args = report_options.positional;
-  for (std::size_t i = 0; i + 1 < args.size(); i += 2) {
+  for (std::size_t i = 0; i < args.size(); i += 2) {
     const std::string& flag = args[i];
+    if (i + 1 == args.size()) {
+      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
+      return 2;
+    }
     const std::string& value = args[i + 1];
-    if (flag == "--workload") {
-      workload_name = value;
-    } else if (flag == "--policy") {
-      policy_name = value;
-    } else if (flag == "--windows") {
-      windows = std::stoul(value);
-    } else if (flag == "--nbits") {
-      config.nbits = std::stoul(value);
-    } else if (flag == "--banks") {
-      config.banks = std::stoul(value);
-    } else if (flag == "--seed") {
-      config.seed = std::stoull(value);
-    } else if (flag == "--config") {
-      try {
+    try {
+      if (flag == "--workload") {
+        workload_name = value;
+      } else if (flag == "--policy") {
+        policy_name = value;
+      } else if (flag == "--windows") {
+        windows = static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
+      } else if (flag == "--nbits") {
+        config.nbits =
+            static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
+      } else if (flag == "--banks") {
+        config.banks =
+            static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
+      } else if (flag == "--seed") {
+        config.seed = bench::ParseCountFlag(flag, value);
+      } else if (flag == "--config") {
         config = core::LoadVrlConfigFile(value);
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 1;
+      } else {
+        std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
+        return 2;
       }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return 1;
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      return 2;
     }
   }
 

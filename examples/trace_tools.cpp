@@ -13,6 +13,7 @@
 #include <string>
 
 #include "bench/reporting.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/technology.hpp"
 #include "trace/io.hpp"
@@ -30,7 +31,7 @@ int Usage(const char* prog) {
                "  %s stats <input.trace>\n"
                "  %s list\n",
                prog, prog, prog);
-  return 1;
+  return 2;
 }
 
 }  // namespace
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
     report_options = bench::ParseReportArgs(argc, argv);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
+    return 2;
   }
   const auto& args = report_options.positional;
   if (args.empty()) {
@@ -68,8 +69,18 @@ int main(int argc, char** argv) {
     }
 
     if (command == "generate" && args.size() == 4) {
+      double ms = 0.0;
+      try {
+        ms = bench::ParseNumberFlag("milliseconds", args[2]);
+        if (ms <= 0.0) {
+          throw ConfigError("milliseconds must be positive, got '" + args[2] +
+                            "'");
+        }
+      } catch (const std::exception& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
+      }
       const auto workload = trace::SuiteWorkload(args[1]);
-      const double ms = std::stod(args[2]);
       const auto duration =
           SecondsToCyclesCeil(ms * 1e-3, tech.clock_period_s);
       Rng rng(7);

@@ -8,9 +8,7 @@ flag (bench/reporting.hpp) or trace JSONL files written by `--trace-out
 foo.jsonl`.  Every numeric value is extracted into a flat metric map:
 
   * ``meta.<key>``                      numeric report metadata
-  * ``telemetry.<name>.<field>``        telemetry table entries (timers are
-                                        skipped: wall time is machine noise,
-                                        not simulation state)
+  * ``telemetry.<name>.<field>``        telemetry table entries
   * ``<table>.<row-key>.<column>``      other tables, rows keyed by their
                                         first column
   * ``trace.<summary>.<field>``         span/lineage summary accounting of
@@ -61,15 +59,14 @@ def extract_report(doc, path):
             continue
         if table_name == "telemetry":
             for row in table.get("rows", []):
-                if row.get("kind") == "timer":
-                    continue  # wall time: machine-dependent, never gated
                 number = to_number(row.get("value"))
                 if number is not None:
                     metrics[f"telemetry.{row['name']}.{row['field']}"] = number
             continue
         if table_name in ("profile", "profile_tree"):
             continue  # wall-time phase tables (--profile): machine-dependent
-            # (attribution counts are gated by scripts/diff_profile.py on
+            # ("profile" only appears in reports of earlier revisions;
+            # attribution counts are gated by scripts/diff_profile.py on
             # the scrubbed --profile-out export instead)
         key_column = headers[0]
         for index, row in enumerate(table.get("rows", [])):

@@ -25,7 +25,6 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
   if (options.windows == 0) {
     throw ConfigError("RunWorkload: need at least one refresh window");
   }
-  const telemetry::ScopedTimer workload_timer(recorder, "time.workload_run");
   const Cycles horizon = system.HorizonForWindows(options.windows);
   Rng rng(system.config().seed ^ 0xABCD'1234ULL);
   const auto records =
@@ -102,7 +101,6 @@ std::vector<WorkloadResult> RunEvaluationSuite(
         options.threads);
     return results;
   }
-  const telemetry::ScopedTimer suite_timer(sink, "time.evaluation_suite");
   telemetry::ShardedRecorder shards(suite.size(), sink->options());
   ParallelFor(
       "evaluation_suite", suite.size(),

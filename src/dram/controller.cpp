@@ -171,7 +171,6 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
                       })) {
     throw ConfigError("MemoryController::Run: requests must be arrival-sorted");
   }
-  const telemetry::ScopedTimer run_timer(telemetry_, "time.controller_run");
   const Topology& topo = table_.topology;
   // The service loop is only tens of nanoseconds per request, so the
   // telemetry-gated per-request work is kept to this one accumulator;
@@ -207,11 +206,10 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
   const std::size_t banks_per_rank = topo.BanksPerRank();
   // Phase profiling (--profile, docs/PROFILING.md): per-tick phases are
   // timed on a 1-in-N sample (exact call counts, scaled time estimate —
-  // prof::PhaseAccumulator) and folded once into the time.phase.* timers
-  // and the attribution profiler via FoldPhaseProfile.
-  const bool profile =
-      telemetry_ != nullptr && telemetry_->options().profile_phases;
-  prof::Profiler* profiler = profile ? telemetry_->profiler() : nullptr;
+  // prof::PhaseAccumulator) and folded once into the attribution profiler
+  // via FoldPhaseProfile.
+  prof::Profiler* profiler =
+      telemetry_ == nullptr ? nullptr : telemetry_->profiler();
   const prof::ScopedPhase run_phase(profiler, "controller.run");
   PhaseProfile phases;
   const auto phase_clock = [] { return std::chrono::steady_clock::now(); };
@@ -284,7 +282,8 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
       // Each step serves the group's bank whose decision instant comes
       // first (ties to the lowest index).  Under --profile the clock is
       // read only on sampled passes.
-      const bool time_scheduler = profile && phases.scheduler.Sample();
+      const bool time_scheduler =
+          profiler != nullptr && phases.scheduler.Sample();
       const auto scheduler_t0 = time_scheduler
                                     ? phase_clock()
                                     : std::chrono::steady_clock::time_point{};
@@ -360,7 +359,8 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
         if (engine_ != nullptr) {
           ctx.addr = DecomposeBank(topo, b);
         }
-        const bool time_collect = profile && phases.collect.Sample();
+        const bool time_collect =
+            profiler != nullptr && phases.collect.Sample();
         const auto collect_t0 = time_collect
                                     ? phase_clock()
                                     : std::chrono::steady_clock::time_point{};
@@ -462,10 +462,10 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
             act.channel_bursts[c], activity_before.channel_bursts[c]);
     }
   }
-  if (profile) {
+  if (profiler != nullptr) {
     // The flush phase covers the policy folds plus the delta exports above.
     phases.flush_s = seconds_since(flush_t0);
-    FoldPhaseProfile(phases,
+    FoldPhaseProfile(*profiler, phases,
                      stats.TotalReads() + stats.TotalWrites() -
                          before.TotalReads() - before.TotalWrites(),
                      grant_stats.granted);
@@ -473,28 +473,18 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
   return stats;
 }
 
-void MemoryController::FoldPhaseProfile(const PhaseProfile& phases,
+void MemoryController::FoldPhaseProfile(prof::Profiler& profiler,
+                                        const PhaseProfile& phases,
                                         std::uint64_t serviced,
                                         std::uint64_t granted) {
-  const double scheduler_s = phases.scheduler.EstimatedSeconds();
-  const double collect_s = phases.collect.EstimatedSeconds();
-  telemetry_->metrics()
-      .GetTimer("time.phase.telemetry_flush")
-      .Record(phases.flush_s);
-  telemetry_->metrics().GetTimer("time.phase.scheduler").Record(scheduler_s);
-  telemetry_->metrics()
-      .GetTimer("time.phase.policy_collect_due")
-      .Record(collect_s);
-  prof::Profiler* profiler = telemetry_->profiler();
-  if (profiler != nullptr) {
-    // Children of the run loop's open "controller.run" frame.  Units:
-    // requests serviced by the scheduler, refresh ops granted.
-    profiler->CompletePhase("scheduler", scheduler_s,
-                            phases.scheduler.calls(), serviced);
-    profiler->CompletePhase("policy.propose_grant", collect_s,
-                            phases.collect.calls(), granted);
-    profiler->CompletePhase("telemetry_flush", phases.flush_s, 1, 0);
-  }
+  // Children of the run loop's open "controller.run" frame.  Units:
+  // requests serviced by the scheduler, refresh ops granted.
+  profiler.CompletePhase("scheduler", phases.scheduler.EstimatedSeconds(),
+                         phases.scheduler.calls(), serviced);
+  profiler.CompletePhase("policy.propose_grant",
+                         phases.collect.EstimatedSeconds(),
+                         phases.collect.calls(), granted);
+  profiler.CompletePhase("telemetry_flush", phases.flush_s, 1, 0);
 }
 
 void MemoryController::ExportGrantTelemetry(const RefreshGrantStats& grants) {

@@ -134,10 +134,10 @@ class MemoryController {
     prof::PhaseAccumulator collect;
     double flush_s = 0.0;
   };
-  /// Folds one run's phase costs into the `time.phase.*` timers and the
-  /// attribution profiler.  Requires telemetry.
-  void FoldPhaseProfile(const PhaseProfile& phases, std::uint64_t serviced,
-                        std::uint64_t granted);
+  /// Folds one run's phase costs into the attribution profiler.
+  static void FoldPhaseProfile(prof::Profiler& profiler,
+                               const PhaseProfile& phases,
+                               std::uint64_t serviced, std::uint64_t granted);
   /// The per-run telemetry delta export of the banks' always-on stats.
   void ExportRunTelemetry(const SimulationStats& before,
                           const SimulationStats& stats,

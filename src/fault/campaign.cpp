@@ -53,7 +53,6 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
   auto* adaptive = dynamic_cast<AdaptiveVrlPolicy*>(&policy);
 
   telemetry::Recorder* rec = setup.telemetry;
-  const telemetry::ScopedTimer campaign_timer(rec, "time.campaign_run");
   telemetry::Counter* detected = nullptr;
   telemetry::Counter* corrected_ctr = nullptr;
   telemetry::Counter* unrecovered = nullptr;

@@ -91,16 +91,6 @@ void RenderPrometheus(std::ostream& os,
         }
         break;
       }
-      case MetricKind::kTimer:
-        if (!options.include_timers) {
-          break;
-        }
-        TypeLine(os, name + "_seconds_total", "counter");
-        os << name << "_seconds_total " << PrometheusDouble(value.value)
-           << '\n';
-        TypeLine(os, name + "_calls_total", "counter");
-        os << name << "_calls_total " << value.count << '\n';
-        break;
     }
   }
 }
@@ -158,8 +148,6 @@ void RenderPrometheusFederated(std::ostream& os,
              << '\n';
         }
         break;
-      case MetricKind::kTimer:
-        break;  // Worker deltas are timer-free (see header).
     }
   }
 

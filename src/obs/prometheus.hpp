@@ -25,10 +25,6 @@ namespace vrl::obs {
 struct PrometheusOptions {
   /// Prepended to every metric name (after sanitization).
   std::string prefix = "vrl_";
-  /// Render kTimer metrics (`_seconds_total` + `_calls_total` counters).
-  /// On by default: a live scrape wants wall-clock attribution even though
-  /// timers are excluded from the determinism contract.
-  bool include_timers = true;
   /// Quantile gauges rendered per histogram via HistogramQuantile
   /// (`<name>_p50`, `<name>_p99`, ...).  Skipped for empty histograms.
   std::vector<double> quantiles = {0.5, 0.99};
@@ -52,9 +48,8 @@ void RenderPrometheus(std::ostream& os,
 /// one `# TYPE` line per family (families group across members, so the
 /// output stays grammar-valid for scripts/check_metrics.py), plus the
 /// registry's own frame/event delivery counters.  Per-member quantile
-/// gauges are not rendered — the aggregate /metrics section carries them —
-/// and worker deltas are timer-free by construction, so timers never
-/// appear.  Deterministic: members iterate in sorted label order.
+/// gauges are not rendered — the aggregate /metrics section carries them.
+/// Deterministic: members iterate in sorted label order.
 void RenderPrometheusFederated(std::ostream& os,
                                const telemetry::FederatedRegistry& registry,
                                const PrometheusOptions& options = {});

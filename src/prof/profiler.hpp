@@ -22,8 +22,7 @@
 /// workload — `Absorb` merges shard profilers in task-index order so the
 /// attribution tree is byte-identical at any `VRL_THREADS` once times
 /// are scrubbed (`Snapshot(/*scrub_times=*/true)`).  Wall times are
-/// measurement, not state, and are excluded from the contract — exactly
-/// like `TimerStat` in the metrics registry.
+/// measurement, not state, and are excluded from the contract.
 ///
 /// Hot-path cost: `BeginPhase`/`EndPhase` on a pre-interned `PhaseId`
 /// is two `steady_clock` reads plus a couple of array writes.  For
@@ -171,7 +170,7 @@ class ScopedPhase {
 /// Sampled wall-clock accumulator for per-tick hot paths: every call is
 /// counted, one in `sample_every` is timed, and `EstimatedSeconds()`
 /// scales the sampled time back up.  Counts stay exact (deterministic);
-/// the estimate is measurement, like any timer.
+/// the estimate is measurement, like any wall time.
 class PhaseAccumulator {
  public:
   explicit PhaseAccumulator(std::uint32_t sample_every = 64)

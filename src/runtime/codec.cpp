@@ -210,8 +210,6 @@ void EncodeSnapshot(std::ostream& os,
         os << '\n';
         break;
       }
-      case telemetry::MetricKind::kTimer:
-        break;  // Wall clock: outside the determinism contract.
     }
   }
   os << "end_metrics\n";

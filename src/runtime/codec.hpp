@@ -23,10 +23,7 @@
 ///     except NaN/infinity, which use the explicit tokens nan/inf/-inf so
 ///     decoding is exact for every representable value;
 ///   * strings are percent-escaped (space, '%', newline, CR, tab) so the
-///     token stream stays whitespace-delimited;
-///   * timers are excluded from snapshots — they are wall clock, outside
-///     the determinism contract (docs/TELEMETRY.md), and would make a
-///     resumed run observably different.
+///     token stream stays whitespace-delimited.
 ///
 /// The format is a line-per-record token stream ("metric ...", "campaign
 /// ...", "event ...") — trivially diffable and append-composable, so a leg
@@ -65,15 +62,15 @@ class LineCursor {
 // Decode* consumes exactly the lines its encoder wrote and throws
 // vrl::ParseError on any mismatch.
 
-/// Timer-free metrics snapshot ("metric <name> <kind> ..." lines plus an
-/// "end_metrics" terminator).  Encoding drops kTimer entries.
+/// Metrics snapshot ("metric <name> <kind> ..." lines plus an
+/// "end_metrics" terminator).
 void EncodeSnapshot(std::ostream& os,
                     const telemetry::MetricsSnapshot& snapshot);
 telemetry::MetricsSnapshot DecodeSnapshot(LineCursor& cursor);
 
 /// One worker telemetry frame — the payload of a supervisor 'S' frame
-/// (docs/OBSERVABILITY.md): a "worker ..." header line, the timer-free
-/// metrics delta as a snapshot section, one "wevent ..." line per carried
+/// (docs/OBSERVABILITY.md): a "worker ..." header line, the metrics delta
+/// as a snapshot section, one "wevent ..." line per carried
 /// lineage event, and an "end_worker" terminator.
 void EncodeWorkerFrame(std::ostream& os,
                        const telemetry::WorkerFrame& frame);

@@ -45,7 +45,7 @@ void DigestCommonOptions(std::ostream& os,
 
 /// Every leg records into a fresh recorder whose *metrics* travel inside
 /// the payload.  The recorder options do not influence metric values (only
-/// event retention and timers, which the codec excludes), so payloads are
+/// event retention, which the codec excludes), so payloads are
 /// byte-identical whether or not a sink is configured.
 telemetry::RecorderOptions LegRecorderOptions(telemetry::Recorder* sink) {
   return sink != nullptr ? sink->options() : telemetry::RecorderOptions{};

@@ -22,7 +22,7 @@
 /// mode routes leg results through runtime/codec.hpp, so all of them emit
 /// byte-identical reports.
 ///
-/// Telemetry: each leg records into its own recorder; the leg's timer-free
+/// Telemetry: each leg records into its own recorder; the leg's
 /// metrics snapshot travels inside the journaled payload and is absorbed
 /// into the experiment sink (options.telemetry / system recorder) in leg
 /// order after the campaign completes — so a resumed run's merged metrics

@@ -284,7 +284,7 @@ void WorkerPublishTelemetry(const telemetry::Recorder& recorder, bool force) {
   frame.events_recorded = events.recorded();
   frame.events_dropped = events.dropped();
 
-  telemetry::MetricsSnapshot current = recorder.Snapshot().WithoutTimers();
+  telemetry::MetricsSnapshot current = recorder.Snapshot();
   frame.delta = current.Diff(g_last_sent);
 
   // Newest events not yet carried by a delivered frame, capped so one

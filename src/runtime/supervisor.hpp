@@ -21,7 +21,7 @@
 ///     `leg_timeout_s` is SIGKILLed and counted as a timeout;
 ///   * telemetry — the child may interleave 'S' frames (a 64-bit
 ///     little-endian length plus a runtime/codec.hpp worker-frame payload:
-///     a timer-free MetricsSnapshot delta and the newest lineage events;
+///     a MetricsSnapshot delta and the newest lineage events;
 ///     WorkerPublishTelemetry()).  The parent decodes complete frames as
 ///     they arrive and hands them to `WorkerPoolOptions::on_frame` — the
 ///     feed behind federated /metrics and /fleet (docs/OBSERVABILITY.md).
@@ -66,7 +66,7 @@ bool InWorkerChild();
 void WorkerHeartbeat();
 
 /// Publishes the recorder's current state as one 'S' telemetry frame: a
-/// timer-free metrics delta since the previous delivered frame plus the
+/// metrics delta since the previous delivered frame plus the
 /// newest lineage events.  No-op in the parent; rate-limited in the child
 /// (VRL_WORKER_PUBLISH_MS, default 50 — `force` bypasses the limit for
 /// end-of-leg flushes).  Never blocks the leg: a frame that cannot start

@@ -93,12 +93,8 @@ void WriteCountArray(std::ostream& os,
 
 }  // namespace
 
-void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot,
-                       const ExportOptions& options) {
+void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot) {
   for (const auto& [name, metric] : snapshot.metrics) {
-    if (metric.kind == MetricKind::kTimer && !options.include_timers) {
-      continue;
-    }
     os << "{\"type\":\"metric\",\"name\":\"" << JsonEscape(name)
        << "\",\"kind\":\"" << MetricKindName(metric.kind) << '"';
     switch (metric.kind) {
@@ -114,10 +110,6 @@ void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot,
         WriteDoubleArray(os, metric.edges);
         os << ",\"counts\":";
         WriteCountArray(os, metric.counts);
-        break;
-      case MetricKind::kTimer:
-        os << ",\"count\":" << metric.count
-           << ",\"total_s\":" << FormatDouble(metric.value);
         break;
     }
     os << "}\n";
@@ -136,13 +128,9 @@ void WriteEventsJsonl(std::ostream& os, const EventTrace& trace) {
      << "}\n";
 }
 
-void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot,
-                     const ExportOptions& options) {
+void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot) {
   os << "name,kind,field,value\n";
   for (const auto& [name, metric] : snapshot.metrics) {
-    if (metric.kind == MetricKind::kTimer && !options.include_timers) {
-      continue;
-    }
     const auto row = [&](std::string_view field, const std::string& value) {
       os << name << ',' << MetricKindName(metric.kind) << ',' << field << ','
          << value << '\n';
@@ -166,10 +154,6 @@ void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot,
         }
         break;
       }
-      case MetricKind::kTimer:
-        row("count", std::to_string(metric.count));
-        row("total_s", FormatDouble(metric.value));
-        break;
     }
   }
 }

@@ -17,15 +17,9 @@
 /// snapshot map is sorted), events in trace order, and doubles print
 /// through a fixed shortest-round-trip format — so two deterministic runs
 /// produce byte-identical files, which is how the determinism contract is
-/// tested end to end.  Timers are skipped by default because wall-clock
-/// values differ run to run.
+/// tested end to end.
 
 namespace vrl::telemetry {
-
-struct ExportOptions {
-  /// Include kTimer metrics (wall clock — breaks byte-determinism).
-  bool include_timers = false;
-};
 
 /// Shortest decimal representation that round-trips the double, with a
 /// fixed "%.17g"-then-trim strategy; used by every exporter so numeric
@@ -45,21 +39,18 @@ std::string JsonEscape(std::string_view text);
 //    "value":V}
 //   {"type":"event_summary","recorded":N,"retained":K,"dropped":D}
 
-void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot,
-                       const ExportOptions& options = {});
+void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot);
 void WriteEventsJsonl(std::ostream& os, const EventTrace& trace);
 
 // -- CSV ---------------------------------------------------------------------
 // Metrics: long format, one row per scalar facet:
 //   name,kind,field,value
-// where counters emit field "count"; gauges "value"; timers "count" and
-// "total_s"; histograms "count", "sum" and one "le_<edge>" / "le_inf" row
-// per bucket.
+// where counters emit field "count"; gauges "value"; histograms "count",
+// "sum" and one "le_<edge>" / "le_inf" row per bucket.
 // Events: kind,cycle,row,a,value with a trailing
 //   _summary,recorded,retained,dropped header comment row.
 
-void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot,
-                     const ExportOptions& options = {});
+void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot);
 void WriteEventsCsv(std::ostream& os, const EventTrace& trace);
 
 }  // namespace vrl::telemetry

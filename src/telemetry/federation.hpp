@@ -17,9 +17,9 @@
 /// supervised campaign streams from worker processes to the driver, and the
 /// FederatedRegistry that merges those streams into one observable system.
 ///
-/// Workers publish WorkerFrame records — a timer-free MetricsSnapshot
-/// *delta* since the previous frame plus the newest lineage events — over
-/// the supervision pipe ('S' frames; runtime/supervisor.hpp owns the wire
+/// Workers publish WorkerFrame records — a MetricsSnapshot *delta* since
+/// the previous frame plus the newest lineage events — over the
+/// supervision pipe ('S' frames; runtime/supervisor.hpp owns the wire
 /// format).  The driver absorbs each frame into a FederatedRegistry keyed
 /// by stable `worker`/`leg` labels.  Determinism mirrors ShardedRecorder:
 /// per-member accumulators merge frame deltas in arrival order, and
@@ -45,8 +45,8 @@ struct WorkerFrame {
                                      ///< dropped on a full pipe.
   std::uint64_t events_recorded = 0;  ///< Recorder's cumulative event count.
   std::uint64_t events_dropped = 0;   ///< Events displaced by the ring.
-  MetricsSnapshot delta;              ///< Timer-free metrics since the
-                                      ///< previous delivered frame.
+  MetricsSnapshot delta;              ///< Metrics since the previous
+                                      ///< delivered frame.
   std::vector<TraceEvent> events;     ///< Newest lineage events (tail).
 
   bool operator==(const WorkerFrame&) const = default;

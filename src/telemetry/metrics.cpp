@@ -15,8 +15,6 @@ std::string_view MetricKindName(MetricKind kind) {
       return "gauge";
     case MetricKind::kHistogram:
       return "histogram";
-    case MetricKind::kTimer:
-      return "timer";
   }
   return "?";
 }
@@ -152,10 +150,6 @@ void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
         ours.count += theirs.count;
         ours.value += theirs.value;
         break;
-      case MetricKind::kTimer:
-        ours.count += theirs.count;
-        ours.value += theirs.value;
-        break;
     }
   }
 }
@@ -191,20 +185,6 @@ MetricsSnapshot MetricsSnapshot::Diff(const MetricsSnapshot& before) const {
         now.count -= then.count;
         now.value -= then.value;
         break;
-      case MetricKind::kTimer:
-        now.count -= then.count;
-        now.value -= then.value;
-        break;
-    }
-  }
-  return out;
-}
-
-MetricsSnapshot MetricsSnapshot::WithoutTimers() const {
-  MetricsSnapshot out;
-  for (const auto& [name, value] : metrics) {
-    if (value.kind != MetricKind::kTimer) {
-      out.metrics.emplace(name, value);
     }
   }
   return out;
@@ -248,10 +228,6 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name,
   return *cell.histogram;
 }
 
-TimerStat& MetricsRegistry::GetTimer(std::string_view name) {
-  return FindOrCreate(name, MetricKind::kTimer).timer;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, cell] : cells_) {
@@ -270,10 +246,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         value.counts = cell.histogram->counts();
         value.count = cell.histogram->total();
         value.value = cell.histogram->sum();
-        break;
-      case MetricKind::kTimer:
-        value.count = cell.timer.count();
-        value.value = cell.timer.total_s();
         break;
     }
     snap.metrics.emplace(name, std::move(value));
@@ -297,9 +269,6 @@ void MetricsRegistry::Absorb(const MetricsSnapshot& snapshot) {
       case MetricKind::kHistogram:
         GetHistogram(name, theirs.edges)
             .MergeCounts(theirs.counts, theirs.value);
-        break;
-      case MetricKind::kTimer:
-        GetTimer(name).Merge(theirs.count, theirs.value);
         break;
     }
   }

@@ -14,13 +14,12 @@
 /// metric cells, a name-keyed registry, and an immutable MetricsSnapshot
 /// with diff/merge algebra.
 ///
-/// Determinism contract: every metric except timers is a pure function of
-/// the simulated work, so two runs of the same experiment produce equal
-/// snapshots regardless of thread count — provided concurrent work records
-/// into per-task recorders merged in task-index order (see
-/// telemetry::ShardedRecorder and docs/PARALLEL.md).  Timers measure wall
-/// clock and are therefore excluded from snapshot equality semantics by the
-/// exporters' defaults (export.hpp) and by WithoutTimers().
+/// Determinism contract: every metric is a pure function of the simulated
+/// work, so two runs of the same experiment produce equal snapshots
+/// regardless of thread count — provided concurrent work records into
+/// per-task recorders merged in task-index order (see
+/// telemetry::ShardedRecorder and docs/PARALLEL.md).  Wall clock is not a
+/// metric: it is recorded by the attribution profiler (prof/profiler.hpp).
 ///
 /// Hot-path cost: callers resolve cells once (`registry.GetCounter(...)`
 /// returns a stable reference) and then pay one add/compare per update —
@@ -28,9 +27,9 @@
 
 namespace vrl::telemetry {
 
-enum class MetricKind { kCounter, kGauge, kHistogram, kTimer };
+enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Human-readable kind name ("counter", "gauge", "histogram", "timer").
+/// Human-readable kind name ("counter", "gauge", "histogram").
 std::string_view MetricKindName(MetricKind kind);
 
 /// Monotonically increasing event count.
@@ -98,32 +97,11 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Accumulated wall-clock spent in a ScopedTimer region.  Excluded from the
-/// determinism contract (see file comment).
-class TimerStat {
- public:
-  void Record(double seconds) {
-    ++count_;
-    total_s_ += seconds;
-  }
-  /// Adds another timer's accumulated state (snapshot absorption).
-  void Merge(std::uint64_t count, double total_s) {
-    count_ += count;
-    total_s_ += total_s;
-  }
-  std::uint64_t count() const { return count_; }
-  double total_s() const { return total_s_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double total_s_ = 0.0;
-};
-
 /// Exported value of one metric — the snapshot-side mirror of a cell.
 struct MetricValue {
   MetricKind kind = MetricKind::kCounter;
-  std::uint64_t count = 0;  ///< Counter value; histogram/timer sample count.
-  double value = 0.0;       ///< Gauge value; histogram sum; timer total [s].
+  std::uint64_t count = 0;  ///< Counter value; histogram sample count.
+  double value = 0.0;       ///< Gauge value; histogram sum.
   std::vector<double> edges;          ///< kHistogram only.
   std::vector<std::uint64_t> counts;  ///< kHistogram only.
 
@@ -137,20 +115,17 @@ struct MetricValue {
 struct MetricsSnapshot {
   std::map<std::string, MetricValue> metrics;
 
-  /// Accumulates `other` into this snapshot: counters, histogram buckets
-  /// and timers add; gauges take `other`'s value when it was written.
+  /// Accumulates `other` into this snapshot: counters and histogram
+  /// buckets add; gauges take `other`'s value when it was written.
   /// \throws vrl::ConfigError on kind or histogram-edge mismatch.
   void MergeFrom(const MetricsSnapshot& other);
 
-  /// This snapshot minus `before` (counters, histogram counts and timers
+  /// This snapshot minus `before` (counters and histogram counts
   /// subtract; gauges keep this snapshot's value).  `before` must be an
   /// earlier snapshot of the same registry.
   /// \throws vrl::ConfigError when `before` has metrics or counts this
   /// snapshot lacks.
   MetricsSnapshot Diff(const MetricsSnapshot& before) const;
-
-  /// Copy without kTimer metrics — the deterministic subset.
-  MetricsSnapshot WithoutTimers() const;
 
   bool operator==(const MetricsSnapshot&) const = default;
 };
@@ -166,7 +141,6 @@ class MetricsRegistry {
   /// \throws vrl::ConfigError when `name` exists with different edges or a
   /// different kind, or when `edges` is invalid.
   Histogram& GetHistogram(std::string_view name, std::vector<double> edges);
-  TimerStat& GetTimer(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
 
@@ -185,7 +159,6 @@ class MetricsRegistry {
     Counter counter;
     Gauge gauge;
     std::unique_ptr<Histogram> histogram;
-    TimerStat timer;
   };
   Cell& FindOrCreate(std::string_view name, MetricKind kind);
 

@@ -23,21 +23,6 @@ void Recorder::Absorb(const Recorder& other) {
   }
 }
 
-ScopedTimer::ScopedTimer(Recorder* recorder, std::string_view name) {
-  if (recorder != nullptr) {
-    timer_ = &recorder->metrics().GetTimer(name);
-    start_ = std::chrono::steady_clock::now();
-  }
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (timer_ != nullptr) {
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start_;
-    timer_->Record(elapsed.count());
-  }
-}
-
 ShardedRecorder::ShardedRecorder(std::size_t shards, RecorderOptions options) {
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <string_view>
@@ -13,8 +12,8 @@
 
 /// \file recorder.hpp
 /// Recorder — the telemetry session object the instrumented layers write
-/// into — plus ScopedTimer (RAII wall-clock regions) and ShardedRecorder
-/// (deterministic aggregation across parallel tasks).
+/// into — plus ShardedRecorder (deterministic aggregation across parallel
+/// tasks).
 ///
 /// A Recorder is deliberately single-threaded: determinism comes from
 /// giving every parallel task its own shard and merging shards in
@@ -43,10 +42,10 @@ struct RecorderOptions {
   bool enable_tracing = false;
   /// Caps for the owned tracer (ignored unless enable_tracing).
   TracerOptions tracing;
-  /// Accumulate wall-clock phase timers (`time.phase.*`) and own a
-  /// hierarchical prof::Profiler (docs/PROFILING.md) attributing a run's
-  /// time to its phases — the `--profile` report.  When off, `profiler()`
-  /// is null and every profiling site costs one pointer compare.
+  /// Own a hierarchical prof::Profiler (docs/PROFILING.md) attributing a
+  /// run's wall time to its phases — the `--profile` report and the only
+  /// wall-clock record.  When off, `profiler()` is null and every
+  /// profiling site costs one pointer compare.
   bool profile_phases = false;
   /// Caps for the owned profiler (ignored unless profile_phases).
   prof::ProfilerOptions profiling;
@@ -98,22 +97,6 @@ class Recorder {
   EventTrace events_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<prof::Profiler> profiler_;
-};
-
-/// RAII wall-clock region: records elapsed seconds into the kTimer metric
-/// `name` of `recorder` on destruction.  Null-recorder safe.  Timers are
-/// wall clock and therefore excluded from the determinism contract (the
-/// exporters skip them unless asked).
-class ScopedTimer {
- public:
-  ScopedTimer(Recorder* recorder, std::string_view name);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerStat* timer_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// One recorder per parallel task, merged in task-index order: the bridge

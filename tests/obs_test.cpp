@@ -276,22 +276,6 @@ TEST(Prometheus, QuantileGaugesSkippedForEmptyHistograms) {
   EXPECT_NE(os.str().find("vrl_empty_count 0"), std::string::npos);
 }
 
-TEST(Prometheus, TimersRenderAsCountersAndCanBeExcluded) {
-  telemetry::Recorder recorder;
-  recorder.metrics().GetTimer("time.phase.solve").Record(0.25);
-  PrometheusOptions options;
-  std::ostringstream with;
-  RenderPrometheus(with, recorder.Snapshot(), options);
-  EXPECT_NE(with.str().find("vrl_time_phase_solve_seconds_total 0.25"),
-            std::string::npos);
-  EXPECT_NE(with.str().find("vrl_time_phase_solve_calls_total 1"),
-            std::string::npos);
-  options.include_timers = false;
-  std::ostringstream without;
-  RenderPrometheus(without, recorder.Snapshot(), options);
-  EXPECT_EQ(without.str(), "");
-}
-
 // -- Watchdog rules parsing ---------------------------------------------------
 
 TEST(WatchdogRulesParse, EmptyObjectKeepsEveryRuleDisabled) {

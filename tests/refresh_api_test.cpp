@@ -59,7 +59,7 @@ TEST(RefreshApiShim, SuiteTelemetryAndLineageIdenticalAcrossThreadCounts) {
     experiment.telemetry = &recorder;
     const auto results = core::RunEvaluationSuite(system, experiment);
 
-    const auto snapshot = recorder.Snapshot().WithoutTimers();
+    const auto snapshot = recorder.Snapshot();
     std::ostringstream lineage;
     telemetry::WriteLineageJsonl(lineage, *recorder.tracer());
 

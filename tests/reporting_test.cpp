@@ -1,8 +1,8 @@
 // Tests for the shared report writer (bench/reporting.hpp): CSV quoting,
-// the uniform CLI flag parser and its checked numeric value parsers, the
-// fault_campaign, refresh_tournament and timing_conformance flags parsed
-// through them, and the policy-name resolver the reporting binaries feed
-// their positional arguments through.
+// the --profile attribution table, the uniform CLI flag parser and its
+// checked numeric value parsers, the flags of the examples and benches
+// parsed through them, and the policy-name resolver the reporting binaries
+// feed their positional arguments through.
 //
 // The examples' and benches' directories arrive as compile definitions
 // (VRL_EXAMPLES_DIR, VRL_BENCH_DIR) from tests/CMakeLists.txt.
@@ -15,11 +15,13 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/reporting.hpp"
 #include "common/error.hpp"
 #include "core/vrl_system.hpp"
+#include "telemetry/recorder.hpp"
 
 namespace vrl::bench {
 namespace {
@@ -92,6 +94,55 @@ TEST(ReportCsv, JsonRenderingEscapesTheSameCells) {
   report.WriteJson(os);
   EXPECT_NE(os.str().find("\"cell\":\"a,\\\"b\\\"\\nc\""), std::string::npos)
       << os.str();
+}
+
+// -- AddProfile ---------------------------------------------------------------
+
+TEST(ReportProfile, RendersTheAttributionTreeDepthFirst) {
+  telemetry::RecorderOptions options;
+  options.profile_phases = true;
+  telemetry::Recorder recorder(options);
+  prof::Profiler& profiler = *recorder.profiler();
+  // Creation order outer, solve, other, flush interleaves outer's children
+  // with a second root; the table must still list outer's subtree first.
+  profiler.BeginPhase("outer");
+  profiler.CompletePhase("solve", 0.002, 3, 30);
+  profiler.EndPhase(5);
+  profiler.BeginPhase("other");
+  profiler.EndPhase();
+  profiler.BeginPhase("outer");
+  profiler.CompletePhase("flush", 0.001, 2, 0);
+  profiler.EndPhase(1);
+
+  Report report("r");
+  report.AddProfile(recorder);
+  std::ostringstream csv;
+  report.WriteCsv(csv);
+  std::istringstream lines(csv.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "# r.profile_tree");
+  std::getline(lines, line);
+  EXPECT_EQ(line, "phase,calls,units,incl_ms,excl_ms,excl_pct");
+  std::vector<std::string> rows;
+  while (std::getline(lines, line)) {
+    // Keep phase, calls and units; the remaining columns are wall time.
+    std::size_t end = 0;
+    for (int comma = 0; comma < 3; ++comma) {
+      end = line.find(',', end + 1);
+    }
+    rows.push_back(line.substr(0, end));
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{"outer,2,6", "  solve,3,30",
+                                            "  flush,2,0", "other,1,0"}));
+
+  std::ostringstream json;
+  report.WriteJson(json);
+  EXPECT_NE(json.str().find("\"prof.frames\":\"8\""), std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"prof.drops\":\"0\""), std::string::npos);
+  // The attribution tree is the only wall-clock table.
+  EXPECT_EQ(json.str().find("\"profile\":"), std::string::npos);
 }
 
 // -- ParseReportArgs ----------------------------------------------------------
@@ -213,9 +264,11 @@ TEST(ParseNumberFlag, RejectsGarbageAndNonFinite) {
 // -- Binary flag parsing ------------------------------------------------------
 
 /// Exit status of the built binary at `path` run with `args`, output
-/// discarded.
+/// discarded.  A run past 60 s is killed and reports timeout(1)'s 124, so
+/// a flag that wraps into an endless run fails instead of hanging.
 int RunBinary(const std::string& path, const std::string& args) {
-  const std::string command = path + " " + args + " >/dev/null 2>&1";
+  const std::string command =
+      "timeout 60 " + path + " " + args + " >/dev/null 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -252,6 +305,30 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
                            "--subarrays 4x", "--subarrays -2",
                            "--windows 1 --subarrays"}) {
     EXPECT_EQ(RunBinary(tournament, args), 2) << args;
+  }
+  // The examples that parse numbers of their own share the same rules.
+  const std::string examples_dir = VRL_EXAMPLES_DIR;
+  const std::pair<const char*, const char*> example_cases[] = {
+      {"policy_explorer", "--windows abc"},
+      {"policy_explorer", "--windows"},
+      {"policy_explorer", "--seed -1"},
+      {"policy_explorer", "--bogus 1"},
+      {"retention_profiler", "abc"},
+      {"retention_profiler", "64 8x"},
+      {"retention_profiler", "64 8 -1"},
+      {"retention_profiler", "0"},
+      {"integrity_audit", "--max-celsius abc"},
+      {"integrity_audit", "--windows"},
+      {"integrity_audit", "--bogus 1"},
+      {"trace_tools", "generate facesim abc /dev/null"},
+      {"trace_tools", "generate facesim -5 /dev/null"},
+      {"trace_tools", "generate facesim 0 /dev/null"},
+      // stoul used to wrap "-1" to 2^64 - 1 windows: an endless run.
+      {"integrity_audit", "--windows -1x"},
+  };
+  for (const auto& [binary, args] : example_cases) {
+    EXPECT_EQ(RunBinary(examples_dir + "/" + binary, args), 2)
+        << binary << " " << args;
   }
 }
 

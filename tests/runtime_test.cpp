@@ -10,10 +10,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -115,7 +117,6 @@ TEST(Codec, SnapshotRoundTripDropsTimersOnly) {
   auto& hist = recorder.metrics().GetHistogram("policy.bin", {1.0, 2.0});
   hist.Observe(0.5);
   hist.Observe(5.0);
-  recorder.metrics().GetTimer("time.phase.solve").Record(1.0);
 
   std::ostringstream os;
   runtime::EncodeSnapshot(os, recorder.Snapshot());
@@ -123,7 +124,6 @@ TEST(Codec, SnapshotRoundTripDropsTimersOnly) {
   const telemetry::MetricsSnapshot decoded = runtime::DecodeSnapshot(cursor);
   EXPECT_TRUE(cursor.AtEnd());
 
-  EXPECT_EQ(decoded.metrics.count("time.phase.solve"), 0u);
   ASSERT_EQ(decoded.metrics.count("campaign.windows"), 1u);
   EXPECT_EQ(decoded.metrics.at("campaign.windows").count, 7u);
   EXPECT_EQ(decoded.metrics.at("adaptive.margin").value, 0.125);
@@ -321,16 +321,20 @@ TEST(RunJournaledLegs, ResumeSkipsCommittedLegs) {
     journal.Append(1, DemoLeg(1));
   }
 
+  // Leg bodies run on pool threads, in any order.
+  std::mutex executed_mutex;
   std::vector<std::size_t> executed;
   runtime::RunnerStats stats;
   const auto payloads = runtime::RunJournaledLegs(
       "demo", 99, 5,
       [&](std::size_t leg) {
+        const std::lock_guard<std::mutex> lock(executed_mutex);
         executed.push_back(leg);
         return DemoLeg(leg);
       },
       options, &stats);
 
+  std::sort(executed.begin(), executed.end());
   EXPECT_EQ(executed, (std::vector<std::size_t>{2, 3, 4}));
   EXPECT_EQ(stats.resumed, 2u);
   EXPECT_EQ(stats.executed, 3u);
@@ -651,7 +655,7 @@ TEST(Codec, WorkerFrameRoundTrips) {
   scratch.counter("policy.full_refreshes").Add(12);
   scratch.gauge("campaign.progress_cycles").Set(1.5);
   scratch.histogram("policy.slack", {1.0, 2.0, 4.0}).Observe(3.0);
-  frame.delta = scratch.Snapshot().WithoutTimers();
+  frame.delta = scratch.Snapshot();
   frame.events = {{telemetry::EventKind::kPartialRefresh, 10, 20, 30, 0.25},
                   {telemetry::EventKind::kWorkerRetry, 11, 1, 2, -1.0}};
 
@@ -861,7 +865,7 @@ TEST(Resilient, EvaluationSuiteMatchesCoreIncludingTelemetry) {
   EXPECT_EQ(actual, expected);
 
   // The absorbed leg snapshots must reproduce the core drivers' merged
-  // metrics exactly (timers excluded — wall clock never crosses the codec).
+  // metrics exactly.
   std::ostringstream core_metrics;
   runtime::EncodeSnapshot(core_metrics, core_sink.Snapshot());
   std::ostringstream runtime_metrics;

@@ -218,20 +218,6 @@ TEST(MetricsSnapshot, GaugeTakesLatestOnMerge) {
   EXPECT_DOUBLE_EQ(snapshot.metrics.at("g").value, 2.0);
 }
 
-TEST(Export, TimersAreSkippedByDefault) {
-  Recorder recorder;
-  recorder.counter("c").Add(1);
-  { ScopedTimer timer(&recorder, "time.t"); }
-  std::ostringstream without;
-  WriteMetricsJsonl(without, recorder.Snapshot());
-  EXPECT_EQ(without.str().find("time.t"), std::string::npos);
-  std::ostringstream with;
-  ExportOptions options;
-  options.include_timers = true;
-  WriteMetricsJsonl(with, recorder.Snapshot(), options);
-  EXPECT_NE(with.str().find("time.t"), std::string::npos);
-}
-
 TEST(Export, FormatDoubleRoundTripsAndIsStable) {
   EXPECT_EQ(FormatDouble(0.0), "0");
   EXPECT_EQ(FormatDouble(1.5), "1.5");
@@ -243,8 +229,8 @@ TEST(Export, FormatDoubleRoundTripsAndIsStable) {
 // 2. Determinism across thread counts
 // ---------------------------------------------------------------------------
 
-/// Deterministic byte serialization of a recorder: metrics (timers
-/// excluded) followed by the event trace.
+/// Deterministic byte serialization of a recorder: metrics followed by the
+/// event trace.
 std::string ExportBytes(const Recorder& recorder) {
   std::ostringstream os;
   WriteMetricsJsonl(os, recorder.Snapshot());
