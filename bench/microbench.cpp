@@ -144,12 +144,12 @@ BENCHMARK(BM_VrlPolicyCollectDue);
 
 // Instrumentation overhead on the scheduling hot path: the same tick with
 // a telemetry recorder attached (cells resolved once, one counter add +
-// optional ring write per op).  Compare against BM_VrlPolicyCollectDue;
+// optional lineage write per op).  Compare against BM_VrlPolicyCollectDue;
 // docs/TELEMETRY.md records the measured delta (budget: <= 3%).
 void BM_VrlPolicyCollectDueTelemetry(benchmark::State& state) {
   auto policy = MakeMicrobenchVrlPolicy();
   telemetry::RecorderOptions options;
-  options.trace_refresh_ops = state.range(0) == 1;
+  options.lineage_ops = state.range(0) == 1;
   options.enable_tracing = state.range(0) == 2;
   telemetry::Recorder recorder(options);
   policy.set_telemetry(&recorder);
@@ -161,7 +161,7 @@ void BM_VrlPolicyCollectDueTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_VrlPolicyCollectDueTelemetry)
     ->Arg(0)   // counters + histograms only
-    ->Arg(1)   // plus per-op trace events
+    ->Arg(1)   // plus per-op lineage records
     ->Arg(2);  // plus transitions-only tracing (no per-op lineage)
 
 // The same tick with the grant accounting the memory controller keeps
@@ -222,10 +222,10 @@ BENCHMARK(BM_ProposingPolicyGrant)
 // single-bank system under the streamcluster workload, detached vs.
 // attached vs. attached-with-tracing.  The refresh-only idle window (no
 // requests) is the worst case — nearly all per-op work is telemetry — so
-// it is measured too.  Arm 2 keeps the span/lineage tracer hot across
-// iterations (caps reached, ring in steady state), which is exactly the
+// it is measured too.  Arm 2 keeps the span tracer hot across iterations
+// (caps reached, lineage ring in steady state), which is exactly the
 // long-run cost docs/TRACING.md budgets at <= 2%.  Arm 3 adds the per-op
-// lineage firehose (TracerOptions::lineage_ops) — deliberately outside
+// lineage firehose (RecorderOptions::lineage_ops) — deliberately outside
 // the budget, measured so the docs can quote its price.  Arm 4 turns on
 // the attribution profiler instead of tracing (telemetry + profile_phases)
 // — scripts/bench_baseline.py ratios it against arm 1 to gate the <= 2%
@@ -237,7 +237,7 @@ void BM_SimulateWindow(benchmark::State& state) {
   if (state.range(0) != 0) {
     telemetry::RecorderOptions options;
     options.enable_tracing = state.range(0) == 2 || state.range(0) == 3;
-    options.tracing.lineage_ops = state.range(0) == 3;
+    options.lineage_ops = state.range(0) == 3;
     options.profile_phases = state.range(0) == 4;
     system.EnableTelemetry(options);
   }
@@ -273,10 +273,11 @@ BENCHMARK(BM_SimulateWindow)
 // publish path — delta snapshot against the last delivered baseline, codec
 // encode, length-prefixed non-blocking frame write — exercised through the
 // real runtime::WorkerPublishTelemetry seam against a sink fd.  One
-// iteration is one forced 'S' frame carrying a fresh counter/gauge/event
-// delta, i.e. the per-publish cost a worker leg pays at most once per
-// VRL_WORKER_PUBLISH_MS.  scripts/bench_baseline.py ratios this against a
-// loaded BM_SimulateWindow to gate the <1% budget.
+// iteration is one forced 'S' frame carrying a fresh counter/gauge delta
+// and counting one new lineage record, i.e. the per-publish cost a worker
+// leg pays at most once per VRL_WORKER_PUBLISH_MS.
+// scripts/bench_baseline.py ratios this against a loaded BM_SimulateWindow
+// to gate the <1% budget.
 void BM_WorkerPublishTelemetry(benchmark::State& state) {
   const int sink_fd = ::open("/dev/null", O_WRONLY);
   const int previous = runtime::SetWorkerPipeForTesting(sink_fd);
@@ -287,7 +288,8 @@ void BM_WorkerPublishTelemetry(benchmark::State& state) {
   for (auto _ : state) {
     refreshes.Add(3);
     progress.Set(static_cast<double>(++cycle));
-    recorder.Record({telemetry::EventKind::kFullRefresh, cycle, 0, 0, 0.0});
+    recorder.lineage().Add(
+        {telemetry::EventKind::kFullRefresh, cycle, 0, 0, 0, 0.0});
     runtime::WorkerPublishTelemetry(recorder, /*force=*/true);
   }
   runtime::SetWorkerPipeForTesting(previous);
@@ -295,9 +297,9 @@ void BM_WorkerPublishTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkerPublishTelemetry);
 
-// Driver-side half of the same path: decode one 'S' frame payload and fold
-// it into the FederatedRegistry member (the per-frame work the supervisor
-// does between poll() wakeups).
+// Driver-side half of the same path: decode one 'S' frame payload counting
+// one lineage record and fold it into the FederatedRegistry member (the
+// per-frame work the supervisor does between poll() wakeups).
 void BM_FederatedAbsorb(benchmark::State& state) {
   telemetry::WorkerFrame frame;
   frame.leg = 1;
@@ -306,7 +308,8 @@ void BM_FederatedAbsorb(benchmark::State& state) {
   scratch.counter("policy.full_refreshes").Add(3);
   scratch.gauge("campaign.progress_cycles").Set(64.0);
   frame.delta = scratch.Snapshot();
-  frame.events = {{telemetry::EventKind::kFullRefresh, 1, 0, 0, 0.0}};
+  frame.events_recorded = 1;
+  frame.events = 1;
   std::ostringstream encoded;
   runtime::EncodeWorkerFrame(encoded, frame);
   const std::string payload = encoded.str();

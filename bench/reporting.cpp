@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
@@ -135,6 +136,15 @@ ReportOptions ParseReportArgs(int argc, char** argv) {
     }
   }
   return options;
+}
+
+ReportOptions ParseReportArgsOrExit(int argc, char** argv) {
+  try {
+    return ParseReportArgs(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+  }
 }
 
 runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options) {

@@ -116,6 +116,11 @@ double ParseNumberFlag(const std::string& flag, const std::string& text);
 /// \throws vrl::ConfigError when a flag is missing its path argument.
 ReportOptions ParseReportArgs(int argc, char** argv);
 
+/// ParseReportArgs for mains with no flags of their own: a malformed flag
+/// prints one `error:` line to stderr and exits 2, the usage-error code of
+/// every example, instead of escaping main.
+ReportOptions ParseReportArgsOrExit(int argc, char** argv);
+
 /// Writes the recorder's attribution tree to `options.profile_path`
 /// (--profile-out), dispatching on the extension: ".trace.json" renders
 /// the Chrome-trace overlay, ".json" the vrl.profile.v1 document,

@@ -64,7 +64,7 @@ double CircuitReadableFraction(const TechnologyParams& tech,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto report_options = bench::ParseReportArgs(argc, argv);
+  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
   bench::Report report("validation_circuit");
   report.AddMeta("threads", vrl::DefaultThreadCount());
 

@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
     recorder_options.enable_tracing = !report_options.trace_path.empty();
     // Full-fidelity lineage: a traced campaign wants every refresh op,
     // not just the transitions (docs/TRACING.md).
-    recorder_options.tracing.lineage_ops = true;
+    recorder_options.lineage_ops = recorder_options.enable_tracing;
     recorder_options.profile_phases = report_options.profile;
     telemetry::Recorder recorder(recorder_options);
 
@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
     }
     if (!report_options.trace_path.empty()) {
       telemetry::WriteTraceFile(report_options.trace_path,
-                                *recorder.tracer());
+                                *recorder.tracer(), recorder.lineage());
     }
     report.Emit(report_options, std::cout);
 

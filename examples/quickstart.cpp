@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   recorder_options.enable_tracing = !report_options.trace_path.empty();
   // A one-off traced run wants the complete causal record, so take the
   // per-op lineage firehose, not the transitions-only low-overhead mode.
-  recorder_options.tracing.lineage_ops = true;
+  recorder_options.lineage_ops = recorder_options.enable_tracing;
   recorder_options.profile_phases = report_options.profile;
   system.EnableTelemetry(recorder_options);
 
@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
   }
   if (!report_options.trace_path.empty()) {
     telemetry::WriteTraceFile(report_options.trace_path,
-                              *system.telemetry()->tracer());
+                              *system.telemetry()->tracer(),
+                              system.telemetry()->lineage());
   }
   report.Emit(report_options, std::cout);
   return 0;

@@ -59,6 +59,9 @@ RATIO_KEYS = [
     ("telemetry_overhead_idle", "BM_SimulateWindow/1/0", "BM_SimulateWindow/0/0"),
     ("tracing_overhead_idle", "BM_SimulateWindow/2/0", "BM_SimulateWindow/0/0"),
     ("tracing_firehose_idle", "BM_SimulateWindow/3/0", "BM_SimulateWindow/0/0"),
+    # Policy tick with a recorder attached: counters only (/0), plus per-op
+    # lineage records (/1; the key name predates the single lineage ring),
+    # plus transitions-only tracing (/2).
     (
         "collect_due_telemetry_counters",
         "BM_VrlPolicyCollectDueTelemetry/0",

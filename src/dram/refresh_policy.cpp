@@ -47,9 +47,8 @@ void RefreshPolicy::set_telemetry(telemetry::Recorder* recorder) {
     busy_cycles_ = nullptr;
     mprsf_resets_ = nullptr;
     slack_ = nullptr;
-    tracer_ = nullptr;
+    lineage_ = nullptr;
     cause_label_ = 0;
-    trace_ops_ = false;
     lineage_ops_ = false;
   } else {
     full_ops_ = &recorder->counter("policy.full_refreshes");
@@ -58,13 +57,12 @@ void RefreshPolicy::set_telemetry(telemetry::Recorder* recorder) {
     mprsf_resets_ = &recorder->counter("policy.mprsf_resets");
     slack_ = &recorder->histogram("policy.refresh_slack_cycles",
                                   telemetry::SlackBucketEdges());
-    trace_ops_ = recorder->options().trace_refresh_ops;
     pending_slack_.assign(telemetry::SlackBucketEdges().size() + 1, 0);
     // The lineage cause is this policy's name, interned once so the hot
     // path records a fixed index.
-    tracer_ = recorder->tracer();
-    cause_label_ = tracer_ == nullptr ? 0 : tracer_->Intern(Name());
-    lineage_ops_ = tracer_ != nullptr && tracer_->options().lineage_ops;
+    lineage_ = &recorder->lineage();
+    cause_label_ = lineage_->Intern(Name());
+    lineage_ops_ = recorder->options().lineage_ops;
   }
   OnTelemetryAttached();
 }
@@ -97,42 +95,26 @@ void RefreshPolicy::RecordOpSlow(const RefreshOp& op, Cycles now,
   pending_busy_ += op.trfc;
   ++pending_slack_[telemetry::SlackBucketIndex(slack)];
   pending_slack_sum_ += slack;
-  if (trace_ops_) {
-    telemetry_->Record({op.is_full ? telemetry::EventKind::kFullRefresh
-                                   : telemetry::EventKind::kPartialRefresh,
-                        now, static_cast<std::uint64_t>(op.row),
-                        static_cast<std::int64_t>(slack), 0.0});
-  }
-  // Per-op refresh lineage is the firehose; transitions-only tracing
-  // (TracerOptions::lineage_ops == false) skips it to stay inside the
-  // <= 2% overhead budget.
+  // Per-op refresh lineage is the firehose; the default transitions-only
+  // recording (RecorderOptions::lineage_ops == false) skips it.
   if (lineage_ops_) {
-    tracer_->Lineage({op.is_full ? telemetry::EventKind::kFullRefresh
-                                 : telemetry::EventKind::kPartialRefresh,
-                      now, static_cast<std::uint64_t>(op.row), cause_label_,
-                      static_cast<std::int64_t>(slack), 0.0});
+    lineage_->Add({op.is_full ? telemetry::EventKind::kFullRefresh
+                              : telemetry::EventKind::kPartialRefresh,
+                   now, static_cast<std::uint64_t>(op.row), cause_label_,
+                   static_cast<std::int64_t>(slack), 0.0});
   }
 }
 
 void RefreshPolicy::RecordMprsfResetSlow(std::size_t row,
                                          std::uint8_t old_count) {
-  // Under VRL-Access a reset happens on nearly every row activation, so
-  // the ring write rides the same high-frequency gate as the per-op
-  // refresh events; the pending_mprsf_resets_ count is always exact.
-  if (trace_ops_) {
-    telemetry_->Record({telemetry::EventKind::kMprsfReset, last_now_,
-                        static_cast<std::uint64_t>(row),
-                        static_cast<std::int64_t>(old_count), 0.0});
-  }
-  // Lineage: the controller's activation fully restored the row, resetting
-  // its partial-refresh counter (the paper's VRL-Access transition).
-  // Rides the lineage_ops gate — one reset per activation is firehose
-  // volume, not a rare transition.
-  if (lineage_ops_) {
-    tracer_->Lineage({telemetry::EventKind::kMprsfReset, last_now_,
-                      static_cast<std::uint64_t>(row), cause_label_,
-                      static_cast<std::int64_t>(old_count), 0.0});
-  }
+  // The controller's activation fully restored the row, resetting its
+  // partial-refresh counter (the paper's VRL-Access transition).  Under
+  // VRL-Access that happens on nearly every row activation, so the ring
+  // write rides the lineage_ops gate (RecordMprsfReset checks it); the
+  // pending_mprsf_resets_ count is always exact.
+  lineage_->Add({telemetry::EventKind::kMprsfReset, last_now_,
+                 static_cast<std::uint64_t>(row), cause_label_,
+                 static_cast<std::int64_t>(old_count), 0.0});
 }
 
 void RefreshPolicy::RequireMonotonicNow(Cycles now) {

@@ -14,8 +14,8 @@
 namespace vrl::telemetry {
 class Counter;
 class Histogram;
+class Lineage;
 class Recorder;
-class Tracer;
 }  // namespace vrl::telemetry
 
 /// \file refresh_policy.hpp
@@ -180,7 +180,7 @@ class RefreshPolicy {
   virtual void OnTelemetryAttached() {}
 
   /// Records one emitted refresh op: full/partial counter, busy cycles,
-  /// slack histogram (now - due) and, when traced, the issue event.  Per-op
+  /// slack histogram (now - due) and, with lineage_ops, its lineage.  Per-op
   /// updates batch into policy-local accumulators (flushed by
   /// FlushTelemetry) so an op costs a handful of plain increments instead
   /// of registry-cell updates.  One branch when telemetry is detached.
@@ -192,21 +192,21 @@ class RefreshPolicy {
 
   /// Records an MPRSF counter reset caused by a row activation
   /// (VRL-Access §3.2); `old_count` is the counter value before the reset.
-  /// With a tracer attached this is the activation-reset transition of the
-  /// refresh-lineage channel (docs/TRACING.md).
+  /// With RecorderOptions::lineage_ops this is the activation-reset
+  /// transition of the refresh lineage (docs/TRACING.md).
   void RecordMprsfReset(std::size_t row, std::uint8_t old_count) {
     if (telemetry_ != nullptr && old_count != 0) {
       ++pending_mprsf_resets_;
-      if (trace_ops_ || lineage_ops_) {
+      if (lineage_ops_) {
         RecordMprsfResetSlow(row, old_count);
       }
     }
   }
 
-  /// The attached recorder's tracer (null when telemetry is detached or
-  /// tracing is off) and this policy's interned cause label — for
-  /// subclasses recording their own lineage (fault::AdaptiveVrlPolicy).
-  telemetry::Tracer* tracer() const { return tracer_; }
+  /// The attached recorder's lineage ring (null when telemetry is
+  /// detached) and this policy's interned cause label — for subclasses
+  /// recording their own transitions (fault::AdaptiveVrlPolicy).
+  telemetry::Lineage* lineage() const { return lineage_; }
   std::uint32_t cause_label() const { return cause_label_; }
 
  private:
@@ -224,10 +224,9 @@ class RefreshPolicy {
   telemetry::Counter* busy_cycles_ = nullptr;
   telemetry::Counter* mprsf_resets_ = nullptr;
   telemetry::Histogram* slack_ = nullptr;
-  telemetry::Tracer* tracer_ = nullptr;
-  std::uint32_t cause_label_ = 0;  ///< Intern(Name()) in the tracer.
-  bool trace_ops_ = false;
-  bool lineage_ops_ = false;  ///< tracer_ && TracerOptions::lineage_ops.
+  telemetry::Lineage* lineage_ = nullptr;
+  std::uint32_t cause_label_ = 0;  ///< Intern(Name()) in the lineage.
+  bool lineage_ops_ = false;  ///< RecorderOptions::lineage_ops.
   // Batched per-op state, folded into the cells by FlushTelemetry().
   std::uint64_t pending_full_ = 0;
   std::uint64_t pending_partial_ = 0;

@@ -84,12 +84,7 @@ void AdaptiveVrlPolicy::RollWindows(Cycles now) {
           fallback_due_ = dram::DeadlineQueue();
           if (telemetry() != nullptr) {
             telemetry()->counter("adaptive.fallback_exits").Add();
-            telemetry()->Record(
-                {telemetry::EventKind::kFallbackExit, now, 0,
-                 static_cast<std::int64_t>(clean_fallback_windows_), 0.0});
-          }
-          if (tracer() != nullptr) {
-            tracer()->Lineage(
+            lineage()->Add(
                 {telemetry::EventKind::kFallbackExit, now, 0, cause_label(),
                  static_cast<std::int64_t>(clean_fallback_windows_), 0.0});
           }
@@ -128,14 +123,9 @@ void AdaptiveVrlPolicy::EnterFallback(Cycles now) {
   ++stats_.fallback_entries;
   if (telemetry() != nullptr) {
     telemetry()->counter("adaptive.fallback_entries").Add();
-    telemetry()->Record(
-        {telemetry::EventKind::kFallbackEnter, now, 0,
-         static_cast<std::int64_t>(failures_this_window_), 0.0});
-  }
-  if (tracer() != nullptr) {
-    tracer()->Lineage(
-        {telemetry::EventKind::kFallbackEnter, now, 0, cause_label(),
-         static_cast<std::int64_t>(failures_this_window_), 0.0});
+    lineage()->Add({telemetry::EventKind::kFallbackEnter, now, 0,
+                    cause_label(),
+                    static_cast<std::int64_t>(failures_this_window_), 0.0});
   }
   clean_fallback_windows_ = 0;
   fallback_due_ = dram::DeadlineQueue();
@@ -228,13 +218,9 @@ void AdaptiveVrlPolicy::OnGrant(const dram::RefreshProposal& proposal,
     ++stats_.forced_full_refreshes;
     if (telemetry() != nullptr) {
       forced_fulls_->Add();
-      telemetry()->Record({telemetry::EventKind::kForcedFullRefresh, at,
-                           static_cast<std::uint64_t>(row), 0, 0.0});
-    }
-    if (tracer() != nullptr) {
-      tracer()->Lineage({telemetry::EventKind::kForcedFullRefresh, at,
-                         static_cast<std::uint64_t>(row), cause_label(), 0,
-                         0.0});
+      lineage()->Add({telemetry::EventKind::kForcedFullRefresh, at,
+                      static_cast<std::uint64_t>(row), cause_label(), 0,
+                      0.0});
     }
     return;
   }
@@ -308,17 +294,12 @@ FailureResponse AdaptiveVrlPolicy::OnSensingFailure(std::size_t row,
   ++stats_.demotions;
   if (telemetry() != nullptr) {
     demotions_->Add();
-    telemetry()->Record({telemetry::EventKind::kDemotion, now,
-                         static_cast<std::uint64_t>(row),
-                         static_cast<std::int64_t>(next_level), 0.0});
-  }
-  if (tracer() != nullptr) {
     // `value` carries the failure pressure (failures this window) that
     // drove the demotion, so the lineage answers *why*, not just *what*.
-    tracer()->Lineage({telemetry::EventKind::kDemotion, now,
-                       static_cast<std::uint64_t>(row), cause_label(),
-                       static_cast<std::int64_t>(next_level),
-                       static_cast<double>(failures_this_window_)});
+    lineage()->Add({telemetry::EventKind::kDemotion, now,
+                    static_cast<std::uint64_t>(row), cause_label(),
+                    static_cast<std::int64_t>(next_level),
+                    static_cast<double>(failures_this_window_)});
   }
   return FailureResponse::kCorrected;
 }
@@ -343,14 +324,9 @@ void AdaptiveVrlPolicy::OnCleanFullRefresh(std::size_t row, Cycles now) {
   const std::size_t new_level = demoted.level - 1;
   if (telemetry() != nullptr) {
     promotions_->Add();
-    telemetry()->Record({telemetry::EventKind::kPromotion, now,
-                         static_cast<std::uint64_t>(row),
-                         static_cast<std::int64_t>(new_level), 0.0});
-  }
-  if (tracer() != nullptr) {
-    tracer()->Lineage({telemetry::EventKind::kPromotion, now,
-                       static_cast<std::uint64_t>(row), cause_label(),
-                       static_cast<std::int64_t>(new_level), 0.0});
+    lineage()->Add({telemetry::EventKind::kPromotion, now,
+                    static_cast<std::uint64_t>(row), cause_label(),
+                    static_cast<std::int64_t>(new_level), 0.0});
   }
   if (demoted.level == 1) {
     demoted_.erase(it);  // back to the inner policy's schedule

@@ -72,15 +72,15 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
       setup.base_window * static_cast<Cycles>(setup.windows);
 
   // Campaign spans: one track group, one "window" span per refresh window
-  // (payloads: refreshes, detected failures), plus sensing-failure lineage
-  // with the charge margin that triggered detection.
+  // (payloads: refreshes, detected failures).  Sensing failures land in the
+  // lineage with the charge margin that triggered detection.
   telemetry::Tracer* tracer = rec == nullptr ? nullptr : rec->tracer();
   std::uint32_t trace_group = 0;
-  std::uint32_t campaign_cause = 0;
   if (tracer != nullptr) {
     trace_group = tracer->NewTrackGroup("campaign:" + policy.Name());
-    campaign_cause = tracer->Intern("campaign:" + policy.Name());
   }
+  const std::uint32_t campaign_cause =
+      rec == nullptr ? 0 : rec->lineage().Intern("campaign:" + policy.Name());
   // Attribution (--profile, docs/PROFILING.md): the per-tick fault clock
   // and the grant + ChargeTracker op loop are timed on a 1-in-N sample
   // (exact counts) and folded under one "campaign.run" frame at the end.
@@ -189,16 +189,11 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
       if (rec != nullptr) {
         detected->Add();
         (corrected ? corrected_ctr : unrecovered)->Add();
-        rec->Record({telemetry::EventKind::kSensingFailure, tick,
-                     static_cast<std::uint64_t>(op.row),
-                     corrected ? std::int64_t{1} : std::int64_t{0},
-                     sense.margin});
-        if (tracer != nullptr) {
-          tracer->Lineage({telemetry::EventKind::kSensingFailure, tick,
-                           static_cast<std::uint64_t>(op.row), campaign_cause,
-                           corrected ? std::int64_t{1} : std::int64_t{0},
-                           sense.margin});
-        }
+        rec->lineage().Add({telemetry::EventKind::kSensingFailure, tick,
+                            static_cast<std::uint64_t>(op.row),
+                            campaign_cause,
+                            corrected ? std::int64_t{1} : std::int64_t{0},
+                            sense.margin});
       }
       // Corrected: the ECC write-back rewrites the row at full charge.
       // Unrecovered: the data is gone; reset anyway (as the integrity

@@ -19,6 +19,7 @@
 #include "common/error.hpp"
 #include "prof/report.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/trace_export.hpp"
 
 namespace vrl::obs {
 namespace {
@@ -41,19 +42,6 @@ std::string_view StatusText(int status) {
     default:
       return "Error";
   }
-}
-
-/// One pre-rendered /trace line, matching WriteLineageJsonl's schema so the
-/// tail and the post-run export are the same format.
-std::string RenderLineageLine(const telemetry::Tracer& tracer,
-                              const telemetry::LineageRecord& record) {
-  std::ostringstream os;
-  os << R"({"type":"lineage","kind":")" << EventKindName(record.kind)
-     << R"(","cycle":)" << record.cycle << R"(,"row":)" << record.row
-     << R"(,"cause":")" << JsonEscape(tracer.label(record.cause))
-     << R"(","detail":)" << record.detail << R"(,"value":)"
-     << FormatDouble(record.value) << "}\n";
-  return os.str();
 }
 
 }  // namespace
@@ -134,11 +122,8 @@ void MonitorServer::Publish(const telemetry::Recorder& recorder) {
   // Copy everything outside the lock: snapshotting a large registry while
   // a scrape holds the lock would stall the driver on the server.
   telemetry::MetricsSnapshot snapshot = recorder.Snapshot();
-  std::vector<std::string> tail;
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
-  std::uint64_t lineage_recorded = 0;
-  std::uint64_t lineage_dropped = 0;
   prof::ProfileSnapshot profile;
   bool has_profile = false;
   if (const prof::Profiler* profiler = recorder.profiler()) {
@@ -148,25 +133,24 @@ void MonitorServer::Publish(const telemetry::Recorder& recorder) {
   if (const telemetry::Tracer* tracer = recorder.tracer()) {
     spans_recorded = tracer->recorded_spans();
     spans_dropped = tracer->dropped_spans();
-    lineage_recorded = tracer->recorded_lineage();
-    lineage_dropped = tracer->dropped_lineage();
-    const auto lineage = tracer->LineageRetained();
-    tail.reserve(lineage.size());
-    for (const telemetry::LineageRecord& record : lineage) {
-      tail.push_back(RenderLineageLine(*tracer, record));
-    }
+  }
+  const telemetry::Lineage& lineage = recorder.lineage();
+  std::vector<std::string> tail;
+  tail.reserve(lineage.size());
+  for (const telemetry::LineageRecord& record : lineage.Retained()) {
+    std::ostringstream line;
+    telemetry::WriteLineageLine(line, lineage, record);
+    tail.push_back(line.str());
   }
   const double now_s = options_.clock();
 
   const std::lock_guard<std::mutex> lock(mutex_);
   published_ = std::move(snapshot);
-  events_recorded_ = recorder.events().recorded();
-  events_dropped_ = recorder.events().dropped();
-  events_retained_ = recorder.events().size();
   spans_recorded_ = spans_recorded;
   spans_dropped_ = spans_dropped;
-  lineage_recorded_ = lineage_recorded;
-  lineage_dropped_ = lineage_dropped;
+  lineage_recorded_ = lineage.recorded();
+  lineage_dropped_ = lineage.dropped();
+  lineage_retained_ = lineage.size();
   lineage_tail_ = std::move(tail);
   if (has_profile) {
     profile_ = std::move(profile);
@@ -255,13 +239,11 @@ std::string MonitorServer::RenderMetrics() {
     os << "# TYPE " << p << name << " gauge\n"
        << p << name << ' ' << PrometheusDouble(value) << '\n';
   };
-  counter("monitor_events_recorded_total", events_recorded_);
-  counter("monitor_events_dropped_total", events_dropped_);
-  gauge("monitor_events_retained", static_cast<double>(events_retained_));
   counter("monitor_spans_recorded_total", spans_recorded_);
   counter("monitor_spans_dropped_total", spans_dropped_);
   counter("monitor_lineage_recorded_total", lineage_recorded_);
   counter("monitor_lineage_dropped_total", lineage_dropped_);
+  gauge("monitor_lineage_retained", static_cast<double>(lineage_retained_));
   counter("monitor_publishes_total", publishes_);
   counter("monitor_metrics_scrapes_total", scrapes_metrics_);
   gauge("monitor_health", static_cast<double>(health_));

@@ -110,7 +110,7 @@ class MonitorServer {
   const std::string& bind_address() const { return bind_address_; }
 
   /// Publishes an immutable copy of the recorder's current state: metrics
-  /// snapshot, event/span/lineage totals, and the pre-rendered lineage
+  /// snapshot, span/lineage totals, and the pre-rendered lineage
   /// JSONL tail.  Driver-thread only (the recorder is single-threaded).
   void Publish(const telemetry::Recorder& recorder);
 
@@ -159,13 +159,11 @@ class MonitorServer {
   mutable std::mutex mutex_;
   bool ready_ = false;
   telemetry::MetricsSnapshot published_;
-  std::uint64_t events_recorded_ = 0;
-  std::uint64_t events_dropped_ = 0;
-  std::size_t events_retained_ = 0;
   std::uint64_t spans_recorded_ = 0;
   std::uint64_t spans_dropped_ = 0;
   std::uint64_t lineage_recorded_ = 0;
   std::uint64_t lineage_dropped_ = 0;
+  std::size_t lineage_retained_ = 0;
   std::vector<std::string> lineage_tail_;  ///< Pre-rendered JSONL lines.
   HealthState health_ = HealthState::kOk;
   std::string health_reason_;

@@ -38,7 +38,7 @@ void MonitorPlane::Sample(telemetry::Recorder& recorder, double now_s) {
   HealthState state = HealthState::kOk;
   std::string reason;
   if (watchdog_) {
-    state = watchdog_->Sample(recorder.Snapshot(), now_s, &recorder.events());
+    state = watchdog_->Sample(recorder.Snapshot(), now_s, &recorder.lineage());
     reason = watchdog_->last_breach();
   }
   if (server_) {

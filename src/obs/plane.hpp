@@ -49,7 +49,7 @@ class MonitorPlane {
 
   /// One observability step, called by the driver between work (e.g. per
   /// refresh window): runs the watchdog on the recorder's current snapshot
-  /// (alert events land in the recorder's own EventTrace), pushes the
+  /// (alerts land in the recorder's own lineage ring), pushes the
   /// verdict and a fresh published copy to the server.  Driver-thread only;
   /// the recorder stays single-threaded.
   void Sample(telemetry::Recorder& recorder);

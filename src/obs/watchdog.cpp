@@ -200,7 +200,7 @@ SloWatchdog::SloWatchdog(WatchdogRules rules) : rules_(std::move(rules)) {
 
 HealthState SloWatchdog::Sample(const telemetry::MetricsSnapshot& snapshot,
                                 double now_s,
-                                telemetry::EventTrace* alerts) {
+                                telemetry::Lineage* alerts) {
   const double detected =
       MetricNumber(snapshot, "campaign.detected_failures");
   const double fulls = MetricNumber(snapshot, "policy.full_refreshes");
@@ -305,8 +305,9 @@ HealthState SloWatchdog::Sample(const telemetry::MetricsSnapshot& snapshot,
   if (next != state_) {
     state_ = next;
     if (alerts != nullptr) {
-      alerts->Record({telemetry::EventKind::kWatchdogTransition, 0, 0,
-                      static_cast<std::int64_t>(state_), breach_value});
+      alerts->Add({telemetry::EventKind::kWatchdogTransition, 0, 0,
+                   alerts->Intern("watchdog"),
+                   static_cast<std::int64_t>(state_), breach_value});
     }
   }
   return state_;

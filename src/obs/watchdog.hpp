@@ -18,9 +18,9 @@
 /// directions: a rule must breach on `breach_samples` consecutive samples
 /// before the state degrades (and `fail_samples` before it fails), and
 /// recover for `clear_samples` consecutive samples before the state steps
-/// back up one level.  Every transition fires a kWatchdogTransition event
-/// into the caller's EventTrace, so alerts land in the same audited ring as
-/// the simulator's own events.
+/// back up one level.  Every transition adds a kWatchdogTransition record
+/// to the caller's lineage ring (cause "watchdog"), so alerts land in the
+/// same audited ring as the simulator's own transitions.
 
 namespace vrl::obs {
 
@@ -97,10 +97,10 @@ class SloWatchdog {
   /// previous sample, advances the hysteresis counters, and returns the
   /// (possibly changed) health state.  `now_s` is the caller's monotonic
   /// clock, used only by the staleness rule.  When `alerts` is non-null,
-  /// every state *transition* records a kWatchdogTransition event (a = new
-  /// state ordinal, value = the breaching measure, 0 on recovery).
+  /// every state *transition* adds a kWatchdogTransition record (detail =
+  /// new state ordinal, value = the breaching measure, 0 on recovery).
   HealthState Sample(const telemetry::MetricsSnapshot& snapshot, double now_s,
-                     telemetry::EventTrace* alerts = nullptr);
+                     telemetry::Lineage* alerts = nullptr);
 
  private:
   WatchdogRules rules_;

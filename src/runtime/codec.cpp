@@ -261,16 +261,8 @@ void EncodeWorkerFrame(std::ostream& os,
                        const telemetry::WorkerFrame& frame) {
   os << "worker " << frame.leg << ' ' << frame.attempt << ' ' << frame.seq
      << ' ' << frame.frames_dropped << ' ' << frame.events_recorded << ' '
-     << frame.events_dropped << ' ' << frame.events.size() << '\n';
+     << frame.events_dropped << ' ' << frame.events << '\n';
   EncodeSnapshot(os, frame.delta);
-  // Event kinds travel as ordinals: the frame is an in-flight message
-  // between a fork()ed child and its own parent binary, never persisted, so
-  // the enum layout is shared by construction.
-  for (const telemetry::TraceEvent& event : frame.events) {
-    os << "wevent " << static_cast<unsigned>(event.kind) << ' ' << event.cycle
-       << ' ' << event.row << ' ' << event.a << ' '
-       << EncodeDouble(event.value) << '\n';
-  }
   os << "end_worker\n";
 }
 
@@ -284,29 +276,8 @@ telemetry::WorkerFrame DecodeWorkerFrame(LineCursor& cursor) {
   frame.frames_dropped = ReadU64(is, "worker frames_dropped", header);
   frame.events_recorded = ReadU64(is, "worker events_recorded", header);
   frame.events_dropped = ReadU64(is, "worker events_dropped", header);
-  const std::size_t events = ReadSize(is, "worker event count", header);
+  frame.events = ReadU64(is, "worker event count", header);
   frame.delta = DecodeSnapshot(cursor);
-  frame.events.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    const std::string& line = cursor.Next();
-    std::istringstream event_is = OpenRecord(line, "wevent");
-    telemetry::TraceEvent event;
-    const std::uint64_t kind = ReadU64(event_is, "wevent kind", line);
-    if (kind > static_cast<std::uint64_t>(
-                   telemetry::EventKind::kWorkerDegraded)) {
-      Malformed("wevent kind", line);
-    }
-    event.kind = static_cast<telemetry::EventKind>(kind);
-    event.cycle = ReadU64(event_is, "wevent cycle", line);
-    event.row = ReadU64(event_is, "wevent row", line);
-    long long a = 0;
-    if (!(event_is >> a)) {
-      Malformed("wevent payload", line);
-    }
-    event.a = static_cast<std::int64_t>(a);
-    event.value = ReadDouble(event_is, "wevent value", line);
-    frame.events.push_back(event);
-  }
   const std::string& terminator = cursor.Next();
   if (terminator != "end_worker") {
     Malformed("worker frame terminator", terminator);

@@ -69,9 +69,9 @@ void EncodeSnapshot(std::ostream& os,
 telemetry::MetricsSnapshot DecodeSnapshot(LineCursor& cursor);
 
 /// One worker telemetry frame — the payload of a supervisor 'S' frame
-/// (docs/OBSERVABILITY.md): a "worker ..." header line, the metrics delta
-/// as a snapshot section, one "wevent ..." line per carried
-/// lineage event, and an "end_worker" terminator.
+/// (docs/OBSERVABILITY.md): a "worker ..." header line carrying the
+/// lineage counts, the metrics delta as a snapshot section, and an
+/// "end_worker" terminator.
 void EncodeWorkerFrame(std::ostream& os,
                        const telemetry::WorkerFrame& frame);
 telemetry::WorkerFrame DecodeWorkerFrame(LineCursor& cursor);

@@ -26,8 +26,8 @@
 /// metrics snapshot travels inside the journaled payload and is absorbed
 /// into the experiment sink (options.telemetry / system recorder) in leg
 /// order after the campaign completes — so a resumed run's merged metrics
-/// equal an uninterrupted run's.  Leg *event traces* do not cross the codec
-/// (metrics only); the runtime's own lineage events land in
+/// equal an uninterrupted run's.  Leg *lineage rings* do not cross the
+/// codec (metrics only); the runtime's own lineage records land in
 /// RuntimeOptions::runtime_telemetry instead.
 
 namespace vrl::runtime {

@@ -60,6 +60,15 @@ std::vector<std::string> RunJournaledLegs(
       rec->counter(name).Add(n);
     }
   };
+  // Leg-level transitions land in the runtime recorder's lineage ring.
+  const auto note = [rec](telemetry::EventKind kind, std::size_t leg,
+                          std::int64_t detail) {
+    if (rec != nullptr) {
+      telemetry::Lineage& lineage = rec->lineage();
+      lineage.Add({kind, 0, static_cast<std::uint64_t>(leg),
+                   lineage.Intern("runtime"), detail, 0.0});
+    }
+  };
   count("runtime.legs", legs);
   // Attribution frames live on the runtime recorder and only on this
   // thread: leg bodies run on pool threads or worker processes, but every
@@ -79,11 +88,8 @@ std::vector<std::string> RunJournaledLegs(
     st.resumed = payloads.size();
     if (st.resumed > 0) {
       count("runtime.legs_resumed", st.resumed);
-      if (rec != nullptr) {
-        for (std::size_t i = 0; i < st.resumed; ++i) {
-          rec->Record({telemetry::EventKind::kLegResumed, 0,
-                       static_cast<std::uint64_t>(i), 0, 0.0});
-        }
+      for (std::size_t i = 0; i < st.resumed; ++i) {
+        note(telemetry::EventKind::kLegResumed, i, 0);
       }
       std::fprintf(stderr, "runtime: resumed %zu/%zu legs from %s%s\n",
                    st.resumed, legs, options.journal_path.c_str(),
@@ -147,22 +153,16 @@ std::vector<std::string> RunJournaledLegs(
         case Kind::kRetry:
           ++st.worker_retries;
           count("runtime.worker_retries", 1);
-          if (rec != nullptr) {
-            rec->Record({telemetry::EventKind::kWorkerRetry, 0,
-                         static_cast<std::uint64_t>(event.leg),
-                         static_cast<std::int64_t>(event.attempt), 0.0});
-          }
+          note(telemetry::EventKind::kWorkerRetry, event.leg,
+               static_cast<std::int64_t>(event.attempt));
           std::fprintf(stderr, "runtime: leg %zu attempt %zu failed; %s\n",
                        event.leg, event.attempt, event.detail.c_str());
           break;
         case Kind::kLegDegraded:
           ++st.leg_degradations;
           count("runtime.leg_degradations", 1);
-          if (rec != nullptr) {
-            rec->Record({telemetry::EventKind::kWorkerDegraded, 0,
-                         static_cast<std::uint64_t>(event.leg),
-                         static_cast<std::int64_t>(event.attempt), 0.0});
-          }
+          note(telemetry::EventKind::kWorkerDegraded, event.leg,
+               static_cast<std::int64_t>(event.attempt));
           std::fprintf(stderr,
                        "runtime: leg %zu degraded to in-process execution "
                        "after %zu worker attempts\n",
@@ -171,10 +171,7 @@ std::vector<std::string> RunJournaledLegs(
         case Kind::kPoolDegraded:
           st.pool_degraded = true;
           count("runtime.pool_degradations", 1);
-          if (rec != nullptr) {
-            rec->Record({telemetry::EventKind::kWorkerDegraded, 0,
-                         static_cast<std::uint64_t>(event.leg), -1, 0.0});
-          }
+          note(telemetry::EventKind::kWorkerDegraded, event.leg, -1);
           std::fprintf(stderr,
                        "runtime: worker pool degraded to in-process "
                        "execution (%s)\n",

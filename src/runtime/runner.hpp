@@ -53,11 +53,12 @@ struct RuntimeOptions {
   /// Threads for the in-process path (0 = vrl::DefaultThreadCount()).
   std::size_t threads = 0;
 
-  /// Sink for the runtime's own counters (runtime.*) and lineage events
-  /// (leg_resumed / worker_retry / worker_degraded).  Kept separate from
-  /// the experiment's telemetry on purpose: these counters *differ*
-  /// between a clean and a resumed run, so merging them into the report
-  /// would break byte-identity.  Mutated only on the calling thread.
+  /// Sink for the runtime's own counters (runtime.*) and lineage records
+  /// (leg_resumed / worker_retry / worker_degraded, cause "runtime").
+  /// Kept separate from the experiment's telemetry on purpose: these
+  /// counters *differ* between a clean and a resumed run, so merging them
+  /// into the report would break byte-identity.  Mutated only on the
+  /// calling thread.
   telemetry::Recorder* runtime_telemetry = nullptr;
 
   /// Progress callback: on_leg(done, total) after every commit.

@@ -49,8 +49,8 @@ std::uint64_t g_last_events_recorded = 0;
 telemetry::MetricsSnapshot g_last_sent;
 Clock::time_point g_last_publish;
 
-/// Lineage events one frame carries at most — bounds frame size after an
-/// event burst; older events are summarised by `events_recorded`.
+/// Lineage records one frame counts at most after a burst; older ones are
+/// summarised by `events_recorded`.
 constexpr std::uint64_t kMaxFrameEvents = 64;
 
 Clock::duration PublishInterval() {
@@ -280,21 +280,17 @@ void WorkerPublishTelemetry(const telemetry::Recorder& recorder, bool force) {
   frame.attempt = g_worker_attempt;
   frame.seq = g_frames_sent + 1;
   frame.frames_dropped = g_frames_dropped;
-  const telemetry::EventTrace& events = recorder.events();
-  frame.events_recorded = events.recorded();
-  frame.events_dropped = events.dropped();
+  const telemetry::Lineage& lineage = recorder.lineage();
+  frame.events_recorded = lineage.recorded();
+  frame.events_dropped = lineage.dropped();
 
   telemetry::MetricsSnapshot current = recorder.Snapshot();
   frame.delta = current.Diff(g_last_sent);
 
-  // Newest events not yet carried by a delivered frame, capped so one
-  // frame stays bounded after a burst.
-  std::uint64_t take = events.recorded() - g_last_events_recorded;
-  const std::vector<telemetry::TraceEvent> all = events.Events();
-  take = std::min<std::uint64_t>(take, all.size());
-  take = std::min(take, kMaxFrameEvents);
-  frame.events.assign(all.end() - static_cast<std::ptrdiff_t>(take),
-                      all.end());
+  // Retained records not yet counted by a delivered frame.
+  frame.events = std::min<std::uint64_t>(
+      {lineage.recorded() - g_last_events_recorded, lineage.size(),
+       kMaxFrameEvents});
 
   std::ostringstream payload;
   EncodeWorkerFrame(payload, frame);
@@ -304,7 +300,7 @@ void WorkerPublishTelemetry(const telemetry::Recorder& recorder, bool force) {
   }
   ++g_frames_sent;
   g_last_sent = std::move(current);
-  g_last_events_recorded = events.recorded();
+  g_last_events_recorded = lineage.recorded();
 }
 
 int SetWorkerPipeForTesting(int fd) {

@@ -21,7 +21,7 @@
 ///     `leg_timeout_s` is SIGKILLed and counted as a timeout;
 ///   * telemetry — the child may interleave 'S' frames (a 64-bit
 ///     little-endian length plus a runtime/codec.hpp worker-frame payload:
-///     a MetricsSnapshot delta and the newest lineage events;
+///     a MetricsSnapshot delta and the lineage-ring counts;
 ///     WorkerPublishTelemetry()).  The parent decodes complete frames as
 ///     they arrive and hands them to `WorkerPoolOptions::on_frame` — the
 ///     feed behind federated /metrics and /fleet (docs/OBSERVABILITY.md).
@@ -66,10 +66,10 @@ bool InWorkerChild();
 void WorkerHeartbeat();
 
 /// Publishes the recorder's current state as one 'S' telemetry frame: a
-/// metrics delta since the previous delivered frame plus the
-/// newest lineage events.  No-op in the parent; rate-limited in the child
-/// (VRL_WORKER_PUBLISH_MS, default 50 — `force` bypasses the limit for
-/// end-of-leg flushes).  Never blocks the leg: a frame that cannot start
+/// metrics delta since the previous delivered frame plus the count of
+/// lineage records new since then.  No-op in the parent; rate-limited in
+/// the child (VRL_WORKER_PUBLISH_MS, default 50 — `force` bypasses the
+/// limit for end-of-leg flushes).  Never blocks the leg: a frame that cannot start
 /// on a full pipe is dropped whole and counted, and the *next* delivered
 /// frame carries the accumulated delta plus the cumulative drop counter —
 /// a slow driver costs freshness, never counts (docs/OBSERVABILITY.md).

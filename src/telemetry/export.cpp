@@ -116,18 +116,6 @@ void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot) {
   }
 }
 
-void WriteEventsJsonl(std::ostream& os, const EventTrace& trace) {
-  for (const TraceEvent& event : trace.Events()) {
-    os << "{\"type\":\"event\",\"kind\":\"" << EventKindName(event.kind)
-       << "\",\"cycle\":" << event.cycle << ",\"row\":" << event.row
-       << ",\"a\":" << event.a << ",\"value\":" << FormatDouble(event.value)
-       << "}\n";
-  }
-  os << "{\"type\":\"event_summary\",\"recorded\":" << trace.recorded()
-     << ",\"retained\":" << trace.size() << ",\"dropped\":" << trace.dropped()
-     << "}\n";
-}
-
 void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot) {
   os << "name,kind,field,value\n";
   for (const auto& [name, metric] : snapshot.metrics) {
@@ -156,16 +144,6 @@ void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot) {
       }
     }
   }
-}
-
-void WriteEventsCsv(std::ostream& os, const EventTrace& trace) {
-  os << "kind,cycle,row,a,value\n";
-  for (const TraceEvent& event : trace.Events()) {
-    os << EventKindName(event.kind) << ',' << event.cycle << ',' << event.row
-       << ',' << event.a << ',' << FormatDouble(event.value) << '\n';
-  }
-  os << "_summary," << trace.recorded() << ',' << trace.size() << ','
-     << trace.dropped() << '\n';
 }
 
 }  // namespace vrl::telemetry

@@ -6,18 +6,17 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
 
 /// \file export.hpp
-/// JSONL and CSV exporters for metric snapshots and event traces
-/// (schemas documented in docs/TELEMETRY.md).
+/// JSONL and CSV exporters for metric snapshots (schemas documented in
+/// docs/TELEMETRY.md); the lineage ring exports through trace_export.hpp.
 ///
 /// Exports are byte-deterministic: metrics emit in name order (the
-/// snapshot map is sorted), events in trace order, and doubles print
-/// through a fixed shortest-round-trip format — so two deterministic runs
-/// produce byte-identical files, which is how the determinism contract is
-/// tested end to end.
+/// snapshot map is sorted) and doubles print through a fixed
+/// shortest-round-trip format — so two deterministic runs produce
+/// byte-identical files, which is how the determinism contract is tested
+/// end to end.
 
 namespace vrl::telemetry {
 
@@ -35,22 +34,15 @@ std::string JsonEscape(std::string_view text);
 //   {"type":"metric","name":...,"kind":"counter","count":N}
 //   {"type":"metric","name":...,"kind":"histogram","count":N,"sum":S,
 //    "edges":[...],"counts":[...]}
-//   {"type":"event","kind":"sensing_failure","cycle":C,"row":R,"a":A,
-//    "value":V}
-//   {"type":"event_summary","recorded":N,"retained":K,"dropped":D}
 
 void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot);
-void WriteEventsJsonl(std::ostream& os, const EventTrace& trace);
 
 // -- CSV ---------------------------------------------------------------------
 // Metrics: long format, one row per scalar facet:
 //   name,kind,field,value
 // where counters emit field "count"; gauges "value"; histograms "count",
 // "sum" and one "le_<edge>" / "le_inf" row per bucket.
-// Events: kind,cycle,row,a,value with a trailing
-//   _summary,recorded,retained,dropped header comment row.
 
 void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot);
-void WriteEventsCsv(std::ostream& os, const EventTrace& trace);
 
 }  // namespace vrl::telemetry

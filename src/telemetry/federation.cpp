@@ -23,11 +23,11 @@ void FederatedRegistry::Absorb(std::string_view worker,
   Member& member = members_[key];
   member.snapshot.MergeFrom(frame.delta);
   AddCounter(member.snapshot, "worker.frames_total", 1);
-  AddCounter(member.snapshot, "worker.events_total", frame.events.size());
+  AddCounter(member.snapshot, "worker.events_total", frame.events);
   ++member.frames;
-  member.events += frame.events.size();
+  member.events += frame.events;
   ++frames_received_;
-  events_received_ += frame.events.size();
+  events_received_ += frame.events;
   // Cumulative per-attempt counters: the latest frame's value supersedes
   // earlier ones from the same attempt, and a retried attempt gets its own
   // entry — summing the map is therefore exact.

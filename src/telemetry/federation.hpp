@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
 
 /// \file federation.hpp
@@ -18,7 +17,7 @@
 /// FederatedRegistry that merges those streams into one observable system.
 ///
 /// Workers publish WorkerFrame records — a MetricsSnapshot *delta* since
-/// the previous frame plus the newest lineage events — over the
+/// the previous frame plus lineage-ring counts — over the
 /// supervision pipe ('S' frames; runtime/supervisor.hpp owns the wire
 /// format).  The driver absorbs each frame into a FederatedRegistry keyed
 /// by stable `worker`/`leg` labels.  Determinism mirrors ShardedRecorder:
@@ -43,11 +42,13 @@ struct WorkerFrame {
   std::uint64_t seq = 0;             ///< 1-based delivered-frame sequence.
   std::uint64_t frames_dropped = 0;  ///< Cumulative frames this attempt
                                      ///< dropped on a full pipe.
-  std::uint64_t events_recorded = 0;  ///< Recorder's cumulative event count.
-  std::uint64_t events_dropped = 0;   ///< Events displaced by the ring.
+  std::uint64_t events_recorded = 0;  ///< Cumulative lineage records.
+  std::uint64_t events_dropped = 0;   ///< Records displaced by the ring.
   MetricsSnapshot delta;              ///< Metrics since the previous
                                       ///< delivered frame.
-  std::vector<TraceEvent> events;     ///< Newest lineage events (tail).
+  std::uint64_t events = 0;           ///< Lineage records new since the
+                                      ///< previous delivered frame
+                                      ///< (capped per frame).
 
   bool operator==(const WorkerFrame&) const = default;
 };
@@ -89,7 +90,7 @@ class FederatedRegistry {
     MetricsSnapshot snapshot;   ///< Frame deltas merged in arrival order,
                                 ///< plus the synthetic worker.* counters.
     std::uint64_t frames = 0;   ///< Frames absorbed into this member.
-    std::uint64_t events = 0;   ///< Lineage events carried by those frames.
+    std::uint64_t events = 0;   ///< Lineage records those frames counted.
   };
   using MemberMap = std::map<std::pair<std::string, std::string>, Member>;
 
@@ -114,7 +115,7 @@ class FederatedRegistry {
   /// per-attempt counters) — exact, proven by tests/telemetry_test.cpp.
   std::uint64_t frames_dropped() const;
   std::uint64_t events_received() const { return events_received_; }
-  /// Events the workers' bounded rings displaced before they could travel.
+  /// Lineage records the workers' bounded rings displaced.
   std::uint64_t events_dropped() const;
 
  private:

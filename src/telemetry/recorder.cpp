@@ -3,7 +3,7 @@
 namespace vrl::telemetry {
 
 Recorder::Recorder(RecorderOptions options)
-    : options_(options), events_(options.event_capacity) {
+    : options_(options), lineage_(options.max_lineage) {
   if (options_.enable_tracing) {
     tracer_ = std::make_unique<Tracer>(options_.tracing);
   }
@@ -14,7 +14,7 @@ Recorder::Recorder(RecorderOptions options)
 
 void Recorder::Absorb(const Recorder& other) {
   metrics_.Absorb(other.metrics_.Snapshot());
-  events_.Append(other.events_);
+  lineage_.Absorb(other.lineage_);
   if (tracer_ != nullptr && other.tracer_ != nullptr) {
     tracer_->Absorb(*other.tracer_);
   }

@@ -24,21 +24,20 @@
 namespace vrl::telemetry {
 
 struct RecorderOptions {
-  /// Event-trace ring capacity (newest events win; drops are counted).
-  std::size_t event_capacity = 1024;
-  /// Record the high-frequency events (kFullRefresh / kPartialRefresh per
-  /// refresh op, kMprsfReset per counter-resetting activation).  Low-rate
-  /// state-change events (demotions, fallback transitions, sensing
-  /// failures, ...) are always recorded.  Off by default: the per-op ring
-  /// writes are the costliest part of the instrumentation (overhead table
-  /// in docs/TELEMETRY.md), and the policy.* metrics already carry the
-  /// aggregate story.
-  bool trace_refresh_ops = false;
-  /// Own a Tracer (docs/TRACING.md): causal spans on the simulator clock
-  /// plus the refresh-lineage channel.  Off by default — when off,
-  /// `tracer()` is null and every tracing site costs one pointer compare;
-  /// when on, the measured overhead stays within the budget documented in
-  /// docs/TRACING.md.
+  /// Lineage ring capacity (newest records win; drops are counted).
+  std::size_t max_lineage = std::size_t{1} << 18;
+  /// Record the high-frequency lineage classes: one record per full/partial
+  /// refresh op and per VRL-Access activation reset (the latter fires on
+  /// nearly every row activation).  Complete causal replay, but one ring
+  /// write per op.  Off by default: the low-rate transitions (demotions,
+  /// promotions, fallbacks, sensing failures, ...) are always recorded,
+  /// and the policy.* metrics already carry the aggregate story (overhead
+  /// table in docs/TRACING.md).
+  bool lineage_ops = false;
+  /// Own a Tracer (docs/TRACING.md): causal spans on the simulator clock.
+  /// Off by default — when off, `tracer()` is null and every tracing site
+  /// costs one pointer compare; when on, the measured overhead stays
+  /// within the budget documented in docs/TRACING.md.
   bool enable_tracing = false;
   /// Caps for the owned tracer (ignored unless enable_tracing).
   TracerOptions tracing;
@@ -51,7 +50,7 @@ struct RecorderOptions {
   prof::ProfilerOptions profiling;
 };
 
-/// One telemetry session: a metrics registry plus an event trace.
+/// One telemetry session: a metrics registry plus the lineage ring.
 class Recorder {
  public:
   explicit Recorder(RecorderOptions options = {});
@@ -61,8 +60,8 @@ class Recorder {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  EventTrace& events() { return events_; }
-  const EventTrace& events() const { return events_; }
+  Lineage& lineage() { return lineage_; }
+  const Lineage& lineage() const { return lineage_; }
 
   /// The owned tracer, or null when `RecorderOptions::enable_tracing` is
   /// off — instrumentation gates on this pointer.
@@ -83,18 +82,18 @@ class Recorder {
   Histogram& histogram(std::string_view name, std::vector<double> edges) {
     return metrics_.GetHistogram(name, std::move(edges));
   }
-  void Record(const TraceEvent& event) { events_.Record(event); }
 
   MetricsSnapshot Snapshot() const { return metrics_.Snapshot(); }
 
-  /// Merges another recorder's metrics and events into this one.  Callers
-  /// merging parallel work MUST absorb shards in task-index order.
+  /// Merges another recorder's metrics, lineage, spans and profile into
+  /// this one.  Callers merging parallel work MUST absorb shards in
+  /// task-index order.
   void Absorb(const Recorder& other);
 
  private:
   RecorderOptions options_;
   MetricsRegistry metrics_;
-  EventTrace events_;
+  Lineage lineage_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<prof::Profiler> profiler_;
 };

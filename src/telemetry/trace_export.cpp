@@ -27,7 +27,8 @@ void WriteProcessName(std::ostream& os, bool& first, std::uint32_t pid,
 
 }  // namespace
 
-void WriteChromeTrace(std::ostream& os, const Tracer& tracer) {
+void WriteChromeTrace(std::ostream& os, const Tracer& tracer,
+                      const Lineage& lineage) {
   os << "{\"traceEvents\":[\n";
   bool first = true;
 
@@ -36,7 +37,7 @@ void WriteChromeTrace(std::ostream& os, const Tracer& tracer) {
     WriteProcessName(os, first, static_cast<std::uint32_t>(g) + 1,
                      tracer.label(tracer.groups()[g]));
   }
-  if (tracer.recorded_lineage() != 0) {
+  if (lineage.recorded() != 0) {
     WriteProcessName(os, first, LineagePid(tracer), "lineage");
   }
 
@@ -63,13 +64,13 @@ void WriteChromeTrace(std::ostream& os, const Tracer& tracer) {
     first = false;
   }
 
-  for (const LineageRecord& record : tracer.LineageRetained()) {
+  for (const LineageRecord& record : lineage.Retained()) {
     os << (first ? "" : ",\n") << R"({"name":")"
        << EventKindName(record.kind)
        << R"(","cat":"lineage","ph":"i","s":"g","ts":)" << record.cycle
        << R"(,"pid":)" << LineagePid(tracer) << R"(,"tid":0,"args":{"row":)"
        << record.row << R"(,"cause":")"
-       << JsonEscape(tracer.label(record.cause)) << R"(","detail":)"
+       << JsonEscape(lineage.label(record.cause)) << R"(","detail":)"
        << record.detail << R"(,"value":)" << FormatDouble(record.value)
        << "}}";
     first = false;
@@ -91,26 +92,32 @@ void WriteSpansJsonl(std::ostream& os, const Tracer& tracer) {
      << tracer.dropped_spans() << "}\n";
 }
 
-void WriteLineageJsonl(std::ostream& os, const Tracer& tracer) {
-  for (const LineageRecord& record : tracer.LineageRetained()) {
-    os << R"({"type":"lineage","kind":")" << EventKindName(record.kind)
-       << R"(","cycle":)" << record.cycle << R"(,"row":)" << record.row
-       << R"(,"cause":")" << JsonEscape(tracer.label(record.cause))
-       << R"(","detail":)" << record.detail << R"(,"value":)"
-       << FormatDouble(record.value) << "}\n";
+void WriteLineageLine(std::ostream& os, const Lineage& lineage,
+                      const LineageRecord& record) {
+  os << R"({"type":"lineage","kind":")" << EventKindName(record.kind)
+     << R"(","cycle":)" << record.cycle << R"(,"row":)" << record.row
+     << R"(,"cause":")" << JsonEscape(lineage.label(record.cause))
+     << R"(","detail":)" << record.detail << R"(,"value":)"
+     << FormatDouble(record.value) << "}\n";
+}
+
+void WriteLineageJsonl(std::ostream& os, const Lineage& lineage) {
+  for (const LineageRecord& record : lineage.Retained()) {
+    WriteLineageLine(os, lineage, record);
   }
-  os << R"({"type":"lineage_summary","recorded":)"
-     << tracer.recorded_lineage() << R"(,"retained":)"
-     << tracer.lineage_size() << R"(,"dropped":)"
-     << tracer.dropped_lineage() << "}\n";
+  os << R"({"type":"lineage_summary","recorded":)" << lineage.recorded()
+     << R"(,"retained":)" << lineage.size() << R"(,"dropped":)"
+     << lineage.dropped() << "}\n";
 }
 
-void WriteTraceJsonl(std::ostream& os, const Tracer& tracer) {
+void WriteTraceJsonl(std::ostream& os, const Tracer& tracer,
+                     const Lineage& lineage) {
   WriteSpansJsonl(os, tracer);
-  WriteLineageJsonl(os, tracer);
+  WriteLineageJsonl(os, lineage);
 }
 
-void WriteTraceFile(const std::string& path, const Tracer& tracer) {
+void WriteTraceFile(const std::string& path, const Tracer& tracer,
+                    const Lineage& lineage) {
   // Dispatch on the (case-insensitive) extension before opening the file so
   // a typo'd path fails with a clear error instead of a silently-wrong
   // format — the extension is the only format signal callers have.
@@ -134,9 +141,9 @@ void WriteTraceFile(const std::string& path, const Tracer& tracer) {
     throw ConfigError("WriteTraceFile: cannot open " + path);
   }
   if (jsonl) {
-    WriteTraceJsonl(os, tracer);
+    WriteTraceJsonl(os, tracer, lineage);
   } else {
-    WriteChromeTrace(os, tracer);
+    WriteChromeTrace(os, tracer, lineage);
   }
 }
 

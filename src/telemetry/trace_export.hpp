@@ -7,11 +7,12 @@
 #include "telemetry/tracing.hpp"
 
 /// \file trace_export.hpp
-/// Exporters for Tracer spans and refresh lineage (docs/TRACING.md).
+/// Exporters for Tracer spans and the Recorder's refresh lineage
+/// (docs/TRACING.md).
 ///
 /// Two formats, both byte-deterministic for deterministic runs (spans and
-/// lineage emit in record order, labels resolve through the tracer's
-/// interned table, doubles go through FormatDouble):
+/// lineage emit in record order, labels resolve through the tracer's and
+/// the lineage's interned tables, doubles go through FormatDouble):
 ///
 ///  * Chrome `trace_event` JSON — loadable in Perfetto / chrome://tracing.
 ///    Spans are `X` (complete) events; each controller run is a "process"
@@ -20,14 +21,15 @@
 ///    trace `ts` unit is one simulator cycle (the viewer labels it µs —
 ///    see docs/TRACING.md).
 ///  * JSONL — one self-describing object per line, mirroring export.hpp's
-///    metric/event streams, with a trailing summary line that states the
-///    drop counts.
+///    metric stream, with a trailing summary line per stream that states
+///    the drop counts.
 
 namespace vrl::telemetry {
 
 /// Writes the whole trace (spans + lineage) as one Chrome trace_event
 /// JSON object: {"traceEvents":[...]}.
-void WriteChromeTrace(std::ostream& os, const Tracer& tracer);
+void WriteChromeTrace(std::ostream& os, const Tracer& tracer,
+                      const Lineage& lineage);
 
 // -- JSONL -------------------------------------------------------------------
 //   {"type":"span","id":I,"parent":P,"name":"...","group":G,"track":T,
@@ -38,14 +40,21 @@ void WriteChromeTrace(std::ostream& os, const Tracer& tracer);
 //   {"type":"lineage_summary","recorded":N,"retained":K,"dropped":D}
 
 void WriteSpansJsonl(std::ostream& os, const Tracer& tracer);
-void WriteLineageJsonl(std::ostream& os, const Tracer& tracer);
+void WriteLineageJsonl(std::ostream& os, const Lineage& lineage);
+
+/// One "lineage" JSONL line, newline-terminated (the monitor's /trace tail
+/// renders the same lines).
+void WriteLineageLine(std::ostream& os, const Lineage& lineage,
+                      const LineageRecord& record);
 
 /// Both JSONL streams back to back (spans, then lineage).
-void WriteTraceJsonl(std::ostream& os, const Tracer& tracer);
+void WriteTraceJsonl(std::ostream& os, const Tracer& tracer,
+                     const Lineage& lineage);
 
 /// Convenience used by the `--trace-out <file>` flags: writes JSONL when
 /// `path` ends in ".jsonl", Chrome trace JSON otherwise.
-void WriteTraceFile(const std::string& path, const Tracer& tracer);
+void WriteTraceFile(const std::string& path, const Tracer& tracer,
+                    const Lineage& lineage);
 
 /// Chrome-trace overlay for an attribution tree (docs/PROFILING.md): a
 /// synthetic timeline on one "profile" process where each node is an `X`

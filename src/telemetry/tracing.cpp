@@ -10,25 +10,6 @@ namespace vrl::telemetry {
 
 Tracer::Tracer(TracerOptions options) : options_(options) {}
 
-std::uint32_t Tracer::Intern(std::string_view label) {
-  const auto it = label_index_.find(label);
-  if (it != label_index_.end()) {
-    return it->second;
-  }
-  const auto index = static_cast<std::uint32_t>(labels_.size());
-  labels_.emplace_back(label);
-  label_index_.emplace(labels_.back(), index);
-  return index;
-}
-
-const std::string& Tracer::label(std::uint32_t index) const {
-  if (index >= labels_.size()) {
-    throw ConfigError("Tracer: label index " + std::to_string(index) +
-                      " out of range");
-  }
-  return labels_[index];
-}
-
 std::uint32_t Tracer::NewTrackGroup(std::string_view label) {
   groups_.push_back(Intern(label));
   return static_cast<std::uint32_t>(groups_.size());
@@ -54,7 +35,7 @@ SpanId Tracer::BeginSpan(std::uint32_t name_label, Cycles start,
   const SpanId id = next_id_++;
   const SpanId parent = open_.empty() ? 0 : open_.back().id;
   if (spans_.size() < options_.max_spans) {
-    ReserveChunk(spans_, options_.max_spans);
+    ReserveSpans();
     SpanRecord record;
     record.id = id;
     record.parent = parent;
@@ -104,7 +85,7 @@ void Tracer::CompleteSpan(std::uint32_t name_label, Cycles start, Cycles end,
     ++dropped_spans_;
     return;
   }
-  ReserveChunk(spans_, options_.max_spans);
+  ReserveSpans();
   SpanRecord record;
   record.id = id;
   record.parent = open_.empty() ? 0 : open_.back().id;
@@ -118,19 +99,6 @@ void Tracer::CompleteSpan(std::uint32_t name_label, Cycles start, Cycles end,
   spans_.push_back(record);
 }
 
-std::vector<LineageRecord> Tracer::LineageRetained() const {
-  std::vector<LineageRecord> out;
-  out.reserve(lineage_.size());
-  // Wrapped iff the ring is at capacity; before that, slot order is record
-  // order and lineage_next_ stays 0.
-  const std::size_t start =
-      lineage_.size() == options_.max_lineage ? lineage_next_ : 0;
-  for (std::size_t i = 0; i < lineage_.size(); ++i) {
-    out.push_back(lineage_[(start + i) % lineage_.size()]);
-  }
-  return out;
-}
-
 void Tracer::Absorb(const Tracer& other) {
   if (!other.open_.empty()) {
     throw ConfigError("Tracer::Absorb: other tracer has open spans");
@@ -139,11 +107,8 @@ void Tracer::Absorb(const Tracer& other) {
   // labels both sides interned, so merged tables are identical regardless
   // of how work was sharded — provided shards are absorbed in task-index
   // order).
-  std::vector<std::uint32_t> label_map;
-  label_map.reserve(other.labels_.size());
-  for (const std::string& label : other.labels_) {
-    label_map.push_back(Intern(label));
-  }
+  const std::vector<std::uint32_t> label_map =
+      labels_.InternAll(other.labels_);
   // Group g of `other` becomes group group_base + g here.
   const auto group_base = static_cast<std::uint32_t>(groups_.size());
   for (const std::uint32_t label : other.groups_) {
@@ -168,16 +133,6 @@ void Tracer::Absorb(const Tracer& other) {
   }
   next_id_ += other.next_id_ - 1;
   dropped_spans_ += other.dropped_spans_;
-
-  // Replays the other ring's retained window (oldest first) so the merged
-  // ring keeps the newest records across the shard boundary, exactly like
-  // EventTrace::Append.
-  for (const LineageRecord& record : other.LineageRetained()) {
-    LineageRecord copy = record;
-    copy.cause = label_map[record.cause];
-    Lineage(copy);
-  }
-  lineage_recorded_ += other.dropped_lineage();
 }
 
 }  // namespace vrl::telemetry

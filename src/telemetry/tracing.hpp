@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,15 +10,12 @@
 #include "telemetry/events.hpp"
 
 /// \file tracing.hpp
-/// Causal span tracing and the refresh-lineage channel.
+/// Causal span tracing.
 ///
-/// Where the metric cells answer "how many" and the event ring answers
-/// "what, recently", the tracer answers **why and when**: hierarchical
-/// spans timestamped on the *simulator* clock (so traces are deterministic
-/// and thread-count independent), plus a lineage stream recording each
-/// row's refresh-state transitions — full refresh, partial refresh,
-/// activation reset, adaptive demotion/promotion — together with the
-/// policy decision that caused them.
+/// Where the metric cells answer "how many" and the lineage ring
+/// (events.hpp) answers "what changed, and why", the tracer answers
+/// **when**: hierarchical spans timestamped on the *simulator* clock (so
+/// traces are deterministic and thread-count independent).
 ///
 /// Determinism follows the Recorder rules (docs/TELEMETRY.md): a Tracer is
 /// single-threaded; parallel drivers trace into per-shard tracers and
@@ -28,11 +24,9 @@
 /// VRL_THREADS.  Exporters live in trace_export.hpp (Chrome trace_event
 /// JSON + JSONL).
 ///
-/// Both channels are bounded.  Spans keep the oldest records past the cap
-/// (the hierarchy's roots and the head of a run are where causality
-/// starts); lineage keeps the newest (ring semantics — the incident under
-/// audit is at the end of the run).  Either way the drop count is exact,
-/// so exports state precisely what was truncated.
+/// Spans are bounded and keep the oldest records past the cap (the
+/// hierarchy's roots and the head of a run are where causality starts);
+/// the drop count is exact, so exports state precisely what was truncated.
 
 namespace vrl::telemetry {
 
@@ -59,44 +53,16 @@ struct SpanRecord {
   bool operator==(const SpanRecord&) const = default;
 };
 
-/// One refresh-lineage record: a row's state transition and its cause.
-/// Kinds reuse the EventKind catalogue (docs/TELEMETRY.md) — the lineage
-/// channel is the uncapped-order, cause-attributed sibling of the event
-/// ring.
-struct LineageRecord {
-  EventKind kind = EventKind::kFullRefresh;
-  Cycles cycle = 0;
-  std::uint64_t row = 0;
-  std::uint32_t cause = 0;  ///< Interned label of the deciding policy.
-  std::int64_t detail = 0;  ///< Kind-specific (slack cycles, ladder level,
-                            ///< counter before reset, ...).
-  double value = 0.0;       ///< Kind-specific real payload (margin, ...).
-
-  bool operator==(const LineageRecord&) const = default;
-};
-
 struct TracerOptions {
   /// Retained-span cap, oldest win (the hierarchy's roots and the head of
   /// the run are where causality starts); further BeginSpan calls still
   /// return valid ids (nesting stays consistent) but store nothing and
   /// count a drop.
   std::size_t max_spans = std::size_t{1} << 18;
-  /// Retained-lineage cap, **newest win** (ring semantics like EventTrace:
-  /// the incident under audit is at the end of the run); displaced records
-  /// are counted.
-  std::size_t max_lineage = std::size_t{1} << 18;
-  /// Record the high-frequency lineage classes: one entry per full/partial
-  /// refresh op and per VRL-Access activation reset (the latter fires on
-  /// nearly every row activation).  Complete causal replay, but one ring
-  /// write per op — off, only the rare transitions (demotions, promotions,
-  /// fallbacks, failures) are recorded, which is what keeps tracing inside
-  /// the <= 2% budget of docs/TRACING.md (the analogue of
-  /// RecorderOptions::trace_refresh_ops for the event ring).
-  bool lineage_ops = false;
 };
 
-/// Deterministic span + lineage collector.  Single-threaded by design —
-/// shard per task and Absorb() in task-index order, exactly like Recorder.
+/// Deterministic span collector.  Single-threaded by design — shard per
+/// task and Absorb() in task-index order, exactly like Recorder.
 class Tracer {
  public:
   explicit Tracer(TracerOptions options = {});
@@ -108,10 +74,12 @@ class Tracer {
   /// Interns `label`, returning its stable index.  Idempotent; indices are
   /// assigned in first-intern order (deterministic for deterministic
   /// instrumentation).
-  std::uint32_t Intern(std::string_view label);
+  std::uint32_t Intern(std::string_view label) { return labels_.Intern(label); }
 
   /// The interned label for `index` (throws on out-of-range).
-  const std::string& label(std::uint32_t index) const;
+  const std::string& label(std::uint32_t index) const {
+    return labels_.label(index);
+  }
 
   std::size_t label_count() const { return labels_.size(); }
 
@@ -170,38 +138,9 @@ class Tracer {
   /// Depth of the open-span stack (0 when everything is closed).
   std::size_t open_depth() const { return open_.size(); }
 
-  // -- Lineage ----------------------------------------------------------------
-
-  /// Appends one lineage record.  Past the cap the ring overwrites the
-  /// oldest record (newest win) and the displacement is counted.
-  void Lineage(const LineageRecord& record) {
-    ++lineage_recorded_;
-    if (lineage_.size() < options_.max_lineage) {
-      ReserveChunk(lineage_, options_.max_lineage);
-      lineage_.push_back(record);
-    } else if (!lineage_.empty()) {
-      lineage_[lineage_next_] = record;
-      ++lineage_next_;
-      if (lineage_next_ == lineage_.size()) {
-        lineage_next_ = 0;
-      }
-    }
-  }
-
-  /// Retained lineage records, oldest first.
-  std::vector<LineageRecord> LineageRetained() const;
-
-  std::size_t lineage_size() const { return lineage_.size(); }
-
-  std::uint64_t dropped_lineage() const {
-    return lineage_recorded_ - lineage_.size();
-  }
-
-  std::uint64_t recorded_lineage() const { return lineage_recorded_; }
-
   // -- Shard merge ------------------------------------------------------------
 
-  /// Merges another tracer's spans, lineage, labels and groups into this
+  /// Merges another tracer's spans, labels and groups into this
   /// one, remapping label indices, group ids and span ids so references
   /// stay valid.  Callers merging parallel work MUST absorb shards in
   /// task-index order (the Recorder rule).  `other` must have no open
@@ -215,31 +154,21 @@ class Tracer {
   };
   static constexpr std::size_t kDroppedIndex = ~std::size_t{0};
 
-  /// First-append capacity jump to the full cap.  Append cost on the hot
-  /// path is dominated by vector reallocation (a 64-byte record costs ~3x
-  /// more during growth than into reserved capacity — docs/TRACING.md),
-  /// so the first record reserves the whole cap once and no append ever
-  /// reallocates.  That is cheap because reserve only claims *virtual*
-  /// address space: physical pages materialize per record actually
-  /// written, and a tracer that records nothing allocates nothing.
-  template <typename T>
-  static void ReserveChunk(std::vector<T>& records, std::size_t cap) {
-    if (records.size() == records.capacity()) {
-      records.reserve(cap);
+  /// The first stored span reserves the whole cap, so no append ever
+  /// reallocates (the same virtual-reserve rule as Lineage::Add).
+  void ReserveSpans() {
+    if (spans_.size() == spans_.capacity()) {
+      spans_.reserve(options_.max_spans);
     }
   }
 
   TracerOptions options_;
-  std::vector<std::string> labels_;
-  std::map<std::string, std::uint32_t, std::less<>> label_index_;
+  LabelTable labels_;
   std::vector<std::uint32_t> groups_;  ///< Label id per non-driver group.
   std::vector<SpanRecord> spans_;
   std::vector<OpenSpan> open_;
-  std::vector<LineageRecord> lineage_;
-  std::size_t lineage_next_ = 0;  ///< Ring slot the next record displaces.
   SpanId next_id_ = 1;
   std::uint64_t dropped_spans_ = 0;
-  std::uint64_t lineage_recorded_ = 0;
 };
 
 /// RAII span tied to a simulator-clock variable: reads `clock` at

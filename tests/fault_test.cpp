@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -15,6 +16,8 @@
 #include "model/refresh_model.hpp"
 #include "retention/temperature.hpp"
 #include "retention/vrt.hpp"
+#include "telemetry/recorder.hpp"
+#include "telemetry/trace_export.hpp"
 
 #include "grant_all.hpp"
 
@@ -428,6 +431,96 @@ TEST(AdaptivePolicy, RowAccessResetsDemotedPartialCounter) {
   }
   // so the demoted row's schedule emits partials, never two in a row.
   EXPECT_GT(partials, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The always-on lineage ring: a default Recorder (tracing off) still keeps
+// the adaptive layer's transitions, with their cause.
+// ---------------------------------------------------------------------------
+
+/// Drives an adaptive policy attached to `recorder` through two windows
+/// with one sensing failure (row 2 at cycle 500).
+void RunAdaptiveWithFailure(telemetry::Recorder& recorder) {
+  auto policy = MakeAdaptive();
+  policy.set_telemetry(&recorder);
+  for (Cycles now = 0; now <= 2 * kWindow; now += 50) {
+    if (now == 500) {
+      policy.OnSensingFailure(2, now);
+    }
+    GrantAll(policy, now);
+  }
+  policy.FlushTelemetry();
+}
+
+std::size_t CountKind(const telemetry::Lineage& lineage,
+                      telemetry::EventKind kind) {
+  const auto records = lineage.Retained();
+  return static_cast<std::size_t>(std::count_if(
+      records.begin(), records.end(),
+      [kind](const auto& record) { return record.kind == kind; }));
+}
+
+TEST(AdaptiveLineage, TransitionsAlwaysRecordedPerOpOnlyWithLineageOps) {
+  for (const bool lineage_ops : {false, true}) {
+    telemetry::RecorderOptions options;  // tracing stays off
+    options.lineage_ops = lineage_ops;
+    telemetry::Recorder recorder(options);
+    RunAdaptiveWithFailure(recorder);
+    ASSERT_EQ(recorder.tracer(), nullptr);
+    const telemetry::Lineage& lineage = recorder.lineage();
+    EXPECT_EQ(CountKind(lineage, telemetry::EventKind::kDemotion), 1u);
+    EXPECT_EQ(CountKind(lineage, telemetry::EventKind::kForcedFullRefresh),
+              1u);
+    for (const auto& record : lineage.Retained()) {
+      if (record.kind == telemetry::EventKind::kDemotion ||
+          record.kind == telemetry::EventKind::kForcedFullRefresh) {
+        EXPECT_EQ(lineage.label(record.cause), "Adaptive(VRL)");
+      }
+    }
+    const std::size_t ops =
+        CountKind(lineage, telemetry::EventKind::kFullRefresh) +
+        CountKind(lineage, telemetry::EventKind::kPartialRefresh);
+    EXPECT_EQ(ops > 0, lineage_ops) << "lineage_ops=" << lineage_ops;
+  }
+}
+
+TEST(AdaptiveLineage, ShardMergeMatchesSerialCausesAndOrder) {
+  // Shard 0 interns a campaign cause before the policy's, shard 1 only the
+  // policy's, so the shards' label indices disagree and the merge must
+  // relabel to reproduce the serial ring.
+  const auto work = [](telemetry::Recorder& recorder, bool campaign) {
+    if (campaign) {
+      telemetry::Lineage& lineage = recorder.lineage();
+      lineage.Add({telemetry::EventKind::kSensingFailure, 1, 7,
+                   lineage.Intern("campaign:VRL"), 0, -0.25});
+    }
+    RunAdaptiveWithFailure(recorder);
+  };
+  telemetry::Recorder serial;
+  work(serial, true);
+  work(serial, false);
+  telemetry::ShardedRecorder shards(2);
+  work(shards.shard(0), true);
+  work(shards.shard(1), false);
+  telemetry::Recorder merged;
+  shards.MergeInto(merged);
+
+  const auto expected = serial.lineage().Retained();
+  const auto actual = merged.lineage().Retained();
+  ASSERT_EQ(actual.size(), expected.size());
+  ASSERT_EQ(actual.size(), 5u);  // 1 failure + 2 x (demotion, forced full)
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].kind, expected[i].kind) << i;
+    EXPECT_EQ(actual[i].cycle, expected[i].cycle) << i;
+    EXPECT_EQ(merged.lineage().label(actual[i].cause),
+              serial.lineage().label(expected[i].cause))
+        << i;
+  }
+  std::ostringstream serial_jsonl;
+  std::ostringstream merged_jsonl;
+  telemetry::WriteLineageJsonl(serial_jsonl, serial.lineage());
+  telemetry::WriteLineageJsonl(merged_jsonl, merged.lineage());
+  EXPECT_EQ(merged_jsonl.str(), serial_jsonl.str());
 }
 
 // ---------------------------------------------------------------------------

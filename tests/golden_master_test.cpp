@@ -139,7 +139,7 @@ TEST(GoldenMaster, Table1Accuracy) {
 }
 
 /// The four exports of one flat 8-bank VRL-Access run with every observer
-/// on: spans, per-op lineage, the per-op event ring and the phase profiler.
+/// on: spans, per-op lineage, metrics and the phase profiler.
 struct TracedRunExports {
   std::string chrome_trace;
   std::string lineage;
@@ -154,8 +154,7 @@ TracedRunExports TracedFlatVrlAccessRun() {
 
   telemetry::RecorderOptions options;
   options.enable_tracing = true;
-  options.tracing.lineage_ops = true;
-  options.trace_refresh_ops = true;
+  options.lineage_ops = true;
   options.profile_phases = true;
   telemetry::Recorder recorder(options);
 
@@ -171,10 +170,11 @@ TracedRunExports TracedFlatVrlAccessRun() {
 
   TracedRunExports exports;
   std::ostringstream chrome;
-  telemetry::WriteChromeTrace(chrome, *recorder.tracer());
+  telemetry::WriteChromeTrace(chrome, *recorder.tracer(),
+                              recorder.lineage());
   exports.chrome_trace = chrome.str();
   std::ostringstream lineage;
-  telemetry::WriteLineageJsonl(lineage, *recorder.tracer());
+  telemetry::WriteLineageJsonl(lineage, recorder.lineage());
   exports.lineage = lineage.str();
   std::ostringstream profile;
   prof::WriteProfileJson(profile,
@@ -182,7 +182,6 @@ TracedRunExports TracedFlatVrlAccessRun() {
   exports.profile = profile.str();
   std::ostringstream metrics;
   telemetry::WriteMetricsJsonl(metrics, recorder.Snapshot());
-  telemetry::WriteEventsJsonl(metrics, recorder.events());
   exports.telemetry = metrics.str();
   return exports;
 }
@@ -260,10 +259,7 @@ RefreshStreamExports RefreshOpStreams() {
       policy->set_max_ops_per_tick(cap);
 
       telemetry::RecorderOptions options;
-      options.event_capacity = 4096;
-      options.trace_refresh_ops = true;
-      options.enable_tracing = true;
-      options.tracing.lineage_ops = true;
+      options.lineage_ops = true;
       telemetry::Recorder recorder(options);
       policy->set_telemetry(&recorder);
 
@@ -293,10 +289,9 @@ RefreshStreamExports RefreshOpStreams() {
 
       std::ostringstream metrics;
       telemetry::WriteMetricsJsonl(metrics, recorder.Snapshot());
-      telemetry::WriteEventsJsonl(metrics, recorder.events());
       exports.telemetry += header + metrics.str();
       std::ostringstream lineage;
-      telemetry::WriteLineageJsonl(lineage, *recorder.tracer());
+      telemetry::WriteLineageJsonl(lineage, recorder.lineage());
       exports.lineage += header + lineage.str();
     }
   }

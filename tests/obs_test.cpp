@@ -179,12 +179,16 @@ class TraceFileDispatch : public testing::Test {
     recorder_ = std::make_unique<telemetry::Recorder>(options);
     recorder_->tracer()->CompleteSpan("work", 0, 100);
   }
+  void Write(const std::string& path) const {
+    telemetry::WriteTraceFile(path, *recorder_->tracer(),
+                              recorder_->lineage());
+  }
   std::unique_ptr<telemetry::Recorder> recorder_;
 };
 
 TEST_F(TraceFileDispatch, UppercaseJsonlSelectsJsonl) {
   const std::string path = TempPath("obs_dispatch.JSONL");
-  telemetry::WriteTraceFile(path, *recorder_->tracer());
+  Write(path);
   std::ifstream is(path);
   std::string first_line;
   std::getline(is, first_line);
@@ -194,7 +198,7 @@ TEST_F(TraceFileDispatch, UppercaseJsonlSelectsJsonl) {
 
 TEST_F(TraceFileDispatch, MixedCaseJsonSelectsChromeTrace) {
   const std::string path = TempPath("obs_dispatch.Json");
-  telemetry::WriteTraceFile(path, *recorder_->tracer());
+  Write(path);
   std::ifstream is(path);
   std::string content((std::istreambuf_iterator<char>(is)),
                       std::istreambuf_iterator<char>());
@@ -205,7 +209,7 @@ TEST_F(TraceFileDispatch, MixedCaseJsonSelectsChromeTrace) {
 TEST_F(TraceFileDispatch, UnknownExtensionIsRejectedWithoutCreatingTheFile) {
   const std::string path = TempPath("obs_dispatch.txt");
   try {
-    telemetry::WriteTraceFile(path, *recorder_->tracer());
+    Write(path);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& error) {
     EXPECT_NE(std::string(error.what()).find("unsupported extension"),
@@ -218,9 +222,7 @@ TEST_F(TraceFileDispatch, UnknownExtensionIsRejectedWithoutCreatingTheFile) {
 }
 
 TEST_F(TraceFileDispatch, PathWithoutAnyExtensionIsRejected) {
-  EXPECT_THROW(
-      telemetry::WriteTraceFile(TempPath("no_extension"), *recorder_->tracer()),
-      ConfigError);
+  EXPECT_THROW(Write(TempPath("no_extension")), ConfigError);
 }
 
 // -- Prometheus rendering -----------------------------------------------------
@@ -386,7 +388,7 @@ TEST(SloWatchdog, HysteresisEscalatesAndRecoversOneLevelAtATime) {
   rules.fail_samples = 3;
   rules.clear_samples = 2;
   SloWatchdog watchdog(rules);
-  telemetry::EventTrace alerts(16);
+  telemetry::Lineage alerts(16);
 
   // Sample 0 only establishes the baseline, whatever the totals say.
   EXPECT_EQ(watchdog.Sample(CounterSnapshot(100, 100, 0), 0.0, &alerts),
@@ -415,17 +417,21 @@ TEST(SloWatchdog, HysteresisEscalatesAndRecoversOneLevelAtATime) {
 
   // Every transition (and only transitions) landed in the alert trace:
   // ok->degraded, degraded->failing, failing->degraded, degraded->ok.
-  const auto events = alerts.Events();
+  const auto events = alerts.Retained();
   ASSERT_EQ(events.size(), 4u);
   for (const auto& event : events) {
     EXPECT_EQ(event.kind, EventKind::kWatchdogTransition);
+    EXPECT_EQ(alerts.label(event.cause), "watchdog");
   }
-  EXPECT_EQ(events[0].a, static_cast<std::int64_t>(HealthState::kDegraded));
+  EXPECT_EQ(events[0].detail,
+            static_cast<std::int64_t>(HealthState::kDegraded));
   EXPECT_DOUBLE_EQ(events[0].value, 0.5);  // the breaching rate
-  EXPECT_EQ(events[1].a, static_cast<std::int64_t>(HealthState::kFailing));
-  EXPECT_EQ(events[2].a, static_cast<std::int64_t>(HealthState::kDegraded));
+  EXPECT_EQ(events[1].detail,
+            static_cast<std::int64_t>(HealthState::kFailing));
+  EXPECT_EQ(events[2].detail,
+            static_cast<std::int64_t>(HealthState::kDegraded));
   EXPECT_DOUBLE_EQ(events[2].value, 0.0);  // recovery: nothing breaching
-  EXPECT_EQ(events[3].a, static_cast<std::int64_t>(HealthState::kOk));
+  EXPECT_EQ(events[3].detail, static_cast<std::int64_t>(HealthState::kOk));
 }
 
 TEST(SloWatchdog, BreachRunInterruptedByACleanSampleStartsOver) {
@@ -585,37 +591,40 @@ TEST(MonitorServer, UnknownPathIs404AndHealthReflectsSetHealth) {
   EXPECT_EQ(BodyOf(failing), "failing staleness_s=9\n");
 }
 
-// The satellite interleave test: a wrapped event ring publishes exact drop
-// accounting, and a scrape between publishes renders the *published* copy,
-// never the live recorder.
+// The satellite interleave test: a wrapped lineage ring publishes exact
+// drop accounting, and a scrape between publishes renders the *published*
+// copy, never the live recorder.
 TEST(MonitorServer, DropAccountingUnderWrappedRingAcrossInterleavedScrapes) {
   telemetry::RecorderOptions options;
-  options.event_capacity = 4;
+  options.max_lineage = 4;
   telemetry::Recorder recorder(options);
   MonitorServer server;
 
+  telemetry::Lineage& lineage = recorder.lineage();
+  const std::uint32_t cause = lineage.Intern("obs_test");
   for (std::uint64_t i = 0; i < 7; ++i) {  // wraps: 7 recorded, 3 displaced
-    recorder.Record({EventKind::kDemotion, i, i, 0, 0.0});
+    lineage.Add({EventKind::kDemotion, i, i, cause, 0, 0.0});
   }
-  ASSERT_EQ(recorder.events().recorded(), 7u);
-  ASSERT_EQ(recorder.events().dropped(), 3u);
+  ASSERT_EQ(lineage.recorded(), 7u);
+  ASSERT_EQ(lineage.dropped(), 3u);
   server.Publish(recorder);
 
   const std::string first = BodyOf(server.HandleGet("/metrics"));
-  EXPECT_NE(first.find("vrl_monitor_events_recorded_total 7\n"),
+  EXPECT_NE(first.find("vrl_monitor_lineage_recorded_total 7\n"),
             std::string::npos);
-  EXPECT_NE(first.find("vrl_monitor_events_dropped_total 3\n"),
+  EXPECT_NE(first.find("vrl_monitor_lineage_dropped_total 3\n"),
             std::string::npos);
-  EXPECT_NE(first.find("vrl_monitor_events_retained 4\n"), std::string::npos);
+  EXPECT_NE(first.find("vrl_monitor_lineage_retained 4\n"),
+            std::string::npos);
   EXPECT_NE(first.find("vrl_monitor_metrics_scrapes_total 1\n"),
             std::string::npos);
 
   // The recorder moves on; an unpublished scrape must not see it.
   for (std::uint64_t i = 0; i < 5; ++i) {
-    recorder.Record({EventKind::kDemotion, i, i, 0, 0.0});
+    lineage.Add({EventKind::kDemotion, i, i, cause, 0, 0.0});
   }
   const std::string second = BodyOf(server.HandleGet("/metrics"));
-  EXPECT_NE(second.find("vrl_monitor_events_recorded_total 7\n"),
+  EXPECT_NE(second.find("vrl_monitor_lineage_recorded_total 7\n"),
             std::string::npos);
   EXPECT_NE(second.find("vrl_monitor_metrics_scrapes_total 2\n"),
             std::string::npos);
@@ -624,11 +633,12 @@ TEST(MonitorServer, DropAccountingUnderWrappedRingAcrossInterleavedScrapes) {
   // recorded = retained + dropped stays exact across the wrap.
   server.Publish(recorder);
   const std::string third = BodyOf(server.HandleGet("/metrics"));
-  EXPECT_NE(third.find("vrl_monitor_events_recorded_total 12\n"),
+  EXPECT_NE(third.find("vrl_monitor_lineage_recorded_total 12\n"),
             std::string::npos);
-  EXPECT_NE(third.find("vrl_monitor_events_dropped_total 8\n"),
+  EXPECT_NE(third.find("vrl_monitor_lineage_dropped_total 8\n"),
             std::string::npos);
-  EXPECT_NE(third.find("vrl_monitor_events_retained 4\n"), std::string::npos);
+  EXPECT_NE(third.find("vrl_monitor_lineage_retained 4\n"),
+            std::string::npos);
   EXPECT_EQ(server.metrics_scrapes(), 3u);
 }
 
@@ -648,14 +658,13 @@ TEST(MonitorServer, MetricsBodyStartsWithThePublishedSnapshotExposition) {
 
 TEST(MonitorServer, TraceTailServesNewestLineageWithSummary) {
   telemetry::RecorderOptions options;
-  options.enable_tracing = true;
-  options.tracing.max_lineage = 4;  // ring wraps: newest win
+  options.max_lineage = 4;  // ring wraps: newest win; no tracing needed
   telemetry::Recorder recorder(options);
-  telemetry::Tracer& tracer = *recorder.tracer();
-  const std::uint32_t cause = tracer.Intern("obs_test");
+  telemetry::Lineage& lineage = recorder.lineage();
+  const std::uint32_t cause = lineage.Intern("obs_test");
   for (std::uint64_t i = 0; i < 6; ++i) {
-    tracer.Lineage({EventKind::kSensingFailure, i, /*row=*/100 + i, cause,
-                    /*detail=*/0, /*value=*/-0.25});
+    lineage.Add({EventKind::kSensingFailure, i, /*row=*/100 + i, cause,
+                 /*detail=*/0, /*value=*/-0.25});
   }
   MonitorServer server;
   server.Publish(recorder);
@@ -792,16 +801,16 @@ TEST(MonitorPlaneCampaign, LiveScrapeMatchesEndOfRunSnapshotAndHealthFlips) {
             counter_value(final_body, detected));
 
   // The injected faults flipped /healthz from ok to degraded, and the
-  // transition landed in the recorder's own event ring.
+  // transition landed in the recorder's own lineage ring.
   EXPECT_EQ(plane.watchdog()->state(), HealthState::kDegraded);
   const std::string health = HttpGet(plane.server()->port(), "/healthz");
   EXPECT_EQ(StatusOf(health), 200);
   EXPECT_EQ(BodyOf(health).rfind("degraded sensing_failure_rate=", 0), 0u)
       << BodyOf(health);
   bool transition_recorded = false;
-  for (const auto& event : recorder.events().Events()) {
-    if (event.kind == EventKind::kWatchdogTransition &&
-        event.a == static_cast<std::int64_t>(HealthState::kDegraded)) {
+  for (const auto& record : recorder.lineage().Retained()) {
+    if (record.kind == EventKind::kWatchdogTransition &&
+        record.detail == static_cast<std::int64_t>(HealthState::kDegraded)) {
       transition_recorded = true;
     }
   }
@@ -815,7 +824,7 @@ TEST(MonitorPlane, NoServeNoWatchdogStillSamplesQuietly) {
   EXPECT_EQ(plane.watchdog(), nullptr);
   telemetry::Recorder recorder;
   plane.Sample(recorder);  // must be a harmless no-op
-  EXPECT_EQ(recorder.events().recorded(), 0u);
+  EXPECT_EQ(recorder.lineage().recorded(), 0u);
 }
 
 TEST(MonitorPlane, BadRulesFileThrowsConfigError) {

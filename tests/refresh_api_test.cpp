@@ -51,7 +51,7 @@ TEST(RefreshApiShim, SuiteTelemetryAndLineageIdenticalAcrossThreadCounts) {
     ScopedThreadCount scoped(threads);
     telemetry::RecorderOptions options;
     options.enable_tracing = true;
-    options.tracing.lineage_ops = true;
+    options.lineage_ops = true;
     telemetry::Recorder recorder(options);
 
     core::ExperimentOptions experiment;
@@ -61,7 +61,7 @@ TEST(RefreshApiShim, SuiteTelemetryAndLineageIdenticalAcrossThreadCounts) {
 
     const auto snapshot = recorder.Snapshot();
     std::ostringstream lineage;
-    telemetry::WriteLineageJsonl(lineage, *recorder.tracer());
+    telemetry::WriteLineageJsonl(lineage, recorder.lineage());
 
     if (!have_base) {
       base_results = results;

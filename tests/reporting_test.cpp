@@ -306,6 +306,20 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
                            "--windows 1 --subarrays"}) {
     EXPECT_EQ(RunBinary(tournament, args), 2) << args;
   }
+  // The mains with no flags of their own reject a malformed shared flag
+  // the same way instead of aborting.
+  for (const char* binary :
+       {"ablation_guardband", "ablation_nbits", "ablation_profiling",
+        "ablation_salp", "ablation_tau_partial", "ablation_technology",
+        "fig1a_restore_curve", "fig1b_partial_refresh",
+        "fig3_retention_binning", "fig4_refresh_overhead", "fig5_equalization",
+        "latency_impact", "parallel_scaling", "power_refresh",
+        "table1_accuracy", "table2_area", "validation_circuit"}) {
+    for (const char* args : {"--json", "--leg-timeout 9x"}) {
+      EXPECT_EQ(RunBinary(bench_dir + "/" + binary, args), 2)
+          << binary << " " << args;
+    }
+  }
   // The examples that parse numbers of their own share the same rules.
   const std::string examples_dir = VRL_EXAMPLES_DIR;
   const std::pair<const char*, const char*> example_cases[] = {

@@ -656,8 +656,7 @@ TEST(Codec, WorkerFrameRoundTrips) {
   scratch.gauge("campaign.progress_cycles").Set(1.5);
   scratch.histogram("policy.slack", {1.0, 2.0, 4.0}).Observe(3.0);
   frame.delta = scratch.Snapshot();
-  frame.events = {{telemetry::EventKind::kPartialRefresh, 10, 20, 30, 0.25},
-                  {telemetry::EventKind::kWorkerRetry, 11, 1, 2, -1.0}};
+  frame.events = 2;
 
   std::ostringstream os;
   runtime::EncodeWorkerFrame(os, frame);
@@ -673,7 +672,8 @@ TEST(Workers, TelemetryFramesFederateAcrossThePool) {
     if (runtime::InWorkerChild()) {
       telemetry::Recorder rec;
       rec.counter("demo.widgets").Add(leg + 1);
-      rec.Record({telemetry::EventKind::kFullRefresh, 0, leg, 0, 0.0});
+      rec.lineage().Add(
+          {telemetry::EventKind::kFullRefresh, 0, leg, 0, 0, 0.0});
       runtime::WorkerPublishTelemetry(rec, /*force=*/true);
     }
     return DemoLeg(leg);

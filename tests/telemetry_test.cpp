@@ -2,7 +2,7 @@
 //
 // Three layers:
 //  1. Unit semantics pinned by the headers: histogram bucket edges, the
-//     event ring's newest-window overflow behaviour, snapshot diff/merge
+//     lineage ring's merge across wrapped rings, snapshot diff/merge
 //     algebra, exporter formatting.
 //  2. The determinism contract end to end: the merged telemetry of
 //     RunEvaluationSuite and of the fault-campaign comparison must export
@@ -24,6 +24,7 @@
 #include "retention/vrt.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/federation.hpp"
+#include "telemetry/trace_export.hpp"
 
 namespace vrl::telemetry {
 namespace {
@@ -121,65 +122,30 @@ TEST(MetricsRegistry, HistogramEdgeMismatchThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// 1b. Event ring overflow
+// 1b. Lineage ring merge (overflow and zero capacity: tests/tracing_test.cpp)
 // ---------------------------------------------------------------------------
 
-TEST(EventTrace, OverflowKeepsNewestAndCountsDrops) {
-  EventTrace trace(3);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    trace.Record({EventKind::kDemotion, i, i, 0, 0.0});
-  }
-  const auto events = trace.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].cycle, 7u);
-  EXPECT_EQ(events[1].cycle, 8u);
-  EXPECT_EQ(events[2].cycle, 9u);
-  EXPECT_EQ(trace.recorded(), 10u);
-  EXPECT_EQ(trace.dropped(), 7u);
-}
-
-TEST(EventTrace, ZeroCapacityCountsEverythingAsDropped) {
-  EventTrace trace(0);
-  trace.Record({EventKind::kDemotion, 1, 0, 0, 0.0});
-  EXPECT_TRUE(trace.Events().empty());
-  EXPECT_EQ(trace.recorded(), 1u);
-  EXPECT_EQ(trace.dropped(), 1u);
-}
-
-TEST(EventTrace, AppendPreservesOrderAndAccumulatesDrops) {
-  EventTrace a(4);
-  a.Record({EventKind::kDemotion, 1, 0, 0, 0.0});
-  EventTrace b(1);
-  b.Record({EventKind::kPromotion, 2, 0, 0, 0.0});
-  b.Record({EventKind::kPromotion, 3, 0, 0, 0.0});  // displaces cycle 2
-  a.Append(b);
-  const auto events = a.Events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].cycle, 1u);
-  EXPECT_EQ(events[1].cycle, 3u);
-  EXPECT_EQ(a.dropped(), 1u);  // b's displaced event carries over
-}
-
-// Regression pin: Append between two *wrapped* rings (both sides past
+// Regression pin: Absorb between two *wrapped* rings (both sides past
 // capacity, slots rotated) must replay the source's retained window oldest
 // first through the destination ring — retained order stays chronological
 // and recorded == retained + dropped on the merged side.
-TEST(EventTrace, AppendBetweenWrappedRingsKeepsOrderAndAccounting) {
-  EventTrace a(4);
+TEST(Lineage, AbsorbBetweenWrappedRingsKeepsOrderAndAccounting) {
+  Lineage a(4);
   for (std::uint64_t i = 0; i < 8; ++i) {  // wraps twice; next_ back at 0
-    a.Record({EventKind::kDemotion, i, i, 0, 0.0});
+    a.Add({EventKind::kDemotion, i, i, a.Intern("a"), 0, 0.0});
   }
-  EventTrace b(3);
+  Lineage b(3);
   for (std::uint64_t i = 100; i < 107; ++i) {  // wrapped, next_ mid-ring
-    b.Record({EventKind::kPromotion, i, i, 0, 0.0});
+    b.Add({EventKind::kPromotion, i, i, b.Intern("b"), 0, 0.0});
   }
-  a.Append(b);
-  const auto events = a.Events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].cycle, 7u);    // newest survivor of a's own window
-  EXPECT_EQ(events[1].cycle, 104u);  // b's retained window, oldest first
-  EXPECT_EQ(events[2].cycle, 105u);
-  EXPECT_EQ(events[3].cycle, 106u);
+  a.Absorb(b);
+  const auto records = a.Retained();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].cycle, 7u);    // newest survivor of a's own window
+  EXPECT_EQ(records[1].cycle, 104u);  // b's retained window, oldest first
+  EXPECT_EQ(a.label(records[1].cause), "b");
+  EXPECT_EQ(records[2].cycle, 105u);
+  EXPECT_EQ(records[3].cycle, 106u);
   EXPECT_EQ(a.recorded(), 15u);
   EXPECT_EQ(a.dropped(), 11u);
   EXPECT_EQ(a.recorded(), a.size() + a.dropped());
@@ -230,11 +196,11 @@ TEST(Export, FormatDoubleRoundTripsAndIsStable) {
 // ---------------------------------------------------------------------------
 
 /// Deterministic byte serialization of a recorder: metrics followed by the
-/// event trace.
+/// lineage ring.
 std::string ExportBytes(const Recorder& recorder) {
   std::ostringstream os;
   WriteMetricsJsonl(os, recorder.Snapshot());
-  WriteEventsJsonl(os, recorder.events());
+  WriteLineageJsonl(os, recorder.lineage());
   return os.str();
 }
 
@@ -304,7 +270,10 @@ TEST(Determinism, ShardMergeMatchesSerialRecording) {
       r->counter("c").Add(task + 1);
       r->histogram("h", {1.0, 8.0})
           .Observe(static_cast<double>(task) * 2.0);
-      r->Record({EventKind::kMprsfReset, task, task, 0, 0.0});
+      Lineage& lineage = r->lineage();
+      lineage.Add({EventKind::kMprsfReset, task, task,
+                   lineage.Intern("task" + std::to_string(task % 2)), 0,
+                   0.0});
     }
   }
   Recorder merged;
@@ -360,12 +329,11 @@ WorkerFrame MakeFrame(std::size_t leg, std::uint64_t seq,
   frame.seq = seq;
   frame.frames_dropped = frames_dropped;
   frame.events_recorded = seq;
+  frame.events = 1;
   Recorder scratch;
   scratch.counter("policy.full_refreshes").Add(counter_delta);
   scratch.gauge("campaign.progress_cycles").Set(static_cast<double>(seq));
   frame.delta = scratch.Snapshot();
-  frame.events.push_back(
-      {EventKind::kFullRefresh, seq, leg, 0, 0.0});
   return frame;
 }
 

@@ -1,10 +1,10 @@
-// Tests for causal span tracing and the refresh-lineage channel
-// (src/telemetry/tracing.hpp, docs/TRACING.md).
+// Tests for causal span tracing and the refresh lineage
+// (src/telemetry/tracing.hpp, src/telemetry/events.hpp, docs/TRACING.md).
 //
 // Three layers:
-//  1. Tracer semantics pinned by the header: label interning, span
-//     nesting and LIFO closing, the oldest-win span cap, the newest-win
-//     lineage ring, and Absorb's id/label/group remapping.
+//  1. Tracer and lineage semantics pinned by the headers: label interning,
+//     span nesting and LIFO closing, the oldest-win span cap, the
+//     newest-win lineage ring, and Absorb's id/label/group remapping.
 //  2. Exporter structure: Chrome trace_event JSON (metadata, X and i
 //     events, the synthetic lineage process) and the JSONL form with its
 //     summary accounting.
@@ -172,15 +172,13 @@ TEST(Tracer, SpanCapKeepsOldestAndStillAllocatesIds) {
 }
 
 TEST(Tracer, LineageRingKeepsNewest) {
-  TracerOptions options;
-  options.max_lineage = 4;
-  Tracer tracer(options);
+  Lineage lineage(4);
   for (std::uint64_t i = 1; i <= 7; ++i) {
-    tracer.Lineage({EventKind::kFullRefresh, i, i, 0, 0, 0.0});
+    lineage.Add({EventKind::kFullRefresh, i, i, 0, 0, 0.0});
   }
-  EXPECT_EQ(tracer.recorded_lineage(), 7u);
-  EXPECT_EQ(tracer.dropped_lineage(), 3u);
-  const auto retained = tracer.LineageRetained();
+  EXPECT_EQ(lineage.recorded(), 7u);
+  EXPECT_EQ(lineage.dropped(), 3u);
+  const auto retained = lineage.Retained();
   ASSERT_EQ(retained.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(retained[i].cycle, Cycles{4 + i}) << "slot " << i;
@@ -188,12 +186,11 @@ TEST(Tracer, LineageRingKeepsNewest) {
 }
 
 TEST(Tracer, ZeroLineageCapCountsEverythingAsDropped) {
-  TracerOptions options;
-  options.max_lineage = 0;
-  Tracer tracer(options);
-  tracer.Lineage({EventKind::kDemotion, 1, 2, 0, 3, 0.0});
-  EXPECT_TRUE(tracer.LineageRetained().empty());
-  EXPECT_EQ(tracer.dropped_lineage(), 1u);
+  Lineage lineage(0);
+  lineage.Add({EventKind::kDemotion, 1, 2, 0, 3, 0.0});
+  EXPECT_TRUE(lineage.Retained().empty());
+  EXPECT_EQ(lineage.recorded(), 1u);
+  EXPECT_EQ(lineage.dropped(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,8 +208,6 @@ TEST(Tracer, AbsorbRemapsIdsLabelsAndGroups) {
   const SpanId outer = shard.BeginSpan("outer", 10, shard_group);
   shard.CompleteSpan("shared", 11, 12, shard_group, 7);
   shard.EndSpan(outer, 20);
-  shard.Lineage({EventKind::kMprsfReset, 15, 42, shard.Intern("cause"), 1,
-                 0.5});
 
   sink.Absorb(shard);
 
@@ -231,11 +226,6 @@ TEST(Tracer, AbsorbRemapsIdsLabelsAndGroups) {
   EXPECT_EQ(merged_inner.track, 7u);
   // Ids stay unique and dense across the merge.
   EXPECT_NE(merged_outer.id, sink.spans()[0].id);
-
-  const auto lineage = sink.LineageRetained();
-  ASSERT_EQ(lineage.size(), 1u);
-  EXPECT_EQ(sink.label(lineage[0].cause), "cause");
-  EXPECT_EQ(lineage[0].row, 42u);
 }
 
 TEST(Tracer, AbsorbWithOpenSpansThrows) {
@@ -248,18 +238,22 @@ TEST(Tracer, AbsorbWithOpenSpansThrows) {
 TEST(Tracer, AbsorbAccumulatesDropCounts) {
   TracerOptions small;
   small.max_spans = 1;
-  small.max_lineage = 1;
   Tracer sink(small);
   sink.CompleteSpan("kept", 0, 1);
-  sink.Lineage({EventKind::kFullRefresh, 0, 0, 0, 0, 0.0});
+  Lineage sink_lineage(1);
+  sink_lineage.Add(
+      {EventKind::kFullRefresh, 0, 0, sink_lineage.Intern("VRL"), 0, 0.0});
 
   Tracer shard(small);
   shard.CompleteSpan("dropped-at-sink", 2, 3);
   shard.CompleteSpan("dropped-at-shard", 4, 5);
-  shard.Lineage({EventKind::kFullRefresh, 1, 1, 0, 0, 0.0});
-  shard.Lineage({EventKind::kFullRefresh, 2, 2, 0, 0, 0.0});
+  Lineage shard_lineage(1);
+  const std::uint32_t cause = shard_lineage.Intern("VRL");
+  shard_lineage.Add({EventKind::kFullRefresh, 1, 1, cause, 0, 0.0});
+  shard_lineage.Add({EventKind::kFullRefresh, 2, 2, cause, 0, 0.0});
 
   sink.Absorb(shard);
+  sink_lineage.Absorb(shard_lineage);
   // Spans: sink keeps its oldest; the shard's retained span and the
   // shard's own drop both count as dropped here.
   EXPECT_EQ(sink.spans().size(), 1u);
@@ -267,34 +261,30 @@ TEST(Tracer, AbsorbAccumulatesDropCounts) {
   // Lineage: newest-win — the shard's retained record displaced the
   // sink's.  recorded counts each record once (1 sink + 2 shard); the
   // displaced sink record and the shard-side drop land in dropped.
-  const auto lineage = sink.LineageRetained();
+  const auto lineage = sink_lineage.Retained();
   ASSERT_EQ(lineage.size(), 1u);
   EXPECT_EQ(lineage[0].cycle, Cycles{2});
-  EXPECT_EQ(sink.recorded_lineage(), 3u);
-  EXPECT_EQ(sink.dropped_lineage(), 2u);
-  EXPECT_EQ(sink.recorded_lineage(),
-            sink.lineage_size() + sink.dropped_lineage());
+  EXPECT_EQ(sink_lineage.recorded(), 3u);
+  EXPECT_EQ(sink_lineage.dropped(), 2u);
+  EXPECT_EQ(sink_lineage.recorded(),
+            sink_lineage.size() + sink_lineage.dropped());
 }
 
 // ---------------------------------------------------------------------------
 // 2. Exporters
 // ---------------------------------------------------------------------------
 
-Tracer SmallTrace() {
+TEST(TraceExport, ChromeTraceIsStructurallySound) {
   Tracer tracer;
   const std::uint32_t group = tracer.NewTrackGroup("run:VRL-Access");
   const SpanId bank = tracer.BeginSpan("bank_run", 0, group, 0);
   tracer.CompleteSpan("refresh_burst", 10, 14, group, 0, 3, 1);
   tracer.EndSpan(bank, 100);
-  tracer.Lineage({EventKind::kMprsfReset, 42, 7, tracer.Intern("VRL-Access"),
-                  2, 0.0});
-  return tracer;
-}
-
-TEST(TraceExport, ChromeTraceIsStructurallySound) {
-  const Tracer tracer = SmallTrace();
+  Lineage lineage;
+  lineage.Add({EventKind::kMprsfReset, 42, 7, lineage.Intern("VRL-Access"), 2,
+               0.0});
   std::ostringstream os;
-  WriteChromeTrace(os, tracer);
+  WriteChromeTrace(os, tracer, lineage);
   const std::string out = os.str();
 
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
@@ -313,15 +303,15 @@ TEST(TraceExport, ChromeTraceIsStructurallySound) {
 }
 
 TEST(TraceExport, JsonlSummariesBalance) {
-  TracerOptions options;
-  options.max_lineage = 1;
-  Tracer tracer(options);
+  Tracer tracer;
   tracer.CompleteSpan("s", 0, 1);
-  tracer.Lineage({EventKind::kFullRefresh, 0, 0, 0, 0, 0.0});
-  tracer.Lineage({EventKind::kFullRefresh, 1, 0, 0, 0, 0.0});
+  Lineage lineage(1);
+  const std::uint32_t cause = lineage.Intern("VRL");
+  lineage.Add({EventKind::kFullRefresh, 0, 0, cause, 0, 0.0});
+  lineage.Add({EventKind::kFullRefresh, 1, 0, cause, 0, 0.0});
 
   std::ostringstream os;
-  WriteTraceJsonl(os, tracer);
+  WriteTraceJsonl(os, tracer, lineage);
   const std::string out = os.str();
   EXPECT_NE(out.find(R"({"type":"span_summary","recorded":1,"retained":1,"dropped":0})"),
             std::string::npos);
@@ -336,7 +326,7 @@ TEST(TraceExport, JsonlSummariesBalance) {
 RecorderOptions TracingOptions() {
   RecorderOptions options;
   options.enable_tracing = true;
-  options.tracing.lineage_ops = true;
+  options.lineage_ops = true;
   return options;
 }
 
@@ -357,14 +347,14 @@ TEST(TracingIntegration, VrlAccessRunRecordsActivationResetLineage) {
   ASSERT_NE(recorder.tracer(), nullptr);
   std::size_t resets = 0;
   std::size_t refresh_ops = 0;
-  for (const LineageRecord& record : recorder.tracer()->LineageRetained()) {
+  for (const LineageRecord& record : recorder.lineage().Retained()) {
     resets += record.kind == EventKind::kMprsfReset ? 1 : 0;
     refresh_ops += record.kind == EventKind::kFullRefresh ||
                            record.kind == EventKind::kPartialRefresh
                        ? 1
                        : 0;
     if (record.kind == EventKind::kMprsfReset) {
-      EXPECT_EQ(recorder.tracer()->label(record.cause), "VRL-Access");
+      EXPECT_EQ(recorder.lineage().label(record.cause), "VRL-Access");
     }
   }
   EXPECT_GT(resets, 0u) << "no activation-reset lineage in a VRL-Access run";
@@ -387,7 +377,7 @@ TEST(TracingIntegration, TransitionsOnlyModeSkipsTheOpFirehose) {
                   system.HorizonForWindows(1), &recorder);
   ASSERT_NE(recorder.tracer(), nullptr);
   // No per-op lineage — but the run still produced spans.
-  EXPECT_EQ(recorder.tracer()->recorded_lineage(), 0u);
+  EXPECT_EQ(recorder.lineage().recorded(), 0u);
   EXPECT_GT(recorder.tracer()->recorded_spans(), 0u);
 }
 
@@ -406,10 +396,9 @@ TEST(TracingIntegration, AdaptiveCampaignRecordsDemotionLineage) {
       system, core::PolicyKind::kVrl, vrt, options);
   EXPECT_GT(result.jedec.refresh_busy_cycles, 0u);
 
-  ASSERT_NE(recorder.tracer(), nullptr);
   std::size_t demotions = 0;
   std::size_t failures = 0;
-  for (const LineageRecord& record : recorder.tracer()->LineageRetained()) {
+  for (const LineageRecord& record : recorder.lineage().Retained()) {
     demotions += record.kind == EventKind::kDemotion ? 1 : 0;
     failures += record.kind == EventKind::kSensingFailure ? 1 : 0;
   }
@@ -478,9 +467,9 @@ TEST(TracingIntegration, HierarchicalRunParentsEachBurstToItsOwnBank) {
 
 std::string TraceBytes(const Recorder& recorder) {
   std::ostringstream chrome;
-  WriteChromeTrace(chrome, *recorder.tracer());
+  WriteChromeTrace(chrome, *recorder.tracer(), recorder.lineage());
   std::ostringstream jsonl;
-  WriteTraceJsonl(jsonl, *recorder.tracer());
+  WriteTraceJsonl(jsonl, *recorder.tracer(), recorder.lineage());
   return chrome.str() + jsonl.str();
 }
 
