@@ -44,9 +44,7 @@ int main(int argc, char** argv) {
     config.banks = 1;
     const core::VrlSystem reference(config);
     raidr_reference =
-        reference
-            .Simulate(core::PolicyKind::kRaidr, {},
-                      reference.HorizonForWindows(kWindows))
+        reference.Simulate("RAIDR", {}, reference.HorizonForWindows(kWindows))
             .RefreshOverheadPerBank();
   }
 
@@ -66,9 +64,7 @@ int main(int argc, char** argv) {
     const core::VrlSystem system(config);
 
     const double vrl_overhead =
-        system
-            .Simulate(core::PolicyKind::kVrl, {},
-                      system.HorizonForWindows(kWindows))
+        system.Simulate("VRL", {}, system.HorizonForWindows(kWindows))
             .RefreshOverheadPerBank();
 
     std::vector<std::string> row{
@@ -78,8 +74,7 @@ int main(int argc, char** argv) {
     for (const double celsius : {45.0, 50.0, 55.0}) {
       const core::IntegrityChecker checker(
           system, temperature.RetentionScale(celsius));
-      row.push_back(std::to_string(
-          checker.Check(core::PolicyKind::kVrl, kWindows).failures));
+      row.push_back(std::to_string(checker.Check("VRL", kWindows).failures));
     }
 
     // Worst-case VRT on top of the 65 C excursion.
@@ -90,8 +85,8 @@ int main(int argc, char** argv) {
         system.profile(), vrt_rows, vrt);
     const core::IntegrityChecker vrt_checker(
         system, runtime, temperature.RetentionScale(65.0));
-    row.push_back(std::to_string(
-        vrt_checker.Check(core::PolicyKind::kVrl, kWindows).failures));
+    row.push_back(
+        std::to_string(vrt_checker.Check("VRL", kWindows).failures));
 
     row.push_back(Fmt(temperature.MaxSafeCelsius(guard), 1) + " C");
     table.AddRow(std::move(row));

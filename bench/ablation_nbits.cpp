@@ -29,10 +29,9 @@ int main(int argc, char** argv) {
 
     const Cycles horizon = system.HorizonForWindows(16);
     const double raidr =
-        system.Simulate(core::PolicyKind::kRaidr, {}, horizon)
-            .RefreshOverheadPerBank();
-    const double vrl = system.Simulate(core::PolicyKind::kVrl, {}, horizon)
-                           .RefreshOverheadPerBank();
+        system.Simulate("RAIDR", {}, horizon).RefreshOverheadPerBank();
+    const double vrl =
+        system.Simulate("VRL", {}, horizon).RefreshOverheadPerBank();
 
     table.AddRow(
         {std::to_string(nbits), std::to_string(config.MprsfCap()),

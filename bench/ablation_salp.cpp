@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
                 "refresh cyc/bank"});
   for (const std::size_t subarrays :
        {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    for (const auto kind :
-         {core::PolicyKind::kJedec, core::PolicyKind::kVrlAccess}) {
+    for (const char* policy : {"JEDEC", "VRL-Access"}) {
       core::VrlConfig config;
       config.banks = 4;
       config.subarrays = subarrays;
@@ -49,8 +48,8 @@ int main(int argc, char** argv) {
           trace::GenerateTrace(hot, system.Geometry(), horizon, rng);
       const auto requests = trace::MapToRequests(
           records, trace::AddressMapper(system.Geometry()));
-      const auto stats = system.Simulate(kind, requests, horizon);
-      table.AddRow({std::to_string(subarrays), core::PolicyName(kind),
+      const auto stats = system.Simulate(policy, requests, horizon);
+      table.AddRow({std::to_string(subarrays), policy,
                     Fmt(stats.AverageRequestLatency(), 1),
                     Fmt(stats.RefreshOverheadPerBank(), 0)});
     }

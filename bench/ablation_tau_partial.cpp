@@ -39,10 +39,9 @@ int main(int argc, char** argv) {
 
     const Cycles horizon = system.HorizonForWindows(16);
     const double raidr =
-        system.Simulate(core::PolicyKind::kRaidr, {}, horizon)
-            .RefreshOverheadPerBank();
-    const double vrl = system.Simulate(core::PolicyKind::kVrl, {}, horizon)
-                           .RefreshOverheadPerBank();
+        system.Simulate("RAIDR", {}, horizon).RefreshOverheadPerBank();
+    const double vrl =
+        system.Simulate("VRL", {}, horizon).RefreshOverheadPerBank();
 
     table.AddRow({Fmt(target, 2), std::to_string(system.TauPartialCycles()),
                   std::to_string(system.TauFullCycles()), Fmt(avg_mprsf, 2),

@@ -56,15 +56,12 @@ int main(int argc, char** argv) {
       const auto requests = trace::MapToRequests(
           records, trace::AddressMapper(system.Geometry()));
 
-      for (const auto kind :
-           {core::PolicyKind::kJedec, core::PolicyKind::kRaidr,
-            core::PolicyKind::kVrl, core::PolicyKind::kVrlAccess}) {
-        const auto stats = system.Simulate(kind, requests, horizon);
+      for (const char* policy : {"JEDEC", "RAIDR", "VRL", "VRL-Access"}) {
+        const auto stats = system.Simulate(policy, requests, horizon);
         const double hits = static_cast<double>(stats.TotalRowHits());
         const double accesses =
             hits + static_cast<double>(stats.TotalRowMisses());
-        table.AddRow({dram::SchedulerName(scheduler),
-                      core::PolicyName(kind),
+        table.AddRow({dram::SchedulerName(scheduler), policy,
                       Fmt(stats.AverageRequestLatency(), 1),
                       FmtPercent(accesses > 0 ? hits / accesses : 0.0, 1),
                       Fmt(stats.RefreshOverheadPerBank(), 0)});
@@ -90,8 +87,7 @@ int main(int argc, char** argv) {
                                               system.Geometry(), horizon, rng);
     const auto requests =
         trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
-    const auto stats =
-        system.Simulate(core::PolicyKind::kVrlAccess, requests, horizon);
+    const auto stats = system.Simulate("VRL-Access", requests, horizon);
     const double hits = static_cast<double>(stats.TotalRowHits());
     const double accesses = hits + static_cast<double>(stats.TotalRowMisses());
     page_table.AddRow(

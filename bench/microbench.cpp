@@ -253,7 +253,7 @@ void BM_SimulateWindow(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        system.Simulate(core::PolicyKind::kVrlAccess, requests, horizon));
+        system.Simulate("VRL-Access", requests, horizon));
   }
 }
 BENCHMARK(BM_SimulateWindow)

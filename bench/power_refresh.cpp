@@ -57,11 +57,10 @@ int main(int argc, char** argv) {
       "total_energy_streamcluster",
       {"policy", "refresh (uJ)", "activate (uJ)", "r/w (uJ)",
        "background (uJ)", "total (uJ)"});
-  for (const auto kind : {core::PolicyKind::kRaidr, core::PolicyKind::kVrl,
-                          core::PolicyKind::kVrlAccess}) {
+  for (const char* policy : {"RAIDR", "VRL", "VRL-Access"}) {
     const auto breakdown =
-        power_model.Compute(system.Simulate(kind, requests, horizon));
-    totals.AddRow({core::PolicyName(kind), Fmt(breakdown.refresh_nj * 1e-3, 1),
+        power_model.Compute(system.Simulate(policy, requests, horizon));
+    totals.AddRow({policy, Fmt(breakdown.refresh_nj * 1e-3, 1),
                    Fmt(breakdown.activate_nj * 1e-3, 1),
                    Fmt(breakdown.read_write_nj * 1e-3, 1),
                    Fmt(breakdown.background_nj * 1e-3, 1),

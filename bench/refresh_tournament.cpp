@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
     dram::AuditReport merged;
     std::map<std::string, PolicyAgg> aggs;
     for (const std::string& name : policy_names) {
-      const core::PolicyKind kind = core::PolicyFromName(name);
       PolicyAgg& agg = aggs[name];
       for (const auto& workload : workloads) {
         // Same trace derivation as the Fig. 4 driver (core/experiments.cpp)
@@ -186,7 +185,7 @@ int main(int argc, char** argv) {
         telemetry::Recorder recorder;
         dram::CommandLog log;
         const auto stats =
-            system.Simulate(kind, requests, horizon, &recorder, &log);
+            system.Simulate(name, requests, horizon, &recorder, &log);
 
         dram::AuditReport audited = auditor.Audit(log);
         agg.violations += audited.violations.size();

@@ -1,6 +1,6 @@
 // Timing-conformance sweep: replays the Fig. 4 evaluation suite (13 PARSEC
-// benchmarks + bgsave, under RAIDR / VRL / VRL-Access) with command logging
-// on, and audits every run's command stream against its preset's timing
+// benchmarks + bgsave, under every dram::PolicyRegistry policy) with command
+// logging on, and audits every run's command stream against its preset's timing
 // table (dram::TimingAuditor — the passive re-implementation, sharing no
 // code with the in-simulation constraint engine).  Any reported violation
 // is a timing bug in the controller or the engine; the binary exits
@@ -28,6 +28,7 @@
 #include "common/rng.hpp"
 #include "core/vrl_system.hpp"
 #include "dram/auditor.hpp"
+#include "dram/policy_registry.hpp"
 #include "dram/timing_table.hpp"
 #include "trace/address.hpp"
 #include "trace/synthetic.hpp"
@@ -68,13 +69,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
   }
-  // The scheduler-coupled policies ride along so REFpb (DARP) and
-  // subarray-granular (SARP) command streams are conformance-audited too.
-  const core::PolicyKind policies[] = {
-      core::PolicyKind::kRaidr, core::PolicyKind::kVrl,
-      core::PolicyKind::kVrlAccess, core::PolicyKind::kDarp,
-      core::PolicyKind::kSarp};
-
   bench::Report report("timing_conformance");
   report.AddMeta("windows", windows);
   report.AddMeta("suite", "fig4 evaluation suite (13 PARSEC + bgsave)");
@@ -102,9 +96,10 @@ int main(int argc, char** argv) {
       const auto records =
           trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
       const auto requests = trace::MapToRequests(records, mapper);
-      for (const core::PolicyKind kind : policies) {
+      for (const dram::PolicyInfo& info :
+           dram::PolicyRegistry::Global().entries()) {
         dram::CommandLog log;
-        system.Simulate(kind, requests, horizon, nullptr, &log);
+        system.Simulate(info.name, requests, horizon, nullptr, &log);
         dram::AuditReport audited = auditor.Audit(log);
         merged.commands_checked += audited.commands_checked;
         for (auto& v : audited.violations) {

@@ -30,6 +30,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/reporting.hpp"
 #include "core/config_io.hpp"
@@ -124,11 +125,11 @@ int main(int argc, char** argv) {
 
   try {
     const core::VrlSystem system(config);
-    const auto kind = core::PolicyFromName(policy_name);
-    if (kind == core::PolicyKind::kJedec) {
-      throw ConfigError("pick a retention-aware policy (jedec is the"
-                        " baseline every leg compares against)");
-    }
+    // The three legs of the comparison (JEDEC baseline, plain, adaptive),
+    // as journalable runtime legs; legs[1].policy is the canonical name.
+    const std::vector<core::ResilienceLeg> legs =
+        core::ResilienceLegs(policy_name);
+    const std::string& policy = legs[1].policy;
     const double window_s =
         CyclesToSeconds(config.timing.t_refw, config.tech.clock_period_s);
 
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
     };
 
     bench::Report report("fault_campaign");
-    report.AddMeta("policy", core::PolicyName(kind));
+    report.AddMeta("policy", policy);
     report.AddMeta("windows", windows);
     report.AddMeta("vrt_row_fraction", vrt.row_fraction, 4);
     report.AddMeta("vrt_low_ratio", vrt.low_ratio, 2);
@@ -179,17 +180,6 @@ int main(int argc, char** argv) {
     recorder_options.lineage_ops = recorder_options.enable_tracing;
     recorder_options.profile_phases = report_options.profile;
     telemetry::Recorder recorder(recorder_options);
-
-    // The three legs of the comparison, as journalable runtime legs.
-    struct Leg {
-      core::PolicyKind kind;
-      bool adaptive;
-    };
-    const Leg legs[] = {
-        {core::PolicyKind::kJedec, false},
-        {kind, false},
-        {kind, true},
-    };
 
     const auto leg_fn = [&](std::size_t leg) {
       auto faults = make_schedule();
@@ -235,7 +225,7 @@ int main(int argc, char** argv) {
         };
       }
       const fault::CampaignReport leg_report =
-          system.RunFaultCampaign(legs[leg].kind, faults, options);
+          system.RunFaultCampaign(legs[leg].policy, faults, options);
       if (runtime::InWorkerChild()) {
         // Flush the final delta so the fleet aggregate converges on the
         // leg's true totals even when the rate limiter just fired.
@@ -254,7 +244,7 @@ int main(int argc, char** argv) {
     {
       std::ostringstream os;
       core::WriteVrlConfig(config, os);
-      os << "policy " << core::PolicyName(kind) << '\n'
+      os << "policy " << policy << '\n'
          << "windows " << windows << '\n'
          << "seed " << seed << '\n'
          << "vrt " << runtime::EncodeDouble(vrt.row_fraction) << ' '
@@ -274,12 +264,12 @@ int main(int argc, char** argv) {
         bench::MakeRuntimeOptions(report_options);
     runtime_options.runtime_telemetry = &runtime_recorder;
     bench::AttachFleetObservability(plane.get(), "fault_campaign",
-                                    std::size(legs), &runtime_recorder,
+                                    legs.size(), &runtime_recorder,
                                     &runtime_options);
     runtime::RunnerStats stats;
     const auto payloads =
         runtime::RunJournaledLegs("fault_campaign", config_digest,
-                                  std::size(legs), leg_fn, runtime_options,
+                                  legs.size(), leg_fn, runtime_options,
                                   &stats);
 
     fault::CampaignReport jedec;
@@ -301,9 +291,8 @@ int main(int argc, char** argv) {
         "legs", {"policy", "refreshes", "partials", "detected", "corrected",
                  "unrecovered", "min margin", "ovh/JEDEC"});
     AddReportRow(table, "JEDEC", jedec, jedec);
-    AddReportRow(table, core::PolicyName(kind), plain, jedec);
-    AddReportRow(table, "Adaptive(" + core::PolicyName(kind) + ")", adaptive,
-                 jedec);
+    AddReportRow(table, policy, plain, jedec);
+    AddReportRow(table, "Adaptive(" + policy + ")", adaptive, jedec);
 
     const auto& sm = adaptive.adaptive;
     report.AddMeta("demotions", sm.demotions);
@@ -351,7 +340,7 @@ int main(int argc, char** argv) {
     std::printf("\nverdict: plain %s loses %zu rows' worth of data; "
                 "adaptive ends with %zu unrecovered failures at %.1f%% of "
                 "JEDEC refresh overhead\n",
-                core::PolicyName(kind).c_str(), plain.unrecovered_failures,
+                policy.c_str(), plain.unrecovered_failures,
                 adaptive.unrecovered_failures,
                 100.0 * static_cast<double>(adaptive.refresh_busy_cycles) /
                     static_cast<double>(jedec.refresh_busy_cycles));

@@ -18,6 +18,7 @@
 #include "core/config_io.hpp"
 #include "core/integrity.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 #include "retention/temperature.hpp"
 #include "retention/vrt.hpp"
 
@@ -72,11 +73,12 @@ int main(int argc, char** argv) {
 
   try {
     const core::VrlSystem system(config);
-    const auto policy = core::PolicyFromName(policy_name);
+    const std::string& policy =
+        dram::PolicyRegistry::Global().Get(policy_name).name;
     const retention::TemperatureModel temperature;
 
     bench::Report report("integrity_audit");
-    report.AddMeta("policy", core::PolicyName(policy));
+    report.AddMeta("policy", policy);
     report.AddMeta("windows", windows);
     report.AddMeta("guardband", config.retention_guardband, 2);
     report.AddMeta("spare_rows", config.spare_rows);

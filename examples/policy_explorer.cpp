@@ -14,6 +14,7 @@
 #include "bench/reporting.hpp"
 #include "core/config_io.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 #include "power/power_model.hpp"
 #include "trace/synthetic.hpp"
 
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
   try {
     core::VrlSystem system(config);
     system.EnableTelemetry();
-    const auto policy = core::PolicyFromName(policy_name);
+    const std::string& policy =
+        dram::PolicyRegistry::Global().Get(policy_name).name;
     const auto workload = trace::SuiteWorkload(workload_name);
 
     const Cycles horizon = system.HorizonForWindows(windows);
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
     const auto energy = power_model.Compute(stats);
 
     bench::Report report("policy_explorer");
-    report.AddMeta("policy", core::PolicyName(policy));
+    report.AddMeta("policy", policy);
     report.AddMeta("workload", workload.name);
     report.AddMeta("windows", windows);
     report.AddMeta("nbits", config.nbits);

@@ -83,12 +83,10 @@ int main(int argc, char** argv) {
   TextTable& table = report.AddTable(
       "policies", {"policy", "refresh cycles/bank", "fulls", "partials",
                    "refresh power (mW)", "avg latency (cyc)"});
-  for (const auto kind :
-       {core::PolicyKind::kJedec, core::PolicyKind::kRaidr,
-        core::PolicyKind::kVrl, core::PolicyKind::kVrlAccess}) {
-    const auto stats = system.Simulate(kind, requests, horizon);
+  for (const char* policy : {"JEDEC", "RAIDR", "VRL", "VRL-Access"}) {
+    const auto stats = system.Simulate(policy, requests, horizon);
     const auto energy = power_model.Compute(stats);
-    table.AddRow({core::PolicyName(kind),
+    table.AddRow({policy,
                   Fmt(stats.RefreshOverheadPerBank(), 0),
                   std::to_string(stats.TotalFullRefreshes()),
                   std::to_string(stats.TotalPartialRefreshes()),

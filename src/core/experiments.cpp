@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "dram/policy_registry.hpp"
 
 namespace vrl::core {
 namespace {
@@ -47,19 +48,17 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
           : tracer->BeginSpan("workload:" + workload.name, 0, 0, 0,
                               static_cast<std::int64_t>(requests.size()));
 
-  const auto raidr =
-      system.Simulate(PolicyKind::kRaidr, requests, horizon, recorder);
+  const auto raidr = system.Simulate("RAIDR", requests, horizon, recorder);
   result.raidr_overhead = raidr.RefreshOverheadPerBank();
   result.raidr_refresh_power_mw =
       power_model.Compute(raidr).refresh_power_mw;
 
-  const auto vrl =
-      system.Simulate(PolicyKind::kVrl, requests, horizon, recorder);
+  const auto vrl = system.Simulate("VRL", requests, horizon, recorder);
   result.vrl_overhead = vrl.RefreshOverheadPerBank();
   result.vrl_refresh_power_mw = power_model.Compute(vrl).refresh_power_mw;
 
   const auto vrl_access =
-      system.Simulate(PolicyKind::kVrlAccess, requests, horizon, recorder);
+      system.Simulate("VRL-Access", requests, horizon, recorder);
   result.vrl_access_overhead = vrl_access.RefreshOverheadPerBank();
   result.vrl_access_refresh_power_mw =
       power_model.Compute(vrl_access).refresh_power_mw;
@@ -113,16 +112,17 @@ std::vector<WorkloadResult> RunEvaluationSuite(
   return results;
 }
 
-std::vector<ResilienceLeg> ResilienceLegs(PolicyKind kind) {
-  if (kind == PolicyKind::kJedec) {
+std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy) {
+  const std::string& name = dram::PolicyRegistry::Global().Get(policy).name;
+  if (name == "JEDEC") {
     throw ConfigError(
-        "RunResilienceComparison: pick a retention-aware policy to compare "
-        "against the JEDEC baseline");
+        "pick a retention-aware policy (JEDEC is the baseline every leg "
+        "compares against)");
   }
   return {
-      {PolicyKind::kJedec, false},
-      {kind, false},
-      {kind, true},
+      {"JEDEC", false},
+      {name, false},
+      {name, true},
   };
 }
 
@@ -141,18 +141,18 @@ fault::CampaignReport RunResilienceLeg(
   campaign.adaptive = leg.adaptive;
   campaign.telemetry = recorder;
   campaign.heartbeat = heartbeat;
-  return system.RunFaultCampaign(leg.kind, faults, campaign);
+  return system.RunFaultCampaign(leg.policy, faults, campaign);
 }
 
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
-                                         PolicyKind kind,
+                                         std::string_view policy,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options) {
   // Each leg builds its own FaultCampaignOptions (RunResilienceLeg): the
   // legs used to mutate one shared options struct between runs, an ordering
   // dependency that would race once the legs overlap.  Telemetry is per-leg
   // sharded and merged in leg order, like the suite.
-  const std::vector<ResilienceLeg> legs = ResilienceLegs(kind);
+  const std::vector<ResilienceLeg> legs = ResilienceLegs(policy);
   ResilienceResult result;
   fault::CampaignReport* const outs[] = {&result.jedec, &result.plain,
                                          &result.adaptive};

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/vrl_system.hpp"
@@ -103,18 +104,20 @@ struct ResilienceResult {
   }
 };
 
-/// One leg of the three-way comparison — which policy to replay the shared
-/// fault realization under, and whether the adaptive wrapper is on.
+/// One leg of the three-way comparison — which policy (canonical registry
+/// name) to replay the shared fault realization under, and whether the
+/// adaptive wrapper is on.
 struct ResilienceLeg {
-  PolicyKind kind = PolicyKind::kJedec;
+  std::string policy;
   bool adaptive = false;
 };
 
 /// The canonical leg order of RunResilienceComparison: JEDEC baseline,
-/// plain `kind` (silent data loss), adaptive `kind`.  Exposed so the
+/// plain `policy` (silent data loss), adaptive `policy`.  Exposed so the
 /// execution runtime (src/runtime/) can journal the legs one by one.
-/// \throws vrl::ConfigError when `kind` is kJedec (nothing to compare).
-std::vector<ResilienceLeg> ResilienceLegs(PolicyKind kind);
+/// \throws vrl::ConfigError when `policy` is unknown or is JEDEC (nothing
+/// to compare).
+std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy);
 
 /// Runs one resilience leg: builds the leg's own FaultSchedule from
 /// options.fault_seed (so every leg replays the identical fault trace) and
@@ -136,7 +139,7 @@ fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
 /// telemetry shard and report slot; results are bit-identical across
 /// thread counts and leg completion orders.
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
-                                         PolicyKind kind,
+                                         std::string_view policy,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options);
 

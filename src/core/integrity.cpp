@@ -35,11 +35,9 @@ double IntegrityChecker::RuntimeRetention(std::size_t row) const {
   return profile.RowRetention(row) * retention_scale_;
 }
 
-IntegrityReport IntegrityChecker::Check(PolicyKind kind,
+IntegrityReport IntegrityChecker::Check(std::string_view policy,
                                         std::size_t windows) const {
-  const auto factory = system_.MakePolicyFactory(kind);
-  const auto policy = factory();
-  return Replay(*policy, windows);
+  return Replay(*system_.MakePolicyFactory(policy)(), windows);
 }
 
 IntegrityReport IntegrityChecker::CheckWithMprsf(

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/vrl_system.hpp"
@@ -53,9 +54,9 @@ class IntegrityChecker {
                    retention::RetentionProfile runtime_profile,
                    double retention_scale = 1.0);
 
-  /// Replays `windows` base refresh windows of the given policy with no
-  /// intervening accesses and reports integrity.
-  IntegrityReport Check(PolicyKind kind, std::size_t windows) const;
+  /// Replays `windows` base refresh windows of the registry policy `policy`
+  /// with no intervening accesses and reports integrity.
+  IntegrityReport Check(std::string_view policy, std::size_t windows) const;
 
   /// Replays a custom per-row MPRSF assignment (bypassing the system's
   /// table) — used to demonstrate that MPRSF + 1 partials lose data.

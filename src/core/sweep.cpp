@@ -37,13 +37,12 @@ SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
   const auto requests =
       trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
 
-  const double raidr = system.Simulate(PolicyKind::kRaidr, requests, horizon)
-                           .RefreshOverheadPerBank();
-  const double vrl = system.Simulate(PolicyKind::kVrl, requests, horizon)
-                         .RefreshOverheadPerBank();
-  const double vrl_access =
-      system.Simulate(PolicyKind::kVrlAccess, requests, horizon)
-          .RefreshOverheadPerBank();
+  const double raidr =
+      system.Simulate("RAIDR", requests, horizon).RefreshOverheadPerBank();
+  const double vrl =
+      system.Simulate("VRL", requests, horizon).RefreshOverheadPerBank();
+  const double vrl_access = system.Simulate("VRL-Access", requests, horizon)
+                                .RefreshOverheadPerBank();
 
   SweepResult result;
   result.point = point;

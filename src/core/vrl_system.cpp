@@ -3,51 +3,11 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "dram/policy_registry.hpp"
 
 namespace vrl::core {
 
-namespace {
-
-constexpr PolicyKind kAllPolicyKinds[] = {
-    PolicyKind::kJedec,  PolicyKind::kRaidr, PolicyKind::kVrl,
-    PolicyKind::kVrlAccess, PolicyKind::kVrlSkip, PolicyKind::kDarp,
-    PolicyKind::kSarp,
-};
-
-}  // namespace
-
-std::string PolicyName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kJedec:
-      return "JEDEC";
-    case PolicyKind::kRaidr:
-      return "RAIDR";
-    case PolicyKind::kVrl:
-      return "VRL";
-    case PolicyKind::kVrlAccess:
-      return "VRL-Access";
-    case PolicyKind::kVrlSkip:
-      return "VRL-Skip";
-    case PolicyKind::kDarp:
-      return "DARP";
-    case PolicyKind::kSarp:
-      return "SARP";
-  }
-  return "?";
-}
-
-PolicyKind PolicyFromName(std::string_view name) {
-  // The registry canonicalizes and throws with the full valid-name list.
-  const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(name);
-  for (const PolicyKind kind : kAllPolicyKinds) {
-    if (PolicyName(kind) == info.name) {
-      return kind;
-    }
-  }
-  throw ConfigError("PolicyFromName: policy '" + info.name +
-                    "' is registered but has no PolicyKind (use "
-                    "dram::PolicyRegistry directly)");
+std::string PolicyFromName(std::string_view name) {
+  return dram::PolicyRegistry::Global().Get(name).name;
 }
 
 void VrlConfig::ApplyPreset(dram::TimingPreset p) {
@@ -185,41 +145,42 @@ trace::AddressGeometry VrlSystem::Geometry() const {
   return g;
 }
 
-dram::PolicyFactory VrlSystem::MakePolicyFactory(PolicyKind kind) const {
-  // Every kind builds through the registry; the context only carries the
-  // plans the policy actually consumes (computed identically to the
-  // pre-registry factories, keeping the emitted op streams byte-identical).
+dram::RowRefreshPlan VrlSystem::PlanFor(const dram::PolicyInfo& info) const {
+  const double clock = config_.tech.clock_period_s;
+  switch (info.plan) {
+    case dram::RowPlanKind::kNone:
+      break;
+    case dram::RowPlanKind::kBinned:
+      return dram::MakeRefreshPlan(binning_, clock);
+    case dram::RowPlanKind::kMprsf:
+      return dram::MakeRefreshPlan(binning_, clock, row_mprsf_);
+  }
+  return {};
+}
+
+dram::PolicyFactory VrlSystem::MakePolicyFactory(
+    std::string_view policy) const {
+  // The context only carries the plan the policy's builder consumes.  The
+  // registry is static, so the closure holds its entry, not a name lookup.
+  const dram::PolicyInfo* info = &dram::PolicyRegistry::Global().Get(policy);
   dram::PolicyBuildContext ctx;
   ctx.rows = config_.tech.rows;
   ctx.base_window = config_.timing.t_refw;
   ctx.t_refi = config_.timing.t_refi;
   ctx.trfc_full = TauFullCycles();
   ctx.trfc_partial = TauPartialCycles();
-  const double clock = config_.tech.clock_period_s;
-  switch (kind) {
-    case PolicyKind::kRaidr:
-      ctx.binned_plan = dram::MakeRefreshPlan(binning_, clock);
-      break;
-    case PolicyKind::kVrl:
-    case PolicyKind::kVrlAccess:
-    case PolicyKind::kVrlSkip:
-      ctx.vrl_plan = dram::MakeRefreshPlan(binning_, clock, row_mprsf_);
-      break;
-    default:
-      break;
-  }
-  const std::string name = PolicyName(kind);
-  return [ctx, name]() {
-    return dram::PolicyRegistry::Global().Build(name, ctx);
-  };
+  (info->plan == dram::RowPlanKind::kMprsf ? ctx.vrl_plan : ctx.binned_plan) =
+      PlanFor(*info);
+  return [ctx, info]() { return info->make(ctx); };
 }
 
 dram::SimulationStats VrlSystem::Simulate(
-    PolicyKind kind, const std::vector<dram::Request>& requests,
+    std::string_view policy, const std::vector<dram::Request>& requests,
     Cycles horizon, telemetry::Recorder* recorder,
     dram::CommandLog* audit) const {
   dram::MemoryController controller(config_.TimingTableFor(),
-                                    config_.tech.rows, MakePolicyFactory(kind),
+                                    config_.tech.rows,
+                                    MakePolicyFactory(policy),
                                     config_.scheduler, config_.page_policy,
                                     config_.subarrays);
   if (recorder == nullptr) {
@@ -251,7 +212,7 @@ Cycles VrlSystem::HorizonForWindows(std::size_t windows) const {
 }
 
 fault::CampaignReport VrlSystem::RunFaultCampaign(
-    PolicyKind kind, fault::FaultSchedule& faults,
+    std::string_view policy, fault::FaultSchedule& faults,
     const FaultCampaignOptions& options) const {
   fault::CampaignSetup setup;
   setup.clock_period_s = config_.tech.clock_period_s;
@@ -266,35 +227,22 @@ fault::CampaignReport VrlSystem::RunFaultCampaign(
   setup.on_window = options.on_window;
   setup.heartbeat = options.heartbeat;
 
-  auto policy = MakePolicyFactory(kind)();
+  const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(policy);
+  auto inner = MakePolicyFactory(info.name)();
   if (!options.adaptive) {
-    return fault::RunCampaign(*model_, *profile_, *policy, faults, setup);
+    return fault::RunCampaign(*model_, *profile_, *inner, faults, setup);
   }
 
-  // Base plan the demotion ladder starts from.  For JEDEC every row's base
-  // setting is the base window (its binned period would *lengthen* the
-  // schedule); the retention-aware policies start from their binned plan.
-  dram::RowRefreshPlan plan;
-  switch (kind) {
-    case PolicyKind::kJedec:
-    case PolicyKind::kDarp:
-    case PolicyKind::kSarp:
-      // Base-window schedules: every row's base setting is t_refw (DARP and
-      // SARP reschedule *when* a refresh lands, not how often).
-      plan.period_cycles.assign(config_.tech.rows, config_.timing.t_refw);
-      break;
-    case PolicyKind::kRaidr:
-      plan = dram::MakeRefreshPlan(binning_, config_.tech.clock_period_s);
-      break;
-    case PolicyKind::kVrl:
-    case PolicyKind::kVrlAccess:
-    case PolicyKind::kVrlSkip:
-      plan = dram::MakeRefreshPlan(binning_, config_.tech.clock_period_s,
-                                   row_mprsf_);
-      break;
+  // Base plan the demotion ladder starts from: the retention-aware policies
+  // start from the plan they consume.  Base-window schedules (JEDEC, and
+  // DARP/SARP, which reschedule *when* a refresh lands, not how often) set
+  // every row to t_refw: a binned period would *lengthen* the schedule.
+  dram::RowRefreshPlan plan = PlanFor(info);
+  if (info.plan == dram::RowPlanKind::kNone) {
+    plan.period_cycles.assign(config_.tech.rows, config_.timing.t_refw);
   }
   fault::AdaptiveVrlPolicy adaptive(
-      std::move(policy), std::move(plan), TauFullCycles(),
+      std::move(inner), std::move(plan), TauFullCycles(),
       TauPartialCycles(), config_.timing.t_refw, config_.timing.t_refi,
       options.adaptive_params);
   return fault::RunCampaign(*model_, *profile_, adaptive, faults, setup);

@@ -11,6 +11,7 @@
 #include "common/technology.hpp"
 #include "common/units.hpp"
 #include "dram/controller.hpp"
+#include "dram/policy_registry.hpp"
 #include "dram/refresh_policy.hpp"
 #include "dram/timing.hpp"
 #include "dram/timing_table.hpp"
@@ -34,26 +35,20 @@
 ///   vrl::core::VrlConfig config;            // defaults follow the paper
 ///   vrl::core::VrlSystem system(config);
 ///   auto trace = ...;                        // trace::GenerateTrace or file
-///   auto stats = system.Simulate(vrl::core::PolicyKind::kVrlAccess,
-///                                trace, horizon_cycles);
+///   auto stats = system.Simulate("VRL-Access", trace, horizon_cycles);
 ///   double overhead = stats.RefreshOverheadPerBank();
 
 namespace vrl::core {
 
-/// Which refresh scheduling policy to simulate.
-///
-/// Legacy enum: the authoritative policy table (names, descriptions,
-/// factories) is dram::PolicyRegistry — prefer it in new code; this enum
-/// delegates to it and exists for the PolicyKind-typed core APIs below.
-enum class PolicyKind {
-  kJedec,
-  kRaidr,
-  kVrl,
-  kVrlAccess,
-  kVrlSkip,
-  kDarp,
-  kSarp,
-};
+/// A refresh policy is named by its dram::PolicyRegistry name; every API
+/// below takes any spelling the registry accepts.  This alias exists only
+/// so the performance ledger (bench/ledger/vrl_bench.cpp) compiles as is.
+using PolicyKind = std::string;
+
+/// The canonical registry name for `name` (PolicyRegistry::Get(name).name).
+/// Exists only for the performance ledger (bench/ledger/vrl_bench.cpp).
+/// \throws vrl::ConfigError on an unknown name.
+std::string PolicyFromName(std::string_view name);
 
 /// Options for VrlSystem::RunFaultCampaign.
 struct FaultCampaignOptions {
@@ -81,17 +76,6 @@ struct FaultCampaignOptions {
   /// (docs/RESILIENCE.md).  Must not mutate campaign state.
   std::function<void()> heartbeat;
 };
-
-/// Human-readable policy name (the dram::PolicyRegistry canonical name).
-/// Legacy shim over the registry — prefer dram::PolicyRegistry directly.
-std::string PolicyName(PolicyKind kind);
-
-/// Round-trip inverse of PolicyName.  Case-insensitive; '-' and '_' are
-/// interchangeable ("VRL-Access", "vrl_access" and "vrlaccess" all parse).
-/// Delegates to dram::PolicyRegistry, so the error lists every registered
-/// name.  Legacy shim — prefer dram::PolicyRegistry directly.
-/// \throws vrl::ConfigError on an unknown name.
-PolicyKind PolicyFromName(std::string_view name);
 
 /// Everything needed to build a VrlSystem.  Defaults reproduce the paper's
 /// evaluation setup: an 8192x32 bank at 90 nm, 64/128/192/256 ms retention
@@ -190,17 +174,19 @@ class VrlSystem {
   /// Address geometry matching the configured bank layout.
   trace::AddressGeometry Geometry() const;
 
-  /// Factory building a fresh per-bank policy instance of the given kind.
-  dram::PolicyFactory MakePolicyFactory(PolicyKind kind) const;
+  /// Factory building a fresh per-bank instance of the registry policy
+  /// `policy`.  \throws vrl::ConfigError on an unknown name.
+  dram::PolicyFactory MakePolicyFactory(std::string_view policy) const;
 
-  /// Runs a full simulation of `requests` (arrival-sorted) under a policy
-  /// for `horizon` cycles.  `recorder` overrides the telemetry sink for
-  /// this run; when null the system recorder (EnableTelemetry) is used, if
-  /// enabled.  Parallel drivers must pass an explicit per-task recorder —
-  /// never share one across threads (telemetry::ShardedRecorder).
+  /// Runs a full simulation of `requests` (arrival-sorted) under the
+  /// registry policy `policy` for `horizon` cycles.  `recorder` overrides
+  /// the telemetry sink for this run; when null the system recorder
+  /// (EnableTelemetry) is used, if enabled.  Parallel drivers must pass an
+  /// explicit per-task recorder — never share one across threads
+  /// (telemetry::ShardedRecorder).
   /// `audit`, when non-null, additionally records every DRAM command the
   /// run issues (PRE/ACT/RD/WR/REF) for dram::TimingAuditor replay.
-  dram::SimulationStats Simulate(PolicyKind kind,
+  dram::SimulationStats Simulate(std::string_view policy,
                                  const std::vector<dram::Request>& requests,
                                  Cycles horizon,
                                  telemetry::Recorder* recorder = nullptr,
@@ -220,19 +206,24 @@ class VrlSystem {
   Cycles HorizonForWindows(std::size_t windows) const;
 
   /// Runs a fault-injection campaign (see fault/campaign.hpp): one bank of
-  /// this system replayed against the physics while `faults` perturbs the
-  /// runtime retention.  With options.adaptive the policy is wrapped in
+  /// this system, refreshed by the registry policy `policy`, replayed
+  /// against the physics while `faults` perturbs the runtime retention.
+  /// With options.adaptive the policy is wrapped in
   /// fault::AdaptiveVrlPolicy and detected failures feed the degradation
   /// state machine; the returned report carries the failure event log and
   /// the state-machine counters.
   fault::CampaignReport RunFaultCampaign(
-      PolicyKind kind, fault::FaultSchedule& faults,
+      std::string_view policy, fault::FaultSchedule& faults,
       const FaultCampaignOptions& options = {}) const;
 
  private:
   /// Shared construction tail: plan (guardband, spares, binning, MPRSF)
   /// from a concrete profile.
   void InitializeFromProfile(retention::RetentionProfile profile);
+
+  /// The row plan `info`'s builder consumes (PolicyInfo::plan), built from
+  /// this system's binning and MPRSF; empty for RowPlanKind::kNone.
+  dram::RowRefreshPlan PlanFor(const dram::PolicyInfo& info) const;
 
   VrlConfig config_;
   std::unique_ptr<model::RefreshModel> model_;

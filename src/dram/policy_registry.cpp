@@ -35,6 +35,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"JEDEC",
        "conventional baseline: every row each base window, full latency",
+       RowPlanKind::kNone,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(ctx.rows != 0, "JEDEC", "rows");
          Require(ctx.base_window != 0, "JEDEC", "base_window");
@@ -45,6 +46,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"RAIDR",
        "retention-binned multi-rate refresh (Liu et al., ISCA 2012)",
+       RowPlanKind::kBinned,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(!ctx.binned_plan.period_cycles.empty(), "RAIDR",
                  "binned_plan");
@@ -54,6 +56,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"VRL",
        "variable refresh latency: MPRSF-counted partial/full ladder (Alg. 1)",
+       RowPlanKind::kMprsf,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(!ctx.vrl_plan.period_cycles.empty(), "VRL", "vrl_plan");
          Require(ctx.trfc_full != 0, "VRL", "trfc_full");
@@ -64,6 +67,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"VRL-Access",
        "VRL with activation-driven counter resets (paper Sec. 3.2)",
+       RowPlanKind::kMprsf,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(!ctx.vrl_plan.period_cycles.empty(), "VRL-Access",
                  "vrl_plan");
@@ -75,6 +79,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"VRL-Skip",
        "charge-aware VRL: recently restored rows skip, live proposals defer",
+       RowPlanKind::kMprsf,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(!ctx.vrl_plan.period_cycles.empty(), "VRL-Skip", "vrl_plan");
          Require(ctx.trfc_full != 0, "VRL-Skip", "trfc_full");
@@ -88,6 +93,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"DARP",
        "deferrable out-of-order per-bank REFpb around demand (1712.07754)",
+       RowPlanKind::kNone,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(ctx.rows != 0, "DARP", "rows");
          Require(ctx.base_window != 0, "DARP", "base_window");
@@ -101,6 +107,7 @@ PolicyRegistry::PolicyRegistry() {
   entries_.push_back(
       {"SARP",
        "subarray-parallel refresh: only same-subarray demand defers it",
+       RowPlanKind::kNone,
        [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
          Require(ctx.rows != 0, "SARP", "rows");
          Require(ctx.base_window != 0, "SARP", "base_window");

@@ -16,12 +16,11 @@
 /// policy the library ships.  Flag parsers (benches, examples, CI drivers)
 /// resolve user-supplied policy names here, so "unknown policy" errors list
 /// the same set of names everywhere and a newly registered policy shows up
-/// in every tool at once.
-///
-/// `core::PolicyKind` / `core::PolicyFromName` predate the registry and now
-/// delegate to it — new code should consult the registry directly.  The
-/// scheduler name table (SchedulerEntries) lives here too, so the two flag
-/// vocabularies are maintained side by side.
+/// in every tool at once.  A registry name is the only policy identifier
+/// the library has: core, runtime, benches and examples all take it, and
+/// write out the canonical PolicyInfo::name.  The scheduler name table
+/// (SchedulerEntries) lives here too, so the two flag vocabularies are
+/// maintained side by side.
 
 namespace vrl::dram {
 
@@ -46,11 +45,20 @@ struct PolicyBuildContext {
   }
 };
 
+/// Which retention-aware row plan a policy's builder consumes.
+enum class RowPlanKind {
+  kNone,    ///< None: every row each base window (JEDEC, DARP, SARP).
+  kBinned,  ///< Binned periods, no MPRSF (RAIDR): binned_plan.
+  kMprsf,   ///< Binned periods plus MPRSF (the VRL family): vrl_plan.
+};
+
 /// One registered policy: canonical display name, a one-line description
-/// (help text), and the factory building a fresh per-bank instance.
+/// (help text), the row plan its builder requires, and the factory building
+/// a fresh per-bank instance.
 struct PolicyInfo {
   std::string name;
   std::string description;
+  RowPlanKind plan;
   std::function<std::unique_ptr<RefreshPolicy>(const PolicyBuildContext&)>
       make;
 };

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/config_io.hpp"
+#include "dram/policy_registry.hpp"
 #include "runtime/codec.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/supervisor.hpp"
@@ -81,14 +82,14 @@ std::uint64_t SuiteConfigDigest(const core::VrlSystem& system,
 }
 
 std::uint64_t ResilienceConfigDigest(const core::VrlSystem& system,
-                                     core::PolicyKind kind,
+                                     std::string_view policy,
                                      const retention::VrtParams& vrt,
                                      const core::ExperimentOptions& options) {
   std::ostringstream os;
   os << "resilience_comparison\n";
   core::WriteVrlConfig(system.config(), os);
   DigestCommonOptions(os, options);
-  os << "policy " << core::PolicyName(kind) << '\n';
+  os << "policy " << dram::PolicyRegistry::Global().Get(policy).name << '\n';
   os << "fault_seed " << options.fault_seed << '\n';
   os << "vrt " << EncodeDouble(vrt.row_fraction) << ' '
      << EncodeDouble(vrt.low_ratio) << ' '
@@ -169,14 +170,14 @@ std::vector<core::WorkloadResult> RunEvaluationSuite(
 }
 
 core::ResilienceResult RunResilienceComparison(
-    const core::VrlSystem& system, core::PolicyKind kind,
+    const core::VrlSystem& system, std::string_view policy,
     const retention::VrtParams& vrt, const core::ExperimentOptions& options,
     const RuntimeOptions& runtime, RunnerStats* stats) {
-  const std::vector<core::ResilienceLeg> legs = core::ResilienceLegs(kind);
+  const std::vector<core::ResilienceLeg> legs = core::ResilienceLegs(policy);
   telemetry::Recorder* sink = ResolveSink(system, options);
   const auto payloads = RunJournaledLegs(
       "resilience_comparison",
-      ResilienceConfigDigest(system, kind, vrt, options), legs.size(),
+      ResilienceConfigDigest(system, policy, vrt, options), legs.size(),
       [&](std::size_t i) {
         telemetry::Recorder leg_recorder(LegRecorderOptions(sink));
         // WorkerHeartbeat / WorkerPublishTelemetry are no-ops outside a

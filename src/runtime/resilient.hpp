@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -46,7 +47,7 @@ std::uint64_t SuiteConfigDigest(const core::VrlSystem& system,
 
 /// Digest of a resilience-comparison campaign.
 std::uint64_t ResilienceConfigDigest(const core::VrlSystem& system,
-                                     core::PolicyKind kind,
+                                     std::string_view policy,
                                      const retention::VrtParams& vrt,
                                      const core::ExperimentOptions& options);
 
@@ -66,7 +67,7 @@ std::vector<core::WorkloadResult> RunEvaluationSuite(
 /// fault::CampaignSetup::heartbeat when executing in a worker child, so a
 /// healthy long campaign is never mistaken for a hang.
 core::ResilienceResult RunResilienceComparison(
-    const core::VrlSystem& system, core::PolicyKind kind,
+    const core::VrlSystem& system, std::string_view policy,
     const retention::VrtParams& vrt, const core::ExperimentOptions& options,
     const RuntimeOptions& runtime, RunnerStats* stats = nullptr);
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/error.hpp"
 #include "core/experiments.hpp"
 #include "core/sweep.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 
 namespace vrl::core {
 namespace {
@@ -62,16 +66,13 @@ TEST_F(VrlSystemTest, PolicyOrderingHolds) {
       trace::MapToRequests(records, trace::AddressMapper(system_->Geometry()));
 
   const double jedec =
-      system_->Simulate(PolicyKind::kJedec, requests, horizon)
-          .RefreshOverheadPerBank();
+      system_->Simulate("JEDEC", requests, horizon).RefreshOverheadPerBank();
   const double raidr =
-      system_->Simulate(PolicyKind::kRaidr, requests, horizon)
-          .RefreshOverheadPerBank();
-  const double vrl = system_->Simulate(PolicyKind::kVrl, requests, horizon)
-                         .RefreshOverheadPerBank();
-  const double vrl_access =
-      system_->Simulate(PolicyKind::kVrlAccess, requests, horizon)
-          .RefreshOverheadPerBank();
+      system_->Simulate("RAIDR", requests, horizon).RefreshOverheadPerBank();
+  const double vrl =
+      system_->Simulate("VRL", requests, horizon).RefreshOverheadPerBank();
+  const double vrl_access = system_->Simulate("VRL-Access", requests, horizon)
+                                .RefreshOverheadPerBank();
 
   EXPECT_GT(jedec, raidr);
   EXPECT_GT(raidr, vrl);
@@ -82,10 +83,10 @@ TEST_F(VrlSystemTest, VrlSavingsInPaperRange) {
   // The headline: VRL cuts refresh overhead vs RAIDR by ~23% (we accept
   // 15-35%), application-independent.
   const Cycles horizon = system_->HorizonForWindows(8);
-  const double raidr = system_->Simulate(PolicyKind::kRaidr, {}, horizon)
-                           .RefreshOverheadPerBank();
+  const double raidr =
+      system_->Simulate("RAIDR", {}, horizon).RefreshOverheadPerBank();
   const double vrl =
-      system_->Simulate(PolicyKind::kVrl, {}, horizon).RefreshOverheadPerBank();
+      system_->Simulate("VRL", {}, horizon).RefreshOverheadPerBank();
   const double saving = 1.0 - vrl / raidr;
   EXPECT_GT(saving, 0.15);
   EXPECT_LT(saving, 0.35);
@@ -99,11 +100,9 @@ TEST_F(VrlSystemTest, VrlOverheadIsApplicationIndependent) {
   const auto requests =
       trace::MapToRequests(records, trace::AddressMapper(system_->Geometry()));
   const double with_trace =
-      system_->Simulate(PolicyKind::kVrl, requests, horizon)
-          .RefreshOverheadPerBank();
+      system_->Simulate("VRL", requests, horizon).RefreshOverheadPerBank();
   const double without =
-      system_->Simulate(PolicyKind::kVrl, {}, horizon)
-          .RefreshOverheadPerBank();
+      system_->Simulate("VRL", {}, horizon).RefreshOverheadPerBank();
   EXPECT_DOUBLE_EQ(with_trace, without);
 }
 
@@ -143,10 +142,13 @@ TEST(VrlConfigTest, ValidatesBanks) {
 }
 
 TEST(PolicyNameTest, AllNamesDistinct) {
-  EXPECT_EQ(PolicyName(PolicyKind::kJedec), "JEDEC");
-  EXPECT_EQ(PolicyName(PolicyKind::kRaidr), "RAIDR");
-  EXPECT_EQ(PolicyName(PolicyKind::kVrl), "VRL");
-  EXPECT_EQ(PolicyName(PolicyKind::kVrlAccess), "VRL-Access");
+  std::set<std::string> names;
+  for (const dram::PolicyInfo& info : dram::PolicyRegistry::Global().entries()) {
+    EXPECT_TRUE(names.insert(info.name).second) << info.name;
+  }
+  for (const char* name : {"JEDEC", "RAIDR", "VRL", "VRL-Access"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
 }
 
 TEST(AverageTest, AveragesNormalizedOverheads) {

@@ -277,7 +277,7 @@ TEST(SpareRows, GuardedAndRemappedSystemIsSafeAtRatedTemperature) {
   const core::VrlSystem system(config);
   // Rated to 55C; check inside the rating.
   const core::IntegrityChecker checker(system, 0.55);  // scale > 1/guard
-  EXPECT_FALSE(checker.Check(core::PolicyKind::kVrl, 8).DataLost());
+  EXPECT_FALSE(checker.Check("VRL", 8).DataLost());
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ TEST(ExternalProfile, SystemAcceptsMeasuredProfile) {
   const core::VrlSystem system(config, measured);
   EXPECT_EQ(system.profile().rows(), config.tech.rows);
   const core::IntegrityChecker checker(system, truth);
-  const auto report = checker.Check(core::PolicyKind::kVrl, 8);
+  const auto report = checker.Check("VRL", 8);
   // Measurement is conservative (grid rounds down), so planning from it is
   // safe against the truth.
   EXPECT_FALSE(report.DataLost());

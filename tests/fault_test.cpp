@@ -551,8 +551,8 @@ TEST(Campaign, AdaptiveSurvivesVrtWherePlainVrlLosesData) {
   core::ExperimentOptions options;
   options.windows = 8;
   options.fault_seed = 0xFA11ULL;
-  const auto result = core::RunResilienceComparison(
-      system, core::PolicyKind::kVrl, vrt, options);
+  const auto result =
+      core::RunResilienceComparison(system, "VRL", vrt, options);
 
   // The JEDEC baseline never fails (full rate, full latency).
   EXPECT_EQ(result.jedec.detected_failures, 0u);
@@ -587,10 +587,8 @@ TEST(Campaign, ThreeLegsShareTheFaultTrace) {
   core::ExperimentOptions options;
   options.windows = 4;
   options.fault_seed = 77;
-  const auto a = core::RunResilienceComparison(system, core::PolicyKind::kVrl,
-                                               vrt, options);
-  const auto b = core::RunResilienceComparison(system, core::PolicyKind::kVrl,
-                                               vrt, options);
+  const auto a = core::RunResilienceComparison(system, "VRL", vrt, options);
+  const auto b = core::RunResilienceComparison(system, "VRL", vrt, options);
   // Deterministic end to end.
   EXPECT_EQ(a.plain.detected_failures, b.plain.detected_failures);
   EXPECT_EQ(a.adaptive.detected_failures, b.adaptive.detected_failures);
@@ -606,8 +604,7 @@ TEST(Campaign, RejectsJedecAsComparisonPolicy) {
   core::ExperimentOptions options;
   options.windows = 2;
   options.fault_seed = 1;
-  EXPECT_THROW(core::RunResilienceComparison(
-                   system, core::PolicyKind::kJedec, vrt, options),
+  EXPECT_THROW(core::RunResilienceComparison(system, "JEDEC", vrt, options),
                ConfigError);
 }
 

@@ -166,7 +166,7 @@ TracedRunExports TracedFlatVrlAccessRun() {
       trace::SuiteWorkload("streamcluster"), system.Geometry(), horizon, rng);
   const auto requests =
       trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
-  system.Simulate(core::PolicyKind::kVrlAccess, requests, horizon, &recorder);
+  system.Simulate("VRL-Access", requests, horizon, &recorder);
 
   TracedRunExports exports;
   std::ostringstream chrome;

@@ -10,6 +10,7 @@
 #include "circuit/transient.hpp"
 #include "core/integrity.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 #include "model/equalization.hpp"
 #include "model/presensing.hpp"
 #include "retention/temperature.hpp"
@@ -100,11 +101,10 @@ TEST_P(IntegrityAtProfilingConditions, AllPoliciesAreLossFree) {
   const core::VrlSystem system(config);
   const core::IntegrityChecker checker(system);
 
-  for (const auto kind : {core::PolicyKind::kJedec, core::PolicyKind::kRaidr,
-                          core::PolicyKind::kVrl,
-                          core::PolicyKind::kVrlAccess}) {
-    const auto report = checker.Check(kind, 8);
-    EXPECT_FALSE(report.DataLost()) << core::PolicyName(kind);
+  for (const dram::PolicyInfo& info :
+       dram::PolicyRegistry::Global().entries()) {
+    const auto report = checker.Check(info.name, 8);
+    EXPECT_FALSE(report.DataLost()) << info.name;
     EXPECT_GT(report.refreshes_checked, 0u);
     EXPECT_GE(report.min_margin, -1e-12);
   }
@@ -134,7 +134,7 @@ TEST(Integrity, VrlUsesPartialsButStaysSafe) {
   config.banks = 1;
   const core::VrlSystem system(config);
   const core::IntegrityChecker checker(system);
-  const auto report = checker.Check(core::PolicyKind::kVrl, 8);
+  const auto report = checker.Check("VRL", 8);
   EXPECT_GT(report.partial_refreshes, report.refreshes_checked / 4);
   EXPECT_FALSE(report.DataLost());
 }
@@ -146,7 +146,7 @@ TEST(Integrity, HotterThanProfilingLosesDataWithoutGuardband) {
   const retention::TemperatureModel temperature;
   const core::IntegrityChecker checker(system,
                                        temperature.RetentionScale(55.0));
-  EXPECT_TRUE(checker.Check(core::PolicyKind::kVrl, 8).DataLost());
+  EXPECT_TRUE(checker.Check("VRL", 8).DataLost());
 }
 
 TEST(Integrity, GuardbandCoversItsRatedTemperature) {
@@ -159,7 +159,7 @@ TEST(Integrity, GuardbandCoversItsRatedTemperature) {
   // ignore the clamped weak rows (they are reported as unprotected).
   const double scale = temperature.RetentionScale(52.0);
   const core::IntegrityChecker checker(system, scale);
-  const auto report = checker.Check(core::PolicyKind::kVrl, 8);
+  const auto report = checker.Check("VRL", 8);
   // Failures, if any, must be attributable to clamped rows only.
   EXPECT_LE(report.failures, system.guardband_clamped_rows() * 200);
   if (system.guardband_clamped_rows() == 0) {
@@ -183,7 +183,7 @@ TEST(Integrity, WorstCaseVrtNeedsGuardband) {
 
   // Without a guardband the VRT rows fail...
   const core::IntegrityChecker bare(unguarded, runtime);
-  EXPECT_TRUE(bare.Check(core::PolicyKind::kVrl, 8).DataLost());
+  EXPECT_TRUE(bare.Check("VRL", 8).DataLost());
 
   // ...with a guardband covering the VRT low ratio they do not (modulo
   // clamped weak rows).
@@ -196,7 +196,7 @@ TEST(Integrity, WorstCaseVrtNeedsGuardband) {
   const auto guarded_runtime = retention::WorstCaseRuntimeProfile(
       guarded.profile(), guarded_vrt_rows, vrt);
   const core::IntegrityChecker safe(guarded, guarded_runtime);
-  const auto report = safe.Check(core::PolicyKind::kVrl, 8);
+  const auto report = safe.Check("VRL", 8);
   EXPECT_LE(report.failures, guarded.guardband_clamped_rows() * 200);
 }
 
@@ -205,8 +205,7 @@ TEST(IntegrityChecker, RejectsBadInputs) {
   config.banks = 1;
   const core::VrlSystem system(config);
   EXPECT_THROW(core::IntegrityChecker(system, 0.0), ConfigError);
-  EXPECT_THROW(core::IntegrityChecker(system).Check(core::PolicyKind::kVrl, 0),
-               ConfigError);
+  EXPECT_THROW(core::IntegrityChecker(system).Check("VRL", 0), ConfigError);
   const retention::RetentionProfile wrong_size({1.0, 2.0});
   EXPECT_THROW(core::IntegrityChecker(system, wrong_size), ConfigError);
   std::vector<std::size_t> wrong_mprsf(3, 1);
@@ -234,11 +233,9 @@ TEST_P(GuardbandProperty, MoreGuardMoreOverheadMoreClamped) {
 
   const Cycles horizon = plain.HorizonForWindows(8);
   const double plain_overhead =
-      plain.Simulate(core::PolicyKind::kVrl, {}, horizon)
-          .RefreshOverheadPerBank();
+      plain.Simulate("VRL", {}, horizon).RefreshOverheadPerBank();
   const double guarded_overhead =
-      guarded.Simulate(core::PolicyKind::kVrl, {}, horizon)
-          .RefreshOverheadPerBank();
+      guarded.Simulate("VRL", {}, horizon).RefreshOverheadPerBank();
   EXPECT_GE(guarded_overhead, plain_overhead * 0.999);
 }
 

@@ -761,8 +761,7 @@ TEST(MonitorPlaneCampaign, LiveScrapeMatchesEndOfRunSnapshotAndHealthFlips) {
       mid_run_scrape = HttpGet(plane.server()->port(), "/metrics");
     }
   };
-  const auto report = system.RunFaultCampaign(core::PolicyKind::kVrl, faults,
-                                              options);
+  const auto report = system.RunFaultCampaign("VRL", faults, options);
   ASSERT_GT(report.detected_failures, 0u);
   plane.Sample(recorder);  // final end-of-run publish
 

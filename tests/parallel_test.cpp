@@ -290,8 +290,8 @@ TEST(Determinism, FaultCampaignLegsBitIdenticalAtOneTwoAndEightThreads) {
   std::vector<core::ResilienceResult> runs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     const ScopedThreadCount scoped(threads);
-    runs.push_back(core::RunResilienceComparison(
-        system, core::PolicyKind::kVrl, vrt, options));
+    runs.push_back(
+        core::RunResilienceComparison(system, "VRL", vrt, options));
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
     ExpectReportBitIdentical(runs[0].jedec, runs[r].jedec);
@@ -321,23 +321,20 @@ TEST(SharedState, ResilienceLegsMatchIndependentlyBuiltCampaigns) {
   core::ExperimentOptions experiment;
   experiment.windows = kWindows;
   experiment.fault_seed = kSeed;
-  const auto comparison = core::RunResilienceComparison(
-      system, core::PolicyKind::kVrl, vrt, experiment);
+  const auto comparison =
+      core::RunResilienceComparison(system, "VRL", vrt, experiment);
 
-  const auto run_leg = [&](core::PolicyKind kind, bool adaptive) {
+  const auto run_leg = [&](const char* policy, bool adaptive) {
     fault::FaultSchedule faults(kSeed);
     faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
     core::FaultCampaignOptions options;
     options.windows = kWindows;
     options.adaptive = adaptive;
-    return system.RunFaultCampaign(kind, faults, options);
+    return system.RunFaultCampaign(policy, faults, options);
   };
-  ExpectReportBitIdentical(comparison.jedec,
-                           run_leg(core::PolicyKind::kJedec, false));
-  ExpectReportBitIdentical(comparison.plain,
-                           run_leg(core::PolicyKind::kVrl, false));
-  ExpectReportBitIdentical(comparison.adaptive,
-                           run_leg(core::PolicyKind::kVrl, true));
+  ExpectReportBitIdentical(comparison.jedec, run_leg("JEDEC", false));
+  ExpectReportBitIdentical(comparison.plain, run_leg("VRL", false));
+  ExpectReportBitIdentical(comparison.adaptive, run_leg("VRL", true));
 
   // The non-adaptive legs carry no adaptive state: the shared options
   // struct can no longer leak adaptive=true into them, whatever order the

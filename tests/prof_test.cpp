@@ -447,7 +447,7 @@ TEST(ProfileEndpoint, ServesLiveTreeMidCampaignWithSelfObservability) {
       mid_run_collapsed = HttpGet(port, "/profile?format=collapsed");
     }
   };
-  system.RunFaultCampaign(core::PolicyKind::kVrl, faults, options);
+  system.RunFaultCampaign("VRL", faults, options);
   plane.Sample(recorder);
 
   ASSERT_FALSE(mid_run_profile.empty());

@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,6 +22,8 @@
 #include "dram/scheduler.hpp"
 #include "dram/timing_table.hpp"
 #include "dram/topology.hpp"
+#include "retention/vrt.hpp"
+#include "runtime/resilient.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -266,22 +269,75 @@ TEST(RefreshGranularity, TimingTableCarriesAndValidatesTrfcPb) {
 // Policy registry
 // ---------------------------------------------------------------------------
 
-TEST(PolicyRegistry, RoundTripsEveryEntryThroughPolicyKind) {
-  const auto& registry = dram::PolicyRegistry::Global();
-  ASSERT_EQ(registry.entries().size(), 7u);
-  for (const dram::PolicyInfo& info : registry.entries()) {
-    const core::PolicyKind kind = core::PolicyFromName(info.name);
-    EXPECT_EQ(core::PolicyName(kind), info.name);
-    EXPECT_FALSE(info.description.empty());
-  }
-}
-
+// A registry name is the only policy identifier, so every alias must reach
+// the canonical name, and through it the same bytes wherever a name is
+// written out (report meta, journal digests).
 TEST(PolicyRegistry, CanonicalizesSpellings) {
   const auto& registry = dram::PolicyRegistry::Global();
-  EXPECT_EQ(registry.Get("vrl_skip").name, "VRL-Skip");
-  EXPECT_EQ(registry.Get("VRLACCESS").name, "VRL-Access");
-  EXPECT_EQ(registry.Get("darp").name, "DARP");
-  EXPECT_EQ(registry.Find("nope"), nullptr);
+  for (const dram::PolicyInfo& info : registry.entries()) {
+    EXPECT_EQ(&registry.Get(info.name), &info) << info.name;
+  }
+  const std::pair<const char*, const char*> aliases[] = {
+      {"vrl_access", "VRL-Access"}, {"VRLACCESS", "VRL-Access"},
+      {"VrlAccess", "VRL-Access"},  {"jedec", "JEDEC"},
+      {"vrl_skip", "VRL-Skip"},     {"darp", "DARP"},
+  };
+  for (const auto& [alias, name] : aliases) {
+    EXPECT_EQ(registry.Get(alias).name, name) << alias;
+  }
+  // "--__" canonicalizes to empty, not to a policy.
+  for (const char* bad : {"ddr5", "nope", "", "--__"}) {
+    EXPECT_EQ(registry.Find(bad), nullptr) << bad;
+    EXPECT_THROW(registry.Get(bad), ConfigError) << bad;
+  }
+
+  const core::VrlSystem system(SmallConfig());
+  const retention::VrtParams vrt;
+  const core::ExperimentOptions options;
+  const auto digest = [&](const char* policy) {
+    return runtime::ResilienceConfigDigest(system, policy, vrt, options);
+  };
+  EXPECT_EQ(digest("vrl_access"), digest("VRL-Access"));
+  EXPECT_NE(digest("vrl_access"), digest("VRL"));
+}
+
+// PolicyInfo::plan is the only per-policy knowledge VrlSystem has: a
+// context carrying just the declared plan must build, and a plan-consuming
+// entry given only the other plan must throw.
+TEST(PolicyRegistry, PlanFieldMatchesEachBuildersRequirements) {
+  dram::PolicyBuildContext base;
+  base.rows = 4;
+  base.base_window = 1000;
+  base.t_refi = 125;
+  base.trfc_full = 50;
+  base.trfc_partial = 20;
+  dram::RowRefreshPlan binned;
+  binned.period_cycles = {1000, 2000, 1000, 2000};
+  dram::RowRefreshPlan with_mprsf = binned;
+  with_mprsf.mprsf = {1, 2, 1, 2};
+
+  for (const dram::PolicyInfo& info :
+       dram::PolicyRegistry::Global().entries()) {
+    EXPECT_FALSE(info.description.empty()) << info.name;
+    dram::PolicyBuildContext declared = base;
+    dram::PolicyBuildContext other = base;
+    switch (info.plan) {
+      case dram::RowPlanKind::kNone:
+        break;
+      case dram::RowPlanKind::kBinned:
+        declared.binned_plan = binned;
+        other.vrl_plan = with_mprsf;
+        break;
+      case dram::RowPlanKind::kMprsf:
+        declared.vrl_plan = with_mprsf;
+        other.binned_plan = binned;
+        break;
+    }
+    EXPECT_NO_THROW(info.make(declared)) << info.name;
+    if (info.plan != dram::RowPlanKind::kNone) {
+      EXPECT_THROW(info.make(other), ConfigError) << info.name;
+    }
+  }
 }
 
 TEST(PolicyRegistry, UnknownNameListsEveryValidName) {

@@ -381,13 +381,13 @@ TEST(ReportEmit, StdoutJsonReplacesTextRendering) {
 // -- PolicyFromName -----------------------------------------------------------
 
 TEST(PolicyFromName, CanonicalizesCaseAndSeparators) {
-  EXPECT_EQ(core::PolicyFromName("JEDEC"), core::PolicyKind::kJedec);
-  EXPECT_EQ(core::PolicyFromName("jedec"), core::PolicyKind::kJedec);
-  EXPECT_EQ(core::PolicyFromName("RAIDR"), core::PolicyKind::kRaidr);
-  EXPECT_EQ(core::PolicyFromName("VRL"), core::PolicyKind::kVrl);
-  EXPECT_EQ(core::PolicyFromName("VRL-Access"), core::PolicyKind::kVrlAccess);
-  EXPECT_EQ(core::PolicyFromName("vrl_access"), core::PolicyKind::kVrlAccess);
-  EXPECT_EQ(core::PolicyFromName("VrlAccess"), core::PolicyKind::kVrlAccess);
+  EXPECT_EQ(core::PolicyFromName("JEDEC"), "JEDEC");
+  EXPECT_EQ(core::PolicyFromName("jedec"), "JEDEC");
+  EXPECT_EQ(core::PolicyFromName("RAIDR"), "RAIDR");
+  EXPECT_EQ(core::PolicyFromName("VRL"), "VRL");
+  EXPECT_EQ(core::PolicyFromName("VRL-Access"), "VRL-Access");
+  EXPECT_EQ(core::PolicyFromName("vrl_access"), "VRL-Access");
+  EXPECT_EQ(core::PolicyFromName("VrlAccess"), "VRL-Access");
 }
 
 TEST(PolicyFromName, UnknownAndEmptyNamesThrow) {

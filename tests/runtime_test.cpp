@@ -882,11 +882,9 @@ TEST(Resilient, ResilienceComparisonMatchesCore) {
   options.windows = 4;
 
   const auto expected =
-      core::RunResilienceComparison(system, core::PolicyKind::kVrl, vrt,
-                                    options);
+      core::RunResilienceComparison(system, "VRL", vrt, options);
   const auto actual = runtime::RunResilienceComparison(
-      system, core::PolicyKind::kVrl, vrt, options,
-      runtime::RuntimeOptions{});
+      system, "VRL", vrt, options, runtime::RuntimeOptions{});
   EXPECT_EQ(actual.jedec, expected.jedec);
   EXPECT_EQ(actual.plain, expected.plain);
   EXPECT_EQ(actual.adaptive, expected.adaptive);

@@ -7,7 +7,7 @@
 //  2. The determinism contract end to end: the merged telemetry of
 //     RunEvaluationSuite and of the fault-campaign comparison must export
 //     byte-identically at 1, 2 and 8 threads.
-//  3. The API-redesign seam: PolicyFromName inverts PolicyName.
+//  3. The name seam: PolicyFromName is the identity on registry names.
 
 #include "telemetry/recorder.hpp"
 
@@ -21,6 +21,7 @@
 #include "common/error.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 #include "retention/vrt.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/federation.hpp"
@@ -245,8 +246,7 @@ TEST(Determinism, FaultCampaignTelemetryIsByteIdenticalAcrossThreads) {
     options.threads = threads;
     options.telemetry = &sink;
     const auto result =
-        core::RunResilienceComparison(system, core::PolicyKind::kVrl, vrt,
-                                      options);
+        core::RunResilienceComparison(system, "VRL", vrt, options);
     EXPECT_GT(result.jedec.refresh_busy_cycles, 0u);
     const std::string bytes = ExportBytes(sink);
     const auto snapshot = sink.Snapshot();
@@ -282,18 +282,16 @@ TEST(Determinism, ShardMergeMatchesSerialRecording) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. API-redesign seams
+// 3. Name seam
 // ---------------------------------------------------------------------------
 
 TEST(PolicyFromName, InvertsPolicyNameAndNormalizes) {
-  for (const auto kind :
-       {core::PolicyKind::kJedec, core::PolicyKind::kRaidr,
-        core::PolicyKind::kVrl, core::PolicyKind::kVrlAccess}) {
-    EXPECT_EQ(core::PolicyFromName(core::PolicyName(kind)), kind);
+  for (const dram::PolicyInfo& info : dram::PolicyRegistry::Global().entries()) {
+    EXPECT_EQ(core::PolicyFromName(info.name), info.name);
   }
-  EXPECT_EQ(core::PolicyFromName("vrl_access"), core::PolicyKind::kVrlAccess);
-  EXPECT_EQ(core::PolicyFromName("VRLACCESS"), core::PolicyKind::kVrlAccess);
-  EXPECT_EQ(core::PolicyFromName("jedec"), core::PolicyKind::kJedec);
+  EXPECT_EQ(core::PolicyFromName("vrl_access"), "VRL-Access");
+  EXPECT_EQ(core::PolicyFromName("VRLACCESS"), "VRL-Access");
+  EXPECT_EQ(core::PolicyFromName("jedec"), "JEDEC");
   EXPECT_THROW(core::PolicyFromName("ddr5"), ConfigError);
   EXPECT_THROW(core::PolicyFromName(""), ConfigError);
 }
@@ -307,7 +305,7 @@ TEST(VrlSystemTelemetry, SimulatePopulatesPolicyAndDramMetrics) {
   EXPECT_EQ(system.telemetry(), recorder);
 
   const auto horizon = system.HorizonForWindows(1);
-  system.Simulate(core::PolicyKind::kVrl, {}, horizon);
+  system.Simulate("VRL", {}, horizon);
   const auto snapshot = recorder->Snapshot();
   ASSERT_GT(snapshot.metrics.count("policy.full_refreshes"), 0u);
   EXPECT_GT(snapshot.metrics.at("policy.full_refreshes").count, 0u);

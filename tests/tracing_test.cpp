@@ -342,7 +342,7 @@ TEST(TracingIntegration, VrlAccessRunRecordsActivationResetLineage) {
       trace::SuiteWorkload("streamcluster"), system.Geometry(), horizon, rng);
   const auto requests =
       trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
-  system.Simulate(core::PolicyKind::kVrlAccess, requests, horizon, &recorder);
+  system.Simulate("VRL-Access", requests, horizon, &recorder);
 
   ASSERT_NE(recorder.tracer(), nullptr);
   std::size_t resets = 0;
@@ -373,8 +373,7 @@ TEST(TracingIntegration, TransitionsOnlyModeSkipsTheOpFirehose) {
   options.enable_tracing = true;  // lineage_ops stays false
   Recorder recorder(options);
 
-  system.Simulate(core::PolicyKind::kVrlAccess, {},
-                  system.HorizonForWindows(1), &recorder);
+  system.Simulate("VRL-Access", {}, system.HorizonForWindows(1), &recorder);
   ASSERT_NE(recorder.tracer(), nullptr);
   // No per-op lineage — but the run still produced spans.
   EXPECT_EQ(recorder.lineage().recorded(), 0u);
@@ -392,8 +391,8 @@ TEST(TracingIntegration, AdaptiveCampaignRecordsDemotionLineage) {
   core::ExperimentOptions options;
   options.windows = 4;
   options.telemetry = &recorder;
-  const auto result = core::RunResilienceComparison(
-      system, core::PolicyKind::kVrl, vrt, options);
+  const auto result =
+      core::RunResilienceComparison(system, "VRL", vrt, options);
   EXPECT_GT(result.jedec.refresh_busy_cycles, 0u);
 
   std::size_t demotions = 0;
