@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("ablation_guardband");
 
   const retention::TemperatureModel temperature;

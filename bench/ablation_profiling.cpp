@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace vrl;
   using namespace vrl::retention;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("ablation_profiling");
 
   Rng rng(2024);

@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("ablation_salp");
 
   // A hot workload so refresh stalls are visible in the latency.

@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("ablation_tau_partial");
   TextTable& table = report.AddTable(
       "sweep", {"restore target", "tau_partial (cyc)", "tau_full (cyc)",

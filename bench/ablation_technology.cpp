@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("ablation_technology");
   TextTable& table = report.AddTable(
       "nodes", {"node", "Vdd", "tau_full (cyc)", "tau_partial (cyc)", "ratio",

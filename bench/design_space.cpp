@@ -27,10 +27,10 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  bench::ReportOptions report_options;
+  const auto report_options = bench::ParseFlags(
+      argc, argv, bench::kOutput | bench::kMonitor | bench::kRuntime);
   std::unique_ptr<obs::MonitorPlane> plane;
   try {
-    report_options = bench::ParseReportArgs(argc, argv);
     plane = bench::MakeMonitorPlane(report_options, std::cout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

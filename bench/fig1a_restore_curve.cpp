@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   const TechnologyParams tech;
   const model::RefreshModel refresh_model(tech);
   const auto curve = refresh_model.RestoreCurve();

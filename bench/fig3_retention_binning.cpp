@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace vrl;
   using namespace vrl::retention;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   Rng rng(42);
   const RetentionDistribution dist;
 

@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options =
+      bench::ParseFlags(argc, argv, bench::kOutput | bench::kProfile);
   core::VrlConfig config;
   core::VrlSystem system(config);
   telemetry::RecorderOptions recorder_options;

@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   const TechnologyParams tech;
   const model::EqualizationModel two_phase(tech);
   const model::SingleCellModel single_cell(tech);

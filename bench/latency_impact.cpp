@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("latency_impact");
 
   constexpr std::size_t kWindows = 8;

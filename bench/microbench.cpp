@@ -335,29 +335,26 @@ BENCHMARK(BM_GenerateTrace);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): peel off the shared reporting
-// flags (--serve/--watchdog — the observability plane of
-// docs/OBSERVABILITY.md) before handing the remaining arguments to
-// google-benchmark.  With the plane attached, a session recorder is
-// published before and after the benchmark run; VRL_MONITOR_LINGER_S keeps
-// the server up after the run so CI can scrape an otherwise-finished
-// binary.
+// Custom main instead of BENCHMARK_MAIN(): the flag table takes the
+// observability plane's --serve/--watchdog (docs/OBSERVABILITY.md) and
+// passes every --benchmark_* argument through to google-benchmark.  With
+// the plane attached, a session recorder is published before and after the
+// benchmark run; VRL_MONITOR_LINGER_S keeps the server up after the run so
+// CI can scrape an otherwise-finished binary.
 int main(int argc, char** argv) {
-  vrl::bench::ReportOptions report_options;
+  std::vector<std::string> args = {argv[0]};
+  const auto report_options = vrl::bench::ParseFlags(
+      argc, argv, vrl::bench::kMonitor,
+      {{"--benchmark_*",
+        [&args](const std::string& arg) { args.push_back(arg); }}});
   std::unique_ptr<vrl::obs::MonitorPlane> plane;
   try {
-    report_options = vrl::bench::ParseReportArgs(argc, argv);
     plane = vrl::bench::MakeMonitorPlane(report_options, std::cout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
 
-  std::vector<std::string> args;
-  args.emplace_back(argv[0]);
-  for (const std::string& arg : report_options.positional) {
-    args.push_back(arg);
-  }
   std::vector<char*> benchmark_argv;
   benchmark_argv.reserve(args.size());
   for (std::string& arg : args) {
@@ -367,7 +364,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&benchmark_argc, benchmark_argv.data());
   if (benchmark::ReportUnrecognizedArguments(benchmark_argc,
                                              benchmark_argv.data())) {
-    return 1;
+    return 2;
   }
 
   telemetry::Recorder session;

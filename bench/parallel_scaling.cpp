@@ -42,7 +42,7 @@ bool BitIdentical(const std::vector<core::SweepResult>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   const std::size_t hw = DefaultThreadCount();
   bench::Report report("parallel_scaling");
   report.AddMeta("sweep", "RunSweep(DefaultGrid())");

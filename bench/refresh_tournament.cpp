@@ -29,7 +29,6 @@
 // malformed flag.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -90,49 +89,23 @@ std::string Fixed(double value, int decimals) {
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  bench::ReportOptions report_options;
   std::string audit_out;
   std::size_t windows = 4;
   std::size_t max_workloads = 0;
   std::size_t subarrays = 4;
   bool gate_latency = false;
+  const auto report_options =
+      bench::ParseFlags(argc, argv, bench::kOutput | bench::kPreset,
+                        {{"--audit-out", &audit_out},
+                         {"--windows", &windows},
+                         {"--workloads", &max_workloads},
+                         {"--subarrays", &subarrays},
+                         {"--gate-latency", &gate_latency}});
   std::vector<dram::TimingPreset> presets = {dram::TimingPreset::kDdr3_1600,
                                              dram::TimingPreset::kDdr4_2400,
                                              dram::TimingPreset::kLpddr4_3200};
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-    const auto& args = report_options.positional;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const std::string& arg = args[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= args.size()) {
-          throw ConfigError(arg + " needs a value");
-        }
-        return args[++i];
-      };
-      const auto count = [&]() {
-        return static_cast<std::size_t>(bench::ParseCountFlag(arg, value()));
-      };
-      if (arg == "--audit-out") {
-        audit_out = value();
-      } else if (arg == "--windows") {
-        windows = count();
-      } else if (arg == "--workloads") {
-        max_workloads = count();
-      } else if (arg == "--subarrays") {
-        subarrays = count();
-      } else if (arg == "--gate-latency") {
-        gate_latency = true;
-      } else {
-        throw ConfigError("unknown argument '" + arg + "'");
-      }
-    }
-    if (!report_options.preset.empty()) {
-      presets = {dram::PresetFromName(report_options.preset)};
-    }
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
+  if (report_options.preset) {
+    presets = {*report_options.preset};
   }
 
   // Every registered policy competes; names come from the registry so a

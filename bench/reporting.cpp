@@ -1,15 +1,15 @@
 #include "bench/reporting.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "prof/report.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trace_export.hpp"
@@ -41,110 +41,154 @@ void WriteCsvRow(std::ostream& os, const std::vector<std::string>& cells) {
 
 }  // namespace
 
-namespace {
-
-/// True when `text` is a bare base-10 integer — how --serve decides whether
-/// the next argument is its optional port.
-bool ParsePort(const std::string& text, int* port) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || value < 0 || value > 65535) {
-    return false;
-  }
-  *port = static_cast<int>(value);
-  return true;
-}
-
-}  // namespace
-
-std::uint64_t ParseCountFlag(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  // strtoull accepts (and wraps) a leading minus — reject it explicitly.
-  if (end != text.c_str() + text.size() || text.empty() || text[0] == '-' ||
-      errno == ERANGE) {
+std::uint64_t ParseCountFlag(const std::string& flag, const std::string& text,
+                             FlagCheck check) {
+  const auto value = ParseWholeUnsigned(text);
+  if (!value) {
     throw ConfigError(flag + " needs a non-negative integer, got '" + text +
                       "'");
   }
-  return value;
+  if (check == kPositive && *value == 0) {
+    throw ConfigError(flag + " must be positive, got '" + text + "'");
+  }
+  return *value;
 }
 
-double ParseNumberFlag(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || text.empty() ||
-      !std::isfinite(value)) {
+double ParseNumberFlag(const std::string& flag, const std::string& text,
+                       FlagCheck check) {
+  const auto value = ParseWholeDouble(text);
+  if (!value) {
     throw ConfigError(flag + " needs a number, got '" + text + "'");
   }
-  return value;
+  if (check == kPositive && *value <= 0.0) {
+    throw ConfigError(flag + " must be positive, got '" + text + "'");
+  }
+  return *value;
 }
 
-ReportOptions ParseReportArgs(int argc, char** argv) {
-  ReportOptions options;
-  const auto value_of = [&](int* i, const std::string& arg) -> std::string {
-    if (*i + 1 >= argc) {
-      throw ConfigError("ParseReportArgs: " + arg + " needs a value");
+Flag::Flag(std::string flag, std::string* text)
+    : name(std::move(flag)),
+      store([text](const std::string&, const std::string& v) { *text = v; }) {
+}
+
+Flag::Flag(std::string flag, std::function<void(const std::string&)> action)
+    : name(std::move(flag)),
+      store([action = std::move(action)](const std::string&,
+                                         const std::string& v) { action(v); }),
+      takes_value(!name.ends_with('*')) {}
+
+Flag::Flag(std::string flag, double* number, FlagCheck check)
+    : name(std::move(flag)),
+      store([number, check](const std::string& f, const std::string& v) {
+        *number = ParseNumberFlag(f, v, check);
+      }) {}
+
+Flag::Flag(std::string flag, bool* on)
+    : name(std::move(flag)),
+      store([on](const std::string&, const std::string&) { *on = true; }),
+      takes_value(false) {}
+
+std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
+  std::vector<Flag> rows;
+  if ((groups & kOutput) != 0) {
+    rows.emplace_back("--json", &options->json_path);
+    rows.emplace_back("--csv", &options->csv_path);
+  }
+  if ((groups & kProfile) != 0) {
+    rows.emplace_back("--profile", &options->profile);
+    rows.emplace_back("--profile-out", [options](const std::string& path) {
+      options->profile_path = path;
+      options->profile = true;  // An output file implies profiling.
+    });
+    rows.emplace_back("--profile-scrub", &options->profile_scrub);
+  }
+  if ((groups & kTrace) != 0) {
+    rows.emplace_back("--trace-out", &options->trace_path);
+  }
+  if ((groups & kMonitor) != 0) {
+    rows.emplace_back("--serve", &options->serve).port = &options->serve_port;
+    rows.emplace_back("--watchdog", &options->watchdog_path);
+  }
+  if ((groups & kPreset) != 0) {
+    rows.emplace_back("--preset", [options](const std::string& name) {
+      options->preset = dram::PresetFromName(name);
+    });
+  }
+  if ((groups & kRuntime) != 0) {
+    rows.emplace_back("--resume", &options->resume_path);
+    rows.emplace_back("--workers", &options->workers);
+    rows.emplace_back("--leg-timeout", &options->leg_timeout_s, kPositive);
+    rows.emplace_back("--max-retries", &options->max_retries);
+  }
+  return rows;
+}
+
+void ParseFlagTable(int argc, char** argv, const std::vector<Flag>& table) {
+  const auto is_flag = [](std::string_view name) {
+    return name.starts_with("--");
+  };
+  const auto matches = [](std::string_view name, std::string_view arg) {
+    if (name.ends_with('*')) {  // A pass-through matches by prefix.
+      return arg.starts_with(name.substr(0, name.size() - 1));
     }
-    return argv[++*i];
+    return arg == name;
   };
-  const auto count_of = [&](int* i, const std::string& arg) {
-    return static_cast<std::size_t>(ParseCountFlag(arg, value_of(i, arg)));
-  };
+  auto slot = table.begin();  // The next positional row to fill.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json" || arg == "--csv" || arg == "--trace-out" ||
-        arg == "--watchdog" || arg == "--resume" || arg == "--profile-out") {
-      (arg == "--json"          ? options.json_path
-       : arg == "--csv"         ? options.csv_path
-       : arg == "--watchdog"    ? options.watchdog_path
-       : arg == "--resume"      ? options.resume_path
-       : arg == "--profile-out" ? options.profile_path
-                                : options.trace_path) = value_of(&i, arg);
-      if (arg == "--profile-out") {
-        options.profile = true;  // An output file implies profiling.
+    if (!is_flag(arg)) {
+      slot = std::find_if(slot, table.end(),
+                          [&](const Flag& row) { return !is_flag(row.name); });
+      if (slot == table.end()) {
+        throw ConfigError("unexpected argument '" + arg + "'");
       }
-    } else if (arg == "--preset" || arg == "--topology") {
-      options.preset = value_of(&i, arg);
-    } else if (arg == "--profile") {
-      options.profile = true;
-    } else if (arg == "--profile-scrub") {
-      options.profile_scrub = true;
-    } else if (arg == "--serve") {
-      options.serve = true;
-      if (i + 1 < argc && ParsePort(argv[i + 1], &options.serve_port)) {
-        ++i;
+      slot->store(slot->name, arg);
+      ++slot;
+      continue;
+    }
+    const auto row = std::find_if(table.begin(), table.end(),
+                                  [&](const Flag& r) {
+                                    return matches(r.name, arg);
+                                  });
+    if (row == table.end()) {
+      std::string accepted;
+      for (const Flag& r : table) {
+        if (is_flag(r.name)) {
+          accepted += (accepted.empty() ? "" : ", ") + r.name;
+        }
       }
-    } else if (arg == "--workers") {
-      options.workers = count_of(&i, arg);
-    } else if (arg == "--max-retries") {
-      options.max_retries = count_of(&i, arg);
-    } else if (arg == "--leg-timeout") {
-      const std::string text = value_of(&i, arg);
-      options.leg_timeout_s = ParseNumberFlag(arg, text);
-      if (options.leg_timeout_s <= 0.0) {
-        throw ConfigError(
-            "ParseReportArgs: --leg-timeout needs a positive number of "
-            "seconds, got '" +
-            text + "'");
+      throw ConfigError("unknown flag '" + arg + "' (expected one of: " +
+                        accepted + ")");
+    }
+    if (!row->takes_value) {  // A switch or a pass-through.
+      row->store(row->name, arg);
+      if (row->port != nullptr && i + 1 < argc) {
+        const auto port = ParseWholeUnsigned(argv[i + 1]);
+        if (port && *port <= 65535) {
+          *row->port = static_cast<int>(*port);
+          ++i;
+        }
       }
+    } else if (i + 1 < argc) {
+      row->store(row->name, argv[++i]);
     } else {
-      options.positional.push_back(arg);
+      throw ConfigError(arg + " needs a value");
     }
   }
-  return options;
 }
 
-ReportOptions ParseReportArgsOrExit(int argc, char** argv) {
+ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
+                         std::vector<Flag> rows) {
+  ReportOptions options;
+  std::vector<Flag> table = ReportFlags(&options, groups);
+  std::move(rows.begin(), rows.end(), std::back_inserter(table));
   try {
-    return ParseReportArgs(argc, argv);
+    ParseFlagTable(argc, argv, table);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     std::exit(2);
   }
+  return options;
 }
 
 runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options) {

@@ -1,64 +1,37 @@
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/table.hpp"
+#include "dram/timing_table.hpp"
 #include "obs/plane.hpp"
 #include "runtime/runner.hpp"
 #include "telemetry/metrics.hpp"
 
 /// \file reporting.hpp
-/// Shared result reporting for the bench/ and examples/ binaries.
+/// Shared result reporting and command-line parsing for the bench/ and
+/// examples/ binaries.
 ///
-/// Every binary used to hand-roll its own printf + TextTable output; this
-/// wraps the common shape — a named report carrying key/value metadata and
-/// one or more tables — behind uniform CLI flags:
+/// Every binary parses argv against one flag table (ParseFlags): the
+/// rows it declares for its own flags and positionals, plus the shared
+/// ReportOptions groups whose fields it reads (FlagGroup; README.md
+/// "Command-line flags" lists which binary takes which group).  A binary
+/// accepts exactly the flags it reads: an unknown flag, a surplus
+/// positional, a missing value or a malformed number prints one `error:`
+/// line and exits 2.
 ///
-///   --json <path>       write the report as one JSON document ("-" = stdout)
-///   --csv <path>        write the report as CSV sections ("-" = stdout)
-///   --trace-out <path>  export the run's Tracer (Chrome trace_event JSON,
-///                       or JSONL when the path ends in ".jsonl") — binaries
-///                       that support it enable tracing when the flag is set
-///   --profile           enable the phase self-profiler and append its
-///                       wall-time attribution tree (AddProfile,
-///                       docs/PROFILING.md)
-///   --profile-out <path>  also write the attribution tree to a file
-///                       (implies --profile): ".json" = vrl.profile.v1,
-///                       ".collapsed"/".folded" = flamegraph stacks,
-///                       ".trace.json" = Chrome-trace overlay, else text
-///   --profile-scrub     zero wall times in --profile-out so the file is
-///                       byte-identical across runs and VRL_THREADS
-///                       (counts stay exact — the CI determinism gate)
-///   --serve [port]      start the embedded monitor server
-///                       (docs/OBSERVABILITY.md); port defaults to 0
-///                       (ephemeral, announced on stdout)
-///   --watchdog <rules.json>  attach an SloWatchdog evaluating the rules
-///                       file on every Sample (drives /healthz)
-///   --preset <name>     timing-table preset the run's memory controller
-///                       uses (--topology is an alias): SingleBankEquivalent
-///                       (default — the flat model, byte-for-byte),
-///                       DDR3_1600, DDR4_2400 or LPDDR4_3200
-///                       (docs/TOPOLOGY.md)
-///   --resume <journal>  journal campaign legs to <journal> and skip legs a
-///                       previous (crashed) run already committed — the
-///                       resumed report is byte-identical to an
-///                       uninterrupted one (docs/RESILIENCE.md)
-///   --workers <n>       run campaign legs in n supervised worker
-///                       processes (heartbeats, timeout, retry/backoff,
-///                       graceful in-process degradation); 0 = in-process
-///   --leg-timeout <s>   worker silence (seconds) before a leg is killed
-///                       and retried
-///   --max-retries <n>   worker attempts per leg before it degrades to
-///                       in-process execution
-///
+/// A report is a name, ordered key/value metadata and ordered named tables.
 /// The aligned-text rendering always goes to stdout (unless --json/--csv
-/// targets stdout, which replaces it), so default invocations look exactly
-/// as before.  JSON schema (validated by the CI report-schema job):
+/// targets stdout, which replaces it).  JSON schema (validated by the CI
+/// report-schema job):
 ///
 ///   {"name": "<report>",
 ///    "meta": {"<key>": "<value>", ...},
@@ -68,58 +41,106 @@
 /// All values are JSON strings, formatted exactly as the text rendering
 /// formats them, so the three outputs always agree.  CSV output emits one
 /// RFC-4180-ish section per table, each preceded by `# <report>.<table>`.
-///
-/// The google-benchmark kernels (bench/microbench.cpp) keep benchmark's own
-/// --benchmark_out flags instead.
 
 namespace vrl::bench {
 
-/// Uniform CLI options of the reporting binaries.
+/// The shared flags' values.  Each field belongs to one FlagGroup.
 struct ReportOptions {
-  std::string json_path;   ///< Empty = no JSON; "-" = stdout.
-  std::string csv_path;    ///< Empty = no CSV; "-" = stdout.
-  std::string trace_path;  ///< Empty = no trace export (docs/TRACING.md).
-  bool profile = false;    ///< Phase self-profiler requested.
-  /// Attribution-tree output file (--profile-out); empty = none.
+  // kOutput
+  std::string json_path;   ///< --json: "-" = stdout; empty = none.
+  std::string csv_path;    ///< --csv: "-" = stdout; empty = none.
+  // kTrace
+  std::string trace_path;  ///< --trace-out (docs/TRACING.md); empty = none.
+  // kProfile (docs/PROFILING.md)
+  bool profile = false;    ///< --profile: phase self-profiler requested.
+  /// --profile-out (implies --profile): attribution-tree file; empty = none.
   std::string profile_path;
-  /// Zero wall times in the --profile-out file (--profile-scrub).
+  /// --profile-scrub: zero wall times in the --profile-out file, so it is
+  /// byte-identical across runs and VRL_THREADS.
   bool profile_scrub = false;
-  bool serve = false;      ///< Start the monitor server (--serve).
+  // kMonitor (docs/OBSERVABILITY.md)
+  bool serve = false;      ///< --serve [port]: start the monitor server.
   int serve_port = 0;      ///< --serve's port; 0 = ephemeral.
-  std::string watchdog_path;  ///< SLO rules file (--watchdog); empty = none.
-  /// Timing-table preset name (--preset/--topology); empty = the binary's
-  /// default.  Validated by the consumer via dram::PresetFromName.
-  std::string preset;
-  std::string resume_path;    ///< Leg journal (--resume); empty = none.
-  std::size_t workers = 0;    ///< Supervised worker processes (--workers).
-  double leg_timeout_s = 120.0;  ///< Worker liveness timeout (--leg-timeout).
-  std::size_t max_retries = 3;   ///< Worker attempts per leg (--max-retries).
-  /// Arguments left after removing the shared flags, in order (argv[0]
-  /// excluded) — the binary's own positional arguments.
-  std::vector<std::string> positional;
+  std::string watchdog_path;  ///< --watchdog: SLO rules file; empty = none.
+  // kPreset (docs/TOPOLOGY.md)
+  /// --preset: timing-table preset (dram::PresetFromName); none = the
+  /// binary's default.
+  std::optional<dram::TimingPreset> preset;
+  // kRuntime (docs/RESILIENCE.md)
+  std::string resume_path;    ///< --resume: leg journal; empty = none.
+  std::size_t workers = 0;    ///< --workers: supervised worker processes.
+  double leg_timeout_s = 120.0;  ///< --leg-timeout: worker silence (s).
+  std::size_t max_retries = 3;   ///< --max-retries: worker attempts per leg.
 };
 
-/// The checked numeric flag-value parsers behind ParseReportArgs, shared by
-/// every binary that parses flags of its own.  ParseCountFlag takes a
-/// whole base-10 unsigned integer: no sign (strtoull would silently wrap
-/// "-1"), no trailing garbage ("8x"), nothing past 2^64 - 1.
-/// ParseNumberFlag takes a whole finite decimal number ("0.5", "-2",
-/// "1e-3"; not "8x", "nan" or "inf").
+/// The shared flag groups.  A binary adds a group to its table only if it
+/// reads those ReportOptions fields.
+enum FlagGroup : unsigned {
+  kOutput = 1u << 0,   ///< --json, --csv
+  kProfile = 1u << 1,  ///< --profile, --profile-out, --profile-scrub
+  kTrace = 1u << 2,    ///< --trace-out
+  kMonitor = 1u << 3,  ///< --serve [port], --watchdog
+  kPreset = 1u << 4,   ///< --preset
+  kRuntime = 1u << 5,  ///< --resume, --workers, --leg-timeout, --max-retries
+};
+
+/// A row's value check: kPositive rejects a zero count or a number <= 0.
+enum FlagCheck { kAnyValue, kPositive };
+
+/// The checked flag-value parsers: common/parse.hpp's whole-text rules
+/// (ParseWholeUnsigned base 10, ParseWholeDouble) plus the row's check.
 /// \throws vrl::ConfigError naming `flag` and quoting `text`.
-std::uint64_t ParseCountFlag(const std::string& flag, const std::string& text);
-double ParseNumberFlag(const std::string& flag, const std::string& text);
+std::uint64_t ParseCountFlag(const std::string& flag, const std::string& text,
+                             FlagCheck check = kAnyValue);
+double ParseNumberFlag(const std::string& flag, const std::string& text,
+                       FlagCheck check = kAnyValue);
 
-/// Parses `--json <path>` / `--csv <path>` / `--trace-out <path>` /
-/// `--profile` / `--serve [port]` / `--watchdog <rules.json>` out of argv.
-/// `--serve`'s port argument is optional: a following bare integer is
-/// consumed as the port, anything else leaves the ephemeral default.
-/// \throws vrl::ConfigError when a flag is missing its path argument.
-ReportOptions ParseReportArgs(int argc, char** argv);
+/// One row of a binary's flag table.  A name starting with "--" is a flag;
+/// any other name is the next positional slot, filled in row order and
+/// named in its errors.  The destination picks the kind: text (a string, or
+/// an action run on the value in argv order), count (an unsigned integer),
+/// number (a double) or switch (a bool; takes no value).  A name ending in
+/// '*' is a pass-through: the action receives each whole argument starting
+/// with the rest of the name ("--benchmark_*").
+struct Flag {
+  using Store =
+      std::function<void(const std::string& flag, const std::string& value)>;
 
-/// ParseReportArgs for mains with no flags of their own: a malformed flag
-/// prints one `error:` line to stderr and exits 2, the usage-error code of
-/// every example, instead of escaping main.
-ReportOptions ParseReportArgsOrExit(int argc, char** argv);
+  Flag(std::string flag, std::string* text);
+  Flag(std::string flag, std::function<void(const std::string&)> action);
+  Flag(std::string flag, double* number, FlagCheck check = kAnyValue);
+  Flag(std::string flag, bool* on);
+  template <typename T>
+    requires(std::unsigned_integral<T> && !std::same_as<T, bool>)
+  Flag(std::string flag, T* count, FlagCheck check = kAnyValue)
+      : name(std::move(flag)),
+        store([count, check](const std::string& f, const std::string& v) {
+          *count = static_cast<T>(ParseCountFlag(f, v, check));
+        }) {}
+
+  std::string name;
+  Store store;
+  bool takes_value = true;  ///< False for a switch or a pass-through.
+  /// A switch's optional port (--serve [port]): a following whole integer
+  /// up to 65535 is consumed into it, anything else is left alone.
+  int* port = nullptr;
+};
+
+/// The rows of the shared `groups`, storing into `options`.
+std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups);
+
+/// Parses argv (argv[0] excluded) against `table`.  A value may look like
+/// a flag (`--json --profile` writes the JSON to "--profile").
+/// \throws vrl::ConfigError on an unknown flag (listing the table's
+/// flags), a surplus positional or a missing value; a row's store throws
+/// on a malformed or failed value.
+void ParseFlagTable(int argc, char** argv, const std::vector<Flag>& table);
+
+/// The binary's flag table: its own `rows` plus the rows of the shared
+/// `groups`, which fill the returned options.  Any parse error prints one
+/// `error:` line to stderr and exits 2.
+ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
+                         std::vector<Flag> rows = {});
 
 /// Writes the recorder's attribution tree to `options.profile_path`
 /// (--profile-out), dispatching on the extension: ".trace.json" renders

@@ -94,7 +94,7 @@ Cycles CircuitPreSensingCycles(const TechnologyParams& tech, double* runtime) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("table1_accuracy");
   report.AddMeta("criterion", "pre-sensing cycles to guarantee a 95% restore");
 

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   const area::AreaModel model;
   constexpr std::size_t kRows = 8192;
   constexpr std::size_t kColumns = 32;

@@ -17,7 +17,6 @@
 // A malformed flag prints one `error:` line and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,38 +35,16 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  bench::ReportOptions report_options;
   std::string audit_out;
   std::size_t windows = 4;
+  const auto report_options =
+      bench::ParseFlags(argc, argv, bench::kOutput | bench::kPreset,
+                        {{"--audit-out", &audit_out}, {"--windows", &windows}});
   std::vector<dram::TimingPreset> presets = {dram::TimingPreset::kDdr3_1600,
                                              dram::TimingPreset::kDdr4_2400,
                                              dram::TimingPreset::kLpddr4_3200};
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-    const auto& args = report_options.positional;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const std::string& arg = args[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= args.size()) {
-          throw ConfigError(arg + " needs a value");
-        }
-        return args[++i];
-      };
-      if (arg == "--audit-out") {
-        audit_out = value();
-      } else if (arg == "--windows") {
-        windows =
-            static_cast<std::size_t>(bench::ParseCountFlag(arg, value()));
-      } else {
-        throw ConfigError("unknown argument '" + arg + "'");
-      }
-    }
-    if (!report_options.preset.empty()) {
-      presets = {dram::PresetFromName(report_options.preset)};
-    }
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
+  if (report_options.preset) {
+    presets = {*report_options.preset};
   }
   bench::Report report("timing_conformance");
   report.AddMeta("windows", windows);

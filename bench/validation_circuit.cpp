@@ -64,7 +64,8 @@ double CircuitReadableFraction(const TechnologyParams& tech,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto report_options = bench::ParseReportArgsOrExit(argc, argv);
+  const auto report_options =
+      bench::ParseFlags(argc, argv, bench::kOutput | bench::kProfile);
   bench::Report report("validation_circuit");
   report.AddMeta("threads", vrl::DefaultThreadCount());
 

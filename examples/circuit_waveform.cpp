@@ -62,25 +62,26 @@ void DumpCsv(const circuit::Waveform& wave, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ReportOptions report_options;
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
+  // `<circuit> [output.csv]`, or `deck <circuit> [output.sp]`: only the
+  // deck form fills the third slot.
+  std::string which = "refresh";
+  std::string second;
+  std::string third;
+  const auto report_options = bench::ParseFlags(
+      argc, argv, bench::kOutput,
+      {{"circuit", &which}, {"output", &second}, {"deck_output", &third}});
+  if (which != "deck" && !third.empty()) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n", third.c_str());
+    return 2;
   }
-  const auto& args = report_options.positional;
-  const std::string which = !args.empty() ? args[0] : "refresh";
-  const std::string path =
-      args.size() > 1 ? args[1] : "/tmp/vrl_waveform.csv";
+  const std::string path = second.empty() ? "/tmp/vrl_waveform.csv" : second;
 
   const TechnologyParams tech;
   circuit::TransientOptions options;
 
   if (which == "deck") {
-    const std::string circuit_name = args.size() > 1 ? args[1] : "refresh";
-    const std::string deck_path =
-        args.size() > 2 ? args[2] : "/tmp/vrl_deck.sp";
+    const std::string circuit_name = second.empty() ? "refresh" : second;
+    const std::string deck_path = third.empty() ? "/tmp/vrl_deck.sp" : third;
     try {
       const auto netlist = BuildByName(circuit_name, tech);
       circuit::SpiceExportOptions deck_options;

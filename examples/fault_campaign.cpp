@@ -8,7 +8,8 @@
 //                    [--row-fraction F] [--low-ratio R] [--dwell-s D]
 //                    [--temp-excursion C] [--drift RATE] [--corruption F]
 //                    [--json PATH] [--csv PATH]
-//                    [--trace-out PATH] [--profile]
+//                    [--trace-out PATH] [--profile] [--profile-out PATH]
+//                    [--profile-scrub]
 //                    [--serve [PORT]] [--watchdog RULES.json]
 //                    [--resume JOURNAL] [--workers N]
 //                    [--leg-timeout S] [--max-retries N]
@@ -74,53 +75,30 @@ int main(int argc, char** argv) {
   double drift_rate = 0.0;
   double corruption_fraction = 0.0;
 
-  bench::ReportOptions report_options;
+  const auto report_options = bench::ParseFlags(
+      argc, argv,
+      bench::kOutput | bench::kProfile | bench::kTrace | bench::kMonitor |
+          bench::kRuntime,
+      {{"--config",
+        [&](const std::string& path) {
+          config = core::LoadVrlConfigFile(path);
+          config.banks = 1;  // the campaign replays one bank's schedule
+        }},
+       {"--policy", &policy_name},
+       {"--windows", &windows},
+       {"--seed", &seed},
+       {"--row-fraction", &vrt.row_fraction},
+       {"--low-ratio", &vrt.low_ratio},
+       {"--dwell-s", &vrt.mean_dwell_s},
+       {"--temp-excursion", &temp_excursion_celsius},
+       {"--drift", &drift_rate},
+       {"--corruption", &corruption_fraction}});
   std::unique_ptr<obs::MonitorPlane> plane;
   try {
-    report_options = bench::ParseReportArgs(argc, argv);
     plane = bench::MakeMonitorPlane(report_options, std::cout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
-  }
-  const auto& args = report_options.positional;
-  for (std::size_t i = 0; i < args.size(); i += 2) {
-    const std::string& flag = args[i];
-    if (i + 1 == args.size()) {
-      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
-      return 2;
-    }
-    const std::string& value = args[i + 1];
-    try {
-      if (flag == "--config") {
-        config = core::LoadVrlConfigFile(value);
-        config.banks = 1;  // the campaign replays one bank's schedule
-      } else if (flag == "--policy") {
-        policy_name = value;
-      } else if (flag == "--windows") {
-        windows = static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
-      } else if (flag == "--seed") {
-        seed = bench::ParseCountFlag(flag, value);
-      } else if (flag == "--row-fraction") {
-        vrt.row_fraction = bench::ParseNumberFlag(flag, value);
-      } else if (flag == "--low-ratio") {
-        vrt.low_ratio = bench::ParseNumberFlag(flag, value);
-      } else if (flag == "--dwell-s") {
-        vrt.mean_dwell_s = bench::ParseNumberFlag(flag, value);
-      } else if (flag == "--temp-excursion") {
-        temp_excursion_celsius = bench::ParseNumberFlag(flag, value);
-      } else if (flag == "--drift") {
-        drift_rate = bench::ParseNumberFlag(flag, value);
-      } else if (flag == "--corruption") {
-        corruption_fraction = bench::ParseNumberFlag(flag, value);
-      } else {
-        std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
-        return 2;
-      }
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return 2;
-    }
   }
 
   try {

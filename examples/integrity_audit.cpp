@@ -32,44 +32,17 @@ int main(int argc, char** argv) {
   double max_celsius = 65.0;
   bool with_vrt = false;
 
-  bench::ReportOptions report_options;
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-  const auto& args = report_options.positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--vrt") {
-      with_vrt = true;
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
-      return 2;
-    }
-    const std::string& value = args[++i];
-    try {
-      if (flag == "--config") {
-        config = core::LoadVrlConfigFile(value);
-        config.banks = 1;  // the audit replays one bank's schedule
-      } else if (flag == "--policy") {
-        policy_name = value;
-      } else if (flag == "--windows") {
-        windows = static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
-      } else if (flag == "--max-celsius") {
-        max_celsius = bench::ParseNumberFlag(flag, value);
-      } else {
-        std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
-        return 2;
-      }
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return 2;
-    }
-  }
+  const auto report_options = bench::ParseFlags(
+      argc, argv, bench::kOutput,
+      {{"--config",
+        [&](const std::string& path) {
+          config = core::LoadVrlConfigFile(path);
+          config.banks = 1;  // the audit replays one bank's schedule
+        }},
+       {"--policy", &policy_name},
+       {"--windows", &windows},
+       {"--max-celsius", &max_celsius},
+       {"--vrt", &with_vrt}});
 
   try {
     const core::VrlSystem system(config);

@@ -26,47 +26,17 @@ int main(int argc, char** argv) {
   std::size_t windows = 8;
   core::VrlConfig config;
 
-  bench::ReportOptions report_options;
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-  const auto& args = report_options.positional;
-  for (std::size_t i = 0; i < args.size(); i += 2) {
-    const std::string& flag = args[i];
-    if (i + 1 == args.size()) {
-      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
-      return 2;
-    }
-    const std::string& value = args[i + 1];
-    try {
-      if (flag == "--workload") {
-        workload_name = value;
-      } else if (flag == "--policy") {
-        policy_name = value;
-      } else if (flag == "--windows") {
-        windows = static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
-      } else if (flag == "--nbits") {
-        config.nbits =
-            static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
-      } else if (flag == "--banks") {
-        config.banks =
-            static_cast<std::size_t>(bench::ParseCountFlag(flag, value));
-      } else if (flag == "--seed") {
-        config.seed = bench::ParseCountFlag(flag, value);
-      } else if (flag == "--config") {
-        config = core::LoadVrlConfigFile(value);
-      } else {
-        std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
-        return 2;
-      }
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return 2;
-    }
-  }
+  const auto report_options =
+      bench::ParseFlags(argc, argv, bench::kOutput,
+                        {{"--workload", &workload_name},
+                         {"--policy", &policy_name},
+                         {"--windows", &windows},
+                         {"--nbits", &config.nbits},
+                         {"--banks", &config.banks},
+                         {"--seed", &config.seed},
+                         {"--config", [&](const std::string& path) {
+                            config = core::LoadVrlConfigFile(path);
+                          }}});
 
   try {
     core::VrlSystem system(config);

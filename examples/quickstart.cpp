@@ -3,8 +3,8 @@
 // print a summary.
 //
 //   ./quickstart [workload] [--json PATH] [--csv PATH]
-//                [--trace-out PATH] [--profile]
-//                [--serve [PORT]] [--watchdog RULES.json]
+//                [--trace-out PATH] [--profile] [--profile-out PATH]
+//                [--profile-scrub] [--serve [PORT]] [--watchdog RULES.json]
 //   (default workload: streamcluster)
 //
 // --trace-out exports the runs' span + refresh-lineage trace as Chrome
@@ -26,18 +26,18 @@
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  bench::ReportOptions report_options;
+  std::string workload_name = "streamcluster";
+  const auto report_options = bench::ParseFlags(
+      argc, argv,
+      bench::kOutput | bench::kProfile | bench::kTrace | bench::kMonitor,
+      {{"workload", &workload_name}});
   std::unique_ptr<obs::MonitorPlane> plane;
   try {
-    report_options = bench::ParseReportArgs(argc, argv);
     plane = bench::MakeMonitorPlane(report_options, std::cout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
-  const std::string workload_name = report_options.positional.empty()
-                                        ? "streamcluster"
-                                        : report_options.positional.front();
 
   // 1. Configure the system.  Defaults follow the paper: an 8192x32 bank at
   //    90 nm, retention bins 64/128/192/256 ms, nbits = 2 counters.

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "bench/reporting.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/refresh_model.hpp"
 #include "retention/distribution.hpp"
@@ -24,38 +23,14 @@ int main(int argc, char** argv) {
   using namespace vrl;
   using namespace vrl::retention;
 
-  bench::ReportOptions report_options;
   std::size_t rows = 8192;
   std::size_t cells = 32;
   std::uint64_t seed = 42;
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-    const auto& args = report_options.positional;
-    if (args.size() > 3) {
-      throw ConfigError("unexpected argument '" + args[3] + "'");
-    }
-    const auto positive = [](const std::string& name,
-                             const std::string& text) {
-      const auto value =
-          static_cast<std::size_t>(bench::ParseCountFlag(name, text));
-      if (value == 0) {
-        throw ConfigError(name + " must be positive, got '" + text + "'");
-      }
-      return value;
-    };
-    if (args.size() > 0) {
-      rows = positive("rows", args[0]);
-    }
-    if (args.size() > 1) {
-      cells = positive("cells", args[1]);
-    }
-    if (args.size() > 2) {
-      seed = bench::ParseCountFlag("seed", args[2]);
-    }
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
+  const auto report_options = bench::ParseFlags(
+      argc, argv, bench::kOutput,
+      {{"rows", &rows, bench::kPositive},
+       {"cells", &cells, bench::kPositive},
+       {"seed", &seed}});
 
   Rng rng(seed);
   const RetentionDistribution dist;

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "bench/reporting.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/technology.hpp"
 #include "trace/io.hpp"
@@ -37,23 +36,22 @@ int Usage(const char* prog) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ReportOptions report_options;
-  try {
-    report_options = bench::ParseReportArgs(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-  const auto& args = report_options.positional;
-  if (args.empty()) {
-    return Usage(argv[0]);
-  }
-  const std::string command = args[0];
+  // `generate` fills every slot; `stats` the first two; `list` the first.
+  std::string command;
+  std::string trace_or_workload;
+  double ms = 0.0;
+  std::string output;
+  const auto report_options =
+      bench::ParseFlags(argc, argv, bench::kOutput,
+                        {{"command", &command},
+                         {"trace_or_workload", &trace_or_workload},
+                         {"milliseconds", &ms, bench::kPositive},
+                         {"output", &output}});
   const trace::AddressGeometry geometry;  // 8 banks x 8192 x 32
   const TechnologyParams tech;
 
   try {
-    if (command == "list") {
+    if (command == "list" && trace_or_workload.empty()) {
       bench::Report report("trace_tools_list");
       TextTable& table = report.AddTable(
           "workloads",
@@ -68,35 +66,24 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (command == "generate" && args.size() == 4) {
-      double ms = 0.0;
-      try {
-        ms = bench::ParseNumberFlag("milliseconds", args[2]);
-        if (ms <= 0.0) {
-          throw ConfigError("milliseconds must be positive, got '" + args[2] +
-                            "'");
-        }
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 2;
-      }
-      const auto workload = trace::SuiteWorkload(args[1]);
+    if (command == "generate" && !output.empty()) {
+      const auto workload = trace::SuiteWorkload(trace_or_workload);
       const auto duration =
           SecondsToCyclesCeil(ms * 1e-3, tech.clock_period_s);
       Rng rng(7);
       const auto records =
           trace::GenerateTrace(workload, geometry, duration, rng);
-      trace::WriteTextFile(args[3], records);
+      trace::WriteTextFile(output, records);
       std::printf("wrote %zu records (%.1f ms of %s) to %s\n", records.size(),
-                  ms, workload.name.c_str(), args[3].c_str());
+                  ms, workload.name.c_str(), output.c_str());
       return 0;
     }
 
-    if (command == "stats" && args.size() == 2) {
-      const auto records = trace::ReadTextFile(args[1]);
+    if (command == "stats" && !trace_or_workload.empty() && ms == 0.0) {
+      const auto records = trace::ReadTextFile(trace_or_workload);
       const auto stats = trace::ComputeStats(records, geometry);
       bench::Report report("trace_tools_stats");
-      report.AddMeta("trace", args[1]);
+      report.AddMeta("trace", trace_or_workload);
       report.AddMeta("requests", stats.requests);
       report.AddMeta("write_fraction", FmtPercent(stats.WriteFraction(), 1));
       report.AddMeta("span_cycles",

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/nodes.hpp"
+#include "common/parse.hpp"
 
 namespace vrl::core {
 namespace {
@@ -21,29 +22,17 @@ std::string Trim(const std::string& s) {
 }
 
 std::uint64_t ParseUnsigned(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const auto parsed = std::stoull(value, &pos);
-    if (pos != value.size()) {
-      throw std::invalid_argument(value);
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    throw ParseError("config: bad unsigned value '" + value + "' for " + key);
+  if (const auto parsed = ParseWholeUnsigned(value)) {
+    return *parsed;
   }
+  throw ParseError("config: bad unsigned value '" + value + "' for " + key);
 }
 
 double ParseDouble(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
-    if (pos != value.size()) {
-      throw std::invalid_argument(value);
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    throw ParseError("config: bad numeric value '" + value + "' for " + key);
+  if (const auto parsed = ParseWholeDouble(value)) {
+    return *parsed;
   }
+  throw ParseError("config: bad numeric value '" + value + "' for " + key);
 }
 
 }  // namespace

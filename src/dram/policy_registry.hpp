@@ -63,8 +63,9 @@ struct PolicyInfo {
       make;
 };
 
-/// Canonical matching token: lower-cased with '-' and '_' dropped, so
-/// "VRL-Access", "vrl_access" and "vrlaccess" all resolve identically.
+/// Canonical matching token of policy and timing-preset names: lower-cased
+/// with '-' and '_' dropped, so "VRL-Access", "vrl_access" and "vrlaccess"
+/// all resolve identically.
 std::string CanonicalPolicyToken(std::string_view name);
 
 class PolicyRegistry {

@@ -1,8 +1,7 @@
 #include "dram/timing_table.hpp"
 
-#include <cctype>
-
 #include "common/error.hpp"
+#include "dram/policy_registry.hpp"
 
 namespace vrl::dram {
 
@@ -27,46 +26,47 @@ void TimingTable::Validate() const {
   }
 }
 
+namespace {
+
+/// The one preset name table: the first row of a preset is its name, any
+/// later row an accepted alias.
+struct PresetNameRow {
+  std::string_view name;
+  TimingPreset preset;
+};
+constexpr PresetNameRow kPresetNames[] = {
+    {"SingleBankEquivalent", TimingPreset::kSingleBankEquivalent},
+    {"DDR3_1600", TimingPreset::kDdr3_1600},
+    {"DDR4_2400", TimingPreset::kDdr4_2400},
+    {"LPDDR4_3200", TimingPreset::kLpddr4_3200},
+    {"flat", TimingPreset::kSingleBankEquivalent},
+};
+
+}  // namespace
+
 std::string PresetName(TimingPreset preset) {
-  switch (preset) {
-    case TimingPreset::kSingleBankEquivalent:
-      return "SingleBankEquivalent";
-    case TimingPreset::kDdr3_1600:
-      return "DDR3_1600";
-    case TimingPreset::kDdr4_2400:
-      return "DDR4_2400";
-    case TimingPreset::kLpddr4_3200:
-      return "LPDDR4_3200";
+  for (const PresetNameRow& row : kPresetNames) {
+    if (row.preset == preset) {
+      return std::string(row.name);
+    }
   }
   return "?";
 }
 
 TimingPreset PresetFromName(std::string_view name) {
-  std::string canon;
-  canon.reserve(name.size());
-  for (const char c : name) {
-    if (c == '-' || c == '_') {
-      continue;
+  const std::string canon = CanonicalPolicyToken(name);
+  std::string expected;
+  for (const PresetNameRow& row : kPresetNames) {
+    if (CanonicalPolicyToken(row.name) == canon) {
+      return row.preset;
     }
-    canon.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (canon == "singlebankequivalent" || canon == "flat") {
-    return TimingPreset::kSingleBankEquivalent;
-  }
-  if (canon == "ddr31600") {
-    return TimingPreset::kDdr3_1600;
-  }
-  if (canon == "ddr42400") {
-    return TimingPreset::kDdr4_2400;
-  }
-  if (canon == "lpddr43200") {
-    return TimingPreset::kLpddr4_3200;
+    if (PresetName(row.preset) == row.name) {
+      expected += (expected.empty() ? "" : ", ") + std::string(row.name);
+    }
   }
   throw ConfigError("PresetFromName: unknown timing preset '" +
-                    std::string(name) +
-                    "' (expected SingleBankEquivalent, DDR3_1600, DDR4_2400 "
-                    "or LPDDR4_3200)");
+                    std::string(name) + "' (expected one of: " + expected +
+                    ")");
 }
 
 TimingTable MakeTimingTable(TimingPreset preset, std::size_t banks) {

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "prof/report.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trace_export.hpp"
@@ -368,17 +369,18 @@ std::string MonitorServer::RenderHealth(int* status) const {
   return body;
 }
 
-std::string MonitorServer::RenderTraceTail(std::string_view query) const {
+std::optional<std::string> MonitorServer::RenderTraceTail(
+    std::string_view query) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t last = options_.trace_tail_default;
   const std::size_t key = query.find("last=");
   if (key != std::string_view::npos) {
-    const std::string number(query.substr(key + 5));
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(number.c_str(), &end, 10);
-    if (end != number.c_str()) {
-      last = static_cast<std::size_t>(parsed);
+    const std::string_view value = query.substr(key + 5);
+    const auto parsed = ParseWholeUnsigned(value.substr(0, value.find('&')));
+    if (!parsed) {
+      return std::nullopt;
     }
+    last = static_cast<std::size_t>(*parsed);
   }
   if (last > lineage_tail_.size()) {
     last = lineage_tail_.size();
@@ -438,8 +440,10 @@ std::string MonitorServer::HandleGet(std::string_view target) {
   } else if (path == "/runs") {
     response = BuildResponse(200, "application/json", RenderRuns());
   } else if (path == "/trace") {
-    response = BuildResponse(200, "application/x-ndjson",
-                             RenderTraceTail(query));
+    const std::optional<std::string> body = RenderTraceTail(query);
+    response = body ? BuildResponse(200, "application/x-ndjson", *body)
+                    : BuildResponse(400, "text/plain; charset=utf-8",
+                                    "bad request\n");
   } else if (path == "/profile") {
     const bool collapsed =
         query.find("format=collapsed") != std::string_view::npos;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -144,7 +145,9 @@ class MonitorServer {
   std::string RenderHealth(int* status) const;
   std::string RenderFleet() const;
   std::string RenderRuns() const;
-  std::string RenderTraceTail(std::string_view query) const;
+  /// The /trace body; std::nullopt (a 400) when ?last= is not a whole
+  /// count.
+  std::optional<std::string> RenderTraceTail(std::string_view query) const;
   static std::string BuildResponse(int status, std::string_view content_type,
                                    std::string_view body);
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -11,6 +10,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace vrl::trace {
 namespace {
@@ -36,22 +36,16 @@ void CheckReadHealth(const std::istream& is, std::size_t line_no) {
 }
 
 /// Parses one whole unsigned field (`base` 0 takes C prefixes: 0x hex, 0
-/// octal).  Unlike a bare strtoull/stoull it rejects trailing garbage
-/// ("0x10zz"), a leading minus (which strtoull silently wraps) and values
-/// past 2^64 - 1.
+/// octal) through common/parse.hpp.
 /// \throws ParseError "trace: bad <what> '<text>' on line <n>".
 std::uint64_t ParseUnsignedField(const std::string& text, int base,
                                  const std::string& what,
                                  std::size_t line_no) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
-  if (text.empty() || text[0] == '-' || end != text.c_str() + text.size() ||
-      errno == ERANGE) {
-    throw ParseError("trace: bad " + what + " '" + text + "' on line " +
-                     std::to_string(line_no));
+  if (const auto value = ParseWholeUnsigned(text, base)) {
+    return *value;
   }
-  return value;
+  throw ParseError("trace: bad " + what + " '" + text + "' on line " +
+                   std::to_string(line_no));
 }
 
 template <typename T>

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/interpolation.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/technology.hpp"
@@ -366,6 +367,20 @@ TEST(TechnologyParams, WithGeometryChangesOnlyGeometry) {
   EXPECT_DOUBLE_EQ(big.vdd, tech.vdd);
   EXPECT_GT(big.Cbl(), tech.Cbl());
   EXPECT_EQ(big.GeometryLabel(), "16384x128");
+}
+
+TEST(WholeNumbers, TakeTheWholeTextOrNothing) {
+  EXPECT_EQ(ParseWholeUnsigned("42"), 42u);
+  EXPECT_EQ(ParseWholeUnsigned("0x1F", 0), 31u);  // base 0: C prefixes
+  EXPECT_EQ(ParseWholeUnsigned("017", 0), 15u);
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "1x", "0x", "1.0",
+                           "18446744073709551616"}) {
+    EXPECT_FALSE(ParseWholeUnsigned(text, 0).has_value()) << text;
+  }
+  EXPECT_EQ(ParseWholeDouble("-2.5e-1"), -0.25);
+  for (const char* text : {"", " 1", "1 ", "1e", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(ParseWholeDouble(text).has_value()) << text;
+  }
 }
 
 }  // namespace

@@ -174,8 +174,22 @@ TEST(ConfigIo, RejectsUnknownKey) {
 TEST(ConfigIo, RejectsMalformedLines) {
   std::istringstream no_eq("banks 4\n");
   EXPECT_THROW(core::ParseVrlConfig(no_eq), ParseError);
-  std::istringstream bad_value("banks = four\n");
-  EXPECT_THROW(core::ParseVrlConfig(bad_value), ParseError);
+  // Config values follow the flags' whole-number rules: no wrapped sign,
+  // no non-finite number.  The error names the key.
+  for (const char* line :
+       {"banks = four", "banks = -1", "rows = -1", "seed = -5",
+        "retention_guardband = nan", "partial_target = inf"}) {
+    std::istringstream bad_value(line);
+    try {
+      core::ParseVrlConfig(bad_value);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const ParseError& error) {
+      const std::string key(line, std::string(line).find(' '));
+      EXPECT_NE(std::string(error.what()).find(" for " + key),
+                std::string::npos)
+          << error.what();
+    }
+  }
   std::istringstream bad_sched("scheduler = random\n");
   EXPECT_THROW(core::ParseVrlConfig(bad_sched), ParseError);
 }

@@ -681,8 +681,13 @@ TEST(MonitorServer, TraceTailServesNewestLineageWithSummary) {
   const std::string tail = BodyOf(server.HandleGet("/trace?last=1"));
   EXPECT_EQ(static_cast<int>(std::count(tail.begin(), tail.end(), '\n')), 2);
   EXPECT_NE(tail.find("\"row\":105"), std::string::npos);
-  // An oversized ?last= clamps to what is retained.
+  // An oversized ?last= clamps to what is retained; a malformed one is a
+  // bad request.
   EXPECT_EQ(BodyOf(server.HandleGet("/trace?last=999")), all);
+  for (const char* target :
+       {"/trace?last=abc", "/trace?last=-1", "/trace?last=5x"}) {
+    EXPECT_EQ(StatusOf(server.HandleGet(target)), 400) << target;
+  }
 }
 
 TEST(MonitorServer, RunsEndpointRendersTheProgressReporter) {

@@ -1,18 +1,20 @@
 // Tests for the shared report writer (bench/reporting.hpp): CSV quoting,
-// the --profile attribution table, the uniform CLI flag parser and its
-// checked numeric value parsers, the flags of the examples and benches
-// parsed through them, and the policy-name resolver the reporting binaries
-// feed their positional arguments through.
+// the --profile attribution table, the flag table and its checked numeric
+// value parsers, the command-line contract of every bench and example
+// binary, and the policy-name resolver the reporting binaries feed their
+// arguments through.
 //
-// The examples' and benches' directories arrive as compile definitions
-// (VRL_EXAMPLES_DIR, VRL_BENCH_DIR) from tests/CMakeLists.txt.
+// The binaries' paths arrive as one comma-separated compile definition
+// (VRL_BINARIES) from tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,14 +28,25 @@
 namespace vrl::bench {
 namespace {
 
-// argv helper: ParseReportArgs takes (argc, char**) like main.
-ReportOptions Parse(std::vector<std::string> args) {
+constexpr unsigned kAllGroups =
+    kOutput | kProfile | kTrace | kMonitor | kPreset | kRuntime;
+
+// argv helper: parses `args` like main would, against the rows of the
+// shared `groups` plus the binary's own `rows`.
+ReportOptions Parse(std::vector<std::string> args, std::vector<Flag> rows = {},
+                    unsigned groups = kAllGroups) {
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>("test_binary"));
   for (std::string& arg : args) {
     argv.push_back(arg.data());
   }
-  return ParseReportArgs(static_cast<int>(argv.size()), argv.data());
+  ReportOptions options;
+  std::vector<Flag> table = ReportFlags(&options, groups);
+  for (Flag& row : rows) {
+    table.push_back(std::move(row));
+  }
+  ParseFlagTable(static_cast<int>(argv.size()), argv.data(), table);
+  return options;
 }
 
 // -- CSV escaping -------------------------------------------------------------
@@ -145,35 +158,41 @@ TEST(ReportProfile, RendersTheAttributionTreeDepthFirst) {
   EXPECT_EQ(json.str().find("\"profile\":"), std::string::npos);
 }
 
-// -- ParseReportArgs ----------------------------------------------------------
+// -- Flag table ---------------------------------------------------------------
 
-TEST(ParseReportArgs, DefaultsAreEmpty) {
+TEST(FlagTable, DefaultsAreEmpty) {
   const ReportOptions options = Parse({});
   EXPECT_TRUE(options.json_path.empty());
   EXPECT_TRUE(options.csv_path.empty());
   EXPECT_TRUE(options.trace_path.empty());
   EXPECT_FALSE(options.profile);
-  EXPECT_TRUE(options.positional.empty());
+  EXPECT_FALSE(options.preset.has_value());
 }
 
-TEST(ParseReportArgs, ParsesAllFlagsAndKeepsPositionalOrder) {
+TEST(FlagTable, ParsesGroupFlagsAndFillsPositionalsInOrder) {
+  std::string first;
+  std::string second;
   const ReportOptions options =
       Parse({"VRL", "--json", "out.json", "--trace-out", "trace.jsonl",
-             "--profile", "--csv", "-", "extra"});
+             "--profile", "--csv", "-", "extra"},
+            {{"first", &first}, {"second", &second}});
   EXPECT_EQ(options.json_path, "out.json");
   EXPECT_EQ(options.csv_path, "-");
   EXPECT_EQ(options.trace_path, "trace.jsonl");
   EXPECT_TRUE(options.profile);
-  EXPECT_EQ(options.positional, (std::vector<std::string>{"VRL", "extra"}));
+  EXPECT_EQ(first, "VRL");
+  EXPECT_EQ(second, "extra");
 }
 
-TEST(ParseReportArgs, MissingPathThrows) {
+TEST(FlagTable, MissingValueThrows) {
+  std::string first;
   EXPECT_THROW(Parse({"--json"}), ConfigError);
   EXPECT_THROW(Parse({"--csv"}), ConfigError);
-  EXPECT_THROW(Parse({"pos", "--trace-out"}), ConfigError);
+  EXPECT_THROW(Parse({"pos", "--trace-out"}, {{"first", &first}}),
+               ConfigError);
 }
 
-TEST(ParseReportArgs, FlagValueMayLookLikeAFlag) {
+TEST(FlagTable, FlagValueMayLookLikeAFlag) {
   // `--json --profile` consumes "--profile" as the path — documented
   // greedy behaviour, pinned so a refactor doesn't silently change it.
   const ReportOptions options = Parse({"--json", "--profile"});
@@ -181,51 +200,108 @@ TEST(ParseReportArgs, FlagValueMayLookLikeAFlag) {
   EXPECT_FALSE(options.profile);
 }
 
-TEST(ParseReportArgs, ServePortArgumentIsOptional) {
+TEST(FlagTable, ServePortArgumentIsOptional) {
   const ReportOptions bare = Parse({"--serve"});
   EXPECT_TRUE(bare.serve);
   EXPECT_EQ(bare.serve_port, 0);  // ephemeral
 
-  const ReportOptions with_port = Parse({"--serve", "8080", "VRL"});
+  std::string workload;
+  const ReportOptions with_port =
+      Parse({"--serve", "8080", "VRL"}, {{"workload", &workload}});
   EXPECT_TRUE(with_port.serve);
   EXPECT_EQ(with_port.serve_port, 8080);
-  EXPECT_EQ(with_port.positional, (std::vector<std::string>{"VRL"}));
+  EXPECT_EQ(workload, "VRL");
 
   // A non-numeric follower is a positional, not a port.
-  const ReportOptions no_port = Parse({"--serve", "VRL"});
+  workload.clear();
+  const ReportOptions no_port =
+      Parse({"--serve", "VRL"}, {{"workload", &workload}});
   EXPECT_TRUE(no_port.serve);
   EXPECT_EQ(no_port.serve_port, 0);
-  EXPECT_EQ(no_port.positional, (std::vector<std::string>{"VRL"}));
+  EXPECT_EQ(workload, "VRL");
 }
 
-TEST(ParseReportArgs, WatchdogTakesARulesPathAndRequiresIt) {
+TEST(FlagTable, WatchdogTakesARulesPathAndRequiresIt) {
   const ReportOptions options = Parse({"--watchdog", "rules.json"});
   EXPECT_EQ(options.watchdog_path, "rules.json");
   EXPECT_FALSE(options.serve);  // --watchdog alone does not start a server
   EXPECT_THROW(Parse({"--watchdog"}), ConfigError);
 }
 
-TEST(ParseReportArgs, ResilienceFlagsParseAndValidate) {
+TEST(FlagTable, ResilienceFlagsParseAndValidate) {
   const ReportOptions defaults = Parse({});
   EXPECT_TRUE(defaults.resume_path.empty());
   EXPECT_EQ(defaults.workers, 0u);
   EXPECT_EQ(defaults.leg_timeout_s, 120.0);
   EXPECT_EQ(defaults.max_retries, 3u);
 
+  std::string workload;
   const ReportOptions options =
       Parse({"--resume", "run.journal", "--workers", "4", "--leg-timeout",
-             "2.5", "--max-retries", "7", "VRL"});
+             "2.5", "--max-retries", "7", "VRL"},
+            {{"workload", &workload}});
   EXPECT_EQ(options.resume_path, "run.journal");
   EXPECT_EQ(options.workers, 4u);
   EXPECT_EQ(options.leg_timeout_s, 2.5);
   EXPECT_EQ(options.max_retries, 7u);
-  EXPECT_EQ(options.positional, (std::vector<std::string>{"VRL"}));
+  EXPECT_EQ(workload, "VRL");
 
   EXPECT_THROW(Parse({"--resume"}), ConfigError);
   EXPECT_THROW(Parse({"--workers", "two"}), ConfigError);
   EXPECT_THROW(Parse({"--max-retries", "-1"}), ConfigError);
   EXPECT_THROW(Parse({"--leg-timeout", "0"}), ConfigError);
   EXPECT_THROW(Parse({"--leg-timeout", "fast"}), ConfigError);
+}
+
+TEST(FlagTable, MakeRuntimeOptionsMapsTheResilienceFlags) {
+  const runtime::RuntimeOptions runtime = MakeRuntimeOptions(
+      Parse({"--resume", "j.jsonl", "--workers", "3", "--leg-timeout", "9",
+             "--max-retries", "1"}));
+  EXPECT_EQ(runtime.journal_path, "j.jsonl");
+  EXPECT_EQ(runtime.workers, 3u);
+  EXPECT_EQ(runtime.leg_timeout_s, 9.0);
+  EXPECT_EQ(runtime.max_retries, 1u);
+}
+
+TEST(FlagTable, AcceptsOnlyTheDeclaredGroupsAndRows) {
+  std::size_t windows = 0;
+  try {
+    Parse({"--trace-out", "x"}, {{"--windows", &windows}}, kOutput);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& error) {
+    // The unknown-flag error lists the table's flags.
+    EXPECT_STREQ(error.what(),
+                 "unknown flag '--trace-out' (expected one of: --json, "
+                 "--csv, --windows)");
+  }
+  EXPECT_THROW(Parse({"extra"}, {}, kOutput), ConfigError);
+  EXPECT_THROW(Parse({"--topology", "DDR4_2400"}), ConfigError);
+  EXPECT_EQ(Parse({"--preset", "ddr4-2400"}).preset,
+            dram::TimingPreset::kDdr4_2400);
+  EXPECT_THROW(Parse({"--preset", "DDR9"}), ConfigError);
+}
+
+TEST(FlagTable, RowsParseAndCheckTheirKinds) {
+  std::size_t rows = 0;
+  double ms = 0.0;
+  bool vrt = false;
+  std::vector<std::string> passed;
+  const auto table = [&]() -> std::vector<Flag> {
+    return {{"rows", &rows, kPositive},
+            {"--ms", &ms, kPositive},
+            {"--vrt", &vrt},
+            {"--benchmark_*",
+             [&](const std::string& arg) { passed.push_back(arg); }}};
+  };
+  Parse({"64", "--ms", "0.5", "--vrt", "--benchmark_filter=BM_X"}, table(),
+        0);
+  EXPECT_EQ(rows, 64u);
+  EXPECT_EQ(ms, 0.5);
+  EXPECT_TRUE(vrt);
+  EXPECT_EQ(passed, (std::vector<std::string>{"--benchmark_filter=BM_X"}));
+  EXPECT_THROW(Parse({"0"}, table(), 0), ConfigError);
+  EXPECT_THROW(Parse({"--ms", "-1"}, table(), 0), ConfigError);
+  EXPECT_THROW(Parse({"--benchmarks"}, table(), 0), ConfigError);
 }
 
 TEST(ParseCountFlag, AcceptsWholeUnsignedIntegers) {
@@ -263,65 +339,75 @@ TEST(ParseNumberFlag, RejectsGarbageAndNonFinite) {
 
 // -- Binary flag parsing ------------------------------------------------------
 
-/// Exit status of the built binary at `path` run with `args`, output
-/// discarded.  A run past 60 s is killed and reports timeout(1)'s 124, so
-/// a flag that wraps into an endless run fails instead of hanging.
-int RunBinary(const std::string& path, const std::string& args) {
-  const std::string command =
-      "timeout 60 " + path + " " + args + " >/dev/null 2>&1";
-  const int status = std::system(command.c_str());
+/// Every bench and example binary: name -> path.
+const std::map<std::string, std::string>& Binaries() {
+  static const std::map<std::string, std::string> binaries = [] {
+    std::map<std::string, std::string> out;
+    std::stringstream list(VRL_BINARIES);
+    for (std::string path; std::getline(list, path, ',');) {
+      out[path.substr(path.rfind('/') + 1)] = path;
+    }
+    return out;
+  }();
+  return binaries;
+}
+
+/// Exit status of the built binary `name` run with `args`, stdout
+/// discarded; `stderr_text` (optional) receives its stderr.  A run past
+/// 60 s is killed and reports timeout(1)'s 124, so a flag that wraps into
+/// an endless run fails instead of hanging.
+int RunBinary(const std::string& name, const std::string& args,
+              std::string* stderr_text = nullptr) {
+  const std::string command = "timeout 60 " + Binaries().at(name) + " " +
+                              args + " 2>&1 >/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  std::string text;
+  std::array<char, 256> buffer;
+  while (pipe != nullptr && std::fgets(buffer.data(), buffer.size(), pipe)) {
+    text += buffer.data();
+  }
+  const int status = pipe != nullptr ? pclose(pipe) : -1;
+  if (stderr_text != nullptr) {
+    *stderr_text = text;
+  }
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-int RunFaultCampaign(const std::string& args) {
-  return RunBinary(std::string(VRL_EXAMPLES_DIR) + "/fault_campaign", args);
-}
-
 TEST(FaultCampaignFlags, ValidFlagsRun) {
-  EXPECT_EQ(RunFaultCampaign("--windows 1 --seed 7 --low-ratio 0.5"), 0);
+  EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --seed 7 --low-ratio 0.5"),
+            0);
 }
 
 TEST(FaultCampaignFlags, TrailingFlagWithoutValueIsAUsageError) {
-  EXPECT_EQ(RunFaultCampaign("--windows 1 --seed"), 2);
+  EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --seed"), 2);
 }
 
 TEST(FaultCampaignFlags, NegativeAndTrailingGarbageValuesAreUsageErrors) {
-  EXPECT_EQ(RunFaultCampaign("--windows 1 --seed -1"), 2);
-  EXPECT_EQ(RunFaultCampaign("--windows 1x"), 2);
-  EXPECT_EQ(RunFaultCampaign("--windows 1 --low-ratio 0.5x"), 2);
+  EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --seed -1"), 2);
+  EXPECT_EQ(RunBinary("fault_campaign", "--windows 1x"), 2);
+  EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --low-ratio 0.5x"), 2);
 }
 
 TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
-  const std::string bench_dir = VRL_BENCH_DIR;
   for (const char* binary : {"refresh_tournament", "timing_conformance"}) {
-    const std::string path = bench_dir + "/" + binary;
     for (const char* args : {"--windows abc", "--windows -1", "--windows 2x",
                              "--windows", "--bogus 1", "--preset DDR9"}) {
-      EXPECT_EQ(RunBinary(path, args), 2) << binary << " " << args;
+      EXPECT_EQ(RunBinary(binary, args), 2) << binary << " " << args;
     }
   }
-  const std::string tournament = bench_dir + "/refresh_tournament";
   for (const char* args : {"--workloads abc", "--workloads -1",
                            "--subarrays 4x", "--subarrays -2",
                            "--windows 1 --subarrays"}) {
-    EXPECT_EQ(RunBinary(tournament, args), 2) << args;
+    EXPECT_EQ(RunBinary("refresh_tournament", args), 2) << args;
   }
-  // The mains with no flags of their own reject a malformed shared flag
-  // the same way instead of aborting.
-  for (const char* binary :
-       {"ablation_guardband", "ablation_nbits", "ablation_profiling",
-        "ablation_salp", "ablation_tau_partial", "ablation_technology",
-        "fig1a_restore_curve", "fig1b_partial_refresh",
-        "fig3_retention_binning", "fig4_refresh_overhead", "fig5_equalization",
-        "latency_impact", "parallel_scaling", "power_refresh",
-        "table1_accuracy", "table2_area", "validation_circuit"}) {
+  // Every binary rejects a trailing flag and a malformed resilience flag
+  // (an unknown flag where the binary has no runtime group).
+  for (const auto& [binary, path] : Binaries()) {
     for (const char* args : {"--json", "--leg-timeout 9x"}) {
-      EXPECT_EQ(RunBinary(bench_dir + "/" + binary, args), 2)
-          << binary << " " << args;
+      EXPECT_EQ(RunBinary(binary, args), 2) << binary << " " << args;
     }
   }
   // The examples that parse numbers of their own share the same rules.
-  const std::string examples_dir = VRL_EXAMPLES_DIR;
   const std::pair<const char*, const char*> example_cases[] = {
       {"policy_explorer", "--windows abc"},
       {"policy_explorer", "--windows"},
@@ -341,19 +427,42 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
       {"integrity_audit", "--windows -1x"},
   };
   for (const auto& [binary, args] : example_cases) {
-    EXPECT_EQ(RunBinary(examples_dir + "/" + binary, args), 2)
-        << binary << " " << args;
+    EXPECT_EQ(RunBinary(binary, args), 2) << binary << " " << args;
   }
 }
 
-TEST(ParseReportArgs, MakeRuntimeOptionsMapsTheResilienceFlags) {
-  const runtime::RuntimeOptions runtime = MakeRuntimeOptions(
-      Parse({"--resume", "j.jsonl", "--workers", "3", "--leg-timeout", "9",
-             "--max-retries", "1"}));
-  EXPECT_EQ(runtime.journal_path, "j.jsonl");
-  EXPECT_EQ(runtime.workers, 3u);
-  EXPECT_EQ(runtime.leg_timeout_s, 9.0);
-  EXPECT_EQ(runtime.max_retries, 1u);
+TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
+  ASSERT_EQ(Binaries().size(), 28u);
+  // The positionals each binary declares, filled, so one more is surplus.
+  const std::map<std::string, std::string> positionals = {
+      {"quickstart", "facesim"},
+      {"retention_profiler", "64 8 7"},
+      {"trace_tools", "generate facesim 1 /dev/null"},
+      {"circuit_waveform", "deck eq /dev/null"},
+  };
+  // A shared flag the binary does not read; default --trace-out.
+  const std::map<std::string, std::string> unread = {
+      {"fig3_retention_binning", "--preset DDR4_2400"},
+      {"quickstart", "--workers 2"},
+      {"fault_campaign", "--preset DDR4_2400"},
+      {"design_space", "--profile"},
+      {"microbench", "--json x"},
+  };
+  for (const auto& [binary, path] : Binaries()) {
+    const auto filled = positionals.find(binary);
+    const auto probe = unread.find(binary);
+    for (const std::string& args :
+         {std::string("--bogus 1"),
+          (filled != positionals.end() ? filled->second + " " : "") +
+              "extra",
+          probe != unread.end() ? probe->second : "--trace-out x"}) {
+      std::string err;
+      EXPECT_EQ(RunBinary(binary, args, &err), 2) << binary << " " << args;
+      // One `error:` line.
+      EXPECT_EQ(err.rfind("error: ", 0), 0u) << binary << " " << args;
+      EXPECT_EQ(err.find('\n'), err.size() - 1) << binary << " " << err;
+    }
+  }
 }
 
 // -- Emit ---------------------------------------------------------------------
