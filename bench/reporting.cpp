@@ -10,8 +10,8 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
-#include "prof/report.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/profile_export.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace vrl::bench {
@@ -97,13 +97,17 @@ std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
   if ((groups & kProfile) != 0) {
     rows.emplace_back("--profile", &options->profile);
     rows.emplace_back("--profile-out", [options](const std::string& path) {
+      telemetry::ProfileFileWriter(path);  // Rejects an unknown extension.
       options->profile_path = path;
       options->profile = true;  // An output file implies profiling.
     });
     rows.emplace_back("--profile-scrub", &options->profile_scrub);
   }
   if ((groups & kTrace) != 0) {
-    rows.emplace_back("--trace-out", &options->trace_path);
+    rows.emplace_back("--trace-out", [options](const std::string& path) {
+      telemetry::TraceFileWriter(path);  // Rejects an unknown extension.
+      options->trace_path = path;
+    });
   }
   if ((groups & kMonitor) != 0) {
     rows.emplace_back("--serve", &options->serve).port = &options->serve_port;
@@ -353,45 +357,23 @@ void Report::AddTelemetry(const telemetry::MetricsSnapshot& snapshot) {
 }
 
 void Report::AddProfile(const telemetry::Recorder& recorder) {
-  const prof::Profiler* profiler = recorder.profiler();
+  const telemetry::Profiler* profiler = recorder.profiler();
   if (profiler == nullptr) {
     return;
   }
-  const prof::ProfileSnapshot snapshot = profiler->Snapshot();
+  const telemetry::ProfileSnapshot snapshot = profiler->Snapshot();
   TextTable& table = AddTable(
       "profile_tree",
       {"phase", "calls", "units", "incl_ms", "excl_ms", "excl_pct"});
-  double total = 0.0;
-  for (const prof::ProfileNode& node : snapshot.nodes) {
-    if (node.parent < 0) {
-      total += node.inclusive_s;
-    }
-  }
-  // Depth-first so the indentation reads as a tree (creation order can
-  // interleave siblings of different subtrees).
-  std::vector<std::vector<std::size_t>> children(snapshot.nodes.size());
-  std::vector<std::size_t> stack;
-  for (std::size_t i = snapshot.nodes.size(); i-- > 0;) {
-    const std::int32_t parent = snapshot.nodes[i].parent;
-    if (parent < 0) {
-      stack.push_back(i);
-    } else {
-      children[static_cast<std::size_t>(parent)].push_back(i);
-    }
-  }
-  while (!stack.empty()) {
-    const std::size_t index = stack.back();
-    stack.pop_back();
-    const prof::ProfileNode& node = snapshot.nodes[index];
+  const double total = snapshot.RootInclusiveSeconds();
+  for (const std::size_t index : snapshot.PreOrder()) {
+    const telemetry::ProfileNode& node = snapshot.nodes[index];
     table.AddRow(
         {std::string(static_cast<std::size_t>(node.depth) * 2, ' ') +
              node.name,
          std::to_string(node.calls), std::to_string(node.units),
          Fmt(node.inclusive_s * 1e3, 3), Fmt(node.exclusive_s * 1e3, 3),
          total > 0.0 ? Fmt(100.0 * node.exclusive_s / total, 1) : "-"});
-    for (const std::size_t child : children[index]) {
-      stack.push_back(child);
-    }
   }
   AddMeta("prof.frames", profiler->frames());
   AddMeta("prof.drops", profiler->drops());
@@ -402,21 +384,9 @@ void WriteProfileOutput(const ReportOptions& options,
   if (options.profile_path.empty() || recorder.profiler() == nullptr) {
     return;
   }
-  const prof::ProfileSnapshot snapshot =
-      recorder.profiler()->Snapshot(options.profile_scrub);
-  const std::string& path = options.profile_path;
-  constexpr std::string_view kOverlay = ".trace.json";
-  if (path.size() >= kOverlay.size() &&
-      path.compare(path.size() - kOverlay.size(), kOverlay.size(),
-                   kOverlay) == 0) {
-    std::ofstream os(path);
-    if (!os) {
-      throw ConfigError("WriteProfileOutput: cannot open " + path);
-    }
-    telemetry::WriteProfileChromeTrace(os, snapshot);
-    return;
-  }
-  prof::WriteProfileFile(path, snapshot);
+  telemetry::WriteProfileFile(
+      options.profile_path,
+      recorder.profiler()->Snapshot(options.profile_scrub));
 }
 
 void Report::PrintText(std::ostream& os) const {

@@ -143,11 +143,11 @@ ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
                          std::vector<Flag> rows = {});
 
 /// Writes the recorder's attribution tree to `options.profile_path`
-/// (--profile-out), dispatching on the extension: ".trace.json" renders
-/// the Chrome-trace overlay, ".json" the vrl.profile.v1 document,
-/// ".collapsed"/".folded" flamegraph stacks, anything else the text tree.
-/// --profile-scrub zeroes wall times first.  No-op when the path is empty
-/// or the recorder has no profiler.
+/// (--profile-out) through telemetry::WriteProfileFile, which picks the
+/// format by extension: ".trace.json" the Chrome-trace overlay, ".json"
+/// the vrl.profile.v1 document, ".collapsed"/".folded" flamegraph stacks,
+/// ".txt" the text tree.  --profile-scrub zeroes wall times first.  No-op
+/// when the path is empty or the recorder has no profiler.
 /// \throws vrl::ConfigError when the file cannot be opened.
 void WriteProfileOutput(const ReportOptions& options,
                         const telemetry::Recorder& recorder);

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
         tech.columns = 8;
         tech.cbw_ratio = 0.0;  // see header comment
 
-        const prof::ScopedPhase solve_phase(
+        const telemetry::ScopedPhase solve_phase(
             part_a_shards ? part_a_shards->shard(g).profiler() : nullptr,
             "circuit.solve");
         const model::EqualizationModel eq(tech);
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
         // zero-offset ideal latch still needs a small residual margin.
         margin_tech.v_sense_min = std::max(1e-3, offset_mv * 1e-3);
         const model::RefreshModel margin_model(margin_tech);
-        const prof::ScopedPhase solve_phase(
+        const telemetry::ScopedPhase solve_phase(
             part_b_shards ? part_b_shards->shard(o).profiler() : nullptr,
             "circuit.solve");
         return {Fmt(offset_mv, 0),

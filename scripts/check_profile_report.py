@@ -4,7 +4,7 @@
     python3 scripts/check_profile_report.py profile.json [--expect-phase NAME]
     python3 scripts/check_profile_report.py --from-url http://127.0.0.1:PORT
 
-Checks the invariants the profiler (src/prof/profiler.hpp) promises:
+Checks the invariants the profiler (src/telemetry/profiler.hpp) promises:
 
   * schema is ``vrl.profile.v1`` with integer ``frames``/``drops`` >= 0
   * the node list is a well-formed forest: every ``parent`` is -1 or a
@@ -16,8 +16,9 @@ Checks the invariants the profiler (src/prof/profiler.hpp) promises:
     (drops are accounted separately, never silently lost)
 
 Deliberately NOT checked: parent inclusive >= sum(child inclusive).  Hot
-phases are sampled 1-in-64 and scaled (prof::PhaseAccumulator), so a
-child's estimate can legitimately overshoot its parent's measured time.
+phases are sampled 1-in-64 and scaled (telemetry::PhaseAccumulator folds
+its estimate into the tree), so a child's estimate can legitimately
+overshoot its parent's measured time.
 
 --expect-phase NAME (repeatable) requires a node with that name, so CI
 can assert the controller/campaign wiring actually produced frames.

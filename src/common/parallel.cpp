@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace vrl {
 namespace {
@@ -25,15 +26,14 @@ struct ParallelRegionGuard {
 
 std::size_t ThreadCountFromEnv() {
   const char* env = std::getenv("VRL_THREADS");
-  if (env == nullptr || *env == '\0') {
+  if (env == nullptr) {
     return 0;
   }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || value == 0) {
+  const std::optional<std::uint64_t> value = ParseWholeUnsigned(env);
+  if (!value || *value == 0) {
     return 0;  // Malformed or zero: fall through to hardware concurrency.
   }
-  return static_cast<std::size_t>(value);
+  return static_cast<std::size_t>(*value);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.hpp"
 #include "telemetry/recorder.hpp"
@@ -204,21 +203,17 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
     bank_label = tracer->Intern("bank_run");
   }
   const std::size_t banks_per_rank = topo.BanksPerRank();
-  // Phase profiling (--profile, docs/PROFILING.md): per-tick phases are
-  // timed on a 1-in-N sample (exact call counts, scaled time estimate —
-  // prof::PhaseAccumulator) and folded once into the attribution profiler
-  // via FoldPhaseProfile.
-  prof::Profiler* profiler =
+  // Phase profiling (--profile, docs/PROFILING.md): the per-tick phases
+  // are timed on a 1-in-N sample (exact call counts, scaled time estimate)
+  // and fold under "controller.run" at the end of the run.  Units:
+  // requests serviced by the scheduler, refresh ops granted.
+  telemetry::Profiler* profiler =
       telemetry_ == nullptr ? nullptr : telemetry_->profiler();
-  const prof::ScopedPhase run_phase(profiler, "controller.run");
-  PhaseProfile phases;
-  const auto phase_clock = [] { return std::chrono::steady_clock::now(); };
-  const auto seconds_since =
-      [](std::chrono::steady_clock::time_point from) {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             from)
-            .count();
-      };
+  const telemetry::ScopedPhase run_phase(profiler, "controller.run");
+  telemetry::PhaseAccumulator scheduler_phase(profiler, "scheduler");
+  telemetry::PhaseAccumulator grant_phase(profiler, "policy.propose_grant");
+  telemetry::PhaseAccumulator flush_phase(profiler, "telemetry_flush",
+                                          /*sample_every=*/1);
   // Run() absorbs only this run's deltas, so re-running a controller does
   // not double-count the cumulative BankStats or engine counters.
   SimulationStats before;
@@ -280,13 +275,8 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
       // Service every request arriving before `limit`, letting the
       // scheduler reorder among the ones pending at each decision instant.
       // Each step serves the group's bank whose decision instant comes
-      // first (ties to the lowest index).  Under --profile the clock is
-      // read only on sampled passes.
-      const bool time_scheduler =
-          profiler != nullptr && phases.scheduler.Sample();
-      const auto scheduler_t0 = time_scheduler
-                                    ? phase_clock()
-                                    : std::chrono::steady_clock::time_point{};
+      // first (ties to the lowest index).
+      scheduler_phase.Start();
       while (true) {
         std::size_t b = last;
         Cycles t_decide = 0;
@@ -331,9 +321,7 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
         cur.pending.erase(cur.pending.begin() +
                           static_cast<std::ptrdiff_t>(pick));
       }
-      if (time_scheduler) {
-        phases.scheduler.Add(seconds_since(scheduler_t0));
-      }
+      scheduler_phase.Stop();
       if (drain) {
         break;
       }
@@ -359,16 +347,10 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
         if (engine_ != nullptr) {
           ctx.addr = DecomposeBank(topo, b);
         }
-        const bool time_collect =
-            profiler != nullptr && phases.collect.Sample();
-        const auto collect_t0 = time_collect
-                                    ? phase_clock()
-                                    : std::chrono::steady_clock::time_point{};
+        grant_phase.Start();
         const std::vector<RefreshOp> ops =
             GrantRefreshes(*policies_[b], ctx, &grant_stats);
-        if (time_collect) {
-          phases.collect.Add(seconds_since(collect_t0));
-        }
+        grant_phase.Stop();
         // Each op waits for its own subarray inside the bank; ops to
         // distinct subarrays overlap (SALP), ops to the same one
         // serialize.
@@ -408,7 +390,7 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
 
   // Fold the policies' batched per-op telemetry into the recorder before
   // any caller snapshots it.
-  const auto flush_t0 = phase_clock();
+  flush_phase.Start();
   for (const auto& policy : policies_) {
     policy->FlushTelemetry();
   }
@@ -462,29 +444,13 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
             act.channel_bursts[c], activity_before.channel_bursts[c]);
     }
   }
-  if (profiler != nullptr) {
-    // The flush phase covers the policy folds plus the delta exports above.
-    phases.flush_s = seconds_since(flush_t0);
-    FoldPhaseProfile(*profiler, phases,
-                     stats.TotalReads() + stats.TotalWrites() -
-                         before.TotalReads() - before.TotalWrites(),
-                     grant_stats.granted);
-  }
+  // The flush phase covers the policy folds plus the delta exports above.
+  flush_phase.Stop();
+  scheduler_phase.Fold(stats.TotalReads() + stats.TotalWrites() -
+                       before.TotalReads() - before.TotalWrites());
+  grant_phase.Fold(grant_stats.granted);
+  flush_phase.Fold();
   return stats;
-}
-
-void MemoryController::FoldPhaseProfile(prof::Profiler& profiler,
-                                        const PhaseProfile& phases,
-                                        std::uint64_t serviced,
-                                        std::uint64_t granted) {
-  // Children of the run loop's open "controller.run" frame.  Units:
-  // requests serviced by the scheduler, refresh ops granted.
-  profiler.CompletePhase("scheduler", phases.scheduler.EstimatedSeconds(),
-                         phases.scheduler.calls(), serviced);
-  profiler.CompletePhase("policy.propose_grant",
-                         phases.collect.EstimatedSeconds(),
-                         phases.collect.calls(), granted);
-  profiler.CompletePhase("telemetry_flush", phases.flush_s, 1, 0);
 }
 
 void MemoryController::ExportGrantTelemetry(const RefreshGrantStats& grants) {

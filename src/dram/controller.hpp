@@ -14,7 +14,6 @@
 #include "dram/timing.hpp"
 #include "dram/timing_table.hpp"
 #include "dram/topology.hpp"
-#include "prof/profiler.hpp"
 
 /// \file controller.hpp
 /// The memory controller: per-bank request streams interleaved with tREFI
@@ -126,18 +125,6 @@ class MemoryController {
   const ConstraintEngine* constraint_engine() const { return engine_.get(); }
 
  private:
-  /// Per-run phase costs under --profile: sampled 1-in-N wall clock with
-  /// exact call counts (prof::PhaseAccumulator), plus the unsampled
-  /// telemetry-flush time.
-  struct PhaseProfile {
-    prof::PhaseAccumulator scheduler;
-    prof::PhaseAccumulator collect;
-    double flush_s = 0.0;
-  };
-  /// Folds one run's phase costs into the attribution profiler.
-  static void FoldPhaseProfile(prof::Profiler& profiler,
-                               const PhaseProfile& phases,
-                               std::uint64_t serviced, std::uint64_t granted);
   /// The per-run telemetry delta export of the banks' always-on stats.
   void ExportRunTelemetry(const SimulationStats& before,
                           const SimulationStats& stats,

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "prof/profiler.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace vrl::fault {
@@ -247,7 +247,7 @@ FailureResponse AdaptiveVrlPolicy::OnSensingFailure(std::size_t row,
   CheckRow(row);
   // Demotions recompute the row's MPRSF/period setting; failures are rare
   // enough that a real RAII frame (two clock reads) is affordable here.
-  const prof::ScopedPhase recompute_phase(
+  const telemetry::ScopedPhase recompute_phase(
       telemetry() == nullptr ? nullptr : telemetry()->profiler(),
       "policy.mprsf_recompute");
   RollWindows(now);
@@ -317,7 +317,7 @@ void AdaptiveVrlPolicy::OnCleanFullRefresh(std::size_t row, Cycles now) {
     return;
   }
   // Past the early-outs: this promotion commits, recomputing the setting.
-  const prof::ScopedPhase recompute_phase(
+  const telemetry::ScopedPhase recompute_phase(
       telemetry() == nullptr ? nullptr : telemetry()->profiler(),
       "policy.mprsf_recompute");
   ++stats_.promotions;

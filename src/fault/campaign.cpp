@@ -1,11 +1,8 @@
 #include "fault/campaign.hpp"
 
-#include <chrono>
-
 #include "common/error.hpp"
 #include "dram/scheduler.hpp"
 #include "fault/charge_tracker.hpp"
-#include "prof/profiler.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace vrl::fault {
@@ -84,16 +81,10 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
   // Attribution (--profile, docs/PROFILING.md): the per-tick fault clock
   // and the grant + ChargeTracker op loop are timed on a 1-in-N sample
   // (exact counts) and folded under one "campaign.run" frame at the end.
-  prof::Profiler* profiler = rec == nullptr ? nullptr : rec->profiler();
-  const prof::ScopedPhase campaign_phase(profiler, "campaign.run");
-  prof::PhaseAccumulator faults_acc;
-  prof::PhaseAccumulator refresh_acc;
-  const auto prof_now = [] { return std::chrono::steady_clock::now(); };
-  const auto prof_since = [](std::chrono::steady_clock::time_point from) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         from)
-        .count();
-  };
+  telemetry::Profiler* profiler = rec == nullptr ? nullptr : rec->profiler();
+  const telemetry::ScopedPhase campaign_phase(profiler, "campaign.run");
+  telemetry::PhaseAccumulator faults_phase(profiler, "faults.advance");
+  telemetry::PhaseAccumulator refresh_phase(profiler, "refresh_ops");
 
   std::size_t window_index = 0;
   std::size_t window_refreshes = 0;
@@ -136,22 +127,15 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
       close_windows_until(static_cast<std::size_t>(tick / setup.base_window));
     }
     const double now_s = CyclesToSeconds(tick, setup.clock_period_s);
-    if (profiler != nullptr && faults_acc.Sample()) {
-      const auto t0 = prof_now();
-      faults.Advance(now_s, rows);
-      faults_acc.Add(prof_since(t0));
-    } else {
-      faults.Advance(now_s, rows);
-    }
+    faults_phase.Start();
+    faults.Advance(now_s, rows);
+    faults_phase.Stop();
     // Propose/grant with no bank context: every proposal is granted on the
     // tick it is proposed (the campaign replays physics, not bank timing).
     dram::RefreshGrantContext grant_ctx;
     grant_ctx.now = tick;
     grant_ctx.demand.now = tick;
-    const bool timed_tick = profiler != nullptr && refresh_acc.Sample();
-    const auto refresh_t0 =
-        timed_tick ? prof_now() : std::chrono::steady_clock::time_point{};
-    const std::size_t refreshes_before = report.refreshes;
+    refresh_phase.Start();
     for (const auto& op : dram::GrantRefreshes(policy, grant_ctx)) {
       const double retention =
           truth.RowRetention(op.row) * faults.RowScale(op.row);
@@ -211,12 +195,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
         report.events.push_back(event);
       }
     }
-    if (profiler != nullptr) {
-      refresh_acc.AddUnits(report.refreshes - refreshes_before);
-      if (timed_tick) {
-        refresh_acc.Add(prof_since(refresh_t0));
-      }
-    }
+    refresh_phase.Stop();
   }
 
   if (window_hooks) {
@@ -228,14 +207,10 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     report.adaptive = adaptive->stats();
   }
   policy.FlushTelemetry();  // Batched per-op state, before callers snapshot.
-  if (profiler != nullptr) {
-    // Folded per-tick costs, children of the open "campaign.run" frame.
-    // Units: refresh_ops counts the refresh operations it charged.
-    profiler->CompletePhase("faults.advance", faults_acc.EstimatedSeconds(),
-                            faults_acc.calls(), 0);
-    profiler->CompletePhase("refresh_ops", refresh_acc.EstimatedSeconds(),
-                            refresh_acc.calls(), refresh_acc.units());
-  }
+  // Children of the open "campaign.run" frame; refresh_ops counts the
+  // refresh operations it charged.
+  faults_phase.Fold();
+  refresh_phase.Fold(report.refreshes);
   if (rec != nullptr) {
     rec->counter("campaign.windows")
         .Add(static_cast<std::uint64_t>(setup.windows));

@@ -18,8 +18,8 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
-#include "prof/report.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/profile_export.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace vrl::obs {
@@ -125,9 +125,9 @@ void MonitorServer::Publish(const telemetry::Recorder& recorder) {
   telemetry::MetricsSnapshot snapshot = recorder.Snapshot();
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
-  prof::ProfileSnapshot profile;
+  telemetry::ProfileSnapshot profile;
   bool has_profile = false;
-  if (const prof::Profiler* profiler = recorder.profiler()) {
+  if (const telemetry::Profiler* profiler = recorder.profiler()) {
     profile = profiler->Snapshot();
     has_profile = true;
   }
@@ -476,9 +476,9 @@ std::string MonitorServer::RenderProfile(bool collapsed, int* status) const {
   }
   std::ostringstream os;
   if (collapsed) {
-    prof::WriteCollapsedStacks(os, profile_);
+    telemetry::WriteCollapsedStacks(os, profile_);
   } else {
-    prof::WriteProfileJson(os, profile_);
+    telemetry::WriteProfileJson(os, profile_);
   }
   return os.str();
 }

@@ -14,7 +14,7 @@
 #include "obs/progress.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/watchdog.hpp"
-#include "prof/profiler.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/recorder.hpp"
 
 /// \file monitor_server.hpp
@@ -181,7 +181,7 @@ class MonitorServer {
 
   // Last published attribution tree (set iff the publishing recorder had
   // a profiler) — the /profile feed.
-  prof::ProfileSnapshot profile_;
+  telemetry::ProfileSnapshot profile_;
   bool profile_published_ = false;
 
   // Fleet federation state (all copies, published from the driver thread).

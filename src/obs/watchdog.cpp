@@ -1,12 +1,12 @@
 #include "obs/watchdog.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "telemetry/export.hpp"
 
 namespace vrl::obs {
@@ -29,34 +29,23 @@ double MetricNumber(const telemetry::MetricsSnapshot& snapshot,
 
 /// Rules-file field table — one row per WatchdogRules field, so the parser,
 /// the spelling-tolerant lookup and the unknown-key error all stay in sync.
+/// A row sets either a threshold (any finite number; negative disables
+/// the rule) or a sample count (a whole number >= 1).
 struct RuleField {
   std::string_view name;
-  void (*apply)(WatchdogRules&, double);
+  double WatchdogRules::*threshold = nullptr;
+  std::size_t WatchdogRules::*count = nullptr;
 };
 
 constexpr RuleField kRuleFields[] = {
-    {"max_sensing_failure_rate",
-     [](WatchdogRules& r, double v) { r.max_sensing_failure_rate = v; }},
-    {"max_refresh_overhead",
-     [](WatchdogRules& r, double v) { r.max_refresh_overhead = v; }},
-    {"min_partial_full_ratio",
-     [](WatchdogRules& r, double v) { r.min_partial_full_ratio = v; }},
-    {"max_staleness_s",
-     [](WatchdogRules& r, double v) { r.max_staleness_s = v; }},
-    {"max_worker_stale_s",
-     [](WatchdogRules& r, double v) { r.max_worker_stale_s = v; }},
-    {"breach_samples",
-     [](WatchdogRules& r, double v) {
-       r.breach_samples = static_cast<std::size_t>(v);
-     }},
-    {"fail_samples",
-     [](WatchdogRules& r, double v) {
-       r.fail_samples = static_cast<std::size_t>(v);
-     }},
-    {"clear_samples",
-     [](WatchdogRules& r, double v) {
-       r.clear_samples = static_cast<std::size_t>(v);
-     }},
+    {"max_sensing_failure_rate", &WatchdogRules::max_sensing_failure_rate},
+    {"max_refresh_overhead", &WatchdogRules::max_refresh_overhead},
+    {"min_partial_full_ratio", &WatchdogRules::min_partial_full_ratio},
+    {"max_staleness_s", &WatchdogRules::max_staleness_s},
+    {"max_worker_stale_s", &WatchdogRules::max_worker_stale_s},
+    {"breach_samples", nullptr, &WatchdogRules::breach_samples},
+    {"fail_samples", nullptr, &WatchdogRules::fail_samples},
+    {"clear_samples", nullptr, &WatchdogRules::clear_samples},
 };
 
 /// Case- and separator-insensitive key form, mirroring
@@ -144,14 +133,13 @@ WatchdogRules ParseWatchdogRules(std::string_view json) {
       pos = key_end + 1;
       expect(':');
       skip_ws();
-      const std::string number_text(json.substr(pos));
-      char* end = nullptr;
-      const double value = std::strtod(number_text.c_str(), &end);
-      if (end == number_text.c_str()) {
-        throw ConfigError("ParseWatchdogRules: expected a number for '" +
-                          key + "'");
-      }
-      pos += static_cast<std::size_t>(end - number_text.c_str());
+      // The characters of a JSON number; common/parse.hpp then takes all of
+      // them or nothing, so "nan", "inf" and hex floats never parse.
+      const std::size_t number_end =
+          json.find_first_not_of("0123456789+-.eE", pos);
+      const std::string_view number_text =
+          json.substr(pos, number_end - pos);
+      pos += number_text.size();
 
       const std::string token = CanonicalRuleToken(key);
       const RuleField* match = nullptr;
@@ -165,7 +153,24 @@ WatchdogRules ParseWatchdogRules(std::string_view json) {
         throw ConfigError("ParseWatchdogRules: unknown rule '" + key +
                           "' (expected one of: " + RuleFieldNames() + ")");
       }
-      match->apply(rules, value);
+      if (match->count != nullptr) {
+        const std::optional<std::uint64_t> count =
+            ParseWholeUnsigned(number_text);
+        if (!count || *count == 0) {
+          throw ConfigError("ParseWatchdogRules: '" + key +
+                            "' needs a whole number >= 1, got '" +
+                            std::string(number_text) + "'");
+        }
+        rules.*match->count = static_cast<std::size_t>(*count);
+      } else {
+        const std::optional<double> threshold = ParseWholeDouble(number_text);
+        if (!threshold) {
+          throw ConfigError("ParseWatchdogRules: expected a number for '" +
+                            key + "', got '" + std::string(number_text) +
+                            "'");
+        }
+        rules.*match->threshold = *threshold;
+      }
 
       skip_ws();
       if (pos < json.size() && json[pos] == ',') {

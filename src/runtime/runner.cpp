@@ -9,8 +9,9 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "prof/profiler.hpp"
+#include "common/parse.hpp"
 #include "runtime/journal.hpp"
+#include "telemetry/profiler.hpp"
 
 namespace vrl::runtime {
 namespace {
@@ -23,21 +24,20 @@ namespace {
 /// after N *further* commits.
 void MaybeCrashAfterCommit() {
   const char* env = std::getenv("VRL_CRASH_AFTER_LEG");
-  if (env == nullptr || *env == '\0') {
+  if (env == nullptr) {
     return;
   }
-  char* end = nullptr;
-  const unsigned long target = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || target == 0) {
+  const std::optional<std::uint64_t> target = ParseWholeUnsigned(env);
+  if (!target || *target == 0) {
     return;
   }
   static std::atomic<std::uint64_t> counted_commits{0};
   if (counted_commits.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      static_cast<std::uint64_t>(target)) {
+      *target) {
     std::fprintf(stderr,
-                 "runtime: VRL_CRASH_AFTER_LEG=%lu reached; injecting "
+                 "runtime: VRL_CRASH_AFTER_LEG=%llu reached; injecting "
                  "SIGKILL\n",
-                 target);
+                 static_cast<unsigned long long>(*target));
     std::fflush(stderr);
     ::raise(SIGKILL);
   }
@@ -73,10 +73,8 @@ std::vector<std::string> RunJournaledLegs(
   // Attribution frames live on the runtime recorder and only on this
   // thread: leg bodies run on pool threads or worker processes, but every
   // commit lands here, in increasing leg order (docs/RESILIENCE.md).
-  prof::Profiler* profiler = rec == nullptr ? nullptr : rec->profiler();
-  const prof::ScopedPhase legs_phase(profiler, "runtime.legs");
-  const prof::PhaseId commit_id =
-      profiler == nullptr ? 0 : profiler->Intern("runtime.commit");
+  telemetry::Profiler* profiler = rec == nullptr ? nullptr : rec->profiler();
+  const telemetry::ScopedPhase legs_phase(profiler, "runtime.legs");
 
   std::unique_ptr<LegJournal> journal;
   std::vector<std::string> payloads;
@@ -100,7 +98,7 @@ std::vector<std::string> RunJournaledLegs(
 
   const std::size_t begin = payloads.size();
   const auto commit = [&](std::size_t index, const std::string& payload) {
-    const prof::ScopedPhase commit_phase(profiler, commit_id);
+    const telemetry::ScopedPhase commit_phase(profiler, "runtime.commit");
     if (journal != nullptr) {
       journal->Append(index, payload);
       ++st.journal_commits;

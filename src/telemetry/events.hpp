@@ -54,7 +54,8 @@ std::string_view EventKindName(EventKind kind);
 
 /// Interned label strings, indexed in first-intern order — deterministic
 /// for deterministic instrumentation.  Shared by the lineage ring (cause
-/// labels) and the Tracer (span names and track groups).
+/// labels), the Tracer (span names and track groups) and the Profiler
+/// (phase names).
 class LabelTable {
  public:
   /// Interns `label`, returning its stable index.  Idempotent.

@@ -1,8 +1,12 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/error.hpp"
 
 namespace vrl::telemetry {
 
@@ -92,6 +96,15 @@ void WriteCountArray(std::ostream& os,
 }
 
 }  // namespace
+
+bool EndsWithIgnoringCase(std::string_view path, std::string_view suffix) {
+  const auto same = [](char lower, char c) {
+    return lower == std::tolower(static_cast<unsigned char>(c));
+  };
+  return path.size() >= suffix.size() &&
+         std::equal(suffix.begin(), suffix.end(), path.end() - suffix.size(),
+                    same);
+}
 
 void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot) {
   for (const auto& [name, metric] : snapshot.metrics) {

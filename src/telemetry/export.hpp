@@ -1,11 +1,13 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/error.hpp"
 #include "telemetry/metrics.hpp"
 
 /// \file export.hpp
@@ -28,6 +30,37 @@ std::string FormatDouble(double value);
 /// Escapes a string for embedding in a JSON string literal (quotes not
 /// included).
 std::string JsonEscape(std::string_view text);
+
+/// One output format: a lower-case file suffix and the writer it selects.
+template <typename Writer>
+struct OutputFormat {
+  std::string_view suffix;
+  Writer writer;
+};
+
+/// True when `path` ends with the lower-case `suffix`, ignoring case.
+bool EndsWithIgnoringCase(std::string_view path, std::string_view suffix);
+
+/// The writer of the first of `formats` whose suffix `path` ends with,
+/// ignoring case: the one extension lookup behind `--trace-out`
+/// (TraceFileWriter) and `--profile-out` (ProfileFileWriter), checked
+/// before the file opens.
+/// \throws vrl::ConfigError naming the `kind` of output, the path and
+/// the accepted suffixes when none matches.
+template <typename Writer, std::size_t N>
+Writer SelectOutputFormat(std::string_view kind, const std::string& path,
+                          const OutputFormat<Writer> (&formats)[N]) {
+  std::string accepted;
+  for (const OutputFormat<Writer>& format : formats) {
+    if (EndsWithIgnoringCase(path, format.suffix)) {
+      return format.writer;
+    }
+    accepted += (accepted.empty() ? "" : ", ") + std::string(format.suffix);
+  }
+  throw ConfigError(std::string(kind) + " file " + path +
+                    ": unsupported extension (expected one of: " + accepted +
+                    ")");
+}
 
 // -- JSONL -------------------------------------------------------------------
 // One self-describing JSON object per line:

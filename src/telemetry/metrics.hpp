@@ -19,7 +19,7 @@
 /// regardless of thread count — provided concurrent work records into
 /// per-task recorders merged in task-index order (see
 /// telemetry::ShardedRecorder and docs/PARALLEL.md).  Wall clock is not a
-/// metric: it is recorded by the attribution profiler (prof/profiler.hpp).
+/// metric: it is recorded by the attribution profiler (profiler.hpp).
 ///
 /// Hot-path cost: callers resolve cells once (`registry.GetCounter(...)`
 /// returns a stable reference) and then pay one add/compare per update —

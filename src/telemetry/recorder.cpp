@@ -5,10 +5,10 @@ namespace vrl::telemetry {
 Recorder::Recorder(RecorderOptions options)
     : options_(options), lineage_(options.max_lineage) {
   if (options_.enable_tracing) {
-    tracer_ = std::make_unique<Tracer>(options_.tracing);
+    tracer_ = std::make_unique<Tracer>();
   }
   if (options_.profile_phases) {
-    profiler_ = std::make_unique<prof::Profiler>(options_.profiling);
+    profiler_ = std::make_unique<Profiler>();
   }
 }
 

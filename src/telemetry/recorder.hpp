@@ -5,9 +5,9 @@
 #include <string_view>
 #include <vector>
 
-#include "prof/profiler.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/tracing.hpp"
 
 /// \file recorder.hpp
@@ -34,20 +34,17 @@ struct RecorderOptions {
   /// and the policy.* metrics already carry the aggregate story (overhead
   /// table in docs/TRACING.md).
   bool lineage_ops = false;
-  /// Own a Tracer (docs/TRACING.md): causal spans on the simulator clock.
-  /// Off by default — when off, `tracer()` is null and every tracing site
-  /// costs one pointer compare; when on, the measured overhead stays
-  /// within the budget documented in docs/TRACING.md.
+  /// Own a Tracer with default caps (docs/TRACING.md): causal spans on
+  /// the simulator clock.  Off by default — when off, `tracer()` is null
+  /// and every tracing site costs one pointer compare; when on, the
+  /// measured overhead stays within the budget documented in
+  /// docs/TRACING.md.
   bool enable_tracing = false;
-  /// Caps for the owned tracer (ignored unless enable_tracing).
-  TracerOptions tracing;
-  /// Own a hierarchical prof::Profiler (docs/PROFILING.md) attributing a
+  /// Own a Profiler with default caps (docs/PROFILING.md) attributing a
   /// run's wall time to its phases — the `--profile` report and the only
   /// wall-clock record.  When off, `profiler()` is null and every
   /// profiling site costs one pointer compare.
   bool profile_phases = false;
-  /// Caps for the owned profiler (ignored unless profile_phases).
-  prof::ProfilerOptions profiling;
 };
 
 /// One telemetry session: a metrics registry plus the lineage ring.
@@ -71,8 +68,8 @@ class Recorder {
   /// The owned attribution profiler, or null when
   /// `RecorderOptions::profile_phases` is off — profiling sites gate on
   /// this pointer, same as tracer().
-  prof::Profiler* profiler() { return profiler_.get(); }
-  const prof::Profiler* profiler() const { return profiler_.get(); }
+  Profiler* profiler() { return profiler_.get(); }
+  const Profiler* profiler() const { return profiler_.get(); }
 
   // -- Convenience pass-throughs ---------------------------------------------
   Counter& counter(std::string_view name) {
@@ -95,7 +92,7 @@ class Recorder {
   MetricsRegistry metrics_;
   Lineage lineage_;
   std::unique_ptr<Tracer> tracer_;
-  std::unique_ptr<prof::Profiler> profiler_;
+  std::unique_ptr<Profiler> profiler_;
 };
 
 /// One recorder per parallel task, merged in task-index order: the bridge

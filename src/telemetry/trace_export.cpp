@@ -1,9 +1,9 @@
 #include "telemetry/trace_export.hpp"
 
-#include <cctype>
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -116,70 +116,20 @@ void WriteTraceJsonl(std::ostream& os, const Tracer& tracer,
   WriteLineageJsonl(os, lineage);
 }
 
+TraceWriter TraceFileWriter(const std::string& path) {
+  constexpr OutputFormat<TraceWriter> kFormats[] = {
+      {".json", WriteChromeTrace}, {".jsonl", WriteTraceJsonl}};
+  return SelectOutputFormat("trace", path, kFormats);
+}
+
 void WriteTraceFile(const std::string& path, const Tracer& tracer,
                     const Lineage& lineage) {
-  // Dispatch on the (case-insensitive) extension before opening the file so
-  // a typo'd path fails with a clear error instead of a silently-wrong
-  // format — the extension is the only format signal callers have.
-  const std::size_t slash = path.find_last_of('/');
-  const std::size_t dot = path.find_last_of('.');
-  std::string extension;
-  if (dot != std::string::npos &&
-      (slash == std::string::npos || dot > slash)) {
-    extension = path.substr(dot);
-    for (char& c : extension) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-  }
-  const bool jsonl = extension == ".jsonl";
-  if (!jsonl && extension != ".json") {
-    throw ConfigError("WriteTraceFile: unsupported extension '" + extension +
-                      "' in " + path + " (expected .json or .jsonl)");
-  }
+  const TraceWriter write = TraceFileWriter(path);
   std::ofstream os(path);
   if (!os) {
     throw ConfigError("WriteTraceFile: cannot open " + path);
   }
-  if (jsonl) {
-    WriteTraceJsonl(os, tracer, lineage);
-  } else {
-    WriteChromeTrace(os, tracer, lineage);
-  }
-}
-
-void WriteProfileChromeTrace(std::ostream& os,
-                             const prof::ProfileSnapshot& snapshot) {
-  // Children pack left to right from their parent's start; each node's
-  // start is its parent's start plus the inclusive time of earlier
-  // siblings, which keeps every child inside its parent's extent
-  // whenever the tree's times are self-consistent.
-  std::vector<double> starts(snapshot.nodes.size(), 0.0);
-  std::vector<double> cursor(snapshot.nodes.size(), 0.0);
-  double root_cursor = 0.0;
-  os << "{\"traceEvents\":[\n";
-  os << R"({"name":"process_name","ph":"M","pid":0,"tid":0,)"
-     << R"("args":{"name":"profile"}})";
-  for (std::size_t i = 0; i < snapshot.nodes.size(); ++i) {
-    const prof::ProfileNode& node = snapshot.nodes[i];
-    double start = 0.0;
-    if (node.parent < 0) {
-      start = root_cursor;
-      root_cursor += node.inclusive_s;
-    } else {
-      const auto parent = static_cast<std::size_t>(node.parent);
-      start = starts[parent] + cursor[parent];
-      cursor[parent] += node.inclusive_s;
-    }
-    starts[i] = start;
-    os << ",\n{\"name\":\"" << JsonEscape(node.name)
-       << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << node.depth
-       << ",\"ts\":" << FormatDouble(start * 1e6)
-       << ",\"dur\":" << FormatDouble(node.inclusive_s * 1e6)
-       << ",\"args\":{\"calls\":" << node.calls
-       << ",\"units\":" << node.units << ",\"exclusive_s\":"
-       << FormatDouble(node.exclusive_s) << "}}";
-  }
-  os << "\n]}\n";
+  write(os, tracer, lineage);
 }
 
 }  // namespace vrl::telemetry

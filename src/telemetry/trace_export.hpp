@@ -1,9 +1,8 @@
 #pragma once
 
 #include <ostream>
-#include <string_view>
+#include <string>
 
-#include "prof/profiler.hpp"
 #include "telemetry/tracing.hpp"
 
 /// \file trace_export.hpp
@@ -51,18 +50,18 @@ void WriteLineageLine(std::ostream& os, const Lineage& lineage,
 void WriteTraceJsonl(std::ostream& os, const Tracer& tracer,
                      const Lineage& lineage);
 
-/// Convenience used by the `--trace-out <file>` flags: writes JSONL when
-/// `path` ends in ".jsonl", Chrome trace JSON otherwise.
+using TraceWriter = void (*)(std::ostream&, const Tracer&, const Lineage&);
+
+/// The writer a `--trace-out` path selects by its extension
+/// (SelectOutputFormat, export.hpp): ".json" WriteChromeTrace, ".jsonl"
+/// WriteTraceJsonl.
+/// \throws vrl::ConfigError on any other extension.
+TraceWriter TraceFileWriter(const std::string& path);
+
+/// Writes the trace to `path` with its TraceFileWriter.
+/// \throws vrl::ConfigError on an unknown extension (before the file is
+/// created) or when the file cannot be opened.
 void WriteTraceFile(const std::string& path, const Tracer& tracer,
                     const Lineage& lineage);
-
-/// Chrome-trace overlay for an attribution tree (docs/PROFILING.md): a
-/// synthetic timeline on one "profile" process where each node is an `X`
-/// event of `dur` = inclusive microseconds, children packed left to
-/// right from their parent's start.  The layout is aggregate (not a real
-/// timeline) but drops onto Perfetto beside a span trace so phase cost
-/// and causal spans can be read together.
-void WriteProfileChromeTrace(std::ostream& os,
-                             const prof::ProfileSnapshot& snapshot);
 
 }  // namespace vrl::telemetry

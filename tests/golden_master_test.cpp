@@ -14,6 +14,9 @@
 // a flat 8-bank VRL-Access run.  Spans and lineage are on the simulator
 // clock and every count is exact, so these also compare raw.
 //
+// adaptive_vrl_campaign.profile.json pins the campaign's attribution tree
+// the same way: phase names, order, call and unit counts.
+//
 // The refresh_op_streams.* fixtures pin the refresh contract itself: the
 // op stream GrantRefreshes grants for every registered policy plus the
 // Adaptive(VRL) wrapper, with and without a one-op burst cap, under
@@ -38,8 +41,10 @@
 #include "dram/policy_registry.hpp"
 #include "dram/refresh_policy.hpp"
 #include "fault/adaptive_policy.hpp"
-#include "prof/report.hpp"
+#include "fault/injector.hpp"
+#include "retention/vrt.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/profile_export.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
 #include "trace/address.hpp"
@@ -177,8 +182,8 @@ TracedRunExports TracedFlatVrlAccessRun() {
   telemetry::WriteLineageJsonl(lineage, recorder.lineage());
   exports.lineage = lineage.str();
   std::ostringstream profile;
-  prof::WriteProfileJson(profile,
-                         recorder.profiler()->Snapshot(/*scrub_times=*/true));
+  telemetry::WriteProfileJson(
+      profile, recorder.profiler()->Snapshot(/*scrub_times=*/true));
   exports.profile = profile.str();
   std::ostringstream metrics;
   telemetry::WriteMetricsJsonl(metrics, recorder.Snapshot());
@@ -194,6 +199,40 @@ TEST(GoldenMaster, TracedFlatRunExports) {
   ExpectMatchesFixture(exports.profile, "traced_flat_vrl_access.profile.json");
   ExpectMatchesFixture(exports.telemetry,
                        "traced_flat_vrl_access.telemetry.jsonl");
+}
+
+/// The time-scrubbed attribution tree of one adaptive VRL fault campaign
+/// (the fault_campaign example's adaptive leg) under heavy VRT noise: 15%
+/// of rows flip to 0.4x retention, so sensing failures demote rows and
+/// "policy.mprsf_recompute" joins the sampled "faults.advance" and
+/// "refresh_ops" phases under "campaign.run".
+std::string AdaptiveCampaignProfile() {
+  core::VrlConfig config;
+  config.banks = 1;
+  const core::VrlSystem system(config);
+  retention::VrtParams vrt;
+  vrt.row_fraction = 0.15;
+  vrt.low_ratio = 0.4;
+  fault::FaultSchedule faults(0xFA11);
+  faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
+
+  telemetry::RecorderOptions options;
+  options.profile_phases = true;
+  telemetry::Recorder recorder(options);
+  core::FaultCampaignOptions campaign;
+  campaign.windows = 2;
+  campaign.telemetry = &recorder;
+  system.RunFaultCampaign("VRL", faults, campaign);
+
+  std::ostringstream profile;
+  telemetry::WriteProfileJson(
+      profile, recorder.profiler()->Snapshot(/*scrub_times=*/true));
+  return profile.str();
+}
+
+TEST(GoldenMaster, AdaptiveCampaignProfile) {
+  ExpectMatchesFixture(AdaptiveCampaignProfile(),
+                       "adaptive_vrl_campaign.profile.json");
 }
 
 /// The three exports of the refresh op-stream runs, one section per run.

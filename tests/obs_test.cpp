@@ -359,6 +359,21 @@ TEST(WatchdogRulesParse, MalformedInputIsAnError) {
                ConfigError);
   EXPECT_THROW(ParseWatchdogRules(R"({"max_staleness_s": "soon"})"),
                ConfigError);
+  // Thresholds are finite decimal numbers: a nan threshold would fail
+  // every `>= 0` test and silently disable its rule.
+  for (const char* value : {"nan", "inf", "-inf", "0x1p-2", "1e999", "1.5x"}) {
+    EXPECT_THROW(ParseWatchdogRules(std::string(R"({"max_staleness_s": )") +
+                                    value + "}"),
+                 ConfigError)
+        << value;
+  }
+  // Sample counts are whole numbers >= 1: no truncation, no wrap.
+  for (const char* value : {"2.5", "-1", "1e0", "0", "18446744073709551616"}) {
+    EXPECT_THROW(ParseWatchdogRules(std::string(R"({"breach_samples": )") +
+                                    value + "}"),
+                 ConfigError)
+        << value;
+  }
 }
 
 TEST(WatchdogRulesParse, ValidatesHysteresisCounts) {

@@ -189,12 +189,16 @@ TEST(ThreadCount, ScopedOverrideWinsAndRestores) {
 
 TEST(ThreadCount, VrlThreadsEnvironmentVariableIsParsed) {
   SetThreadCountOverride(0);
+  ::unsetenv("VRL_THREADS");
+  const std::size_t hardware = DefaultThreadCount();
   ::setenv("VRL_THREADS", "7", 1);
   EXPECT_EQ(DefaultThreadCount(), 7u);
-  ::setenv("VRL_THREADS", "not-a-number", 1);
-  EXPECT_GE(DefaultThreadCount(), 1u);  // Malformed: hardware fallback.
-  ::setenv("VRL_THREADS", "0", 1);
-  EXPECT_GE(DefaultThreadCount(), 1u);  // Zero: hardware fallback.
+  // Malformed or zero: the hardware fallback ("-1" must not wrap to
+  // 2^64 - 1 threads).  Only DefaultThreadCount is read; no fan-out starts.
+  for (const char* value : {"not-a-number", "0", "-1", " 7", "7x", ""}) {
+    ::setenv("VRL_THREADS", value, 1);
+    EXPECT_EQ(DefaultThreadCount(), hardware) << "'" << value << "'";
+  }
   ::unsetenv("VRL_THREADS");
   const ScopedThreadCount override_beats_env(2);
   ::setenv("VRL_THREADS", "9", 1);

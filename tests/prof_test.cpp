@@ -1,6 +1,7 @@
-// Tests for the continuous-profiling plane (src/prof/, docs/PROFILING.md):
-// attribution-tree construction, RAII unwinding through exceptions, drop
-// accounting at the node/depth caps, shard Absorb determinism (the
+// Tests for the cost-attribution profiler (src/telemetry/profiler.hpp,
+// docs/PROFILING.md): attribution-tree construction, RAII unwinding
+// through exceptions, drop accounting at the node/depth caps, shard
+// Absorb determinism (the
 // evaluation suite's tree is byte-identical at any thread count once
 // times are scrubbed), the sampled PhaseAccumulator, the exporters, the
 // /profile endpoint over a real loopback socket mid-campaign, and a
@@ -14,11 +15,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "common/error.hpp"
 #include "core/experiments.hpp"
@@ -26,12 +29,12 @@
 #include "fault/injector.hpp"
 #include "obs/monitor_server.hpp"
 #include "obs/plane.hpp"
-#include "prof/profiler.hpp"
-#include "prof/report.hpp"
 #include "retention/vrt.hpp"
+#include "telemetry/profile_export.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/recorder.hpp"
 
-namespace vrl::prof {
+namespace vrl::telemetry {
 namespace {
 
 // -- Helpers ------------------------------------------------------------------
@@ -302,21 +305,48 @@ TEST(Profiler, AbsorbIsDeterministicRegardlessOfShardSplit) {
 // -- PhaseAccumulator ---------------------------------------------------------
 
 TEST(PhaseAccumulator, CountsEveryCallTimesOneInN) {
-  PhaseAccumulator acc(4);
-  int timed = 0;
+  Profiler profiler;
+  profiler.BeginPhase("run");
+  PhaseAccumulator acc(&profiler, "tick", 4);
   for (int i = 0; i < 16; ++i) {
-    if (acc.Sample()) {
-      ++timed;
-      acc.Add(0.5);
+    acc.Start();
+    if (i % 4 == 0) {  // Calls 0, 4, 8 and 12 are the timed ones.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    acc.Stop();
   }
-  EXPECT_EQ(acc.calls(), 16u);
-  EXPECT_EQ(timed, 4);  // calls 0, 4, 8, 12
-  // 4 samples x 0.5 s scaled back up to 16 calls.
-  EXPECT_DOUBLE_EQ(acc.EstimatedSeconds(), 8.0);
-  acc.AddUnits(100);
-  EXPECT_EQ(acc.units(), 100u);
-  EXPECT_DOUBLE_EQ(PhaseAccumulator().EstimatedSeconds(), 0.0);
+  acc.Fold(100);
+  // Never started: folds a node with no calls and no time.
+  PhaseAccumulator idle(&profiler, "idle", 4);
+  idle.Fold();
+  profiler.EndPhase();
+  const ProfileSnapshot snapshot = profiler.Snapshot();
+  const ProfileNode* run = FindNode(snapshot, "run");
+  const ProfileNode* tick = FindNode(snapshot, "run;tick");
+  ASSERT_NE(run, nullptr);
+  ASSERT_NE(tick, nullptr);
+  EXPECT_EQ(tick->calls, 16u);
+  EXPECT_EQ(tick->units, 100u);
+  // 4 timed calls of >= 1 ms each, scaled back up to 16 calls.
+  EXPECT_GE(tick->inclusive_s, 0.016);
+  // Every timed interval lies inside the open "run" frame, so the 4-fold
+  // scale-up cannot exceed 4x the frame: catches a missing division by
+  // the sample count (a 16-fold scale-up).
+  EXPECT_LE(tick->inclusive_s, 4.0 * run->inclusive_s);
+  EXPECT_EQ(tick->inclusive_s, tick->exclusive_s);
+  const ProfileNode* untimed = FindNode(snapshot, "run;idle");
+  ASSERT_NE(untimed, nullptr);
+  EXPECT_EQ(untimed->calls, 0u);
+  EXPECT_EQ(untimed->inclusive_s, 0.0);
+  EXPECT_EQ(snapshot.frames, 17u);  // "run" plus the 16 folded calls.
+
+  // A null profiler records nothing and needs no branch at the site.
+  PhaseAccumulator off(nullptr, "tick");
+  EXPECT_NO_THROW({
+    off.Start();
+    off.Stop();
+    off.Fold(1);
+  });
 }
 
 // -- Exporters ----------------------------------------------------------------
@@ -351,6 +381,29 @@ TEST(ProfileReport, JsonAndCollapsedAreDeterministicWhenScrubbed) {
   EXPECT_NE(text.str().find("step"), std::string::npos);
 }
 
+TEST(ProfileReport, FileFormatFollowsTheExtensionInAnyCase) {
+  Profiler profiler;
+  { ScopedPhase run(&profiler, "run"); }
+  const auto written = [&](const std::string& name) {
+    const std::string path = TempPath(name);
+    WriteProfileFile(path, profiler.Snapshot(/*scrub_times=*/true));
+    std::ifstream is(path);
+    std::string first_line;
+    std::getline(is, first_line);
+    std::remove(path.c_str());
+    return first_line;
+  };
+  EXPECT_EQ(written("prof_p.JSON").rfind("{\"schema\":\"vrl.profile.v1\"", 0),
+            0u);
+  EXPECT_EQ(written("prof_p.Trace.Json"), "{\"traceEvents\":[");
+  EXPECT_EQ(written("prof_p.folded"), "run 1");
+  EXPECT_EQ(written("prof_p.txt").rfind("phase profile", 0), 0u);
+  // An unknown extension is rejected before the file is created.
+  const std::string rejected = TempPath("prof_p.jsn");
+  EXPECT_THROW(WriteProfileFile(rejected, profiler.Snapshot()), ConfigError);
+  EXPECT_FALSE(std::ifstream(rejected).good());
+}
+
 TEST(ProfileReport, ScrubZeroesTimesButKeepsCounts) {
   Profiler profiler;
   { ScopedPhase run(&profiler, "run"); }
@@ -372,9 +425,9 @@ TEST(ProfDeterminism, EvaluationSuiteTreeIsByteIdenticalAcrossThreads) {
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    telemetry::RecorderOptions recorder_options;
+    RecorderOptions recorder_options;
     recorder_options.profile_phases = true;
-    telemetry::Recorder sink(recorder_options);
+    Recorder sink(recorder_options);
     core::ExperimentOptions options;
     options.windows = 2;
     options.threads = threads;
@@ -399,14 +452,14 @@ TEST(ProfDeterminism, EvaluationSuiteTreeIsByteIdenticalAcrossThreads) {
 TEST(ProfileEndpoint, Returns404UntilAProfilingRecorderPublishes) {
   obs::MonitorServer server;
   ASSERT_GT(server.port(), 0);
-  telemetry::Recorder plain;  // no profiler attached
+  Recorder plain;  // no profiler attached
   plain.counter("ops").Add(1);
   server.Publish(plain);
   EXPECT_EQ(StatusOf(HttpGet(server.port(), "/profile")), 404);
 
-  telemetry::RecorderOptions recorder_options;
+  RecorderOptions recorder_options;
   recorder_options.profile_phases = true;
-  telemetry::Recorder profiled(recorder_options);
+  Recorder profiled(recorder_options);
   { ScopedPhase run(profiled.profiler(), "run"); }
   server.Publish(profiled);
   const std::string response = HttpGet(server.port(), "/profile");
@@ -426,9 +479,9 @@ TEST(ProfileEndpoint, ServesLiveTreeMidCampaignWithSelfObservability) {
   core::VrlConfig config;
   config.banks = 1;
   const core::VrlSystem system(config);
-  telemetry::RecorderOptions recorder_options;
+  RecorderOptions recorder_options;
   recorder_options.profile_phases = true;
-  telemetry::Recorder recorder(recorder_options);
+  Recorder recorder(recorder_options);
   fault::FaultSchedule faults(0xFA11ULL);
   retention::VrtParams vrt;
   faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
@@ -521,4 +574,4 @@ TEST(DiffProfileScript, PassesOnIdenticalPairFailsOnCountDrift) {
 }
 
 }  // namespace
-}  // namespace vrl::prof
+}  // namespace vrl::telemetry

@@ -115,7 +115,7 @@ TEST(ReportProfile, RendersTheAttributionTreeDepthFirst) {
   telemetry::RecorderOptions options;
   options.profile_phases = true;
   telemetry::Recorder recorder(options);
-  prof::Profiler& profiler = *recorder.profiler();
+  telemetry::Profiler& profiler = *recorder.profiler();
   // Creation order outer, solve, other, flush interleaves outer's children
   // with a second root; the table must still list outer's subtree first.
   profiler.BeginPhase("outer");
@@ -182,6 +182,20 @@ TEST(FlagTable, ParsesGroupFlagsAndFillsPositionalsInOrder) {
   EXPECT_TRUE(options.profile);
   EXPECT_EQ(first, "VRL");
   EXPECT_EQ(second, "extra");
+}
+
+TEST(FlagTable, OutputPathsAreCheckedByExtension) {
+  EXPECT_EQ(Parse({"--trace-out", "t.JSONL"}).trace_path, "t.JSONL");
+  EXPECT_EQ(Parse({"--profile-out", "p.txt"}).profile_path, "p.txt");
+  try {
+    Parse({"--profile-out", "p.jsn"});
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "profile file p.jsn: unsupported extension (expected one of: "
+              ".trace.json, .json, .collapsed, .folded, .txt)");
+  }
+  EXPECT_THROW(Parse({"--trace-out", "t.txt"}), ConfigError);
 }
 
 TEST(FlagTable, MissingValueThrows) {
@@ -451,11 +465,15 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
   for (const auto& [binary, path] : Binaries()) {
     const auto filled = positionals.find(binary);
     const auto probe = unread.find(binary);
+    // The output flags check the file extension as they parse: a binary
+    // that reads them rejects these paths before it runs.
     for (const std::string& args :
          {std::string("--bogus 1"),
           (filled != positionals.end() ? filled->second + " " : "") +
               "extra",
-          probe != unread.end() ? probe->second : "--trace-out x"}) {
+          probe != unread.end() ? probe->second : "--trace-out x",
+          std::string("--trace-out t.txt"),
+          std::string("--profile-out p.jsn")}) {
       std::string err;
       EXPECT_EQ(RunBinary(binary, args, &err), 2) << binary << " " << args;
       // One `error:` line.
