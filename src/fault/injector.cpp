@@ -56,6 +56,7 @@ void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
     in_low_.assign(rows, false);
     for (std::size_t r = 0; r < rows; ++r) {
       if (vrt_rows_[r]) {
+        vrt_index_.push_back(r);
         in_low_[r] = rng.Bernoulli(params_.low_state_prob);
         state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
       }
@@ -86,10 +87,9 @@ void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
     const double d_high = d_low * (1.0 - p) / p;
     p_enter_low = -std::expm1(-dt / d_high);
   }
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (!vrt_rows_[r]) {
-      continue;
-    }
+  // Only VRT rows draw, in ascending row order: the same draws as a walk
+  // over every row, so the fault trace does not depend on the walk.
+  for (const std::size_t r : vrt_index_) {
     const double p_flip = in_low_[r] ? p_leave_low : p_enter_low;
     if (rng.Bernoulli(p_flip)) {
       in_low_[r] = !in_low_[r];

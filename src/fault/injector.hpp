@@ -92,6 +92,7 @@ class VrtFlipInjector : public FaultInjector {
  private:
   retention::VrtParams params_;
   std::vector<bool> vrt_rows_;
+  std::vector<std::size_t> vrt_index_;  ///< VRT rows, ascending.
   std::vector<bool> in_low_;
   double last_now_s_ = 0.0;
   bool initialized_ = false;

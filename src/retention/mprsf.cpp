@@ -1,6 +1,10 @@
 #include "retention/mprsf.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -71,14 +75,43 @@ std::size_t MprsfCalculator::ComputeMprsf(double retention_s, double period_s,
 
 std::vector<std::size_t> MprsfCalculator::ComputeRowMprsf(
     const RetentionProfile& profile, const BinningResult& binning,
-    std::size_t max_partials) const {
+    std::size_t max_partials, std::size_t* evaluations) const {
   if (binning.row_bin.size() != profile.rows()) {
     throw ConfigError("ComputeRowMprsf: binning does not match profile");
   }
-  std::vector<std::size_t> mprsf(profile.rows());
-  for (std::size_t r = 0; r < profile.rows(); ++r) {
-    mprsf[r] = ComputeMprsf(profile.RowRetention(r), binning.RowPeriod(r),
-                            max_partials);
+  // One index array ordered by (bin, retention): each bin is a contiguous,
+  // retention-ascending range, so its weakest row is evaluated first.
+  const std::vector<double>& retention = profile.row_retention();
+  const std::vector<std::uint8_t>& bin = binning.row_bin;
+  std::vector<std::size_t> order(profile.rows());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(bin[a], retention[a]) < std::tie(bin[b], retention[b]);
+  });
+
+  std::vector<std::size_t> sorted(order.size());
+  std::size_t calls = 0;
+  for (std::size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    while (end < order.size() && bin[order[end]] == bin[order[begin]]) {
+      ++end;
+    }
+    const double period_s = binning.RowPeriod(order[begin]);
+    FillNonDecreasingRuns(
+        end - begin,
+        [&](std::size_t i) {
+          ++calls;
+          return ComputeMprsf(retention[order[begin + i]], period_s,
+                              max_partials);
+        },
+        sorted.data() + begin);
+  }
+
+  std::vector<std::size_t> mprsf(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    mprsf[order[k]] = sorted[k];
+  }
+  if (evaluations != nullptr) {
+    *evaluations = calls;
   }
   return mprsf;
 }
@@ -118,6 +151,47 @@ MprsfCalculator::SimulateSchedule(double retention_s, double period_s,
     since_full = full ? 0 : since_full + 1;
   }
   return points;
+}
+
+namespace {
+
+/// Fills out[lo, hi] given v_lo = eval(lo) and v_hi = eval(hi); false when
+/// a midpoint breaks the ordering.
+bool FillBetween(std::size_t lo, std::size_t hi, std::size_t v_lo,
+                 std::size_t v_hi,
+                 const std::function<std::size_t(std::size_t)>& eval,
+                 std::size_t* out) {
+  if (v_lo == v_hi || hi - lo <= 1) {
+    std::fill(out + lo, out + hi, v_lo);
+    out[hi] = v_hi;
+    return true;
+  }
+  const std::size_t mid = lo + (hi - lo) / 2;
+  const std::size_t v_mid = eval(mid);
+  if (v_mid < v_lo || v_mid > v_hi) {
+    return false;
+  }
+  return FillBetween(lo, mid, v_lo, v_mid, eval, out) &&
+         FillBetween(mid, hi, v_mid, v_hi, eval, out);
+}
+
+}  // namespace
+
+void FillNonDecreasingRuns(
+    std::size_t n, const std::function<std::size_t(std::size_t)>& eval,
+    std::size_t* out) {
+  if (n == 0) {
+    return;
+  }
+  const std::size_t v_lo = eval(0);
+  const std::size_t v_hi = n == 1 ? v_lo : eval(n - 1);
+  if (v_lo <= v_hi && FillBetween(0, n - 1, v_lo, v_hi, eval, out)) {
+    return;
+  }
+  // The ordering does not hold: compute every element.
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = eval(i);
+  }
 }
 
 }  // namespace vrl::retention

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "common/units.hpp"
@@ -42,9 +43,16 @@ class MprsfCalculator {
   /// MPRSF for every row of a binned profile: each row is evaluated at its
   /// own bin refresh period and capped at `max_partials` (the counter width
   /// of the hardware implementation, 2^nbits - 1).
-  std::vector<std::size_t> ComputeRowMprsf(const RetentionProfile& profile,
-                                           const BinningResult& binning,
-                                           std::size_t max_partials) const;
+  ///
+  /// Within one bin the period is fixed and MPRSF is non-decreasing in
+  /// retention (docs/MODEL.md §5), so the rows are ordered by (bin,
+  /// retention) and each bin is filled by FillNonDecreasingRuns: a few
+  /// ComputeMprsf calls per distinct value instead of one per row.  A bin
+  /// whose computed values break that ordering is recomputed row by row.
+  /// `evaluations`, when given, receives the number of ComputeMprsf calls.
+  std::vector<std::size_t> ComputeRowMprsf(
+      const RetentionProfile& profile, const BinningResult& binning,
+      std::size_t max_partials, std::size_t* evaluations = nullptr) const;
 
   /// Charge trajectory of one periodic schedule (for Fig. 1b): the cell's
   /// fraction sampled just before and just after each refresh, starting
@@ -75,5 +83,16 @@ class MprsfCalculator {
   double tau_full_s_;
   LeakageModel leakage_;
 };
+
+/// Sets out[i] = eval(i) for every i in [0, n), assuming eval is
+/// non-decreasing in i.  Both ends are evaluated; a sub-range whose end
+/// values are equal is filled outright, and one whose ends differ is
+/// bisected, so a range holding k distinct values costs O(k log n) calls.
+/// The assumption is checked on every value computed: if the ends are out
+/// of order or a midpoint falls outside its sub-range's end values, the
+/// whole range is recomputed one element at a time.
+void FillNonDecreasingRuns(
+    std::size_t n, const std::function<std::size_t(std::size_t)>& eval,
+    std::size_t* out);
 
 }  // namespace vrl::retention

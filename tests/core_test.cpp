@@ -1,13 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <ostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/nodes.hpp"
+#include "common/rng.hpp"
 #include "core/experiments.hpp"
 #include "core/sweep.hpp"
 #include "core/vrl_system.hpp"
 #include "dram/policy_registry.hpp"
+#include "model/refresh_model.hpp"
+#include "retention/distribution.hpp"
+#include "retention/mprsf.hpp"
+#include "retention/profile.hpp"
 
 namespace vrl::core {
 namespace {
@@ -224,6 +234,152 @@ TEST(Sweep, RejectsEmptyInput) {
                ConfigError);
   EXPECT_THROW(RunSweep(base, {SweepPoint{}}, trace::SuiteWorkload("vips"), 0),
                ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// MPRSF planning: the per-bin bisection equals the per-row model
+// ---------------------------------------------------------------------------
+
+/// Reference MPRSF table: one model evaluation per row.
+std::vector<std::size_t> PerRowMprsf(const retention::MprsfCalculator& calc,
+                                     const std::vector<double>& retention,
+                                     const retention::BinningResult& binning,
+                                     std::size_t max_partials) {
+  std::vector<std::size_t> mprsf(retention.size());
+  for (std::size_t r = 0; r < retention.size(); ++r) {
+    mprsf[r] =
+        calc.ComputeMprsf(retention[r], binning.RowPeriod(r), max_partials);
+  }
+  return mprsf;
+}
+
+/// The planning retention VrlSystem bins and plans on: the (remapped)
+/// profile derated by the guardband, clamped at the base period.
+std::vector<double> PlanningRetention(const VrlSystem& system) {
+  const double base = retention::StandardBinPeriods().front();
+  std::vector<double> planned = system.profile().row_retention();
+  for (double& t : planned) {
+    t = std::max(t / system.config().retention_guardband, base);
+  }
+  return planned;
+}
+
+struct PlanCase {
+  std::string name;
+  std::function<void(VrlConfig&)> configure;
+};
+
+void PrintTo(const PlanCase& plan_case, std::ostream* os) {
+  *os << plan_case.name;
+}
+
+std::vector<PlanCase> PlanCases() {
+  std::vector<PlanCase> cases;
+  // The ledger's seeds and four more.
+  for (const std::uint64_t seed : {42u, 7u, 1u, 2u, 3u, 1234u}) {
+    cases.push_back({"seed" + std::to_string(seed),
+                     [seed](VrlConfig& c) { c.seed = seed; }});
+  }
+  // ablation_nbits.
+  for (const std::size_t nbits : {1u, 3u, 4u}) {
+    cases.push_back({"nbits" + std::to_string(nbits),
+                     [nbits](VrlConfig& c) { c.nbits = nbits; }});
+  }
+  // ablation_guardband.
+  const struct {
+    const char* name;
+    double guard;
+    std::size_t spares;
+  } guards[] = {{"guard1_3", 1.3, 0},
+                {"guard1_6", 1.6, 0},
+                {"guard2_0", 2.0, 0},
+                {"guard2_0_spares128", 2.0, 128}};
+  for (const auto& g : guards) {
+    cases.push_back({g.name, [g](VrlConfig& c) {
+                       c.retention_guardband = g.guard;
+                       c.spare_rows = g.spares;
+                     }});
+  }
+  // ablation_tau_partial, at both counter widths of the sweep grid.
+  const struct {
+    const char* name;
+    double target;
+  } targets[] = {{"t0_88", 0.88}, {"t0_90", 0.90}, {"t0_92", 0.92},
+                 {"t0_95", 0.95}, {"t0_97", 0.97}, {"t0_99", 0.99}};
+  for (const std::size_t nbits : {1u, 2u}) {
+    for (const auto& t : targets) {
+      cases.push_back({std::string(t.name) + "_nbits" + std::to_string(nbits),
+                       [nbits, t](VrlConfig& c) {
+                         c.nbits = nbits;
+                         c.spec.partial_target = t.target;
+                       }});
+    }
+  }
+  // ablation_technology.
+  for (const auto& node : AllNodes()) {
+    cases.push_back({"node" + node.name, [node](VrlConfig& c) {
+                       c.tech = node.params;
+                     }});
+  }
+  // design_space: every point of the default sweep grid.
+  const auto grid = DefaultGrid();
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const SweepPoint point = grid[i];
+    cases.push_back({"grid" + std::to_string(i), [point](VrlConfig& c) {
+                       c.nbits = point.nbits;
+                       c.spec.partial_target = point.partial_target;
+                       c.retention_guardband = point.retention_guardband;
+                       c.subarrays = point.subarrays;
+                     }});
+  }
+  return cases;
+}
+
+class MprsfPlanTest : public ::testing::TestWithParam<PlanCase> {};
+
+TEST_P(MprsfPlanTest, BisectionMatchesPerRowModel) {
+  VrlConfig config;
+  config.banks = 1;
+  GetParam().configure(config);
+  const VrlSystem system(config);
+  const retention::MprsfCalculator calc(system.refresh_model(),
+                                        system.PartialTimings().tau_post_s);
+  const std::vector<double> planned = PlanningRetention(system);
+  EXPECT_EQ(system.row_mprsf(),
+            PerRowMprsf(calc, planned, system.binning(), config.MprsfCap()));
+
+  std::size_t evaluations = 0;
+  EXPECT_EQ(calc.ComputeRowMprsf(retention::RetentionProfile(planned),
+                                 system.binning(), config.MprsfCap(),
+                                 &evaluations),
+            system.row_mprsf());
+  // seed42 is the default configuration; these cases take 35-72.
+  RecordProperty("evaluations", static_cast<int>(evaluations));
+  EXPECT_LE(evaluations, 128u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, MprsfPlanTest, ::testing::ValuesIn(PlanCases()),
+    [](const ::testing::TestParamInfo<PlanCase>& info) {
+      return info.param.name;
+    });
+
+TEST(MprsfPlan, RetentionProfilerDefaultsMatchPerRowModel) {
+  // examples/retention_profiler: 8192 rows of 32 cells, seed 42, cap 3.
+  Rng rng(42);
+  const retention::RetentionDistribution dist;
+  const auto profile =
+      retention::RetentionProfile::Generate(dist, 8192, 32, rng);
+  const auto bins =
+      retention::BinRows(profile, retention::StandardBinPeriods());
+  TechnologyParams tech;
+  tech.rows = 8192;
+  tech.columns = 32;
+  const model::RefreshModel model(tech);
+  const retention::MprsfCalculator calc(
+      model, model.PartialRefreshTimings().tau_post_s);
+  EXPECT_EQ(calc.ComputeRowMprsf(profile, bins, 3),
+            PerRowMprsf(calc, profile.row_retention(), bins, 3));
 }
 
 }  // namespace

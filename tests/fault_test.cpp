@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -156,6 +158,98 @@ TEST(VrtFlipInjectorTest, OnlyVrtRowsFlipAndOnlyToLowRatio) {
     }
   }
   EXPECT_GT(low_seen, 0u);
+}
+
+/// Reference for VrtFlipInjector's walk over its VRT row index: visits every
+/// row on every tick and skips the non-VRT ones.
+class DenseVrtWalk {
+ public:
+  explicit DenseVrtWalk(const retention::VrtParams& params) : params_(params) {}
+
+  void Advance(double now_s, FaultState& state, Rng& rng) {
+    const std::size_t rows = state.rows();
+    if (vrt_rows_.empty()) {
+      vrt_rows_ = retention::SampleVrtRows(params_, rows, rng);
+      in_low_.assign(rows, false);
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (vrt_rows_[r]) {
+          in_low_[r] = rng.Bernoulli(params_.low_state_prob);
+          state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+        }
+      }
+      last_now_s_ = now_s;
+      return;
+    }
+    const double dt = now_s - last_now_s_;
+    last_now_s_ = now_s;
+    if (dt <= 0.0) {
+      return;
+    }
+    const double p = params_.low_state_prob;
+    const double d_low = params_.mean_dwell_s;
+    const double p_leave_low = p >= 1.0 ? 0.0 : -std::expm1(-dt / d_low);
+    double p_enter_low = 1.0;
+    if (p <= 0.0) {
+      p_enter_low = 0.0;
+    } else if (p < 1.0) {
+      p_enter_low = -std::expm1(-dt / (d_low * (1.0 - p) / p));
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (!vrt_rows_[r]) {
+        continue;
+      }
+      if (rng.Bernoulli(in_low_[r] ? p_leave_low : p_enter_low)) {
+        in_low_[r] = !in_low_[r];
+        state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+      }
+    }
+  }
+
+ private:
+  retention::VrtParams params_;
+  std::vector<bool> vrt_rows_;
+  std::vector<bool> in_low_;
+  double last_now_s_ = 0.0;
+};
+
+class VrtSparseWalkTest
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(VrtSparseWalkTest, SameScalesAndRngStreamAsDenseWalk) {
+  retention::VrtParams params;
+  params.row_fraction = std::get<0>(GetParam());
+  params.low_state_prob = std::get<1>(GetParam());
+  params.mean_dwell_s = 0.05;  // fast telegraph so rows flip in-test
+  constexpr std::size_t kRows = 300;
+
+  VrtFlipInjector sparse(params);
+  DenseVrtWalk dense(params);
+  FaultState sparse_state(kRows);
+  FaultState dense_state(kRows);
+  Rng sparse_rng(17);
+  Rng dense_rng(17);
+  // Includes a repeated instant (dt == 0) and uneven steps.
+  for (const double now : {0.0, 0.01, 0.02, 0.02, 0.05, 0.06, 0.2, 0.21}) {
+    sparse.Advance(now, sparse_state, sparse_rng);
+    dense.Advance(now, dense_state, dense_rng);
+    EXPECT_EQ(sparse_state.vrt_scale(), dense_state.vrt_scale()) << now;
+    EXPECT_EQ(sparse_rng(), dense_rng()) << now;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RowFractionByLowProb, VrtSparseWalkTest,
+    ::testing::Combine(::testing::Values(0.0, 0.02, 1.0),
+                       ::testing::Values(0.0, 0.3, 1.0)));
+
+TEST(VrtFlipInjectorTest, RejectsRowCountChangeBetweenAdvances) {
+  VrtFlipInjector injector(retention::VrtParams{});
+  Rng rng(1);
+  FaultState small(8);
+  FaultState large(16);
+  injector.Advance(0.0, small, rng);
+  EXPECT_THROW(injector.Advance(0.1, large, rng), ConfigError);
+  EXPECT_NO_THROW(injector.Advance(0.1, small, rng));
 }
 
 TEST(TemperatureExcursionInjectorTest, ScalesOnlyInsideWindow) {

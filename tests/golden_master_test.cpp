@@ -91,11 +91,12 @@ std::string ReadFixture(const std::string& file) {
   return content.str();
 }
 
-/// Replaces embedded wall-clock durations ("29.84 ms", "43.2 us") with a
-/// fixed token.  Applied to both sides so the comparison stays exact on
-/// everything that is actually deterministic.
+/// Replaces embedded wall-clock durations ("1.91 s", "29.84 ms", "43.2 us")
+/// with a fixed token.  Applied to both sides so the comparison stays exact
+/// on everything that is actually deterministic.  The unit must end a word,
+/// so counts such as "2 subarrays" survive.
 std::string ScrubWallClock(const std::string& text) {
-  static const std::regex kDuration("[0-9]+\\.?[0-9]* (ms|us)");
+  static const std::regex kDuration("[0-9]+\\.?[0-9]* (s|ms|us)\\b");
   return std::regex_replace(text, kDuration, "<time>");
 }
 
@@ -352,6 +353,12 @@ TEST(GoldenMaster, ScrubberOnlyTouchesDurations) {
   // unit and survive; plain numbers survive.
   EXPECT_EQ(ScrubWallClock("\"cycles\":\"29.84\",\"unit\":\"ms\""),
             "\"cycles\":\"29.84\",\"unit\":\"ms\"");
+  // A solve of a second or more prints whole seconds.
+  EXPECT_EQ(ScrubWallClock("\"t(circuit)\":\"1.91 s\",\"y\":\"12 s\""),
+            "\"t(circuit)\":\"<time>\",\"y\":\"<time>\"");
+  // A count followed by a word starting with a unit letter survives.
+  EXPECT_EQ(ScrubWallClock("\"note\":\"2 subarrays, 4 usable, 3 msb\""),
+            "\"note\":\"2 subarrays, 4 usable, 3 msb\"");
 }
 
 }  // namespace

@@ -316,14 +316,85 @@ TEST_F(MprsfTest, TrajectoryTimesAreMonotone) {
 }
 
 TEST_F(MprsfTest, RowMprsfMatchesPerRowComputation) {
-  const RetentionProfile profile({0.067, 0.1, 2.0});
+  // Two bins whose rows are interleaved and repeat retention values, so
+  // the bisection fills runs it did not evaluate row by row.
+  const RetentionProfile profile(
+      {0.067, 0.1, 2.0, 0.067, 3.0, 3.0, 0.1, 0.067, 0.1, 3.0});
   const auto bins = BinRows(profile, StandardBinPeriods());
-  const auto row_mprsf = calc_.ComputeRowMprsf(profile, bins, 3);
-  ASSERT_EQ(row_mprsf.size(), 3u);
-  for (std::size_t r = 0; r < 3; ++r) {
+  std::size_t evaluations = 0;
+  const auto row_mprsf = calc_.ComputeRowMprsf(profile, bins, 3, &evaluations);
+  ASSERT_EQ(row_mprsf.size(), profile.rows());
+  for (std::size_t r = 0; r < profile.rows(); ++r) {
     EXPECT_EQ(row_mprsf[r],
               calc_.ComputeMprsf(profile.RowRetention(r), bins.RowPeriod(r), 3));
   }
+  EXPECT_LT(evaluations, profile.rows());
+}
+
+// ---------------------------------------------------------------------------
+// FillNonDecreasingRuns (the bisection behind ComputeRowMprsf)
+// ---------------------------------------------------------------------------
+
+/// Runs FillNonDecreasingRuns over `values`, counting evaluator calls.
+struct FillResult {
+  std::vector<std::size_t> out;
+  std::size_t calls = 0;
+};
+
+FillResult FillFrom(const std::vector<std::size_t>& values) {
+  FillResult result;
+  result.out.assign(values.size(), 999);
+  FillNonDecreasingRuns(
+      values.size(),
+      [&](std::size_t i) {
+        ++result.calls;
+        return values.at(i);
+      },
+      result.out.data());
+  return result;
+}
+
+TEST(FillNonDecreasingRuns, EmptyRangeEvaluatesNothing) {
+  const FillResult r = FillFrom({});
+  EXPECT_EQ(r.calls, 0u);
+}
+
+TEST(FillNonDecreasingRuns, SingleElementEvaluatesOnce) {
+  const FillResult r = FillFrom({4});
+  EXPECT_EQ(r.out, std::vector<std::size_t>({4}));
+  EXPECT_EQ(r.calls, 1u);
+}
+
+TEST(FillNonDecreasingRuns, ConstantRunNeedsOnlyItsEnds) {
+  const std::vector<std::size_t> values(1000, 2);
+  const FillResult r = FillFrom(values);
+  EXPECT_EQ(r.out, values);
+  EXPECT_EQ(r.calls, 2u);
+}
+
+TEST(FillNonDecreasingRuns, StepsCostLogarithmicallyPerDistinctValue) {
+  std::vector<std::size_t> values(4096, 0);
+  std::fill(values.begin() + 1000, values.end(), 1);
+  std::fill(values.begin() + 3000, values.end(), 3);
+  const FillResult r = FillFrom(values);
+  EXPECT_EQ(r.out, values);
+  // Two steps, each located by a bisection over at most 12 levels.
+  EXPECT_LE(r.calls, 2u + 2u * 12u);
+}
+
+TEST(FillNonDecreasingRuns, MidpointOutsideEndsFallsBackPerElement) {
+  // Ends 1 and 2, midpoint 0: the ordering is visibly broken.
+  const std::vector<std::size_t> values{1, 3, 0, 2, 2};
+  const FillResult r = FillFrom(values);
+  EXPECT_EQ(r.out, values);
+  EXPECT_EQ(r.calls, 3u + values.size());  // ends, midpoint, then every one
+}
+
+TEST(FillNonDecreasingRuns, DescendingEndsFallBackPerElement) {
+  const std::vector<std::size_t> values{3, 3, 2, 1, 1, 0};
+  const FillResult r = FillFrom(values);
+  EXPECT_EQ(r.out, values);
+  EXPECT_EQ(r.calls, 2u + values.size());
 }
 
 TEST_F(MprsfTest, RejectsNonPositiveTauPartial) {
