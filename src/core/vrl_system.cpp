@@ -194,9 +194,7 @@ dram::SimulationStats VrlSystem::Simulate(
   }
   auto stats = controller.Run(requests, horizon);
   if (audit != nullptr) {
-    for (const dram::Command& cmd : controller.audit_log()->commands()) {
-      audit->Append(cmd);
-    }
+    audit->AppendLog(controller.TakeAuditLog());
   }
   return stats;
 }

@@ -185,7 +185,9 @@ class VrlSystem {
   /// explicit per-task recorder — never share one across threads
   /// (telemetry::ShardedRecorder).
   /// `audit`, when non-null, additionally records every DRAM command the
-  /// run issues (PRE/ACT/RD/WR/REF) for dram::TimingAuditor replay.
+  /// run issues (PRE/ACT/RD/WR/REF) for dram::TimingAuditor replay.  The
+  /// commands are appended after any already in `audit`; the run's log is
+  /// handed over, not copied (MemoryController::TakeAuditLog).
   dram::SimulationStats Simulate(std::string_view policy,
                                  const std::vector<dram::Request>& requests,
                                  Cycles horizon,

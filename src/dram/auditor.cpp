@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -56,6 +57,10 @@ void WriteAuditReport(const AuditReport& report, const std::string& label,
 
 TimingAuditor::TimingAuditor(const TimingTable& table) : table_(table) {
   table_.Validate();
+  addrs_.reserve(table_.topology.TotalBanks());
+  for (std::size_t b = 0; b < table_.topology.TotalBanks(); ++b) {
+    addrs_.push_back(DecomposeBank(table_.topology, b));
+  }
 }
 
 namespace {
@@ -79,9 +84,21 @@ struct SubarrayState {
   Cycles ref_end = 0;
 };
 
+/// Latest command cycle of one bank group within a rank.
+struct GroupClock {
+  bool seen = false;
+  Cycles last = 0;
+};
+
+/// Raises `clock` to `at` (or starts it there).
+void Advance(GroupClock& clock, Cycles at) {
+  clock.last = clock.seen ? std::max(clock.last, at) : at;
+  clock.seen = true;
+}
+
 struct RankAuditState {
-  std::map<std::size_t, Cycles> last_act_by_group;
-  std::map<std::size_t, Cycles> last_col_by_group;
+  std::vector<GroupClock> last_act_by_group;  ///< [bank group]
+  std::vector<GroupClock> last_col_by_group;  ///< [bank group]
   std::deque<Cycles> faw_window;  ///< ACTs within the trailing tFAW window.
 };
 
@@ -103,39 +120,59 @@ struct BankRefState {
 AuditReport TimingAuditor::Audit(const CommandLog& log) const {
   AuditReport report;
   report.commands_checked = log.size();
+  const std::vector<Command>& commands = log.commands();
+  const Topology& topology = table_.topology;
+  const std::size_t banks = addrs_.size();
 
-  // Replay in cycle order; stable on log order so a bank's own issue
-  // sequence breaks same-cycle ties.
-  std::vector<std::size_t> order(log.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
+  // Replay in cycle order; the log index breaks same-cycle ties, so a
+  // bank's own issue sequence keeps its order.  The same pass rejects a
+  // bank outside the topology and sizes the per-subarray state.
+  std::vector<std::pair<Cycles, std::size_t>> order(commands.size());
+  std::size_t subarrays = 1;
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    const Command& c = commands[i];
+    if (c.bank >= banks) {
+      throw ConfigError("TimingAuditor: command bank index " +
+                        std::to_string(c.bank) + " out of range (" +
+                        std::to_string(banks) + " banks)");
+    }
+    subarrays = std::max<std::size_t>(subarrays, c.subarray + 1u);
+    order[i] = {c.at, i};
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return log.commands()[a].at < log.commands()[b].at;
-                   });
+  std::sort(order.begin(), order.end());
 
   const TimingParams& core = table_.core;
-  std::map<std::pair<std::size_t, std::size_t>, SubarrayState> subarrays;
-  std::map<std::size_t, RankAuditState> ranks;
-  std::map<std::size_t, BusState> buses;
-  std::map<std::size_t, BankRefState> bank_refresh;
+  std::vector<SubarrayState> subarray_state(banks * subarrays);
+  std::vector<RankAuditState> ranks(topology.TotalRanks());
+  for (RankAuditState& rank : ranks) {
+    rank.last_act_by_group.resize(topology.bank_groups_per_rank);
+    rank.last_col_by_group.resize(topology.bank_groups_per_rank);
+  }
+  std::vector<BusState> buses(table_.per_channel_bus ? topology.channels
+                                                     : banks);
+  std::vector<BankRefState> bank_refresh(banks);
 
   const auto flag = [&](const Command& c, const std::string& rule,
                         std::string detail) {
-    report.violations.push_back({c.at, rule, c.addr, std::move(detail)});
+    report.violations.push_back(
+        {c.at, rule, addrs_[c.bank], std::move(detail)});
   };
 
   // ACT-side rank windows (tRRD_S/tRRD_L + tFAW): checked and recorded for
   // real ACTIVATEs and for REFpb commands alike.
-  const auto act_windows = [&](const Command& c, std::size_t global_rank) {
-    RankAuditState& rank = ranks[global_rank];
-    for (const auto& [group, last] : rank.last_act_by_group) {
+  const auto act_windows = [&](const Command& c, const BankAddress& addr,
+                               RankAuditState& rank) {
+    for (std::size_t group = 0; group < rank.last_act_by_group.size();
+         ++group) {
+      const GroupClock& act = rank.last_act_by_group[group];
+      if (!act.seen) {
+        continue;
+      }
       const Cycles gap =
-          group == c.addr.bank_group ? table_.t_rrd_l : table_.t_rrd_s;
-      if (gap != 0 && c.at < last + gap) {
-        flag(c, group == c.addr.bank_group ? "tRRD_L" : "tRRD_S",
-             Need(last + gap, last, "last ACT"));
+          group == addr.bank_group ? table_.t_rrd_l : table_.t_rrd_s;
+      if (gap != 0 && c.at < act.last + gap) {
+        flag(c, group == addr.bank_group ? "tRRD_L" : "tRRD_S",
+             Need(act.last + gap, act.last, "last ACT"));
       }
     }
     if (table_.t_faw != 0) {
@@ -151,19 +188,17 @@ AuditReport TimingAuditor::Audit(const CommandLog& log) const {
       }
       rank.faw_window.push_back(c.at);
     }
-    auto [it, inserted] =
-        rank.last_act_by_group.try_emplace(c.addr.bank_group, c.at);
-    if (!inserted) {
-      it->second = std::max(it->second, c.at);
-    }
+    Advance(rank.last_act_by_group[addr.bank_group], c.at);
   };
 
-  for (const std::size_t i : order) {
-    const Command& c = log.commands()[i];
-    const std::size_t flat = FlattenBank(table_.topology, c.addr);
-    const std::size_t global_rank =
-        c.addr.channel * table_.topology.ranks_per_channel + c.addr.rank;
-    SubarrayState& sub = subarrays[{flat, c.subarray}];
+  for (const auto& key : order) {
+    const Command& c = commands[key.second];
+    const std::size_t flat = c.bank;
+    const BankAddress& addr = addrs_[flat];
+    RankAuditState& rank =
+        ranks[addr.channel * topology.ranks_per_channel + addr.rank];
+    SubarrayState* const bank_subarrays = &subarray_state[flat * subarrays];
+    SubarrayState& sub = bank_subarrays[c.subarray];
 
     // Refresh occupancy: nothing may touch the subarray while a refresh op
     // holds it.
@@ -185,7 +220,7 @@ AuditReport TimingAuditor::Audit(const CommandLog& log) const {
           flag(c, "tRP", Need(sub.last_pre + core.t_rp, sub.last_pre,
                               "last PRE"));
         }
-        act_windows(c, global_rank);
+        act_windows(c, addr, rank);
         sub.act_seen = true;
         sub.last_act = c.at;
         break;
@@ -196,34 +231,32 @@ AuditReport TimingAuditor::Audit(const CommandLog& log) const {
           flag(c, "tRCD", Need(sub.last_act + core.t_rcd, sub.last_act,
                                "last ACT"));
         }
-        RankAuditState& rank = ranks[global_rank];
-        for (const auto& [group, last] : rank.last_col_by_group) {
+        for (std::size_t group = 0; group < rank.last_col_by_group.size();
+             ++group) {
+          const GroupClock& col = rank.last_col_by_group[group];
+          if (!col.seen) {
+            continue;
+          }
           const Cycles gap =
-              group == c.addr.bank_group ? table_.t_ccd_l : table_.t_ccd_s;
-          if (gap != 0 && c.at < last + gap) {
-            flag(c, group == c.addr.bank_group ? "tCCD_L" : "tCCD_S",
-                 Need(last + gap, last, "last column command"));
+              group == addr.bank_group ? table_.t_ccd_l : table_.t_ccd_s;
+          if (gap != 0 && c.at < col.last + gap) {
+            flag(c, group == addr.bank_group ? "tCCD_L" : "tCCD_S",
+                 Need(col.last + gap, col.last, "last column command"));
           }
         }
-        auto [it, inserted] =
-            rank.last_col_by_group.try_emplace(c.addr.bank_group, c.at);
-        if (!inserted) {
-          it->second = std::max(it->second, c.at);
-        }
+        Advance(rank.last_col_by_group[addr.bank_group], c.at);
 
         // Data burst occupancy: per channel when the bus is shared, per
         // bank in the flat model.
         const Cycles burst_start = c.at + core.t_cas;
         const Cycles burst_end = burst_start + core.t_bus;
-        const std::size_t bus_key =
-            table_.per_channel_bus ? c.addr.channel : flat;
-        BusState& bus = buses[bus_key];
+        BusState& bus = buses[table_.per_channel_bus ? addr.channel : flat];
         if (bus.any) {
           if (burst_start < bus.last_end) {
             flag(c, "bus-overlap",
                  Need(bus.last_end, bus.last_end, "previous burst ends"));
           } else if (table_.per_channel_bus && table_.t_rtrs != 0 &&
-                     bus.last_rank != c.addr.rank &&
+                     bus.last_rank != addr.rank &&
                      burst_start < bus.last_end + table_.t_rtrs) {
             flag(c, "tRTRS",
                  Need(bus.last_end + table_.t_rtrs, bus.last_end,
@@ -232,7 +265,7 @@ AuditReport TimingAuditor::Audit(const CommandLog& log) const {
         }
         if (!bus.any || burst_end > bus.last_end) {
           bus.last_end = burst_end;
-          bus.last_rank = c.addr.rank;
+          bus.last_rank = addr.rank;
           bus.any = true;
         }
 
@@ -269,12 +302,11 @@ AuditReport TimingAuditor::Audit(const CommandLog& log) const {
         }
         // Bank-level refresh: may not start while any *other* subarray's
         // refresh is in flight (its own subarray was checked above).
-        for (auto it = subarrays.lower_bound({flat, 0});
-             it != subarrays.end() && it->first.first == flat; ++it) {
-          if (it->first.second == c.subarray) {
+        for (std::size_t s = 0; s < subarrays; ++s) {
+          if (s == c.subarray) {
             continue;
           }
-          const SubarrayState& other = it->second;
+          const SubarrayState& other = bank_subarrays[s];
           if (other.ref_seen && c.at >= other.ref_start &&
               c.at < other.ref_end) {
             flag(c, "refresh-occupancy",
@@ -283,7 +315,7 @@ AuditReport TimingAuditor::Audit(const CommandLog& log) const {
         }
         if (c.granularity == RefreshGranularity::kPerBank) {
           // REFpb is scheduled like an ACTIVATE within the rank.
-          act_windows(c, global_rank);
+          act_windows(c, addr, rank);
         }
         bref.seen = true;
         bref.start = c.at;

@@ -25,6 +25,12 @@
 /// assert zero violations.  The audit report text is byte-deterministic —
 /// CI diffs it across thread counts and uploads it as an artifact
 /// (docs/TOPOLOGY.md).
+///
+/// Cost model: a logged command is a 24-byte record naming its bank by the
+/// flat index of the table's topology, a finished run hands its log over
+/// (MemoryController::TakeAuditLog) instead of copying it, and the replay
+/// sorts (cycle, log index) keys and keeps its state in arrays indexed by
+/// bank, subarray, rank and bus.
 
 namespace vrl::dram {
 
@@ -47,21 +53,40 @@ std::string CommandName(CommandKind kind);
 /// (REFpb) or kAllBank (REF) — for `trfc` cycles.  A kPerBank refresh is
 /// additionally subject to (and counts in) the rank's tRRD/tFAW activation
 /// windows, mirroring how LPDDR4 schedules REFpb like an ACTIVATE.
+///
+/// `bank` is the flat bank index in the audited table's topology
+/// (FlattenBank order).  The narrow fields never truncate: Bank::SetAudit
+/// rejects a bank whose rows, subarrays or index do not fit, and
+/// Bank::ExecuteRefresh a logged tRFC above UINT32_MAX.
 struct Command {
   Cycles at = 0;
+  std::uint32_t row = 0;
+  std::uint32_t trfc = 0;      ///< kRefresh only: this op's refresh latency.
+  std::uint32_t bank = 0;      ///< Flat bank index (FlattenBank order).
+  std::uint16_t subarray = 0;  ///< Busy unit within the bank (SALP).
   CommandKind kind = CommandKind::kActivate;
-  BankAddress addr;
-  std::size_t subarray = 0;  ///< Busy unit within the bank (SALP).
-  std::size_t row = 0;
-  Cycles trfc = 0;           ///< kRefresh only: this op's refresh latency.
   /// kRefresh only: command scope (see refresh_policy.hpp).
   RefreshGranularity granularity = RefreshGranularity::kSubarray;
+
+  bool operator==(const Command&) const = default;
 };
+static_assert(sizeof(Command) == 24, "Command is a 24-byte log record");
 
 /// Append-only command stream, recorded by the banks in issue order.
 class CommandLog {
  public:
   void Append(const Command& command) { commands_.push_back(command); }
+  /// Moves every command of `tail` to the end of this log, in order: a
+  /// swap when this log is empty, one bulk insert otherwise.
+  void AppendLog(CommandLog&& tail) {
+    if (commands_.empty()) {
+      commands_.swap(tail.commands_);
+    } else {
+      commands_.insert(commands_.end(), tail.commands_.begin(),
+                       tail.commands_.end());
+    }
+    tail.commands_.clear();
+  }
   const std::vector<Command>& commands() const { return commands_; }
   std::size_t size() const { return commands_.size(); }
   bool empty() const { return commands_.empty(); }
@@ -119,17 +144,20 @@ void WriteAuditReport(const AuditReport& report, const std::string& label,
 ///    tRTRS turnaround between bursts of different ranks.
 class TimingAuditor {
  public:
-  /// Copies the table (the auditor outlives no one).
+  /// Copies the table (the auditor outlives no one) and decomposes each of
+  /// its flat bank indices once.
   explicit TimingAuditor(const TimingTable& table);
 
   /// Audits `log`; commands may be appended in any order (the auditor
-  /// sorts a copy by cycle, stable on log order).
+  /// replays them by cycle, ties in log order).  \throws vrl::ConfigError
+  /// when a command's bank index is not a bank of the table's topology.
   AuditReport Audit(const CommandLog& log) const;
 
   const TimingTable& table() const { return table_; }
 
  private:
   TimingTable table_;
+  std::vector<BankAddress> addrs_;  ///< [flat bank] -> hierarchy address.
 };
 
 }  // namespace vrl::dram

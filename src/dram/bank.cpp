@@ -1,6 +1,9 @@
 #include "dram/bank.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "dram/auditor.hpp"
@@ -19,6 +22,39 @@ Bank::Bank(std::size_t rows, const TimingParams& timing,
   timing_.Validate();
   rows_per_subarray_ = (rows + subarrays - 1) / subarrays;
   subarrays_.resize(subarrays);
+}
+
+void Bank::SetAudit(CommandLog* log, std::size_t bank) {
+  if (log != nullptr) {
+    constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::size_t kMax16 = std::numeric_limits<std::uint16_t>::max();
+    if (rows_ > kMax32) {
+      throw ConfigError("Bank::SetAudit: " + std::to_string(rows_) +
+                        " rows exceed a logged command's 32-bit row field");
+    }
+    if (subarrays_.size() > kMax16) {
+      throw ConfigError("Bank::SetAudit: " +
+                        std::to_string(subarrays_.size()) +
+                        " subarrays exceed a logged command's 16-bit "
+                        "subarray field");
+    }
+    if (bank > kMax32) {
+      throw ConfigError("Bank::SetAudit: bank index " + std::to_string(bank) +
+                        " exceeds a logged command's 32-bit bank field");
+    }
+  }
+  audit_ = log;
+  audit_bank_ = static_cast<std::uint32_t>(bank);
+}
+
+void Bank::Log(Cycles at, CommandKind kind, std::size_t sub, std::size_t row,
+               Cycles trfc, RefreshGranularity granularity) {
+  if (audit_ != nullptr) {
+    // SetAudit and ExecuteRefresh keep every field within its width.
+    audit_->Append({at, static_cast<std::uint32_t>(row),
+                    static_cast<std::uint32_t>(trfc), audit_bank_,
+                    static_cast<std::uint16_t>(sub), kind, granularity});
+  }
 }
 
 Cycles Bank::busy_until() const {
@@ -76,10 +112,7 @@ Cycles Bank::ServiceRequest(const Request& request) {
     sa.open_row = request.row;
     ++stats_.activations;
     ++stats_.row_misses;
-    if (audit_ != nullptr) {
-      audit_->Append(
-          {act, CommandKind::kActivate, addr_, sub, request.row, 0});
-    }
+    Log(act, CommandKind::kActivate, sub, request.row);
   } else if (*sa.open_row != request.row) {
     // Conflict: PRECHARGE (honoring tRAS/tWR) + ACTIVATE.
     const std::size_t closed_row = *sa.open_row;
@@ -94,12 +127,8 @@ Cycles Bank::ServiceRequest(const Request& request) {
     sa.open_row = request.row;
     ++stats_.activations;
     ++stats_.row_misses;
-    if (audit_ != nullptr) {
-      audit_->Append(
-          {pre_start, CommandKind::kPrecharge, addr_, sub, closed_row, 0});
-      audit_->Append(
-          {act, CommandKind::kActivate, addr_, sub, request.row, 0});
-    }
+    Log(pre_start, CommandKind::kPrecharge, sub, closed_row);
+    Log(act, CommandKind::kActivate, sub, request.row);
   } else {
     ++stats_.row_hits;
   }
@@ -120,12 +149,10 @@ Cycles Bank::ServiceRequest(const Request& request) {
     engine_->RecordColumn(addr_, burst_start - timing_.t_cas);
     engine_->RecordBurst(addr_, burst_start, completion);
   }
-  if (audit_ != nullptr) {
-    audit_->Append({burst_start - timing_.t_cas,
-                    request.type == RequestType::kWrite ? CommandKind::kWrite
-                                                        : CommandKind::kRead,
-                    addr_, sub, request.row, 0});
-  }
+  Log(burst_start - timing_.t_cas,
+      request.type == RequestType::kWrite ? CommandKind::kWrite
+                                          : CommandKind::kRead,
+      sub, request.row);
 
   if (request.type == RequestType::kWrite) {
     ++stats_.writes;
@@ -146,10 +173,7 @@ Cycles Bank::ServiceRequest(const Request& request) {
     const Cycles pre_start = EarliestPrecharge(sa, completion);
     sa.busy_until = pre_start + timing_.t_rp;
     sa.open_row.reset();
-    if (audit_ != nullptr) {
-      audit_->Append(
-          {pre_start, CommandKind::kPrecharge, addr_, sub, request.row, 0});
-    }
+    Log(pre_start, CommandKind::kPrecharge, sub, request.row);
   }
   return completion;
 }
@@ -161,6 +185,11 @@ Cycles Bank::ExecuteRefresh(const RefreshOp& op, Cycles now) {
   if (op.trfc == 0) {
     throw ConfigError("Bank: refresh with zero tRFC");
   }
+  if (audit_ != nullptr &&
+      op.trfc > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError("Bank: logged refresh tRFC " + std::to_string(op.trfc) +
+                      " exceeds a logged command's 32-bit tRFC field");
+  }
   const std::size_t sub = SubarrayOf(op.row);
 
   if (op.granularity == RefreshGranularity::kSubarray) {
@@ -169,18 +198,12 @@ Cycles Bank::ExecuteRefresh(const RefreshOp& op, Cycles now) {
     // Refresh requires the subarray precharged; close any open row first.
     if (sa.open_row.has_value()) {
       const Cycles pre_start = EarliestPrecharge(sa, start);
-      if (audit_ != nullptr) {
-        audit_->Append({pre_start, CommandKind::kPrecharge, addr_, sub,
-                        *sa.open_row, 0});
-      }
+      Log(pre_start, CommandKind::kPrecharge, sub, *sa.open_row);
       start = pre_start + timing_.t_rp;
       sa.open_row.reset();
     }
     const Cycles completion = start + op.trfc;
-    if (audit_ != nullptr) {
-      audit_->Append({start, CommandKind::kRefresh, addr_, sub, op.row,
-                      op.trfc, op.granularity});
-    }
+    Log(start, CommandKind::kRefresh, sub, op.row, op.trfc, op.granularity);
     if (op.is_full) {
       ++stats_.full_refreshes;
     } else {
@@ -204,10 +227,7 @@ Cycles Bank::ExecuteRefresh(const RefreshOp& op, Cycles now) {
       continue;
     }
     const Cycles pre_start = EarliestPrecharge(sa, start);
-    if (audit_ != nullptr) {
-      audit_->Append(
-          {pre_start, CommandKind::kPrecharge, addr_, s, *sa.open_row, 0});
-    }
+    Log(pre_start, CommandKind::kPrecharge, s, *sa.open_row);
     ref_start = std::max(ref_start, pre_start + timing_.t_rp);
     sa.open_row.reset();
   }
@@ -218,10 +238,8 @@ Cycles Bank::ExecuteRefresh(const RefreshOp& op, Cycles now) {
     engine_->RecordActivate(addr_, ref_start);
   }
   const Cycles completion = ref_start + op.trfc;
-  if (audit_ != nullptr) {
-    audit_->Append({ref_start, CommandKind::kRefresh, addr_, sub, op.row,
-                    op.trfc, op.granularity});
-  }
+  Log(ref_start, CommandKind::kRefresh, sub, op.row, op.trfc,
+      op.granularity);
   if (op.is_full) {
     ++stats_.full_refreshes;
   } else {

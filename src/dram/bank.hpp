@@ -32,7 +32,8 @@
 
 namespace vrl::dram {
 
-class CommandLog;  // auditor.hpp
+class CommandLog;                       // auditor.hpp
+enum class CommandKind : std::uint8_t;  // auditor.hpp
 
 /// Row-buffer management policy.
 enum class RowBufferPolicy {
@@ -125,13 +126,13 @@ class Bank {
   }
 
   /// Attaches a command log: every PRE/ACT/RD/WR/REF this bank issues is
-  /// appended, for passive replay by the TimingAuditor.  Null (the default)
-  /// disables logging.  Works with or without a constraint engine — flat
-  /// runs can be audited too.
-  void SetAudit(CommandLog* log, const BankAddress& addr) {
-    audit_ = log;
-    addr_ = addr;
-  }
+  /// appended under `bank`, the bank's flat index in the table's topology,
+  /// for passive replay by the TimingAuditor.  Null (the default) disables
+  /// logging.  Works with or without a constraint engine — flat runs can be
+  /// audited too.  \throws vrl::ConfigError when the bank's rows exceed
+  /// UINT32_MAX, its subarrays UINT16_MAX or `bank` UINT32_MAX (the widths
+  /// of a logged Command).
+  void SetAudit(CommandLog* log, std::size_t bank);
 
  private:
   struct Subarray {
@@ -144,6 +145,11 @@ class Bank {
   /// Earliest cycle a PRECHARGE of `sa` may start, honoring tRAS and tWR.
   Cycles EarliestPrecharge(const Subarray& sa, Cycles at) const;
 
+  /// Appends one command to the attached log; a no-op without one.
+  void Log(Cycles at, CommandKind kind, std::size_t sub, std::size_t row,
+           Cycles trfc = 0,
+           RefreshGranularity granularity = RefreshGranularity::kSubarray);
+
   std::size_t rows_;
   TimingParams timing_;
   RowBufferPolicy policy_;
@@ -153,6 +159,7 @@ class Bank {
   BankStats stats_;
   ConstraintEngine* engine_ = nullptr;  ///< Optional inter-bank constraints.
   CommandLog* audit_ = nullptr;         ///< Optional command logging.
+  std::uint32_t audit_bank_ = 0;        ///< Flat index logged with commands.
   BankAddress addr_;                    ///< Position in the hierarchy.
 };
 

@@ -1,6 +1,7 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "telemetry/recorder.hpp"
@@ -149,10 +150,17 @@ CommandLog& MemoryController::EnableAudit() {
   if (!audit_log_) {
     audit_log_ = std::make_unique<CommandLog>();
     for (std::size_t b = 0; b < banks_.size(); ++b) {
-      banks_[b].SetAudit(audit_log_.get(), DecomposeBank(table_.topology, b));
+      banks_[b].SetAudit(audit_log_.get(), b);
     }
   }
   return *audit_log_;
+}
+
+CommandLog MemoryController::TakeAuditLog() {
+  if (!audit_log_) {
+    return {};
+  }
+  return std::exchange(*audit_log_, CommandLog{});
 }
 
 void MemoryController::AttachTelemetry(telemetry::Recorder* recorder) {

@@ -120,6 +120,11 @@ class MemoryController {
   /// The command log, or nullptr before EnableAudit().
   const CommandLog* audit_log() const { return audit_log_.get(); }
 
+  /// Moves the commands logged so far out of the controller, leaving an
+  /// empty log attached: the banks keep logging into it and EnableAudit()
+  /// still returns it.  An empty log before EnableAudit().
+  CommandLog TakeAuditLog();
+
   /// The inter-bank constraint engine (stall stats, per-rank activity), or
   /// nullptr when running flat.
   const ConstraintEngine* constraint_engine() const { return engine_.get(); }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -323,12 +324,14 @@ TEST(Auditor, CommandMnemonics) {
   EXPECT_EQ(CommandName(CommandKind::kRefresh), "REF");
 }
 
-Command Cmd(Cycles at, CommandKind kind, const BankAddress& addr,
-            Cycles trfc = 0) {
+/// One logged command on flat bank `bank` (FlattenBank order: DDR3_1600
+/// is 2 ranks x 8 banks, DDR4_2400 2 ranks x 4 groups x 4 banks).
+Command Cmd(Cycles at, CommandKind kind, std::uint32_t bank,
+            std::uint32_t trfc = 0) {
   Command c;
   c.at = at;
   c.kind = kind;
-  c.addr = addr;
+  c.bank = bank;
   c.trfc = trfc;
   return c;
 }
@@ -336,8 +339,8 @@ Command Cmd(Cycles at, CommandKind kind, const BankAddress& addr,
 TEST(Auditor, LegalStreamAuditsClean) {
   // Core timings: tRCD 10, tRAS 28, tRP 10, tCAS 10, tBUS 4.
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
-  const BankAddress b0{0, 0, 0, 0};
-  const BankAddress b1{0, 0, 0, 1};
+  const std::uint32_t b0 = 0;
+  const std::uint32_t b1 = 1;
   CommandLog log;
   log.Append(Cmd(0, CommandKind::kActivate, b0));
   log.Append(Cmd(10, CommandKind::kRead, b0));    // tRCD met; burst [20,24)
@@ -353,8 +356,8 @@ TEST(Auditor, LegalStreamAuditsClean) {
 TEST(Auditor, DetectsTrrdViolation) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
   CommandLog log;
-  log.Append(Cmd(0, CommandKind::kActivate, BankAddress{0, 0, 0, 0}));
-  log.Append(Cmd(1, CommandKind::kActivate, BankAddress{0, 0, 0, 1}));
+  log.Append(Cmd(0, CommandKind::kActivate, 0));
+  log.Append(Cmd(1, CommandKind::kActivate, 1));
   const AuditReport report = auditor.Audit(log);
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].rule, "tRRD_L");  // DDR3: one group
@@ -364,11 +367,11 @@ TEST(Auditor, DetectsTrrdViolation) {
 TEST(Auditor, DistinguishesShortAndLongRrd) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr4_2400));
   CommandLog log;
-  log.Append(Cmd(0, CommandKind::kActivate, BankAddress{0, 0, 0, 0}));
-  log.Append(Cmd(3, CommandKind::kActivate, BankAddress{0, 0, 0, 1}));
+  log.Append(Cmd(0, CommandKind::kActivate, 0));
+  log.Append(Cmd(3, CommandKind::kActivate, 1));
   // Same group at +3 violates tRRD_L = 4; a different group at +3 meets
   // tRRD_S = 3.
-  log.Append(Cmd(6, CommandKind::kActivate, BankAddress{0, 0, 1, 0}));
+  log.Append(Cmd(6, CommandKind::kActivate, 4));
   const AuditReport report = auditor.Audit(log);
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].rule, "tRRD_L");
@@ -381,7 +384,7 @@ TEST(Auditor, DetectsFifthActivateInFawWindow) {
   CommandLog log;
   for (std::size_t i = 0; i < 5; ++i) {
     log.Append(Cmd(static_cast<Cycles>(3 * i), CommandKind::kActivate,
-                   BankAddress{0, 0, 0, i}));
+                   static_cast<std::uint32_t>(i)));
   }
   const AuditReport report = auditor.Audit(log);
   ASSERT_EQ(report.violations.size(), 1u);
@@ -391,7 +394,7 @@ TEST(Auditor, DetectsFifthActivateInFawWindow) {
 
 TEST(Auditor, DetectsTrcdAndTrasAndTrpViolations) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
-  const BankAddress b{0, 0, 0, 0};
+  const std::uint32_t b = 0;
   CommandLog log;
   log.Append(Cmd(0, CommandKind::kActivate, b));
   log.Append(Cmd(5, CommandKind::kRead, b));        // tRCD 10 violated
@@ -406,7 +409,7 @@ TEST(Auditor, DetectsTrcdAndTrasAndTrpViolations) {
 
 TEST(Auditor, DetectsWriteRecoveryViolation) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
-  const BankAddress b{0, 0, 0, 0};
+  const std::uint32_t b = 0;
   CommandLog log;
   log.Append(Cmd(0, CommandKind::kActivate, b));
   log.Append(Cmd(10, CommandKind::kWrite, b));  // burst [20, 24)
@@ -420,21 +423,21 @@ TEST(Auditor, DetectsWriteRecoveryViolation) {
 TEST(Auditor, DetectsBusOverlapAndRankTurnaround) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
   CommandLog log;
-  log.Append(Cmd(0, CommandKind::kActivate, BankAddress{0, 0, 0, 0}));
-  log.Append(Cmd(4, CommandKind::kActivate, BankAddress{0, 0, 0, 1}));
-  log.Append(Cmd(20, CommandKind::kRead, BankAddress{0, 0, 0, 0}));
+  log.Append(Cmd(0, CommandKind::kActivate, 0));
+  log.Append(Cmd(4, CommandKind::kActivate, 1));
+  log.Append(Cmd(20, CommandKind::kRead, 0));
   // Burst [30,34); a second read at 22 bursts [32,36) — overlap.
-  log.Append(Cmd(22, CommandKind::kRead, BankAddress{0, 0, 0, 1}));
+  log.Append(Cmd(22, CommandKind::kRead, 1));
   const AuditReport overlap = auditor.Audit(log);
   ASSERT_EQ(overlap.violations.size(), 1u);
   EXPECT_EQ(overlap.violations[0].rule, "bus-overlap");
 
   CommandLog turnaround;
-  turnaround.Append(Cmd(0, CommandKind::kActivate, BankAddress{0, 0, 0, 0}));
-  turnaround.Append(Cmd(0, CommandKind::kActivate, BankAddress{0, 1, 0, 0}));
-  turnaround.Append(Cmd(20, CommandKind::kRead, BankAddress{0, 0, 0, 0}));
+  turnaround.Append(Cmd(0, CommandKind::kActivate, 0));
+  turnaround.Append(Cmd(0, CommandKind::kActivate, 8));
+  turnaround.Append(Cmd(20, CommandKind::kRead, 0));
   // Other rank's burst [35,39) starts 1 cycle after [30,34) ends; tRTRS = 2.
-  turnaround.Append(Cmd(25, CommandKind::kRead, BankAddress{0, 1, 0, 0}));
+  turnaround.Append(Cmd(25, CommandKind::kRead, 8));
   const AuditReport rtrs = auditor.Audit(turnaround);
   ASSERT_EQ(rtrs.violations.size(), 1u);
   EXPECT_EQ(rtrs.violations[0].rule, "tRTRS");
@@ -442,7 +445,7 @@ TEST(Auditor, DetectsBusOverlapAndRankTurnaround) {
 
 TEST(Auditor, DetectsCommandDuringRefresh) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
-  const BankAddress b{0, 0, 0, 0};
+  const std::uint32_t b = 0;
   CommandLog log;
   log.Append(Cmd(100, CommandKind::kRefresh, b, /*trfc=*/50));
   log.Append(Cmd(120, CommandKind::kActivate, b));  // inside [100, 150)
@@ -461,7 +464,7 @@ TEST(Auditor, SubarraysAuditIndependently) {
   // A refresh holds one subarray; the other subarray of the same bank stays
   // usable (SALP).
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
-  const BankAddress b{0, 0, 0, 0};
+  const std::uint32_t b = 0;
   Command ref = Cmd(100, CommandKind::kRefresh, b, /*trfc=*/50);
   ref.subarray = 0;
   Command act = Cmd(120, CommandKind::kActivate, b);
@@ -474,7 +477,7 @@ TEST(Auditor, SubarraysAuditIndependently) {
 
 TEST(Auditor, SortsAnUnorderedLogBeforeReplay) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
-  const BankAddress b{0, 0, 0, 0};
+  const std::uint32_t b = 0;
   CommandLog log;  // appended in reverse cycle order
   log.Append(Cmd(38, CommandKind::kActivate, b));
   log.Append(Cmd(28, CommandKind::kPrecharge, b));
@@ -506,10 +509,10 @@ TEST(Auditor, ViolationsAreCycleOrdered) {
   const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr3_1600));
   CommandLog log;
   // Two independent violations logged out of order.
-  log.Append(Cmd(50, CommandKind::kActivate, BankAddress{0, 0, 0, 2}));
-  log.Append(Cmd(51, CommandKind::kActivate, BankAddress{0, 0, 0, 3}));
-  log.Append(Cmd(0, CommandKind::kActivate, BankAddress{0, 0, 0, 0}));
-  log.Append(Cmd(1, CommandKind::kActivate, BankAddress{0, 0, 0, 1}));
+  log.Append(Cmd(50, CommandKind::kActivate, 2));
+  log.Append(Cmd(51, CommandKind::kActivate, 3));
+  log.Append(Cmd(0, CommandKind::kActivate, 0));
+  log.Append(Cmd(1, CommandKind::kActivate, 1));
   const AuditReport report = auditor.Audit(log);
   ASSERT_EQ(report.violations.size(), 2u);
   EXPECT_LT(report.violations[0].at, report.violations[1].at);
