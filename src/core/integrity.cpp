@@ -70,6 +70,8 @@ IntegrityReport IntegrityChecker::Replay(dram::RefreshPolicy& policy,
   const Cycles horizon = system_.HorizonForWindows(windows);
   const Cycles t_refi = system_.config().timing.t_refi;
 
+  std::vector<dram::RefreshProposal> proposals;
+  std::vector<dram::RefreshOp> ops;
   for (Cycles tick = 0; tick <= horizon; tick += t_refi) {
     const double now_s = CyclesToSeconds(tick, clock);
     // Propose/grant with no bank context: every proposal is granted on the
@@ -78,7 +80,8 @@ IntegrityReport IntegrityChecker::Replay(dram::RefreshPolicy& policy,
     dram::RefreshGrantContext grant_ctx;
     grant_ctx.now = tick;
     grant_ctx.demand.now = tick;
-    for (const auto& op : dram::GrantRefreshes(policy, grant_ctx)) {
+    dram::GrantRefreshes(policy, grant_ctx, nullptr, ops, proposals);
+    for (const auto& op : ops) {
       const double budget_s =
           op.is_full ? system_.FullTimings().tau_post_s
                      : system_.PartialTimings().tau_post_s;

@@ -57,14 +57,6 @@ void Bank::Log(Cycles at, CommandKind kind, std::size_t sub, std::size_t row,
   }
 }
 
-Cycles Bank::busy_until() const {
-  Cycles earliest = subarrays_.front().busy_until;
-  for (const Subarray& sa : subarrays_) {
-    earliest = std::min(earliest, sa.busy_until);
-  }
-  return earliest;
-}
-
 Cycles Bank::SubarrayBusyUntil(std::size_t sub) const {
   if (sub >= subarrays_.size()) {
     throw ConfigError("Bank: subarray index out of range");

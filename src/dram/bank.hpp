@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -91,7 +92,13 @@ class Bank {
   /// First cycle at which *any* subarray is free (the controller's
   /// decision-instant hint; individual requests still wait for their own
   /// subarray inside ServiceRequest).
-  Cycles busy_until() const;
+  Cycles busy_until() const {
+    Cycles earliest = subarrays_.front().busy_until;
+    for (const Subarray& sa : subarrays_) {
+      earliest = std::min(earliest, sa.busy_until);
+    }
+    return earliest;
+  }
 
   /// Busy horizon of one subarray (the refresh grant scheduler's collision
   /// probe).  \throws vrl::ConfigError on an out-of-range index.

@@ -1,6 +1,9 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -123,10 +126,17 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
                                    std::size_t subarrays)
     : table_(table), scheduler_(scheduler) {
   table_.Validate();
+  if (rows > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError("MemoryController: " + std::to_string(rows) +
+                      " rows per bank exceed a request slot's 32-bit row "
+                      "field");
+  }
   const std::size_t banks = table_.topology.TotalBanks();
   banks_.reserve(banks);
   policies_.reserve(banks);
+  addrs_.reserve(banks);
   for (std::size_t b = 0; b < banks; ++b) {
+    addrs_.push_back(DecomposeBank(table_.topology, b));
     banks_.emplace_back(rows, table_.core, page_policy, subarrays);
     auto policy = factory();
     if (!policy) {
@@ -140,8 +150,7 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
   if (table_.IsHierarchical()) {
     engine_ = std::make_unique<ConstraintEngine>(table_);
     for (std::size_t b = 0; b < banks; ++b) {
-      banks_[b].SetConstraintEngine(engine_.get(),
-                                    DecomposeBank(table_.topology, b));
+      banks_[b].SetConstraintEngine(engine_.get(), addrs_[b]);
     }
   }
 }
@@ -172,12 +181,58 @@ void MemoryController::AttachTelemetry(telemetry::Recorder* recorder) {
 
 SimulationStats MemoryController::Run(const std::vector<Request>& requests,
                                       Cycles horizon) {
-  if (!std::is_sorted(requests.begin(), requests.end(),
-                      [](const Request& a, const Request& b) {
-                        return a.arrival < b.arrival;
-                      })) {
-    throw ConfigError("MemoryController::Run: requests must be arrival-sorted");
+  // Split the requests into per-bank streams of 16-byte slots, bank-major
+  // in one array: a counting pass, which also checks the input before any
+  // request is served, then one scatter.  Each stream is [head, end) of
+  // `slots`; its pending requests are the unserved slots in [head, qi).
+  struct Stream {
+    std::size_t head = 0;  // oldest pending (unserved) slot
+    std::size_t qi = 0;    // next slot not yet pending
+    std::size_t end = 0;
+  };
+  std::vector<Stream> streams(banks_.size());
+  {
+    const std::size_t rows = banks_.front().rows();
+    bool bad_bank = false;
+    bool bad_row = false;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Request& r = requests[i];
+      if (i != 0 && r.arrival < requests[i - 1].arrival) {
+        throw ConfigError(
+            "MemoryController::Run: requests must be arrival-sorted");
+      }
+      if (r.bank >= banks_.size()) {
+        bad_bank = true;
+        continue;
+      }
+      bad_row = bad_row || r.row >= rows;
+      ++streams[r.bank].end;
+    }
+    if (bad_bank) {
+      throw ConfigError("MemoryController::Run: request bank out of range");
+    }
+    if (bad_row) {
+      throw ConfigError("Bank: request row out of range");
+    }
   }
+  std::size_t offset = 0;
+  for (Stream& stream : streams) {
+    stream.head = offset;
+    stream.qi = offset;
+    offset += stream.end;
+    stream.end = offset;
+  }
+  std::vector<RequestSlot> slots(requests.size());
+  for (const Request& r : requests) {
+    // Each row passed the range check above, and the constructor keeps
+    // rows per bank within 32 bits, so the narrowing is exact.
+    slots[streams[r.bank].qi++] = {r.arrival, static_cast<std::uint32_t>(r.row),
+                                   r.type == RequestType::kWrite, false};
+  }
+  for (Stream& stream : streams) {
+    stream.qi = stream.head;
+  }
+
   const Topology& topo = table_.topology;
   // The service loop is only tens of nanoseconds per request, so the
   // telemetry-gated per-request work is kept to this one accumulator;
@@ -235,19 +290,6 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
   const HierarchyActivity activity_before =
       engine_ == nullptr ? HierarchyActivity{} : engine_->activity();
 
-  // Split requests per bank, preserving order.
-  struct BankCursor {
-    std::vector<Request> queue;    // this bank's requests, arrival order
-    std::size_t qi = 0;            // next request not yet pending
-    std::vector<Request> pending;  // arrived but not yet serviced
-  };
-  std::vector<BankCursor> cursors(banks_.size());
-  for (const Request& r : requests) {
-    if (r.bank >= banks_.size()) {
-      throw ConfigError("MemoryController::Run: request bank out of range");
-    }
-    cursors[r.bank].queue.push_back(r);
-  }
   // Refresh bursts are buffered per bank and emitted under that bank's
   // bank_run span once the group finishes, so every burst is a child of
   // its own bank's span even while a group's banks interleave.
@@ -265,6 +307,25 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
   // at one bank; a hierarchical table puts all banks in one group so the
   // constraint engine sees commands in approximate issue order.
   const std::size_t group_size = engine_ == nullptr ? 1 : banks_.size();
+  // Decision instant of each of the group's banks: when it frees up, or —
+  // with nothing pending — when its next request arrives; kNever when it
+  // has nothing to do before `limit`.
+  constexpr Cycles kNever = ~Cycles{0};
+  std::vector<Cycles> instants(group_size);
+  const auto decision_instant = [&](std::size_t b, Cycles limit) {
+    const Stream& stream = streams[b];
+    Cycles t = banks_[b].busy_until();
+    if (stream.head == stream.qi) {
+      if (stream.qi == stream.end || slots[stream.qi].arrival >= limit) {
+        return kNever;
+      }
+      t = std::max(t, slots[stream.qi].arrival);
+    }
+    return t;
+  };
+  // Refresh buffers, reused by every tick of the run.
+  std::vector<RefreshProposal> proposals;
+  std::vector<RefreshOp> ops;
   Cycles end = horizon;
   for (std::size_t first = 0; first < banks_.size(); first += group_size) {
     const std::size_t last = first + group_size;
@@ -273,61 +334,62 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
     }
 
     // One pass per refresh tick, then a final drain pass for requests
-    // arriving up to the horizon after the last tick.  The passes are
-    // written inline rather than as lambdas so the compiler keeps the
-    // per-request state in registers (the flat run was ~7% slower with
-    // the service step behind a lambda).
+    // arriving up to the horizon after the last tick.
     for (Cycles tick = 0;; tick += table_.core.t_refi) {
       const bool drain = tick > horizon;
       const Cycles limit = drain ? horizon + 1 : tick;
       // Service every request arriving before `limit`, letting the
       // scheduler reorder among the ones pending at each decision instant.
       // Each step serves the group's bank whose decision instant comes
-      // first (ties to the lowest index).
+      // first (ties to the lowest index).  Serving a bank changes no other
+      // bank's busy horizon, pending set or next arrival, so only the
+      // served bank's instant is recomputed.
       scheduler_phase.Start();
+      for (std::size_t i = 0; i < group_size; ++i) {
+        instants[i] = decision_instant(first + i, limit);
+      }
       while (true) {
-        std::size_t b = last;
-        Cycles t_decide = 0;
-        for (std::size_t i = first; i < last; ++i) {
-          // Decision instant: when the bank frees up, or — with nothing
-          // pending — when its next request arrives.
-          const BankCursor& cur = cursors[i];
-          Cycles t = banks_[i].busy_until();
-          if (cur.pending.empty()) {
-            if (cur.qi >= cur.queue.size() ||
-                cur.queue[cur.qi].arrival >= limit) {
-              continue;
-            }
-            t = std::max(t, cur.queue[cur.qi].arrival);
-          }
-          if (b == last || t < t_decide) {
-            t_decide = t;
-            b = i;
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < group_size; ++i) {
+          if (instants[i] < instants[best]) {
+            best = i;
           }
         }
-        if (b == last) {
+        const Cycles t_decide = instants[best];
+        if (t_decide == kNever) {
           break;
         }
+        const std::size_t b = first + best;
         Bank& bank = banks_[b];
-        BankCursor& cur = cursors[b];
+        Stream& stream = streams[b];
         // Everything arrived by then competes for the slot.
-        while (cur.qi < cur.queue.size() &&
-               cur.queue[cur.qi].arrival <= t_decide &&
-               cur.queue[cur.qi].arrival < limit) {
-          cur.pending.push_back(cur.queue[cur.qi]);
-          ++cur.qi;
+        while (stream.qi < stream.end &&
+               slots[stream.qi].arrival <= t_decide &&
+               slots[stream.qi].arrival < limit) {
+          ++stream.qi;
         }
         const std::size_t pick =
-            SelectNextRequest(scheduler_, cur.pending, bank);
-        bank.ServiceRequest(cur.pending[pick]);
-        policies_[b]->OnRowAccess(cur.pending[pick].row);
+            stream.head +
+            SelectNextRequest(
+                scheduler_,
+                std::span<const RequestSlot>(slots.data() + stream.head,
+                                             stream.qi - stream.head),
+                bank);
+        RequestSlot& slot = slots[pick];
+        bank.ServiceRequest({slot.arrival, b, slot.row, 0,
+                             slot.write ? RequestType::kWrite
+                                        : RequestType::kRead});
+        policies_[b]->OnRowAccess(slot.row);
         if (telemetry_ != nullptr) {
-          // `pending` stays arrival-ordered, so any pick other than the
-          // front is the scheduler reordering for row locality.
-          reordered_picks_n += pick != 0 ? 1 : 0;
+          // The head is the oldest pending request, so any other pick is
+          // the scheduler reordering for row locality.
+          reordered_picks_n += pick != stream.head ? 1 : 0;
         }
-        cur.pending.erase(cur.pending.begin() +
-                          static_cast<std::ptrdiff_t>(pick));
+        slot.served = true;
+        while (stream.head < stream.qi && slots[stream.head].served) {
+          ++stream.head;
+        }
+        instants[best] = decision_instant(b, limit);
       }
       scheduler_phase.Stop();
       if (drain) {
@@ -335,29 +397,26 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
       }
 
       // Propose/grant per bank, then execute the tick's refresh operations
-      // bank by bank (index order — deterministic).  The pass above
-      // drained every bank's `pending`, so the queue cursor *is* the
-      // demand view: the next request this bank will see.  The constraint
-      // engine (null on flat tables) joins the context so non-urgent REFpb
-      // proposals defer instead of stalling in the rank's ACT windows.
+      // bank by bank (index order — deterministic).  The pass above served
+      // every pending request, so the stream cursor *is* the demand view:
+      // the next request this bank will see.  The constraint engine (null
+      // on flat tables) joins the context so non-urgent REFpb proposals
+      // defer instead of stalling in the rank's ACT windows.
       for (std::size_t b = first; b < last; ++b) {
         RefreshGrantContext ctx;
         ctx.now = tick;
         ctx.demand.now = tick;
-        const BankCursor& cur = cursors[b];
-        if (cur.qi < cur.queue.size()) {
+        const Stream& stream = streams[b];
+        if (stream.qi < stream.end) {
           ctx.demand.has_next = true;
-          ctx.demand.next_arrival = cur.queue[cur.qi].arrival;
-          ctx.demand.next_row = cur.queue[cur.qi].row;
+          ctx.demand.next_arrival = slots[stream.qi].arrival;
+          ctx.demand.next_row = slots[stream.qi].row;
         }
         ctx.bank = &banks_[b];
         ctx.engine = engine_.get();
-        if (engine_ != nullptr) {
-          ctx.addr = DecomposeBank(topo, b);
-        }
+        ctx.addr = addrs_[b];
         grant_phase.Start();
-        const std::vector<RefreshOp> ops =
-            GrantRefreshes(*policies_[b], ctx, &grant_stats);
+        GrantRefreshes(*policies_[b], ctx, &grant_stats, ops, proposals);
         grant_phase.Stop();
         // Each op waits for its own subarray inside the bank; ops to
         // distinct subarrays overlap (SALP), ops to the same one

@@ -31,6 +31,13 @@
 /// ConstraintEngine sees commands in approximate issue order and charges
 /// tRRD/tFAW/tCCD/tRTRS/bus stalls where the hierarchy binds
 /// (docs/TOPOLOGY.md).
+///
+/// The hot path works on dense data and allocates nothing per tick or
+/// request: Run splits the requests into per-bank streams of 16-byte
+/// RequestSlots (one counting pass, which also rejects malformed input
+/// before anything is served, then one scatter); it caches each bank's
+/// decision instant and recomputes only the served bank's; and it owns the
+/// proposal and op buffers GrantRefreshes fills on every tick.
 
 namespace vrl::dram {
 
@@ -84,7 +91,8 @@ class MemoryController {
   /// degenerate table (TimingPreset::kSingleBankEquivalent) runs every bank
   /// as its own group, byte-for-byte the flat constructor; anything else
   /// runs all banks as one group with the table's inter-bank constraints
-  /// enforced by a ConstraintEngine.
+  /// enforced by a ConstraintEngine.  \throws vrl::ConfigError when `rows`
+  /// exceeds UINT32_MAX (the width of a RequestSlot's row field).
   MemoryController(const TimingTable& table, std::size_t rows,
                    const PolicyFactory& factory,
                    SchedulerKind scheduler = SchedulerKind::kFcfs,
@@ -94,6 +102,9 @@ class MemoryController {
   /// Runs the simulation: services `requests` (must be sorted by arrival)
   /// and executes refresh ticks until `horizon` cycles have elapsed (and at
   /// least until the last request completes).
+  /// \throws vrl::ConfigError, before any request is served, when the
+  /// requests are not arrival-sorted or one names a bank or row out of
+  /// range.
   SimulationStats Run(const std::vector<Request>& requests, Cycles horizon);
 
   /// Attaches a telemetry recorder to the controller and every bank's
@@ -142,6 +153,7 @@ class MemoryController {
   TimingTable table_;
   SchedulerKind scheduler_;
   std::vector<Bank> banks_;
+  std::vector<BankAddress> addrs_;  ///< DecomposeBank of each bank.
   std::vector<std::unique_ptr<RefreshPolicy>> policies_;
   std::unique_ptr<ConstraintEngine> engine_;  ///< Hierarchical tables only.
   std::unique_ptr<CommandLog> audit_log_;     ///< Non-null after EnableAudit.

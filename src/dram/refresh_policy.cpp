@@ -1,30 +1,13 @@
 #include "dram/refresh_policy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/error.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace vrl::dram {
-namespace {
-
-/// Staggers initial per-row deadlines across the first period so refreshes
-/// spread over tREFI ticks instead of bursting at t = 0 (this mirrors how a
-/// controller walks rows round-robin within a refresh window).
-DeadlineQueue StaggeredDeadlines(const std::vector<Cycles>& periods) {
-  std::vector<std::pair<Cycles, std::size_t>> initial;
-  const std::size_t n = periods.size();
-  initial.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    // Row r's first deadline lands at (r/n)-th of its own period.
-    initial.emplace_back(
-        periods[r] * static_cast<Cycles>(r) / static_cast<Cycles>(n), r);
-  }
-  return DeadlineQueue(std::greater<>{}, std::move(initial));
-}
-
-}  // namespace
 
 std::string RefreshGranularityName(RefreshGranularity granularity) {
   switch (granularity) {
@@ -156,20 +139,119 @@ RowRefreshPlan MakeRefreshPlan(const retention::BinningResult& binning,
 }
 
 // ---------------------------------------------------------------------------
+// DueQueue
+// ---------------------------------------------------------------------------
+
+DueQueue::DueQueue(const std::vector<Cycles>& periods)
+    : lane_of_(periods.size(), kHeap) {
+  // One FIFO per distinct period, in order of first appearance, until
+  // kMaxLanes; rows of any further period live in the fallback heap.
+  std::vector<Cycles> lane_period;
+  std::vector<std::size_t> lane_rows;
+  for (std::size_t r = 0; r < periods.size(); ++r) {
+    auto it = std::find(lane_period.begin(), lane_period.end(), periods[r]);
+    if (it == lane_period.end()) {
+      if (lane_period.size() == kMaxLanes) {
+        continue;
+      }
+      lane_period.push_back(periods[r]);
+      lane_rows.push_back(0);
+      it = lane_period.end() - 1;
+    }
+    const auto lane = static_cast<std::size_t>(it - lane_period.begin());
+    lane_of_[r] = static_cast<std::uint8_t>(lane);
+    ++lane_rows[lane];
+  }
+  // A row sits in the queue at most once while its policy runs, so a FIFO
+  // sized to its rows never grows.
+  lanes_.resize(lane_period.size());
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    lanes_[l].ring.resize(std::bit_ceil(lane_rows[l]));
+  }
+}
+
+void DueQueue::Lane::PushBack(const Entry& entry) {
+  if (count == ring.size()) {
+    std::vector<Entry> grown(2 * ring.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[(head + count) & (ring.size() - 1)] = entry;
+  ++count;
+}
+
+void DueQueue::push(Cycles due, std::size_t row) {
+  const Entry entry{due, row};
+  const bool new_min = size_ == 0 || entry < top();
+  std::uint8_t where = row < lane_of_.size() ? lane_of_[row] : kHeap;
+  if (where != kHeap) {
+    Lane& lane = lanes_[where];
+    if (lane.count == 0 || !(entry < lane.back())) {
+      lane.PushBack(entry);
+    } else {
+      where = kHeap;  // Out of order for its FIFO.
+    }
+  }
+  if (where == kHeap) {
+    heap_.push(entry);
+  }
+  ++size_;
+  // A new least entry is the head of whatever took it: a FIFO holding
+  // anything else would hold something smaller.
+  if (new_min) {
+    min_lane_ = where;
+  }
+}
+
+void DueQueue::pop() {
+  if (min_lane_ == kHeap) {
+    heap_.pop();
+  } else {
+    lanes_[min_lane_].PopFront();
+  }
+  --size_;
+  FindMin();
+}
+
+void DueQueue::FindMin() {
+  const Entry* best = heap_.empty() ? nullptr : &heap_.top();
+  min_lane_ = kHeap;
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    const Lane& lane = lanes_[l];
+    if (lane.count != 0 && (best == nullptr || lane.front() < *best)) {
+      best = &lane.front();
+      min_lane_ = static_cast<std::uint8_t>(l);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // ProposingPolicy
 // ---------------------------------------------------------------------------
 
 ProposingPolicy::ProposingPolicy(std::vector<Cycles> periods,
                                  Cycles defer_window)
-    : periods_(std::move(periods)), defer_window_(defer_window) {
+    : periods_(std::move(periods)),
+      defer_window_(defer_window),
+      due_(periods_) {
   if (periods_.empty()) {
     throw ConfigError("ProposingPolicy: need at least one row");
   }
-  due_ = StaggeredDeadlines(periods_);
+  // Stagger the initial deadlines across the first period so refreshes
+  // spread over tREFI ticks instead of bursting at t = 0 (this mirrors how
+  // a controller walks rows round-robin within a refresh window): row r's
+  // first deadline lands at (r/n)-th of its own period.
+  const auto n = static_cast<Cycles>(periods_.size());
+  for (std::size_t r = 0; r < periods_.size(); ++r) {
+    due_.push(periods_[r] * static_cast<Cycles>(r) / n, r);
+  }
 }
 
-std::vector<RefreshProposal> ProposingPolicy::Propose(
-    Cycles now, const DemandView& demand) {
+void ProposingPolicy::Propose(Cycles now, const DemandView& demand,
+                              std::vector<RefreshProposal>& out) {
   (void)demand;
   RequireMonotonicNow(now);
   // Rows coming due turn into outstanding proposals; the op (full/partial,
@@ -181,7 +263,7 @@ std::vector<RefreshProposal> ProposingPolicy::Propose(
     due_.pop();
     const Cycles resched = SkipUntil(row, when);
     if (resched > when) {
-      due_.emplace(resched, row);
+      due_.push(resched, row);
       continue;
     }
     RefreshProposal proposal;
@@ -190,11 +272,10 @@ std::vector<RefreshProposal> ProposingPolicy::Propose(
     proposal.deadline = when + defer_window_;
     outstanding_.push_back(proposal);
   }
-  std::vector<RefreshProposal> out = outstanding_;
+  out.assign(outstanding_.begin(), outstanding_.end());
   for (RefreshProposal& proposal : out) {
     proposal.urgent = now >= proposal.deadline;
   }
-  return out;
 }
 
 void ProposingPolicy::OnGrant(const RefreshProposal& proposal, Cycles at) {
@@ -208,14 +289,14 @@ void ProposingPolicy::OnGrant(const RefreshProposal& proposal, Cycles at) {
   RecordOp(proposal.op, at, proposal.due);
   // Re-arm anchored at the due cycle, not the grant cycle: deferral must
   // not stretch the retention schedule.
-  due_.emplace(proposal.due + periods_[row], row);
+  due_.push(proposal.due + periods_[row], row);
 }
 
 bool ProposingPolicy::RearmOutstanding(std::size_t row, Cycles at) {
   for (auto it = outstanding_.begin(); it != outstanding_.end(); ++it) {
     if (it->op.row == row) {
       outstanding_.erase(it);
-      due_.emplace(at, row);
+      due_.push(at, row);
       return true;
     }
   }

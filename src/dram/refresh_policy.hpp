@@ -24,10 +24,11 @@ class Recorder;
 /// Every policy speaks one two-phase contract, consulted by the memory
 /// controller at every tREFI tick (see GrantRefreshes in scheduler.hpp and
 /// docs/POLICIES.md):
-///  * Propose freezes the op: rows coming due become proposals carrying
-///    the refresh op (row, tRFC, full/partial, granularity — subarray,
-///    per-bank REFpb or all-bank REF), the cycle the schedule wanted it and
-///    a deadline.
+///  * Propose freezes the op into a caller-owned buffer: rows coming due
+///    (popped from a DueQueue, one sorted FIFO per refresh period) become
+///    proposals carrying the refresh op (row, tRFC, full/partial,
+///    granularity — subarray, per-bank REFpb or all-bank REF), the cycle
+///    the schedule wanted it and a deadline.
 ///  * OnGrant records the op (telemetry, lineage) and re-arms the row's
 ///    schedule one period after its due cycle; OnDefer leaves the proposal
 ///    outstanding, to be offered again on the next tick.
@@ -113,12 +114,14 @@ class RefreshPolicy {
  public:
   virtual ~RefreshPolicy() = default;
 
-  /// Phase one: the refresh commands this policy wants considered at
-  /// `now`, each with its op frozen.  Proposals the scheduler deferred are
-  /// offered again on later calls until granted.  `now` must be
-  /// non-decreasing across calls.
-  virtual std::vector<RefreshProposal> Propose(Cycles now,
-                                               const DemandView& demand) = 0;
+  /// Phase one: replaces the contents of `out` with the refresh commands
+  /// this policy wants considered at `now`, each with its op frozen.
+  /// Proposals the scheduler deferred are offered again on later calls
+  /// until granted.  `now` must be non-decreasing across calls.  The caller
+  /// owns `out` and reuses it across ticks, so a tick allocates nothing
+  /// once the buffer has grown to its working size.
+  virtual void Propose(Cycles now, const DemandView& demand,
+                       std::vector<RefreshProposal>& out) = 0;
 
   /// Phase two: the scheduler granted `proposal` for execution at cycle
   /// `at` (>= the proposal's due cycle).  The policy records the op and
@@ -250,23 +253,76 @@ RowRefreshPlan MakeRefreshPlan(const retention::BinningResult& binning,
                                double clock_period_s,
                                const std::vector<std::size_t>& mprsf = {});
 
-/// Min-heap of (next-due cycle, row) pairs shared by the policies; pops all
-/// rows due at a tick in O(due * log rows) instead of scanning every row.
-using DeadlineQueue =
-    std::priority_queue<std::pair<Cycles, std::size_t>,
-                        std::vector<std::pair<Cycles, std::size_t>>,
-                        std::greater<>>;
+/// The (next-due cycle, row) queue of ProposingPolicy: pops in ascending
+/// (due, row) order, exactly as a min-heap of the pairs would.
+///
+/// A re-arm adds the row's own fixed period to its due cycle, and within
+/// one period the staggered start is non-decreasing in the row index, so
+/// the rows of one period come back in the order they left.  Each of the
+/// first kMaxLanes distinct periods therefore gets a sorted FIFO (a ring
+/// buffer), and top() is the least of the FIFO heads.  A push that would
+/// break its FIFO's order — a deferred grant's re-arm, a VRL-Skip
+/// reschedule, RearmOutstanding, or a row whose period has no FIFO — goes
+/// to a small fallback min-heap that takes part in top() too.  Every
+/// structure holds its own minimum at its head, so the pop sequence is the
+/// heap's whatever the pushes and tick granularity.
+class DueQueue {
+ public:
+  using Entry = std::pair<Cycles, std::size_t>;  ///< (due cycle, row)
+  static constexpr std::size_t kMaxLanes = 8;
 
-/// Shared machinery for every shipped policy: a deadline queue plus the set
-/// of outstanding proposals.  Rows come due from the queue, turn into
+  /// `periods[row]` picks the row's FIFO.  The queue starts empty.
+  explicit DueQueue(const std::vector<Cycles>& periods);
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// The least (due, row) entry.  Requires !empty().
+  const Entry& top() const {
+    return min_lane_ == kHeap ? heap_.top() : lanes_[min_lane_].front();
+  }
+  void pop();
+  void push(Cycles due, std::size_t row);
+
+ private:
+  static constexpr std::uint8_t kHeap = 0xFF;  ///< No FIFO / fallback heap.
+
+  /// A growable ring buffer of entries in ascending order.
+  struct Lane {
+    std::vector<Entry> ring;  ///< Power-of-two capacity.
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    const Entry& front() const { return ring[head]; }
+    const Entry& back() const {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+    void PushBack(const Entry& entry);
+    void PopFront() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+  };
+
+  /// Recomputes min_lane_ over the FIFO heads and the heap top.
+  void FindMin();
+
+  std::vector<std::uint8_t> lane_of_;  ///< Per row: FIFO index or kHeap.
+  std::vector<Lane> lanes_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::size_t size_ = 0;
+  std::uint8_t min_lane_ = kHeap;  ///< Where top() is (valid if !empty()).
+};
+
+/// Shared machinery for every shipped policy: a due queue plus the set of
+/// outstanding proposals.  Rows come due from the queue, turn into
 /// proposals with deadline = due + defer window, and stay outstanding
 /// (re-offered every Propose) until granted.  A grant records telemetry and
 /// re-arms the row one period after its *due* cycle, so deferral never
 /// stretches the retention schedule.  Subclasses supply MakeOp.
 class ProposingPolicy : public RefreshPolicy {
  public:
-  std::vector<RefreshProposal> Propose(Cycles now,
-                                       const DemandView& demand) override;
+  void Propose(Cycles now, const DemandView& demand,
+               std::vector<RefreshProposal>& out) override;
   void OnGrant(const RefreshProposal& proposal, Cycles at) override;
   std::size_t rows() const override { return periods_.size(); }
 
@@ -304,7 +360,7 @@ class ProposingPolicy : public RefreshPolicy {
  private:
   std::vector<Cycles> periods_;
   Cycles defer_window_;
-  DeadlineQueue due_;
+  DueQueue due_;
   std::vector<RefreshProposal> outstanding_;  ///< Creation order.
 };
 

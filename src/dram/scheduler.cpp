@@ -52,7 +52,7 @@ std::size_t SelectNextRequest(SchedulerKind kind,
 }
 
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
+                              std::span<const RequestSlot> pending,
                               const Bank& bank) {
   if (pending.empty()) {
     throw ConfigError("SelectNextRequest: no pending requests");
@@ -61,7 +61,7 @@ std::size_t SelectNextRequest(SchedulerKind kind,
     return 0;
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (bank.IsRowOpen(pending[i].row)) {
+    if (!pending[i].served && bank.IsRowOpen(pending[i].row)) {
       return i;
     }
   }
@@ -91,11 +91,12 @@ bool CollidesWithDemand(const RefreshOp& op, const RefreshGrantContext& ctx) {
 
 }  // namespace
 
-std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
-                                      const RefreshGrantContext& ctx,
-                                      RefreshGrantStats* stats) {
-  std::vector<RefreshOp> ops;
-  for (const RefreshProposal& proposal : policy.Propose(ctx.now, ctx.demand)) {
+void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
+                    RefreshGrantStats* stats, std::vector<RefreshOp>& ops,
+                    std::vector<RefreshProposal>& proposals) {
+  ops.clear();
+  policy.Propose(ctx.now, ctx.demand, proposals);
+  for (const RefreshProposal& proposal : proposals) {
     const bool urgent = proposal.urgent || ctx.now >= proposal.deadline;
     if (stats != nullptr) {
       ++stats->proposals;
@@ -134,7 +135,6 @@ std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
       }
     }
   }
-  return ops;
 }
 
 }  // namespace vrl::dram

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,10 +47,14 @@ std::size_t SelectNextRequest(SchedulerKind kind,
                               const std::vector<Request>& pending,
                               std::optional<std::size_t> open_row);
 
-/// Overload consulting the bank's row buffers directly (covers banks with
-/// multiple subarrays, each with its own open row).
+/// The controller's form: picks from a bank's request stream, consulting
+/// the bank's row buffers directly (covers banks with multiple subarrays,
+/// each with its own open row).  `pending` runs from the oldest pending
+/// slot (unserved, the FCFS pick) to the first slot not yet arrived;
+/// served slots inside it are skipped.  Returns the pick's offset into
+/// `pending`.
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
+                              std::span<const RequestSlot> pending,
                               const Bank& bank);
 
 /// Grant accounting across one run, exported by the controller as
@@ -94,10 +99,13 @@ struct RefreshGrantContext {
 ///  - otherwise granted.
 ///
 /// Granted proposals reach `policy.OnGrant` (telemetry + re-arm) and their
-/// ops are returned in proposal order; deferred ones reach `policy.OnDefer`
-/// and stay outstanding inside the policy.
-std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
-                                      const RefreshGrantContext& ctx,
-                                      RefreshGrantStats* stats = nullptr);
+/// ops replace the contents of `ops`, in proposal order; deferred ones reach
+/// `policy.OnDefer` and stay outstanding inside the policy.  `stats` may be
+/// null.  `proposals` is the scratch buffer `policy.Propose` fills.  The
+/// caller owns both buffers and reuses them across ticks, so a tick
+/// allocates nothing once they have grown to their working size.
+void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
+                    RefreshGrantStats* stats, std::vector<RefreshOp>& ops,
+                    std::vector<RefreshProposal>& proposals);
 
 }  // namespace vrl::dram

@@ -51,9 +51,9 @@ ConstraintEngine::ConstraintEngine(const TimingTable& table) : table_(table) {
   ranks_.resize(topo.TotalRanks());
   for (RankState& rank : ranks_) {
     rank.last_act_by_group.assign(topo.bank_groups_per_rank, 0);
-    rank.act_seen.assign(topo.bank_groups_per_rank, false);
+    rank.act_seen.assign(topo.bank_groups_per_rank, 0);
     rank.last_col_by_group.assign(topo.bank_groups_per_rank, 0);
-    rank.col_seen.assign(topo.bank_groups_per_rank, false);
+    rank.col_seen.assign(topo.bank_groups_per_rank, 0);
   }
   channels_.resize(topo.channels);
   activity_.rank_activations.assign(topo.TotalRanks(), 0);
@@ -88,32 +88,33 @@ std::pair<Cycles, Cycles> ConstraintEngine::ActivateFloors(
   // is not guaranteed cycle-ordered (see class comment), so the earliest
   // legal cycle is found over the candidate set {floor} ∪ {a + tFAW}: the
   // count of in-window ACTs only drops at a recorded ACT's leave point.
+  // `recent_acts` is sorted, so a candidate's count is two binary searches
+  // and the candidates can be walked in ascending order.
   Cycles faw_floor = trrd_floor;
-  if (table_.t_faw != 0 && rank.recent_acts.size() >= 4) {
+  const std::vector<Cycles>& acts = rank.recent_acts;
+  const Cycles faw = table_.t_faw;
+  if (faw != 0 && acts.size() >= 4) {
     const auto legal = [&](Cycles t) {
-      std::size_t in_window = 0;
-      for (const Cycles a : rank.recent_acts) {
-        if (a <= t && a + table_.t_faw > t) {
-          ++in_window;
+      // ACTs a with a <= t and a + tFAW > t, i.e. a in (t - tFAW, t].
+      const auto hi = std::upper_bound(acts.begin(), acts.end(), t);
+      const auto lo = t < faw ? acts.begin()
+                              : std::upper_bound(acts.begin(), hi, t - faw);
+      return hi - lo <= 3;
+    };
+    if (!legal(trrd_floor)) {
+      // Leave points below trrd_floor are not candidates.  Every window
+      // empties once all recorded ACTs have left, so the walk finds a legal
+      // candidate; the fallback keeps the floor if it ever did not.
+      auto it = trrd_floor < faw ? acts.begin()
+                                 : std::lower_bound(acts.begin(), acts.end(),
+                                                    trrd_floor - faw);
+      for (; it != acts.end(); ++it) {
+        if (legal(*it + faw)) {
+          faw_floor = *it + faw;
+          break;
         }
       }
-      return in_window <= 3;
-    };
-    Cycles best = 0;
-    bool found = false;
-    const auto consider = [&](Cycles t) {
-      if (t >= trrd_floor && (!found || t < best) && legal(t)) {
-        best = t;
-        found = true;
-      }
-    };
-    consider(trrd_floor);
-    for (const Cycles a : rank.recent_acts) {
-      consider(a + table_.t_faw);
     }
-    // Every window empties once all recorded ACTs have left, so a legal
-    // candidate always exists.
-    faw_floor = found ? best : trrd_floor;
   }
 
   return {trrd_floor, faw_floor};
@@ -150,7 +151,7 @@ void ConstraintEngine::RecordActivate(const BankAddress& addr, Cycles at) {
         std::max(rank.last_act_by_group[addr.bank_group], at);
   } else {
     rank.last_act_by_group[addr.bank_group] = at;
-    rank.act_seen[addr.bank_group] = true;
+    rank.act_seen[addr.bank_group] = 1;
   }
   if (table_.t_faw == 0) {
     return;
@@ -200,7 +201,7 @@ void ConstraintEngine::RecordColumn(const BankAddress& addr, Cycles at) {
         std::max(rank.last_col_by_group[addr.bank_group], at);
   } else {
     rank.last_col_by_group[addr.bank_group] = at;
-    rank.col_seen[addr.bank_group] = true;
+    rank.col_seen[addr.bank_group] = 1;
   }
 }
 

@@ -156,13 +156,13 @@ class ConstraintEngine {
     /// Most recent ACT cycle per bank group (0 = none yet; disambiguated
     /// by `act_seen`).
     std::vector<Cycles> last_act_by_group;
-    std::vector<bool> act_seen;
+    std::vector<std::uint8_t> act_seen;
     /// Recent ACT cycles, kept sorted ascending, pruned to the tFAW
     /// horizon — the rolling four-activate window.
     std::vector<Cycles> recent_acts;
     /// Most recent column-command cycle per bank group.
     std::vector<Cycles> last_col_by_group;
-    std::vector<bool> col_seen;
+    std::vector<std::uint8_t> col_seen;
   };
   struct ChannelState {
     Cycles bus_free = 0;          ///< End of the latest recorded burst.

@@ -81,7 +81,7 @@ void AdaptiveVrlPolicy::RollWindows(Cycles now) {
         if (clean_fallback_windows_ >= params_.fallback_exit_clean_windows) {
           in_fallback_ = false;
           ++stats_.fallback_exits;
-          fallback_due_ = dram::DeadlineQueue();
+          fallback_due_ = FallbackQueue();
           if (telemetry() != nullptr) {
             telemetry()->counter("adaptive.fallback_exits").Add();
             lineage()->Add(
@@ -128,7 +128,7 @@ void AdaptiveVrlPolicy::EnterFallback(Cycles now) {
                     static_cast<std::int64_t>(failures_this_window_), 0.0});
   }
   clean_fallback_windows_ = 0;
-  fallback_due_ = dram::DeadlineQueue();
+  fallback_due_ = FallbackQueue();
   const auto n = static_cast<Cycles>(inner_->rows());
   for (Cycles r = 0; r < n; ++r) {
     // Staggered like the steady-state policies so the full-rate refreshes
@@ -138,17 +138,17 @@ void AdaptiveVrlPolicy::EnterFallback(Cycles now) {
   }
 }
 
-std::vector<dram::RefreshProposal> AdaptiveVrlPolicy::Propose(
-    Cycles now, const dram::DemandView& demand) {
+void AdaptiveVrlPolicy::Propose(Cycles now, const dram::DemandView& demand,
+                                std::vector<dram::RefreshProposal>& out) {
   RequireMonotonicNow(now);
   RollWindows(now);
   forced_in_flight_.clear();
   forwarded_.clear();
+  out.clear();
   // Every proposal is urgent (deadline = due): the scheduler grants them
   // all on this tick, and OnGrant records each one.
-  std::vector<dram::RefreshProposal> proposals;
-  const auto propose = [&proposals](dram::RefreshOp op, Cycles due) {
-    proposals.push_back({op, due, due, true});
+  const auto propose = [&out](dram::RefreshOp op, Cycles due) {
+    out.push_back({op, due, due, true});
   };
 
   // Recovery write-backs outrank scheduled work.
@@ -180,7 +180,8 @@ std::vector<dram::RefreshProposal> AdaptiveVrlPolicy::Propose(
   // stay aligned for re-entry.  Proposals the wrapper suppresses (demoted
   // rows, everything in fallback) are granted to it right here; forwarded
   // ones are granted when the wrapper's own grant arrives.
-  for (const dram::RefreshProposal& inner : inner_->Propose(now, demand)) {
+  inner_->Propose(now, demand, inner_proposals_);
+  for (const dram::RefreshProposal& inner : inner_proposals_) {
     if (in_fallback_ || demoted_.find(inner.op.row) != demoted_.end()) {
       inner_->OnGrant(inner, now);
     } else {
@@ -201,7 +202,6 @@ std::vector<dram::RefreshProposal> AdaptiveVrlPolicy::Propose(
       propose({row, trfc_full_, true}, when);
     }
   }
-  return proposals;
 }
 
 void AdaptiveVrlPolicy::OnGrant(const dram::RefreshProposal& proposal,

@@ -93,8 +93,8 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
   /// Proposes forced write-backs first, then demoted rows' schedules, then
   /// the inner policy's proposals (or, in fallback, the full-rate
   /// baseline).  Every proposal is urgent.
-  std::vector<dram::RefreshProposal> Propose(
-      Cycles now, const dram::DemandView& demand) override;
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override;
   /// Records the op; forwards the grant of a forwarded inner proposal.
   void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override;
   void OnRowAccess(std::size_t row) override;
@@ -143,6 +143,11 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
                           std::vector<std::tuple<Cycles, std::size_t,
                                                  std::uint64_t>>,
                           std::greater<>>;
+  /// Full-rate (next-due cycle, row) schedule of the fallback mode.
+  using FallbackQueue =
+      std::priority_queue<std::pair<Cycles, std::size_t>,
+                          std::vector<std::pair<Cycles, std::size_t>>,
+                          std::greater<>>;
 
   /// Processes base-window boundaries up to `now`: failure-rate reset and
   /// fallback exit hysteresis.
@@ -172,9 +177,11 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
   /// write-backs (counted at grant) and forwarded inner proposals.
   std::vector<std::size_t> forced_in_flight_;
   std::vector<dram::RefreshProposal> forwarded_;
+  /// The inner policy's proposals of the latest Propose (reused buffer).
+  std::vector<dram::RefreshProposal> inner_proposals_;
 
   bool in_fallback_ = false;
-  dram::DeadlineQueue fallback_due_;
+  FallbackQueue fallback_due_;
   std::size_t current_window_ = 0;
   std::size_t failures_this_window_ = 0;
   std::size_t clean_fallback_windows_ = 0;

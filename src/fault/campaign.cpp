@@ -119,6 +119,8 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     }
   };
 
+  std::vector<dram::RefreshProposal> proposals;
+  std::vector<dram::RefreshOp> ops;
   for (Cycles tick = 0; tick <= horizon; tick += setup.t_refi) {
     if (setup.heartbeat) {
       setup.heartbeat();
@@ -136,7 +138,8 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     grant_ctx.now = tick;
     grant_ctx.demand.now = tick;
     refresh_phase.Start();
-    for (const auto& op : dram::GrantRefreshes(policy, grant_ctx)) {
+    dram::GrantRefreshes(policy, grant_ctx, nullptr, ops, proposals);
+    for (const auto& op : ops) {
       const double retention =
           truth.RowRetention(op.row) * faults.RowScale(op.row);
       const auto sense = tracker.Refresh(

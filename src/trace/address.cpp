@@ -1,13 +1,37 @@
 #include "trace/address.hpp"
 
+#include <bit>
+
 namespace vrl::trace {
 
 AddressMapper::AddressMapper(const AddressGeometry& geometry)
     : geometry_(geometry) {
   geometry_.Validate();
+  const auto bits = [](std::size_t n) {
+    return static_cast<unsigned>(std::countr_zero(n));
+  };
+  // The line count must fit in 64 bits for the mask to equal the modulus.
+  pow2_ = std::has_single_bit(geometry_.banks) &&
+          std::has_single_bit(geometry_.rows) &&
+          std::has_single_bit(geometry_.columns) &&
+          bits(geometry_.banks) + bits(geometry_.rows) +
+                  bits(geometry_.columns) < 64;
+  if (pow2_) {
+    bank_bits_ = bits(geometry_.banks);
+    column_bits_ = bits(geometry_.columns);
+  }
 }
 
 AddressMapper::Coordinates AddressMapper::Decode(std::uint64_t address) const {
+  if (pow2_) {
+    const std::uint64_t wrapped = address & (geometry_.TotalLines() - 1);
+    Coordinates c;
+    c.bank = static_cast<std::size_t>(wrapped & (geometry_.banks - 1));
+    const std::uint64_t rest = wrapped >> bank_bits_;
+    c.column = static_cast<std::size_t>(rest & (geometry_.columns - 1));
+    c.row = static_cast<std::size_t>(rest >> column_bits_);
+    return c;
+  }
   const std::uint64_t wrapped = address % geometry_.TotalLines();
   Coordinates c;
   c.bank = static_cast<std::size_t>(wrapped % geometry_.banks);

@@ -43,7 +43,9 @@ class AddressMapper {
     std::size_t column = 0;
   };
 
-  /// Address layout: bank bits fastest, then column, then row.
+  /// Address layout: bank bits fastest, then column, then row.  When
+  /// banks, rows and columns are all powers of two (the default 8 × 8192 ×
+  /// 32) the fields are masks and shifts; any other geometry divides.
   Coordinates Decode(std::uint64_t address) const;
   std::uint64_t Encode(const Coordinates& c) const;
 
@@ -51,6 +53,9 @@ class AddressMapper {
 
  private:
   AddressGeometry geometry_;
+  bool pow2_ = false;         ///< Decode by masks and shifts.
+  unsigned bank_bits_ = 0;    ///< log2(banks) when pow2_.
+  unsigned column_bits_ = 0;  ///< log2(columns) when pow2_.
 };
 
 /// One raw trace record (what trace files store).

@@ -592,8 +592,9 @@ TEST(AuditHandoff, AppendLogSwapsIntoEmptyAndInsertsOtherwise) {
 class IdlePolicy : public RefreshPolicy {
  public:
   explicit IdlePolicy(std::size_t rows) : rows_(rows) {}
-  std::vector<RefreshProposal> Propose(Cycles, const DemandView&) override {
-    return {};
+  void Propose(Cycles, const DemandView&,
+               std::vector<RefreshProposal>& out) override {
+    out.clear();
   }
   void OnGrant(const RefreshProposal&, Cycles) override {}
   std::string Name() const override { return "idle"; }

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <queue>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dram/bank.hpp"
 #include "dram/controller.hpp"
 #include "dram/refresh_policy.hpp"
@@ -506,6 +514,145 @@ TEST(MakeRefreshPlanTest, RejectsMismatchedMprsf) {
 }
 
 // ---------------------------------------------------------------------------
+// DueQueue
+// ---------------------------------------------------------------------------
+
+/// The binary heap the due queue replaced: the reference pop order.
+using ReferenceHeap =
+    std::priority_queue<DueQueue::Entry, std::vector<DueQueue::Entry>,
+                        std::greater<>>;
+
+/// `rows` periods drawn from `distinct` values.
+std::vector<Cycles> DrawPeriods(std::size_t rows, std::size_t distinct,
+                                Rng& rng) {
+  std::vector<Cycles> values(distinct);
+  for (Cycles& value : values) {
+    value = 1000 + rng.UniformInt(4000);
+  }
+  std::vector<Cycles> periods(rows);
+  for (Cycles& period : periods) {
+    period = values[rng.UniformInt(distinct)];
+  }
+  return periods;
+}
+
+struct PopSequences {
+  std::vector<DueQueue::Entry> queue;
+  std::vector<DueQueue::Entry> reference;
+};
+
+/// Drives a DueQueue and the reference heap with the same seeded schedule,
+/// the way ProposingPolicy drives its queue: staggered first deadlines,
+/// then per tick every due row popped (at most `cap` when non-zero; the
+/// rest stay due for the next tick).  A popped row is mostly re-armed at
+/// due + period, but one in ten is granted late (re-armed some ticks later,
+/// behind rows of its period re-armed meanwhile) and one in ten skips to a
+/// random later cycle (VRL-Skip): both are out-of-order pushes.
+PopSequences DriveBoth(std::size_t rows, std::size_t distinct,
+                       std::size_t cap, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Cycles> periods = DrawPeriods(rows, distinct, rng);
+  DueQueue queue(periods);
+  ReferenceHeap heap;
+  const auto push = [&](Cycles due, std::size_t row) {
+    queue.push(due, row);
+    heap.emplace(due, row);
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    push(periods[r] * r / rows, r);
+  }
+  PopSequences pops;
+  const auto pop_both = [&] {
+    pops.queue.push_back(queue.top());
+    pops.reference.push_back(heap.top());
+    queue.pop();
+    heap.pop();
+  };
+  std::vector<DueQueue::Entry> late;  // granted, re-arm still pending
+  for (Cycles now = 0; now < 60'000; now += 100) {
+    for (std::size_t i = 0; i < late.size();) {
+      if (rng.UniformInt(2) == 0) {
+        push(late[i].first + periods[late[i].second], late[i].second);
+        late.erase(late.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    std::size_t popped = 0;
+    while (!heap.empty() && heap.top().first <= now &&
+           (cap == 0 || popped < cap)) {
+      if (queue.empty()) {
+        ADD_FAILURE() << "queue ran dry before the reference heap";
+        return pops;
+      }
+      pop_both();
+      ++popped;
+      const auto [due, row] = pops.reference.back();
+      switch (rng.UniformInt(10)) {
+        case 0:
+          late.emplace_back(due, row);
+          break;
+        case 1:
+          push(now + 1 + rng.UniformInt(periods[row]), row);
+          break;
+        default:
+          push(due + periods[row], row);
+      }
+    }
+    EXPECT_EQ(queue.size(), heap.size());
+  }
+  while (!heap.empty() && !queue.empty()) {
+    pop_both();
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(heap.empty());
+  return pops;
+}
+
+TEST(DueQueue, PopsExactlyWhatTheHeapPops) {
+  // 1 period (JEDEC/DARP/SARP), 4 (RAIDR/VRL bins), 8 (every FIFO in
+  // use) and more than 8 (rows of the extra periods live in the heap).
+  for (const std::size_t distinct : {1u, 4u, 8u, 13u, 64u}) {
+    for (const std::size_t cap : {0u, 1u, 3u}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("distinct=" + std::to_string(distinct) +
+                     " cap=" + std::to_string(cap) +
+                     " seed=" + std::to_string(seed));
+        const PopSequences pops = DriveBoth(64, distinct, cap, seed);
+        EXPECT_GT(pops.reference.size(), 500u);
+        EXPECT_EQ(pops.queue, pops.reference);
+      }
+    }
+  }
+}
+
+TEST(DueQueue, ArbitraryPushesAndPops) {
+  // Unstructured traffic: pushes at random cycles (duplicates included)
+  // interleaved with random pops.
+  Rng rng(11);
+  const std::vector<Cycles> periods = DrawPeriods(32, 12, rng);
+  DueQueue queue(periods);
+  ReferenceHeap heap;
+  std::vector<DueQueue::Entry> got;
+  std::vector<DueQueue::Entry> want;
+  for (int step = 0; step < 20'000; ++step) {
+    if (heap.empty() || rng.UniformInt(5) < 3) {
+      const Cycles due = rng.UniformInt(500);
+      const auto row = static_cast<std::size_t>(rng.UniformInt(32));
+      queue.push(due, row);
+      heap.emplace(due, row);
+    } else {
+      ASSERT_FALSE(queue.empty());
+      got.push_back(queue.top());
+      want.push_back(heap.top());
+      queue.pop();
+      heap.pop();
+    }
+  }
+  EXPECT_EQ(got, want);
+}
+
+// ---------------------------------------------------------------------------
 // MemoryController
 // ---------------------------------------------------------------------------
 
@@ -559,6 +706,69 @@ TEST(Controller, RejectsOutOfRangeBank) {
   std::vector<Request> requests(1);
   requests[0].bank = 5;
   EXPECT_THROW(controller.Run(requests, 1000), ConfigError);
+}
+
+/// The ConfigError message of a rejected Run ("" when it ran).
+std::string RunError(MemoryController& controller,
+                     const std::vector<Request>& requests) {
+  try {
+    controller.Run(requests, 10'000);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Controller, RejectsMalformedStreamsBeforeServingAny) {
+  const TimingParams t = FastTiming();
+  // Ten well-formed requests, then one malformed one.
+  const auto stream = [](const Request& bad) {
+    std::vector<Request> requests(10);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].arrival = 100 * i;
+      requests[i].bank = i % 2;
+      requests[i].row = i;
+    }
+    requests.push_back(bad);
+    return requests;
+  };
+  Request unsorted;
+  unsorted.arrival = 50;
+  Request bad_bank;
+  bad_bank.arrival = 2000;
+  bad_bank.bank = 2;
+  Request bad_row;
+  bad_row.arrival = 2000;
+  bad_row.row = 16;
+  const std::pair<Request, std::string> cases[] = {
+      {unsorted, "MemoryController::Run: requests must be arrival-sorted"},
+      {bad_bank, "MemoryController::Run: request bank out of range"},
+      {bad_row, "Bank: request row out of range"},
+  };
+  for (const auto& [bad, message] : cases) {
+    MemoryController controller(2, 16, t, JedecFactory(16, t.t_refw, 26));
+    EXPECT_EQ(RunError(controller, stream(bad)), message);
+    // Nothing was served: the streams are checked before the run starts.
+    const SimulationStats after = controller.Run({}, 0);
+    EXPECT_EQ(after.TotalReads() + after.TotalWrites(), 0u) << message;
+  }
+}
+
+TEST(Controller, RejectsRowsBeyondTheSlotRowField) {
+  const TimingParams t = FastTiming();
+  constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  const PolicyFactory unused = []() -> std::unique_ptr<RefreshPolicy> {
+    ADD_FAILURE() << "factory called for a rejected row count";
+    return nullptr;
+  };
+  try {
+    MemoryController controller(1, kMax32 + 1, t, unused);
+    ADD_FAILURE() << "accepted " << kMax32 + 1 << " rows";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "MemoryController: 4294967296 rows per bank exceed a request "
+              "slot's 32-bit row field");
+  }
 }
 
 TEST(Controller, RejectsBadFactory) {

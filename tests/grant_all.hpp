@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared test helper: one refresh tick through the propose/grant contract.
+// Shared test helpers: one refresh tick through the propose/grant contract.
 
 #include <vector>
 
@@ -10,6 +10,16 @@
 
 namespace vrl {
 
+/// dram::GrantRefreshes with fresh buffers, returning the granted ops.
+inline std::vector<dram::RefreshOp> Grant(
+    dram::RefreshPolicy& policy, const dram::RefreshGrantContext& ctx,
+    dram::RefreshGrantStats* stats = nullptr) {
+  std::vector<dram::RefreshProposal> proposals;
+  std::vector<dram::RefreshOp> ops;
+  dram::GrantRefreshes(policy, ctx, stats, ops, proposals);
+  return ops;
+}
+
 /// Grants `policy`'s proposals at `now` with no bank context, so every
 /// proposal is granted on the spot (the campaign/integrity replay).
 inline std::vector<dram::RefreshOp> GrantAll(dram::RefreshPolicy& policy,
@@ -17,7 +27,7 @@ inline std::vector<dram::RefreshOp> GrantAll(dram::RefreshPolicy& policy,
   dram::RefreshGrantContext ctx;
   ctx.now = now;
   ctx.demand.now = now;
-  return dram::GrantRefreshes(policy, ctx);
+  return Grant(policy, ctx);
 }
 
 }  // namespace vrl

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -17,6 +19,7 @@
 #include "dram/controller.hpp"
 #include "dram/refresh_policy.hpp"
 #include "dram/timing_table.hpp"
+#include "dram/topology.hpp"
 #include "retention/profile.hpp"
 
 namespace vrl::dram {
@@ -293,6 +296,159 @@ TEST(Hierarchy, EnableAuditIsIdempotentAndLogsRefreshes) {
     }
   }
   EXPECT_GT(refreshes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ACTIVATE floors: the engine's binary-search walk equals the quadratic scan
+// ---------------------------------------------------------------------------
+
+/// The per-rank ACT history the ConstraintEngine keeps, recorded and pruned
+/// the same way, with the floors found by the original quadratic scan:
+/// every candidate cycle recounts every recorded ACT.
+class QuadraticActivateFloors {
+ public:
+  explicit QuadraticActivateFloors(const TimingTable& table)
+      : table_(table), ranks_(table.topology.TotalRanks()) {
+    for (Rank& rank : ranks_) {
+      rank.last_act_by_group.assign(table.topology.bank_groups_per_rank, 0);
+      rank.act_seen.assign(table.topology.bank_groups_per_rank, false);
+    }
+  }
+
+  /// (tRRD floor, tFAW floor) of an ACTIVATE at `at`.
+  std::pair<Cycles, Cycles> Floors(const BankAddress& addr, Cycles at) const {
+    const Rank& rank = ranks_[GlobalRank(addr)];
+    Cycles trrd_floor = at;
+    for (std::size_t g = 0; g < rank.act_seen.size(); ++g) {
+      if (!rank.act_seen[g]) {
+        continue;
+      }
+      const Cycles gap =
+          g == addr.bank_group ? table_.t_rrd_l : table_.t_rrd_s;
+      if (gap != 0) {
+        trrd_floor = std::max(trrd_floor, rank.last_act_by_group[g] + gap);
+      }
+    }
+    Cycles faw_floor = trrd_floor;
+    if (table_.t_faw != 0 && rank.recent_acts.size() >= 4) {
+      const auto legal = [&](Cycles t) {
+        std::size_t in_window = 0;
+        for (const Cycles a : rank.recent_acts) {
+          if (a <= t && a + table_.t_faw > t) {
+            ++in_window;
+          }
+        }
+        return in_window <= 3;
+      };
+      Cycles best = 0;
+      bool found = false;
+      const auto consider = [&](Cycles t) {
+        if (t >= trrd_floor && (!found || t < best) && legal(t)) {
+          best = t;
+          found = true;
+        }
+      };
+      consider(trrd_floor);
+      for (const Cycles a : rank.recent_acts) {
+        consider(a + table_.t_faw);
+      }
+      faw_floor = found ? best : trrd_floor;
+    }
+    return {trrd_floor, faw_floor};
+  }
+
+  void Record(const BankAddress& addr, Cycles at) {
+    Rank& rank = ranks_[GlobalRank(addr)];
+    Cycles& last = rank.last_act_by_group[addr.bank_group];
+    last = rank.act_seen[addr.bank_group] ? std::max(last, at) : at;
+    rank.act_seen[addr.bank_group] = true;
+    if (table_.t_faw == 0) {
+      return;
+    }
+    rank.recent_acts.insert(std::upper_bound(rank.recent_acts.begin(),
+                                             rank.recent_acts.end(), at),
+                            at);
+    const Cycles newest = rank.recent_acts.back();
+    if (newest > 2 * table_.t_faw) {
+      rank.recent_acts.erase(
+          rank.recent_acts.begin(),
+          std::lower_bound(rank.recent_acts.begin(), rank.recent_acts.end(),
+                           newest - 2 * table_.t_faw));
+    }
+  }
+
+ private:
+  struct Rank {
+    std::vector<Cycles> last_act_by_group;
+    std::vector<bool> act_seen;
+    std::vector<Cycles> recent_acts;  ///< Sorted ascending.
+  };
+
+  std::size_t GlobalRank(const BankAddress& addr) const {
+    return addr.channel * table_.topology.ranks_per_channel + addr.rank;
+  }
+
+  const TimingTable& table_;
+  std::vector<Rank> ranks_;
+};
+
+TEST(ActivateFloors, BinarySearchMatchesQuadraticScan) {
+  for (const TimingPreset preset :
+       {TimingPreset::kDdr3_1600, TimingPreset::kDdr4_2400,
+        TimingPreset::kLpddr4_3200}) {
+    for (const bool zero_faw : {false, true}) {
+      SCOPED_TRACE(PresetName(preset) + (zero_faw ? " tFAW=0" : ""));
+      TimingTable table = MakeTimingTable(preset);
+      ASSERT_NE(table.t_faw, 0u);
+      if (zero_faw) {
+        table.t_faw = 0;
+      }
+      ConstraintEngine engine(table);
+      QuadraticActivateFloors reference(table);
+      ConstraintStats expected;
+      Rng rng(zero_faw ? 17 : 5);
+      // ACTs arrive faster than four per tFAW window, probed and recorded
+      // slightly out of cycle order, as the controller's interleaving of
+      // banks by decision instant produces.
+      const Cycles spread = MakeTimingTable(preset).t_faw;
+      Cycles clock = 2 * spread;  // keeps every cycle below positive
+      for (int i = 0; i < 4000; ++i) {
+        const BankAddress addr = DecomposeBank(
+            table.topology, rng.UniformInt(table.topology.TotalBanks()));
+        clock += rng.UniformInt(table.t_rrd_s + 1);
+        const Cycles at = clock - rng.UniformInt(spread);
+        const auto [trrd_floor, faw_floor] = reference.Floors(addr, at);
+        const Cycles want = std::max(trrd_floor, faw_floor);
+        EXPECT_EQ(engine.PeekActivate(addr, at), want);
+        EXPECT_EQ(engine.EarliestActivate(addr, at), want);
+        if (want > at) {
+          if (faw_floor > trrd_floor) {
+            ++expected.tfaw_stalls;
+            expected.tfaw_stall_cycles += want - at;
+          } else {
+            ++expected.trrd_stalls;
+            expected.trrd_stall_cycles += want - at;
+          }
+        }
+        EXPECT_EQ(engine.stats().tfaw_stalls, expected.tfaw_stalls);
+        EXPECT_EQ(engine.stats().tfaw_stall_cycles,
+                  expected.tfaw_stall_cycles);
+        EXPECT_EQ(engine.stats().trrd_stalls, expected.trrd_stalls);
+        EXPECT_EQ(engine.stats().trrd_stall_cycles,
+                  expected.trrd_stall_cycles);
+        // Mostly issued at the floor; now and then recorded earlier.
+        const Cycles issued =
+            rng.UniformInt(8) == 0 ? want - rng.UniformInt(spread) : want;
+        engine.RecordActivate(addr, issued);
+        reference.Record(addr, issued);
+      }
+      if (zero_faw) {
+        EXPECT_EQ(expected.tfaw_stalls, 0u);
+      } else {
+        EXPECT_GT(expected.tfaw_stalls, 100u);
+      }
+    }
+  }
 }
 
 }  // namespace

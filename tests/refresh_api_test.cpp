@@ -98,7 +98,7 @@ TEST(RefreshDeferral, DemandBurstDefersUntilDeadlineForcesTheGrant) {
     ctx.demand.next_arrival = next_arrival;
     ctx.demand.next_row = 0;
     ctx.bank = &bank;
-    return dram::GrantRefreshes(policy, ctx, &stats);
+    return Grant(policy, ctx, &stats);
   };
 
   // Non-urgent proposal vs. imminent demand: deferred, stays outstanding.
@@ -156,7 +156,7 @@ TEST(RefreshDeferral, ActivationWindowPressureDefersRefpb) {
   // No demand queued, but the REFpb cannot issue inside the closed
   // activation window: deferred.
   dram::RefreshGrantStats stats;
-  EXPECT_TRUE(dram::GrantRefreshes(policy, ctx, &stats).empty());
+  EXPECT_TRUE(Grant(policy, ctx, &stats).empty());
   EXPECT_EQ(stats.deferred, 1u);
 
   // Once the window reopens the proposal is granted.
@@ -166,7 +166,7 @@ TEST(RefreshDeferral, ActivationWindowPressureDefersRefpb) {
   }
   ctx.now = open;
   ctx.demand.now = open;
-  const auto ops = dram::GrantRefreshes(policy, ctx, &stats);
+  const auto ops = Grant(policy, ctx, &stats);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].granularity, dram::RefreshGranularity::kPerBank);
 }
@@ -186,7 +186,7 @@ TEST(RefreshDeferral, SarpOverlapsDemandToOtherSubarrays) {
     ctx.demand.next_arrival = 10;
     ctx.demand.next_row = demand_row;
     ctx.bank = &bank;
-    return dram::GrantRefreshes(policy, ctx);
+    return Grant(policy, ctx);
   };
 
   // Row 0 (subarray 0) comes due at cycle 0.  Demand to subarray 1 does

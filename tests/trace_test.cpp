@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -71,6 +74,47 @@ TEST(AddressMapper, EncodeRejectsOutOfRange) {
   EXPECT_THROW(mapper.Encode({4, 0, 0}), ConfigError);
   EXPECT_THROW(mapper.Encode({0, 64, 0}), ConfigError);
   EXPECT_THROW(mapper.Encode({0, 0, 8}), ConfigError);
+}
+
+TEST(AddressMapper, ShiftDecodeMatchesDivision) {
+  // Power-of-two geometries decode by masks and shifts, the rest by
+  // division; both must agree with the division formula everywhere.
+  const auto by_division = [](const AddressGeometry& g, std::uint64_t a) {
+    const std::uint64_t wrapped = a % g.TotalLines();
+    AddressMapper::Coordinates c;
+    c.bank = static_cast<std::size_t>(wrapped % g.banks);
+    const std::uint64_t rest = wrapped / g.banks;
+    c.column = static_cast<std::size_t>(rest % g.columns);
+    c.row = static_cast<std::size_t>(rest / g.columns % g.rows);
+    return c;
+  };
+  const AddressGeometry geometries[] = {
+      {8, 8192, 32}, {1, 1, 1},  {4, 64, 8},     {16, 65536, 128},
+      {1, 1024, 1},  {6, 8192, 32}, {8, 1000, 32}, {8, 8192, 24},
+      {3, 5, 7},
+  };
+  Rng rng(3);
+  for (const AddressGeometry& g : geometries) {
+    SCOPED_TRACE(std::to_string(g.banks) + "x" + std::to_string(g.rows) +
+                 "x" + std::to_string(g.columns));
+    const AddressMapper mapper(g);
+    const std::uint64_t total = g.TotalLines();
+    std::vector<std::uint64_t> addresses = {
+        0,         1,         g.banks - 1, g.banks,      total - 1,
+        total,     total + 1, 2 * total - 1, ~std::uint64_t{0},
+        ~std::uint64_t{0} - total};
+    for (int i = 0; i < 2000; ++i) {
+      addresses.push_back(rng());
+      addresses.push_back(rng.UniformInt(4 * total));
+    }
+    for (const std::uint64_t a : addresses) {
+      const auto got = mapper.Decode(a);
+      const auto want = by_division(g, a);
+      EXPECT_EQ(got.bank, want.bank) << a;
+      EXPECT_EQ(got.row, want.row) << a;
+      EXPECT_EQ(got.column, want.column) << a;
+    }
+  }
 }
 
 TEST(MapToRequestsTest, PreservesOrderAndTypes) {
