@@ -5,10 +5,6 @@
 namespace vrl {
 namespace {
 
-constexpr std::uint64_t RotL(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 /// SplitMix64 step, used only for seeding.
 std::uint64_t SplitMix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -30,23 +26,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x9e3779b97f4a7c15ULL;
   }
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
-double Rng::UniformDouble() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) noexcept {
@@ -89,8 +68,6 @@ double Rng::Normal(double mean, double stddev) noexcept {
 double Rng::LogNormal(double mu, double sigma) noexcept {
   return std::exp(Normal(mu, sigma));
 }
-
-bool Rng::Bernoulli(double p) noexcept { return UniformDouble() < p; }
 
 double Rng::Exponential(double rate) noexcept {
   double u = UniformDouble();

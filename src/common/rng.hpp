@@ -30,10 +30,23 @@ class Rng {
   }
 
   /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = RotL(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = RotL(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double UniformDouble() noexcept;
+  double UniformDouble() noexcept {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) noexcept;
@@ -52,7 +65,7 @@ class Rng {
   double LogNormal(double mu, double sigma) noexcept;
 
   /// Bernoulli trial with probability p of returning true.
-  bool Bernoulli(double p) noexcept;
+  bool Bernoulli(double p) noexcept { return UniformDouble() < p; }
 
   /// Exponential variate with the given rate (lambda > 0).
   double Exponential(double rate) noexcept;
@@ -63,6 +76,10 @@ class Rng {
   Rng Fork(std::uint64_t stream_id) noexcept;
 
  private:
+  static constexpr std::uint64_t RotL(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

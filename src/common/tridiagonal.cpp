@@ -48,21 +48,56 @@ std::vector<double> SolveTridiagonal(const TridiagonalSystem& system) {
   return x;
 }
 
+CouplingFactor::CouplingFactor(double k2, std::size_t n)
+    : neg_k2_(-k2), pivot_(n, 0.0), c_prime_(n, 0.0) {
+  if (n == 0) {
+    return;
+  }
+  pivot_[0] = 1.0;
+  if (n > 1) {
+    c_prime_[0] = neg_k2_ / pivot_[0];
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    pivot_[i] = 1.0 - neg_k2_ * c_prime_[i - 1];
+    if (std::abs(pivot_[i]) < 1e-300) {
+      throw NumericalError("CouplingFactor: zero pivot during elimination");
+    }
+    if (i + 1 < n) {
+      c_prime_[i] = neg_k2_ / pivot_[i];
+    }
+  }
+}
+
+void CouplingFactor::Solve(std::span<const double> rhs,
+                           std::span<double> x) const {
+  const std::size_t n = size();
+  if (rhs.size() != n || x.size() != n) {
+    throw NumericalError("CouplingFactor: right-hand side size mismatch");
+  }
+  if (n == 0) {
+    return;
+  }
+  // The carried value lives in a register: x may alias rhs.
+  double carry = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    carry = ForwardStep(i, rhs[i], carry);
+    x[i] = carry;
+  }
+  for (std::size_t i = n - 1; i-- > 0;) {
+    carry = BackStep(i, x[i], carry);
+    x[i] = carry;
+  }
+}
+
 std::vector<double> SolveCouplingSystem(double k1, double k2,
                                         const std::vector<double>& lself) {
   const std::size_t n = lself.size();
-  if (n == 0) {
-    return {};
-  }
-  TridiagonalSystem system;
-  system.diag.assign(n, 1.0);
-  system.lower.assign(n > 0 ? n - 1 : 0, -k2);
-  system.upper.assign(n > 0 ? n - 1 : 0, -k2);
-  system.rhs.resize(n);
+  std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) {
-    system.rhs[i] = k1 * lself[i];
+    x[i] = k1 * lself[i];
   }
-  return SolveTridiagonal(system);
+  CouplingFactor(k2, n).Solve(x, x);
+  return x;
 }
 
 }  // namespace vrl

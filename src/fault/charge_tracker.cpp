@@ -10,8 +10,8 @@ namespace vrl::fault {
 ChargeTracker::ChargeTracker(const model::RefreshModel& model,
                              std::size_t rows)
     : model_(model),
-      leakage_(model.spec().full_target, model.MinReadableFraction()),
       readable_(model.MinReadableFraction()),
+      leakage_(model.spec().full_target, readable_),
       fraction_(rows, model.spec().full_target),
       last_event_s_(rows, 0.0),
       consecutive_partials_(rows, 0) {

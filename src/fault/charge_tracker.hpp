@@ -59,8 +59,8 @@ class ChargeTracker {
   void CheckRow(std::size_t row) const;
 
   const model::RefreshModel& model_;
+  double readable_;  ///< MinReadableFraction(), a bisection: computed once.
   retention::LeakageModel leakage_;
-  double readable_;
   double min_margin_ = 1.0;
   std::vector<double> fraction_;
   std::vector<double> last_event_s_;

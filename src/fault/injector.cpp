@@ -53,7 +53,7 @@ void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
   const std::size_t rows = state.rows();
   if (!initialized_) {
     vrt_rows_ = retention::SampleVrtRows(params_, rows, rng);
-    in_low_.assign(rows, false);
+    in_low_.assign(rows, 0);
     for (std::size_t r = 0; r < rows; ++r) {
       if (vrt_rows_[r]) {
         vrt_index_.push_back(r);

@@ -93,7 +93,7 @@ class VrtFlipInjector : public FaultInjector {
   retention::VrtParams params_;
   std::vector<bool> vrt_rows_;
   std::vector<std::size_t> vrt_index_;  ///< VRT rows, ascending.
-  std::vector<bool> in_low_;
+  std::vector<std::uint8_t> in_low_;  ///< 1 while the row is in low state.
   double last_now_s_ = 0.0;
   bool initialized_ = false;
 };

@@ -3,15 +3,48 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
-#include "common/tridiagonal.hpp"
 
 namespace vrl::model {
 
-PreSensingModel::PreSensingModel(const TechnologyParams& tech) : tech_(tech) {
-  tech_.Validate();
-  denom_ = tech_.cs + tech_.Cbl() + 2.0 * tech_.Cbb() + tech_.Cbw();
+namespace {
+
+TechnologyParams Validated(const TechnologyParams& tech) {
+  tech.Validate();
+  return tech;
+}
+
+}  // namespace
+
+PreSensingModel::PreSensingModel(const TechnologyParams& tech)
+    : tech_(Validated(tech)),
+      denom_(tech_.cs + tech_.Cbl() + 2.0 * tech_.Cbb() + tech_.Cbw()),
+      factor_(K2(), tech_.columns) {
+  const std::size_t mid = tech_.columns / 2;
+  const double k1 = K1();
+  const double veq = tech_.Veq();
+  for (std::size_t p = 0; p < probes_.size(); ++p) {
+    // The last probe flips the tracked cell's parity: under the
+    // alternating pattern a one-cell shift swaps the neighbours' data.
+    const bool shifted = p == kAllDataPatterns.size();
+    const DataPattern pattern =
+        shifted ? DataPattern::kAlternating : kAllDataPatterns[p];
+    Probe& probe = probes_[p];
+    probe.rhs.resize(tech_.columns);
+    for (std::size_t i = 0; i < tech_.columns; ++i) {
+      const double cell =
+          CellValue(pattern, shifted ? i + 1 : i) ? tech_.vdd : tech_.vss;
+      probe.rhs[i] = k1 * (cell - veq);
+    }
+    // Rows above the tracked cell do not depend on its charge.
+    double d = 0.0;
+    for (std::size_t i = 0; i < mid; ++i) {
+      d = factor_.ForwardStep(i, probe.rhs[i], d);
+    }
+    probe.d_before_mid = d;
+  }
 }
 
 double PreSensingModel::K1() const { return tech_.cs / denom_; }
@@ -35,17 +68,21 @@ double PreSensingModel::U(double t_s) const {
 
 std::vector<double> PreSensingModel::SenseVoltages(
     const std::vector<double>& cell_voltages) const {
-  if (cell_voltages.empty()) {
-    throw ConfigError("PreSensingModel: no cells given");
+  if (cell_voltages.size() != tech_.columns) {
+    throw ConfigError("PreSensingModel: need one cell voltage per column (" +
+                      std::to_string(tech_.columns) + "), got " +
+                      std::to_string(cell_voltages.size()));
   }
-  std::vector<double> lself(cell_voltages.size());
+  std::vector<double> vsense(cell_voltages.size());
+  const double k1 = K1();
   const double veq = tech_.Veq();
   for (std::size_t i = 0; i < cell_voltages.size(); ++i) {
     // Signed form of the paper's Lself_{i,j} = |Vs(τeq) - Vbl(τeq)|; the
     // sign carries the direction the bitline will move.
-    lself[i] = cell_voltages[i] - veq;
+    vsense[i] = k1 * (cell_voltages[i] - veq);
   }
-  return SolveCouplingSystem(K1(), K2(), lself);
+  factor_.Solve(vsense, vsense);
+  return vsense;
 }
 
 std::vector<double> PreSensingModel::SenseVoltagesForPattern(
@@ -78,34 +115,46 @@ double PreSensingModel::WorstSenseVoltageAllPatterns(
   return worst;
 }
 
+double PreSensingModel::TrackedRhs(double charge_fraction) const {
+  const double cell = tech_.vss + charge_fraction * (tech_.vdd - tech_.vss);
+  return K1() * (cell - tech_.Veq());
+}
+
+double PreSensingModel::ProbeSenseVoltage(const Probe& probe, double rhs_mid,
+                                          std::span<double> scratch) const {
+  // Finish the forward sweep from the tracked row, then back-substitute
+  // down to it; scratch[j] holds row mid + j.
+  const std::size_t n = tech_.columns;
+  const std::size_t mid = n / 2;
+  double carry = factor_.ForwardStep(mid, rhs_mid, probe.d_before_mid);
+  scratch[0] = carry;
+  for (std::size_t i = mid + 1; i < n; ++i) {
+    carry = factor_.ForwardStep(i, probe.rhs[i], carry);
+    scratch[i - mid] = carry;
+  }
+  for (std::size_t i = n - 1; i-- > mid;) {
+    carry = factor_.BackStep(i, scratch[i - mid], carry);
+  }
+  return carry;
+}
+
 double PreSensingModel::TrackedSenseVoltage(DataPattern pattern,
                                             double charge_fraction) const {
-  std::vector<double> cells(tech_.columns);
-  const std::size_t mid = tech_.columns / 2;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = CellValue(pattern, i) ? tech_.vdd : tech_.vss;
-  }
-  cells[mid] = tech_.vss + charge_fraction * (tech_.vdd - tech_.vss);
-  return SenseVoltages(cells)[mid];
+  const auto it = std::find(kAllDataPatterns.begin(), kAllDataPatterns.end(),
+                            pattern);
+  const auto p = static_cast<std::size_t>(it - kAllDataPatterns.begin());
+  std::vector<double> scratch(tech_.columns - tech_.columns / 2);
+  return ProbeSenseVoltage(probes_[p], TrackedRhs(charge_fraction), scratch);
 }
 
 double PreSensingModel::WorstTrackedSenseVoltage(
     double charge_fraction) const {
+  const double rhs_mid = TrackedRhs(charge_fraction);
+  std::vector<double> scratch(tech_.columns - tech_.columns / 2);
   double worst = std::numeric_limits<double>::max();
-  for (const DataPattern pattern : kAllDataPatterns) {
-    worst = std::min(worst, TrackedSenseVoltage(pattern, charge_fraction));
+  for (const Probe& probe : probes_) {
+    worst = std::min(worst, ProbeSenseVoltage(probe, rhs_mid, scratch));
   }
-  // Flip the tracked cell's parity by probing with an offset pattern: under
-  // the alternating pattern this swaps the neighbours' data.  We emulate it
-  // by evaluating a one-cell-shifted alternating array.
-  std::vector<double> cells(tech_.columns);
-  const std::size_t mid = tech_.columns / 2;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = CellValue(DataPattern::kAlternating, i + 1) ? tech_.vdd
-                                                           : tech_.vss;
-  }
-  cells[mid] = tech_.vss + charge_fraction * (tech_.vdd - tech_.vss);
-  worst = std::min(worst, SenseVoltages(cells)[mid]);
   return worst;
 }
 

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "common/data_pattern.hpp"
 #include "common/technology.hpp"
+#include "common/tridiagonal.hpp"
 
 /// \file presensing.hpp
 /// §2.2 of the paper: charge-sharing (pre-sensing) model with
@@ -20,6 +23,12 @@
 /// Lself (positive when the cell pulls its bitline up, negative when down)
 /// so opposite-data neighbours reduce each other's margin — this is what
 /// makes the model data-pattern dependent.
+///
+/// The coupling matrix depends only on K2 and tech.columns, so the model
+/// factors it once.  A tracked-cell probe differs from its fully-charged
+/// pattern only at the middle bitline, so the forward sweep up to that
+/// row is fixed per probe and each evaluation is a half sweep (see
+/// docs/MODEL.md §2).
 
 namespace vrl::model {
 
@@ -41,8 +50,11 @@ class PreSensingModel {
   double U(double t_s) const;
 
   /// Signed asymptotic sense voltages for an explicit vector of initial
-  /// cell voltages (one per bitline; stored value and decay folded into the
-  /// voltage).  Bitlines are assumed equalized to Veq at activation.
+  /// cell voltages (one per bitline of tech.columns; stored value and decay
+  /// folded into the voltage).  Bitlines are assumed equalized to Veq at
+  /// activation.
+  ///
+  /// \throws vrl::ConfigError unless there is one voltage per column.
   std::vector<double> SenseVoltages(
       const std::vector<double>& cell_voltages) const;
 
@@ -80,8 +92,25 @@ class PreSensingModel {
   double UncoupledSenseVoltage(double cell_voltage) const;
 
  private:
+  /// A tracked-cell probe: the fully-charged neighbours of one pattern.
+  struct Probe {
+    std::vector<double> rhs;    ///< K1 * (cell - Veq) of every bitline.
+    double d_before_mid = 0.0;  ///< Forward-sweep d' of row columns/2 - 1.
+  };
+
+  /// Sense voltage of the tracked middle cell of `probe` whose right-hand
+  /// side is `rhs_mid`; `scratch` holds columns - columns/2 entries.
+  double ProbeSenseVoltage(const Probe& probe, double rhs_mid,
+                           std::span<double> scratch) const;
+
+  /// K1 * (voltage - Veq) of the tracked cell at `charge_fraction`.
+  double TrackedRhs(double charge_fraction) const;
+
   TechnologyParams tech_;
   double denom_;  ///< Cs + Cbl + 2Cbb + Cbw.
+  CouplingFactor factor_;
+  /// kAllDataPatterns in order, then alternating shifted by one bitline.
+  std::array<Probe, kAllDataPatterns.size() + 1> probes_;
 };
 
 }  // namespace vrl::model

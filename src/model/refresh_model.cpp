@@ -8,6 +8,21 @@
 
 namespace vrl::model {
 
+namespace {
+
+/// Time for U(t) to decay to `settle`, by bisection over the slow constant.
+double SettleTimeOfU(const PreSensingModel& pre, const TechnologyParams& tech,
+                     double settle) {
+  const double t_max = 60.0 * pre.Rpre() * tech.Cbl();
+  if (pre.U(t_max) >= settle) {
+    throw NumericalError("RefreshModel: pre-sensing never settles");
+  }
+  return BisectRoot(0.0, t_max, 1e-15,
+                    [&](double t) { return pre.U(t) - settle; });
+}
+
+}  // namespace
+
 RefreshModel::RefreshModel(const TechnologyParams& tech)
     : RefreshModel(tech, Spec{}) {}
 
@@ -26,6 +41,9 @@ RefreshModel::RefreshModel(const TechnologyParams& tech, const Spec& spec)
   if (spec_.presense_settle <= 0.0 || spec_.presense_settle >= 1.0) {
     throw ConfigError("RefreshModel: presense_settle must be in (0, 1)");
   }
+  tau_pre_s_ = WordlineDelaySeconds() +
+               SettleTimeOfU(pre_, tech_, spec_.presense_settle);
+  developed_ = 1.0 - pre_.U(tau_pre_s_);
 }
 
 Cycles RefreshModel::ToCycles(double seconds) const {
@@ -37,28 +55,8 @@ Cycles RefreshModel::ToCycles(double seconds) const {
 
 double RefreshModel::TauEqSeconds() const { return eq_.EqualizationDelay(); }
 
-namespace {
-
-/// Time for U(t) to decay to `settle`, by bisection over the slow constant.
-double SettleTimeOfU(const PreSensingModel& pre, const TechnologyParams& tech,
-                     double settle) {
-  const double t_max = 60.0 * pre.Rpre() * tech.Cbl();
-  if (pre.U(t_max) >= settle) {
-    throw NumericalError("RefreshModel: pre-sensing never settles");
-  }
-  return BisectRoot(0.0, t_max, 1e-15,
-                    [&](double t) { return pre.U(t) - settle; });
-}
-
-}  // namespace
-
 double RefreshModel::WordlineDelaySeconds() const {
   return tech_.wl_delay_per_column_s * static_cast<double>(tech_.columns);
-}
-
-double RefreshModel::TauPreSeconds() const {
-  return WordlineDelaySeconds() +
-         SettleTimeOfU(pre_, tech_, spec_.presense_settle);
 }
 
 double RefreshModel::MinReadableFraction() const {
@@ -81,9 +79,10 @@ double RefreshModel::MinReadableFraction() const {
 double RefreshModel::SensingDeltaV(double fraction) const {
   // Signed, tracked-cell quantity: negative means the cell would already be
   // sensed as the opposite value.  The developed magnitude scales by
-  // (1 - U(τpre)); the sign is preserved.
+  // (1 - U(τpre)) as in PreSensingModel::DevelopedVoltage; the sign is
+  // preserved.
   const double vsense = pre_.WorstTrackedSenseVoltage(fraction);
-  const double developed = pre_.DevelopedVoltage(vsense, TauPreSeconds());
+  const double developed = std::abs(vsense) * developed_;
   return vsense >= 0.0 ? developed : -developed;
 }
 

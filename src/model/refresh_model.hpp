@@ -78,6 +78,8 @@ class RefreshModel {
     double partial_deficit_compounding = 4.2;
   };
 
+  /// \throws vrl::ConfigError on an inconsistent spec, and
+  /// vrl::NumericalError if U(t) never decays to spec.presense_settle.
   explicit RefreshModel(const TechnologyParams& tech);
   RefreshModel(const TechnologyParams& tech, const Spec& spec);
 
@@ -93,8 +95,8 @@ class RefreshModel {
   double TauEqSeconds() const;
 
   /// τpre [s]: wordline propagation across the row plus the time for U(t)
-  /// to decay to spec.presense_settle.
-  double TauPreSeconds() const;
+  /// to decay to spec.presense_settle.  Computed once at construction.
+  double TauPreSeconds() const { return tau_pre_s_; }
 
   /// Wordline propagation delay across tech.columns [s].
   double WordlineDelaySeconds() const;
@@ -174,6 +176,8 @@ class RefreshModel {
   EqualizationModel eq_;
   PreSensingModel pre_;
   PostSensingModel post_;
+  double tau_pre_s_ = 0.0;  ///< TauPreSeconds().
+  double developed_ = 0.0;  ///< 1 - U(τpre): developed share of Vsense.
 };
 
 }  // namespace vrl::model

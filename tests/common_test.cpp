@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/data_pattern.hpp"
 #include "common/error.hpp"
 #include "common/interpolation.hpp"
 #include "common/parse.hpp"
@@ -125,6 +128,71 @@ TEST(Rng, ForkedStreamsAreIndependent) {
   EXPECT_LT(same, 2);
 }
 
+// Known-answer pins: the sequence itself, not just two equal instances.
+// Every seeded experiment in the repo replays these draws.
+
+TEST(Rng, RawOutputsArePinned) {
+  const std::uint64_t seed0[] = {
+      0x99ec5f36cb75f2b4ULL, 0xbf6e1f784956452aULL, 0x1a5f849d4933e6e0ULL,
+      0x6aa594f1262d2d2cULL, 0xbba5ad4a1f842e59ULL, 0xffef8375d9ebcacaULL,
+      0x6c160deed2f54c98ULL, 0x8920ad648fc30a3fULL};
+  const std::uint64_t seed42[] = {
+      0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+      0xecb8ad4703b360a1ULL, 0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+      0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL};
+  Rng a(0);
+  Rng b(42);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(a(), seed0[i]) << i;
+    EXPECT_EQ(b(), seed42[i]) << i;
+  }
+}
+
+TEST(Rng, UniformDoublesArePinned) {
+  const double expected[] = {0x1.66b1f5ee9df2ep-1, 0x1.1d70f6593d20ap-2,
+                             0x1.ade3a6932a58fp-1, 0x1.f65270e63d00ep-1};
+  Rng rng(7);
+  for (const double e : expected) {
+    EXPECT_EQ(rng.UniformDouble(), e);
+  }
+}
+
+TEST(Rng, BernoulliDrawsArePinned) {
+  Rng rng(17);
+  std::uint64_t mask = 0;
+  for (int i = 0; i < 64; ++i) {
+    if (rng.Bernoulli(0.3)) {
+      mask |= std::uint64_t{1} << i;
+    }
+  }
+  EXPECT_EQ(mask, 0x3821cb21c523a400ULL);
+}
+
+TEST(Rng, ForkedStreamIsPinned) {
+  const std::uint64_t expected[] = {0x783ad5b21e0bc4abULL,
+                                    0x2d29e3740b645d48ULL,
+                                    0xc4e7a50b84879a5cULL,
+                                    0x733049880d2d6aecULL};
+  Rng parent(3);
+  Rng fork = parent.Fork(3);
+  for (const std::uint64_t e : expected) {
+    EXPECT_EQ(fork(), e);
+  }
+  // Fork advances the parent by exactly one draw.
+  EXPECT_EQ(parent(), 0xa3fd1dea5e1864eeULL);
+}
+
+TEST(DataPattern, RandomCellValuesArePinned) {
+  std::uint64_t mask[2] = {0, 0};
+  for (std::size_t i = 0; i < 128; ++i) {
+    if (CellValue(DataPattern::kRandom, i)) {
+      mask[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+  EXPECT_EQ(mask[0], 0xf8f8f5cd9eb98084ULL);
+  EXPECT_EQ(mask[1], 0x1e5bbe96da98dbe5ULL);
+}
+
 // ---------------------------------------------------------------------------
 // Tridiagonal solver
 // ---------------------------------------------------------------------------
@@ -217,6 +285,80 @@ TEST(Tridiagonal, CouplingMatchesDenseSolveSmallCase) {
   const double denom = 1.0 - k2 * k2;
   EXPECT_NEAR(v[0], k1 * (l[0] + k2 * l[1]) / denom, 1e-14);
   EXPECT_NEAR(v[1], k1 * (l[1] + k2 * l[0]) / denom, 1e-14);
+}
+
+// The coupling matrix built the general way, as SolveCouplingSystem did
+// before it kept a factor: the bit-for-bit reference.
+std::vector<double> ReferenceCouplingSolve(double k1, double k2,
+                                           const std::vector<double>& lself) {
+  const std::size_t n = lself.size();
+  TridiagonalSystem system;
+  system.diag.assign(n, 1.0);
+  system.lower.assign(n - 1, -k2);
+  system.upper.assign(n - 1, -k2);
+  system.rhs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    system.rhs[i] = k1 * lself[i];
+  }
+  return SolveTridiagonal(system);
+}
+
+TEST(CouplingFactor, SolvesBitIdenticallyToTheGeneralSolver) {
+  Rng rng(2024);
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{16},
+        std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{128},
+        std::size_t{1024}}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const double k1 = rng.Uniform(1e-6, 0.5);
+      const double k2 = rng.Uniform(0.0, 0.45);
+      std::vector<double> lself(n);
+      for (double& l : lself) {
+        l = rng.Uniform(-1.0, 1.0);
+      }
+      const auto expected = ReferenceCouplingSolve(k1, k2, lself);
+
+      std::vector<double> rhs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rhs[i] = k1 * lself[i];
+      }
+      std::vector<double> x(n);
+      const CouplingFactor factor(k2, n);
+      ASSERT_EQ(factor.size(), n);
+      factor.Solve(rhs, x);
+      const auto convenience = SolveCouplingSystem(k1, k2, lself);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(x[i], expected[i]) << "n=" << n << " i=" << i;
+        EXPECT_EQ(convenience[i], expected[i]) << "n=" << n << " i=" << i;
+      }
+      factor.Solve(rhs, rhs);  // in place
+      EXPECT_EQ(rhs, x);
+    }
+  }
+}
+
+TEST(CouplingFactor, EmptyFactorSolvesNothing) {
+  const CouplingFactor factor(0.1, 0);
+  EXPECT_EQ(factor.size(), 0u);
+  std::vector<double> none;
+  factor.Solve(none, none);
+  EXPECT_TRUE(SolveCouplingSystem(0.2, 0.1, {}).empty());
+}
+
+TEST(CouplingFactor, RejectsZeroPivotAndSizeMismatch) {
+  // [1 -1; -1 1] is singular: the second pivot is exactly zero.
+  try {
+    const CouplingFactor singular(1.0, 2);
+    ADD_FAILURE() << "expected a zero-pivot error";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("CouplingFactor: zero pivot"),
+              std::string::npos)
+        << e.what();
+  }
+  const CouplingFactor factor(0.1, 3);
+  std::vector<double> rhs(2, 1.0);
+  std::vector<double> x(3);
+  EXPECT_THROW(factor.Solve(rhs, x), NumericalError);
 }
 
 // ---------------------------------------------------------------------------

@@ -200,6 +200,51 @@ TEST(Integrity, WorstCaseVrtNeedsGuardband) {
   EXPECT_LE(report.failures, guarded.guardband_clamped_rows() * 200);
 }
 
+// Exact pins of the replay: IntegrityChecker shares ChargeTracker ->
+// RefreshModel::ApplyRefresh with the fault campaigns, and a rounding
+// change anywhere on that path moves these numbers.
+void ExpectReport(const core::IntegrityReport& report, std::size_t checked,
+                  std::size_t partials, std::size_t failures,
+                  std::size_t first_row, double first_time_s,
+                  double min_margin) {
+  EXPECT_EQ(report.refreshes_checked, checked);
+  EXPECT_EQ(report.partial_refreshes, partials);
+  EXPECT_EQ(report.failures, failures);
+  EXPECT_EQ(report.first_failed_row, first_row);
+  EXPECT_EQ(report.first_failure_time_s, first_time_s);
+  EXPECT_EQ(report.min_margin, min_margin);
+}
+
+TEST(IntegrityChecker, ReplayNumbersArePinned) {
+  core::VrlConfig config;
+  config.banks = 1;
+  const core::VrlSystem system(config);
+  ExpectReport(core::IntegrityChecker(system).Check("VRL", 4), 8548, 4914, 0,
+               0, 0.0, 0x1.9897a2dbe7cp-10);
+
+  const retention::TemperatureModel temperature;
+  ExpectReport(
+      core::IntegrityChecker(system, temperature.RetentionScale(55.0))
+          .Check("VRL", 4),
+      8548, 4914, 1346, 5737, 0x1.6f2b020c49ba6p-5, -0x1.ef1dcafd34c7p-3);
+}
+
+TEST(IntegrityChecker, GuardbandedMprsfReplayIsPinned) {
+  core::VrlConfig config;
+  config.banks = 1;
+  config.retention_guardband = 2.0;
+  const core::VrlSystem system(config);
+  std::vector<std::size_t> aggressive;
+  for (const auto m : system.row_mprsf()) {
+    aggressive.push_back(m + 1);
+  }
+  const retention::TemperatureModel temperature;
+  ExpectReport(
+      core::IntegrityChecker(system, temperature.RetentionScale(52.0))
+          .CheckWithMprsf(aggressive, 4),
+      11686, 7316, 230, 5791, 0x1.729fbe76c8b44p-5, -0x1.f317c01b17183p-2);
+}
+
 TEST(IntegrityChecker, RejectsBadInputs) {
   core::VrlConfig config;
   config.banks = 1;

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/data_pattern.hpp"
 #include "common/error.hpp"
+#include "common/interpolation.hpp"
+#include "common/rng.hpp"
 #include "common/technology.hpp"
+#include "common/tridiagonal.hpp"
 #include "model/equalization.hpp"
 #include "model/postsensing.hpp"
 #include "model/presensing.hpp"
@@ -194,6 +203,90 @@ TEST(PreSensing, DevelopedVoltageGrowsWithTime) {
 TEST(PreSensing, RejectsEmptyCellVector) {
   const PreSensingModel pre(DefaultTech());
   EXPECT_THROW(pre.SenseVoltages({}), ConfigError);
+  // One voltage per column of the modelled slice, no more, no fewer.
+  EXPECT_THROW(pre.SenseVoltages(std::vector<double>(31, 0.5)), ConfigError);
+}
+
+// The tracked-cell probe as PreSensingModel evaluated it before it kept a
+// factor and the probes' prefixes: the full cell vector, the general
+// tridiagonal solve, element [mid].  The bit-for-bit reference.
+double ReferenceTrackedProbe(const PreSensingModel& pre,
+                             const TechnologyParams& tech, DataPattern pattern,
+                             std::size_t shift, double fraction) {
+  const std::size_t n = tech.columns;
+  const std::size_t mid = n / 2;
+  std::vector<double> cells(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cells[i] = CellValue(pattern, i + shift) ? tech.vdd : tech.vss;
+  }
+  cells[mid] = tech.vss + fraction * (tech.vdd - tech.vss);
+  TridiagonalSystem system;
+  system.diag.assign(n, 1.0);
+  system.lower.assign(n - 1, -pre.K2());
+  system.upper.assign(n - 1, -pre.K2());
+  system.rhs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lself = cells[i] - tech.Veq();
+    system.rhs[i] = pre.K1() * lself;
+  }
+  return SolveTridiagonal(system)[mid];
+}
+
+double ReferenceWorstTracked(const PreSensingModel& pre,
+                             const TechnologyParams& tech, double fraction) {
+  double worst = std::numeric_limits<double>::max();
+  for (const DataPattern pattern : kAllDataPatterns) {
+    worst = std::min(worst,
+                     ReferenceTrackedProbe(pre, tech, pattern, 0, fraction));
+  }
+  return std::min(worst, ReferenceTrackedProbe(
+                             pre, tech, DataPattern::kAlternating, 1, fraction));
+}
+
+TEST(PreSensing, TrackedProbesAreBitIdenticalToTheFullSolve) {
+  Rng rng(77);
+  for (const std::size_t columns :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{31},
+        std::size_t{32}, std::size_t{33}, std::size_t{128}}) {
+    TechnologyParams tech = DefaultTech();
+    tech.columns = columns;
+    const PreSensingModel pre(tech);
+    std::vector<double> fractions{0.0, 0.5, 0.5 + 1e-6, 0.95, 1.0};
+    for (int i = 0; i < 16; ++i) {
+      fractions.push_back(rng.UniformDouble());
+    }
+    for (const double f : fractions) {
+      for (const DataPattern pattern : kAllDataPatterns) {
+        EXPECT_EQ(pre.TrackedSenseVoltage(pattern, f),
+                  ReferenceTrackedProbe(pre, tech, pattern, 0, f))
+            << "columns=" << columns << " f=" << f << " "
+            << PatternName(pattern);
+      }
+      EXPECT_EQ(pre.WorstTrackedSenseVoltage(f),
+                ReferenceWorstTracked(pre, tech, f))
+          << "columns=" << columns << " f=" << f;
+    }
+  }
+}
+
+TEST(PreSensing, PatternSenseVoltagesAreBitIdenticalToTheFullSolve) {
+  const TechnologyParams tech = DefaultTech();
+  const PreSensingModel pre(tech);
+  for (const DataPattern pattern : kAllDataPatterns) {
+    TridiagonalSystem system;
+    system.diag.assign(tech.columns, 1.0);
+    system.lower.assign(tech.columns - 1, -pre.K2());
+    system.upper.assign(tech.columns - 1, -pre.K2());
+    for (std::size_t i = 0; i < tech.columns; ++i) {
+      const double cell =
+          CellValue(pattern, i) ? tech.vss + 0.8 * (tech.vdd - tech.vss)
+                                : tech.vss;
+      system.rhs.push_back(pre.K1() * (cell - tech.Veq()));
+    }
+    EXPECT_EQ(pre.SenseVoltagesForPattern(pattern, 0.8),
+              SolveTridiagonal(system))
+        << PatternName(pattern);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -320,6 +413,40 @@ TEST(RefreshModel, CalibrationPin) {
   EXPECT_EQ(full.trfc(), 26u);
   EXPECT_EQ(partial.tau_post, 8u);
   EXPECT_EQ(partial.trfc(), 15u);
+}
+
+TEST(RefreshModel, TauPreIsTheSettleTimeOfU) {
+  const TechnologyParams tech = DefaultTech();
+  const RefreshModel m(tech);
+  const PreSensingModel& pre = m.presensing();
+  const double t_max = 60.0 * pre.Rpre() * tech.Cbl();
+  const double settle = BisectRoot(0.0, t_max, 1e-15, [&](double t) {
+    return pre.U(t) - m.spec().presense_settle;
+  });
+  EXPECT_EQ(m.TauPreSeconds(), m.WordlineDelaySeconds() + settle);
+}
+
+TEST(RefreshModel, SensingDeltaVIsTheDevelopedTrackedVoltage) {
+  const RefreshModel m(DefaultTech());
+  const PreSensingModel& pre = m.presensing();
+  for (const double f : {0.0, 0.5, 0.55, 0.65, 0.8, 0.95, 1.0}) {
+    const double vsense = pre.WorstTrackedSenseVoltage(f);
+    const double developed = pre.DevelopedVoltage(vsense, m.TauPreSeconds());
+    EXPECT_EQ(m.SensingDeltaV(f), vsense >= 0.0 ? developed : -developed)
+        << f;
+  }
+}
+
+TEST(RefreshModel, NeverSettlingPreSensingThrowsAtConstruction) {
+  RefreshModel::Spec spec;
+  spec.presense_settle = 1e-30;  // below U(t) at the bisection horizon
+  try {
+    const RefreshModel m(DefaultTech(), spec);
+    ADD_FAILURE() << "expected a NumericalError";
+  } catch (const NumericalError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "RefreshModel: pre-sensing never settles");
+  }
 }
 
 TEST(RefreshModel, PartialIsCheaperThanFull) {
