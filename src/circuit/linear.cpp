@@ -10,8 +10,6 @@ namespace vrl::circuit {
 DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-void DenseMatrix::SetZero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
 void SolveInPlace(DenseMatrix& a, std::vector<double>& b) {
   const std::size_t n = a.rows();
   if (a.cols() != n || b.size() != n) {

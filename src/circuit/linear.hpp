@@ -25,8 +25,8 @@ class DenseMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Sets every entry to zero without reallocating.
-  void SetZero();
+  /// Row-major storage: (r, c) is values()[r * cols() + c].
+  std::vector<double>& values() { return data_; }
 
  private:
   std::size_t rows_ = 0;

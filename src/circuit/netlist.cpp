@@ -1,10 +1,23 @@
 #include "circuit/netlist.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
 namespace vrl::circuit {
+
+void RequireFinite(double value, const char* field) {
+  if (!std::isfinite(value)) {
+    throw ConfigError(std::string(field) + " must be finite");
+  }
+}
+
+void RequirePositiveFinite(double value, const char* field) {
+  if (!(std::isfinite(value) && value > 0.0)) {
+    throw ConfigError(std::string(field) + " must be positive and finite");
+  }
+}
 
 double VoltageSource::ValueAt(double t) const {
   if (waveform.empty()) {
@@ -64,26 +77,27 @@ const std::string& Netlist::NodeName(NodeId id) const {
 }
 
 void Netlist::AddResistor(NodeId a, NodeId b, double ohms) {
-  if (ohms <= 0.0) {
-    throw ConfigError("Netlist: resistor value must be positive");
-  }
+  RequirePositiveFinite(ohms, "Netlist: resistor ohms");
   resistors_.push_back({a, b, ohms});
 }
 
 void Netlist::AddCapacitor(NodeId a, NodeId b, double farads) {
-  if (farads <= 0.0) {
-    throw ConfigError("Netlist: capacitor value must be positive");
-  }
+  RequirePositiveFinite(farads, "Netlist: capacitor farads");
   capacitors_.push_back({a, b, farads});
 }
 
 void Netlist::AddVdc(NodeId pos, NodeId neg, double volts) {
+  RequireFinite(volts, "Netlist: DC source volts");
   sources_.push_back({pos, neg, {{0.0, volts}}});
 }
 
 void Netlist::AddVpwl(NodeId pos, NodeId neg, std::vector<PwlPoint> waveform) {
   if (waveform.empty()) {
     throw ConfigError("Netlist: PWL source needs at least one breakpoint");
+  }
+  for (const PwlPoint& p : waveform) {
+    RequireFinite(p.time_s, "Netlist: PWL breakpoint time_s");
+    RequireFinite(p.volts, "Netlist: PWL breakpoint volts");
   }
   if (!std::is_sorted(waveform.begin(), waveform.end(),
                       [](const PwlPoint& x, const PwlPoint& y) {
@@ -96,14 +110,15 @@ void Netlist::AddVpwl(NodeId pos, NodeId neg, std::vector<PwlPoint> waveform) {
 
 void Netlist::AddMosfet(MosType type, NodeId drain, NodeId gate, NodeId source,
                         const MosParams& params) {
-  if (params.beta <= 0.0 || params.vt <= 0.0) {
-    throw ConfigError("Netlist: MOSFET beta and |vt| must be positive");
-  }
+  RequirePositiveFinite(params.beta, "Netlist: MOSFET beta");
+  RequirePositiveFinite(params.vt, "Netlist: MOSFET vt");
+  RequireFinite(params.lambda, "Netlist: MOSFET lambda");
   mosfets_.push_back({type, drain, gate, source, params});
 }
 
 void Netlist::SetInitialCondition(NodeId node, double volts) {
   CheckNode(node, "initial condition");
+  RequireFinite(volts, "Netlist: initial condition volts");
   initial_conditions_[node] = volts;
 }
 

@@ -86,6 +86,9 @@ class Netlist {
   /// Name of a node id (for diagnostics and probes).
   const std::string& NodeName(NodeId id) const;
 
+  /// Device values, breakpoints and initial conditions must be finite, and
+  /// ohms, farads, beta and vt positive.  \throws vrl::ConfigError naming
+  /// the field otherwise; a rejected call adds nothing.
   void AddResistor(NodeId a, NodeId b, double ohms);
   /// Adds a capacitor.  Its initial charge state follows the nodes' initial
   /// conditions (SetInitialCondition), not a per-device value.
@@ -127,6 +130,13 @@ class Netlist {
   std::vector<Mosfet> mosfets_;
   std::unordered_map<NodeId, double> initial_conditions_;
 };
+
+/// Input checks shared by the netlist and the transient engine.
+/// \throws vrl::ConfigError "<field> must be finite" unless `value` is.
+void RequireFinite(double value, const char* field);
+/// \throws vrl::ConfigError "<field> must be positive and finite" unless
+/// `value` is.
+void RequirePositiveFinite(double value, const char* field);
 
 /// Helper: a step waveform that is `v0` before `t_step` and `v1` after, with
 /// a linear ramp of `rise_s` seconds.

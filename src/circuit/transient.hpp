@@ -11,10 +11,23 @@
 /// Newton–Raphson at each timestep and backward-Euler or trapezoidal
 /// integration of capacitors.
 ///
-/// This is the repo's SPICE substitute (see DESIGN.md §2): deliberately a
-/// fixed-timestep, dense-matrix engine — accurate enough to serve as the
-/// golden reference for the analytical model, and intentionally much slower
-/// than it, mirroring the paper's Table 1 runtime comparison.
+/// This is the repo's SPICE substitute (see DESIGN.md §2): a fixed-timestep
+/// engine accurate enough to serve as the golden reference for the
+/// analytical model.  Each kind of work runs only as often as its inputs
+/// change:
+///  - per run: sources are absorbed into pinned nodes; the ground leak, the
+///    resistors and the capacitor companion conductances are stamped into a
+///    static matrix image; every MOSFET stamp is resolved to a matrix slot
+///    or a pinned-column fold into the right-hand side; and a large, narrow
+///    system (>= 64 unknowns, half-band <= 12) gets a BandedMatrix that
+///    plans its elimination over the structural pattern (small or wide
+///    systems use dense LU with partial pivoting);
+///  - per step: the right-hand-side prefix (the resistors' and capacitors'
+///    pinned columns plus the capacitor history currents) is built once;
+///  - per Newton iteration: the image and the prefix are copied, the
+///    MOSFETs are evaluated and stamped, and the system is solved in place.
+/// Every matrix and right-hand-side entry gets the same IEEE operations in
+/// the same order as a full restamp each iteration would give it.
 
 namespace vrl::circuit {
 
@@ -41,7 +54,10 @@ struct TransientOptions {
 /// from the first step onward.
 ///
 /// \throws vrl::NumericalError if Newton fails to converge at any step.
-/// \throws vrl::ConfigError for bad options or unknown probe names.
+/// \throws vrl::ConfigError for bad options (a non-finite or non-positive
+/// time, tolerance or damping, a step count t_stop / dt beyond
+/// std::size_t, fewer than one Newton iteration, store_every 0), naming
+/// the field, or for unknown probe names.
 Waveform RunTransient(const Netlist& netlist, const TransientOptions& options,
                       const std::vector<std::string>& probe_nodes);
 
@@ -58,6 +74,8 @@ struct DcOptions {
 /// conditions.  Returns one voltage per node (index = NodeId).
 ///
 /// \throws vrl::NumericalError if Newton fails to converge.
+/// \throws vrl::ConfigError for a non-finite time_s, fewer than one Newton
+/// iteration or a non-finite or non-positive tolerance or damping.
 std::vector<double> SolveDc(const Netlist& netlist, const DcOptions& options);
 
 }  // namespace vrl::circuit

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "circuit/banded.hpp"
 #include "circuit/dram_circuits.hpp"
@@ -113,6 +118,137 @@ TEST(BandedMatrix, OutOfBandReadIsZeroWriteThrows) {
   const BandedMatrix& cband = band;
   EXPECT_EQ(cband.At(0, 3), 0.0);
   EXPECT_THROW(band.At(0, 3) = 1.0, NumericalError);
+  // Rows and columns at or past n are outside the band, however close to
+  // the diagonal.
+  EXPECT_FALSE(band.InBand(5, 4));
+  EXPECT_FALSE(band.InBand(4, 5));
+  EXPECT_FALSE(band.InBand(5, 5));
+  EXPECT_EQ(cband.At(5, 4), 0.0);
+  EXPECT_THROW(band.At(5, 4) = 1.0, NumericalError);
+  EXPECT_THROW(band.At(4, 5) = 1.0, NumericalError);
+  EXPECT_THROW(band.At(6, 6) = 1.0, NumericalError);
+
+  BandedMatrix empty(0, 2);
+  const BandedMatrix& cempty = empty;
+  EXPECT_FALSE(empty.InBand(0, 0));
+  EXPECT_EQ(cempty.At(0, 0), 0.0);
+  EXPECT_THROW(empty.At(0, 0) = 1.0, NumericalError);
+  std::vector<double> none;
+  empty.SolveInPlace(none);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(BandedMatrix, PatternFixesTheWritableStructure) {
+  // Tridiagonal pattern on a halfband-2 band: (2, 0) is neither pattern
+  // nor fill, (1, 2) is pattern, the diagonal is always structural.
+  const BandedMatrix band(4, 2, {{0, 1}, {1, 0}, {1, 2}, {2, 1}});
+  EXPECT_NO_THROW(band.Slot(3, 3));
+  EXPECT_NO_THROW(band.Slot(1, 2));
+  EXPECT_THROW(band.Slot(2, 0), NumericalError);
+  EXPECT_THROW(band.Slot(0, 2), NumericalError);
+  // Pivot 0 of this arrow has multiplier row 2 and U columns 1 and 2, so
+  // it fills (2, 1); (1, 0) stays outside the structure.
+  const BandedMatrix arrow(3, 2, {{0, 2}, {2, 0}, {0, 1}});
+  EXPECT_NO_THROW(arrow.Slot(2, 1));
+  EXPECT_THROW(arrow.Slot(1, 0), NumericalError);
+  EXPECT_THROW(BandedMatrix(4, 1, {{0, 2}}), NumericalError);
+  EXPECT_THROW(BandedMatrix(4, 1, {{4, 4}}), NumericalError);
+}
+
+/// A banded system given by its structural pattern, one value per pattern
+/// entry, and a right-hand side.
+struct BandedSystem {
+  std::size_t n = 0;
+  std::size_t halfband = 0;
+  std::vector<BandedMatrix::Entry> pattern;
+  std::vector<double> values;
+  std::vector<double> rhs;
+};
+
+/// A diagonally dominant system on a random structure: off-diagonal band
+/// entries are structural with probability `density`, and one in ten
+/// structural entries holds an exact zero.
+BandedSystem MakeRandomBandedSystem(std::size_t n, std::size_t hb,
+                                    double density, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  BandedSystem sys{n, hb, {}, {}, {}};
+  for (std::size_t r = 0; r < n; ++r) {
+    double row_sum = 0.0;
+    const std::size_t lo = r > hb ? r - hb : 0;
+    const std::size_t hi = std::min(n - 1, r + hb);
+    for (std::size_t c = lo; c <= hi; ++c) {
+      if (c == r || unit(rng) >= density) {
+        continue;
+      }
+      const double v = unit(rng) < 0.1 ? 0.0 : 2.0 * unit(rng) - 1.0;
+      sys.pattern.emplace_back(r, c);
+      sys.values.push_back(v);
+      row_sum += std::abs(v);
+    }
+    sys.pattern.emplace_back(r, r);
+    sys.values.push_back((unit(rng) < 0.5 ? -1.0 : 1.0) *
+                         (row_sum + 0.5 + unit(rng)));
+    sys.rhs.push_back(4.0 * unit(rng) - 2.0);
+  }
+  return sys;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Solves `sys` with the full band and with the planned elimination and
+/// expects the same bits in the solutions and the factors, and the same
+/// zero-pivot throw.  Returns whether the solves threw.
+bool ExpectPlannedSolveMatchesFullBand(const BandedSystem& sys) {
+  BandedMatrix full(sys.n, sys.halfband);
+  BandedMatrix planned(sys.n, sys.halfband, sys.pattern);
+  for (std::size_t i = 0; i < sys.pattern.size(); ++i) {
+    const auto [r, c] = sys.pattern[i];
+    full.At(r, c) = sys.values[i];
+    planned.At(r, c) = sys.values[i];
+  }
+  EXPECT_TRUE(SameBits(full.values(), planned.values()));
+  const auto solve = [](BandedMatrix& m, std::vector<double>& x) {
+    try {
+      m.SolveInPlace(x);
+    } catch (const NumericalError&) {
+      return true;
+    }
+    return false;
+  };
+  std::vector<double> x_full = sys.rhs;
+  std::vector<double> x_planned = sys.rhs;
+  const bool full_threw = solve(full, x_full);
+  EXPECT_EQ(solve(planned, x_planned), full_threw);
+  EXPECT_TRUE(SameBits(x_full, x_planned));
+  EXPECT_TRUE(SameBits(full.values(), planned.values()));
+  return full_threw;
+}
+
+TEST(BandedSolve, PlannedEliminationIsBitIdenticalToFullBand) {
+  std::uint64_t seed = 1;
+  for (const std::size_t n : {1, 2, 3, 64, 97, 384}) {
+    for (const std::size_t hb : {0, 1, 3, 12}) {
+      for (const double density : {0.15, 0.4, 0.8}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " hb=" + std::to_string(hb) +
+                     " density=" + std::to_string(density));
+        EXPECT_FALSE(ExpectPlannedSolveMatchesFullBand(
+            MakeRandomBandedSystem(n, hb, density, seed++)));
+      }
+    }
+  }
+  // Row 2 equals row 1 once row 0 is eliminated: pivot 2 cancels exactly.
+  const BandedSystem singular{
+      4,
+      1,
+      {{0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 3}},
+      {2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 1.0},
+      {1.0, 2.0, 3.0, 4.0}};
+  EXPECT_TRUE(ExpectPlannedSolveMatchesFullBand(singular));
 }
 
 // ---------------------------------------------------------------------------
@@ -569,6 +705,203 @@ TEST(Waveform, UnknownSignalThrows) {
   wave.AddSignal("x");
   wave.Append(0.0, {0.0});
   EXPECT_THROW(wave.Samples("y"), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// Known-answer waveform pins
+//
+// FNV-1a hashes of every time and sample bit, captured from the engine that
+// zeroed and restamped every device in every Newton iteration and solved the
+// full band.  The engine must reproduce each bit.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bytes of each value's bit pattern, low byte first.
+class Fnv1a {
+ public:
+  void Add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (bits >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void Add(const std::vector<double>& values) {
+    for (const double v : values) {
+      Add(v);
+    }
+  }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Hash of every time and every sample of every signal, in signal order.
+std::uint64_t WaveformHash(const Waveform& wave) {
+  Fnv1a fnv;
+  fnv.Add(wave.times());
+  for (const auto& name : wave.signal_names()) {
+    fnv.Add(wave.Samples(name));
+  }
+  return fnv.hash();
+}
+
+std::uint64_t ChargeSharingHash(std::size_t columns, Integration method,
+                                DataPattern pattern) {
+  const TechnologyParams tech = TechnologyParams{}.WithGeometry(2048, columns);
+  const double t_wl = 0.1e-9;
+  const double rise = tech.wl_delay_per_column_s * static_cast<double>(columns);
+  const ChargeSharingArray array =
+      BuildChargeSharingArray(tech, pattern, 0.7, t_wl, rise);
+  TransientOptions opt;
+  opt.t_stop_s = t_wl + rise + 6e-9;
+  opt.dt_s = 20e-12;
+  opt.method = method;
+  std::vector<std::string> probes = array.bitline_nodes;
+  probes.insert(probes.end(), array.cell_nodes.begin(), array.cell_nodes.end());
+  return WaveformHash(RunTransient(array.netlist, opt, probes));
+}
+
+std::uint64_t EqualizationHash() {
+  const EqualizationCircuit circuit =
+      BuildEqualizationCircuit(TechnologyParams{}, 20e-12);
+  TransientOptions opt;
+  opt.t_stop_s = 3e-9;
+  opt.dt_s = 5e-12;
+  return WaveformHash(
+      RunTransient(circuit.netlist, opt, {circuit.bl, circuit.blb}));
+}
+
+std::uint64_t RefreshPathHash(bool cell_value) {
+  const RefreshPathCircuit path = BuildRefreshPathCircuit(
+      TechnologyParams{}, cell_value, 0.7, 0.1e-9, 2e-9, 0.01);
+  TransientOptions opt;
+  opt.t_stop_s = 8e-9;
+  opt.dt_s = 10e-12;
+  return WaveformHash(
+      RunTransient(path.netlist, opt, {path.cell, path.bl, path.blb}));
+}
+
+/// A banded-path netlist (3 unknowns per stage, 24 stages) whose devices
+/// reach every stamp target: matrix entries, pinned-column folds from a
+/// resistor, a capacitor and both MOSFET rows, and dropped stamps (ground
+/// column, pinned or ground row).
+Netlist StampTargetNetlist() {
+  Netlist n;
+  const NodeId vdd = n.Node("vdd");
+  const NodeId gate = n.Node("gate");
+  n.AddVdc(vdd, kGround, 1.2);
+  n.AddVpwl(gate, kGround, StepWaveform(0.2, 1.1, 50e-12, 100e-12));
+  NodeId prev = kGround;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const NodeId a = n.Node("a" + std::to_string(i));
+    const NodeId b = n.Node("b" + std::to_string(i));
+    const NodeId c = n.Node("c" + std::to_string(i));
+    // Pull-down with a grounded source and a pinned gate.
+    n.AddMosfet(MosType::kNmos, a, gate, kGround, {0.4, 2e-4, 0.05});
+    // Follower with a pinned drain, its gate on an unknown node.
+    n.AddMosfet(MosType::kNmos, vdd, a, b, {0.35, 3e-4, 0.02});
+    // PMOS with a pinned source.
+    n.AddMosfet(MosType::kPmos, c, b, vdd, {0.4, 1e-4, 0.0});
+    n.AddResistor(vdd, a, 20e3 + 100.0 * static_cast<double>(i));
+    n.AddResistor(b, c, 5e3);
+    n.AddResistor(c, kGround, 50e3);
+    n.AddCapacitor(a, kGround, 2e-15);
+    n.AddCapacitor(b, gate, 0.5e-15);
+    n.AddCapacitor(c, kGround, 3e-15);
+    if (prev != kGround) {
+      n.AddCapacitor(prev, c, 0.2e-15);
+      n.AddResistor(prev, a, 200e3);
+    }
+    prev = c;
+    n.SetInitialCondition(a, 0.05 * static_cast<double>(i % 7));
+    n.SetInitialCondition(c, 0.6);
+  }
+  return n;
+}
+
+std::uint64_t StampTargetHash(Integration method) {
+  const Netlist n = StampTargetNetlist();
+  TransientOptions opt;
+  opt.t_stop_s = 1e-9;
+  opt.dt_s = 5e-12;
+  opt.method = method;
+  std::vector<std::string> probes;
+  for (std::size_t i = 0; i < 24; ++i) {
+    probes.push_back("a" + std::to_string(i));
+    probes.push_back("b" + std::to_string(i));
+    probes.push_back("c" + std::to_string(i));
+  }
+  return WaveformHash(RunTransient(n, opt, probes));
+}
+
+std::uint64_t DcHash() {
+  Fnv1a fnv;
+  const RefreshPathCircuit path =
+      BuildRefreshPathCircuit(TechnologyParams{}, true, 0.7, 0.1e-9, 2e-9);
+  DcOptions at_sense;
+  at_sense.time_s = 2.5e-9;
+  fnv.Add(SolveDc(path.netlist, at_sense));
+  DcOptions at_end;
+  at_end.time_s = 1e-9;
+  fnv.Add(SolveDc(StampTargetNetlist(), at_end));
+  return fnv.hash();
+}
+
+TEST(TransientPins, ChargeSharingArrayWaveformsAreBitIdentical) {
+  struct Pin {
+    std::size_t columns;
+    Integration method;
+    DataPattern pattern;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {32, Integration::kTrapezoidal, DataPattern::kAllOnes,
+       0x0279d67dee10dd1dull},
+      {32, Integration::kTrapezoidal, DataPattern::kAlternating,
+       0x23d4b1e5857bd489ull},
+      {32, Integration::kBackwardEuler, DataPattern::kAllOnes,
+       0x6d1bd5334cdd91e7ull},
+      {32, Integration::kBackwardEuler, DataPattern::kAlternating,
+       0x2d9df7776e1309b4ull},
+      {128, Integration::kTrapezoidal, DataPattern::kAllOnes,
+       0x624ce63ae74314ffull},
+      {128, Integration::kTrapezoidal, DataPattern::kAlternating,
+       0x5b6541ad3d84116bull},
+      {128, Integration::kBackwardEuler, DataPattern::kAllOnes,
+       0xd58f922459467cb2ull},
+      {128, Integration::kBackwardEuler, DataPattern::kAlternating,
+       0x9d365ac8367c001aull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::to_string(pin.columns) + " columns, " +
+                 (pin.method == Integration::kTrapezoidal ? "trap, "
+                                                          : "BE, ") +
+                 std::string(PatternName(pin.pattern)));
+    EXPECT_EQ(ChargeSharingHash(pin.columns, pin.method, pin.pattern),
+              pin.hash);
+  }
+}
+
+TEST(TransientPins, EqualizationWaveformIsBitIdentical) {
+  EXPECT_EQ(EqualizationHash(), 0xc042b7c79aa4cd04ull);
+}
+
+TEST(TransientPins, RefreshPathWaveformsAreBitIdentical) {
+  EXPECT_EQ(RefreshPathHash(true), 0x9e191813342d33bfull);
+  EXPECT_EQ(RefreshPathHash(false), 0xe6ffe81a669c54deull);
+}
+
+TEST(TransientPins, BandedStampTargetWaveformsAreBitIdentical) {
+  EXPECT_EQ(StampTargetHash(Integration::kTrapezoidal),
+            0x1c65042b2e069e11ull);
+  EXPECT_EQ(StampTargetHash(Integration::kBackwardEuler),
+            0x9468ed7f82a09415ull);
+}
+
+TEST(TransientPins, DcOperatingPointsAreBitIdentical) {
+  EXPECT_EQ(DcHash(), 0xafa60c3847fa7551ull);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "circuit/dram_circuits.hpp"
 #include "circuit/spice_export.hpp"
@@ -99,6 +102,152 @@ TEST(TransientEdge, UnknownProbeThrows) {
   n.AddResistor(n.Node("a"), kGround, 1e3);
   TransientOptions options;
   EXPECT_THROW(RunTransient(n, options, {"nope"}), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// Circuit input validation: every bad value is rejected where it enters,
+// with a ConfigError naming the field, before any step is taken.
+// ---------------------------------------------------------------------------
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct BadInput {
+  const char* field;  ///< Must appear in the error message.
+  std::function<void()> apply;
+};
+
+void ExpectConfigErrorsNamingTheirField(const std::vector<BadInput>& cases) {
+  for (const BadInput& c : cases) {
+    SCOPED_TRACE(c.field);
+    try {
+      c.apply();
+      ADD_FAILURE() << "no ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(NetlistEdge, RejectsNonFiniteAndNonPositiveDeviceValues) {
+  Netlist n;
+  const NodeId a = n.Node("a");
+  const NodeId b = n.Node("b");
+  const auto mos = [&](double vt, double beta, double lambda) {
+    return [&n, a, b, vt, beta, lambda] {
+      n.AddMosfet(MosType::kNmos, a, b, kGround, {vt, beta, lambda});
+    };
+  };
+  std::vector<BadInput> cases;
+  for (const double bad : {kNan, kInf, -kInf, 0.0, -1.0}) {
+    cases.push_back({"resistor ohms", [&n, a, bad] {
+                       n.AddResistor(a, kGround, bad);
+                     }});
+    cases.push_back({"capacitor farads", [&n, a, bad] {
+                       n.AddCapacitor(a, kGround, bad);
+                     }});
+    cases.push_back({"MOSFET beta", mos(0.4, bad, 0.0)});
+    cases.push_back({"MOSFET vt", mos(bad, 1e-3, 0.0)});
+  }
+  for (const double bad : {kNan, kInf, -kInf}) {
+    cases.push_back({"MOSFET lambda", mos(0.4, 1e-3, bad)});
+    cases.push_back({"DC source volts", [&n, b, bad] {
+                       n.AddVdc(b, kGround, bad);
+                     }});
+    cases.push_back({"PWL breakpoint time_s", [&n, b, bad] {
+                       n.AddVpwl(b, kGround, {{0.0, 0.0}, {bad, 1.0}});
+                     }});
+    cases.push_back({"PWL breakpoint volts", [&n, b, bad] {
+                       n.AddVpwl(b, kGround, {{0.0, bad}});
+                     }});
+    cases.push_back({"initial condition volts", [&n, a, bad] {
+                       n.SetInitialCondition(a, bad);
+                     }});
+  }
+  ExpectConfigErrorsNamingTheirField(cases);
+  // Nothing was added by a rejected call.
+  EXPECT_TRUE(n.resistors().empty());
+  EXPECT_TRUE(n.capacitors().empty());
+  EXPECT_TRUE(n.mosfets().empty());
+  EXPECT_TRUE(n.sources().empty());
+  EXPECT_TRUE(n.initial_conditions().empty());
+}
+
+TEST(TransientEdge, RejectsNonFiniteAndOutOfRangeOptions) {
+  Netlist n;
+  n.AddResistor(n.Node("a"), kGround, 1e3);
+  n.AddCapacitor(n.Node("a"), kGround, 1e-15);
+  using Set = std::function<void(TransientOptions&)>;
+  const auto run = [&n](const Set& set) {
+    return [&n, set] {
+      TransientOptions options;
+      set(options);
+      RunTransient(n, options, {"a"});
+    };
+  };
+  std::vector<BadInput> cases;
+  for (const double bad : {kNan, kInf, -kInf, 0.0, -1e-12}) {
+    cases.push_back({"dt_s", run([bad](TransientOptions& o) { o.dt_s = bad; })});
+    cases.push_back(
+        {"t_stop_s", run([bad](TransientOptions& o) { o.t_stop_s = bad; })});
+    cases.push_back(
+        {"v_abstol", run([bad](TransientOptions& o) { o.v_abstol = bad; })});
+    cases.push_back({"newton_damping", run([bad](TransientOptions& o) {
+                       o.newton_damping = bad;
+                     })});
+  }
+  // ceil(t_stop / dt) beyond std::size_t, and an overflowing ratio.
+  cases.push_back({"t_stop_s / dt_s", run([](TransientOptions& o) {
+                     o.t_stop_s = 1e10;
+                     o.dt_s = 1e-12;
+                   })});
+  cases.push_back({"t_stop_s / dt_s", run([](TransientOptions& o) {
+                     o.t_stop_s = 1e300;
+                     o.dt_s = 1e-300;
+                   })});
+  for (const int bad : {0, -1, std::numeric_limits<int>::min()}) {
+    cases.push_back({"max_newton_iterations", run([bad](TransientOptions& o) {
+                       o.max_newton_iterations = bad;
+                     })});
+  }
+  cases.push_back({"store_every", run([](TransientOptions& o) {
+                     o.store_every = 0;
+                   })});
+  ExpectConfigErrorsNamingTheirField(cases);
+}
+
+TEST(TransientEdge, DcRejectsNonFiniteAndOutOfRangeOptions) {
+  Netlist n;
+  n.AddResistor(n.Node("a"), kGround, 1e3);
+  using Set = std::function<void(circuit::DcOptions&)>;
+  const auto solve = [&n](const Set& set) {
+    return [&n, set] {
+      circuit::DcOptions options;
+      set(options);
+      circuit::SolveDc(n, options);
+    };
+  };
+  std::vector<BadInput> cases;
+  for (const double bad : {kNan, kInf, -kInf, 0.0, -1e-9}) {
+    cases.push_back({"DcOptions::v_abstol",
+                     solve([bad](circuit::DcOptions& o) { o.v_abstol = bad; })});
+    cases.push_back({"DcOptions::newton_damping",
+                     solve([bad](circuit::DcOptions& o) {
+                       o.newton_damping = bad;
+                     })});
+  }
+  for (const double bad : {kNan, kInf, -kInf}) {
+    cases.push_back({"DcOptions::time_s",
+                     solve([bad](circuit::DcOptions& o) { o.time_s = bad; })});
+  }
+  for (const int bad : {0, -3}) {
+    cases.push_back({"DcOptions::max_newton_iterations",
+                     solve([bad](circuit::DcOptions& o) {
+                       o.max_newton_iterations = bad;
+                     })});
+  }
+  ExpectConfigErrorsNamingTheirField(cases);
 }
 
 // ---------------------------------------------------------------------------
