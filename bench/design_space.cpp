@@ -8,11 +8,9 @@
 //
 // The sweep runs through the crash-tolerant runtime (docs/RESILIENCE.md):
 // `--resume <journal>` journals each completed point so an interrupted
-// sweep picks up where it crashed, and `--workers N` isolates points in
-// supervised worker processes — either way the table is byte-identical to
-// an uninterrupted in-process run.  `--serve` adds the fleet view
-// (docs/OBSERVABILITY.md): /fleet liveness, /runs point progress and
-// federated per-worker /metrics while the sweep executes.
+// sweep picks up where it crashed, with a table byte-identical to an
+// uninterrupted run.  `--serve` adds /runs point progress
+// (docs/OBSERVABILITY.md) while the sweep executes.
 
 #include <cstdio>
 #include <iostream>
@@ -50,8 +48,8 @@ int main(int argc, char** argv) {
     runtime::RuntimeOptions runtime_options =
         bench::MakeRuntimeOptions(report_options);
     runtime_options.runtime_telemetry = &runtime_recorder;
-    bench::AttachFleetObservability(plane.get(), "sweep", grid.size(),
-                                    &runtime_recorder, &runtime_options);
+    bench::AttachLegProgress(plane.get(), "sweep", grid.size(),
+                             &runtime_options);
     const auto results =
         runtime::RunSweep(base, grid, trace::SuiteWorkload("facesim"), 8,
                           runtime_options);
@@ -73,8 +71,8 @@ int main(int argc, char** argv) {
     report.Emit(report_options, std::cout);
 
     if (plane) {
-      // Final publish: how the sweep actually executed (resumes, retries,
-      // degradations), so a last /metrics scrape documents the run.
+      // Final publish: how the sweep actually executed (resumed and
+      // journaled points), so a last /metrics scrape documents the run.
       telemetry::Recorder view;
       view.metrics().Absorb(runtime_recorder.Snapshot());
       plane->Sample(view);

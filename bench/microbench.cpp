@@ -5,15 +5,12 @@
 // simulator itself (not a paper experiment).
 
 #include <benchmark/benchmark.h>
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,9 +27,6 @@
 #include "model/refresh_model.hpp"
 #include "retention/mprsf.hpp"
 #include "retention/profile.hpp"
-#include "runtime/codec.hpp"
-#include "runtime/supervisor.hpp"
-#include "telemetry/federation.hpp"
 #include "telemetry/recorder.hpp"
 #include "trace/synthetic.hpp"
 
@@ -284,59 +278,6 @@ BENCHMARK(BM_SimulateWindow)
     ->Args({3, 0})  // idle worst case, + per-op lineage firehose
     ->Args({4, 0})  // idle worst case, telemetry + profiler
     ->Unit(benchmark::kMillisecond);
-
-// Fleet-federation overhead (docs/OBSERVABILITY.md): the worker-side
-// publish path — delta snapshot against the last delivered baseline, codec
-// encode, length-prefixed non-blocking frame write — exercised through the
-// real runtime::WorkerPublishTelemetry seam against a sink fd.  One
-// iteration is one forced 'S' frame carrying a fresh counter/gauge delta
-// and counting one new lineage record, i.e. the per-publish cost a worker
-// leg pays at most once per VRL_WORKER_PUBLISH_MS.
-// scripts/bench_baseline.py ratios this against a loaded BM_SimulateWindow
-// to gate the <1% budget.
-void BM_WorkerPublishTelemetry(benchmark::State& state) {
-  const int sink_fd = ::open("/dev/null", O_WRONLY);
-  const int previous = runtime::SetWorkerPipeForTesting(sink_fd);
-  telemetry::Recorder recorder;
-  auto& refreshes = recorder.counter("policy.full_refreshes");
-  auto& progress = recorder.gauge("campaign.progress_cycles");
-  std::uint64_t cycle = 0;
-  for (auto _ : state) {
-    refreshes.Add(3);
-    progress.Set(static_cast<double>(++cycle));
-    recorder.lineage().Add(
-        {telemetry::EventKind::kFullRefresh, cycle, 0, 0, 0, 0.0});
-    runtime::WorkerPublishTelemetry(recorder, /*force=*/true);
-  }
-  runtime::SetWorkerPipeForTesting(previous);
-  ::close(sink_fd);
-}
-BENCHMARK(BM_WorkerPublishTelemetry);
-
-// Driver-side half of the same path: decode one 'S' frame payload counting
-// one lineage record and fold it into the FederatedRegistry member (the
-// per-frame work the supervisor does between poll() wakeups).
-void BM_FederatedAbsorb(benchmark::State& state) {
-  telemetry::WorkerFrame frame;
-  frame.leg = 1;
-  frame.seq = 1;
-  telemetry::Recorder scratch;
-  scratch.counter("policy.full_refreshes").Add(3);
-  scratch.gauge("campaign.progress_cycles").Set(64.0);
-  frame.delta = scratch.Snapshot();
-  frame.events_recorded = 1;
-  frame.events = 1;
-  std::ostringstream encoded;
-  runtime::EncodeWorkerFrame(encoded, frame);
-  const std::string payload = encoded.str();
-  telemetry::FederatedRegistry registry;
-  for (auto _ : state) {
-    runtime::LineCursor cursor(payload);
-    registry.Absorb("0", runtime::DecodeWorkerFrame(cursor));
-  }
-  benchmark::DoNotOptimize(registry.Aggregate());
-}
-BENCHMARK(BM_FederatedAbsorb);
 
 void BM_GenerateTrace(benchmark::State& state) {
   const trace::AddressGeometry geometry;

@@ -120,9 +120,6 @@ std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
   }
   if ((groups & kRuntime) != 0) {
     rows.emplace_back("--resume", &options->resume_path);
-    rows.emplace_back("--workers", &options->workers);
-    rows.emplace_back("--leg-timeout", &options->leg_timeout_s, kPositive);
-    rows.emplace_back("--max-retries", &options->max_retries);
   }
   return rows;
 }
@@ -198,93 +195,34 @@ ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
 runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options) {
   runtime::RuntimeOptions runtime;
   runtime.journal_path = options.resume_path;
-  runtime.workers = options.workers;
-  runtime.leg_timeout_s = options.leg_timeout_s;
-  runtime.max_retries = options.max_retries;
   return runtime;
 }
 
-void AttachFleetObservability(obs::MonitorPlane* plane,
-                              const std::string& campaign,
-                              std::size_t legs_total,
-                              telemetry::Recorder* runtime_telemetry,
-                              runtime::RuntimeOptions* runtime_options) {
-  if (plane == nullptr || runtime_options == nullptr) {
+void AttachLegProgress(obs::MonitorPlane* plane, const std::string& campaign,
+                       std::size_t legs_total,
+                       runtime::RuntimeOptions* runtime_options) {
+  obs::MonitorServer* server = plane == nullptr ? nullptr : plane->server();
+  if (server == nullptr || runtime_options == nullptr) {
     return;
   }
-  obs::MonitorServer* server = plane->server();
-  if (server == nullptr) {
-    return;
-  }
+  obs::LegProgress progress;
+  progress.campaign = campaign;
+  progress.total = legs_total;
+  server->PublishLegProgress(progress);
 
-  // Shared by the callbacks below; lives as long as any copy of the
-  // options does.  All callbacks run on the driver thread (the supervisor
-  // and runner contracts), so no locking here — the server's Publish* do
-  // their own.
-  struct FleetState {
-    telemetry::FederatedRegistry federation;
-    obs::LegProgress progress;
-    std::size_t commits_seen = 0;  ///< on_leg fires per fresh commit only.
-  };
-  auto state = std::make_shared<FleetState>();
-  state->progress.campaign = campaign;
-  state->progress.total = legs_total;
-  server->PublishLegProgress(state->progress);
-
-  // /runs leg progress: done counts resumed + freshly committed legs,
-  // on_leg fires only for the fresh ones — the difference is the resumed
-  // prefix.  Works for --resume runs with or without workers.
-  const auto previous_on_leg = runtime_options->on_leg;
-  runtime_options->on_leg = [state, server, previous_on_leg](
-                                std::size_t done, std::size_t total) {
-    ++state->commits_seen;
-    state->progress.total = total;
-    state->progress.committed = done;
-    state->progress.resumed = done - state->commits_seen;
-    server->PublishLegProgress(state->progress);
-    if (previous_on_leg) {
-      previous_on_leg(done, total);
+  // done counts resumed + freshly committed legs, on_leg fires only for the
+  // fresh ones: the difference is the resumed prefix.
+  runtime_options->on_leg = [server, progress, commits_seen = std::size_t{0},
+                             previous = runtime_options->on_leg](
+                                std::size_t done, std::size_t total) mutable {
+    ++commits_seen;
+    progress.total = total;
+    progress.committed = done;
+    progress.resumed = done - commits_seen;
+    server->PublishLegProgress(progress);
+    if (previous) {
+      previous(done, total);
     }
-  };
-
-  if (runtime_options->workers == 0) {
-    return;  // In-process execution has no fleet to federate.
-  }
-
-  runtime_options->on_worker_frame =
-      [state, server](std::size_t worker,
-                      const telemetry::WorkerFrame& frame) {
-        state->federation.Absorb(std::to_string(worker), frame);
-        server->PublishFederation(state->federation);
-      };
-
-  runtime_options->on_fleet = [state, server, plane, runtime_telemetry](
-                                  const telemetry::FleetStatus& status) {
-    server->PublishFleet(status);
-    state->progress.running = status.legs_running;
-    state->progress.pending = status.legs_pending;
-    state->progress.staged = status.legs_staged;
-    server->PublishLegProgress(state->progress);
-
-    // Aggregate view for /metrics and the watchdog: the federation fold
-    // (ShardedRecorder semantics — bit-identical for a given frame
-    // sequence), the runtime's own counters, and the fleet liveness gauges
-    // the max_worker_stale_s rule evaluates.  A throwaway Recorder keeps
-    // the view off the experiment's telemetry (byte-identity contract).
-    telemetry::Recorder view;
-    view.metrics().Absorb(state->federation.Aggregate());
-    if (runtime_telemetry != nullptr) {
-      view.metrics().Absorb(runtime_telemetry->Snapshot());
-    }
-    double max_age = 0.0;
-    for (const telemetry::FleetWorkerStatus& worker : status.active) {
-      max_age = std::max(max_age, worker.heartbeat_age_s);
-    }
-    view.gauge("fleet.max_heartbeat_age_s").Set(max_age);
-    view.gauge("fleet.workers_active")
-        .Set(static_cast<double>(status.active.size()));
-    view.gauge("fleet.pool_degraded").Set(status.pool_degraded ? 1.0 : 0.0);
-    plane->Sample(view);
   };
 }
 

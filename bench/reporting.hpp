@@ -68,9 +68,6 @@ struct ReportOptions {
   std::optional<dram::TimingPreset> preset;
   // kRuntime (docs/RESILIENCE.md)
   std::string resume_path;    ///< --resume: leg journal; empty = none.
-  std::size_t workers = 0;    ///< --workers: supervised worker processes.
-  double leg_timeout_s = 120.0;  ///< --leg-timeout: worker silence (s).
-  std::size_t max_retries = 3;   ///< --max-retries: worker attempts per leg.
 };
 
 /// The shared flag groups.  A binary adds a group to its table only if it
@@ -81,7 +78,7 @@ enum FlagGroup : unsigned {
   kTrace = 1u << 2,    ///< --trace-out
   kMonitor = 1u << 3,  ///< --serve [port], --watchdog
   kPreset = 1u << 4,   ///< --preset
-  kRuntime = 1u << 5,  ///< --resume, --workers, --leg-timeout, --max-retries
+  kRuntime = 1u << 5,  ///< --resume
 };
 
 /// A row's value check: kPositive rejects a zero count or a number <= 0.
@@ -161,30 +158,17 @@ void WriteProfileOutput(const ReportOptions& options,
 std::unique_ptr<obs::MonitorPlane> MakeMonitorPlane(
     const ReportOptions& options, std::ostream& announce);
 
-/// Maps the resilience flags (--resume/--workers/--leg-timeout/
-/// --max-retries) onto the execution runtime's options
+/// Maps --resume onto the execution runtime's journal path
 /// (docs/RESILIENCE.md).  The caller wires runtime_telemetry/on_leg itself.
 runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options);
 
-/// Wires fleet observability (docs/OBSERVABILITY.md) into runtime options
-/// headed for RunJournaledLegs.  No-op unless `plane` has a live server.
-/// Installs:
-///   * an on_leg wrapper (composing with any already set) publishing the
-///     journaled-leg committed/resumed breakdown to /runs;
-/// and, when the options ask for supervised workers:
-///   * on_worker_frame — absorbs each worker 'S' frame into a
-///     FederatedRegistry and publishes it (labeled /metrics section);
-///   * on_fleet — publishes pool status to /fleet and drives
-///     plane->Sample() with an aggregate view (federation fold + the
-///     runtime's own counters + `fleet.*` liveness gauges), which is what
-///     the watchdog's max_worker_stale_s rule evaluates.
-/// The federation state lives inside the installed callbacks; it stays
-/// alive as long as the options (or copies of them) do.
-void AttachFleetObservability(obs::MonitorPlane* plane,
-                              const std::string& campaign,
-                              std::size_t legs_total,
-                              telemetry::Recorder* runtime_telemetry,
-                              runtime::RuntimeOptions* runtime_options);
+/// Publishes the journaled campaign's total/committed/resumed leg counts to
+/// the plane's /runs endpoint (docs/OBSERVABILITY.md) through an on_leg
+/// wrapper that composes with any on_leg already set.  No-op unless
+/// `plane` has a live server.
+void AttachLegProgress(obs::MonitorPlane* plane, const std::string& campaign,
+                       std::size_t legs_total,
+                       runtime::RuntimeOptions* runtime_options);
 
 /// A named report: ordered metadata plus ordered named tables.
 class Report {

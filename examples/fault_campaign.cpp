@@ -11,8 +11,7 @@
 //                    [--trace-out PATH] [--profile] [--profile-out PATH]
 //                    [--profile-scrub]
 //                    [--serve [PORT]] [--watchdog RULES.json]
-//                    [--resume JOURNAL] [--workers N]
-//                    [--leg-timeout S] [--max-retries N]
+//                    [--resume JOURNAL]
 //
 // Three legs run under the identical fault realization: the JEDEC
 // full-rate baseline, the plain policy (no detection — silent loss), and
@@ -21,9 +20,7 @@
 //
 // The legs execute through the crash-tolerant runtime (docs/RESILIENCE.md):
 // with --resume the campaign journals each completed leg and a rerun after
-// a crash skips the committed ones, producing byte-identical reports; with
-// --workers each leg runs in a supervised child process with heartbeat
-// liveness, retry/backoff and graceful in-process degradation.
+// a crash skips the committed ones, producing byte-identical reports.
 
 #include <algorithm>
 #include <cstdio>
@@ -145,8 +142,8 @@ int main(int argc, char** argv) {
 
     // The adaptive leg feeds a telemetry recorder; its metrics (campaign.*,
     // adaptive.*, policy.*) travel inside the leg payload and land in the
-    // report's telemetry table — via the codec in *every* execution mode,
-    // so journaled, resumed and worker runs emit byte-identical reports.
+    // report's telemetry table — via the codec for fresh and resumed legs
+    // alike, so journaled and resumed runs emit byte-identical reports.
     // --trace-out / --profile add the campaign's span + lineage trace and
     // the wall-time phase table (docs/TRACING.md) for the same leg; both
     // are wall-clock/process-local extras, populated only when the adaptive
@@ -165,50 +162,25 @@ int main(int argc, char** argv) {
       options.windows = windows;
       options.adaptive = legs[leg].adaptive;
       // The adaptive leg uses the process recorder (trace/profile export
-      // reads it afterwards) unless it runs in a worker child, whose
-      // address space is its own; other legs get a local recorder so the
+      // reads it afterwards); other legs get a local recorder so the
       // payload format stays uniform.
-      telemetry::Recorder local(legs[leg].adaptive
-                                    ? recorder_options
-                                    : telemetry::RecorderOptions{});
+      telemetry::Recorder local;
       telemetry::Recorder* leg_recorder =
-          legs[leg].adaptive && !runtime::InWorkerChild() ? &recorder
-                                                          : &local;
+          legs[leg].adaptive ? &recorder : &local;
       options.telemetry = leg_recorder;
-      // Worker children stream their recorder over the supervision pipe as
-      // rate-limited 'S' frames (docs/OBSERVABILITY.md) alongside the
-      // liveness heartbeat; in the parent the hook degenerates to a no-op.
-      options.heartbeat = [leg_recorder] {
-        runtime::WorkerHeartbeat();
-        if (runtime::InWorkerChild()) {
-          runtime::WorkerPublishTelemetry(*leg_recorder);
-        }
-      };
       if (plane && legs[leg].adaptive) {
         // Live observability: publish the recorder (and feed the watchdog)
         // after every completed refresh window, so `curl /metrics` during
         // the campaign sees current counters, not just the end-of-run
         // snapshot.  The hook also advances the campaign.progress_cycles
         // gauge, which is part of the leg's recorded telemetry under
-        // --serve (docs/RESILIENCE.md) — so it must fire in a worker child
-        // too, or a served worker run's report drifts from the served
-        // in-process one.  Only the parent may touch the plane; the child
-        // pushes a fresh 'S' frame instead.
+        // --serve (docs/RESILIENCE.md).
         options.on_window = [&plane, leg_recorder](std::size_t, Cycles) {
-          if (runtime::InWorkerChild()) {
-            runtime::WorkerPublishTelemetry(*leg_recorder);
-          } else {
-            plane->Sample(*leg_recorder);
-          }
+          plane->Sample(*leg_recorder);
         };
       }
       const fault::CampaignReport leg_report =
           system.RunFaultCampaign(legs[leg].policy, faults, options);
-      if (runtime::InWorkerChild()) {
-        // Flush the final delta so the fleet aggregate converges on the
-        // leg's true totals even when the rate limiter just fired.
-        runtime::WorkerPublishTelemetry(*leg_recorder, /*force=*/true);
-      }
       std::ostringstream os;
       runtime::EncodeCampaignReport(os, leg_report);
       runtime::EncodeSnapshot(os, leg_recorder->Snapshot());
@@ -241,9 +213,8 @@ int main(int argc, char** argv) {
     runtime::RuntimeOptions runtime_options =
         bench::MakeRuntimeOptions(report_options);
     runtime_options.runtime_telemetry = &runtime_recorder;
-    bench::AttachFleetObservability(plane.get(), "fault_campaign",
-                                    legs.size(), &runtime_recorder,
-                                    &runtime_options);
+    bench::AttachLegProgress(plane.get(), "fault_campaign", legs.size(),
+                             &runtime_options);
     runtime::RunnerStats stats;
     const auto payloads =
         runtime::RunJournaledLegs("fault_campaign", config_digest,
@@ -307,7 +278,7 @@ int main(int argc, char** argv) {
 
     if (plane) {
       // Final publish: the adaptive leg's metrics plus the runtime's own
-      // resilience counters (runtime.legs_resumed, runtime.worker_retries,
+      // resilience counters (runtime.legs_resumed, runtime.journal_commits,
       // ...), so /metrics documents how the campaign actually executed.
       telemetry::Recorder view;
       view.metrics().Absorb(adaptive_metrics);

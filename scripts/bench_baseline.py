@@ -118,26 +118,10 @@ RATIO_KEYS = [
         "BM_SimulateWindow/4/0",
         "BM_SimulateWindow/1/0",
     ),
-    # Fleet federation (PR 9): one worker 'S'-frame publish and one
-    # driver-side decode+absorb against a loaded instrumented window — the
-    # "<1% of a loaded window" budget in docs/OBSERVABILITY.md.  A worker
-    # publishes at most once per VRL_WORKER_PUBLISH_MS (50 ms default), so
-    # the per-window ratio bounds the steady-state overhead.
-    (
-        "federation_publish_vs_window_loaded",
-        "BM_WorkerPublishTelemetry",
-        "BM_SimulateWindow/1/1",
-    ),
-    (
-        "federation_absorb_vs_window_loaded",
-        "BM_FederatedAbsorb",
-        "BM_SimulateWindow/1/1",
-    ),
 ]
 
 # google-benchmark reports cpu_time in each benchmark's own time_unit;
-# ratios must compare seconds, not raw numbers (the federation kernels are
-# nanosecond-scale, the window arm millisecond-scale).
+# ratios must compare seconds, not raw numbers.
 TIME_UNIT_S = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 

@@ -14,23 +14,16 @@ The structural mirror of scripts/check_trace.py for the monitoring plane
     ``_bucket``/``_sum``/``_count`` series);
   * histogram buckets are cumulative: counts never decrease as ``le``
     grows, an ``le="+Inf"`` bucket exists, and it equals ``_count`` —
-    validated per non-``le`` label set, so each federated
-    ``{worker,leg}`` member histogram stands on its own;
-  * no duplicate sample (same name + labels) within one scrape;
-  * fleet-federation label syntax: any sample carrying a ``worker`` label
-    must pair it with a ``leg`` label, ``worker`` values are decimal slot
-    ordinals and ``leg`` values match ``leg<N>`` (docs/OBSERVABILITY.md).
+    validated per non-``le`` label set, so each labeled histogram series
+    stands on its own;
+  * no duplicate sample (same name + labels) within one scrape.
 
 With two or more files (oldest first), counters must additionally be
 monotone non-decreasing across scrapes — the live-publishing contract:
 a later scrape of the same run can never lose counted events.  Labels are
-part of the sample identity, so this covers per-worker federated counters
-too: each ``{worker=...,leg=...}`` series must grow independently and may
-never vanish between scrapes (the federation registry is cumulative).
-
-``--federated`` additionally requires at least one worker-labeled sample
-per scrape — scraping a supervised campaign's /metrics must actually show
-the fleet, not silently degrade to the unlabeled aggregate.
+part of the sample identity, so each labeled series (e.g. the per-endpoint
+``obs_scrape_requests_total``) must grow independently and may never
+vanish between scrapes.
 
 Exit code 0 when every file (and the cross-scrape check) passes, 1 with a
 diagnostic otherwise.
@@ -51,8 +44,6 @@ TYPE_RE = re.compile(
     r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$"
 )
 HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
-WORKER_RE = re.compile(r"^[0-9]+$")
-LEG_RE = re.compile(r"^leg[0-9]+$")
 
 
 def fail(message):
@@ -132,24 +123,6 @@ def parse_exposition(path):
                     f"{where}: histogram {family} exposes a bare sample "
                     f"(expected {family}_bucket/_sum/_count)"
                 )
-            label_map = dict(labels)
-            if "worker" in label_map or "leg" in label_map:
-                worker = label_map.get("worker")
-                leg = label_map.get("leg")
-                if worker is None or leg is None:
-                    return fail(
-                        f"{where}: federated sample {name} must carry both "
-                        f"worker and leg labels, got {label_map}"
-                    )
-                if WORKER_RE.match(worker) is None:
-                    return fail(
-                        f"{where}: worker label {worker!r} is not a decimal "
-                        f"slot ordinal"
-                    )
-                if LEG_RE.match(leg) is None:
-                    return fail(
-                        f"{where}: leg label {leg!r} does not match leg<N>"
-                    )
             if (name, labels) in samples:
                 return fail(f"{where}: duplicate sample {name}{dict(labels)}")
             samples[(name, labels)] = value
@@ -159,9 +132,9 @@ def parse_exposition(path):
 
 
 def check_histograms(path, types, samples):
-    # Labeled histograms (the federated per-{worker,leg} series) are
-    # independent series sharing one family: group by the non-le label set
-    # so each member's buckets are validated on their own.
+    # Labeled histograms are independent series sharing one family: group
+    # by the non-le label set so each series' buckets are validated on their
+    # own.
     ok = True
     for family, declared in types.items():
         if declared != "histogram":
@@ -250,12 +223,6 @@ def main():
         metavar="SCRAPE",
         help="exposition file(s); with several, oldest first",
     )
-    parser.add_argument(
-        "--federated",
-        action="store_true",
-        help="require worker/leg-labeled samples in every scrape (a "
-        "supervised campaign's federated /metrics)",
-    )
     args = parser.parse_args()
 
     parsed = []
@@ -265,22 +232,6 @@ def main():
             return 1
         if not check_histograms(path, *result):
             return 1
-        if args.federated:
-            _, samples = result
-            workers = sorted(
-                {
-                    dict(labels)["worker"]
-                    for (_, labels) in samples
-                    if "worker" in dict(labels)
-                }
-            )
-            if not workers:
-                fail(f"{path}: --federated but no worker-labeled samples")
-                return 1
-            print(
-                f"check_metrics: {path}: federated series from "
-                f"worker(s) {', '.join(workers)}"
-            )
         parsed.append(result)
 
     for (earlier_path, earlier), (later_path, later) in zip(

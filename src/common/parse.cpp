@@ -22,6 +22,11 @@ std::optional<std::uint64_t> ParseWholeUnsigned(std::string_view text,
   if (!StartsClean(text) || text.front() == '-' || text.front() == '+') {
     return std::nullopt;
   }
+  // strtoull takes "0x" in base 16 too; only base 0 promises C prefixes.
+  if (base == 16 && text.size() > 1 && text[0] == '0' &&
+      (text[1] == 'x' || text[1] == 'X')) {
+    return std::nullopt;
+  }
   const std::string copy(text);
   char* end = nullptr;
   errno = 0;

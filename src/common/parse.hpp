@@ -13,8 +13,8 @@
 
 namespace vrl {
 
-/// A whole unsigned integer in `base` (0 takes C prefixes: 0x hex, 0
-/// octal).  No sign (strtoull would silently wrap "-1"), no surrounding
+/// A whole unsigned integer in `base` (only 0 takes C prefixes: 0x hex, 0
+/// octal; base 16 rejects "0x").  No sign (strtoull would silently wrap "-1"), no surrounding
 /// whitespace, no trailing garbage ("8x"), nothing past 2^64 - 1.
 std::optional<std::uint64_t> ParseWholeUnsigned(std::string_view text,
                                                 int base = 10);

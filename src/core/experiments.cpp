@@ -129,8 +129,7 @@ std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy) {
 fault::CampaignReport RunResilienceLeg(
     const VrlSystem& system, const ResilienceLeg& leg,
     const retention::VrtParams& vrt, const ExperimentOptions& options,
-    telemetry::Recorder* recorder,
-    const std::function<void()>& heartbeat) {
+    telemetry::Recorder* recorder) {
   // Each leg owns its FaultSchedule, seeded identically and advanced on the
   // same tick sequence, so the same seed reproduces the identical fault
   // trace for every leg — which also makes the legs independent tasks.
@@ -140,7 +139,6 @@ fault::CampaignReport RunResilienceLeg(
   campaign.windows = options.windows;
   campaign.adaptive = leg.adaptive;
   campaign.telemetry = recorder;
-  campaign.heartbeat = heartbeat;
   return system.RunFaultCampaign(leg.policy, faults, campaign);
 }
 

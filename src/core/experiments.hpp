@@ -122,15 +122,12 @@ std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy);
 /// Runs one resilience leg: builds the leg's own FaultSchedule from
 /// options.fault_seed (so every leg replays the identical fault trace) and
 /// the VRT injector, and campaigns it through the system.  `recorder` (may
-/// be null) receives the leg's telemetry; `heartbeat` (may be null) is
-/// forwarded to the campaign tick loop as a liveness hook
-/// (fault::CampaignSetup::heartbeat).
+/// be null) receives the leg's telemetry.
 fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
                                        const ResilienceLeg& leg,
                                        const retention::VrtParams& vrt,
                                        const ExperimentOptions& options,
-                                       telemetry::Recorder* recorder,
-                                       const std::function<void()>& heartbeat = {});
+                                       telemetry::Recorder* recorder);
 
 /// Runs the three-way comparison under VRT telegraph-noise injection
 /// (options.fault_seed, options.windows).  Extra injectors can be layered

@@ -223,7 +223,6 @@ fault::CampaignReport VrlSystem::RunFaultCampaign(
   setup.telemetry =
       options.telemetry != nullptr ? options.telemetry : telemetry_.get();
   setup.on_window = options.on_window;
-  setup.heartbeat = options.heartbeat;
 
   const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(policy);
   auto inner = MakePolicyFactory(info.name)();

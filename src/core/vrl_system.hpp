@@ -70,11 +70,6 @@ struct FaultCampaignOptions {
   /// fault::CampaignSetup::on_window — drivers publish live telemetry to an
   /// obs::MonitorPlane from it (docs/OBSERVABILITY.md).
   std::function<void(std::size_t windows_done, Cycles now)> on_window;
-
-  /// Per-tick liveness hook, forwarded to fault::CampaignSetup::heartbeat —
-  /// the execution runtime's supervised workers pulse their pipe through it
-  /// (docs/RESILIENCE.md).  Must not mutate campaign state.
-  std::function<void()> heartbeat;
 };
 
 /// Everything needed to build a VrlSystem.  Defaults reproduce the paper's

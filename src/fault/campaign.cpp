@@ -122,9 +122,6 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
   std::vector<dram::RefreshProposal> proposals;
   std::vector<dram::RefreshOp> ops;
   for (Cycles tick = 0; tick <= horizon; tick += setup.t_refi) {
-    if (setup.heartbeat) {
-      setup.heartbeat();
-    }
     if (window_hooks) {
       close_windows_until(static_cast<std::size_t>(tick / setup.base_window));
     }

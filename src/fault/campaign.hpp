@@ -61,12 +61,6 @@ struct CampaignSetup {
   /// state; called on the campaign's own thread.
   std::function<void(std::size_t windows_done, Cycles now)> on_window;
 
-  /// Called once per refresh tick, before the tick is simulated — a
-  /// fine-grained liveness pulse for external supervision (the execution
-  /// runtime's worker heartbeat, docs/RESILIENCE.md).  Must not mutate
-  /// campaign state; called on the campaign's own thread.
-  std::function<void()> heartbeat;
-
   void Validate() const;
 };
 

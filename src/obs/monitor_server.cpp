@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -67,7 +66,7 @@ MonitorServer::MonitorServer(MonitorServerOptions options,
   // A scraper that disconnects mid-response must never kill the campaign:
   // writes to its closed socket would raise SIGPIPE (default: terminate).
   // Sends below also pass MSG_NOSIGNAL, but ignoring the signal process-wide
-  // covers every other fd the run writes (worker pipes, shells, ...).
+  // covers every other fd the run writes.
   ::signal(SIGPIPE, SIG_IGN);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -168,22 +167,6 @@ void MonitorServer::SetHealth(HealthState state, std::string_view reason) {
   health_reason_ = std::string(reason);
 }
 
-void MonitorServer::PublishFleet(const telemetry::FleetStatus& status) {
-  const double now_s = options_.clock();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fleet_ = status;
-  fleet_published_ = true;
-  fleet_publish_s_ = now_s;
-}
-
-void MonitorServer::PublishFederation(
-    const telemetry::FederatedRegistry& registry) {
-  telemetry::FederatedRegistry copy = registry;  // Copy outside the lock.
-  const std::lock_guard<std::mutex> lock(mutex_);
-  federation_ = std::move(copy);
-  federation_published_ = true;
-}
-
 void MonitorServer::PublishLegProgress(const LegProgress& progress) {
   const std::lock_guard<std::mutex> lock(mutex_);
   legs_ = progress;
@@ -211,20 +194,7 @@ std::string MonitorServer::RenderMetrics() {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++scrapes_metrics_;
   std::ostringstream os;
-  if (fleet_published_) {
-    // The fleet glue samples its `fleet.*` gauges into the snapshot for the
-    // watchdog; /metrics must render them exactly once, and the fleet
-    // appendix below is the authoritative copy (heartbeat ages there are
-    // stale-corrected at scrape time, the sampled ones are publish-time).
-    telemetry::MetricsSnapshot filtered = published_;
-    for (auto it = filtered.metrics.begin(); it != filtered.metrics.end();) {
-      it = it->first.rfind("fleet.", 0) == 0 ? filtered.metrics.erase(it)
-                                             : std::next(it);
-    }
-    RenderPrometheus(os, filtered, options_.prometheus);
-  } else {
-    RenderPrometheus(os, published_, options_.prometheus);
-  }
+  RenderPrometheus(os, published_, options_.prometheus);
 
   // Server meta series: exact drop accounting for every bounded channel
   // (recorded = retained + dropped at the moment of the last publish) plus
@@ -272,71 +242,6 @@ std::string MonitorServer::RenderMetrics() {
        << p << "obs_scrape_seconds_total " << PrometheusDouble(scrape_seconds_)
        << '\n';
   }
-
-  // Fleet federation: every worker's series with {worker,leg} labels plus
-  // the pool's liveness gauges, when a supervised campaign publishes them.
-  if (federation_published_) {
-    RenderPrometheusFederated(os, federation_, options_.prometheus);
-  }
-  if (fleet_published_) {
-    const double age_base =
-        fleet_publish_s_ == 0.0 ? 0.0 : options_.clock() - fleet_publish_s_;
-    double max_age = 0.0;
-    for (const telemetry::FleetWorkerStatus& worker : fleet_.active) {
-      max_age = std::max(max_age, worker.heartbeat_age_s + age_base);
-    }
-    gauge("fleet_workers_configured",
-          static_cast<double>(fleet_.workers_configured));
-    gauge("fleet_workers_active", static_cast<double>(fleet_.active.size()));
-    gauge("fleet_max_heartbeat_age_s", max_age);
-    gauge("fleet_pool_degraded", fleet_.pool_degraded ? 1.0 : 0.0);
-    gauge("fleet_legs_total", static_cast<double>(fleet_.legs_total));
-    gauge("fleet_legs_committed", static_cast<double>(fleet_.legs_committed));
-    gauge("fleet_legs_running", static_cast<double>(fleet_.legs_running));
-    gauge("fleet_legs_pending", static_cast<double>(fleet_.legs_pending));
-    counter("fleet_retries_total", fleet_.retries);
-    counter("fleet_crashes_total", fleet_.crashes);
-    counter("fleet_timeouts_total", fleet_.timeouts);
-    counter("fleet_errors_total", fleet_.errors);
-  }
-  return os.str();
-}
-
-std::string MonitorServer::RenderFleet() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  if (!fleet_published_) {
-    os << "{\"active\":false}\n";
-    return os.str();
-  }
-  // Heartbeat ages were measured at publish time; add the time since so a
-  // pool whose *driver* stalls also reads as stale.
-  const double age_base =
-      fleet_publish_s_ == 0.0 ? 0.0 : options_.clock() - fleet_publish_s_;
-  os << "{\"active\":true,\"workers_configured\":" << fleet_.workers_configured
-     << ",\"pool_degraded\":" << (fleet_.pool_degraded ? "true" : "false")
-     << ",\"legs\":{\"total\":" << fleet_.legs_total
-     << ",\"committed\":" << fleet_.legs_committed
-     << ",\"running\":" << fleet_.legs_running
-     << ",\"pending\":" << fleet_.legs_pending
-     << ",\"staged\":" << fleet_.legs_staged
-     << "},\"incidents\":{\"retries\":" << fleet_.retries
-     << ",\"crashes\":" << fleet_.crashes
-     << ",\"timeouts\":" << fleet_.timeouts
-     << ",\"errors\":" << fleet_.errors
-     << "},\"frames\":{\"received\":" << fleet_.frames_received
-     << ",\"dropped\":" << fleet_.frames_dropped << "},\"workers\":[";
-  bool first = true;
-  for (const telemetry::FleetWorkerStatus& worker : fleet_.active) {
-    const double age = worker.heartbeat_age_s + age_base;
-    os << (first ? "" : ",") << "{\"worker\":" << worker.worker
-       << ",\"leg\":" << worker.leg << ",\"attempt\":" << worker.attempt
-       << ",\"heartbeat_age_s\":" << FormatDouble(age)
-       << ",\"frames\":" << worker.frames << ",\"stale\":"
-       << (age > options_.fleet_stale_after_s ? "true" : "false") << "}";
-    first = false;
-  }
-  os << "]}\n";
   return os.str();
 }
 
@@ -349,8 +254,6 @@ std::string MonitorServer::RenderRuns() const {
     legs << "\"legs\":{\"campaign\":\"" << JsonEscape(legs_.campaign)
          << "\",\"total\":" << legs_.total
          << ",\"committed\":" << legs_.committed
-         << ",\"running\":" << legs_.running
-         << ",\"pending\":" << legs_.pending << ",\"staged\":" << legs_.staged
          << ",\"resumed\":" << legs_.resumed << "},";
     runs.insert(1, legs.str());  // After the document's opening '{'.
   }
@@ -410,9 +313,8 @@ std::string MonitorServer::HandleGet(std::string_view target) {
   // sees itself) and time the whole dispatch below.
   const std::string_view endpoint =
       path.size() > 1 && (path == "/metrics" || path == "/healthz" ||
-                          path == "/readyz" || path == "/fleet" ||
-                          path == "/runs" || path == "/trace" ||
-                          path == "/profile")
+                          path == "/readyz" || path == "/runs" ||
+                          path == "/trace" || path == "/profile")
           ? path.substr(1)
           : std::string_view("other");
   {
@@ -435,8 +337,6 @@ std::string MonitorServer::HandleGet(std::string_view target) {
                                    "ready\n")
                    : BuildResponse(503, "text/plain; charset=utf-8",
                                    "not ready\n");
-  } else if (path == "/fleet") {
-    response = BuildResponse(200, "application/json", RenderFleet());
   } else if (path == "/runs") {
     response = BuildResponse(200, "application/json", RenderRuns());
   } else if (path == "/trace") {

@@ -23,18 +23,12 @@
 /// poll()-driven background thread, GET-only:
 ///
 ///   GET /metrics       Prometheus text exposition of the last published
-///                      snapshot plus exact drop/meta counters; when a
-///                      federation is published, also every worker's series
-///                      with {worker,leg} labels (RenderPrometheusFederated)
-///                      and fleet liveness gauges.
+///                      snapshot plus exact drop/meta counters.
 ///   GET /healthz       watchdog health ("ok"/"degraded" 200, "failing" 503).
 ///   GET /readyz        200 after the first publish, 503 before.
-///   GET /fleet         JSON per-worker liveness of a supervised pool:
-///                      heartbeat age, current leg/attempt, retry and
-///                      degradation state, exact frame-drop accounting.
 ///   GET /runs          JSON progress of ParallelFor fan-outs, plus the
-///                      journaled-leg committed/running/pending breakdown
-///                      when a supervised or resumed campaign publishes it.
+///                      journaled-leg total/committed/resumed counts when a
+///                      journaled campaign publishes them.
 ///   GET /trace?last=N  JSONL tail of the refresh-lineage ring.
 ///   GET /profile       attribution tree (docs/PROFILING.md) of the last
 ///                      published recorder with a profiler attached, as
@@ -68,10 +62,6 @@ struct MonitorServerOptions {
   PrometheusOptions prometheus;
   /// /trace tail length when the request has no ?last=N.
   std::size_t trace_tail_default = 100;
-  /// A /fleet worker whose heartbeat age exceeds this is flagged "stale"
-  /// (the same threshold the SLO watchdog's max_worker_stale_s rule should
-  /// use to keep the two views consistent).
-  double fleet_stale_after_s = 2.0;
   /// Log "monitor: serving on http://<addr>:<port>" to stderr once bound —
   /// how a caller of port 0 learns the kernel's pick without plumbing.
   bool announce = false;
@@ -81,14 +71,11 @@ struct MonitorServerOptions {
 };
 
 /// Journaled-leg progress of the campaign driving this server — what /runs
-/// reports alongside fan-outs while a supervised or resumed run executes.
+/// reports alongside fan-outs while a journaled run executes.
 struct LegProgress {
   std::string campaign;       ///< Journal campaign name.
   std::size_t total = 0;
   std::size_t committed = 0;  ///< Journaled (including resumed).
-  std::size_t running = 0;    ///< In worker children right now.
-  std::size_t pending = 0;    ///< Queued, including retry backoff.
-  std::size_t staged = 0;     ///< Done, awaiting their commit turn.
   std::size_t resumed = 0;    ///< Restored from the journal at startup.
 };
 
@@ -118,14 +105,6 @@ class MonitorServer {
   /// Publishes the watchdog verdict shown by /healthz.
   void SetHealth(HealthState state, std::string_view reason);
 
-  /// Publishes the supervised pool's status (from RunSupervised's on_fleet
-  /// callback) — the /fleet feed.  Driver-thread only.
-  void PublishFleet(const telemetry::FleetStatus& status);
-
-  /// Publishes an immutable copy of the federated per-worker registry —
-  /// the labeled section of /metrics.  Driver-thread only.
-  void PublishFederation(const telemetry::FederatedRegistry& registry);
-
   /// Publishes journaled-leg progress for /runs.  Driver-thread only.
   void PublishLegProgress(const LegProgress& progress);
 
@@ -143,7 +122,6 @@ class MonitorServer {
   std::string RenderMetrics();
   std::string RenderProfile(bool collapsed, int* status) const;
   std::string RenderHealth(int* status) const;
-  std::string RenderFleet() const;
   std::string RenderRuns() const;
   /// The /trace body; std::nullopt (a 400) when ?last= is not a whole
   /// count.
@@ -183,13 +161,6 @@ class MonitorServer {
   // a profiler) — the /profile feed.
   telemetry::ProfileSnapshot profile_;
   bool profile_published_ = false;
-
-  // Fleet federation state (all copies, published from the driver thread).
-  telemetry::FleetStatus fleet_;
-  bool fleet_published_ = false;
-  double fleet_publish_s_ = 0.0;  ///< Heartbeat ages stale-correct by this.
-  telemetry::FederatedRegistry federation_;
-  bool federation_published_ = false;
   LegProgress legs_;
   bool legs_published_ = false;
 };

@@ -1,8 +1,6 @@
 #include "obs/prometheus.hpp"
 
 #include <cmath>
-#include <map>
-#include <utility>
 
 #include "telemetry/export.hpp"
 
@@ -93,85 +91,6 @@ void RenderPrometheus(std::ostream& os,
       }
     }
   }
-}
-
-void RenderPrometheusFederated(std::ostream& os,
-                               const telemetry::FederatedRegistry& registry,
-                               const PrometheusOptions& options) {
-  // Group samples by family first: exposition wants ONE # TYPE line per
-  // family followed by all of its labeled samples, while the registry is
-  // organised member-first.  Both maps are sorted, so the output is
-  // deterministic.
-  using Sample = std::pair<std::string, const MetricValue*>;
-  std::map<std::string, std::vector<Sample>> families;
-  for (const auto& [key, member] : registry.members()) {
-    const std::string labels =
-        "worker=\"" + key.first + "\",leg=\"" + key.second + "\"";
-    for (const auto& [raw_name, value] : member.snapshot.metrics) {
-      families[raw_name].push_back({labels, &value});
-    }
-  }
-  for (const auto& [raw_name, samples] : families) {
-    const std::string name =
-        options.prefix + "fed_" + SanitizeMetricName(raw_name);
-    switch (samples.front().second->kind) {
-      case MetricKind::kCounter:
-        TypeLine(os, name + "_total", "counter");
-        for (const Sample& sample : samples) {
-          os << name << "_total{" << sample.first << "} "
-             << sample.second->count << '\n';
-        }
-        break;
-      case MetricKind::kGauge:
-        TypeLine(os, name, "gauge");
-        for (const Sample& sample : samples) {
-          os << name << '{' << sample.first << "} "
-             << PrometheusDouble(sample.second->value) << '\n';
-        }
-        break;
-      case MetricKind::kHistogram:
-        TypeLine(os, name, "histogram");
-        for (const Sample& sample : samples) {
-          const MetricValue& value = *sample.second;
-          std::uint64_t cumulative = 0;
-          for (std::size_t i = 0; i < value.edges.size(); ++i) {
-            cumulative += value.counts[i];
-            os << name << "_bucket{" << sample.first << ",le=\""
-               << PrometheusDouble(value.edges[i]) << "\"} " << cumulative
-               << '\n';
-          }
-          os << name << "_bucket{" << sample.first << ",le=\"+Inf\"} "
-             << value.count << '\n';
-          os << name << "_sum{" << sample.first << "} "
-             << PrometheusDouble(value.value) << '\n';
-          os << name << "_count{" << sample.first << "} " << value.count
-             << '\n';
-        }
-        break;
-    }
-  }
-
-  // Delivery accounting for the federation itself — the counters the
-  // frame-drop tests and check_metrics.py monotonicity checks watch.
-  const std::string fed = options.prefix + "fed";
-  const auto counter = [&](std::string_view name, std::uint64_t count) {
-    const std::string full = fed + std::string(name) + "_total";
-    TypeLine(os, full, "counter");
-    os << full << ' ' << count << '\n';
-  };
-  counter("_frames", registry.frames_received());
-  counter("_frames_dropped", registry.frames_dropped());
-  counter("_events", registry.events_received());
-  counter("_events_dropped", registry.events_dropped());
-  const std::string workers = fed + "_workers";
-  TypeLine(os, workers, "gauge");
-  std::vector<std::string> seen;
-  for (const auto& [key, member] : registry.members()) {
-    if (seen.empty() || seen.back() != key.first) {
-      seen.push_back(key.first);
-    }
-  }
-  os << workers << ' ' << seen.size() << '\n';
 }
 
 }  // namespace vrl::obs

@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/federation.hpp"
 #include "telemetry/metrics.hpp"
 
 /// \file prometheus.hpp
@@ -42,16 +41,5 @@ std::string PrometheusDouble(double value);
 void RenderPrometheus(std::ostream& os,
                       const telemetry::MetricsSnapshot& snapshot,
                       const PrometheusOptions& options = {});
-
-/// Renders a FederatedRegistry as *labeled* exposition: every member's
-/// series under `<prefix>fed_<name>` with `{worker="...",leg="..."}` labels,
-/// one `# TYPE` line per family (families group across members, so the
-/// output stays grammar-valid for scripts/check_metrics.py), plus the
-/// registry's own frame/event delivery counters.  Per-member quantile
-/// gauges are not rendered — the aggregate /metrics section carries them.
-/// Deterministic: members iterate in sorted label order.
-void RenderPrometheusFederated(std::ostream& os,
-                               const telemetry::FederatedRegistry& registry,
-                               const PrometheusOptions& options = {});
 
 }  // namespace vrl::obs

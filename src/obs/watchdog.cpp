@@ -42,7 +42,6 @@ constexpr RuleField kRuleFields[] = {
     {"max_refresh_overhead", &WatchdogRules::max_refresh_overhead},
     {"min_partial_full_ratio", &WatchdogRules::min_partial_full_ratio},
     {"max_staleness_s", &WatchdogRules::max_staleness_s},
-    {"max_worker_stale_s", &WatchdogRules::max_worker_stale_s},
     {"breach_samples", nullptr, &WatchdogRules::breach_samples},
     {"fail_samples", nullptr, &WatchdogRules::fail_samples},
     {"clear_samples", nullptr, &WatchdogRules::clear_samples},
@@ -265,15 +264,6 @@ HealthState SloWatchdog::Sample(const telemetry::MetricsSnapshot& snapshot,
       if (staleness > rules_.max_staleness_s) {
         breach("staleness_s", staleness);
       }
-    }
-  }
-  // Current-value rule (not a delta): the fleet glue publishes the stalest
-  // worker's heartbeat age as a gauge, so this works from the first sample.
-  if (rules_.max_worker_stale_s >= 0.0) {
-    const double worker_age =
-        MetricNumber(snapshot, "fleet.max_heartbeat_age_s");
-    if (worker_age > rules_.max_worker_stale_s) {
-      breach("worker_stale_s", worker_age);
     }
   }
   prev_detected_ = detected;

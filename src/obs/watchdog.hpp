@@ -47,11 +47,6 @@ struct WatchdogRules {
   /// Max seconds since any watched counter last moved — a wedged or hung
   /// run stops publishing progress long before it exits.
   double max_staleness_s = -1.0;
-  /// Max heartbeat age of the stalest supervised worker (the
-  /// `fleet.max_heartbeat_age_s` gauge published by the fleet federation
-  /// glue, docs/OBSERVABILITY.md).  A current-value rule, not a delta: a
-  /// hung worker breaches on the sample where its age crosses this.
-  double max_worker_stale_s = -1.0;
   /// Consecutive breaching samples before ok -> degraded.
   std::size_t breach_samples = 2;
   /// Consecutive breaching samples before -> failing.
@@ -68,7 +63,7 @@ struct WatchdogRules {
 /// Parses a rules file: one flat JSON object whose keys are the
 /// WatchdogRules field names with numeric values.  Key matching is
 /// spelling-tolerant the same way dram::PolicyRegistry is: case and
-/// '-'/'_' separators are ignored, so "max-worker-stale-s" works.  An
+/// '-'/'_' separators are ignored, so "max-staleness-s" works.  An
 /// unknown key is a ConfigError listing every valid field name — a typo'd
 /// threshold must not silently disable a rule.
 /// \throws vrl::ConfigError on malformed input.

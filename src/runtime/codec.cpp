@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "telemetry/export.hpp"
 
 namespace vrl::runtime {
@@ -18,13 +20,23 @@ namespace {
                    " record: '" + line + "'");
 }
 
-std::uint64_t ReadU64(std::istringstream& is, std::string_view what,
+std::string ReadToken(std::istringstream& is, std::string_view what,
                       const std::string& line) {
-  std::uint64_t value = 0;
-  if (!(is >> value)) {
+  std::string token;
+  if (!(is >> token)) {
     Malformed(what, line);
   }
-  return value;
+  return token;
+}
+
+std::uint64_t ReadU64(std::istringstream& is, std::string_view what,
+                      const std::string& line) {
+  const std::optional<std::uint64_t> value =
+      ParseWholeUnsigned(ReadToken(is, what, line));
+  if (!value) {
+    Malformed(what, line);
+  }
+  return *value;
 }
 
 std::size_t ReadSize(std::istringstream& is, std::string_view what,
@@ -34,25 +46,12 @@ std::size_t ReadSize(std::istringstream& is, std::string_view what,
 
 double ReadDouble(std::istringstream& is, std::string_view what,
                   const std::string& line) {
-  std::string token;
-  if (!(is >> token)) {
-    Malformed(what, line);
-  }
-  return DecodeDouble(token);
+  return DecodeDouble(ReadToken(is, what, line));
 }
 
 bool ReadBool(std::istringstream& is, std::string_view what,
               const std::string& line) {
   return ReadU64(is, what, line) != 0;
-}
-
-std::string ReadToken(std::istringstream& is, std::string_view what,
-                      const std::string& line) {
-  std::string token;
-  if (!(is >> token)) {
-    Malformed(what, line);
-  }
-  return token;
 }
 
 /// Opens a record line and consumes its leading tag.
@@ -144,14 +143,13 @@ std::string UnescapeToken(std::string_view token) {
       throw ParseError("runtime codec: truncated %-escape in token '" +
                        std::string(token) + "'");
     }
-    const std::string hex(token.substr(i + 1, 2));
-    char* end = nullptr;
-    const unsigned long code = std::strtoul(hex.c_str(), &end, 16);
-    if (end != hex.c_str() + 2) {
+    const std::optional<std::uint64_t> code =
+        ParseWholeUnsigned(token.substr(i + 1, 2), 16);
+    if (!code) {
       throw ParseError("runtime codec: bad %-escape in token '" +
                        std::string(token) + "'");
     }
-    out += static_cast<char>(code);
+    out += static_cast<char>(*code);
     i += 2;
   }
   return out;
@@ -194,7 +192,7 @@ void EncodeSnapshot(std::ostream& os,
         break;
       case telemetry::MetricKind::kGauge:
         // count is the written flag: Absorb() ignores never-written gauges,
-        // so dropping it would silently discard a worker leg's gauges.
+        // so dropping it would silently discard a leg's gauges.
         os << "metric " << EscapeToken(name) << " gauge " << metric.count
            << ' ' << EncodeDouble(metric.value) << '\n';
         break;
@@ -255,34 +253,6 @@ telemetry::MetricsSnapshot DecodeSnapshot(LineCursor& cursor) {
     Malformed("snapshot terminator", terminator);
   }
   return snapshot;
-}
-
-void EncodeWorkerFrame(std::ostream& os,
-                       const telemetry::WorkerFrame& frame) {
-  os << "worker " << frame.leg << ' ' << frame.attempt << ' ' << frame.seq
-     << ' ' << frame.frames_dropped << ' ' << frame.events_recorded << ' '
-     << frame.events_dropped << ' ' << frame.events << '\n';
-  EncodeSnapshot(os, frame.delta);
-  os << "end_worker\n";
-}
-
-telemetry::WorkerFrame DecodeWorkerFrame(LineCursor& cursor) {
-  telemetry::WorkerFrame frame;
-  const std::string& header = cursor.Next();
-  std::istringstream is = OpenRecord(header, "worker");
-  frame.leg = ReadSize(is, "worker leg", header);
-  frame.attempt = ReadSize(is, "worker attempt", header);
-  frame.seq = ReadU64(is, "worker seq", header);
-  frame.frames_dropped = ReadU64(is, "worker frames_dropped", header);
-  frame.events_recorded = ReadU64(is, "worker events_recorded", header);
-  frame.events_dropped = ReadU64(is, "worker events_dropped", header);
-  frame.events = ReadU64(is, "worker event count", header);
-  frame.delta = DecodeSnapshot(cursor);
-  const std::string& terminator = cursor.Next();
-  if (terminator != "end_worker") {
-    Malformed("worker frame terminator", terminator);
-  }
-  return frame;
 }
 
 void EncodeCampaignReport(std::ostream& os,

@@ -8,7 +8,6 @@
 #include "core/experiments.hpp"
 #include "core/sweep.hpp"
 #include "fault/campaign.hpp"
-#include "telemetry/federation.hpp"
 #include "telemetry/metrics.hpp"
 
 /// \file codec.hpp
@@ -67,14 +66,6 @@ class LineCursor {
 void EncodeSnapshot(std::ostream& os,
                     const telemetry::MetricsSnapshot& snapshot);
 telemetry::MetricsSnapshot DecodeSnapshot(LineCursor& cursor);
-
-/// One worker telemetry frame — the payload of a supervisor 'S' frame
-/// (docs/OBSERVABILITY.md): a "worker ..." header line carrying the
-/// lineage counts, the metrics delta as a snapshot section, and an
-/// "end_worker" terminator.
-void EncodeWorkerFrame(std::ostream& os,
-                       const telemetry::WorkerFrame& frame);
-telemetry::WorkerFrame DecodeWorkerFrame(LineCursor& cursor);
 
 /// Fault-campaign report including the failure-event log and the adaptive
 /// state-machine counters.

@@ -5,13 +5,14 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "telemetry/export.hpp"
 
 namespace vrl::runtime {
@@ -57,14 +58,15 @@ bool FindUintField(const std::string& line, std::string_view key,
   if (start == std::string::npos) {
     return false;
   }
-  const char* begin = line.c_str() + start + needle.size();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(begin, &end, 10);
-  if (end == begin || errno != 0) {
+  // The digits run to the field's delimiter; anything else is malformed.
+  const std::size_t begin = start + needle.size();
+  const std::optional<std::uint64_t> value = ParseWholeUnsigned(
+      std::string_view(line).substr(begin,
+                                    line.find_first_of(",}", begin) - begin));
+  if (!value) {
     return false;
   }
-  *out = value;
+  *out = *value;
   return true;
 }
 
@@ -143,13 +145,13 @@ std::string JsonUnescape(std::string_view text) {
         if (i + 4 >= text.size()) {
           throw ParseError("journal: truncated \\u escape");
         }
-        const std::string hex(text.substr(i + 1, 4));
-        char* end = nullptr;
-        const unsigned long code = std::strtoul(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + 4 || code > 0xFF) {
-          throw ParseError("journal: bad \\u escape '" + hex + "'");
+        const std::string_view hex = text.substr(i + 1, 4);
+        const std::optional<std::uint64_t> code = ParseWholeUnsigned(hex, 16);
+        if (!code || *code > 0xFF) {
+          throw ParseError("journal: bad \\u escape '" + std::string(hex) +
+                           "'");
         }
-        out += static_cast<char>(code);
+        out += static_cast<char>(*code);
         i += 4;
         break;
       }

@@ -7,7 +7,6 @@
 #include "dram/policy_registry.hpp"
 #include "runtime/codec.hpp"
 #include "runtime/journal.hpp"
-#include "runtime/supervisor.hpp"
 
 namespace vrl::runtime {
 namespace {
@@ -112,14 +111,6 @@ std::vector<core::SweepResult> RunSweep(
         std::ostringstream os;
         EncodeSweepResult(
             os, core::RunSweepPoint(base, points[i], workload, windows));
-        if (InWorkerChild()) {
-          // Sweep points have no campaign telemetry of their own; a
-          // per-point progress counter still gives the fleet federation a
-          // live per-worker throughput signal (docs/OBSERVABILITY.md).
-          telemetry::Recorder progress;
-          progress.counter("sweep.points_completed").Add(1);
-          WorkerPublishTelemetry(progress, /*force=*/true);
-        }
         return os.str();
       },
       runtime, stats);
@@ -146,9 +137,6 @@ std::vector<core::WorkloadResult> RunEvaluationSuite(
         leg_options.telemetry = &leg_recorder;
         const core::WorkloadResult result =
             core::RunWorkload(system, suite[i], leg_options);
-        if (InWorkerChild()) {
-          WorkerPublishTelemetry(leg_recorder, /*force=*/true);
-        }
         std::ostringstream os;
         EncodeWorkloadResult(os, result);
         EncodeSnapshot(os, leg_recorder.Snapshot());
@@ -180,20 +168,8 @@ core::ResilienceResult RunResilienceComparison(
       ResilienceConfigDigest(system, policy, vrt, options), legs.size(),
       [&](std::size_t i) {
         telemetry::Recorder leg_recorder(LegRecorderOptions(sink));
-        // WorkerHeartbeat / WorkerPublishTelemetry are no-ops outside a
-        // worker child, so the hook is always safe to install; in a child
-        // it pulses liveness and streams the leg's counters as rate-limited
-        // 'S' frames (docs/OBSERVABILITY.md).
         const fault::CampaignReport leg_report = core::RunResilienceLeg(
-            system, legs[i], vrt, options, &leg_recorder, [&leg_recorder] {
-              WorkerHeartbeat();
-              if (InWorkerChild()) {
-                WorkerPublishTelemetry(leg_recorder);
-              }
-            });
-        if (InWorkerChild()) {
-          WorkerPublishTelemetry(leg_recorder, /*force=*/true);
-        }
+            system, legs[i], vrt, options, &leg_recorder);
         std::ostringstream os;
         EncodeCampaignReport(os, leg_report);
         EncodeSnapshot(os, leg_recorder.Snapshot());

@@ -14,14 +14,12 @@
 /// \file resilient.hpp
 /// Crash-tolerant drivers: the core experiment entry points (core::RunSweep,
 /// core::RunEvaluationSuite, core::RunResilienceComparison) re-expressed as
-/// journaled, supervisable leg campaigns over RunJournaledLegs
-/// (docs/RESILIENCE.md).
+/// journaled leg campaigns over RunJournaledLegs (docs/RESILIENCE.md).
 ///
-/// With default RuntimeOptions (no journal, no workers) these produce
-/// results identical to the core drivers.  With a journal path they resume
-/// after a crash; with workers they survive leg crashes and hangs.  Every
-/// mode routes leg results through runtime/codec.hpp, so all of them emit
-/// byte-identical reports.
+/// With default RuntimeOptions (no journal) these produce results identical
+/// to the core drivers.  With a journal path they resume after a crash.
+/// Resumed and fresh legs both route through runtime/codec.hpp, so a
+/// resumed run emits byte-identical reports.
 ///
 /// Telemetry: each leg records into its own recorder; the leg's
 /// metrics snapshot travels inside the journaled payload and is absorbed
@@ -63,9 +61,7 @@ std::vector<core::WorkloadResult> RunEvaluationSuite(
     const RuntimeOptions& runtime, RunnerStats* stats = nullptr);
 
 /// Journaled core::RunResilienceComparison: one leg per comparison arm
-/// (JEDEC / plain / adaptive).  Campaign legs pulse WorkerHeartbeat through
-/// fault::CampaignSetup::heartbeat when executing in a worker child, so a
-/// healthy long campaign is never mistaken for a hang.
+/// (JEDEC / plain / adaptive).
 core::ResilienceResult RunResilienceComparison(
     const core::VrlSystem& system, std::string_view policy,
     const retention::VrtParams& vrt, const core::ExperimentOptions& options,

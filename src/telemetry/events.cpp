@@ -30,10 +30,6 @@ std::string_view EventKindName(EventKind kind) {
       return "watchdog_transition";
     case EventKind::kLegResumed:
       return "leg_resumed";
-    case EventKind::kWorkerRetry:
-      return "worker_retry";
-    case EventKind::kWorkerDegraded:
-      return "worker_degraded";
   }
   return "?";
 }

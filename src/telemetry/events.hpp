@@ -43,10 +43,6 @@ enum class EventKind : std::uint8_t {
                        ///< per obs::HealthState, value = breaching measure).
   kLegResumed,         ///< Campaign leg skipped via the journal on resume
                        ///< (row = leg index; docs/RESILIENCE.md).
-  kWorkerRetry,        ///< Failed worker attempt rescheduled (row = leg,
-                       ///< d = attempt number).
-  kWorkerDegraded,     ///< Worker execution abandoned (row = leg, d =
-                       ///< attempt, or -1 for whole-pool degradation).
 };
 
 /// Stable machine-readable kind name ("full_refresh", ...).

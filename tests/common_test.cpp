@@ -519,6 +519,8 @@ TEST(WholeNumbers, TakeTheWholeTextOrNothing) {
                            "18446744073709551616"}) {
     EXPECT_FALSE(ParseWholeUnsigned(text, 0).has_value()) << text;
   }
+  EXPECT_EQ(ParseWholeUnsigned("1F", 16), 31u);
+  EXPECT_FALSE(ParseWholeUnsigned("0x1F", 16).has_value());  // digits only
   EXPECT_EQ(ParseWholeDouble("-2.5e-1"), -0.25);
   for (const char* text : {"", " 1", "1 ", "1e", "nan", "inf", "1e999"}) {
     EXPECT_FALSE(ParseWholeDouble(text).has_value()) << text;

@@ -34,7 +34,6 @@
 #include "obs/prometheus.hpp"
 #include "obs/watchdog.hpp"
 #include "retention/vrt.hpp"
-#include "runtime/runner.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -311,6 +310,8 @@ TEST(WatchdogRulesParse, UnknownKeyIsAnError) {
   // A typo'd threshold must not silently disable the rule.
   EXPECT_THROW(ParseWatchdogRules(R"({"max_sensing_failure_rte": 0.1})"),
                ConfigError);
+  EXPECT_THROW(ParseWatchdogRules(R"({"max_worker_stale_s": 2})"),
+               ConfigError);
 }
 
 TEST(WatchdogRulesParse, UnknownKeyErrorListsTheValidFields) {
@@ -323,9 +324,9 @@ TEST(WatchdogRulesParse, UnknownKeyErrorListsTheValidFields) {
               std::string::npos)
         << what;
     EXPECT_NE(what.find("expected one of:"), std::string::npos) << what;
-    // The listing is the full field table, including the fleet rule.
+    // The listing is the full field table.
     EXPECT_NE(what.find("max_sensing_failure_rate"), std::string::npos);
-    EXPECT_NE(what.find("max_worker_stale_s"), std::string::npos);
+    EXPECT_NE(what.find("max_staleness_s"), std::string::npos);
     EXPECT_NE(what.find("clear_samples"), std::string::npos);
   }
 }
@@ -334,21 +335,14 @@ TEST(WatchdogRulesParse, KeysAreCaseAndSeparatorInsensitive) {
   // Mirrors dram::PolicyRegistry's spelling tolerance: case and -/_
   // separators never matter.
   const WatchdogRules rules = ParseWatchdogRules(R"({
-    "Max-Worker-Stale-S": 1.5,
+    "Max-Refresh-Overhead": 1.5,
     "MAXSTALENESSS": 7,
     "breachSamples": 2,
     "fail_samples": 2
   })");
-  EXPECT_DOUBLE_EQ(rules.max_worker_stale_s, 1.5);
+  EXPECT_DOUBLE_EQ(rules.max_refresh_overhead, 1.5);
   EXPECT_DOUBLE_EQ(rules.max_staleness_s, 7.0);
   EXPECT_EQ(rules.breach_samples, 2u);
-}
-
-TEST(WatchdogRulesParse, ParsesTheWorkerStaleRule) {
-  const WatchdogRules rules =
-      ParseWatchdogRules(R"({"max_worker_stale_s": 2})");
-  EXPECT_DOUBLE_EQ(rules.max_worker_stale_s, 2.0);
-  EXPECT_LT(WatchdogRules{}.max_worker_stale_s, 0.0);  // Off by default.
 }
 
 TEST(WatchdogRulesParse, MalformedInputIsAnError) {
@@ -595,6 +589,7 @@ TEST(MonitorServer, ReadyzFlipsOnFirstPublish) {
 TEST(MonitorServer, UnknownPathIs404AndHealthReflectsSetHealth) {
   MonitorServer server;
   EXPECT_EQ(StatusOf(server.HandleGet("/nope")), 404);
+  EXPECT_EQ(StatusOf(server.HandleGet("/fleet")), 404);
   EXPECT_EQ(BodyOf(server.HandleGet("/healthz")), "ok\n");
   server.SetHealth(HealthState::kDegraded, "sensing_failure_rate=0.5");
   const std::string degraded = server.HandleGet("/healthz");
@@ -852,206 +847,17 @@ TEST(MonitorPlane, BadRulesFileThrowsConfigError) {
   EXPECT_THROW(MonitorPlane plane(options), ConfigError);
 }
 
-// -- Fleet observability (tentpole) -------------------------------------------
-
-/// Snapshot with the fleet glue's stalest-worker gauge set.
-MetricsSnapshot WorkerAgeSnapshot(double age_s) {
-  MetricsSnapshot snapshot;
-  MetricValue gauge;
-  gauge.kind = MetricKind::kGauge;
-  gauge.value = age_s;
-  snapshot.metrics["fleet.max_heartbeat_age_s"] = gauge;
-  return snapshot;
-}
-
-TEST(SloWatchdog, WorkerStaleRuleIsCurrentValueNotDelta) {
-  WatchdogRules rules;
-  rules.max_worker_stale_s = 2.0;
-  rules.breach_samples = 1;
-  rules.fail_samples = 2;
-  rules.clear_samples = 1;
-  SloWatchdog watchdog(rules);
-
-  // A hung worker breaches on the very first sample — no baseline interval
-  // needed, unlike the delta rules.
-  EXPECT_EQ(watchdog.Sample(WorkerAgeSnapshot(5.0), 0.0),
-            HealthState::kDegraded);
-  EXPECT_NE(watchdog.last_breach().find("worker_stale_s"),
-            std::string::npos);
-  EXPECT_EQ(watchdog.Sample(WorkerAgeSnapshot(5.5), 1.0),
-            HealthState::kFailing);
-  // The worker comes back (or is reaped): health steps back down.
-  EXPECT_EQ(watchdog.Sample(WorkerAgeSnapshot(0.1), 2.0),
-            HealthState::kDegraded);
-  EXPECT_EQ(watchdog.Sample(WorkerAgeSnapshot(0.1), 3.0), HealthState::kOk);
-}
-
-telemetry::FleetStatus DemoFleet() {
-  telemetry::FleetStatus fleet;
-  fleet.workers_configured = 2;
-  fleet.legs_total = 5;
-  fleet.legs_committed = 2;
-  fleet.legs_running = 2;
-  fleet.legs_pending = 1;
-  fleet.retries = 1;
-  fleet.crashes = 1;
-  fleet.frames_received = 7;
-  fleet.frames_dropped = 3;
-  fleet.active = {{0, 2, 1, 0.1, 4}, {1, 3, 2, 5.0, 3}};
-  return fleet;
-}
-
-TEST(MonitorServer, FleetEndpointRendersLivenessAndDropAccounting) {
-  MonitorServerOptions options;
-  options.clock = [] { return 0.0; };  // Freeze scrape-time age correction.
-  MonitorServer server(options);
-
-  // Before any publish the endpoint reports an inactive fleet.
-  EXPECT_EQ(BodyOf(server.HandleGet("/fleet")), "{\"active\":false}\n");
-
-  server.PublishFleet(DemoFleet());
-  const std::string body = BodyOf(server.HandleGet("/fleet"));
-  EXPECT_NE(body.find("\"active\":true,\"workers_configured\":2"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"legs\":{\"total\":5,\"committed\":2,\"running\":2,"
-                      "\"pending\":1,\"staged\":0}"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"frames\":{\"received\":7,\"dropped\":3}"),
-            std::string::npos)
-      << body;
-  // Worker 0 is fresh, worker 1 exceeds the 2 s staleness threshold.
-  EXPECT_NE(body.find("{\"worker\":0,\"leg\":2,\"attempt\":1,"
-                      "\"heartbeat_age_s\":0.1,\"frames\":4,"
-                      "\"stale\":false}"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("{\"worker\":1,\"leg\":3,\"attempt\":2,"
-                      "\"heartbeat_age_s\":5,\"frames\":3,\"stale\":true}"),
-            std::string::npos)
-      << body;
-}
-
-TEST(MonitorServer, FleetHeartbeatAgesStaleCorrectAtScrapeTime) {
-  // A driver that publishes once and then wedges must read as stale too:
-  // the server adds the time since the last fleet publish to every age.
-  double now = 10.0;
-  MonitorServerOptions options;
-  options.clock = [&now] { return now; };
-  MonitorServer server(options);
-  telemetry::FleetStatus fleet;
-  fleet.workers_configured = 1;
-  fleet.active = {{0, 0, 1, 0.05, 1}};
-  server.PublishFleet(fleet);
-
-  EXPECT_NE(BodyOf(server.HandleGet("/fleet")).find("\"stale\":false"),
-            std::string::npos);
-  now = 20.0;  // 10 s later, no new publish.
-  const std::string body = BodyOf(server.HandleGet("/fleet"));
-  EXPECT_NE(body.find("\"heartbeat_age_s\":10.05"), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"stale\":true"), std::string::npos) << body;
-}
-
-TEST(MonitorServer, MetricsFederateWorkerSeriesWithLabels) {
-  MonitorServerOptions options;
-  options.clock = [] { return 0.0; };
-  MonitorServer server(options);
-
-  telemetry::FederatedRegistry registry;
-  telemetry::WorkerFrame frame;
-  frame.leg = 0;
-  frame.seq = 1;
-  {
-    telemetry::Recorder scratch;
-    scratch.counter("policy.full_refreshes").Add(11);
-    frame.delta = scratch.Snapshot();
-  }
-  registry.Absorb("0", frame);
-  frame.leg = 1;
-  frame.frames_dropped = 2;
-  registry.Absorb("1", frame);
-
-  telemetry::Recorder recorder;
-  recorder.counter("runtime.legs").Add(2);
-  server.Publish(recorder);
-  server.PublishFederation(registry);
-  server.PublishFleet(DemoFleet());
-
-  const std::string body = BodyOf(server.HandleGet("/metrics"));
-  // Per-worker series carry {worker,leg} labels under the fed_ namespace.
-  EXPECT_NE(body.find("# TYPE vrl_fed_policy_full_refreshes_total counter"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("vrl_fed_policy_full_refreshes_total{worker=\"0\","
-                      "leg=\"leg0\"} 11"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("vrl_fed_policy_full_refreshes_total{worker=\"1\","
-                      "leg=\"leg1\"} 11"),
-            std::string::npos)
-      << body;
-  // Federation meta counters expose the exact drop accounting.
-  EXPECT_NE(body.find("vrl_fed_frames_total 2"), std::string::npos) << body;
-  EXPECT_NE(body.find("vrl_fed_frames_dropped_total 2"), std::string::npos)
-      << body;
-  // Fleet liveness gauges ride along for the watchdog and dashboards.
-  EXPECT_NE(body.find("vrl_fleet_workers_configured 2"), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("vrl_fleet_max_heartbeat_age_s 5"), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("vrl_fleet_crashes_total 1"), std::string::npos)
-      << body;
-}
-
-TEST(MonitorServer, FleetGaugesRenderOnceWhenSampledViewCarriesThem) {
-  // The fleet glue samples fleet.* gauges into the snapshot for the
-  // watchdog; /metrics must elide that copy in favour of the
-  // stale-corrected fleet appendix, or scrapes carry duplicate TYPE lines
-  // and fail the exposition grammar (scripts/check_metrics.py).
-  MonitorServerOptions options;
-  options.clock = [] { return 0.0; };
-  MonitorServer server(options);
-  telemetry::Recorder view;
-  view.gauge("fleet.workers_active").Set(2.0);
-  view.gauge("fleet.max_heartbeat_age_s").Set(0.1);
-  server.Publish(view);
-  server.PublishFleet(DemoFleet());
-
-  const std::string body = BodyOf(server.HandleGet("/metrics"));
-  const auto count = [&body](std::string_view needle) {
-    std::size_t n = 0;
-    for (std::size_t at = body.find(needle); at != std::string::npos;
-         at = body.find(needle, at + 1)) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count("# TYPE vrl_fleet_workers_active gauge"), 1u) << body;
-  EXPECT_EQ(count("# TYPE vrl_fleet_max_heartbeat_age_s gauge"), 1u) << body;
-  // The appendix value (publish-time age 5 from DemoFleet) wins over the
-  // sampled copy.
-  EXPECT_NE(body.find("vrl_fleet_max_heartbeat_age_s 5"), std::string::npos)
-      << body;
-  EXPECT_EQ(body.find("vrl_fleet_max_heartbeat_age_s 0.1"),
-            std::string::npos)
-      << body;
-}
-
 TEST(MonitorServer, RunsEndpointSplicesLegProgress) {
   MonitorServer server;
   LegProgress progress;
   progress.campaign = "fault_campaign";
   progress.total = 3;
   progress.committed = 2;
-  progress.running = 1;
   progress.resumed = 1;
   server.PublishLegProgress(progress);
   const std::string body = BodyOf(server.HandleGet("/runs"));
   EXPECT_NE(body.find("\"legs\":{\"campaign\":\"fault_campaign\","
-                      "\"total\":3,\"committed\":2,\"running\":1,"
-                      "\"pending\":0,\"staged\":0,\"resumed\":1}"),
+                      "\"total\":3,\"committed\":2,\"resumed\":1}"),
             std::string::npos)
       << body;
   EXPECT_NE(body.find("\"runs\":["), std::string::npos) << body;
@@ -1070,59 +876,6 @@ TEST(MonitorServer, EphemeralBindAnnouncesTheChosenPort) {
   EXPECT_NE(log.find(expected), std::string::npos) << log;
   // The announced endpoint really serves.
   EXPECT_EQ(StatusOf(HttpGet(server.port(), "/readyz")), 503);
-}
-
-TEST(FleetIntegration, HungWorkerGoesStaleAndFlipsTheWatchdogToDegraded) {
-  // End-to-end over the real supervisor: a child that hangs (the chaos
-  // hook, docs/RESILIENCE.md) stops heartbeating, the fleet callback sees
-  // its age grow, /fleet renders it stale, and the max_worker_stale_s rule
-  // degrades the watchdog — while the run itself still completes by
-  // degrading the leg in-process.
-  ::setenv("VRL_WORKER_CRASH", "hang", 1);
-  MonitorServerOptions server_options;
-  server_options.fleet_stale_after_s = 0.1;
-  MonitorServer server(server_options);
-  WatchdogRules rules;
-  rules.max_worker_stale_s = 0.1;
-  rules.breach_samples = 1;
-  SloWatchdog watchdog(rules);
-
-  bool saw_stale = false;
-  bool saw_degraded = false;
-  double now_s = 0.0;
-  runtime::RuntimeOptions options;
-  options.workers = 1;
-  options.leg_timeout_s = 0.5;
-  options.max_retries = 1;
-  options.degrade_after = 1;
-  options.fleet_interval_s = 0.02;
-  options.on_fleet = [&](const telemetry::FleetStatus& status) {
-    server.PublishFleet(status);
-    if (BodyOf(server.HandleGet("/fleet")).find("\"stale\":true") !=
-        std::string::npos) {
-      saw_stale = true;
-    }
-    double max_age = 0.0;
-    for (const telemetry::FleetWorkerStatus& worker : status.active) {
-      max_age = std::max(max_age, worker.heartbeat_age_s);
-    }
-    telemetry::Recorder view;
-    view.gauge("fleet.max_heartbeat_age_s").Set(max_age);
-    now_s += 1.0;
-    if (watchdog.Sample(view.Snapshot(), now_s) == HealthState::kDegraded) {
-      saw_degraded = true;
-    }
-  };
-
-  const auto payloads = runtime::RunJournaledLegs(
-      "hang_fleet", 61, 1,
-      [](std::size_t leg) { return "leg" + std::to_string(leg); }, options,
-      nullptr);
-  ::unsetenv("VRL_WORKER_CRASH");
-  ASSERT_EQ(payloads.size(), 1u);
-  EXPECT_EQ(payloads[0], "leg0");
-  EXPECT_TRUE(saw_stale);
-  EXPECT_TRUE(saw_degraded);
 }
 
 }  // namespace

@@ -245,36 +245,24 @@ TEST(FlagTable, WatchdogTakesARulesPathAndRequiresIt) {
 TEST(FlagTable, ResilienceFlagsParseAndValidate) {
   const ReportOptions defaults = Parse({});
   EXPECT_TRUE(defaults.resume_path.empty());
-  EXPECT_EQ(defaults.workers, 0u);
-  EXPECT_EQ(defaults.leg_timeout_s, 120.0);
-  EXPECT_EQ(defaults.max_retries, 3u);
 
   std::string workload;
   const ReportOptions options =
-      Parse({"--resume", "run.journal", "--workers", "4", "--leg-timeout",
-             "2.5", "--max-retries", "7", "VRL"},
-            {{"workload", &workload}});
+      Parse({"--resume", "run.journal", "VRL"}, {{"workload", &workload}});
   EXPECT_EQ(options.resume_path, "run.journal");
-  EXPECT_EQ(options.workers, 4u);
-  EXPECT_EQ(options.leg_timeout_s, 2.5);
-  EXPECT_EQ(options.max_retries, 7u);
   EXPECT_EQ(workload, "VRL");
 
   EXPECT_THROW(Parse({"--resume"}), ConfigError);
-  EXPECT_THROW(Parse({"--workers", "two"}), ConfigError);
-  EXPECT_THROW(Parse({"--max-retries", "-1"}), ConfigError);
-  EXPECT_THROW(Parse({"--leg-timeout", "0"}), ConfigError);
-  EXPECT_THROW(Parse({"--leg-timeout", "fast"}), ConfigError);
+  // Legs run in-process only: the worker-pool flags are unknown.
+  EXPECT_THROW(Parse({"--workers", "2"}), ConfigError);
+  EXPECT_THROW(Parse({"--leg-timeout", "9"}), ConfigError);
+  EXPECT_THROW(Parse({"--max-retries", "1"}), ConfigError);
 }
 
 TEST(FlagTable, MakeRuntimeOptionsMapsTheResilienceFlags) {
-  const runtime::RuntimeOptions runtime = MakeRuntimeOptions(
-      Parse({"--resume", "j.jsonl", "--workers", "3", "--leg-timeout", "9",
-             "--max-retries", "1"}));
+  const runtime::RuntimeOptions runtime =
+      MakeRuntimeOptions(Parse({"--resume", "j.jsonl"}));
   EXPECT_EQ(runtime.journal_path, "j.jsonl");
-  EXPECT_EQ(runtime.workers, 3u);
-  EXPECT_EQ(runtime.leg_timeout_s, 9.0);
-  EXPECT_EQ(runtime.max_retries, 1u);
 }
 
 TEST(FlagTable, AcceptsOnlyTheDeclaredGroupsAndRows) {
@@ -414,11 +402,20 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
                            "--windows 1 --subarrays"}) {
     EXPECT_EQ(RunBinary("refresh_tournament", args), 2) << args;
   }
-  // Every binary rejects a trailing flag and a malformed resilience flag
-  // (an unknown flag where the binary has no runtime group).
+  // Every binary rejects a trailing flag and a removed worker-pool flag.
   for (const auto& [binary, path] : Binaries()) {
     for (const char* args : {"--json", "--leg-timeout 9x"}) {
       EXPECT_EQ(RunBinary(binary, args), 2) << binary << " " << args;
+    }
+  }
+  // The journaled campaigns run legs in-process only.
+  for (const char* binary : {"fault_campaign", "design_space"}) {
+    for (const char* args :
+         {"--workers 2", "--leg-timeout 9", "--max-retries 1"}) {
+      std::string err;
+      EXPECT_EQ(RunBinary(binary, args, &err), 2) << binary << " " << args;
+      EXPECT_EQ(err.rfind("error: ", 0), 0u) << binary << " " << args;
+      EXPECT_EQ(err.find('\n'), err.size() - 1) << binary << " " << err;
     }
   }
   // The examples that parse numbers of their own share the same rules.
@@ -457,7 +454,7 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
   // A shared flag the binary does not read; default --trace-out.
   const std::map<std::string, std::string> unread = {
       {"fig3_retention_binning", "--preset DDR4_2400"},
-      {"quickstart", "--workers 2"},
+      {"quickstart", "--resume q.journal"},
       {"fault_campaign", "--preset DDR4_2400"},
       {"design_space", "--profile"},
       {"microbench", "--json x"},

@@ -1,10 +1,9 @@
 // Tests for the crash-tolerant execution runtime (src/runtime/): the leg
 // journal's durability and corruption handling, the payload codec's exact
-// round trips, the supervised worker pool's retry/degradation ladder, and
-// the headline guarantee — a crashed-and-resumed campaign produces results
-// byte-identical to an uninterrupted one.
+// round trips and strict decoding, and the headline guarantee — a
+// crashed-and-resumed campaign produces results byte-identical to an
+// uninterrupted one.
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -32,7 +31,6 @@
 #include "runtime/journal.hpp"
 #include "runtime/resilient.hpp"
 #include "runtime/runner.hpp"
-#include "runtime/supervisor.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace {
@@ -55,18 +53,6 @@ std::string DemoLeg(std::size_t leg) {
   return "leg " + std::to_string(leg) + "\nsquare " +
          std::to_string(leg * leg) + "\n";
 }
-
-/// Environment-variable guard: sets on construction, unsets on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 // -- FNV-1a 64 ---------------------------------------------------------------
 
@@ -108,6 +94,21 @@ TEST(Codec, TokenEscapingRoundTrips) {
   }
   // The empty string needs a non-empty token to survive tokenization.
   EXPECT_FALSE(runtime::EscapeToken("").empty());
+}
+
+TEST(Codec, MalformedEscapesAndCountsAreParseErrors) {
+  // Two hex digits and nothing else: no sign, no whitespace, no prefix.
+  for (const char* token : {"a%-1", "a% 1", "a%+1", "a%0x", "a%G1", "a%4"}) {
+    EXPECT_THROW(runtime::UnescapeToken(token), ParseError) << token;
+  }
+  EXPECT_EQ(runtime::UnescapeToken("a%41"), "aA");
+  for (const char* line :
+       {"metric c counter -1\nend_metrics\n",
+        "metric c counter +1\nend_metrics\n",
+        "metric c counter 1x\nend_metrics\n"}) {
+    runtime::LineCursor cursor(line);
+    EXPECT_THROW(runtime::DecodeSnapshot(cursor), ParseError) << line;
+  }
 }
 
 TEST(Codec, SnapshotRoundTripDropsTimersOnly) {
@@ -246,6 +247,43 @@ TEST(LegJournal, HeaderMismatchRefusesResume) {
   EXPECT_THROW(runtime::LegJournal(path, "demo", 8, 3), ConfigError);
   EXPECT_THROW(runtime::LegJournal(path, "other", 7, 3), ConfigError);
   EXPECT_THROW(runtime::LegJournal(path, "demo", 7, 4), ConfigError);
+}
+
+/// A journal line sealed with a valid checksum, so only its fields can be
+/// at fault.
+std::string SealedLine(const std::string& prefix) {
+  const std::string body = prefix + ",\"crc\":\"";
+  return body + runtime::ToHex16(runtime::Fnv1a64(body)) + "\"}";
+}
+
+TEST(LegJournal, MalformedEscapesAndIndicesAreParseErrors) {
+  for (const char* text : {"\\u 041", "\\u+041", "\\u-041", "\\u0x41"}) {
+    EXPECT_THROW(runtime::JsonUnescape(text), ParseError) << text;
+  }
+  EXPECT_EQ(runtime::JsonUnescape("\\u0041"), "A");
+
+  // A checksummed leg record whose index digits strtoull would accept.
+  const std::string path = TempPath("journal_index.jsonl");
+  std::remove(path.c_str());
+  { runtime::LegJournal journal(path, "demo", 4, 2); }
+  const std::string header = ReadFile(path);
+  const std::string digest = runtime::ToHex16(runtime::Fnv1a64(DemoLeg(0)));
+  const auto write_leg = [&](const std::string& index) {
+    std::ofstream(path, std::ios::trunc)
+        << header
+        << SealedLine("{\"type\":\"leg\",\"index\":" + index +
+                      ",\"digest\":\"" + digest +
+                      "\",\"payload\":\"leg 0\\nsquare 0\\n\"")
+        << '\n';
+  };
+  for (const char* index : {" 0", "+0", "-0", "0x"}) {
+    write_leg(index);
+    EXPECT_THROW(runtime::LegJournal(path, "demo", 4, 2), ParseError)
+        << index;
+  }
+  // The well-formed record loads, so the cases above fail on the index.
+  write_leg("0");
+  EXPECT_EQ(runtime::LegJournal(path, "demo", 4, 2).committed().size(), 1u);
 }
 
 TEST(LegJournal, PayloadsSurviveEscapingHostileBytes) {
@@ -481,325 +519,6 @@ TEST(CrashResume, ExternalSigkillMidCampaignResumes) {
   EXPECT_EQ(resumed, clean);
 }
 
-// -- Supervised workers ------------------------------------------------------
-
-TEST(Workers, HealthyPoolMatchesInProcessExecution) {
-  runtime::RuntimeOptions inproc;
-  const auto expected =
-      runtime::RunJournaledLegs("pool_demo", 31, 5, DemoLeg, inproc);
-
-  runtime::RuntimeOptions workers;
-  workers.workers = 2;
-  runtime::RunnerStats stats;
-  const auto actual =
-      runtime::RunJournaledLegs("pool_demo", 31, 5, DemoLeg, workers, &stats);
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(stats.worker_crashes, 0u);
-  EXPECT_EQ(stats.leg_degradations, 0u);
-  EXPECT_FALSE(stats.pool_degraded);
-}
-
-TEST(Workers, CrashingWorkerRetriesThenDegradesPerLeg) {
-  ScopedEnv crash("VRL_WORKER_CRASH", "kill");
-  telemetry::Recorder runtime_rec;
-  runtime::RuntimeOptions options;
-  options.workers = 1;
-  options.max_retries = 2;
-  options.degrade_after = 100;  // Keep the pool alive; degrade per leg.
-  options.backoff_base_s = 0.01;
-  options.backoff_cap_s = 0.05;
-  options.runtime_telemetry = &runtime_rec;
-
-  runtime::RunnerStats stats;
-  const auto payloads =
-      runtime::RunJournaledLegs("crashy", 41, 2, DemoLeg, options, &stats);
-
-  // Every worker attempt died, yet the campaign finished with correct
-  // results: each leg burned its 2 attempts, retried once with backoff,
-  // then fell back to in-process execution (which ignores the chaos env).
-  ASSERT_EQ(payloads.size(), 2u);
-  EXPECT_EQ(payloads[0], DemoLeg(0));
-  EXPECT_EQ(payloads[1], DemoLeg(1));
-  EXPECT_EQ(stats.worker_crashes, 4u);  // 2 legs x 2 attempts.
-  EXPECT_EQ(stats.worker_retries, 2u);  // 1 retry per leg.
-  EXPECT_EQ(stats.leg_degradations, 2u);
-  EXPECT_FALSE(stats.pool_degraded);
-
-  const auto snapshot = runtime_rec.Snapshot();
-  EXPECT_EQ(snapshot.metrics.at("runtime.worker_crashes").count, 4u);
-  EXPECT_EQ(snapshot.metrics.at("runtime.worker_retries").count, 2u);
-  EXPECT_EQ(snapshot.metrics.at("runtime.leg_degradations").count, 2u);
-}
-
-TEST(Workers, ConsecutiveFailuresDegradeTheWholePool) {
-  ScopedEnv crash("VRL_WORKER_CRASH", "kill");
-  runtime::RuntimeOptions options;
-  options.workers = 2;
-  options.max_retries = 3;
-  options.degrade_after = 2;  // Give up on workers quickly.
-  options.backoff_base_s = 0.01;
-
-  runtime::RunnerStats stats;
-  const auto payloads =
-      runtime::RunJournaledLegs("doomed", 43, 4, DemoLeg, options, &stats);
-  ASSERT_EQ(payloads.size(), 4u);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(payloads[i], DemoLeg(i));
-  }
-  EXPECT_TRUE(stats.pool_degraded);
-  EXPECT_GE(stats.worker_crashes, 2u);
-}
-
-TEST(Workers, HangingWorkerTimesOutAndRecovers) {
-  ScopedEnv hang("VRL_WORKER_CRASH", "hang");
-  runtime::RuntimeOptions options;
-  options.workers = 1;
-  options.leg_timeout_s = 0.2;  // A silent child is dead after 200 ms.
-  options.max_retries = 1;
-  options.degrade_after = 1;
-
-  runtime::RunnerStats stats;
-  const auto payloads =
-      runtime::RunJournaledLegs("hung", 47, 2, DemoLeg, options, &stats);
-  ASSERT_EQ(payloads.size(), 2u);
-  EXPECT_EQ(payloads[0], DemoLeg(0));
-  EXPECT_GE(stats.worker_timeouts, 1u);
-  EXPECT_TRUE(stats.pool_degraded);
-}
-
-TEST(Workers, WorkerErrorFrameSurfacesTheMessage) {
-  // A leg that *throws* in the worker reports an 'E' frame; after retries
-  // it degrades in-process, where the same throw must finally propagate.
-  runtime::RuntimeOptions options;
-  options.workers = 1;
-  options.max_retries = 1;
-  options.degrade_after = 100;
-  runtime::RunnerStats stats;
-  try {
-    runtime::RunJournaledLegs(
-        "throwy", 53, 1,
-        [](std::size_t) -> std::string {
-          throw ConfigError("synthetic leg failure");
-        },
-        options, &stats);
-    FAIL() << "expected the leg exception to propagate";
-  } catch (const std::exception& error) {
-    EXPECT_NE(std::string(error.what()).find("synthetic leg failure"),
-              std::string::npos);
-  }
-  EXPECT_GE(stats.worker_errors, 1u);
-}
-
-TEST(Workers, InvalidOptionsThrow) {
-  runtime::WorkerPoolOptions bad;
-  bad.workers = 0;
-  EXPECT_THROW(runtime::RunSupervised(
-                   0, 1, DemoLeg, [](std::size_t, const std::string&) {}, bad,
-                   nullptr),
-               ConfigError);
-  bad.workers = 1;
-  bad.leg_timeout_s = -1.0;
-  EXPECT_THROW(runtime::RunSupervised(
-                   0, 1, DemoLeg, [](std::size_t, const std::string&) {}, bad,
-                   nullptr),
-               ConfigError);
-}
-
-// -- Fleet telemetry federation (docs/OBSERVABILITY.md) ----------------------
-
-/// Decodes the supervisor 'S' frame at the start of `data`, returning the
-/// frame and advancing `data` past it.
-telemetry::WorkerFrame DecodeSFrame(std::string_view& data) {
-  EXPECT_GE(data.size(), 9u);
-  EXPECT_EQ(data[0], 'S');
-  std::uint64_t length = 0;
-  for (int i = 0; i < 8; ++i) {
-    length |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(data[1 + static_cast<std::size_t>(
-                                                          i)]))
-              << (8 * i);
-  }
-  EXPECT_GE(data.size(), 9 + length);
-  const std::string payload(data.substr(9, length));
-  data.remove_prefix(9 + static_cast<std::size_t>(length));
-  runtime::LineCursor cursor(payload);
-  return runtime::DecodeWorkerFrame(cursor);
-}
-
-/// Drains everything currently readable from `fd` without blocking.
-std::string DrainPipe(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  std::string data;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof buffer);
-    if (n <= 0) {
-      break;
-    }
-    data.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::fcntl(fd, F_SETFL, flags);
-  return data;
-}
-
-TEST(Codec, WorkerFrameRoundTrips) {
-  telemetry::WorkerFrame frame;
-  frame.leg = 2;
-  frame.attempt = 3;
-  frame.seq = 7;
-  frame.frames_dropped = 4;
-  frame.events_recorded = 99;
-  frame.events_dropped = 5;
-  telemetry::Recorder scratch;
-  scratch.counter("policy.full_refreshes").Add(12);
-  scratch.gauge("campaign.progress_cycles").Set(1.5);
-  scratch.histogram("policy.slack", {1.0, 2.0, 4.0}).Observe(3.0);
-  frame.delta = scratch.Snapshot();
-  frame.events = 2;
-
-  std::ostringstream os;
-  runtime::EncodeWorkerFrame(os, frame);
-  runtime::LineCursor cursor(os.str());
-  EXPECT_EQ(runtime::DecodeWorkerFrame(cursor), frame);
-}
-
-TEST(Workers, TelemetryFramesFederateAcrossThePool) {
-  // Worker children publish their leg's counters as 'S' frames; the driver
-  // must see every delta exactly once and fold a correct aggregate, while
-  // the result payloads stay byte-identical to in-process execution.
-  const auto leg_fn = [](std::size_t leg) {
-    if (runtime::InWorkerChild()) {
-      telemetry::Recorder rec;
-      rec.counter("demo.widgets").Add(leg + 1);
-      rec.lineage().Add(
-          {telemetry::EventKind::kFullRefresh, 0, leg, 0, 0, 0.0});
-      runtime::WorkerPublishTelemetry(rec, /*force=*/true);
-    }
-    return DemoLeg(leg);
-  };
-
-  telemetry::FederatedRegistry registry;
-  std::vector<telemetry::FleetStatus> fleets;
-  runtime::RuntimeOptions options;
-  options.workers = 2;
-  options.fleet_interval_s = 0.01;
-  options.on_worker_frame = [&](std::size_t worker,
-                                const telemetry::WorkerFrame& frame) {
-    registry.Absorb(std::to_string(worker), frame);
-  };
-  options.on_fleet = [&](const telemetry::FleetStatus& fleet) {
-    fleets.push_back(fleet);
-  };
-
-  const auto payloads =
-      runtime::RunJournaledLegs("federated", 59, 4, leg_fn, options);
-  ASSERT_EQ(payloads.size(), 4u);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(payloads[i], DemoLeg(i));  // Frames never touch results.
-  }
-
-  // 1+2+3+4 widgets across four legs, no frame lost on a healthy pipe.
-  EXPECT_EQ(registry.Aggregate().metrics.at("demo.widgets").count, 10u);
-  EXPECT_EQ(registry.members().size(), 4u);  // One member per (worker, leg).
-  EXPECT_GE(registry.frames_received(), 4u);
-  EXPECT_EQ(registry.frames_dropped(), 0u);
-  EXPECT_EQ(registry.events_received(), 4u);
-
-  ASSERT_FALSE(fleets.empty());
-  const telemetry::FleetStatus& last = fleets.back();
-  EXPECT_EQ(last.workers_configured, 2u);
-  EXPECT_EQ(last.legs_total, 4u);
-  EXPECT_EQ(last.legs_committed, 4u);
-  EXPECT_EQ(last.legs_running, 0u);
-  EXPECT_EQ(last.legs_pending, 0u);
-  EXPECT_EQ(last.frames_received, registry.frames_received());
-  EXPECT_FALSE(last.pool_degraded);
-}
-
-TEST(Workers, SlowPipeDropsWholeFramesAndCountsThemExactly) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-#ifdef F_SETPIPE_SZ
-  ::fcntl(fds[1], F_SETPIPE_SZ, 4096);  // Artificially tiny pipe.
-#endif
-  const int previous = runtime::SetWorkerPipeForTesting(fds[1]);
-  telemetry::Recorder rec;
-
-  rec.counter("demo.ticks").Add(3);
-  runtime::WorkerPublishTelemetry(rec, /*force=*/true);  // Delivered.
-
-  // Fill the pipe to the last byte so the next frame cannot even start.
-  const int flags = ::fcntl(fds[1], F_GETFL);
-  ::fcntl(fds[1], F_SETFL, flags | O_NONBLOCK);
-  const char filler = '#';
-  while (::write(fds[1], &filler, 1) == 1) {
-  }
-  ::fcntl(fds[1], F_SETFL, flags);
-
-  rec.counter("demo.ticks").Add(4);
-  runtime::WorkerPublishTelemetry(rec, /*force=*/true);  // Dropped whole.
-
-  std::string first = DrainPipe(fds[0]);
-  std::string_view first_view = first;
-  const telemetry::WorkerFrame delivered = DecodeSFrame(first_view);
-  EXPECT_EQ(delivered.seq, 1u);
-  EXPECT_EQ(delivered.frames_dropped, 0u);
-  EXPECT_EQ(delivered.delta.metrics.at("demo.ticks").count, 3u);
-  // Whatever remains is filler, never a torn frame.
-  EXPECT_EQ(first_view.find('S'), std::string_view::npos);
-
-  rec.counter("demo.ticks").Add(5);
-  runtime::WorkerPublishTelemetry(rec, /*force=*/true);  // Delivered again.
-  std::string second = DrainPipe(fds[0]);
-  std::string_view second_view = second;
-  const telemetry::WorkerFrame recovered = DecodeSFrame(second_view);
-
-  // The delivered frame after a drop carries the accumulated delta (4+5)
-  // and the cumulative drop counter — nothing was lost, only freshness.
-  EXPECT_EQ(recovered.seq, 2u);
-  EXPECT_EQ(recovered.frames_dropped, 1u);
-  EXPECT_EQ(recovered.delta.metrics.at("demo.ticks").count, 9u);
-
-  telemetry::FederatedRegistry registry;
-  registry.Absorb("0", delivered);
-  registry.Absorb("0", recovered);
-  EXPECT_EQ(registry.Aggregate().metrics.at("demo.ticks").count, 12u);
-  EXPECT_EQ(registry.frames_dropped(), 1u);
-
-  runtime::SetWorkerPipeForTesting(previous);
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(Workers, TryWriteFrameFinishesAStartedFrame) {
-  // A frame larger than the pipe begins with a partial non-blocking write;
-  // the rest must be written blocking so the stream stays framed.
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-#ifdef F_SETPIPE_SZ
-  ::fcntl(fds[1], F_SETPIPE_SZ, 4096);
-#endif
-  const std::string frame =
-      runtime::FrameMessage('S', std::string(32768, 'x'));
-  std::string received;
-  std::thread reader([&] {
-    char buffer[4096];
-    for (;;) {
-      const ssize_t n = ::read(fds[0], buffer, sizeof buffer);
-      if (n <= 0) {
-        break;
-      }
-      received.append(buffer, static_cast<std::size_t>(n));
-    }
-  });
-  EXPECT_TRUE(runtime::TryWriteFrame(fds[1], frame));
-  ::close(fds[1]);
-  reader.join();
-  ::close(fds[0]);
-  EXPECT_EQ(received, frame);
-}
-
 // -- Resilient drivers == core drivers ---------------------------------------
 
 TEST(Resilient, RunSweepMatchesCore) {
@@ -813,12 +532,6 @@ TEST(Resilient, RunSweepMatchesCore) {
   const auto inproc = runtime::RunSweep(base, points, workload, 2,
                                         runtime::RuntimeOptions{});
   EXPECT_EQ(inproc, expected);
-
-  runtime::RuntimeOptions workers;
-  workers.workers = 2;
-  const auto supervised =
-      runtime::RunSweep(base, points, workload, 2, workers);
-  EXPECT_EQ(supervised, expected);
 }
 
 TEST(Resilient, RunSweepResumesFromJournal) {

@@ -24,7 +24,6 @@
 #include "dram/policy_registry.hpp"
 #include "retention/vrt.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/federation.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace vrl::telemetry {
@@ -311,90 +310,6 @@ TEST(VrlSystemTelemetry, SimulatePopulatesPolicyAndDramMetrics) {
   EXPECT_GT(snapshot.metrics.at("policy.full_refreshes").count, 0u);
   ASSERT_GT(snapshot.metrics.count("policy.partial_refreshes"), 0u);
   EXPECT_GT(snapshot.metrics.at("policy.partial_refreshes").count, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fleet federation (federation.hpp, docs/OBSERVABILITY.md)
-// ---------------------------------------------------------------------------
-
-WorkerFrame MakeFrame(std::size_t leg, std::uint64_t seq,
-                      std::uint64_t counter_delta,
-                      std::uint64_t frames_dropped = 0,
-                      std::size_t attempt = 1) {
-  WorkerFrame frame;
-  frame.leg = leg;
-  frame.attempt = attempt;
-  frame.seq = seq;
-  frame.frames_dropped = frames_dropped;
-  frame.events_recorded = seq;
-  frame.events = 1;
-  Recorder scratch;
-  scratch.counter("policy.full_refreshes").Add(counter_delta);
-  scratch.gauge("campaign.progress_cycles").Set(static_cast<double>(seq));
-  frame.delta = scratch.Snapshot();
-  return frame;
-}
-
-TEST(FederatedRegistry, MembersKeyedByWorkerAndLeg) {
-  FederatedRegistry registry;
-  registry.Absorb("0", MakeFrame(0, 1, 10));
-  registry.Absorb("0", MakeFrame(0, 2, 5));
-  registry.Absorb("1", MakeFrame(1, 1, 7));
-
-  ASSERT_EQ(registry.members().size(), 2u);
-  const auto& first = registry.members().at({"0", "leg0"});
-  EXPECT_EQ(first.frames, 2u);
-  EXPECT_EQ(first.snapshot.metrics.at("policy.full_refreshes").count, 15u);
-  // The synthetic per-member counters keep every member's series monotone
-  // even when the leg's own counters are quiet.
-  EXPECT_EQ(first.snapshot.metrics.at("worker.frames_total").count, 2u);
-  const auto& second = registry.members().at({"1", "leg1"});
-  EXPECT_EQ(second.snapshot.metrics.at("policy.full_refreshes").count, 7u);
-  EXPECT_EQ(registry.frames_received(), 3u);
-  EXPECT_EQ(registry.events_received(), 3u);
-}
-
-TEST(FederatedRegistry, AggregateIsOrderInvariantAcrossMembers) {
-  // Per-member streams keep their arrival order, but interleaving across
-  // *different* members must not change the aggregate — ShardedRecorder's
-  // sorted-fold semantics with labels as the shard index.
-  FederatedRegistry a;
-  a.Absorb("0", MakeFrame(0, 1, 10));
-  a.Absorb("1", MakeFrame(1, 1, 3));
-  a.Absorb("0", MakeFrame(0, 2, 2));
-
-  FederatedRegistry b;
-  b.Absorb("1", MakeFrame(1, 1, 3));
-  b.Absorb("0", MakeFrame(0, 1, 10));
-  b.Absorb("0", MakeFrame(0, 2, 2));
-
-  const MetricsSnapshot left = a.Aggregate();
-  EXPECT_EQ(left, b.Aggregate());
-  EXPECT_EQ(left.metrics.at("policy.full_refreshes").count, 15u);
-
-  std::ostringstream left_text;
-  std::ostringstream right_text;
-  WriteMetricsJsonl(left_text, left);
-  WriteMetricsJsonl(right_text, b.Aggregate());
-  EXPECT_EQ(left_text.str(), right_text.str());
-}
-
-TEST(FederatedRegistry, DropAccountingSumsLatestCumulativePerAttempt) {
-  FederatedRegistry registry;
-  // Attempt 1 of worker 0 reports a growing cumulative drop counter: only
-  // the latest value counts, not the sum of the reports.
-  registry.Absorb("0", MakeFrame(0, 1, 1, /*frames_dropped=*/0));
-  registry.Absorb("0", MakeFrame(0, 2, 1, /*frames_dropped=*/2));
-  registry.Absorb("0", MakeFrame(0, 3, 1, /*frames_dropped=*/5));
-  EXPECT_EQ(registry.frames_dropped(), 5u);
-  // A retry is a fresh attempt with its own counter; attempts accumulate.
-  registry.Absorb("0", MakeFrame(0, 1, 1, /*frames_dropped=*/1,
-                                 /*attempt=*/2));
-  EXPECT_EQ(registry.frames_dropped(), 6u);
-  // Another worker's drops add on top.
-  registry.Absorb("1", MakeFrame(1, 1, 1, /*frames_dropped=*/3));
-  EXPECT_EQ(registry.frames_dropped(), 9u);
-  EXPECT_EQ(registry.frames_received(), 5u);
 }
 
 }  // namespace
