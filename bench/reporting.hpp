@@ -141,9 +141,8 @@ ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
 
 /// Writes the recorder's attribution tree to `options.profile_path`
 /// (--profile-out) through telemetry::WriteProfileFile, which picks the
-/// format by extension: ".trace.json" the Chrome-trace overlay, ".json"
-/// the vrl.profile.v1 document, ".collapsed"/".folded" flamegraph stacks,
-/// ".txt" the text tree.  --profile-scrub zeroes wall times first.  No-op
+/// format by extension: ".json" the vrl.profile.v1 document, ".collapsed"
+/// flamegraph stacks.  --profile-scrub zeroes wall times first.  No-op
 /// when the path is empty or the recorder has no profiler.
 /// \throws vrl::ConfigError when the file cannot be opened.
 void WriteProfileOutput(const ReportOptions& options,

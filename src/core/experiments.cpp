@@ -91,24 +91,21 @@ std::vector<WorkloadResult> RunEvaluationSuite(
   const auto suite = trace::EvaluationSuite();
   std::vector<WorkloadResult> results(suite.size());
   telemetry::Recorder* sink = ResolveSink(system, options);
-  if (sink == nullptr) {
-    ParallelFor(
-        "evaluation_suite", suite.size(),
-        [&](std::size_t i) {
-          results[i] = RunWorkloadInto(system, suite[i], options, nullptr);
-        },
-        options.threads);
-    return results;
+  std::unique_ptr<telemetry::ShardedRecorder> shards;
+  if (sink != nullptr) {
+    shards = std::make_unique<telemetry::ShardedRecorder>(suite.size(),
+                                                          sink->options());
   }
-  telemetry::ShardedRecorder shards(suite.size(), sink->options());
   ParallelFor(
       "evaluation_suite", suite.size(),
       [&](std::size_t i) {
         results[i] = RunWorkloadInto(system, suite[i], options,
-                                     &shards.shard(i));
+                                     shards ? &shards->shard(i) : nullptr);
       },
       options.threads);
-  shards.MergeInto(*sink);
+  if (shards) {
+    shards->MergeInto(*sink);
+  }
   return results;
 }
 

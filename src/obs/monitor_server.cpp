@@ -10,8 +10,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -44,24 +44,38 @@ std::string_view StatusText(int status) {
   }
 }
 
+/// The value of the one `key` a query may carry, or `absent` when the
+/// query is empty.  The query splits on '&' into key=value pairs;
+/// std::nullopt (a 400) when a pair has no '=', names another key, or
+/// repeats `key`.
+std::optional<std::string_view> OnlyQueryValue(std::string_view query,
+                                               std::string_view key,
+                                               std::string_view absent) {
+  if (query.empty()) {
+    return absent;
+  }
+  std::optional<std::string_view> value;
+  for (;;) {
+    const std::size_t amp = query.find('&');
+    const std::string_view pair = query.substr(0, amp);
+    const std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos || pair.substr(0, eq) != key || value) {
+      return std::nullopt;
+    }
+    value = pair.substr(eq + 1);
+    if (amp == std::string_view::npos) {
+      return value;
+    }
+    query.remove_prefix(amp + 1);
+  }
+}
+
 }  // namespace
 
-MonitorServer::MonitorServer(MonitorServerOptions options,
-                             const ProgressReporter* progress)
-    : options_(std::move(options)), progress_(progress) {
-  if (!options_.clock) {
-    const auto epoch = std::chrono::steady_clock::now();
-    options_.clock = [epoch] {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           epoch)
-          .count();
-    };
-  }
-  bind_address_ = options_.bind_address;
-  if (bind_address_.empty()) {
-    const char* env = std::getenv("VRL_MONITOR_BIND");
-    bind_address_ = env != nullptr && *env != '\0' ? env : "127.0.0.1";
-  }
+MonitorServer::MonitorServer(int port, const ProgressReporter* progress)
+    : progress_(progress) {
+  const char* env = std::getenv("VRL_MONITOR_BIND");
+  bind_address_ = env != nullptr && *env != '\0' ? env : "127.0.0.1";
 
   // A scraper that disconnects mid-response must never kill the campaign:
   // writes to its closed socket would raise SIGPIPE (default: terminate).
@@ -77,7 +91,7 @@ MonitorServer::MonitorServer(MonitorServerOptions options,
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::inet_pton(AF_INET, bind_address_.c_str(), &addr.sin_addr) != 1) {
     ::close(listen_fd_);
     throw ConfigError("MonitorServer: invalid bind address '" +
@@ -87,7 +101,7 @@ MonitorServer::MonitorServer(MonitorServerOptions options,
       0) {
     ::close(listen_fd_);
     throw ConfigError("MonitorServer: cannot bind " + bind_address_ + ":" +
-                      std::to_string(options_.port));
+                      std::to_string(port));
   }
   if (::listen(listen_fd_, 16) != 0) {
     ::close(listen_fd_);
@@ -96,11 +110,6 @@ MonitorServer::MonitorServer(MonitorServerOptions options,
   socklen_t addr_len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = static_cast<int>(ntohs(addr.sin_port));
-
-  if (options_.announce) {
-    std::cerr << "monitor: serving on http://" << bind_address_ << ':'
-              << port_ << std::endl;
-  }
 
   thread_ = std::thread([this] { ServeLoop(); });
 }
@@ -142,7 +151,7 @@ void MonitorServer::Publish(const telemetry::Recorder& recorder) {
     telemetry::WriteLineageLine(line, lineage, record);
     tail.push_back(line.str());
   }
-  const double now_s = options_.clock();
+  const auto now = std::chrono::steady_clock::now();
 
   const std::lock_guard<std::mutex> lock(mutex_);
   published_ = std::move(snapshot);
@@ -158,7 +167,7 @@ void MonitorServer::Publish(const telemetry::Recorder& recorder) {
   }
   ready_ = true;
   ++publishes_;
-  last_publish_s_ = now_s;
+  last_publish_ = now;
 }
 
 void MonitorServer::SetHealth(HealthState state, std::string_view reason) {
@@ -194,14 +203,14 @@ std::string MonitorServer::RenderMetrics() {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++scrapes_metrics_;
   std::ostringstream os;
-  RenderPrometheus(os, published_, options_.prometheus);
+  RenderPrometheus(os, published_);
 
   // Server meta series: exact drop accounting for every bounded channel
   // (recorded = retained + dropped at the moment of the last publish) plus
   // scrape/publish/health state.  The scrape counter increases on every
   // /metrics hit, so two consecutive scrapes always give
   // scripts/check_metrics.py a strictly-increasing counter to check.
-  const std::string& p = options_.prometheus.prefix;
+  const std::string_view p = kMetricPrefix;
   const auto counter = [&](std::string_view name, std::uint64_t value) {
     os << "# TYPE " << p << name << " counter\n"
        << p << name << ' ' << value << '\n';
@@ -220,7 +229,11 @@ std::string MonitorServer::RenderMetrics() {
   gauge("monitor_health", static_cast<double>(health_));
   gauge("monitor_ready", ready_ ? 1.0 : 0.0);
   gauge("monitor_publish_age_s",
-        publishes_ == 0 ? 0.0 : options_.clock() - last_publish_s_);
+        publishes_ == 0 ? 0.0
+                        : std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() -
+                              last_publish_)
+                              .count());
   if (progress_ != nullptr) {
     counter("monitor_fanouts_total", progress_->fanouts_begun());
     counter("monitor_fanouts_finished_total", progress_->fanouts_finished());
@@ -272,19 +285,8 @@ std::string MonitorServer::RenderHealth(int* status) const {
   return body;
 }
 
-std::optional<std::string> MonitorServer::RenderTraceTail(
-    std::string_view query) const {
+std::string MonitorServer::RenderTraceTail(std::size_t last) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t last = options_.trace_tail_default;
-  const std::size_t key = query.find("last=");
-  if (key != std::string_view::npos) {
-    const std::string_view value = query.substr(key + 5);
-    const auto parsed = ParseWholeUnsigned(value.substr(0, value.find('&')));
-    if (!parsed) {
-      return std::nullopt;
-    }
-    last = static_cast<std::size_t>(*parsed);
-  }
   if (last > lineage_tail_.size()) {
     last = lineage_tail_.size();
   }
@@ -340,20 +342,31 @@ std::string MonitorServer::HandleGet(std::string_view target) {
   } else if (path == "/runs") {
     response = BuildResponse(200, "application/json", RenderRuns());
   } else if (path == "/trace") {
-    const std::optional<std::string> body = RenderTraceTail(query);
-    response = body ? BuildResponse(200, "application/x-ndjson", *body)
+    const std::optional<std::string_view> text =
+        OnlyQueryValue(query, "last", "100");
+    const std::optional<std::uint64_t> last =
+        text ? ParseWholeUnsigned(*text) : std::nullopt;
+    response = last ? BuildResponse(200, "application/x-ndjson",
+                                    RenderTraceTail(
+                                        static_cast<std::size_t>(*last)))
                     : BuildResponse(400, "text/plain; charset=utf-8",
                                     "bad request\n");
   } else if (path == "/profile") {
-    const bool collapsed =
-        query.find("format=collapsed") != std::string_view::npos;
-    int status = 200;
-    const std::string body = RenderProfile(collapsed, &status);
-    response = BuildResponse(
-        status,
-        collapsed || status != 200 ? "text/plain; charset=utf-8"
-                                   : "application/json",
-        body);
+    const std::optional<std::string_view> format =
+        OnlyQueryValue(query, "format", "json");
+    if (format != "json" && format != "collapsed") {
+      response = BuildResponse(400, "text/plain; charset=utf-8",
+                               "bad request\n");
+    } else {
+      const bool collapsed = format == "collapsed";
+      int status = 200;
+      const std::string body = RenderProfile(collapsed, &status);
+      response = BuildResponse(
+          status,
+          collapsed || status != 200 ? "text/plain; charset=utf-8"
+                                     : "application/json",
+          body);
+    }
   } else {
     response =
         BuildResponse(404, "text/plain; charset=utf-8", "not found\n");

@@ -1,11 +1,10 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -29,12 +28,18 @@
 ///   GET /runs          JSON progress of ParallelFor fan-outs, plus the
 ///                      journaled-leg total/committed/resumed counts when a
 ///                      journaled campaign publishes them.
-///   GET /trace?last=N  JSONL tail of the refresh-lineage ring.
+///   GET /trace?last=N  JSONL tail of the refresh-lineage ring (the last
+///                      100 records without ?last).
 ///   GET /profile       attribution tree (docs/PROFILING.md) of the last
 ///                      published recorder with a profiler attached, as
 ///                      vrl.profile.v1 JSON; ?format=collapsed renders
-///                      collapsed flamegraph stacks instead.  404 until a
-///                      profiling recorder publishes.
+///                      collapsed flamegraph stacks instead (?format=json
+///                      is the default).  404 until a profiling recorder
+///                      publishes.
+///
+/// The query is split on '&' into key=value pairs: /trace takes only one
+/// `last` (a whole count), /profile only one `format`; any other query —
+/// an unknown or repeated key, a bad value — is a 400.
 ///
 /// The server also observes itself: per-endpoint request counters and the
 /// accumulated scrape duration render in /metrics as the `obs_scrape_*`
@@ -47,28 +52,11 @@
 /// never touches a live Recorder.
 ///
 /// Security: binds 127.0.0.1 unless the VRL_MONITOR_BIND environment
-/// variable (or MonitorServerOptions::bind_address) says otherwise — the
-/// endpoints are unauthenticated introspection, not a public API.
+/// variable says otherwise — the endpoints are unauthenticated
+/// introspection, not a public API.  The port is the server's one setting;
+/// bench::MakeMonitorPlane announces the bound address.
 
 namespace vrl::obs {
-
-struct MonitorServerOptions {
-  /// TCP port; 0 asks the kernel for an ephemeral port (read it back from
-  /// port()).
-  int port = 0;
-  /// Bind address; empty means VRL_MONITOR_BIND when set, else 127.0.0.1.
-  std::string bind_address;
-  /// /metrics rendering knobs.
-  PrometheusOptions prometheus;
-  /// /trace tail length when the request has no ?last=N.
-  std::size_t trace_tail_default = 100;
-  /// Log "monitor: serving on http://<addr>:<port>" to stderr once bound —
-  /// how a caller of port 0 learns the kernel's pick without plumbing.
-  bool announce = false;
-  /// Monotonic seconds source for the publish-age gauge; defaults to
-  /// steady_clock seconds since construction.  Injectable for tests.
-  std::function<double()> clock;
-};
 
 /// Journaled-leg progress of the campaign driving this server — what /runs
 /// reports alongside fan-outs while a journaled run executes.
@@ -81,18 +69,19 @@ struct LegProgress {
 
 class MonitorServer {
  public:
-  /// Binds, listens and starts the server thread.
+  /// Binds `port` (0 asks the kernel for an ephemeral port; read it back
+  /// from port()), listens and starts the server thread.
   /// \param progress optional /runs feed (caller-owned, must outlive the
   ///                 server).
   /// \throws vrl::ConfigError when the socket cannot be bound.
-  explicit MonitorServer(MonitorServerOptions options = {},
+  explicit MonitorServer(int port = 0,
                          const ProgressReporter* progress = nullptr);
   ~MonitorServer();
 
   MonitorServer(const MonitorServer&) = delete;
   MonitorServer& operator=(const MonitorServer&) = delete;
 
-  /// The bound port (the kernel's pick when options.port was 0).
+  /// The bound port (the kernel's pick when the requested port was 0).
   int port() const { return port_; }
   /// The bound address, e.g. "127.0.0.1".
   const std::string& bind_address() const { return bind_address_; }
@@ -123,13 +112,10 @@ class MonitorServer {
   std::string RenderProfile(bool collapsed, int* status) const;
   std::string RenderHealth(int* status) const;
   std::string RenderRuns() const;
-  /// The /trace body; std::nullopt (a 400) when ?last= is not a whole
-  /// count.
-  std::optional<std::string> RenderTraceTail(std::string_view query) const;
+  std::string RenderTraceTail(std::size_t last) const;
   static std::string BuildResponse(int status, std::string_view content_type,
                                    std::string_view body);
 
-  MonitorServerOptions options_;
   const ProgressReporter* progress_;
   std::string bind_address_;
   int listen_fd_ = -1;
@@ -149,9 +135,8 @@ class MonitorServer {
   HealthState health_ = HealthState::kOk;
   std::string health_reason_;
   std::uint64_t publishes_ = 0;
-  double last_publish_s_ = 0.0;
+  std::chrono::steady_clock::time_point last_publish_;
   std::uint64_t scrapes_metrics_ = 0;
-  std::uint64_t scrapes_other_ = 0;
   /// Self-observability (obs_scrape_*): requests served per endpoint and
   /// the total wall time spent building responses.
   std::map<std::string, std::uint64_t> endpoint_hits_;

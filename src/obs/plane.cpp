@@ -9,11 +9,7 @@ MonitorPlane::MonitorPlane(const PlaneOptions& options)
         LoadWatchdogRulesFile(options.watchdog_path));
   }
   if (options.serve) {
-    MonitorServerOptions server_options;
-    server_options.port = options.port;
-    server_options.bind_address = options.bind_address;
-    server_ = std::make_unique<MonitorServer>(std::move(server_options),
-                                              &progress_);
+    server_ = std::make_unique<MonitorServer>(options.port, &progress_);
   }
   previous_observer_ = SetParallelObserver(&progress_);
 }

@@ -25,8 +25,6 @@ struct PlaneOptions {
   int port = 0;
   /// Load watchdog rules from this file (empty = no watchdog).
   std::string watchdog_path;
-  /// Optional bind-address override (else VRL_MONITOR_BIND / 127.0.0.1).
-  std::string bind_address;
 };
 
 class MonitorPlane {

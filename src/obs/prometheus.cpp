@@ -11,16 +11,12 @@ using telemetry::FormatDouble;
 using telemetry::MetricKind;
 using telemetry::MetricValue;
 
-/// Quantile suffix for the gauge name: q = 0.5 -> "p50", 0.999 -> "p99_9".
-std::string QuantileSuffix(double q) {
-  std::string text = FormatDouble(q * 100.0);
-  for (char& c : text) {
-    if (c == '.') {
-      c = '_';
-    }
-  }
-  return "p" + text;
-}
+/// The quantile gauges rendered per non-empty histogram.
+struct QuantileGauge {
+  double q;
+  const char* suffix;
+};
+constexpr QuantileGauge kQuantiles[] = {{0.5, "_p50"}, {0.99, "_p99"}};
 
 void TypeLine(std::ostream& os, const std::string& name,
               std::string_view type) {
@@ -52,10 +48,10 @@ std::string PrometheusDouble(double value) {
 }
 
 void RenderPrometheus(std::ostream& os,
-                      const telemetry::MetricsSnapshot& snapshot,
-                      const PrometheusOptions& options) {
+                      const telemetry::MetricsSnapshot& snapshot) {
   for (const auto& [raw_name, value] : snapshot.metrics) {
-    const std::string name = options.prefix + SanitizeMetricName(raw_name);
+    const std::string name =
+        std::string(kMetricPrefix) + SanitizeMetricName(raw_name);
     switch (value.kind) {
       case MetricKind::kCounter:
         TypeLine(os, name + "_total", "counter");
@@ -77,13 +73,12 @@ void RenderPrometheus(std::ostream& os,
         os << name << "_sum " << PrometheusDouble(value.value) << '\n';
         os << name << "_count " << value.count << '\n';
         if (value.count != 0) {
-          for (const double q : options.quantiles) {
-            const std::string quantile_name =
-                name + '_' + QuantileSuffix(q);
+          for (const QuantileGauge& quantile : kQuantiles) {
+            const std::string quantile_name = name + quantile.suffix;
             TypeLine(os, quantile_name, "gauge");
             os << quantile_name << ' '
                << PrometheusDouble(telemetry::HistogramQuantile(
-                      value.edges, value.counts, q))
+                      value.edges, value.counts, quantile.q))
                << '\n';
           }
         }

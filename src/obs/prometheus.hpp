@@ -3,7 +3,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/metrics.hpp"
 
@@ -21,13 +20,8 @@
 
 namespace vrl::obs {
 
-struct PrometheusOptions {
-  /// Prepended to every metric name (after sanitization).
-  std::string prefix = "vrl_";
-  /// Quantile gauges rendered per histogram via HistogramQuantile
-  /// (`<name>_p50`, `<name>_p99`, ...).  Skipped for empty histograms.
-  std::vector<double> quantiles = {0.5, 0.99};
-};
+/// Prepended to every rendered metric name (after sanitization).
+inline constexpr std::string_view kMetricPrefix = "vrl_";
 
 /// Metric name with every character outside [a-zA-Z0-9_:] replaced by '_'
 /// (the registry's dotted names become underscored Prometheus names).
@@ -37,9 +31,10 @@ std::string SanitizeMetricName(std::string_view name);
 /// "+Inf" / "-Inf" for the specials (which FormatDouble renders as JSON).
 std::string PrometheusDouble(double value);
 
-/// Renders `snapshot` as Prometheus text exposition.
+/// Renders `snapshot` as Prometheus text exposition, each non-empty
+/// histogram followed by its `<name>_p50` and `<name>_p99` quantile gauges
+/// (HistogramQuantile).
 void RenderPrometheus(std::ostream& os,
-                      const telemetry::MetricsSnapshot& snapshot,
-                      const PrometheusOptions& options = {});
+                      const telemetry::MetricsSnapshot& snapshot);
 
 }  // namespace vrl::obs

@@ -318,32 +318,6 @@ fault::CampaignReport DecodeCampaignReport(LineCursor& cursor) {
   return report;
 }
 
-void EncodeWorkloadResult(std::ostream& os,
-                          const core::WorkloadResult& result) {
-  os << "workload " << EscapeToken(result.workload) << ' '
-     << EncodeDouble(result.raidr_overhead) << ' '
-     << EncodeDouble(result.vrl_overhead) << ' '
-     << EncodeDouble(result.vrl_access_overhead) << ' '
-     << EncodeDouble(result.raidr_refresh_power_mw) << ' '
-     << EncodeDouble(result.vrl_refresh_power_mw) << ' '
-     << EncodeDouble(result.vrl_access_refresh_power_mw) << '\n';
-}
-
-core::WorkloadResult DecodeWorkloadResult(LineCursor& cursor) {
-  const std::string& line = cursor.Next();
-  std::istringstream is = OpenRecord(line, "workload");
-  core::WorkloadResult result;
-  result.workload = UnescapeToken(ReadToken(is, "workload name", line));
-  result.raidr_overhead = ReadDouble(is, "raidr overhead", line);
-  result.vrl_overhead = ReadDouble(is, "vrl overhead", line);
-  result.vrl_access_overhead = ReadDouble(is, "vrl-access overhead", line);
-  result.raidr_refresh_power_mw = ReadDouble(is, "raidr power", line);
-  result.vrl_refresh_power_mw = ReadDouble(is, "vrl power", line);
-  result.vrl_access_refresh_power_mw =
-      ReadDouble(is, "vrl-access power", line);
-  return result;
-}
-
 void EncodeSweepResult(std::ostream& os, const core::SweepResult& result) {
   os << "sweep " << result.point.nbits << ' '
      << EncodeDouble(result.point.partial_target) << ' '

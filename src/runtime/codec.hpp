@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/experiments.hpp"
 #include "core/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "telemetry/metrics.hpp"
@@ -72,11 +71,6 @@ telemetry::MetricsSnapshot DecodeSnapshot(LineCursor& cursor);
 void EncodeCampaignReport(std::ostream& os,
                           const fault::CampaignReport& report);
 fault::CampaignReport DecodeCampaignReport(LineCursor& cursor);
-
-/// One evaluation-suite workload result.
-void EncodeWorkloadResult(std::ostream& os,
-                          const core::WorkloadResult& result);
-core::WorkloadResult DecodeWorkloadResult(LineCursor& cursor);
 
 /// One design-space sweep point result.
 void EncodeSweepResult(std::ostream& os, const core::SweepResult& result);

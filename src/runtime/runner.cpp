@@ -118,8 +118,7 @@ std::vector<std::string> RunJournaledLegs(
         if (options.on_leg) {
           options.on_leg(payloads.size(), legs);
         }
-      },
-      options.threads);
+      });
   return payloads;
 }
 

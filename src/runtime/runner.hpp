@@ -13,14 +13,15 @@
 /// then deterministic in-process execution of the remaining legs — the one
 /// engine every resilient driver funnels through.
 ///
-/// A "leg" is one independent unit of a campaign (a sweep point, a suite
-/// workload, one resilience-comparison run).  The caller provides a pure
+/// A "leg" is one independent unit of a campaign (a sweep point, one arm of
+/// fault_campaign's resilience comparison).  The caller provides a pure
 /// `leg_fn(i) -> payload` (encoded via runtime/codec.hpp) and gets back the
 /// full payload vector, assembled from:
 ///
 ///   * the journal's committed prefix (legs a previous, interrupted run
 ///     already finished — skipped entirely on resume), then
-///   * freshly executed legs, run on threads via vrl::ParallelForCommit.
+///   * freshly executed legs, run on threads via vrl::ParallelForCommit
+///     (VRL_THREADS sets how many).
 ///
 /// Commits happen on the calling thread in strictly increasing leg order,
 /// so the journal keeps its contiguous-prefix invariant no matter how legs
@@ -38,9 +39,6 @@ namespace vrl::runtime {
 struct RuntimeOptions {
   /// Write-ahead journal path; empty disables journaling (and resume).
   std::string journal_path;
-
-  /// Threads for leg execution (0 = vrl::DefaultThreadCount()).
-  std::size_t threads = 0;
 
   /// Sink for the runtime's own counters (runtime.*) and lineage records
   /// (leg_resumed, cause "runtime").  Kept separate from the experiment's

@@ -129,34 +129,4 @@ void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot) {
   }
 }
 
-void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot) {
-  os << "name,kind,field,value\n";
-  for (const auto& [name, metric] : snapshot.metrics) {
-    const auto row = [&](std::string_view field, const std::string& value) {
-      os << name << ',' << MetricKindName(metric.kind) << ',' << field << ','
-         << value << '\n';
-    };
-    switch (metric.kind) {
-      case MetricKind::kCounter:
-        row("count", std::to_string(metric.count));
-        break;
-      case MetricKind::kGauge:
-        row("value", FormatDouble(metric.value));
-        break;
-      case MetricKind::kHistogram: {
-        row("count", std::to_string(metric.count));
-        row("sum", FormatDouble(metric.value));
-        for (std::size_t i = 0; i < metric.counts.size(); ++i) {
-          const std::string facet =
-              i < metric.edges.size()
-                  ? "le_" + FormatDouble(metric.edges[i])
-                  : std::string("le_inf");
-          row(facet, std::to_string(metric.counts[i]));
-        }
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace vrl::telemetry

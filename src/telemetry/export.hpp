@@ -11,8 +11,10 @@
 #include "telemetry/metrics.hpp"
 
 /// \file export.hpp
-/// JSONL and CSV exporters for metric snapshots (schemas documented in
-/// docs/TELEMETRY.md); the lineage ring exports through trace_export.hpp.
+/// The JSONL exporter for metric snapshots (schema documented in
+/// docs/TELEMETRY.md) and the number formatting and output-suffix lookup
+/// every exporter shares; the lineage ring exports through
+/// trace_export.hpp and a report's CSV comes from bench::Report.
 ///
 /// Exports are byte-deterministic: metrics emit in name order (the
 /// snapshot map is sorted) and doubles print through a fixed
@@ -44,18 +46,25 @@ bool EndsWithIgnoringCase(std::string_view path, std::string_view suffix);
 /// The writer of the first of `formats` whose suffix `path` ends with,
 /// ignoring case: the one extension lookup behind `--trace-out`
 /// (TraceFileWriter) and `--profile-out` (ProfileFileWriter), checked
-/// before the file opens.
+/// before the file opens.  A format with a null writer refuses its suffix
+/// (and is not listed as accepted).
 /// \throws vrl::ConfigError naming the `kind` of output, the path and
-/// the accepted suffixes when none matches.
+/// the accepted suffixes when no format with a writer matches.
 template <typename Writer, std::size_t N>
 Writer SelectOutputFormat(std::string_view kind, const std::string& path,
                           const OutputFormat<Writer> (&formats)[N]) {
   std::string accepted;
+  bool refused = false;
   for (const OutputFormat<Writer>& format : formats) {
-    if (EndsWithIgnoringCase(path, format.suffix)) {
-      return format.writer;
+    if (!refused && EndsWithIgnoringCase(path, format.suffix)) {
+      if (format.writer != nullptr) {
+        return format.writer;
+      }
+      refused = true;
     }
-    accepted += (accepted.empty() ? "" : ", ") + std::string(format.suffix);
+    if (format.writer != nullptr) {
+      accepted += (accepted.empty() ? "" : ", ") + std::string(format.suffix);
+    }
   }
   throw ConfigError(std::string(kind) + " file " + path +
                     ": unsupported extension (expected one of: " + accepted +
@@ -69,13 +78,5 @@ Writer SelectOutputFormat(std::string_view kind, const std::string& path,
 //    "edges":[...],"counts":[...]}
 
 void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot);
-
-// -- CSV ---------------------------------------------------------------------
-// Metrics: long format, one row per scalar facet:
-//   name,kind,field,value
-// where counters emit field "count"; gauges "value"; histograms "count",
-// "sum" and one "le_<edge>" / "le_inf" row per bucket.
-
-void WriteMetricsCsv(std::ostream& os, const MetricsSnapshot& snapshot);
 
 }  // namespace vrl::telemetry

@@ -109,88 +109,6 @@ double HistogramQuantile(const std::vector<double>& edges,
 }
 
 // ---------------------------------------------------------------------------
-// MetricsSnapshot
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void RequireSameShape(const std::string& name, const MetricValue& a,
-                      const MetricValue& b) {
-  if (a.kind != b.kind) {
-    throw ConfigError("MetricsSnapshot: kind mismatch for '" + name + "'");
-  }
-  if (a.kind == MetricKind::kHistogram && a.edges != b.edges) {
-    throw ConfigError("MetricsSnapshot: histogram edge mismatch for '" +
-                      name + "'");
-  }
-}
-
-}  // namespace
-
-void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  for (const auto& [name, theirs] : other.metrics) {
-    auto [it, inserted] = metrics.try_emplace(name, theirs);
-    if (inserted) {
-      continue;
-    }
-    MetricValue& ours = it->second;
-    RequireSameShape(name, ours, theirs);
-    switch (ours.kind) {
-      case MetricKind::kCounter:
-        ours.count += theirs.count;
-        break;
-      case MetricKind::kGauge:
-        // Last writer wins; merge order is the caller's task order.
-        ours.value = theirs.value;
-        break;
-      case MetricKind::kHistogram:
-        for (std::size_t i = 0; i < ours.counts.size(); ++i) {
-          ours.counts[i] += theirs.counts[i];
-        }
-        ours.count += theirs.count;
-        ours.value += theirs.value;
-        break;
-    }
-  }
-}
-
-MetricsSnapshot MetricsSnapshot::Diff(const MetricsSnapshot& before) const {
-  MetricsSnapshot out = *this;
-  for (const auto& [name, then] : before.metrics) {
-    const auto it = out.metrics.find(name);
-    if (it == out.metrics.end()) {
-      throw ConfigError("MetricsSnapshot::Diff: '" + name +
-                        "' missing from the later snapshot");
-    }
-    MetricValue& now = it->second;
-    RequireSameShape(name, now, then);
-    switch (now.kind) {
-      case MetricKind::kCounter:
-        if (now.count < then.count) {
-          throw ConfigError("MetricsSnapshot::Diff: counter '" + name +
-                            "' decreased");
-        }
-        now.count -= then.count;
-        break;
-      case MetricKind::kGauge:
-        break;  // Instantaneous: the later value is the diff.
-      case MetricKind::kHistogram:
-        for (std::size_t i = 0; i < now.counts.size(); ++i) {
-          if (now.counts[i] < then.counts[i]) {
-            throw ConfigError("MetricsSnapshot::Diff: histogram '" + name +
-                              "' bucket decreased");
-          }
-          now.counts[i] -= then.counts[i];
-        }
-        now.count -= then.count;
-        now.value -= then.value;
-        break;
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 

@@ -12,7 +12,7 @@
 /// \file metrics.hpp
 /// The metrics half of the telemetry subsystem (docs/TELEMETRY.md): typed
 /// metric cells, a name-keyed registry, and an immutable MetricsSnapshot
-/// with diff/merge algebra.
+/// that MetricsRegistry::Absorb merges back into live cells.
 ///
 /// Determinism contract: every metric is a pure function of the simulated
 /// work, so two runs of the same experiment produce equal snapshots
@@ -108,24 +108,12 @@ struct MetricValue {
   bool operator==(const MetricValue&) const = default;
 };
 
-/// Point-in-time copy of a registry: a name-sorted map of metric values
-/// with merge/diff algebra.  Merging is performed in caller-chosen order;
-/// the experiment drivers always merge per-task shards in task-index order,
-/// which makes merged snapshots independent of thread count.
+/// Point-in-time copy of a registry: a name-sorted map of metric values.
+/// Snapshots merge only through MetricsRegistry::Absorb; the experiment
+/// drivers absorb per-task shards in task-index order, which makes merged
+/// metrics independent of thread count.
 struct MetricsSnapshot {
   std::map<std::string, MetricValue> metrics;
-
-  /// Accumulates `other` into this snapshot: counters and histogram
-  /// buckets add; gauges take `other`'s value when it was written.
-  /// \throws vrl::ConfigError on kind or histogram-edge mismatch.
-  void MergeFrom(const MetricsSnapshot& other);
-
-  /// This snapshot minus `before` (counters and histogram counts
-  /// subtract; gauges keep this snapshot's value).  `before` must be an
-  /// earlier snapshot of the same registry.
-  /// \throws vrl::ConfigError when `before` has metrics or counts this
-  /// snapshot lacks.
-  MetricsSnapshot Diff(const MetricsSnapshot& before) const;
 
   bool operator==(const MetricsSnapshot&) const = default;
 };
@@ -145,7 +133,9 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
   /// Merges a snapshot into the live cells (creating them as needed) —
-  /// how per-task shard results land in a caller's sink recorder.
+  /// how per-task shard results land in a caller's sink recorder, and the
+  /// only snapshot merge.  Counters and histogram buckets add; a gauge
+  /// takes the snapshot's value only when the snapshot wrote it.
   /// \throws vrl::ConfigError on kind or histogram-edge mismatch.
   void Absorb(const MetricsSnapshot& snapshot);
 

@@ -9,16 +9,11 @@
 /// Exporters for attribution-tree snapshots (docs/PROFILING.md).
 ///
 /// Every format is byte-deterministic for a given snapshot: nodes emit in
-/// creation order (the text tree in ProfileSnapshot::PreOrder) and doubles
-/// print through FormatDouble (export.hpp).  A scrubbed snapshot
+/// creation order and doubles print through FormatDouble (export.hpp).  A scrubbed snapshot
 /// (`Snapshot(/*scrub_times=*/true)`) therefore produces byte-identical
 /// files across runs and thread counts.
 
 namespace vrl::telemetry {
-
-/// Indented tree: calls, units, inclusive/exclusive ms, and each node's
-/// exclusive share of total root-inclusive time.
-void WriteProfileText(std::ostream& os, const ProfileSnapshot& snapshot);
 
 /// Schema "vrl.profile.v1": {"schema":...,"frames":N,"drops":D,
 /// "nodes":[{"id","parent","name","path","depth","calls","units",
@@ -32,21 +27,13 @@ void WriteProfileJson(std::ostream& os, const ProfileSnapshot& snapshot);
 /// render a (count-weighted) flamegraph.
 void WriteCollapsedStacks(std::ostream& os, const ProfileSnapshot& snapshot);
 
-/// Chrome-trace overlay: a synthetic timeline on one "profile" process
-/// where each node is an `X` event of `dur` = inclusive microseconds,
-/// children packed left to right from their parent's start.  The layout
-/// is aggregate (not a real timeline) but drops onto Perfetto beside a
-/// span trace so phase cost and causal spans can be read together.
-void WriteProfileChromeTrace(std::ostream& os,
-                             const ProfileSnapshot& snapshot);
-
 using ProfileWriter = void (*)(std::ostream&, const ProfileSnapshot&);
 
 /// The writer a `--profile-out` path selects by its extension
-/// (SelectOutputFormat, export.hpp): ".trace.json" the Chrome overlay,
-/// ".json" the v1 JSON, ".collapsed"/".folded" the collapsed stacks,
-/// ".txt" the text tree.
-/// \throws vrl::ConfigError on any other extension.
+/// (SelectOutputFormat, export.hpp): ".json" the v1 JSON, ".collapsed"
+/// the collapsed stacks — the two formats `GET /profile` serves.
+/// \throws vrl::ConfigError on any other extension, ".trace.json"
+/// included.
 ProfileWriter ProfileFileWriter(const std::string& path);
 
 /// Writes `snapshot` to `path` with its ProfileFileWriter.

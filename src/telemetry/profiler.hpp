@@ -66,7 +66,7 @@ struct ProfileSnapshot {
   std::string PathOf(std::size_t index) const;
 
   /// Node indices depth-first, siblings in creation order: the order in
-  /// which the text tree and the report table list the phases.
+  /// which the report's profile_tree table lists the phases.
   std::vector<std::size_t> PreOrder() const;
 
   /// Sum of the roots' inclusive time, the denominator of every excl%.

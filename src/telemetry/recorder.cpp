@@ -36,12 +36,4 @@ void ShardedRecorder::MergeInto(Recorder& sink) const {
   }
 }
 
-MetricsSnapshot ShardedRecorder::MergedSnapshot() const {
-  MetricsSnapshot merged;
-  for (const auto& shard : shards_) {
-    merged.MergeFrom(shard->Snapshot());
-  }
-  return merged;
-}
-
 }  // namespace vrl::telemetry

@@ -111,9 +111,6 @@ class ShardedRecorder {
   /// Absorbs every shard into `sink`, index order.
   void MergeInto(Recorder& sink) const;
 
-  /// Metrics of all shards merged in index order.
-  MetricsSnapshot MergedSnapshot() const;
-
  private:
   std::vector<std::unique_ptr<Recorder>> shards_;
 };

@@ -109,7 +109,7 @@ class Tracer {
                    std::int64_t a = 0, std::int64_t b = 0);
 
   /// Closes the innermost open span, which must be `id` (spans close in
-  /// LIFO order — ScopedSpan enforces this by construction).
+  /// LIFO order).
   /// \throws vrl::ConfigError on a mismatched or missing open span.
   void EndSpan(SpanId id, Cycles end);
 
@@ -169,41 +169,6 @@ class Tracer {
   std::vector<OpenSpan> open_;
   SpanId next_id_ = 1;
   std::uint64_t dropped_spans_ = 0;
-};
-
-/// RAII span tied to a simulator-clock variable: reads `clock` at
-/// construction (start) and destruction (end), so the span brackets
-/// whatever the enclosed code does to the clock.  Null-tracer safe.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, std::string_view name, const Cycles& clock,
-             std::uint32_t group = 0, std::uint64_t track = 0,
-             std::int64_t a = 0, std::int64_t b = 0)
-      : tracer_(tracer), clock_(&clock) {
-    if (tracer_ != nullptr) {
-      id_ = tracer_->BeginSpan(name, *clock_, group, track, a, b);
-    }
-  }
-
-  ~ScopedSpan() { End(); }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Closes the span early at the clock's current value (idempotent).
-  void End() {
-    if (tracer_ != nullptr) {
-      tracer_->EndSpan(id_, *clock_);
-      tracer_ = nullptr;
-    }
-  }
-
-  SpanId id() const { return id_; }
-
- private:
-  Tracer* tracer_ = nullptr;
-  const Cycles* clock_ = nullptr;
-  SpanId id_ = 0;
 };
 
 }  // namespace vrl::telemetry

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/reporting.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "core/vrl_system.hpp"
@@ -692,17 +693,19 @@ TEST(MonitorServer, TraceTailServesNewestLineageWithSummary) {
   EXPECT_EQ(static_cast<int>(std::count(tail.begin(), tail.end(), '\n')), 2);
   EXPECT_NE(tail.find("\"row\":105"), std::string::npos);
   // An oversized ?last= clamps to what is retained; a malformed one is a
-  // bad request.
+  // bad request, and so is any query but one `last` pair.
   EXPECT_EQ(BodyOf(server.HandleGet("/trace?last=999")), all);
   for (const char* target :
-       {"/trace?last=abc", "/trace?last=-1", "/trace?last=5x"}) {
+       {"/trace?last=abc", "/trace?last=-1", "/trace?last=5x",
+        "/trace?blast=2", "/trace?last=2&last=x", "/trace?bogus=1",
+        "/trace?last=1&", "/trace?last"}) {
     EXPECT_EQ(StatusOf(server.HandleGet(target)), 400) << target;
   }
 }
 
 TEST(MonitorServer, RunsEndpointRendersTheProgressReporter) {
   ProgressReporter reporter([] { return 0.0; }, 4);
-  MonitorServer server({}, &reporter);
+  MonitorServer server(0, &reporter);
   EXPECT_EQ(BodyOf(server.HandleGet("/runs")), "{\"runs\":[]}\n");
   const std::uint64_t token = reporter.OnFanoutBegin("sweep", 2);
   reporter.OnItemComplete(token);
@@ -864,18 +867,23 @@ TEST(MonitorServer, RunsEndpointSplicesLegProgress) {
 }
 
 TEST(MonitorServer, EphemeralBindAnnouncesTheChosenPort) {
-  MonitorServerOptions options;
-  options.port = 0;
-  options.announce = true;
-  testing::internal::CaptureStderr();
-  MonitorServer server(options);
-  const std::string log = testing::internal::GetCapturedStderr();
-  EXPECT_GT(server.port(), 0);
-  const std::string expected = "monitor: serving on http://127.0.0.1:" +
-                               std::to_string(server.port());
-  EXPECT_NE(log.find(expected), std::string::npos) << log;
+  // The announce path every binary takes (CI greps this line for the port).
+  char program[] = "obs_test";
+  char serve[] = "--serve";
+  char port[] = "0";
+  char* argv[] = {program, serve, port};
+  const bench::ReportOptions options =
+      bench::ParseFlags(3, argv, bench::kMonitor);
+  std::ostringstream announce;
+  const auto plane = bench::MakeMonitorPlane(options, announce);
+  ASSERT_NE(plane, nullptr);
+  ASSERT_NE(plane->server(), nullptr);
+  const int bound = plane->server()->port();
+  EXPECT_GT(bound, 0);
+  EXPECT_EQ(announce.str(), "monitor: serving on http://127.0.0.1:" +
+                                std::to_string(bound) + "\n");
   // The announced endpoint really serves.
-  EXPECT_EQ(StatusOf(HttpGet(server.port(), "/readyz")), 503);
+  EXPECT_EQ(StatusOf(HttpGet(bound, "/readyz")), 503);
 }
 
 }  // namespace

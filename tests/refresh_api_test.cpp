@@ -22,8 +22,6 @@
 #include "dram/scheduler.hpp"
 #include "dram/timing_table.hpp"
 #include "dram/topology.hpp"
-#include "retention/vrt.hpp"
-#include "runtime/resilient.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -290,15 +288,6 @@ TEST(PolicyRegistry, CanonicalizesSpellings) {
     EXPECT_EQ(registry.Find(bad), nullptr) << bad;
     EXPECT_THROW(registry.Get(bad), ConfigError) << bad;
   }
-
-  const core::VrlSystem system(SmallConfig());
-  const retention::VrtParams vrt;
-  const core::ExperimentOptions options;
-  const auto digest = [&](const char* policy) {
-    return runtime::ResilienceConfigDigest(system, policy, vrt, options);
-  };
-  EXPECT_EQ(digest("vrl_access"), digest("VRL-Access"));
-  EXPECT_NE(digest("vrl_access"), digest("VRL"));
 }
 
 // PolicyInfo::plan is the only per-policy knowledge VrlSystem has: a

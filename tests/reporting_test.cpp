@@ -186,14 +186,20 @@ TEST(FlagTable, ParsesGroupFlagsAndFillsPositionalsInOrder) {
 
 TEST(FlagTable, OutputPathsAreCheckedByExtension) {
   EXPECT_EQ(Parse({"--trace-out", "t.JSONL"}).trace_path, "t.JSONL");
-  EXPECT_EQ(Parse({"--profile-out", "p.txt"}).profile_path, "p.txt");
-  try {
-    Parse({"--profile-out", "p.jsn"});
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& error) {
-    EXPECT_EQ(std::string(error.what()),
-              "profile file p.jsn: unsupported extension (expected one of: "
-              ".trace.json, .json, .collapsed, .folded, .txt)");
+  EXPECT_EQ(Parse({"--profile-out", "p.Collapsed"}).profile_path,
+            "p.Collapsed");
+  // ".trace.json" ends in ".json" but is refused: the profile has no
+  // Chrome-trace export.
+  for (const char* path : {"p.jsn", "p.txt", "p.trace.json", "p.folded"}) {
+    try {
+      Parse({"--profile-out", path});
+      ADD_FAILURE() << "expected ConfigError for " << path;
+    } catch (const ConfigError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "profile file " + std::string(path) +
+                    ": unsupported extension (expected one of: .json, "
+                    ".collapsed)");
+    }
   }
   EXPECT_THROW(Parse({"--trace-out", "t.txt"}), ConfigError);
 }
@@ -477,6 +483,17 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
       EXPECT_EQ(err.rfind("error: ", 0), 0u) << binary << " " << args;
       EXPECT_EQ(err.find('\n'), err.size() - 1) << binary << " " << err;
     }
+  }
+  // --profile-out writes only the two formats GET /profile serves.
+  for (const char* path : {"p.txt", "p.trace.json", "p.folded"}) {
+    std::string err;
+    EXPECT_EQ(RunBinary("quickstart", std::string("--profile-out ") + path,
+                        &err),
+              2)
+        << path;
+    EXPECT_EQ(err, "error: profile file " + std::string(path) +
+                       ": unsupported extension (expected one of: .json, "
+                       ".collapsed)\n");
   }
 }
 

@@ -25,7 +25,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/experiments.hpp"
 #include "core/sweep.hpp"
 #include "runtime/codec.hpp"
 #include "runtime/journal.hpp"
@@ -519,7 +518,7 @@ TEST(CrashResume, ExternalSigkillMidCampaignResumes) {
   EXPECT_EQ(resumed, clean);
 }
 
-// -- Resilient drivers == core drivers ---------------------------------------
+// -- The resilient sweep == core::RunSweep -----------------------------------
 
 TEST(Resilient, RunSweepMatchesCore) {
   core::VrlConfig base;
@@ -557,50 +556,6 @@ TEST(Resilient, RunSweepResumesFromJournal) {
   points[2].nbits = 4;
   EXPECT_THROW(runtime::RunSweep(base, points, workload, 2, options),
                ConfigError);
-}
-
-TEST(Resilient, EvaluationSuiteMatchesCoreIncludingTelemetry) {
-  core::VrlConfig config;
-  const core::VrlSystem system(config);
-  core::ExperimentOptions options;
-  options.windows = 2;
-
-  telemetry::Recorder core_sink;
-  core::ExperimentOptions core_options = options;
-  core_options.telemetry = &core_sink;
-  const auto expected = core::RunEvaluationSuite(system, core_options);
-
-  telemetry::Recorder runtime_sink;
-  core::ExperimentOptions runtime_options = options;
-  runtime_options.telemetry = &runtime_sink;
-  const auto actual = runtime::RunEvaluationSuite(system, runtime_options,
-                                                  runtime::RuntimeOptions{});
-  EXPECT_EQ(actual, expected);
-
-  // The absorbed leg snapshots must reproduce the core drivers' merged
-  // metrics exactly.
-  std::ostringstream core_metrics;
-  runtime::EncodeSnapshot(core_metrics, core_sink.Snapshot());
-  std::ostringstream runtime_metrics;
-  runtime::EncodeSnapshot(runtime_metrics, runtime_sink.Snapshot());
-  EXPECT_EQ(runtime_metrics.str(), core_metrics.str());
-}
-
-TEST(Resilient, ResilienceComparisonMatchesCore) {
-  core::VrlConfig config;
-  config.banks = 1;
-  const core::VrlSystem system(config);
-  const retention::VrtParams vrt;
-  core::ExperimentOptions options;
-  options.windows = 4;
-
-  const auto expected =
-      core::RunResilienceComparison(system, "VRL", vrt, options);
-  const auto actual = runtime::RunResilienceComparison(
-      system, "VRL", vrt, options, runtime::RuntimeOptions{});
-  EXPECT_EQ(actual.jedec, expected.jedec);
-  EXPECT_EQ(actual.plain, expected.plain);
-  EXPECT_EQ(actual.adaptive, expected.adaptive);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //
 // Three layers:
 //  1. Unit semantics pinned by the headers: histogram bucket edges, the
-//     lineage ring's merge across wrapped rings, snapshot diff/merge
-//     algebra, exporter formatting.
+//     lineage ring's merge across wrapped rings, the one snapshot merge
+//     (MetricsRegistry::Absorb), exporter formatting.
 //  2. The determinism contract end to end: the merged telemetry of
 //     RunEvaluationSuite and of the fault-campaign comparison must export
 //     byte-identically at 1, 2 and 8 threads.
@@ -152,36 +152,29 @@ TEST(Lineage, AbsorbBetweenWrappedRingsKeepsOrderAndAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// 1c. Snapshot algebra + exporters
+// 1c. Snapshot merge + exporters
 // ---------------------------------------------------------------------------
-
-TEST(MetricsSnapshot, DiffInvertsMerge) {
-  Recorder before;
-  before.counter("c").Add(3);
-  before.histogram("h", {1.0, 2.0}).Observe(0.5);
-  const auto s0 = before.Snapshot();
-
-  before.counter("c").Add(4);
-  before.histogram("h", {1.0, 2.0}).Observe(5.0);
-  const auto s1 = before.Snapshot();
-
-  const auto delta = s1.Diff(s0);
-  EXPECT_EQ(delta.metrics.at("c").count, 4u);
-  EXPECT_EQ(delta.metrics.at("h").count, 1u);
-
-  auto rebuilt = s0;
-  rebuilt.MergeFrom(delta);
-  EXPECT_EQ(rebuilt, s1);
-}
 
 TEST(MetricsSnapshot, GaugeTakesLatestOnMerge) {
   Recorder a;
   a.gauge("g").Set(1.0);
   Recorder b;
   b.gauge("g").Set(2.0);
-  auto snapshot = a.Snapshot();
-  snapshot.MergeFrom(b.Snapshot());
-  EXPECT_DOUBLE_EQ(snapshot.metrics.at("g").value, 2.0);
+  MetricsRegistry sink;
+  sink.Absorb(a.Snapshot());
+  sink.Absorb(b.Snapshot());
+  EXPECT_DOUBLE_EQ(sink.Snapshot().metrics.at("g").value, 2.0);
+
+  // A shard that registered the gauge but never wrote it leaves the sink's
+  // value alone.
+  Recorder unwritten;
+  unwritten.gauge("g");
+  unwritten.counter("c").Add(2);
+  sink.Absorb(unwritten.Snapshot());
+  const MetricsSnapshot merged = sink.Snapshot();
+  EXPECT_DOUBLE_EQ(merged.metrics.at("g").value, 2.0);
+  EXPECT_EQ(merged.metrics.at("g").count, 1u);  // Still written.
+  EXPECT_EQ(merged.metrics.at("c").count, 2u);
 }
 
 TEST(Export, FormatDoubleRoundTripsAndIsStable) {

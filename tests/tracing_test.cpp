@@ -121,29 +121,6 @@ TEST(Tracer, PreInternedCompleteSpanMatchesStringForm) {
   EXPECT_EQ(by_string.spans(), by_label.spans());
 }
 
-TEST(ScopedSpan, BracketsTheClockAndEndsIdempotently) {
-  Tracer tracer;
-  Cycles clock = 100;
-  {
-    ScopedSpan span(&tracer, "scoped", clock);
-    clock = 250;
-    span.End();
-    clock = 999;  // after End(), further clock movement is ignored
-    span.End();   // idempotent
-  }
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  EXPECT_EQ(tracer.spans()[0].start, Cycles{100});
-  EXPECT_EQ(tracer.spans()[0].end, Cycles{250});
-  EXPECT_EQ(tracer.open_depth(), 0u);
-}
-
-TEST(ScopedSpan, NullTracerIsSafe) {
-  Cycles clock = 0;
-  ScopedSpan span(nullptr, "noop", clock);
-  span.End();
-  EXPECT_EQ(span.id(), SpanId{0});
-}
-
 // ---------------------------------------------------------------------------
 // 1c. Caps: oldest-win spans, newest-win lineage ring
 // ---------------------------------------------------------------------------
