@@ -9,31 +9,21 @@
 // The sweep runs through the crash-tolerant runtime (docs/RESILIENCE.md):
 // `--resume <journal>` journals each completed point so an interrupted
 // sweep picks up where it crashed, with a table byte-identical to an
-// uninterrupted run.  `--serve` adds /runs point progress
-// (docs/OBSERVABILITY.md) while the sweep executes.
+// uninterrupted run.
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "bench/reporting.hpp"
 #include "common/parallel.hpp"
 #include "core/sweep.hpp"
 #include "runtime/resilient.hpp"
-#include "telemetry/recorder.hpp"
 
 int main(int argc, char** argv) {
   using namespace vrl;
 
   const auto report_options = bench::ParseFlags(
-      argc, argv, bench::kOutput | bench::kMonitor | bench::kRuntime);
-  std::unique_ptr<obs::MonitorPlane> plane;
-  try {
-    plane = bench::MakeMonitorPlane(report_options, std::cout);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
+      argc, argv, bench::kOutput | bench::kRuntime);
   bench::Report report("design_space");
   report.AddMeta("workload", "facesim");
   report.AddMeta("windows", std::size_t{8});
@@ -44,15 +34,9 @@ int main(int argc, char** argv) {
     base.banks = 2;
     const auto grid = core::DefaultGrid();
 
-    telemetry::Recorder runtime_recorder;  // runtime.* counters + lineage
-    runtime::RuntimeOptions runtime_options =
-        bench::MakeRuntimeOptions(report_options);
-    runtime_options.runtime_telemetry = &runtime_recorder;
-    bench::AttachLegProgress(plane.get(), "sweep", grid.size(),
-                             &runtime_options);
     const auto results =
         runtime::RunSweep(base, grid, trace::SuiteWorkload("facesim"), 8,
-                          runtime_options);
+                          bench::MakeRuntimeOptions(report_options));
 
     TextTable& table = report.AddTable(
         "sweep", {"point", "VRL", "VRL-Access", "area um^2", "% bank",
@@ -69,14 +53,6 @@ int main(int argc, char** argv) {
                    "s=subarrays.  Overheads normalized to RAIDR at the same "
                    "guardband");
     report.Emit(report_options, std::cout);
-
-    if (plane) {
-      // Final publish: how the sweep actually executed (resumed and
-      // journaled points), so a last /metrics scrape documents the run.
-      telemetry::Recorder view;
-      view.metrics().Absorb(runtime_recorder.Snapshot());
-      plane->Sample(view);
-    }
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

@@ -6,13 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/reporting.hpp"
@@ -292,25 +287,15 @@ BENCHMARK(BM_GenerateTrace);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the flag table takes the
-// observability plane's --serve/--watchdog (docs/OBSERVABILITY.md) and
-// passes every --benchmark_* argument through to google-benchmark.  With
-// the plane attached, a session recorder is published before and after the
-// benchmark run; VRL_MONITOR_LINGER_S keeps the server up after the run so
-// CI can scrape an otherwise-finished binary.
+// Custom main instead of BENCHMARK_MAIN(): the flag table passes every
+// --benchmark_* argument through to google-benchmark and rejects anything
+// else with one `error:` line and exit 2.
 int main(int argc, char** argv) {
   std::vector<std::string> args = {argv[0]};
-  const auto report_options = vrl::bench::ParseFlags(
-      argc, argv, vrl::bench::kMonitor,
+  vrl::bench::ParseFlags(
+      argc, argv, 0,
       {{"--benchmark_*",
         [&args](const std::string& arg) { args.push_back(arg); }}});
-  std::unique_ptr<vrl::obs::MonitorPlane> plane;
-  try {
-    plane = vrl::bench::MakeMonitorPlane(report_options, std::cout);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
-  }
 
   std::vector<char*> benchmark_argv;
   benchmark_argv.reserve(args.size());
@@ -323,29 +308,7 @@ int main(int argc, char** argv) {
                                              benchmark_argv.data())) {
     return 2;
   }
-
-  telemetry::Recorder session;
-  if (plane) {
-    session.counter("bench.sessions").Add();
-    plane->Sample(session);
-  }
   benchmark::RunSpecifiedBenchmarks();
-  if (plane) {
-    session.counter("bench.sessions").Add();
-    plane->Sample(session);
-    const char* linger = std::getenv("VRL_MONITOR_LINGER_S");
-    if (linger != nullptr && *linger != '\0') {
-      const double seconds = std::strtod(linger, nullptr);
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(seconds));
-      while (std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        plane->Sample(session);
-      }
-    }
-  }
   benchmark::Shutdown();
   return 0;
 }

@@ -109,10 +109,6 @@ std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
       options->trace_path = path;
     });
   }
-  if ((groups & kMonitor) != 0) {
-    rows.emplace_back("--serve", &options->serve).port = &options->serve_port;
-    rows.emplace_back("--watchdog", &options->watchdog_path);
-  }
   if ((groups & kPreset) != 0) {
     rows.emplace_back("--preset", [options](const std::string& name) {
       options->preset = dram::PresetFromName(name);
@@ -163,13 +159,6 @@ void ParseFlagTable(int argc, char** argv, const std::vector<Flag>& table) {
     }
     if (!row->takes_value) {  // A switch or a pass-through.
       row->store(row->name, arg);
-      if (row->port != nullptr && i + 1 < argc) {
-        const auto port = ParseWholeUnsigned(argv[i + 1]);
-        if (port && *port <= 65535) {
-          *row->port = static_cast<int>(*port);
-          ++i;
-        }
-      }
     } else if (i + 1 < argc) {
       row->store(row->name, argv[++i]);
     } else {
@@ -196,51 +185,6 @@ runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options) {
   runtime::RuntimeOptions runtime;
   runtime.journal_path = options.resume_path;
   return runtime;
-}
-
-void AttachLegProgress(obs::MonitorPlane* plane, const std::string& campaign,
-                       std::size_t legs_total,
-                       runtime::RuntimeOptions* runtime_options) {
-  obs::MonitorServer* server = plane == nullptr ? nullptr : plane->server();
-  if (server == nullptr || runtime_options == nullptr) {
-    return;
-  }
-  obs::LegProgress progress;
-  progress.campaign = campaign;
-  progress.total = legs_total;
-  server->PublishLegProgress(progress);
-
-  // done counts resumed + freshly committed legs, on_leg fires only for the
-  // fresh ones: the difference is the resumed prefix.
-  runtime_options->on_leg = [server, progress, commits_seen = std::size_t{0},
-                             previous = runtime_options->on_leg](
-                                std::size_t done, std::size_t total) mutable {
-    ++commits_seen;
-    progress.total = total;
-    progress.committed = done;
-    progress.resumed = done - commits_seen;
-    server->PublishLegProgress(progress);
-    if (previous) {
-      previous(done, total);
-    }
-  };
-}
-
-std::unique_ptr<obs::MonitorPlane> MakeMonitorPlane(
-    const ReportOptions& options, std::ostream& announce) {
-  if (!options.serve && options.watchdog_path.empty()) {
-    return nullptr;
-  }
-  obs::PlaneOptions plane_options;
-  plane_options.serve = options.serve;
-  plane_options.port = options.serve_port;
-  plane_options.watchdog_path = options.watchdog_path;
-  auto plane = std::make_unique<obs::MonitorPlane>(plane_options);
-  if (const obs::MonitorServer* server = plane->server()) {
-    announce << "monitor: serving on http://" << server->bind_address() << ':'
-             << server->port() << std::endl;
-  }
-  return plane;
 }
 
 Report::Report(std::string name) : name_(std::move(name)) {}

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,7 +11,6 @@
 
 #include "common/table.hpp"
 #include "dram/timing_table.hpp"
-#include "obs/plane.hpp"
 #include "runtime/runner.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -58,10 +56,6 @@ struct ReportOptions {
   /// --profile-scrub: zero wall times in the --profile-out file, so it is
   /// byte-identical across runs and VRL_THREADS.
   bool profile_scrub = false;
-  // kMonitor (docs/OBSERVABILITY.md)
-  bool serve = false;      ///< --serve [port]: start the monitor server.
-  int serve_port = 0;      ///< --serve's port; 0 = ephemeral.
-  std::string watchdog_path;  ///< --watchdog: SLO rules file; empty = none.
   // kPreset (docs/TOPOLOGY.md)
   /// --preset: timing-table preset (dram::PresetFromName); none = the
   /// binary's default.
@@ -76,9 +70,8 @@ enum FlagGroup : unsigned {
   kOutput = 1u << 0,   ///< --json, --csv
   kProfile = 1u << 1,  ///< --profile, --profile-out, --profile-scrub
   kTrace = 1u << 2,    ///< --trace-out
-  kMonitor = 1u << 3,  ///< --serve [port], --watchdog
-  kPreset = 1u << 4,   ///< --preset
-  kRuntime = 1u << 5,  ///< --resume
+  kPreset = 1u << 3,   ///< --preset
+  kRuntime = 1u << 4,  ///< --resume
 };
 
 /// A row's value check: kPositive rejects a zero count or a number <= 0.
@@ -118,9 +111,6 @@ struct Flag {
   std::string name;
   Store store;
   bool takes_value = true;  ///< False for a switch or a pass-through.
-  /// A switch's optional port (--serve [port]): a following whole integer
-  /// up to 65535 is consumed into it, anything else is left alone.
-  int* port = nullptr;
 };
 
 /// The rows of the shared `groups`, storing into `options`.
@@ -148,26 +138,9 @@ ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
 void WriteProfileOutput(const ReportOptions& options,
                         const telemetry::Recorder& recorder);
 
-/// Builds the observability plane the parsed flags ask for, or null when
-/// neither --serve nor --watchdog was given.  When the server starts, its
-/// address is announced as "monitor: serving on http://<addr>:<port>" to
-/// `announce` (flushed — CI greps it for the ephemeral port).  The caller
-/// drives plane->Sample(recorder) at its own cadence.
-/// \throws vrl::ConfigError on an unbindable port or bad rules file.
-std::unique_ptr<obs::MonitorPlane> MakeMonitorPlane(
-    const ReportOptions& options, std::ostream& announce);
-
 /// Maps --resume onto the execution runtime's journal path
-/// (docs/RESILIENCE.md).  The caller wires runtime_telemetry/on_leg itself.
+/// (docs/RESILIENCE.md).
 runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options);
-
-/// Publishes the journaled campaign's total/committed/resumed leg counts to
-/// the plane's /runs endpoint (docs/OBSERVABILITY.md) through an on_leg
-/// wrapper that composes with any on_leg already set.  No-op unless
-/// `plane` has a live server.
-void AttachLegProgress(obs::MonitorPlane* plane, const std::string& campaign,
-                       std::size_t legs_total,
-                       runtime::RuntimeOptions* runtime_options);
 
 /// A named report: ordered metadata plus ordered named tables.
 class Report {

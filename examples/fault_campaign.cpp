@@ -10,7 +10,6 @@
 //                    [--json PATH] [--csv PATH]
 //                    [--trace-out PATH] [--profile] [--profile-out PATH]
 //                    [--profile-scrub]
-//                    [--serve [PORT]] [--watchdog RULES.json]
 //                    [--resume JOURNAL]
 //
 // Three legs run under the identical fault realization: the JEDEC
@@ -74,8 +73,7 @@ int main(int argc, char** argv) {
 
   const auto report_options = bench::ParseFlags(
       argc, argv,
-      bench::kOutput | bench::kProfile | bench::kTrace | bench::kMonitor |
-          bench::kRuntime,
+      bench::kOutput | bench::kProfile | bench::kTrace | bench::kRuntime,
       {{"--config",
         [&](const std::string& path) {
           config = core::LoadVrlConfigFile(path);
@@ -90,13 +88,6 @@ int main(int argc, char** argv) {
        {"--temp-excursion", &temp_excursion_celsius},
        {"--drift", &drift_rate},
        {"--corruption", &corruption_fraction}});
-  std::unique_ptr<obs::MonitorPlane> plane;
-  try {
-    plane = bench::MakeMonitorPlane(report_options, std::cout);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 
   try {
     const core::VrlSystem system(config);
@@ -168,17 +159,6 @@ int main(int argc, char** argv) {
       telemetry::Recorder* leg_recorder =
           legs[leg].adaptive ? &recorder : &local;
       options.telemetry = leg_recorder;
-      if (plane && legs[leg].adaptive) {
-        // Live observability: publish the recorder (and feed the watchdog)
-        // after every completed refresh window, so `curl /metrics` during
-        // the campaign sees current counters, not just the end-of-run
-        // snapshot.  The hook also advances the campaign.progress_cycles
-        // gauge, which is part of the leg's recorded telemetry under
-        // --serve (docs/RESILIENCE.md).
-        options.on_window = [&plane, leg_recorder](std::size_t, Cycles) {
-          plane->Sample(*leg_recorder);
-        };
-      }
       const fault::CampaignReport leg_report =
           system.RunFaultCampaign(legs[leg].policy, faults, options);
       std::ostringstream os;
@@ -209,17 +189,9 @@ int main(int argc, char** argv) {
       config_digest = runtime::Fnv1a64(os.str());
     }
 
-    telemetry::Recorder runtime_recorder;  // runtime.* counters + lineage
-    runtime::RuntimeOptions runtime_options =
-        bench::MakeRuntimeOptions(report_options);
-    runtime_options.runtime_telemetry = &runtime_recorder;
-    bench::AttachLegProgress(plane.get(), "fault_campaign", legs.size(),
-                             &runtime_options);
-    runtime::RunnerStats stats;
-    const auto payloads =
-        runtime::RunJournaledLegs("fault_campaign", config_digest,
-                                  legs.size(), leg_fn, runtime_options,
-                                  &stats);
+    const auto payloads = runtime::RunJournaledLegs(
+        "fault_campaign", config_digest, legs.size(), leg_fn,
+        bench::MakeRuntimeOptions(report_options));
 
     fault::CampaignReport jedec;
     fault::CampaignReport plain;
@@ -275,16 +247,6 @@ int main(int argc, char** argv) {
                                 *recorder.tracer(), recorder.lineage());
     }
     report.Emit(report_options, std::cout);
-
-    if (plane) {
-      // Final publish: the adaptive leg's metrics plus the runtime's own
-      // resilience counters (runtime.legs_resumed, runtime.journal_commits,
-      // ...), so /metrics documents how the campaign actually executed.
-      telemetry::Recorder view;
-      view.metrics().Absorb(adaptive_metrics);
-      view.metrics().Absorb(runtime_recorder.Snapshot());
-      plane->Sample(view);
-    }
 
     std::printf("\nverdict: plain %s loses %zu rows' worth of data; "
                 "adaptive ends with %zu unrecovered failures at %.1f%% of "

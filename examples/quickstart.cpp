@@ -4,7 +4,7 @@
 //
 //   ./quickstart [workload] [--json PATH] [--csv PATH]
 //                [--trace-out PATH] [--profile] [--profile-out PATH]
-//                [--profile-scrub] [--serve [PORT]] [--watchdog RULES.json]
+//                [--profile-scrub]
 //   (default workload: streamcluster)
 //
 // --trace-out exports the runs' span + refresh-lineage trace as Chrome
@@ -12,9 +12,7 @@
 // PATH ends in ".jsonl".  --profile appends the wall-time phase table.
 // Both are documented in docs/TRACING.md.
 
-#include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "bench/reporting.hpp"
@@ -29,15 +27,8 @@ int main(int argc, char** argv) {
   std::string workload_name = "streamcluster";
   const auto report_options = bench::ParseFlags(
       argc, argv,
-      bench::kOutput | bench::kProfile | bench::kTrace | bench::kMonitor,
+      bench::kOutput | bench::kProfile | bench::kTrace,
       {{"workload", &workload_name}});
-  std::unique_ptr<obs::MonitorPlane> plane;
-  try {
-    plane = bench::MakeMonitorPlane(report_options, std::cout);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
-  }
 
   // 1. Configure the system.  Defaults follow the paper: an 8192x32 bank at
   //    90 nm, retention bins 64/128/192/256 ms, nbits = 2 counters.
@@ -92,9 +83,6 @@ int main(int argc, char** argv) {
                   std::to_string(stats.TotalPartialRefreshes()),
                   Fmt(energy.refresh_power_mw, 2),
                   Fmt(stats.AverageRequestLatency(), 1)});
-    if (plane) {
-      plane->Sample(*system.telemetry());  // publish after each policy run
-    }
   }
   report.AddTelemetry(system.telemetry()->Snapshot());
   if (report_options.profile) {

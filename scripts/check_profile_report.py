@@ -2,7 +2,6 @@
 """Validate a vrl.profile.v1 attribution export (--profile-out foo.json).
 
     python3 scripts/check_profile_report.py profile.json [--expect-phase NAME]
-    python3 scripts/check_profile_report.py --from-url http://127.0.0.1:PORT
 
 Checks the invariants the profiler (src/telemetry/profiler.hpp) promises:
 
@@ -22,9 +21,7 @@ overshoot its parent's measured time.
 
 --expect-phase NAME (repeatable) requires a node with that name, so CI
 can assert the controller/campaign wiring actually produced frames.
---from-url scrapes GET /profile from a live monitor server first
-(stdlib urllib; docs/PROFILING.md).  Exit 0 on success, 1 on violation,
-2 on bad input.
+Exit 0 on success, 1 on violation, 2 on bad input.
 """
 
 import argparse
@@ -75,8 +72,9 @@ def check(doc, expect_phases):
         want_path = name if parent < 0 else f"{nodes[parent]['path']};{name}"
         if node.get("path") != want_path:
             return fail(f"{where}: path {node.get('path')!r}, want {want_path!r}")
-        # calls == 0 is legal: a mid-run scrape can see a node whose frame
-        # is still open (opened at BeginPhase, counted at EndPhase).
+        # calls == 0 is legal: a snapshot can see a node whose frame is
+        # still open (opened at BeginPhase, counted at EndPhase), and a
+        # PhaseAccumulator that never started folds a node with no calls.
         calls = node.get("calls")
         if not isinstance(calls, int) or calls < 0:
             return fail(f"{where} ({name}): calls {calls!r}, want >= 0")
@@ -115,12 +113,7 @@ def check(doc, expect_phases):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("report", nargs="?", help="profile JSON (--profile-out)")
-    parser.add_argument(
-        "--from-url",
-        metavar="BASE",
-        help="scrape GET BASE/profile from a live monitor server instead",
-    )
+    parser.add_argument("report", help="profile JSON (--profile-out)")
     parser.add_argument(
         "--expect-phase",
         action="append",
@@ -130,23 +123,11 @@ def main():
     )
     args = parser.parse_args()
 
-    if args.from_url:
-        import urllib.request
-
-        url = args.from_url.rstrip("/") + "/profile"
-        try:
-            with urllib.request.urlopen(url, timeout=10) as response:
-                body = response.read().decode()
-        except OSError as error:
-            raise SystemExit(f"check_profile_report: {url}: {error}")
-    elif args.report:
-        try:
-            with open(args.report) as f:
-                body = f.read()
-        except OSError as error:
-            raise SystemExit(f"check_profile_report: {error}")
-    else:
-        parser.error("need a report file or --from-url")
+    try:
+        with open(args.report) as f:
+            body = f.read()
+    except OSError as error:
+        raise SystemExit(f"check_profile_report: {error}")
 
     try:
         doc = json.loads(body)

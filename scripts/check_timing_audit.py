@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a timing audit log produced by timing_conformance --audit-out.
+"""Validate a timing audit log produced by refresh_tournament --audit-out.
 
     python3 scripts/check_timing_audit.py audit.log [--expect-preset NAME] \
         [--allow-violations]

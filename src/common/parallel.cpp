@@ -142,46 +142,7 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-namespace {
-
-/// Process-wide fan-out observer (null = none).  Setup-time knob like the
-/// thread override: installed before fan-outs run, read at every fan-out.
-std::atomic<ParallelObserver*> g_parallel_observer{nullptr};
-
-/// RAII pairing of OnFanoutBegin/OnFanoutEnd so an item exception still
-/// closes the fan-out in the observer's books.  Null-observer safe.
-class FanoutScope {
- public:
-  FanoutScope(ParallelObserver* observer, std::string_view label,
-              std::size_t items)
-      : observer_(observer),
-        token_(observer == nullptr ? 0 : observer->OnFanoutBegin(label, items)) {}
-  ~FanoutScope() {
-    if (observer_ != nullptr) {
-      observer_->OnFanoutEnd(token_);
-    }
-  }
-  FanoutScope(const FanoutScope&) = delete;
-  FanoutScope& operator=(const FanoutScope&) = delete;
-
-  void ItemComplete() const {
-    if (observer_ != nullptr) {
-      observer_->OnItemComplete(token_);
-    }
-  }
-
- private:
-  ParallelObserver* observer_;
-  std::uint64_t token_;
-};
-
-}  // namespace
-
-ParallelObserver* SetParallelObserver(ParallelObserver* observer) {
-  return g_parallel_observer.exchange(observer, std::memory_order_acq_rel);
-}
-
-void ParallelFor(std::string_view label, std::size_t n,
+void ParallelFor(std::string_view /*label*/, std::size_t n,
                  const std::function<void(std::size_t)>& body,
                  std::size_t threads) {
   if (n == 0) {
@@ -191,14 +152,11 @@ void ParallelFor(std::string_view label, std::size_t n,
   if (count > n) {
     count = n;
   }
-  const FanoutScope scope(
-      g_parallel_observer.load(std::memory_order_acquire), label, n);
   if (count <= 1 || InParallelRegion()) {
     // Single-thread fallback / nested call: plain serial loop, same index
     // order, same results (the determinism contract makes this exact).
     for (std::size_t i = 0; i < n; ++i) {
       body(i);
-      scope.ItemComplete();
     }
     return;
   }
@@ -211,7 +169,7 @@ void ParallelFor(std::string_view label, std::size_t n,
   std::atomic<bool> failed{false};
   ThreadPool pool(count);
   for (std::size_t w = 0; w < count; ++w) {
-    pool.Submit([&next, &failed, &body, &scope, n] {
+    pool.Submit([&next, &failed, &body, n] {
       while (!failed.load(std::memory_order_relaxed)) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) {
@@ -221,10 +179,8 @@ void ParallelFor(std::string_view label, std::size_t n,
           body(i);
         } catch (...) {
           failed.store(true, std::memory_order_relaxed);
-          scope.ItemComplete();
           throw;
         }
-        scope.ItemComplete();
       }
     });
   }
@@ -236,7 +192,7 @@ void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
   ParallelFor("parallel_for", n, body, threads);
 }
 
-void ParallelForCommit(std::string_view label, std::size_t n,
+void ParallelForCommit(std::string_view /*label*/, std::size_t n,
                        const std::function<void(std::size_t)>& body,
                        const std::function<void(std::size_t)>& commit,
                        std::size_t threads) {
@@ -247,13 +203,10 @@ void ParallelForCommit(std::string_view label, std::size_t n,
   if (count > n) {
     count = n;
   }
-  const FanoutScope scope(
-      g_parallel_observer.load(std::memory_order_acquire), label, n);
   if (count <= 1 || InParallelRegion()) {
     for (std::size_t i = 0; i < n; ++i) {
       body(i);
       commit(i);
-      scope.ItemComplete();
     }
     return;
   }
@@ -289,11 +242,9 @@ void ParallelForCommit(std::string_view label, std::size_t n,
             done[i] = 1;
           }
           progress.notify_all();
-          scope.ItemComplete();
         }
       } catch (...) {
         failed.store(true, std::memory_order_relaxed);
-        scope.ItemComplete();
         leave();
         throw;
       }

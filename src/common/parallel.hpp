@@ -109,32 +109,6 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
-/// Progress observer for ParallelFor fan-outs.  Implementations receive a
-/// fan-out-begin call (returning an opaque token they mint), one
-/// item-complete call per finished item, and a fan-out-end call — from
-/// worker threads, so they must be internally synchronized.  Observation is
-/// best-effort bookkeeping for live monitoring (obs::ProgressReporter feeds
-/// the /runs endpoint from it); it must never influence results, or the
-/// determinism contract breaks.
-class ParallelObserver {
- public:
-  virtual ~ParallelObserver() = default;
-  /// A fan-out of `items` work items labelled `label` is starting.  The
-  /// returned token is passed back to the other callbacks.
-  virtual std::uint64_t OnFanoutBegin(std::string_view label,
-                                      std::size_t items) = 0;
-  /// One work item of fan-out `token` finished (possibly by throwing).
-  virtual void OnItemComplete(std::uint64_t token) = 0;
-  /// Fan-out `token` is over (normal completion or exception unwind).
-  virtual void OnFanoutEnd(std::uint64_t token) = 0;
-};
-
-/// Installs the process-wide fan-out observer (nullptr = none) and returns
-/// the previous one.  The caller keeps ownership; the observer must outlive
-/// every fan-out that runs while it is installed.  Not synchronized against
-/// in-flight fan-outs — install during setup, before fan-outs run.
-ParallelObserver* SetParallelObserver(ParallelObserver* observer);
-
 /// Runs body(0) ... body(n-1), distributing items over `threads` workers
 /// (0 = DefaultThreadCount()).  Items are claimed from an atomic work queue
 /// in index order but may complete in any order — callers must follow the
@@ -143,13 +117,13 @@ ParallelObserver* SetParallelObserver(ParallelObserver* observer);
 /// another parallel region.  The first exception thrown by any item is
 /// rethrown after all workers stop claiming new items.
 ///
-/// `label` names the fan-out for the installed ParallelObserver (live
-/// progress reporting); it does not affect execution.
+/// `label` names the fan-out at the call site; it does not affect
+/// execution.
 void ParallelFor(std::string_view label, std::size_t n,
                  const std::function<void(std::size_t)>& body,
                  std::size_t threads = 0);
 
-/// Unlabelled ParallelFor — reported to the observer as "parallel_for".
+/// Unlabelled ParallelFor (label "parallel_for").
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t threads = 0);
 
@@ -183,7 +157,7 @@ auto ParallelMap(std::string_view label, std::size_t n, Fn&& fn,
   return out;
 }
 
-/// Unlabelled ParallelMap — reported to the observer as "parallel_for".
+/// Unlabelled ParallelMap (label "parallel_for").
 template <typename Fn>
 auto ParallelMap(std::size_t n, Fn&& fn, std::size_t threads = 0)
     -> std::vector<std::decay_t<decltype(fn(std::size_t{0}))>> {

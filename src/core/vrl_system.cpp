@@ -222,7 +222,6 @@ fault::CampaignReport VrlSystem::RunFaultCampaign(
   setup.max_logged_events = options.max_logged_events;
   setup.telemetry =
       options.telemetry != nullptr ? options.telemetry : telemetry_.get();
-  setup.on_window = options.on_window;
 
   const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(policy);
   auto inner = MakePolicyFactory(info.name)();

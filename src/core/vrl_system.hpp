@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -65,11 +64,6 @@ struct FaultCampaignOptions {
   /// (VrlSystem::EnableTelemetry) is used, if enabled.  Parallel drivers
   /// must pass an explicit per-task recorder (telemetry::ShardedRecorder).
   telemetry::Recorder* telemetry = nullptr;
-
-  /// Per-refresh-window heartbeat, forwarded to
-  /// fault::CampaignSetup::on_window — drivers publish live telemetry to an
-  /// obs::MonitorPlane from it (docs/OBSERVABILITY.md).
-  std::function<void(std::size_t windows_done, Cycles now)> on_window;
 };
 
 /// Everything needed to build a VrlSystem.  Defaults reproduce the paper's

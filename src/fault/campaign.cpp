@@ -89,40 +89,24 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
   std::size_t window_index = 0;
   std::size_t window_refreshes = 0;
   std::size_t window_detected = 0;
-  const bool window_hooks =
-      tracer != nullptr || static_cast<bool>(setup.on_window);
   const auto close_windows_until = [&](std::size_t w) {
     for (; window_index < w; ++window_index) {
-      const Cycles window_end =
-          setup.base_window * static_cast<Cycles>(window_index + 1);
-      if (tracer != nullptr) {
-        tracer->CompleteSpan(
-            "window", setup.base_window * static_cast<Cycles>(window_index),
-            window_end, trace_group, 0,
-            static_cast<std::int64_t>(report.refreshes - window_refreshes),
-            static_cast<std::int64_t>(report.detected_failures -
-                                      window_detected));
-      }
+      tracer->CompleteSpan(
+          "window", setup.base_window * static_cast<Cycles>(window_index),
+          setup.base_window * static_cast<Cycles>(window_index + 1),
+          trace_group, 0,
+          static_cast<std::int64_t>(report.refreshes - window_refreshes),
+          static_cast<std::int64_t>(report.detected_failures -
+                                    window_detected));
       window_refreshes = report.refreshes;
       window_detected = report.detected_failures;
-      if (setup.on_window) {
-        // Flush the policy's batched per-op telemetry and advance the
-        // progress gauge first, so the hook observes current counters
-        // (FlushTelemetry is incremental and safe to repeat).
-        policy.FlushTelemetry();
-        if (rec != nullptr) {
-          rec->gauge("campaign.progress_cycles")
-              .Set(static_cast<double>(window_end));
-        }
-        setup.on_window(window_index + 1, window_end);
-      }
     }
   };
 
   std::vector<dram::RefreshProposal> proposals;
   std::vector<dram::RefreshOp> ops;
   for (Cycles tick = 0; tick <= horizon; tick += setup.t_refi) {
-    if (window_hooks) {
+    if (tracer != nullptr) {
       close_windows_until(static_cast<std::size_t>(tick / setup.base_window));
     }
     const double now_s = CyclesToSeconds(tick, setup.clock_period_s);
@@ -198,7 +182,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     refresh_phase.Stop();
   }
 
-  if (window_hooks) {
+  if (tracer != nullptr) {
     close_windows_until(setup.windows);
   }
   report.min_margin = tracker.min_margin();

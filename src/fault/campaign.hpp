@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/units.hpp"
@@ -51,15 +50,6 @@ struct CampaignSetup {
   /// (docs/TELEMETRY.md).  Single-threaded: give each concurrent campaign
   /// its own recorder (telemetry::ShardedRecorder).
   telemetry::Recorder* telemetry = nullptr;
-
-  /// Called after each completed refresh window with the number of windows
-  /// done and the current tick — the live-observability heartbeat
-  /// (docs/OBSERVABILITY.md): drivers flush telemetry and publish/sample
-  /// from it.  Before the hook fires the campaign flushes the policy's
-  /// batched telemetry and sets the `campaign.progress_cycles` gauge, so
-  /// mid-run snapshots carry current counters.  Must not mutate campaign
-  /// state; called on the campaign's own thread.
-  std::function<void(std::size_t windows_done, Cycles now)> on_window;
 
   void Validate() const;
 };

@@ -115,9 +115,6 @@ std::vector<std::string> RunJournaledLegs(
         payloads.push_back(std::move(slots[i]));
         ++st.executed;
         count("runtime.legs_executed", 1);
-        if (options.on_leg) {
-          options.on_leg(payloads.size(), legs);
-        }
       });
   return payloads;
 }

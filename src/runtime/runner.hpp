@@ -46,9 +46,6 @@ struct RuntimeOptions {
   /// resumed run, so merging them into the report would break
   /// byte-identity.  Mutated only on the calling thread.
   telemetry::Recorder* runtime_telemetry = nullptr;
-
-  /// Progress callback: on_leg(done, total) after every commit.
-  std::function<void(std::size_t, std::size_t)> on_leg;
 };
 
 /// What the runner did — mirrored into runtime_telemetry when set.

@@ -26,8 +26,6 @@ std::string_view EventKindName(EventKind kind) {
       return "fallback_exit";
     case EventKind::kSensingFailure:
       return "sensing_failure";
-    case EventKind::kWatchdogTransition:
-      return "watchdog_transition";
     case EventKind::kLegResumed:
       return "leg_resumed";
   }

@@ -39,8 +39,6 @@ enum class EventKind : std::uint8_t {
   kFallbackExit,       ///< Bank left fallback.
   kSensingFailure,     ///< Refresh sensed below threshold (d = 1 when
                        ///< corrected, value = charge margin).
-  kWatchdogTransition, ///< SLO watchdog health change (d = new state ordinal
-                       ///< per obs::HealthState, value = breaching measure).
   kLegResumed,         ///< Campaign leg skipped via the journal on resume
                        ///< (row = leg index; docs/RESILIENCE.md).
 };

@@ -1,6 +1,5 @@
 #include "telemetry/metrics.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -61,51 +60,6 @@ void Histogram::MergeCounts(const std::vector<std::uint64_t>& counts,
     total_ += counts[i];
   }
   sum_ += sum;
-}
-
-double Histogram::Quantile(double q) const {
-  return HistogramQuantile(edges_, counts_, q);
-}
-
-double HistogramQuantile(const std::vector<double>& edges,
-                         const std::vector<std::uint64_t>& counts, double q) {
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw ConfigError("HistogramQuantile: q must be in [0, 1]");
-  }
-  if (edges.empty() || counts.size() != edges.size() + 1) {
-    throw ConfigError(
-        "HistogramQuantile: counts must have edges.size() + 1 buckets");
-  }
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) {
-    total += c;
-  }
-  if (total == 0) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  // The target rank under the cumulative-count convention: the smallest
-  // bucket whose cumulative count reaches rank holds the quantile.
-  const double rank = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) < rank) {
-      continue;
-    }
-    if (i == edges.size()) {
-      return edges.back();  // Overflow bucket: no upper bound.
-    }
-    const double upper = edges[i];
-    const double lower = i == 0 ? (edges[0] > 0.0 ? 0.0 : edges[0])
-                                : edges[i - 1];
-    const double below =
-        static_cast<double>(cumulative) - static_cast<double>(counts[i]);
-    const double within = rank - below;
-    const double fraction =
-        counts[i] == 0 ? 1.0 : within / static_cast<double>(counts[i]);
-    return lower + (upper - lower) * fraction;
-  }
-  return edges.back();  // Unreachable: cumulative == total >= rank.
 }
 
 // ---------------------------------------------------------------------------

@@ -79,12 +79,6 @@ class Histogram {
   /// \throws vrl::ConfigError on a bucket-count size mismatch.
   void MergeCounts(const std::vector<std::uint64_t>& counts, double sum);
 
-  /// Quantile estimate from the bucket counts (see HistogramQuantile) —
-  /// how the SLO watchdog and the /metrics endpoint report p50/p99 latency
-  /// without exporting full bucket arrays.
-  /// \throws vrl::ConfigError when `q` is outside [0, 1].
-  double Quantile(double q) const;
-
   const std::vector<double>& edges() const { return edges_; }
   const std::vector<std::uint64_t>& counts() const { return counts_; }
   std::uint64_t total() const { return total_; }
@@ -154,24 +148,6 @@ class MetricsRegistry {
 
   std::map<std::string, Cell, std::less<>> cells_;
 };
-
-/// Quantile estimate under the Histogram bucket semantics above, shared by
-/// live Histogram cells (Histogram::Quantile) and snapshot-side MetricValue
-/// consumers (the /metrics exposition).  Linear interpolation within the
-/// bucket holding rank q * total:
-///
-///   * interior bucket i interpolates over (edges[i-1], edges[i]];
-///   * the first bucket interpolates from 0 when edges[0] > 0 (the
-///     Prometheus histogram_quantile convention) and otherwise returns
-///     edges[0] — with a negative or zero first edge there is no natural
-///     lower bound to interpolate from;
-///   * the overflow bucket has no upper bound and returns edges.back().
-///
-/// Returns NaN for an empty histogram (total count 0).
-/// \throws vrl::ConfigError when `q` is outside [0, 1] or the shapes
-///         disagree (counts must have edges.size() + 1 entries).
-double HistogramQuantile(const std::vector<double>& edges,
-                         const std::vector<std::uint64_t>& counts, double q);
 
 /// Histogram bucket edges suited to DRAM command-latency distributions in
 /// cycles (powers of two from kLatencyFirstBucketEdge to 65536).

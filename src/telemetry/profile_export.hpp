@@ -31,7 +31,7 @@ using ProfileWriter = void (*)(std::ostream&, const ProfileSnapshot&);
 
 /// The writer a `--profile-out` path selects by its extension
 /// (SelectOutputFormat, export.hpp): ".json" the v1 JSON, ".collapsed"
-/// the collapsed stacks — the two formats `GET /profile` serves.
+/// the collapsed stacks.
 /// \throws vrl::ConfigError on any other extension, ".trace.json"
 /// included.
 ProfileWriter ProfileFileWriter(const std::string& path);

@@ -158,16 +158,12 @@ class ScopedPhase {
   ScopedPhase& operator=(const ScopedPhase&) = delete;
   ~ScopedPhase() {
     if (profiler_ != nullptr) {
-      profiler_->EndPhase(units_);
+      profiler_->EndPhase();
     }
   }
 
-  /// Units attributed when the frame closes.
-  void AddUnits(std::uint64_t n) { units_ += n; }
-
  private:
   Profiler* profiler_;
-  std::uint64_t units_ = 0;
 };
 
 /// Sampled wall-clock accumulator for one per-tick phase: every Start is

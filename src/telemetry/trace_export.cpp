@@ -92,18 +92,13 @@ void WriteSpansJsonl(std::ostream& os, const Tracer& tracer) {
      << tracer.dropped_spans() << "}\n";
 }
 
-void WriteLineageLine(std::ostream& os, const Lineage& lineage,
-                      const LineageRecord& record) {
-  os << R"({"type":"lineage","kind":")" << EventKindName(record.kind)
-     << R"(","cycle":)" << record.cycle << R"(,"row":)" << record.row
-     << R"(,"cause":")" << JsonEscape(lineage.label(record.cause))
-     << R"(","detail":)" << record.detail << R"(,"value":)"
-     << FormatDouble(record.value) << "}\n";
-}
-
 void WriteLineageJsonl(std::ostream& os, const Lineage& lineage) {
   for (const LineageRecord& record : lineage.Retained()) {
-    WriteLineageLine(os, lineage, record);
+    os << R"({"type":"lineage","kind":")" << EventKindName(record.kind)
+       << R"(","cycle":)" << record.cycle << R"(,"row":)" << record.row
+       << R"(,"cause":")" << JsonEscape(lineage.label(record.cause))
+       << R"(","detail":)" << record.detail << R"(,"value":)"
+       << FormatDouble(record.value) << "}\n";
   }
   os << R"({"type":"lineage_summary","recorded":)" << lineage.recorded()
      << R"(,"retained":)" << lineage.size() << R"(,"dropped":)"

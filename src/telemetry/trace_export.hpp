@@ -41,11 +41,6 @@ void WriteChromeTrace(std::ostream& os, const Tracer& tracer,
 void WriteSpansJsonl(std::ostream& os, const Tracer& tracer);
 void WriteLineageJsonl(std::ostream& os, const Lineage& lineage);
 
-/// One "lineage" JSONL line, newline-terminated (the monitor's /trace tail
-/// renders the same lines).
-void WriteLineageLine(std::ostream& os, const Lineage& lineage,
-                      const LineageRecord& record);
-
 /// Both JSONL streams back to back (spans, then lineage).
 void WriteTraceJsonl(std::ostream& os, const Tracer& tracer,
                      const Lineage& lineage);

@@ -3,17 +3,12 @@
 // through exceptions, drop accounting at the node/depth caps, shard
 // Absorb determinism (the
 // evaluation suite's tree is byte-identical at any thread count once
-// times are scrubbed), the sampled PhaseAccumulator, the exporters, the
-// /profile endpoint over a real loopback socket mid-campaign, and a
+// times are scrubbed), the sampled PhaseAccumulator, the exporters, and a
 // scripts/diff_profile.py round-trip on a golden export pair.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -26,10 +21,6 @@
 #include "common/error.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
-#include "fault/injector.hpp"
-#include "obs/monitor_server.hpp"
-#include "obs/plane.hpp"
-#include "retention/vrt.hpp"
 #include "telemetry/profile_export.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/recorder.hpp"
@@ -65,52 +56,6 @@ const ProfileNode* FindNode(const ProfileSnapshot& snapshot,
     }
   }
   return nullptr;
-}
-
-std::string BodyOf(const std::string& response) {
-  const std::size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? std::string() : response.substr(split + 4);
-}
-
-int StatusOf(const std::string& response) {
-  return std::stoi(response.substr(response.find(' ') + 1));
-}
-
-/// A real GET over loopback — the same path curl takes in CI.
-std::string HttpGet(int port, const std::string& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    ADD_FAILURE() << "connect to 127.0.0.1:" << port << " failed";
-    return {};
-  }
-  const std::string request =
-      "GET " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t wrote =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (wrote <= 0) {
-      break;
-    }
-    sent += static_cast<std::size_t>(wrote);
-  }
-  std::string response;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) {
-      break;
-    }
-    response.append(chunk, static_cast<std::size_t>(got));
-  }
-  ::close(fd);
-  return response;
 }
 
 /// Exit status of a shell command (-1 when it could not run).
@@ -180,12 +125,12 @@ TEST(Profiler, ScopedPhaseUnwindsThroughExceptions) {
 
 TEST(Profiler, UnitsAttributeToTheClosingFrame) {
   Profiler profiler;
-  {
-    ScopedPhase frame(&profiler, "refresh");
-    frame.AddUnits(32);
-    frame.AddUnits(10);
-  }
+  profiler.BeginPhase("refresh");
+  profiler.EndPhase(32);
+  profiler.BeginPhase("refresh");
+  profiler.EndPhase(10);
   const auto snapshot = profiler.Snapshot();
+  EXPECT_EQ(FindNode(snapshot, "refresh")->calls, 2u);
   EXPECT_EQ(FindNode(snapshot, "refresh")->units, 42u);
 }
 
@@ -286,8 +231,8 @@ TEST(Profiler, AbsorbIsDeterministicRegardlessOfShardSplit) {
   // index order) exports byte-identical scrubbed trees.
   const auto record = [](Profiler& p, int task) {
     ScopedPhase run(&p, "run");
-    ScopedPhase step(&p, "step");
-    step.AddUnits(static_cast<std::uint64_t>(task) + 1);
+    p.BeginPhase("step");
+    p.EndPhase(static_cast<std::uint64_t>(task) + 1);
   };
   Profiler serial;
   for (int task = 0; task < 4; ++task) {
@@ -355,8 +300,8 @@ TEST(ProfileReport, JsonAndCollapsedAreDeterministicWhenScrubbed) {
   Profiler profiler;
   {
     ScopedPhase run(&profiler, "run");
-    ScopedPhase step(&profiler, "step");
-    step.AddUnits(3);
+    profiler.BeginPhase("step");
+    profiler.EndPhase(3);
   }
   const std::string json = JsonOf(profiler);
   EXPECT_NE(json.find("\"schema\":\"vrl.profile.v1\""), std::string::npos);
@@ -366,8 +311,8 @@ TEST(ProfileReport, JsonAndCollapsedAreDeterministicWhenScrubbed) {
   Profiler again;
   {
     ScopedPhase run(&again, "run");
-    ScopedPhase step(&again, "step");
-    step.AddUnits(3);
+    again.BeginPhase("step");
+    again.EndPhase(3);
   }
   EXPECT_EQ(JsonOf(again), json);
   // Scrubbed collapsed stacks weight by calls so flamegraphs still render.
@@ -445,93 +390,6 @@ TEST(ProfDeterminism, EvaluationSuiteTreeIsByteIdenticalAcrossThreads) {
   }
 }
 
-// -- /profile endpoint over a real socket -------------------------------------
-
-TEST(ProfileEndpoint, Returns404UntilAProfilingRecorderPublishes) {
-  obs::MonitorServer server;
-  ASSERT_GT(server.port(), 0);
-  Recorder plain;  // no profiler attached
-  plain.counter("ops").Add(1);
-  server.Publish(plain);
-  EXPECT_EQ(StatusOf(HttpGet(server.port(), "/profile")), 404);
-
-  RecorderOptions recorder_options;
-  recorder_options.profile_phases = true;
-  Recorder profiled(recorder_options);
-  { ScopedPhase run(profiled.profiler(), "run"); }
-  server.Publish(profiled);
-  const std::string response = HttpGet(server.port(), "/profile");
-  EXPECT_EQ(StatusOf(response), 200);
-  EXPECT_NE(response.find("application/json"), std::string::npos);
-  EXPECT_NE(BodyOf(response).find("\"schema\":\"vrl.profile.v1\""),
-            std::string::npos);
-  // One `format`, json or collapsed; any other query is a bad request.
-  EXPECT_EQ(BodyOf(server.HandleGet("/profile?format=json")),
-            BodyOf(response));
-  const std::string collapsed = server.HandleGet("/profile?format=collapsed");
-  EXPECT_EQ(StatusOf(collapsed), 200);
-  EXPECT_NE(collapsed.find("text/plain"), std::string::npos);
-  for (const char* target :
-       {"/profile?xformat=collapsedX", "/profile?format=jsn",
-        "/profile?format=collapsed&format=json", "/profile?bogus=1"}) {
-    EXPECT_EQ(StatusOf(server.HandleGet(target)), 400) << target;
-  }
-}
-
-TEST(ProfileEndpoint, ServesLiveTreeMidCampaignWithSelfObservability) {
-  obs::PlaneOptions plane_options;
-  plane_options.serve = true;
-  obs::MonitorPlane plane(plane_options);
-  ASSERT_NE(plane.server(), nullptr);
-  const int port = plane.server()->port();
-
-  core::VrlConfig config;
-  config.banks = 1;
-  const core::VrlSystem system(config);
-  RecorderOptions recorder_options;
-  recorder_options.profile_phases = true;
-  Recorder recorder(recorder_options);
-  fault::FaultSchedule faults(0xFA11ULL);
-  retention::VrtParams vrt;
-  faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
-
-  std::string mid_run_profile;
-  std::string mid_run_collapsed;
-  core::FaultCampaignOptions options;
-  options.windows = 4;
-  options.adaptive = true;
-  options.telemetry = &recorder;
-  options.on_window = [&](std::size_t windows_done, Cycles) {
-    plane.Sample(recorder);
-    if (windows_done == 2) {
-      // The "curl /profile during a running campaign" moment.
-      mid_run_profile = HttpGet(port, "/profile");
-      mid_run_collapsed = HttpGet(port, "/profile?format=collapsed");
-    }
-  };
-  system.RunFaultCampaign("VRL", faults, options);
-  plane.Sample(recorder);
-
-  ASSERT_FALSE(mid_run_profile.empty());
-  EXPECT_EQ(StatusOf(mid_run_profile), 200);
-  const std::string body = BodyOf(mid_run_profile);
-  EXPECT_NE(body.find("\"schema\":\"vrl.profile.v1\""), std::string::npos);
-  // The campaign frame is open mid-run; its node is already in the tree.
-  EXPECT_NE(body.find("\"name\":\"campaign.run\""), std::string::npos);
-  EXPECT_EQ(StatusOf(mid_run_collapsed), 200);
-  EXPECT_NE(mid_run_collapsed.find("text/plain"), std::string::npos);
-
-  // The final publish renders profiler gauges and the server's own scrape
-  // counters (satellite: self-observability) in /metrics.
-  const std::string metrics = BodyOf(HttpGet(port, "/metrics"));
-  EXPECT_NE(metrics.find("vrl_prof_frames"), std::string::npos);
-  EXPECT_NE(metrics.find("vrl_prof_drops"), std::string::npos);
-  EXPECT_NE(metrics.find(
-                "vrl_obs_scrape_requests_total{endpoint=\"profile\"} 2"),
-            std::string::npos);
-  EXPECT_NE(metrics.find("vrl_obs_scrape_seconds_total"), std::string::npos);
-}
-
 // -- diff_profile.py round-trip (golden pair) ---------------------------------
 
 TEST(DiffProfileScript, PassesOnIdenticalPairFailsOnCountDrift) {
@@ -546,8 +404,8 @@ TEST(DiffProfileScript, PassesOnIdenticalPairFailsOnCountDrift) {
   const auto record = [](Profiler& p, int extra_calls) {
     {
       ScopedPhase run(&p, "run");
-      ScopedPhase step(&p, "step");
-      step.AddUnits(8);
+      p.BeginPhase("step");
+      p.EndPhase(8);
     }
     for (int i = 0; i < extra_calls; ++i) {
       ScopedPhase run(&p, "run");

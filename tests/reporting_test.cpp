@@ -29,7 +29,7 @@ namespace vrl::bench {
 namespace {
 
 constexpr unsigned kAllGroups =
-    kOutput | kProfile | kTrace | kMonitor | kPreset | kRuntime;
+    kOutput | kProfile | kTrace | kPreset | kRuntime;
 
 // argv helper: parses `args` like main would, against the rows of the
 // shared `groups` plus the binary's own `rows`.
@@ -220,34 +220,6 @@ TEST(FlagTable, FlagValueMayLookLikeAFlag) {
   EXPECT_FALSE(options.profile);
 }
 
-TEST(FlagTable, ServePortArgumentIsOptional) {
-  const ReportOptions bare = Parse({"--serve"});
-  EXPECT_TRUE(bare.serve);
-  EXPECT_EQ(bare.serve_port, 0);  // ephemeral
-
-  std::string workload;
-  const ReportOptions with_port =
-      Parse({"--serve", "8080", "VRL"}, {{"workload", &workload}});
-  EXPECT_TRUE(with_port.serve);
-  EXPECT_EQ(with_port.serve_port, 8080);
-  EXPECT_EQ(workload, "VRL");
-
-  // A non-numeric follower is a positional, not a port.
-  workload.clear();
-  const ReportOptions no_port =
-      Parse({"--serve", "VRL"}, {{"workload", &workload}});
-  EXPECT_TRUE(no_port.serve);
-  EXPECT_EQ(no_port.serve_port, 0);
-  EXPECT_EQ(workload, "VRL");
-}
-
-TEST(FlagTable, WatchdogTakesARulesPathAndRequiresIt) {
-  const ReportOptions options = Parse({"--watchdog", "rules.json"});
-  EXPECT_EQ(options.watchdog_path, "rules.json");
-  EXPECT_FALSE(options.serve);  // --watchdog alone does not start a server
-  EXPECT_THROW(Parse({"--watchdog"}), ConfigError);
-}
-
 TEST(FlagTable, ResilienceFlagsParseAndValidate) {
   const ReportOptions defaults = Parse({});
   EXPECT_TRUE(defaults.resume_path.empty());
@@ -263,6 +235,31 @@ TEST(FlagTable, ResilienceFlagsParseAndValidate) {
   EXPECT_THROW(Parse({"--workers", "2"}), ConfigError);
   EXPECT_THROW(Parse({"--leg-timeout", "9"}), ConfigError);
   EXPECT_THROW(Parse({"--max-retries", "1"}), ConfigError);
+}
+
+// There is no monitor server: every group table rejects its former flags
+// as unknown, whatever follows them.
+void ExpectUnknownFlag(const std::vector<std::string>& args,
+                       const std::string& flag) {
+  try {
+    Parse(args);
+    ADD_FAILURE() << "expected ConfigError for " << flag;
+  } catch (const ConfigError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("unknown flag '" + flag + "'", 0),
+              0u)
+        << error.what();
+  }
+}
+
+TEST(FlagTable, ServeIsAnUnknownFlag) {
+  ExpectUnknownFlag({"--serve"}, "--serve");
+  ExpectUnknownFlag({"--serve", "8080"}, "--serve");
+  ExpectUnknownFlag({"--serve", "0", "--json", "-"}, "--serve");
+}
+
+TEST(FlagTable, WatchdogIsAnUnknownFlag) {
+  ExpectUnknownFlag({"--watchdog"}, "--watchdog");
+  ExpectUnknownFlag({"--watchdog", "rules.json"}, "--watchdog");
 }
 
 TEST(FlagTable, MakeRuntimeOptionsMapsTheResilienceFlags) {
@@ -397,11 +394,9 @@ TEST(FaultCampaignFlags, NegativeAndTrailingGarbageValuesAreUsageErrors) {
 }
 
 TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
-  for (const char* binary : {"refresh_tournament", "timing_conformance"}) {
-    for (const char* args : {"--windows abc", "--windows -1", "--windows 2x",
-                             "--windows", "--bogus 1", "--preset DDR9"}) {
-      EXPECT_EQ(RunBinary(binary, args), 2) << binary << " " << args;
-    }
+  for (const char* args : {"--windows abc", "--windows -1", "--windows 2x",
+                           "--windows", "--bogus 1", "--preset DDR9"}) {
+    EXPECT_EQ(RunBinary("refresh_tournament", args), 2) << args;
   }
   for (const char* args : {"--workloads abc", "--workloads -1",
                            "--subarrays 4x", "--subarrays -2",
@@ -449,7 +444,7 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
 }
 
 TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
-  ASSERT_EQ(Binaries().size(), 28u);
+  ASSERT_EQ(Binaries().size(), 27u);
   // The positionals each binary declares, filled, so one more is surplus.
   const std::map<std::string, std::string> positionals = {
       {"quickstart", "facesim"},
@@ -484,7 +479,7 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
       EXPECT_EQ(err.find('\n'), err.size() - 1) << binary << " " << err;
     }
   }
-  // --profile-out writes only the two formats GET /profile serves.
+  // --profile-out writes only the .json and .collapsed formats.
   for (const char* path : {"p.txt", "p.trace.json", "p.folded"}) {
     std::string err;
     EXPECT_EQ(RunBinary("quickstart", std::string("--profile-out ") + path,
@@ -494,6 +489,20 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
     EXPECT_EQ(err, "error: profile file " + std::string(path) +
                        ": unsupported extension (expected one of: .json, "
                        ".collapsed)\n");
+  }
+}
+
+TEST(Cli, FormerMonitorBinariesRejectServe) {
+  // There is no monitor server: --serve and --watchdog are unknown flags.
+  for (const char* binary :
+       {"quickstart", "fault_campaign", "design_space", "microbench"}) {
+    for (const char* args : {"--serve", "--serve 0", "--watchdog r.json"}) {
+      std::string err;
+      EXPECT_EQ(RunBinary(binary, args, &err), 2) << binary << " " << args;
+      EXPECT_EQ(err.rfind("error: unknown flag '--", 0), 0u)
+          << binary << " " << err;
+      EXPECT_EQ(err.find('\n'), err.size() - 1) << binary << " " << err;
+    }
   }
 }
 

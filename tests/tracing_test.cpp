@@ -6,8 +6,8 @@
 //     span nesting and LIFO closing, the oldest-win span cap, the
 //     newest-win lineage ring, and Absorb's id/label/group remapping.
 //  2. Exporter structure: Chrome trace_event JSON (metadata, X and i
-//     events, the synthetic lineage process) and the JSONL form with its
-//     summary accounting.
+//     events, the synthetic lineage process), the JSONL form with its
+//     summary accounting, and WriteTraceFile's extension dispatch.
 //  3. The acceptance contracts end to end: a VRL-Access run records
 //     activation-reset lineage, the adaptive campaign records demotion
 //     lineage, a hierarchical run parents each refresh burst to its own
@@ -19,6 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -294,6 +297,67 @@ TEST(TraceExport, JsonlSummariesBalance) {
             std::string::npos);
   EXPECT_NE(out.find(R"({"type":"lineage_summary","recorded":2,"retained":1,"dropped":1})"),
             std::string::npos);
+}
+
+// WriteTraceFile picks the writer by extension, in any case, before it
+// opens the file.
+
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + name;
+}
+
+class TraceFileDispatch : public testing::Test {
+ protected:
+  TraceFileDispatch() {
+    telemetry::RecorderOptions options;
+    options.enable_tracing = true;
+    recorder_ = std::make_unique<telemetry::Recorder>(options);
+    recorder_->tracer()->CompleteSpan("work", 0, 100);
+  }
+  void Write(const std::string& path) const {
+    telemetry::WriteTraceFile(path, *recorder_->tracer(),
+                              recorder_->lineage());
+  }
+  std::unique_ptr<telemetry::Recorder> recorder_;
+};
+
+TEST_F(TraceFileDispatch, UppercaseJsonlSelectsJsonl) {
+  const std::string path = TempPath("obs_dispatch.JSONL");
+  Write(path);
+  std::ifstream is(path);
+  std::string first_line;
+  std::getline(is, first_line);
+  EXPECT_NE(first_line.find("\"type\""), std::string::npos) << first_line;
+  std::remove(path.c_str());
+}
+
+TEST_F(TraceFileDispatch, MixedCaseJsonSelectsChromeTrace) {
+  const std::string path = TempPath("obs_dispatch.Json");
+  Write(path);
+  std::ifstream is(path);
+  std::string content((std::istreambuf_iterator<char>(is)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_NE(content.find("traceEvents"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST_F(TraceFileDispatch, UnknownExtensionIsRejectedWithoutCreatingTheFile) {
+  const std::string path = TempPath("obs_dispatch.txt");
+  try {
+    Write(path);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported extension"),
+              std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find(".txt"), std::string::npos);
+  }
+  // Dispatch happens before the file opens: no empty husk left behind.
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
+TEST_F(TraceFileDispatch, PathWithoutAnyExtensionIsRejected) {
+  EXPECT_THROW(Write(TempPath("no_extension")), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
