@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
     const auto results =
         runtime::RunSweep(base, grid, trace::SuiteWorkload("facesim"), 8,
-                          bench::MakeRuntimeOptions(report_options));
+                          report_options.resume_path);
 
     TextTable& table = report.AddTable(
         "sweep", {"point", "VRL", "VRL-Access", "area um^2", "% bank",

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   // the thread-count byte-identity vehicle for attribution trees — the
   // shard profilers merge in task-index order (docs/PROFILING.md).
   recorder_options.profile_phases = report_options.profile;
-  system.EnableTelemetry(recorder_options);
+  telemetry::Recorder recorder(recorder_options);
 
   bench::Report report("fig4_refresh_overhead");
   report.AddMeta("bank", config.tech.GeometryLabel());
@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
 
   core::ExperimentOptions options;
   options.windows = 16;  // 16 x 64 ms of simulated time
+  options.telemetry = &recorder;
   const auto results = core::RunEvaluationSuite(system, options);
 
   TextTable& table =
@@ -50,10 +51,10 @@ int main(int argc, char** argv) {
   report.AddMeta("paper_vrl_access_vs_raidr_pct", "-34");
   report.AddMeta("vrl_vs_raidr_pct", (avg.vrl - 1.0) * 100.0, 1);
   report.AddMeta("vrl_access_vs_raidr_pct", (avg.vrl_access - 1.0) * 100.0, 1);
-  report.AddTelemetry(system.telemetry()->Snapshot());
+  report.AddTelemetry(recorder.Snapshot());
   if (report_options.profile) {
-    report.AddProfile(*system.telemetry());
-    bench::WriteProfileOutput(report_options, *system.telemetry());
+    report.AddProfile(recorder);
+    bench::WriteProfileOutput(report_options, recorder);
   }
   report.Emit(report_options, std::cout);
   return 0;

@@ -239,12 +239,13 @@ void BM_SimulateWindow(benchmark::State& state) {
   core::VrlConfig config;
   config.banks = 1;
   core::VrlSystem system(config);
+  std::unique_ptr<telemetry::Recorder> recorder;
   if (state.range(0) != 0) {
     telemetry::RecorderOptions options;
     options.enable_tracing = state.range(0) == 2 || state.range(0) == 3;
     options.lineage_ops = state.range(0) == 3;
     options.profile_phases = state.range(0) == 4;
-    system.EnableTelemetry(options);
+    recorder = std::make_unique<telemetry::Recorder>(options);
   }
   const Cycles horizon = system.HorizonForWindows(1);
   std::vector<dram::Request> requests;
@@ -258,7 +259,7 @@ void BM_SimulateWindow(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        system.Simulate("VRL-Access", requests, horizon));
+        system.Simulate("VRL-Access", requests, horizon, recorder.get()));
   }
 }
 BENCHMARK(BM_SimulateWindow)

@@ -15,7 +15,7 @@
 
 #include "bench/reporting.hpp"
 #include "common/parallel.hpp"
-#include "core/sweep.hpp"
+#include "runtime/resilient.hpp"
 
 namespace {
 
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   for (const std::size_t threads : counts) {
     const ScopedThreadCount scoped(threads);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto results = core::RunSweep(base, grid, workload, 8);
+    const auto results = runtime::RunSweep(base, grid, workload, 8);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
 

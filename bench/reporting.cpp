@@ -181,12 +181,6 @@ ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
   return options;
 }
 
-runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options) {
-  runtime::RuntimeOptions runtime;
-  runtime.journal_path = options.resume_path;
-  return runtime;
-}
-
 Report::Report(std::string name) : name_(std::move(name)) {}
 
 void Report::AddMeta(std::string key, std::string value) {

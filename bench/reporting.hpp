@@ -11,8 +11,8 @@
 
 #include "common/table.hpp"
 #include "dram/timing_table.hpp"
-#include "runtime/runner.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/recorder.hpp"
 
 /// \file reporting.hpp
 /// Shared result reporting and command-line parsing for the bench/ and
@@ -137,10 +137,6 @@ ReportOptions ParseFlags(int argc, char** argv, unsigned groups,
 /// \throws vrl::ConfigError when the file cannot be opened.
 void WriteProfileOutput(const ReportOptions& options,
                         const telemetry::Recorder& recorder);
-
-/// Maps --resume onto the execution runtime's journal path
-/// (docs/RESILIENCE.md).
-runtime::RuntimeOptions MakeRuntimeOptions(const ReportOptions& options);
 
 /// A named report: ordered metadata plus ordered named tables.
 class Report {

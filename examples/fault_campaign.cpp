@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
             retention::TemperatureModel{}, span / 3.0, span / 3.0,
             temp_excursion_celsius));
       }
-      if (drift_rate > 0.0) {
+      if (drift_rate != 0.0) {
         schedule.Add(std::make_unique<fault::RetentionDriftInjector>(
             drift_rate, 0.5));
       }
-      if (corruption_fraction > 0.0) {
+      if (corruption_fraction != 0.0) {
         schedule.Add(std::make_unique<fault::ProfileCorruptionInjector>(
             corruption_fraction, 0.8));
       }
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
 
     const auto payloads = runtime::RunJournaledLegs(
         "fault_campaign", config_digest, legs.size(), leg_fn,
-        bench::MakeRuntimeOptions(report_options));
+        report_options.resume_path);
 
     fault::CampaignReport jedec;
     fault::CampaignReport plain;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   try {
     core::VrlSystem system(config);
-    system.EnableTelemetry();
+    telemetry::Recorder recorder;
     const std::string& policy =
         dram::PolicyRegistry::Global().Get(policy_name).name;
     const auto workload = trace::SuiteWorkload(workload_name);
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     const auto requests =
         trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
 
-    const auto stats = system.Simulate(policy, requests, horizon);
+    const auto stats = system.Simulate(policy, requests, horizon, &recorder);
     const power::PowerModel power_model(power::EnergyParams{},
                                         config.tech.clock_period_s);
     const auto energy = power_model.Compute(stats);
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                     std::to_string(s.partial_refreshes),
                     std::to_string(s.refresh_busy_cycles)});
     }
-    report.AddTelemetry(system.telemetry()->Snapshot());
+    report.AddTelemetry(recorder.Snapshot());
     report.Emit(report_options, std::cout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   // per-op lineage firehose, not the transitions-only low-overhead mode.
   recorder_options.lineage_ops = recorder_options.enable_tracing;
   recorder_options.profile_phases = report_options.profile;
-  system.EnableTelemetry(recorder_options);
+  telemetry::Recorder recorder(recorder_options);
 
   bench::Report report("quickstart");
   report.AddMeta("bank", config.tech.GeometryLabel());
@@ -67,15 +67,15 @@ int main(int argc, char** argv) {
                  0);
 
   // 3. Simulate each refresh policy and compare.  Every run feeds the
-  //    system telemetry recorder (EnableTelemetry above); its merged
-  //    metrics land in the report's telemetry table.
+  //    telemetry recorder above; its metrics land in the report's
+  //    telemetry table.
   const power::PowerModel power_model(power::EnergyParams{},
                                       config.tech.clock_period_s);
   TextTable& table = report.AddTable(
       "policies", {"policy", "refresh cycles/bank", "fulls", "partials",
                    "refresh power (mW)", "avg latency (cyc)"});
   for (const char* policy : {"JEDEC", "RAIDR", "VRL", "VRL-Access"}) {
-    const auto stats = system.Simulate(policy, requests, horizon);
+    const auto stats = system.Simulate(policy, requests, horizon, &recorder);
     const auto energy = power_model.Compute(stats);
     table.AddRow({policy,
                   Fmt(stats.RefreshOverheadPerBank(), 0),
@@ -84,15 +84,14 @@ int main(int argc, char** argv) {
                   Fmt(energy.refresh_power_mw, 2),
                   Fmt(stats.AverageRequestLatency(), 1)});
   }
-  report.AddTelemetry(system.telemetry()->Snapshot());
+  report.AddTelemetry(recorder.Snapshot());
   if (report_options.profile) {
-    report.AddProfile(*system.telemetry());
-    bench::WriteProfileOutput(report_options, *system.telemetry());
+    report.AddProfile(recorder);
+    bench::WriteProfileOutput(report_options, recorder);
   }
   if (!report_options.trace_path.empty()) {
-    telemetry::WriteTraceFile(report_options.trace_path,
-                              *system.telemetry()->tracer(),
-                              system.telemetry()->lineage());
+    telemetry::WriteTraceFile(report_options.trace_path, *recorder.tracer(),
+                              recorder.lineage());
   }
   report.Emit(report_options, std::cout);
   return 0;

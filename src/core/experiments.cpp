@@ -9,14 +9,6 @@
 namespace vrl::core {
 namespace {
 
-/// Aggregate sink the drivers feed: an explicit options sink wins over the
-/// system recorder; null means telemetry is off for the run.
-telemetry::Recorder* ResolveSink(const VrlSystem& system,
-                                 const ExperimentOptions& options) {
-  return options.telemetry != nullptr ? options.telemetry
-                                      : system.telemetry();
-}
-
 /// RunWorkload body with an explicit recorder, so the parallel suite can
 /// hand each task its own shard.  `recorder` may be null (telemetry off).
 WorkloadResult RunWorkloadInto(const VrlSystem& system,
@@ -77,8 +69,7 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
 WorkloadResult RunWorkload(const VrlSystem& system,
                            const trace::SyntheticWorkloadParams& workload,
                            const ExperimentOptions& options) {
-  return RunWorkloadInto(system, workload, options,
-                         ResolveSink(system, options));
+  return RunWorkloadInto(system, workload, options, options.telemetry);
 }
 
 std::vector<WorkloadResult> RunEvaluationSuite(
@@ -90,11 +81,10 @@ std::vector<WorkloadResult> RunEvaluationSuite(
   // merge into the sink in index order after the fan-out.
   const auto suite = trace::EvaluationSuite();
   std::vector<WorkloadResult> results(suite.size());
-  telemetry::Recorder* sink = ResolveSink(system, options);
   std::unique_ptr<telemetry::ShardedRecorder> shards;
-  if (sink != nullptr) {
-    shards = std::make_unique<telemetry::ShardedRecorder>(suite.size(),
-                                                          sink->options());
+  if (options.telemetry != nullptr) {
+    shards = std::make_unique<telemetry::ShardedRecorder>(
+        suite.size(), options.telemetry->options());
   }
   ParallelFor(
       "evaluation_suite", suite.size(),
@@ -104,7 +94,7 @@ std::vector<WorkloadResult> RunEvaluationSuite(
       },
       options.threads);
   if (shards) {
-    shards->MergeInto(*sink);
+    shards->MergeInto(*options.telemetry);
   }
   return results;
 }
@@ -151,11 +141,10 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
   ResilienceResult result;
   fault::CampaignReport* const outs[] = {&result.jedec, &result.plain,
                                          &result.adaptive};
-  telemetry::Recorder* sink = ResolveSink(system, options);
   std::unique_ptr<telemetry::ShardedRecorder> shards;
-  if (sink != nullptr) {
-    shards = std::make_unique<telemetry::ShardedRecorder>(legs.size(),
-                                                          sink->options());
+  if (options.telemetry != nullptr) {
+    shards = std::make_unique<telemetry::ShardedRecorder>(
+        legs.size(), options.telemetry->options());
   }
   ParallelFor(
       "resilience_comparison", legs.size(),
@@ -165,7 +154,7 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
       },
       options.threads);
   if (shards) {
-    shards->MergeInto(*sink);
+    shards->MergeInto(*options.telemetry);
   }
   return result;
 }

@@ -35,9 +35,8 @@ struct ExperimentOptions {
   /// Aggregate telemetry sink.  Parallel drivers give every task its own
   /// shard (telemetry::ShardedRecorder) and merge the shards into this
   /// recorder in task-index order, so the merged snapshot — and any export
-  /// of it — is bit-identical at every thread count.  When null, the
-  /// drivers fall back to the system recorder (VrlSystem::EnableTelemetry)
-  /// with the same sharding; with neither set, telemetry is off.
+  /// of it — is bit-identical at every thread count.  Null means
+  /// telemetry is off.
   telemetry::Recorder* telemetry = nullptr;
 };
 

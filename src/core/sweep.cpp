@@ -4,7 +4,6 @@
 
 #include "area/area_model.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "trace/address.hpp"
 
 namespace vrl::core {
@@ -59,24 +58,6 @@ SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
       mprsf_sum / static_cast<double>(system.row_mprsf().size());
   result.clamped_rows = system.guardband_clamped_rows();
   return result;
-}
-
-std::vector<SweepResult> RunSweep(
-    const VrlConfig& base, const std::vector<SweepPoint>& points,
-    const trace::SyntheticWorkloadParams& workload, std::size_t windows) {
-  if (points.empty() || windows == 0) {
-    throw ConfigError("RunSweep: need points and a non-zero window count");
-  }
-  // One task per point, results in pre-sized slots: every point builds its
-  // own VrlSystem and Rng from per-point configuration, and the shared
-  // inputs (base, workload, area model) are const — the parallel sweep is
-  // bit-identical to the serial one at any thread count (determinism
-  // contract, common/parallel.hpp).
-  std::vector<SweepResult> results(points.size());
-  ParallelFor("sweep", points.size(), [&](std::size_t index) {
-    results[index] = RunSweepPoint(base, points[index], workload, windows);
-  });
-  return results;
 }
 
 std::vector<SweepPoint> DefaultGrid() {

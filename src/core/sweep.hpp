@@ -13,10 +13,11 @@
 /// target, the retention guardband and (if the array supports it) the
 /// subarray organization together — the knobs interact: a deeper partial
 /// target raises MPRSF but narrows the latency gap, a guardband inflates
-/// every bin, wider counters only help if MPRSF can use them.  RunSweep
-/// evaluates a list of candidate points under one workload and reports the
-/// metrics needed to choose: normalized refresh overhead (VRL and
-/// VRL-Access), area cost, and the planning health (clamped rows, mean
+/// every bin, wider counters only help if MPRSF can use them.  A sweep
+/// (runtime::RunSweep, runtime/resilient.hpp) evaluates a list of
+/// candidate points under one workload, one RunSweepPoint each, and
+/// reports the metrics needed to choose: normalized refresh overhead (VRL
+/// and VRL-Access), area cost, and the planning health (clamped rows, mean
 /// MPRSF).
 
 namespace vrl::core {
@@ -45,24 +46,14 @@ struct SweepResult {
   bool operator==(const SweepResult&) const = default;
 };
 
-/// Evaluates a single sweep point — the unit RunSweep fans out, exposed so
-/// the execution runtime (src/runtime/) can journal sweep legs one by one.
+/// Evaluates a single sweep point under `workload` for `windows` base
+/// refresh windows, against a base configuration (geometry, seed, banks):
+/// one leg of runtime::RunSweep.  The point derives its RNG streams from
+/// its own configuration and shares nothing mutable with other points, so
+/// points run in parallel bit-identically.
 SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
                           const trace::SyntheticWorkloadParams& workload,
                           std::size_t windows);
-
-/// Evaluates every point under `workload` for `windows` base refresh
-/// windows, against a base configuration (geometry, seed, banks).
-///
-/// Points are evaluated in parallel (common/parallel.hpp; thread count from
-/// VRL_THREADS / ScopedThreadCount, default hardware concurrency).  The
-/// result is bit-identical across thread counts: each point derives its RNG
-/// streams from its own configuration, writes only its own result slot, and
-/// shares nothing mutable with other points.
-std::vector<SweepResult> RunSweep(const VrlConfig& base,
-                                  const std::vector<SweepPoint>& points,
-                                  const trace::SyntheticWorkloadParams& workload,
-                                  std::size_t windows);
 
 /// A compact default grid around the paper's design point.
 std::vector<SweepPoint> DefaultGrid();

@@ -183,9 +183,6 @@ dram::SimulationStats VrlSystem::Simulate(
                                     MakePolicyFactory(policy),
                                     config_.scheduler, config_.page_policy,
                                     config_.subarrays);
-  if (recorder == nullptr) {
-    recorder = telemetry_.get();
-  }
   if (recorder != nullptr) {
     controller.AttachTelemetry(recorder);
   }
@@ -197,12 +194,6 @@ dram::SimulationStats VrlSystem::Simulate(
     audit->AppendLog(controller.TakeAuditLog());
   }
   return stats;
-}
-
-telemetry::Recorder* VrlSystem::EnableTelemetry(
-    telemetry::RecorderOptions options) {
-  telemetry_ = std::make_unique<telemetry::Recorder>(options);
-  return telemetry_.get();
 }
 
 Cycles VrlSystem::HorizonForWindows(std::size_t windows) const {
@@ -219,9 +210,7 @@ fault::CampaignReport VrlSystem::RunFaultCampaign(
   setup.windows = options.windows;
   setup.tau_post_full_s = tau_full_.tau_post_s;
   setup.tau_post_partial_s = tau_partial_.tau_post_s;
-  setup.max_logged_events = options.max_logged_events;
-  setup.telemetry =
-      options.telemetry != nullptr ? options.telemetry : telemetry_.get();
+  setup.telemetry = options.telemetry;
 
   const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(policy);
   auto inner = MakePolicyFactory(info.name)();
@@ -239,8 +228,7 @@ fault::CampaignReport VrlSystem::RunFaultCampaign(
   }
   fault::AdaptiveVrlPolicy adaptive(
       std::move(inner), std::move(plan), TauFullCycles(),
-      TauPartialCycles(), config_.timing.t_refw, config_.timing.t_refi,
-      options.adaptive_params);
+      TauPartialCycles(), config_.timing.t_refw, config_.timing.t_refi);
   return fault::RunCampaign(*model_, *profile_, adaptive, faults, setup);
 }
 

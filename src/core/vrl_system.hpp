@@ -56,13 +56,10 @@ struct FaultCampaignOptions {
   /// degradation); false replays the plain policy, where every sensing
   /// failure is silent data loss.
   bool adaptive = true;
-  fault::AdaptiveParams adaptive_params;
-  std::size_t max_logged_events = 256;
 
   /// Recorder the campaign feeds (`campaign.*`, `policy.*`, `adaptive.*`
-  /// metrics and failure events).  When null the system's own recorder
-  /// (VrlSystem::EnableTelemetry) is used, if enabled.  Parallel drivers
-  /// must pass an explicit per-task recorder (telemetry::ShardedRecorder).
+  /// metrics and failure events); null means telemetry is off.  Parallel
+  /// drivers pass a per-task recorder (telemetry::ShardedRecorder).
   telemetry::Recorder* telemetry = nullptr;
 };
 
@@ -168,10 +165,9 @@ class VrlSystem {
   dram::PolicyFactory MakePolicyFactory(std::string_view policy) const;
 
   /// Runs a full simulation of `requests` (arrival-sorted) under the
-  /// registry policy `policy` for `horizon` cycles.  `recorder` overrides
-  /// the telemetry sink for this run; when null the system recorder
-  /// (EnableTelemetry) is used, if enabled.  Parallel drivers must pass an
-  /// explicit per-task recorder — never share one across threads
+  /// registry policy `policy` for `horizon` cycles.  `recorder`, when
+  /// non-null, receives the run's telemetry.  Parallel drivers pass a
+  /// per-task recorder — never share one across threads
   /// (telemetry::ShardedRecorder).
   /// `audit`, when non-null, additionally records every DRAM command the
   /// run issues (PRE/ACT/RD/WR/REF) for dram::TimingAuditor replay.  The
@@ -182,15 +178,6 @@ class VrlSystem {
                                  Cycles horizon,
                                  telemetry::Recorder* recorder = nullptr,
                                  dram::CommandLog* audit = nullptr) const;
-
-  /// Enables the system-owned telemetry recorder: subsequent Simulate /
-  /// RunFaultCampaign calls without an explicit recorder feed it.  Returns
-  /// the recorder (also available via telemetry()).  Calling again resets
-  /// the recorder with the new options.
-  telemetry::Recorder* EnableTelemetry(telemetry::RecorderOptions options = {});
-
-  /// The system-owned recorder, or null when EnableTelemetry was not called.
-  telemetry::Recorder* telemetry() const { return telemetry_.get(); }
 
   /// Convenience: simulation horizon covering `windows` base refresh
   /// windows (64 ms each).
@@ -225,7 +212,6 @@ class VrlSystem {
   std::size_t remapped_rows_ = 0;
   model::TimingBreakdown tau_full_;
   model::TimingBreakdown tau_partial_;
-  std::unique_ptr<telemetry::Recorder> telemetry_;
 };
 
 }  // namespace vrl::core

@@ -168,7 +168,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
       // checker does) so further failures are counted distinctly.
       tracker.Restore(op.row, now_s);
 
-      if (report.events.size() < setup.max_logged_events) {
+      if (report.events.size() < kMaxLoggedEvents) {
         SensingFailureEvent event;
         event.row = op.row;
         event.at_cycle = tick;

@@ -36,6 +36,10 @@ struct SensingFailureEvent {
   bool operator==(const SensingFailureEvent&) const = default;
 };
 
+/// Failure events a CampaignReport keeps (the first ones); every failure is
+/// still counted.
+inline constexpr std::size_t kMaxLoggedEvents = 256;
+
 struct CampaignSetup {
   double clock_period_s = 2.5e-9;
   Cycles t_refi = 3125;  ///< tREFW / 8192, matching dram::TimingParams.
@@ -43,7 +47,6 @@ struct CampaignSetup {
   std::size_t windows = 8;
   double tau_post_full_s = 0.0;     ///< Full-refresh τpost budget [s].
   double tau_post_partial_s = 0.0;  ///< Partial-refresh τpost budget [s].
-  std::size_t max_logged_events = 256;
 
   /// When set, RunCampaign attaches this recorder to the policy for the
   /// duration and feeds the `campaign.*` metrics and sensing-failure events
@@ -68,7 +71,7 @@ struct CampaignReport {
   double min_margin = 1.0;
   Cycles refresh_busy_cycles = 0;
   Cycles simulated_cycles = 0;
-  std::vector<SensingFailureEvent> events;  ///< First max_logged_events.
+  std::vector<SensingFailureEvent> events;  ///< First kMaxLoggedEvents.
   AdaptiveStats adaptive;  ///< All-zero when the policy is not adaptive.
 
   bool DataLost() const { return unrecovered_failures > 0; }

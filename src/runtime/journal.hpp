@@ -65,9 +65,6 @@ class LegJournal {
   LegJournal(std::string path, std::string campaign,
              std::uint64_t config_digest, std::size_t legs);
 
-  const std::string& path() const { return path_; }
-  std::size_t legs() const { return legs_; }
-
   /// Payloads of the committed contiguous prefix, index order.
   const std::vector<std::string>& committed() const { return payloads_; }
 

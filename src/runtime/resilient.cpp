@@ -42,7 +42,7 @@ std::uint64_t SweepConfigDigest(
 std::vector<core::SweepResult> RunSweep(
     const core::VrlConfig& base, const std::vector<core::SweepPoint>& points,
     const trace::SyntheticWorkloadParams& workload, std::size_t windows,
-    const RuntimeOptions& runtime, RunnerStats* stats) {
+    const std::string& journal_path) {
   if (points.empty() || windows == 0) {
     throw ConfigError("RunSweep: need points and a non-zero window count");
   }
@@ -55,7 +55,7 @@ std::vector<core::SweepResult> RunSweep(
             os, core::RunSweepPoint(base, points[i], workload, windows));
         return os.str();
       },
-      runtime, stats);
+      journal_path);
 
   std::vector<core::SweepResult> results;
   results.reserve(payloads.size());

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -9,15 +10,15 @@
 #include "trace/synthetic.hpp"
 
 /// \file resilient.hpp
-/// The crash-tolerant design-space sweep: core::RunSweep re-expressed as a
-/// journaled leg campaign over RunJournaledLegs (docs/RESILIENCE.md), the
-/// driver behind `bench/design_space --resume`.
+/// The design-space sweep as a journaled leg campaign over
+/// RunJournaledLegs (docs/RESILIENCE.md), one leg per core::RunSweepPoint:
+/// the driver behind `bench/design_space` and `bench/parallel_scaling`.
 ///
-/// With default RuntimeOptions (no journal) it produces results identical
-/// to core::RunSweep.  With a journal path it resumes after a crash.
-/// Resumed and fresh legs both route through runtime/codec.hpp, so a
-/// resumed run emits byte-identical reports.  (`fault_campaign` journals
-/// its three legs itself; every other binary calls the core drivers.)
+/// Without a journal path every point runs in-process; with one the sweep
+/// resumes after a crash.  Resumed and fresh legs both route through
+/// runtime/codec.hpp, so a resumed run emits byte-identical reports.
+/// (`fault_campaign` journals its three legs itself; every other binary
+/// calls the core drivers.)
 
 namespace vrl::runtime {
 
@@ -29,10 +30,15 @@ std::uint64_t SweepConfigDigest(const core::VrlConfig& base,
                                 const trace::SyntheticWorkloadParams& workload,
                                 std::size_t windows);
 
-/// Journaled core::RunSweep: one leg per sweep point.
+/// Evaluates every point under `workload` for `windows` base refresh
+/// windows, against a base configuration (geometry, seed, banks).  Points
+/// run in parallel (VRL_THREADS / ScopedThreadCount sets how many) and the
+/// results are bit-identical at any thread count and across resumes.
+/// `journal_path` journals each finished point; empty runs without one.
+/// \throws vrl::ConfigError on an empty grid or a zero window count.
 std::vector<core::SweepResult> RunSweep(
     const core::VrlConfig& base, const std::vector<core::SweepPoint>& points,
     const trace::SyntheticWorkloadParams& workload, std::size_t windows,
-    const RuntimeOptions& runtime, RunnerStats* stats = nullptr);
+    const std::string& journal_path = {});
 
 }  // namespace vrl::runtime

@@ -11,7 +11,6 @@
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "runtime/journal.hpp"
-#include "telemetry/profiler.hpp"
 
 namespace vrl::runtime {
 namespace {
@@ -48,46 +47,17 @@ void MaybeCrashAfterCommit() {
 std::vector<std::string> RunJournaledLegs(
     const std::string& campaign, std::uint64_t config_digest,
     std::size_t legs, const std::function<std::string(std::size_t)>& leg_fn,
-    const RuntimeOptions& options, RunnerStats* stats) {
-  RunnerStats local;
-  RunnerStats& st = stats != nullptr ? *stats : local;
-  st = RunnerStats{};
-  st.legs = legs;
-
-  telemetry::Recorder* rec = options.runtime_telemetry;
-  const auto count = [rec](std::string_view name, std::uint64_t n) {
-    if (rec != nullptr && n > 0) {
-      rec->counter(name).Add(n);
-    }
-  };
-  count("runtime.legs", legs);
-  // Attribution frames live on the runtime recorder and only on this
-  // thread: leg bodies run on pool threads, but every commit lands here, in
-  // increasing leg order (docs/RESILIENCE.md).
-  telemetry::Profiler* profiler = rec == nullptr ? nullptr : rec->profiler();
-  const telemetry::ScopedPhase legs_phase(profiler, "runtime.legs");
-
+    const std::string& journal_path) {
   std::unique_ptr<LegJournal> journal;
   std::vector<std::string> payloads;
   payloads.reserve(legs);
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<LegJournal>(options.journal_path, campaign,
+  if (!journal_path.empty()) {
+    journal = std::make_unique<LegJournal>(journal_path, campaign,
                                            config_digest, legs);
     payloads = journal->committed();
-    st.resumed = payloads.size();
-    if (st.resumed > 0) {
-      count("runtime.legs_resumed", st.resumed);
-      if (rec != nullptr) {
-        // Resumed legs land in the runtime recorder's lineage ring.
-        telemetry::Lineage& lineage = rec->lineage();
-        for (std::size_t i = 0; i < st.resumed; ++i) {
-          lineage.Add({telemetry::EventKind::kLegResumed, 0,
-                       static_cast<std::uint64_t>(i),
-                       lineage.Intern("runtime"), 0, 0.0});
-        }
-      }
+    if (!payloads.empty()) {
       std::fprintf(stderr, "runtime: resumed %zu/%zu legs from %s%s\n",
-                   st.resumed, legs, options.journal_path.c_str(),
+                   payloads.size(), legs, journal_path.c_str(),
                    journal->dropped_tail() ? " (dropped a torn tail record)"
                                            : "");
     }
@@ -105,16 +75,11 @@ std::vector<std::string> RunJournaledLegs(
       "runtime_legs", legs - begin,
       [&](std::size_t i) { slots[i] = leg_fn(begin + i); },
       [&](std::size_t i) {
-        const telemetry::ScopedPhase commit_phase(profiler, "runtime.commit");
         if (journal != nullptr) {
           journal->Append(begin + i, slots[i]);
-          ++st.journal_commits;
-          count("runtime.journal_commits", 1);
           MaybeCrashAfterCommit();  // After the append: the leg is durable.
         }
         payloads.push_back(std::move(slots[i]));
-        ++st.executed;
-        count("runtime.legs_executed", 1);
       });
   return payloads;
 }

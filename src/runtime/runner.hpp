@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/recorder.hpp"
-
 /// \file runner.hpp
 /// The crash-tolerant leg runner (docs/RESILIENCE.md): journaled resume,
 /// then deterministic in-process execution of the remaining legs — the one
@@ -36,34 +34,16 @@
 
 namespace vrl::runtime {
 
-struct RuntimeOptions {
-  /// Write-ahead journal path; empty disables journaling (and resume).
-  std::string journal_path;
-
-  /// Sink for the runtime's own counters (runtime.*) and lineage records
-  /// (leg_resumed, cause "runtime").  Kept separate from the experiment's
-  /// telemetry on purpose: these counters *differ* between a clean and a
-  /// resumed run, so merging them into the report would break
-  /// byte-identity.  Mutated only on the calling thread.
-  telemetry::Recorder* runtime_telemetry = nullptr;
-};
-
-/// What the runner did — mirrored into runtime_telemetry when set.
-struct RunnerStats {
-  std::size_t legs = 0;              ///< Total legs in the campaign.
-  std::size_t executed = 0;          ///< Legs run by this process.
-  std::size_t resumed = 0;           ///< Legs skipped via the journal.
-  std::size_t journal_commits = 0;   ///< Durable appends this process made.
-};
-
 /// Runs the `legs`-leg campaign named `campaign` (journal identity is the
 /// name plus `config_digest` — resuming with a different configuration is
-/// refused).  Returns all leg payloads in leg order.
+/// refused).  `journal_path` is the write-ahead journal; empty runs every
+/// leg in-process with no journal (and no resume).  Returns all leg
+/// payloads in leg order.
 /// \throws vrl::ParseError on journal corruption, vrl::ConfigError on a
 ///         journal/campaign mismatch.
 std::vector<std::string> RunJournaledLegs(
     const std::string& campaign, std::uint64_t config_digest,
     std::size_t legs, const std::function<std::string(std::size_t)>& leg_fn,
-    const RuntimeOptions& options, RunnerStats* stats = nullptr);
+    const std::string& journal_path);
 
 }  // namespace vrl::runtime

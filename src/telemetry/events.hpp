@@ -39,8 +39,6 @@ enum class EventKind : std::uint8_t {
   kFallbackExit,       ///< Bank left fallback.
   kSensingFailure,     ///< Refresh sensed below threshold (d = 1 when
                        ///< corrected, value = charge margin).
-  kLegResumed,         ///< Campaign leg skipped via the journal on resume
-                       ///< (row = leg index; docs/RESILIENCE.md).
 };
 
 /// Stable machine-readable kind name ("full_refresh", ...).

@@ -2,8 +2,7 @@
 
 namespace vrl::telemetry {
 
-Recorder::Recorder(RecorderOptions options)
-    : options_(options), lineage_(options.max_lineage) {
+Recorder::Recorder(RecorderOptions options) : options_(options) {
   if (options_.enable_tracing) {
     tracer_ = std::make_unique<Tracer>();
   }

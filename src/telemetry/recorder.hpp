@@ -24,8 +24,6 @@
 namespace vrl::telemetry {
 
 struct RecorderOptions {
-  /// Lineage ring capacity (newest records win; drops are counted).
-  std::size_t max_lineage = std::size_t{1} << 18;
   /// Record the high-frequency lineage classes: one record per full/partial
   /// refresh op and per VRL-Access activation reset (the latter fires on
   /// nearly every row activation).  Complete causal replay, but one ring

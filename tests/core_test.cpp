@@ -18,6 +18,7 @@
 #include "retention/distribution.hpp"
 #include "retention/mprsf.hpp"
 #include "retention/profile.hpp"
+#include "runtime/resilient.hpp"
 
 namespace vrl::core {
 namespace {
@@ -216,7 +217,7 @@ TEST(Sweep, RunSweepEvaluatesEveryPoint) {
   std::vector<SweepPoint> points(2);
   points[1].nbits = 1;
   const auto results =
-      RunSweep(base, points, trace::SuiteWorkload("swaptions"), 2);
+      runtime::RunSweep(base, points, trace::SuiteWorkload("swaptions"), 2);
   ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) {
     EXPECT_LT(r.vrl_normalized, 1.0);
@@ -230,10 +231,11 @@ TEST(Sweep, RunSweepEvaluatesEveryPoint) {
 
 TEST(Sweep, RejectsEmptyInput) {
   VrlConfig base;
-  EXPECT_THROW(RunSweep(base, {}, trace::SuiteWorkload("vips"), 2),
+  EXPECT_THROW(runtime::RunSweep(base, {}, trace::SuiteWorkload("vips"), 2),
                ConfigError);
-  EXPECT_THROW(RunSweep(base, {SweepPoint{}}, trace::SuiteWorkload("vips"), 0),
-               ConfigError);
+  EXPECT_THROW(
+      runtime::RunSweep(base, {SweepPoint{}}, trace::SuiteWorkload("vips"), 0),
+      ConfigError);
 }
 
 // ---------------------------------------------------------------------------

@@ -262,12 +262,6 @@ TEST(FlagTable, WatchdogIsAnUnknownFlag) {
   ExpectUnknownFlag({"--watchdog", "rules.json"}, "--watchdog");
 }
 
-TEST(FlagTable, MakeRuntimeOptionsMapsTheResilienceFlags) {
-  const runtime::RuntimeOptions runtime =
-      MakeRuntimeOptions(Parse({"--resume", "j.jsonl"}));
-  EXPECT_EQ(runtime.journal_path, "j.jsonl");
-}
-
 TEST(FlagTable, AcceptsOnlyTheDeclaredGroupsAndRows) {
   std::size_t windows = 0;
   try {
@@ -391,6 +385,15 @@ TEST(FaultCampaignFlags, NegativeAndTrailingGarbageValuesAreUsageErrors) {
   EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --seed -1"), 2);
   EXPECT_EQ(RunBinary("fault_campaign", "--windows 1x"), 2);
   EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --low-ratio 0.5x"), 2);
+  // 0 turns an injector off; any other value reaches the injector, which
+  // rejects a negative drift rate or corruption fraction.
+  for (const char* args :
+       {"--windows 1 --drift -1", "--windows 1 --corruption -0.5"}) {
+    std::string err;
+    EXPECT_EQ(RunBinary("fault_campaign", args, &err), 2) << args;
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << args << ": " << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << args << ": " << err;
+  }
 }
 
 TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -333,23 +334,41 @@ TEST(ParallelForCommit, BodyExceptionPropagates) {
 
 // -- RunJournaledLegs --------------------------------------------------------
 
+/// A leg function that records which legs it ran (bodies run on pool
+/// threads, in any order) and returns DemoLeg's payload.
+class RecordingLegs {
+ public:
+  std::string operator()(std::size_t leg) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ran_.push_back(leg);
+    return DemoLeg(leg);
+  }
+
+  /// The legs run so far, sorted.
+  std::vector<std::size_t> Ran() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::size_t> ran = ran_;
+    std::sort(ran.begin(), ran.end());
+    return ran;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::size_t> ran_;
+};
+
 TEST(RunJournaledLegs, NoJournalRunsEverythingInProcess) {
-  runtime::RuntimeOptions options;
-  runtime::RunnerStats stats;
+  RecordingLegs legs;
   const auto payloads =
-      runtime::RunJournaledLegs("demo", 1, 4, DemoLeg, options, &stats);
+      runtime::RunJournaledLegs("demo", 1, 4, std::ref(legs), "");
   ASSERT_EQ(payloads.size(), 4u);
   EXPECT_EQ(payloads[2], DemoLeg(2));
-  EXPECT_EQ(stats.executed, 4u);
-  EXPECT_EQ(stats.resumed, 0u);
-  EXPECT_EQ(stats.journal_commits, 0u);
+  EXPECT_EQ(legs.Ran(), (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(RunJournaledLegs, ResumeSkipsCommittedLegs) {
   const std::string path = TempPath("runner_resume.jsonl");
   std::remove(path.c_str());
-  runtime::RuntimeOptions options;
-  options.journal_path = path;
 
   // Pre-commit the first two legs, as a crashed run would have.
   {
@@ -358,23 +377,10 @@ TEST(RunJournaledLegs, ResumeSkipsCommittedLegs) {
     journal.Append(1, DemoLeg(1));
   }
 
-  // Leg bodies run on pool threads, in any order.
-  std::mutex executed_mutex;
-  std::vector<std::size_t> executed;
-  runtime::RunnerStats stats;
-  const auto payloads = runtime::RunJournaledLegs(
-      "demo", 99, 5,
-      [&](std::size_t leg) {
-        const std::lock_guard<std::mutex> lock(executed_mutex);
-        executed.push_back(leg);
-        return DemoLeg(leg);
-      },
-      options, &stats);
-
-  std::sort(executed.begin(), executed.end());
-  EXPECT_EQ(executed, (std::vector<std::size_t>{2, 3, 4}));
-  EXPECT_EQ(stats.resumed, 2u);
-  EXPECT_EQ(stats.executed, 3u);
+  RecordingLegs legs;
+  const auto payloads =
+      runtime::RunJournaledLegs("demo", 99, 5, std::ref(legs), path);
+  EXPECT_EQ(legs.Ran(), (std::vector<std::size_t>{2, 3, 4}));
   ASSERT_EQ(payloads.size(), 5u);
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     EXPECT_EQ(payloads[i], DemoLeg(i));
@@ -387,26 +393,8 @@ TEST(RunJournaledLegs, ResumeSkipsCommittedLegs) {
         ADD_FAILURE() << "leg_fn ran despite a complete journal";
         return "";
       },
-      options);
+      path);
   EXPECT_EQ(replay, payloads);
-}
-
-TEST(RunJournaledLegs, RuntimeTelemetryCountsResumes) {
-  const std::string path = TempPath("runner_counters.jsonl");
-  std::remove(path.c_str());
-  {
-    runtime::LegJournal journal(path, "demo", 5, 3);
-    journal.Append(0, DemoLeg(0));
-  }
-  telemetry::Recorder runtime_rec;
-  runtime::RuntimeOptions options;
-  options.journal_path = path;
-  options.runtime_telemetry = &runtime_rec;
-  runtime::RunJournaledLegs("demo", 5, 3, DemoLeg, options);
-  const auto snapshot = runtime_rec.Snapshot();
-  EXPECT_EQ(snapshot.metrics.at("runtime.legs_resumed").count, 1u);
-  EXPECT_EQ(snapshot.metrics.at("runtime.legs_executed").count, 2u);
-  EXPECT_EQ(snapshot.metrics.at("runtime.journal_commits").count, 2u);
 }
 
 TEST(RunJournaledLegs, PayloadsAreThreadCountInvariant) {
@@ -420,9 +408,8 @@ TEST(RunJournaledLegs, PayloadsAreThreadCountInvariant) {
 
   const auto run = [&](std::size_t threads) {
     ScopedThreadCount scoped(threads);
-    runtime::RuntimeOptions options;
-    return runtime::RunSweep(base, points, trace::SuiteWorkload("facesim"), 2,
-                             options);
+    return runtime::RunSweep(base, points, trace::SuiteWorkload("facesim"),
+                             2);
   };
   const auto at1 = run(1);
   const auto at2 = run(2);
@@ -438,15 +425,12 @@ TEST(CrashResume, SigkilledRunResumesByteIdentical) {
   const std::string path = TempPath("crash_resume.jsonl");
   std::remove(path.c_str());
 
-  runtime::RuntimeOptions options;
-  options.journal_path = path;
-
   // The injector SIGKILLs the process right after the 2nd durable commit —
   // no destructors, no flushes, exactly like a power cut.
   EXPECT_EXIT(
       {
         ::setenv("VRL_CRASH_AFTER_LEG", "2", 1);
-        runtime::RunJournaledLegs("crash_demo", 11, 4, DemoLeg, options);
+        runtime::RunJournaledLegs("crash_demo", 11, 4, DemoLeg, path);
         ::_exit(0);  // Unreachable when the injector fires.
       },
       testing::KilledBySignal(SIGKILL), "");
@@ -457,13 +441,14 @@ TEST(CrashResume, SigkilledRunResumesByteIdentical) {
     ASSERT_EQ(journal.committed().size(), 2u);
   }
 
-  // Resume and compare with an uninterrupted run: byte-identical.
-  runtime::RunnerStats stats;
+  // Resume runs only the uncommitted legs and matches an uninterrupted
+  // run byte for byte.
+  RecordingLegs legs;
   const auto resumed =
-      runtime::RunJournaledLegs("crash_demo", 11, 4, DemoLeg, options, &stats);
-  EXPECT_EQ(stats.resumed, 2u);
-  const auto clean = runtime::RunJournaledLegs("crash_demo", 11, 4, DemoLeg,
-                                               runtime::RuntimeOptions{});
+      runtime::RunJournaledLegs("crash_demo", 11, 4, std::ref(legs), path);
+  EXPECT_EQ(legs.Ran(), (std::vector<std::size_t>{2, 3}));
+  const auto clean =
+      runtime::RunJournaledLegs("crash_demo", 11, 4, DemoLeg, "");
   EXPECT_EQ(resumed, clean);
 }
 
@@ -477,8 +462,6 @@ TEST(CrashResume, ExternalSigkillMidCampaignResumes) {
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    runtime::RuntimeOptions options;
-    options.journal_path = path;
     runtime::RunJournaledLegs(
         "ext_kill", 21, 6,
         [](std::size_t leg) {
@@ -488,7 +471,7 @@ TEST(CrashResume, ExternalSigkillMidCampaignResumes) {
           }
           return DemoLeg(leg);
         },
-        options);
+        path);
     ::_exit(0);
   }
   // Wait until at least one leg committed, then kill without warning.
@@ -507,31 +490,27 @@ TEST(CrashResume, ExternalSigkillMidCampaignResumes) {
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  runtime::RuntimeOptions options;
-  options.journal_path = path;
-  runtime::RunnerStats stats;
+  // Legs 0 and 1 were committed before the kill: the resume runs none of
+  // them, and every leg past the journal's prefix exactly once.
+  std::size_t committed = 0;
+  {
+    runtime::LegJournal journal(path, "ext_kill", 21, 6);
+    committed = journal.committed().size();
+  }
+  ASSERT_GE(committed, 2u);
+  RecordingLegs legs;
   const auto resumed =
-      runtime::RunJournaledLegs("ext_kill", 21, 6, DemoLeg, options, &stats);
-  EXPECT_GE(stats.resumed, 2u);
-  const auto clean = runtime::RunJournaledLegs("ext_kill", 21, 6, DemoLeg,
-                                               runtime::RuntimeOptions{});
+      runtime::RunJournaledLegs("ext_kill", 21, 6, std::ref(legs), path);
+  std::vector<std::size_t> expected;
+  for (std::size_t leg = committed; leg < 6; ++leg) {
+    expected.push_back(leg);
+  }
+  EXPECT_EQ(legs.Ran(), expected);
+  const auto clean = runtime::RunJournaledLegs("ext_kill", 21, 6, DemoLeg, "");
   EXPECT_EQ(resumed, clean);
 }
 
-// -- The resilient sweep == core::RunSweep -----------------------------------
-
-TEST(Resilient, RunSweepMatchesCore) {
-  core::VrlConfig base;
-  std::vector<core::SweepPoint> points(3);
-  points[1].nbits = 3;
-  points[2].partial_target = 0.9;
-  const auto workload = trace::SuiteWorkload("facesim");
-
-  const auto expected = core::RunSweep(base, points, workload, 2);
-  const auto inproc = runtime::RunSweep(base, points, workload, 2,
-                                        runtime::RuntimeOptions{});
-  EXPECT_EQ(inproc, expected);
-}
+// -- The journaled sweep -----------------------------------------------------
 
 TEST(Resilient, RunSweepResumesFromJournal) {
   core::VrlConfig base;
@@ -541,20 +520,34 @@ TEST(Resilient, RunSweepResumesFromJournal) {
   const std::string path = TempPath("sweep_resume.jsonl");
   std::remove(path.c_str());
 
-  runtime::RuntimeOptions options;
-  options.journal_path = path;
-  const auto first = runtime::RunSweep(base, points, workload, 2, options);
+  const auto clean = runtime::RunSweep(base, points, workload, 2);
 
-  runtime::RunnerStats stats;
-  const auto second =
-      runtime::RunSweep(base, points, workload, 2, options, &stats);
-  EXPECT_EQ(stats.resumed, 3u);
-  EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(second, first);
+  // Commit legs 0 and 1 with marked results no sweep computes: a resumed
+  // sweep returns them as journaled and evaluates only point 2.
+  {
+    runtime::LegJournal journal(
+        path, "sweep", runtime::SweepConfigDigest(base, points, workload, 2),
+        points.size());
+    for (std::size_t i = 0; i < 2; ++i) {
+      core::SweepResult marked = clean[i];
+      marked.clamped_rows = 1000 + i;
+      std::ostringstream os;
+      runtime::EncodeSweepResult(os, marked);
+      journal.Append(i, os.str());
+    }
+  }
+  const auto resumed = runtime::RunSweep(base, points, workload, 2, path);
+  ASSERT_EQ(resumed.size(), 3u);
+  EXPECT_EQ(resumed[0].clamped_rows, 1000u);
+  EXPECT_EQ(resumed[1].clamped_rows, 1001u);
+  EXPECT_EQ(resumed[2], clean[2]);
+
+  // A complete journal resumes every point and evaluates none.
+  EXPECT_EQ(runtime::RunSweep(base, points, workload, 2, path), resumed);
 
   // A different grid must refuse the same journal (config digest differs).
   points[2].nbits = 4;
-  EXPECT_THROW(runtime::RunSweep(base, points, workload, 2, options),
+  EXPECT_THROW(runtime::RunSweep(base, points, workload, 2, path),
                ConfigError);
 }
 

@@ -292,13 +292,11 @@ TEST(VrlSystemTelemetry, SimulatePopulatesPolicyAndDramMetrics) {
   core::VrlConfig config;
   config.banks = 1;
   core::VrlSystem system(config);
-  auto* recorder = system.EnableTelemetry();
-  ASSERT_NE(recorder, nullptr);
-  EXPECT_EQ(system.telemetry(), recorder);
+  Recorder recorder;
 
   const auto horizon = system.HorizonForWindows(1);
-  system.Simulate("VRL", {}, horizon);
-  const auto snapshot = recorder->Snapshot();
+  system.Simulate("VRL", {}, horizon, &recorder);
+  const auto snapshot = recorder.Snapshot();
   ASSERT_GT(snapshot.metrics.count("policy.full_refreshes"), 0u);
   EXPECT_GT(snapshot.metrics.at("policy.full_refreshes").count, 0u);
   ASSERT_GT(snapshot.metrics.count("policy.partial_refreshes"), 0u);
