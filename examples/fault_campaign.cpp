@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     const auto make_schedule = [&] {
       fault::FaultSchedule schedule(seed);
       schedule.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
-      if (temp_excursion_celsius > 0.0) {
+      if (temp_excursion_celsius != 0.0) {
         // A hot window spanning the middle third of the campaign.
         const double span = window_s * static_cast<double>(windows);
         schedule.Add(std::make_unique<fault::TemperatureExcursionInjector>(

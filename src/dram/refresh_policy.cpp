@@ -148,19 +148,26 @@ DueQueue::DueQueue(const std::vector<Cycles>& periods)
   // kMaxLanes; rows of any further period live in the fallback heap.
   std::vector<Cycles> lane_period;
   std::vector<std::size_t> lane_rows;
+  // A row with its predecessor's period takes its lane without a search:
+  // every row of a one-period plan (JEDEC, DARP, SARP) after the first.
   for (std::size_t r = 0; r < periods.size(); ++r) {
-    auto it = std::find(lane_period.begin(), lane_period.end(), periods[r]);
-    if (it == lane_period.end()) {
-      if (lane_period.size() == kMaxLanes) {
-        continue;
+    if (r != 0 && periods[r] == periods[r - 1]) {
+      lane_of_[r] = lane_of_[r - 1];
+    } else {
+      auto it = std::find(lane_period.begin(), lane_period.end(), periods[r]);
+      if (it == lane_period.end()) {
+        if (lane_period.size() == kMaxLanes) {
+          continue;
+        }
+        lane_period.push_back(periods[r]);
+        lane_rows.push_back(0);
+        it = lane_period.end() - 1;
       }
-      lane_period.push_back(periods[r]);
-      lane_rows.push_back(0);
-      it = lane_period.end() - 1;
+      lane_of_[r] = static_cast<std::uint8_t>(it - lane_period.begin());
     }
-    const auto lane = static_cast<std::size_t>(it - lane_period.begin());
-    lane_of_[r] = static_cast<std::uint8_t>(lane);
-    ++lane_rows[lane];
+    if (lane_of_[r] != kHeap) {
+      ++lane_rows[lane_of_[r]];
+    }
   }
   // A row sits in the queue at most once while its policy runs, so a FIFO
   // sized to its rows never grows.
@@ -206,6 +213,15 @@ void DueQueue::push(Cycles due, std::size_t row) {
   }
 }
 
+void DueQueue::BeginFill() {
+  if (size_ != 0) {
+    throw ConfigError("DueQueue::Fill: the queue must be empty");
+  }
+  for (Lane& lane : lanes_) {
+    lane.head = 0;
+  }
+}
+
 void DueQueue::pop() {
   if (min_lane_ == kHeap) {
     heap_.pop();
@@ -245,9 +261,9 @@ ProposingPolicy::ProposingPolicy(std::vector<Cycles> periods,
   // a controller walks rows round-robin within a refresh window): row r's
   // first deadline lands at (r/n)-th of its own period.
   const auto n = static_cast<Cycles>(periods_.size());
-  for (std::size_t r = 0; r < periods_.size(); ++r) {
-    due_.push(periods_[r] * static_cast<Cycles>(r) / n, r);
-  }
+  due_.Fill([&](std::size_t r) {
+    return periods_[r] * static_cast<Cycles>(r) / n;
+  });
 }
 
 void ProposingPolicy::Propose(Cycles now, const DemandView& demand,

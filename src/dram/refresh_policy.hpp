@@ -283,6 +283,29 @@ class DueQueue {
   void pop();
   void push(Cycles due, std::size_t row);
 
+  /// Bulk form of push into an empty queue: adds (due_of(row), row) for
+  /// every row of the periods table, each where push would put it, and
+  /// looks for the least entry once at the end.  Every FIFO starts at its
+  /// ring's slot 0 with room for all its rows, so an in-order entry is one
+  /// store.  \throws vrl::ConfigError unless empty().
+  template <typename DueOf>
+  void Fill(DueOf due_of) {
+    BeginFill();
+    for (std::size_t row = 0; row < lane_of_.size(); ++row) {
+      const Entry entry{due_of(row), row};
+      if (lane_of_[row] != kHeap) {
+        Lane& lane = lanes_[lane_of_[row]];
+        if (lane.count == 0 || !(entry < lane.ring[lane.count - 1])) {
+          lane.ring[lane.count++] = entry;
+          continue;
+        }
+      }
+      heap_.push(entry);  // Out of order for its FIFO, or no FIFO.
+    }
+    size_ = lane_of_.size();
+    FindMin();
+  }
+
  private:
   static constexpr std::uint8_t kHeap = 0xFF;  ///< No FIFO / fallback heap.
 
@@ -303,6 +326,9 @@ class DueQueue {
     }
   };
 
+  /// Fill's set-up: throws unless empty(), then rewinds every FIFO to
+  /// slot 0 of its ring.
+  void BeginFill();
   /// Recomputes min_lane_ over the FIFO heads and the heap top.
   void FindMin();
 

@@ -70,24 +70,58 @@ std::size_t SelectNextRequest(SchedulerKind kind,
 
 namespace {
 
-/// Would granting `op` at `now` collide with the next demand request?
-bool CollidesWithDemand(const RefreshOp& op, const RefreshGrantContext& ctx) {
-  if (op.granularity == RefreshGranularity::kSubarray) {
-    // Only demand to the refreshed subarray waits behind the refresh.
-    const std::size_t sub = ctx.bank->SubarrayOf(op.row);
-    if (ctx.bank->SubarrayOf(ctx.demand.next_row) != sub) {
-      return false;
+/// The bank-level probes of one GrantRefreshes call.  No grant executes
+/// before the call returns, so the bank's subarrays and the engine's
+/// activation windows look the same to every proposal of the call: each
+/// probe runs at most once, on the first proposal that needs it.
+class GrantProbes {
+ public:
+  explicit GrantProbes(const RefreshGrantContext& ctx) : ctx_(ctx) {}
+
+  /// Would granting `op` at `now` collide with the next demand request?
+  bool CollidesWithDemand(const RefreshOp& op) {
+    if (op.granularity == RefreshGranularity::kSubarray) {
+      // Only demand to the refreshed subarray waits behind the refresh.
+      const std::size_t sub = ctx_.bank->SubarrayOf(op.row);
+      if (ctx_.bank->SubarrayOf(ctx_.demand.next_row) != sub) {
+        return false;
+      }
+      const Cycles start =
+          std::max(ctx_.now, ctx_.bank->SubarrayBusyUntil(sub));
+      return ctx_.demand.next_arrival < start + op.trfc;
     }
-    const Cycles start = std::max(ctx.now, ctx.bank->SubarrayBusyUntil(sub));
-    return ctx.demand.next_arrival < start + op.trfc;
+    // Bank-level refresh blocks every subarray.
+    return ctx_.demand.next_arrival < BankStart() + op.trfc;
   }
-  // Bank-level refresh blocks every subarray.
-  Cycles start = ctx.now;
-  for (std::size_t s = 0; s < ctx.bank->subarray_count(); ++s) {
-    start = std::max(start, ctx.bank->SubarrayBusyUntil(s));
+
+  /// Would the rank's ACT windows (tRRD/tFAW) stall a REFpb at `now`?
+  bool ActWindowClosed() {
+    if (!act_probed_) {
+      act_closed_ = ctx_.engine->PeekActivate(ctx_.addr, ctx_.now) > ctx_.now;
+      act_probed_ = true;
+    }
+    return act_closed_;
   }
-  return ctx.demand.next_arrival < start + op.trfc;
-}
+
+ private:
+  /// First cycle every subarray of the bank is free, from `now` on.
+  Cycles BankStart() {
+    if (!bank_probed_) {
+      bank_start_ = ctx_.now;
+      for (std::size_t s = 0; s < ctx_.bank->subarray_count(); ++s) {
+        bank_start_ = std::max(bank_start_, ctx_.bank->SubarrayBusyUntil(s));
+      }
+      bank_probed_ = true;
+    }
+    return bank_start_;
+  }
+
+  const RefreshGrantContext& ctx_;
+  bool bank_probed_ = false;
+  Cycles bank_start_ = 0;
+  bool act_probed_ = false;
+  bool act_closed_ = false;
+};
 
 }  // namespace
 
@@ -96,6 +130,7 @@ void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
                     std::vector<RefreshProposal>& proposals) {
   ops.clear();
   policy.Propose(ctx.now, ctx.demand, proposals);
+  GrantProbes probes(ctx);
   for (const RefreshProposal& proposal : proposals) {
     const bool urgent = proposal.urgent || ctx.now >= proposal.deadline;
     if (stats != nullptr) {
@@ -106,11 +141,10 @@ void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
     }
     bool defer = false;
     if (!urgent && ctx.bank != nullptr) {
-      if (ctx.demand.has_next && CollidesWithDemand(proposal.op, ctx)) {
+      if (ctx.demand.has_next && probes.CollidesWithDemand(proposal.op)) {
         defer = true;
       } else if (proposal.op.granularity == RefreshGranularity::kPerBank &&
-                 ctx.engine != nullptr &&
-                 ctx.engine->PeekActivate(ctx.addr, ctx.now) > ctx.now) {
+                 ctx.engine != nullptr && probes.ActWindowClosed()) {
         // The rank's ACT windows (tRRD/tFAW) would stall this REFpb; try
         // again next tick instead of queueing behind demand ACTs.
         defer = true;

@@ -111,6 +111,13 @@ TemperatureExcursionInjector::TemperatureExcursionInjector(
     throw ConfigError(
         "TemperatureExcursionInjector: need start >= 0 and duration > 0");
   }
+  // An excursion heats the chip: a peak at or below the profiling
+  // temperature would lengthen retention instead of shortening it.
+  if (!(peak_celsius > model_.profiling_celsius)) {
+    throw ConfigError(
+        "TemperatureExcursionInjector: peak must be above the profiling "
+        "temperature");
+  }
   scale_ = model_.RetentionScale(peak_celsius);
 }
 

@@ -100,7 +100,9 @@ class VrtFlipInjector : public FaultInjector {
 
 /// A transient temperature excursion: retention of every row is scaled by
 /// TemperatureModel::RetentionScale(peak_celsius) during the window and
-/// returns to 1.0 outside it.
+/// returns to 1.0 outside it.  The peak must lie above the model's
+/// profiling temperature (a hot window shortens retention); anything else
+/// is a ConfigError.
 class TemperatureExcursionInjector : public FaultInjector {
  public:
   TemperatureExcursionInjector(const retention::TemperatureModel& model,

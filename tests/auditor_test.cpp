@@ -445,6 +445,77 @@ TEST(DenseAuditor, BankRefreshSeesEveryOtherSubarray) {
 }
 
 // ---------------------------------------------------------------------------
+// Replay order: a log far from sorted (the fallback) replays as one that is
+// nearly sorted (the insertion pass) does
+// ---------------------------------------------------------------------------
+
+/// `commands` in a new log, in the given order.
+CommandLog LogOf(const std::vector<Command>& commands) {
+  CommandLog log;
+  for (const Command& c : commands) {
+    log.Append(c);
+  }
+  return log;
+}
+
+/// Audits `commands` with the dense auditor and the reference replay, and
+/// expects the same report.
+void ExpectMatchesReference(const TableCase& tc,
+                            const std::vector<Command>& commands) {
+  const CommandLog log = LogOf(commands);
+  const AuditReport expected = ReferenceAudit(tc.table, log);
+  const AuditReport actual = TimingAuditor(tc.table).Audit(log);
+  EXPECT_EQ(actual.commands_checked, expected.commands_checked);
+  EXPECT_EQ(actual.ToText(tc.name), expected.ToText(tc.name));
+  EXPECT_FALSE(expected.clean());
+}
+
+TEST(DenseAuditorOrder, ReversedShuffledAndSameCycleLogsMatchReference) {
+  for (const TableCase& tc : Tables()) {
+    SCOPED_TRACE(tc.name);
+    const std::vector<Command> stream =
+        RandomStream(tc.table, 2, 31, 2000).commands();
+
+    std::vector<Command> reversed(stream.rbegin(), stream.rend());
+    ExpectMatchesReference(tc, reversed);
+
+    std::vector<Command> shuffled = stream;
+    Rng rng(5);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    ExpectMatchesReference(tc, shuffled);
+
+    // Every key ties on the cycle: the log index alone orders the replay.
+    std::vector<Command> same_cycle = stream;
+    for (Command& c : same_cycle) {
+      c.at = 500;
+    }
+    ExpectMatchesReference(tc, same_cycle);
+  }
+}
+
+TEST(DenseAuditorOrder, DisplacementPastTheShiftBudgetMatchesReference) {
+  // A sorted stream with one early command moved back by `shift` places:
+  // 100 stays inside the insertion pass's per-key budget, 1500 and the
+  // whole log run past it into the std::sort fallback.
+  for (const TableCase& tc : Tables()) {
+    std::vector<Command> sorted =
+        RandomStream(tc.table, 3, 47, 2000).commands();
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Command& a, const Command& b) {
+                       return a.at < b.at;
+                     });
+    for (const std::size_t shift : {100u, 1500u, 1999u}) {
+      SCOPED_TRACE(tc.name + " shift " + std::to_string(shift));
+      std::vector<Command> displaced = sorted;
+      std::rotate(displaced.begin(), displaced.begin() + 1,
+                  displaced.begin() + static_cast<std::ptrdiff_t>(shift) + 1);
+      ASSERT_LT(displaced[shift].at, displaced[shift - 1].at);
+      ExpectMatchesReference(tc, displaced);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Real streams: every registry policy on DDR4_2400 with 4 subarrays
 // ---------------------------------------------------------------------------
 

@@ -626,6 +626,81 @@ TEST(DueQueue, PopsExactlyWhatTheHeapPops) {
   }
 }
 
+TEST(DueQueue, FillPopsWhatPushesPop) {
+  // The staggered first deadlines ProposingPolicy fills in, and random
+  // first deadlines that break every FIFO's order, over periods sorted
+  // into runs and interleaved, with up to and past kMaxLanes periods.
+  for (const std::size_t distinct : {1u, 4u, 8u, 13u, 64u}) {
+    for (const bool runs : {false, true}) {
+      for (const bool staggered : {true, false}) {
+        SCOPED_TRACE("distinct=" + std::to_string(distinct) +
+                     " runs=" + std::to_string(runs) +
+                     " staggered=" + std::to_string(staggered));
+        Rng rng(distinct * 4 + (runs ? 2 : 0) + (staggered ? 1 : 0));
+        const std::size_t rows = 200;
+        std::vector<Cycles> periods = DrawPeriods(rows, distinct, rng);
+        if (runs) {
+          std::sort(periods.begin(), periods.end());
+        }
+        std::vector<Cycles> first(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          first[r] = staggered ? periods[r] * r / rows : rng.UniformInt(5000);
+        }
+        DueQueue filled(periods);
+        filled.Fill([&](std::size_t r) { return first[r]; });
+        DueQueue pushed(periods);
+        for (std::size_t r = 0; r < rows; ++r) {
+          pushed.push(first[r], r);
+        }
+        ASSERT_EQ(filled.size(), rows);
+        // Pop and re-arm one period later (one in eight at a random later
+        // cycle) for a few rounds of every row.
+        std::vector<DueQueue::Entry> got;
+        std::vector<DueQueue::Entry> want;
+        for (std::size_t step = 0; step < 5 * rows; ++step) {
+          got.push_back(filled.top());
+          want.push_back(pushed.top());
+          filled.pop();
+          pushed.pop();
+          const auto [due, row] = want.back();
+          const Cycles next = rng.UniformInt(8) == 0
+                                  ? due + 1 + rng.UniformInt(periods[row])
+                                  : due + periods[row];
+          filled.push(next, row);
+          pushed.push(next, row);
+        }
+        EXPECT_EQ(got, want);
+        EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+      }
+    }
+  }
+}
+
+TEST(DueQueue, FillAfterDrainingAndOnlyWhenEmpty) {
+  // A drained queue's FIFOs sit mid-ring; Fill starts them over.
+  const std::vector<Cycles> periods(16, 1000);
+  const auto stagger = [&](std::size_t r) { return periods[r] * r / 16; };
+  DueQueue drained(periods);
+  for (std::size_t r = 0; r < 11; ++r) {
+    drained.push(r, r);
+  }
+  EXPECT_THROW(drained.Fill(stagger), ConfigError);
+  while (!drained.empty()) {
+    drained.pop();
+  }
+  drained.Fill(stagger);
+  DueQueue fresh(periods);
+  fresh.Fill(stagger);
+  for (int step = 0; step < 64; ++step) {
+    ASSERT_EQ(drained.top(), fresh.top());
+    const auto [due, row] = fresh.top();
+    drained.pop();
+    fresh.pop();
+    drained.push(due + periods[row], row);
+    fresh.push(due + periods[row], row);
+  }
+}
+
 TEST(DueQueue, ArbitraryPushesAndPops) {
   // Unstructured traffic: pushes at random cycles (duplicates included)
   // interleaved with random pops.

@@ -266,6 +266,17 @@ TEST(TemperatureExcursionInjectorTest, ScalesOnlyInsideWindow) {
   EXPECT_DOUBLE_EQ(schedule.RowScale(0), 1.0);
 }
 
+TEST(TemperatureExcursionInjectorTest, RejectsPeakAtOrBelowProfiling) {
+  const retention::TemperatureModel model;
+  for (const double peak : {-10.0, 0.0, 30.0, model.profiling_celsius}) {
+    EXPECT_THROW(TemperatureExcursionInjector(model, 1.0, 0.5, peak),
+                 ConfigError)
+        << peak;
+  }
+  const double hotter = model.profiling_celsius + 1.0;
+  EXPECT_NO_THROW(TemperatureExcursionInjector(model, 1.0, 0.5, hotter));
+}
+
 TEST(RetentionDriftInjectorTest, DeclinesLinearlyToFloor) {
   FaultSchedule schedule(1);
   schedule.Add(std::make_unique<RetentionDriftInjector>(/*rate_per_s=*/0.1,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -167,6 +169,188 @@ TEST(RefreshDeferral, ActivationWindowPressureDefersRefpb) {
   const auto ops = Grant(policy, ctx, &stats);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].granularity, dram::RefreshGranularity::kPerBank);
+}
+
+/// Offers the same proposals on every tick and records each decision as
+/// (row, granted).
+class ScriptedPolicy : public dram::RefreshPolicy {
+ public:
+  explicit ScriptedPolicy(std::vector<dram::RefreshProposal> script)
+      : script_(std::move(script)) {}
+
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override {
+    (void)demand;
+    RequireMonotonicNow(now);
+    out = script_;
+  }
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
+    (void)at;
+    decisions.emplace_back(proposal.op.row, true);
+  }
+  void OnDefer(const dram::RefreshProposal& proposal) override {
+    decisions.emplace_back(proposal.op.row, false);
+  }
+  std::string Name() const override { return "scripted"; }
+  std::size_t rows() const override { return 64; }
+
+  std::vector<std::pair<std::size_t, bool>> decisions;
+
+ private:
+  std::vector<dram::RefreshProposal> script_;
+};
+
+/// The grant rule evaluated for one proposal on its own, probing the bank
+/// and the engine afresh every time: the per-proposal form the once-per-call
+/// probes must reproduce.
+bool ReferenceGrants(const dram::RefreshProposal& proposal,
+                     const dram::RefreshGrantContext& ctx) {
+  if (proposal.urgent || ctx.now >= proposal.deadline ||
+      ctx.bank == nullptr) {
+    return true;
+  }
+  const dram::RefreshOp& op = proposal.op;
+  if (ctx.demand.has_next) {
+    bool collides = false;
+    if (op.granularity == dram::RefreshGranularity::kSubarray) {
+      const std::size_t sub = ctx.bank->SubarrayOf(op.row);
+      collides = ctx.bank->SubarrayOf(ctx.demand.next_row) == sub &&
+                 ctx.demand.next_arrival <
+                     std::max(ctx.now, ctx.bank->SubarrayBusyUntil(sub)) +
+                         op.trfc;
+    } else {
+      Cycles start = ctx.now;
+      for (std::size_t s = 0; s < ctx.bank->subarray_count(); ++s) {
+        start = std::max(start, ctx.bank->SubarrayBusyUntil(s));
+      }
+      collides = ctx.demand.next_arrival < start + op.trfc;
+    }
+    if (collides) {
+      return false;
+    }
+  }
+  return !(op.granularity == dram::RefreshGranularity::kPerBank &&
+           ctx.engine != nullptr &&
+           ctx.engine->PeekActivate(ctx.addr, ctx.now) > ctx.now);
+}
+
+TEST(RefreshDeferral, OneTickOfMixedProposalsMatchesPerProposalProbes) {
+  const dram::TimingTable table =
+      dram::MakeTimingTable(dram::TimingPreset::kDdr4_2400);
+  dram::ConstraintEngine engine(table);
+  const dram::BankAddress addr = dram::DecomposeBank(table.topology, 0);
+  for (int i = 0; i < 4; ++i) {
+    const Cycles at = 100 + static_cast<Cycles>(i) * table.t_rrd_l;
+    engine.RecordActivate(addr, engine.EarliestActivate(addr, at));
+  }
+  const Cycles blocked = 100 + 3 * table.t_rrd_l + 1;
+  ASSERT_GT(engine.PeekActivate(addr, blocked), blocked);
+  Cycles open = blocked;
+  while (engine.PeekActivate(addr, open) > open) {
+    open = engine.PeekActivate(addr, open);
+  }
+
+  // 64 rows in 4 subarrays of 16.  Non-urgent REFpb, all-bank and
+  // subarray proposals of short and long tRFC, plus one urgent REFpb.
+  const auto proposal = [](std::size_t row, Cycles trfc,
+                           dram::RefreshGranularity granularity,
+                           Cycles deadline) {
+    dram::RefreshProposal p;
+    p.op = {row, trfc, true, granularity};
+    p.due = 0;
+    p.deadline = deadline;
+    p.urgent = false;
+    return p;
+  };
+  constexpr auto kPb = dram::RefreshGranularity::kPerBank;
+  constexpr auto kSa = dram::RefreshGranularity::kSubarray;
+  constexpr auto kAll = dram::RefreshGranularity::kAllBank;
+  const Cycles later = 1'000'000;
+  const std::vector<dram::RefreshProposal> script = {
+      proposal(0, 30, kPb, later),   proposal(20, 30, kSa, later),
+      proposal(40, 30, kSa, later),  proposal(5, 400, kPb, later),
+      proposal(50, 30, kAll, later), proposal(60, 30, kPb, 1),
+      proposal(3, 100, kSa, later),  proposal(33, 30, kPb, later),
+      proposal(21, 500, kSa, later), proposal(9, 30, kAll, later)};
+
+  // Decisions per (now, demand case).
+  std::map<std::pair<Cycles, std::size_t>,
+           std::vector<std::pair<std::size_t, bool>>>
+      outcomes;
+  for (const Cycles now : {blocked, open}) {
+    // Subarray 1 is busy for 200 cycles past `now`; the others are free.
+    dram::Bank bank(64, table.core, dram::RowBufferPolicy::kOpenPage, 4);
+    bank.SetConstraintEngine(&engine, addr);
+    bank.ExecuteRefresh({16, 200, true, kSa}, now);
+    ASSERT_EQ(bank.SubarrayBusyUntil(1), now + 200);
+
+    dram::DemandView none;
+    none.now = now;
+    std::vector<dram::DemandView> demands = {none};
+    for (const auto& [after, row] :
+         std::vector<std::pair<Cycles, std::size_t>>{
+             {100, 20}, {250, 3}, {250, 40}, {10'000, 20}}) {
+      dram::DemandView demand = none;
+      demand.has_next = true;
+      demand.next_arrival = now + after;
+      demand.next_row = row;
+      demands.push_back(demand);
+    }
+    for (std::size_t d = 0; d < demands.size(); ++d) {
+      const dram::DemandView& demand = demands[d];
+      SCOPED_TRACE("now " + std::to_string(now) + " arrival " +
+                   std::to_string(demand.next_arrival));
+      dram::RefreshGrantContext ctx;
+      ctx.now = now;
+      ctx.demand = demand;
+      ctx.bank = &bank;
+      ctx.engine = &engine;
+      ctx.addr = addr;
+
+      std::vector<std::pair<std::size_t, bool>> want;
+      std::vector<dram::RefreshOp> want_ops;
+      for (const dram::RefreshProposal& p : script) {
+        want.emplace_back(p.op.row, ReferenceGrants(p, ctx));
+        if (want.back().second) {
+          want_ops.push_back(p.op);
+        }
+      }
+      ScriptedPolicy policy(script);
+      dram::RefreshGrantStats stats;
+      const auto ops = Grant(policy, ctx, &stats);
+      EXPECT_EQ(policy.decisions, want);
+      ASSERT_EQ(ops.size(), want_ops.size());
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        EXPECT_EQ(ops[i].row, want_ops[i].row);
+      }
+      EXPECT_EQ(stats.granted + stats.deferred, script.size());
+      outcomes[{now, d}] = want;
+    }
+  }
+  // With no demand the closed window alone defers the non-urgent REFpbs
+  // (rows 0, 5, 33) and the open one grants everything; demand to a free
+  // subarray defers the long bank-level ops and grants the short ones.
+  const auto granted = [&](Cycles now, std::size_t demand,
+                           std::size_t row) {
+    for (const auto& [r, grant] : outcomes.at({now, demand})) {
+      if (r == row) {
+        return grant;
+      }
+    }
+    ADD_FAILURE() << "row " << row << " has no decision";
+    return false;
+  };
+  for (const std::size_t row : {0u, 5u, 33u}) {
+    EXPECT_FALSE(granted(blocked, 0, row)) << row;
+    EXPECT_TRUE(granted(open, 0, row)) << row;
+  }
+  EXPECT_TRUE(granted(open, 0, 9));  // all-bank REF ignores the window
+  EXPECT_TRUE(granted(blocked, 0, 9));
+  // Demand at +250 to subarray 0: a REFpb waits for subarray 1 (+200).
+  EXPECT_TRUE(granted(open, 2, 0));   // +230 ends before the demand
+  EXPECT_FALSE(granted(open, 2, 5));  // +600 does not
+  EXPECT_TRUE(granted(open, 2, 3));   // subarray 0 op ends at +100
+  EXPECT_TRUE(granted(open, 1, 60));  // urgent: granted under any demand
 }
 
 TEST(RefreshDeferral, SarpOverlapsDemandToOtherSubarrays) {

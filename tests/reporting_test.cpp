@@ -386,9 +386,12 @@ TEST(FaultCampaignFlags, NegativeAndTrailingGarbageValuesAreUsageErrors) {
   EXPECT_EQ(RunBinary("fault_campaign", "--windows 1x"), 2);
   EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --low-ratio 0.5x"), 2);
   // 0 turns an injector off; any other value reaches the injector, which
-  // rejects a negative drift rate or corruption fraction.
+  // rejects a negative drift rate or corruption fraction and an excursion
+  // peak that is not above the 45 C profiling temperature.
   for (const char* args :
-       {"--windows 1 --drift -1", "--windows 1 --corruption -0.5"}) {
+       {"--windows 1 --drift -1", "--windows 1 --corruption -0.5",
+        "--windows 1 --temp-excursion -10", "--windows 1 --temp-excursion 30",
+        "--windows 1 --temp-excursion 45"}) {
     std::string err;
     EXPECT_EQ(RunBinary("fault_campaign", args, &err), 2) << args;
     EXPECT_EQ(err.rfind("error: ", 0), 0u) << args << ": " << err;
