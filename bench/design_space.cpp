@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   bench::Report report("design_space");
   report.AddMeta("workload", "facesim");
   report.AddMeta("windows", std::size_t{8});
-  report.AddMeta("threads", DefaultThreadCount());
+  // The thread count goes to stderr: the report must not depend on it.
+  std::cerr << "design_space: " << DefaultThreadCount() << " threads\n";
 
   try {
     core::VrlConfig base;

@@ -67,7 +67,9 @@ int main(int argc, char** argv) {
   const auto report_options =
       bench::ParseFlags(argc, argv, bench::kOutput | bench::kProfile);
   bench::Report report("validation_circuit");
-  report.AddMeta("threads", vrl::DefaultThreadCount());
+  // The thread count goes to stderr: the report must not depend on it.
+  std::cerr << "validation_circuit: " << vrl::DefaultThreadCount()
+            << " threads\n";
 
   // --profile: attribute wall time to the transient circuit solves — the
   // dominant cost of this harness (docs/PROFILING.md).  Every parallel task

@@ -1,6 +1,8 @@
 #include "core/experiments.hpp"
 
+#include <algorithm>
 #include <iterator>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -19,11 +21,15 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
     throw ConfigError("RunWorkload: need at least one refresh window");
   }
   const Cycles horizon = system.HorizonForWindows(options.windows);
-  Rng rng(system.config().seed ^ 0xABCD'1234ULL);
-  const auto records =
-      trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-  const trace::AddressMapper mapper(system.Geometry());
-  const auto requests = trace::MapToRequests(records, mapper);
+  // The trace is split into per-bank streams once and its records freed
+  // before the runs: the three policies share the one read-only split.
+  const dram::RequestStreams streams = [&] {
+    Rng rng(system.config().seed ^ 0xABCD'1234ULL);
+    const auto records =
+        trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
+    return trace::MapToStreams(records,
+                               trace::AddressMapper(system.Geometry()));
+  }();
 
   const power::PowerModel power_model(options.energy,
                                       system.config().tech.clock_period_s);
@@ -38,19 +44,20 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
       tracer == nullptr
           ? telemetry::SpanId{0}
           : tracer->BeginSpan("workload:" + workload.name, 0, 0, 0,
-                              static_cast<std::int64_t>(requests.size()));
+                              static_cast<std::int64_t>(streams.size()));
 
-  const auto raidr = system.Simulate("RAIDR", requests, horizon, recorder);
+  const auto raidr =
+      system.SimulateStreams("RAIDR", streams, horizon, recorder);
   result.raidr_overhead = raidr.RefreshOverheadPerBank();
   result.raidr_refresh_power_mw =
       power_model.Compute(raidr).refresh_power_mw;
 
-  const auto vrl = system.Simulate("VRL", requests, horizon, recorder);
+  const auto vrl = system.SimulateStreams("VRL", streams, horizon, recorder);
   result.vrl_overhead = vrl.RefreshOverheadPerBank();
   result.vrl_refresh_power_mw = power_model.Compute(vrl).refresh_power_mw;
 
   const auto vrl_access =
-      system.Simulate("VRL-Access", requests, horizon, recorder);
+      system.SimulateStreams("VRL-Access", streams, horizon, recorder);
   result.vrl_access_overhead = vrl_access.RefreshOverheadPerBank();
   result.vrl_access_refresh_power_mw =
       power_model.Compute(vrl_access).refresh_power_mw;
@@ -86,9 +93,23 @@ std::vector<WorkloadResult> RunEvaluationSuite(
     shards = std::make_unique<telemetry::ShardedRecorder>(
         suite.size(), options.telemetry->options());
   }
+  // Heaviest first: a workload's requests, and so its run time, grow as its
+  // mean gap shrinks, so the tasks are claimed in ascending mean gap (ties
+  // in suite order).  Otherwise the heaviest (bgsave, last in the suite)
+  // starts last and leaves the other threads idle at the end.  The order
+  // only decides which task a thread takes next: results land in slot i
+  // and shards merge in index order, so no output depends on it.
+  std::vector<std::size_t> order(suite.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return suite[a].mean_gap_cycles <
+                            suite[b].mean_gap_cycles;
+                   });
   ParallelFor(
       "evaluation_suite", suite.size(),
-      [&](std::size_t i) {
+      [&](std::size_t k) {
+        const std::size_t i = order[k];
         results[i] = RunWorkloadInto(system, suite[i], options,
                                      shards ? &shards->shard(i) : nullptr);
       },

@@ -30,18 +30,22 @@ SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
   const VrlSystem system(config);
 
   const Cycles horizon = system.HorizonForWindows(windows);
-  Rng rng(config.seed ^ 0x5111EE7ULL);
-  const auto records =
-      trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-  const auto requests =
-      trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
+  // One split of the trace, shared read-only by the three runs.
+  const dram::RequestStreams streams = [&] {
+    Rng rng(config.seed ^ 0x5111EE7ULL);
+    const auto records =
+        trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
+    return trace::MapToStreams(records,
+                               trace::AddressMapper(system.Geometry()));
+  }();
 
-  const double raidr =
-      system.Simulate("RAIDR", requests, horizon).RefreshOverheadPerBank();
+  const double raidr = system.SimulateStreams("RAIDR", streams, horizon)
+                           .RefreshOverheadPerBank();
   const double vrl =
-      system.Simulate("VRL", requests, horizon).RefreshOverheadPerBank();
-  const double vrl_access = system.Simulate("VRL-Access", requests, horizon)
-                                .RefreshOverheadPerBank();
+      system.SimulateStreams("VRL", streams, horizon).RefreshOverheadPerBank();
+  const double vrl_access =
+      system.SimulateStreams("VRL-Access", streams, horizon)
+          .RefreshOverheadPerBank();
 
   SweepResult result;
   result.point = point;

@@ -178,6 +178,15 @@ dram::SimulationStats VrlSystem::Simulate(
     std::string_view policy, const std::vector<dram::Request>& requests,
     Cycles horizon, telemetry::Recorder* recorder,
     dram::CommandLog* audit) const {
+  return SimulateStreams(
+      policy, dram::RequestStreams(requests, config_.banks, config_.tech.rows),
+      horizon, recorder, audit);
+}
+
+dram::SimulationStats VrlSystem::SimulateStreams(
+    std::string_view policy, const dram::RequestStreams& streams,
+    Cycles horizon, telemetry::Recorder* recorder,
+    dram::CommandLog* audit) const {
   dram::MemoryController controller(config_.TimingTableFor(),
                                     config_.tech.rows,
                                     MakePolicyFactory(policy),
@@ -189,7 +198,7 @@ dram::SimulationStats VrlSystem::Simulate(
   if (audit != nullptr) {
     controller.EnableAudit();
   }
-  auto stats = controller.Run(requests, horizon);
+  auto stats = controller.RunStreams(streams, horizon);
   if (audit != nullptr) {
     audit->AppendLog(controller.TakeAuditLog());
   }

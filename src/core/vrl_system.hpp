@@ -179,6 +179,14 @@ class VrlSystem {
                                  telemetry::Recorder* recorder = nullptr,
                                  dram::CommandLog* audit = nullptr) const;
 
+  /// Simulate over requests already split into per-bank streams
+  /// (trace::MapToStreams with this system's Geometry()), which the run
+  /// only reads: the runs of several policies share one split.
+  dram::SimulationStats SimulateStreams(
+      std::string_view policy, const dram::RequestStreams& streams,
+      Cycles horizon, telemetry::Recorder* recorder = nullptr,
+      dram::CommandLog* audit = nullptr) const;
+
   /// Convenience: simulation horizon covering `windows` base refresh
   /// windows (64 ms each).
   Cycles HorizonForWindows(std::size_t windows) const;

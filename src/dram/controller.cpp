@@ -181,57 +181,38 @@ void MemoryController::AttachTelemetry(telemetry::Recorder* recorder) {
 
 SimulationStats MemoryController::Run(const std::vector<Request>& requests,
                                       Cycles horizon) {
-  // Split the requests into per-bank streams of 16-byte slots, bank-major
-  // in one array: a counting pass, which also checks the input before any
-  // request is served, then one scatter.  Each stream is [head, end) of
-  // `slots`; its pending requests are the unserved slots in [head, qi).
+  return RunStreams(RequestStreams(requests, banks_.size(),
+                                   banks_.front().rows()),
+                    horizon);
+}
+
+SimulationStats MemoryController::RunStreams(const RequestStreams& input,
+                                             Cycles horizon) {
+  if (input.banks() != banks_.size() ||
+      input.rows() > banks_.front().rows()) {
+    throw ConfigError("MemoryController::RunStreams: streams for " +
+                      std::to_string(input.banks()) + " banks of " +
+                      std::to_string(input.rows()) + " rows, controller has " +
+                      std::to_string(banks_.size()) + " banks of " +
+                      std::to_string(banks_.front().rows()) + " rows");
+  }
+  // The run's cursors into the shared, read-only streams: bank b's stream
+  // is [head, end) of `slots`, and its pending requests are the unserved
+  // slots in [head, qi).  FCFS serves the head every time; FR-FCFS may
+  // serve out of order, and marks those slots in its own `served` array so
+  // the head can step over them.
   struct Stream {
     std::size_t head = 0;  // oldest pending (unserved) slot
     std::size_t qi = 0;    // next slot not yet pending
     std::size_t end = 0;
   };
   std::vector<Stream> streams(banks_.size());
-  {
-    const std::size_t rows = banks_.front().rows();
-    bool bad_bank = false;
-    bool bad_row = false;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const Request& r = requests[i];
-      if (i != 0 && r.arrival < requests[i - 1].arrival) {
-        throw ConfigError(
-            "MemoryController::Run: requests must be arrival-sorted");
-      }
-      if (r.bank >= banks_.size()) {
-        bad_bank = true;
-        continue;
-      }
-      bad_row = bad_row || r.row >= rows;
-      ++streams[r.bank].end;
-    }
-    if (bad_bank) {
-      throw ConfigError("MemoryController::Run: request bank out of range");
-    }
-    if (bad_row) {
-      throw ConfigError("Bank: request row out of range");
-    }
+  for (std::size_t b = 0; b < streams.size(); ++b) {
+    streams[b] = {input.offset(b), input.offset(b), input.offset(b + 1)};
   }
-  std::size_t offset = 0;
-  for (Stream& stream : streams) {
-    stream.head = offset;
-    stream.qi = offset;
-    offset += stream.end;
-    stream.end = offset;
-  }
-  std::vector<RequestSlot> slots(requests.size());
-  for (const Request& r : requests) {
-    // Each row passed the range check above, and the constructor keeps
-    // rows per bank within 32 bits, so the narrowing is exact.
-    slots[streams[r.bank].qi++] = {r.arrival, static_cast<std::uint32_t>(r.row),
-                                   r.type == RequestType::kWrite, false};
-  }
-  for (Stream& stream : streams) {
-    stream.qi = stream.head;
-  }
+  const RequestSlot* const slots = input.slots().data();
+  const bool out_of_order = scheduler_ != SchedulerKind::kFcfs;
+  std::vector<std::uint8_t> served(out_of_order ? input.size() : 0);
 
   const Topology& topo = table_.topology;
   // The service loop is only tens of nanoseconds per request, so the
@@ -368,14 +349,17 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
                slots[stream.qi].arrival < limit) {
           ++stream.qi;
         }
+        const std::size_t pending = stream.qi - stream.head;
         const std::size_t pick =
             stream.head +
             SelectNextRequest(
                 scheduler_,
-                std::span<const RequestSlot>(slots.data() + stream.head,
-                                             stream.qi - stream.head),
+                std::span<const RequestSlot>(slots + stream.head, pending),
+                out_of_order ? std::span<const std::uint8_t>(
+                                   served.data() + stream.head, pending)
+                             : std::span<const std::uint8_t>(),
                 bank);
-        RequestSlot& slot = slots[pick];
+        const RequestSlot& slot = slots[pick];
         bank.ServiceRequest({slot.arrival, b, slot.row, 0,
                              slot.write ? RequestType::kWrite
                                         : RequestType::kRead});
@@ -385,9 +369,13 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
           // the scheduler reordering for row locality.
           reordered_picks_n += pick != stream.head ? 1 : 0;
         }
-        slot.served = true;
-        while (stream.head < stream.qi && slots[stream.head].served) {
-          ++stream.head;
+        if (out_of_order) {
+          served[pick] = 1;
+          while (stream.head < stream.qi && served[stream.head] != 0) {
+            ++stream.head;
+          }
+        } else {
+          ++stream.head;  // FCFS picks the head.
         }
         instants[best] = decision_instant(b, limit);
       }
@@ -401,8 +389,18 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
       // every pending request, so the stream cursor *is* the demand view:
       // the next request this bank will see.  The constraint engine (null
       // on flat tables) joins the context so non-urgent REFpb proposals
-      // defer instead of stalling in the rank's ACT windows.
+      // defer instead of stalling in the rank's ACT windows.  A tick
+      // before the policy's next_proposal() has nothing to propose: it
+      // only advances the policy's clock (and still counts as a
+      // propose/grant call in the profile).
       for (std::size_t b = first; b < last; ++b) {
+        RefreshPolicy& policy = *policies_[b];
+        grant_phase.Start();
+        if (tick < policy.next_proposal()) {
+          policy.SkipIdleTick(tick);
+          grant_phase.Stop();
+          continue;
+        }
         RefreshGrantContext ctx;
         ctx.now = tick;
         ctx.demand.now = tick;
@@ -415,8 +413,7 @@ SimulationStats MemoryController::Run(const std::vector<Request>& requests,
         ctx.bank = &banks_[b];
         ctx.engine = engine_.get();
         ctx.addr = addrs_[b];
-        grant_phase.Start();
-        GrantRefreshes(*policies_[b], ctx, &grant_stats, ops, proposals);
+        GrantRefreshes(policy, ctx, &grant_stats, ops, proposals);
         grant_phase.Stop();
         // Each op waits for its own subarray inside the bank; ops to
         // distinct subarrays overlap (SALP), ops to the same one

@@ -32,12 +32,23 @@
 /// tRRD/tFAW/tCCD/tRTRS/bus stalls where the hierarchy binds
 /// (docs/TOPOLOGY.md).
 ///
-/// The hot path works on dense data and allocates nothing per tick or
-/// request: Run splits the requests into per-bank streams of 16-byte
-/// RequestSlots (one counting pass, which also rejects malformed input
-/// before anything is served, then one scatter); it caches each bank's
-/// decision instant and recomputes only the served bank's; and it owns the
-/// proposal and op buffers GrantRefreshes fills on every tick.
+/// Cost model.  A run pays per request and per refresh op, plus one
+/// compare per bank and tREFI tick:
+///  * Requests arrive split into per-bank streams of 16-byte RequestSlots
+///    (RequestStreams, checked once when split).  RunStreams only reads
+///    them, so the runs of several policies over one workload share one
+///    split (core::RunWorkload); Run(vector) splits, then runs.  The run's
+///    own state is a cursor per bank, plus one served mark per request
+///    under FR-FCFS (FCFS always serves a stream's head and needs none).
+///  * The loop caches each bank's decision instant and recomputes only the
+///    served bank's.
+///  * Refresh follows the next-proposal contract (refresh_policy.hpp): on a
+///    tick below the bank policy's next_proposal() the controller skips
+///    propose/grant and only advances the policy's clock.  Most ticks have
+///    no row due, so they cost that one compare; a policy that leaves the
+///    cycle at 0 (fault::AdaptiveVrlPolicy) is asked on every tick.
+///  * The controller owns the proposal and op buffers GrantRefreshes
+///    fills, so a tick allocates nothing.
 
 namespace vrl::dram {
 
@@ -106,6 +117,12 @@ class MemoryController {
   /// requests are not arrival-sorted or one names a bank or row out of
   /// range.
   SimulationStats Run(const std::vector<Request>& requests, Cycles horizon);
+
+  /// Run over requests already split into per-bank streams, which the run
+  /// only reads: several runs may share one RequestStreams.
+  /// \throws vrl::ConfigError when `streams` was not split for this
+  /// controller's bank count, or for more rows than its banks have.
+  SimulationStats RunStreams(const RequestStreams& streams, Cycles horizon);
 
   /// Attaches a telemetry recorder to the controller and every bank's
   /// refresh policy (docs/TELEMETRY.md): Run() then feeds the `dram.*`

@@ -100,14 +100,11 @@ void RefreshPolicy::RecordMprsfResetSlow(std::size_t row,
                  static_cast<std::int64_t>(old_count), 0.0});
 }
 
-void RefreshPolicy::RequireMonotonicNow(Cycles now) {
-  if (now < last_now_) {
-    throw ConfigError("RefreshPolicy::Propose: now must be non-decreasing"
-                      " (got " +
-                      std::to_string(now) + " after " +
-                      std::to_string(last_now_) + ")");
-  }
-  last_now_ = now;
+void RefreshPolicy::ThrowNonMonotonicNow(Cycles now) const {
+  throw ConfigError("RefreshPolicy::Propose: now must be non-decreasing"
+                    " (got " +
+                    std::to_string(now) + " after " +
+                    std::to_string(last_now_) + ")");
 }
 
 RowRefreshPlan MakeRefreshPlan(const retention::BinningResult& binning,
@@ -264,6 +261,7 @@ ProposingPolicy::ProposingPolicy(std::vector<Cycles> periods,
   due_.Fill([&](std::size_t r) {
     return periods_[r] * static_cast<Cycles>(r) / n;
   });
+  UpdateNextProposal();
 }
 
 void ProposingPolicy::Propose(Cycles now, const DemandView& demand,
@@ -292,6 +290,7 @@ void ProposingPolicy::Propose(Cycles now, const DemandView& demand,
   for (RefreshProposal& proposal : out) {
     proposal.urgent = now >= proposal.deadline;
   }
+  UpdateNextProposal();
 }
 
 void ProposingPolicy::OnGrant(const RefreshProposal& proposal, Cycles at) {
@@ -306,6 +305,7 @@ void ProposingPolicy::OnGrant(const RefreshProposal& proposal, Cycles at) {
   // Re-arm anchored at the due cycle, not the grant cycle: deferral must
   // not stretch the retention schedule.
   due_.push(proposal.due + periods_[row], row);
+  UpdateNextProposal();
 }
 
 bool ProposingPolicy::RearmOutstanding(std::size_t row, Cycles at) {
@@ -313,6 +313,7 @@ bool ProposingPolicy::RearmOutstanding(std::size_t row, Cycles at) {
     if (it->op.row == row) {
       outstanding_.erase(it);
       due_.push(at, row);
+      UpdateNextProposal();
       return true;
     }
   }

@@ -36,6 +36,10 @@ class Recorder;
 ///    grants it on the tick it is proposed — the fixed-schedule policies
 ///    (JEDEC, RAIDR, VRL, VRL-Access) use that; DARP/SARP/VRL-Skip defer
 ///    around demand inside a non-zero window.
+///  * next_proposal() is the first cycle Propose may return anything; the
+///    controller skips propose/grant on every tick before it.  Most ticks
+///    have nothing due (the Fig. 4 grid grants about one op per four
+///    bank-ticks), so a skipped tick costs one compare.
 /// Each granted op carries its own tRFC — variable refresh latency is the
 /// paper's mechanism.
 ///
@@ -135,6 +139,19 @@ class RefreshPolicy {
   /// Notification that a row was activated by a read/write access.
   virtual void OnRowAccess(std::size_t row) { (void)row; }
 
+  /// The next-proposal contract: Propose(now) returns nothing for any `now`
+  /// below this cycle, so the memory controller calls SkipIdleTick instead
+  /// of propose/grant on those ticks.  A policy keeps it current whenever
+  /// its due rows or outstanding proposals change (ProposingPolicy does).
+  /// 0, the default, means "ask every tick": a policy that does not
+  /// maintain it (fault::AdaptiveVrlPolicy) is asked on every tick.
+  Cycles next_proposal() const { return next_proposal_; }
+
+  /// Stands in for Propose on a tick `now` below next_proposal(): proposes
+  /// nothing, but advances the clock as Propose does (VRL-Skip's
+  /// OnRowAccess reads last_now()), under the same monotonic check.
+  void SkipIdleTick(Cycles now) { RequireMonotonicNow(now); }
+
   virtual std::string Name() const = 0;
 
   virtual std::size_t rows() const = 0;
@@ -171,8 +188,17 @@ class RefreshPolicy {
 
   /// Enforces the documented Propose contract: `now` must be
   /// non-decreasing across calls.  Every Propose implementation calls this
-  /// first.  \throws vrl::ConfigError on a decreasing `now`.
-  void RequireMonotonicNow(Cycles now);
+  /// first.  Inline, with the throw out of line: it runs on every tick.
+  /// \throws vrl::ConfigError on a decreasing `now`.
+  void RequireMonotonicNow(Cycles now) {
+    if (now < last_now_) [[unlikely]] {
+      ThrowNonMonotonicNow(now);
+    }
+    last_now_ = now;
+  }
+
+  /// Sets next_proposal() (see there; 0 = ask every tick).
+  void set_next_proposal(Cycles cycle) { next_proposal_ = cycle; }
 
   /// The most recent Propose tick (event timestamps for notifications
   /// that arrive without their own clock, e.g. OnRowAccess).
@@ -215,9 +241,11 @@ class RefreshPolicy {
  private:
   void RecordOpSlow(const RefreshOp& op, Cycles now, Cycles due);
   void RecordMprsfResetSlow(std::size_t row, std::uint8_t old_count);
+  [[noreturn]] void ThrowNonMonotonicNow(Cycles now) const;
 
   std::size_t max_ops_per_tick_ = 0;
   Cycles last_now_ = 0;
+  Cycles next_proposal_ = 0;
 
   telemetry::Recorder* telemetry_ = nullptr;
   // Cells resolved once at attachment; FlushTelemetry updates through
@@ -345,6 +373,10 @@ class DueQueue {
 /// (re-offered every Propose) until granted.  A grant records telemetry and
 /// re-arms the row one period after its *due* cycle, so deferral never
 /// stretches the retention schedule.  Subclasses supply MakeOp.
+///
+/// It keeps next_proposal() current: 0 while any proposal is outstanding
+/// (re-offered every tick), otherwise the due queue's least cycle.  Every
+/// change to either — Propose, OnGrant, RearmOutstanding — recomputes it.
 class ProposingPolicy : public RefreshPolicy {
  public:
   void Propose(Cycles now, const DemandView& demand,
@@ -384,6 +416,12 @@ class ProposingPolicy : public RefreshPolicy {
   bool RearmOutstanding(std::size_t row, Cycles at);
 
  private:
+  /// Recomputes next_proposal() from the outstanding set and the queue.
+  void UpdateNextProposal() {
+    set_next_proposal(outstanding_.empty() && !due_.empty() ? due_.top().first
+                                                             : 0);
+  }
+
   std::vector<Cycles> periods_;
   Cycles defer_window_;
   DueQueue due_;

@@ -53,6 +53,7 @@ std::size_t SelectNextRequest(SchedulerKind kind,
 
 std::size_t SelectNextRequest(SchedulerKind kind,
                               std::span<const RequestSlot> pending,
+                              std::span<const std::uint8_t> served,
                               const Bank& bank) {
   if (pending.empty()) {
     throw ConfigError("SelectNextRequest: no pending requests");
@@ -61,7 +62,7 @@ std::size_t SelectNextRequest(SchedulerKind kind,
     return 0;
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!pending[i].served && bank.IsRowOpen(pending[i].row)) {
+    if (served[i] == 0 && bank.IsRowOpen(pending[i].row)) {
       return i;
     }
   }

@@ -51,10 +51,13 @@ std::size_t SelectNextRequest(SchedulerKind kind,
 /// the bank's row buffers directly (covers banks with multiple subarrays,
 /// each with its own open row).  `pending` runs from the oldest pending
 /// slot (unserved, the FCFS pick) to the first slot not yet arrived;
-/// served slots inside it are skipped.  Returns the pick's offset into
-/// `pending`.
+/// `served` marks, in parallel with `pending`, the slots inside it already
+/// served out of order, which are skipped.  FCFS never serves out of order
+/// and reads no marks (`served` may be empty).  Returns the pick's offset
+/// into `pending`.
 std::size_t SelectNextRequest(SchedulerKind kind,
                               std::span<const RequestSlot> pending,
+                              std::span<const std::uint8_t> served,
                               const Bank& bank);
 
 /// Grant accounting across one run, exported by the controller as

@@ -51,21 +51,38 @@ std::uint64_t AddressMapper::Encode(const Coordinates& c) const {
          c.bank;
 }
 
+namespace {
+
+dram::Request MapRecord(const TraceRecord& rec, const AddressMapper& mapper) {
+  const auto c = mapper.Decode(rec.address);
+  dram::Request r;
+  r.arrival = rec.cycle;
+  r.bank = c.bank;
+  r.row = c.row;
+  r.column = c.column;
+  r.type = rec.is_write ? dram::RequestType::kWrite : dram::RequestType::kRead;
+  return r;
+}
+
+}  // namespace
+
 std::vector<dram::Request> MapToRequests(
     const std::vector<TraceRecord>& records, const AddressMapper& mapper) {
   std::vector<dram::Request> requests;
   requests.reserve(records.size());
   for (const TraceRecord& rec : records) {
-    const auto c = mapper.Decode(rec.address);
-    dram::Request r;
-    r.arrival = rec.cycle;
-    r.bank = c.bank;
-    r.row = c.row;
-    r.column = c.column;
-    r.type = rec.is_write ? dram::RequestType::kWrite : dram::RequestType::kRead;
-    requests.push_back(r);
+    requests.push_back(MapRecord(rec, mapper));
   }
   return requests;
+}
+
+dram::RequestStreams MapToStreams(const std::vector<TraceRecord>& records,
+                                  const AddressMapper& mapper) {
+  // Each record is decoded twice (count, then scatter) rather than stored
+  // decoded: on the default geometry a decode is a few masks and shifts.
+  return dram::RequestStreams::Split(
+      records.size(), mapper.geometry().banks, mapper.geometry().rows,
+      [&](std::size_t i) { return MapRecord(records[i], mapper); });
 }
 
 }  // namespace vrl::trace

@@ -135,6 +135,37 @@ TEST_F(VrlSystemTest, RunWorkloadNormalizations) {
   EXPECT_LT(result.vrl_refresh_power_mw, result.raidr_refresh_power_mw);
 }
 
+TEST_F(VrlSystemTest, RunWorkloadEqualsSimulatingTheMappedRequests) {
+  // RunWorkload maps the trace straight into per-bank streams and shares
+  // them across its three runs; the result must be that of three Simulate
+  // calls over the mapped Request vector, bit for bit.
+  ExperimentOptions options;
+  options.windows = 2;
+  const power::PowerModel power_model(
+      options.energy, system_->config().tech.clock_period_s);
+  const Cycles horizon = system_->HorizonForWindows(options.windows);
+  for (const char* name : {"swaptions", "canneal", "bgsave"}) {
+    const trace::SyntheticWorkloadParams workload = trace::SuiteWorkload(name);
+    Rng rng(system_->config().seed ^ 0xABCD'1234ULL);
+    const auto requests = trace::MapToRequests(
+        trace::GenerateTrace(workload, system_->Geometry(), horizon, rng),
+        trace::AddressMapper(system_->Geometry()));
+    WorkloadResult want;
+    want.workload = name;
+    const auto simulate = [&](const char* policy, double* overhead,
+                              double* power_mw) {
+      const auto stats = system_->Simulate(policy, requests, horizon);
+      *overhead = stats.RefreshOverheadPerBank();
+      *power_mw = power_model.Compute(stats).refresh_power_mw;
+    };
+    simulate("RAIDR", &want.raidr_overhead, &want.raidr_refresh_power_mw);
+    simulate("VRL", &want.vrl_overhead, &want.vrl_refresh_power_mw);
+    simulate("VRL-Access", &want.vrl_access_overhead,
+             &want.vrl_access_refresh_power_mw);
+    EXPECT_EQ(RunWorkload(*system_, workload, options), want) << name;
+  }
+}
+
 TEST(VrlConfigTest, ValidatesNbits) {
   VrlConfig config;
   config.nbits = 0;

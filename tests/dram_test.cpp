@@ -829,6 +829,120 @@ TEST(Controller, RejectsMalformedStreamsBeforeServingAny) {
   }
 }
 
+/// The ConfigError message of splitting `requests` for 2 banks of 16 rows
+/// ("" when it split).
+std::string SplitError(const std::vector<Request>& requests) {
+  try {
+    const RequestStreams streams(requests, 2, 16);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RequestStreams, RejectsUnsortedBadBankAndBadRowInThatPrecedence) {
+  const auto request = [](Cycles arrival, std::size_t bank, std::size_t row) {
+    Request r;
+    r.arrival = arrival;
+    r.bank = bank;
+    r.row = row;
+    return r;
+  };
+  const std::string unsorted =
+      "MemoryController::Run: requests must be arrival-sorted";
+  const std::string bad_bank =
+      "MemoryController::Run: request bank out of range";
+  const std::string bad_row = "Bank: request row out of range";
+  EXPECT_EQ(SplitError({request(5, 0, 0), request(4, 1, 1)}), unsorted);
+  EXPECT_EQ(SplitError({request(5, 2, 0), request(6, 0, 1)}), bad_bank);
+  EXPECT_EQ(SplitError({request(5, 0, 16), request(6, 1, 1)}), bad_row);
+  // An unsorted pair anywhere outranks an earlier bad bank or row, and a
+  // bad bank anywhere outranks an earlier bad row.
+  EXPECT_EQ(SplitError({request(1, 2, 16), request(5, 0, 0),
+                        request(4, 0, 0)}),
+            unsorted);
+  EXPECT_EQ(SplitError({request(1, 0, 16), request(2, 7, 0)}), bad_bank);
+  EXPECT_EQ(SplitError({request(1, 0, 15), request(1, 1, 0)}), "");
+}
+
+TEST(RequestStreams, SplitsPerBankInArrivalOrder) {
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < 9; ++i) {
+    Request r;
+    r.arrival = 10 * i;
+    r.bank = (i * 2) % 3;
+    r.row = i;
+    r.type = i % 2 == 0 ? RequestType::kRead : RequestType::kWrite;
+    requests.push_back(r);
+  }
+  const RequestStreams streams(requests, 4, 16);
+  ASSERT_EQ(streams.banks(), 4u);
+  EXPECT_EQ(streams.rows(), 16u);
+  EXPECT_EQ(streams.size(), requests.size());
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < streams.banks(); ++b) {
+    std::vector<Request> want;
+    for (const Request& r : requests) {
+      if (r.bank == b) {
+        want.push_back(r);
+      }
+    }
+    const auto stream = streams.stream(b);
+    EXPECT_EQ(streams.offset(b), total);
+    ASSERT_EQ(stream.size(), want.size()) << "bank " << b;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(stream[i].arrival, want[i].arrival);
+      EXPECT_EQ(stream[i].row, want[i].row);
+      EXPECT_EQ(stream[i].write, want[i].type == RequestType::kWrite);
+    }
+    total += stream.size();
+  }
+  EXPECT_EQ(streams.offset(streams.banks()), streams.size());
+  EXPECT_TRUE(streams.stream(3).empty());
+}
+
+TEST(Controller, RunStreamsRejectsStreamsSplitForAnotherGeometry) {
+  const TimingParams t = FastTiming();
+  MemoryController controller(2, 16, t, JedecFactory(16, t.t_refw, 26));
+  const std::vector<Request> none;
+  EXPECT_THROW(controller.RunStreams(RequestStreams(none, 3, 16), 1000),
+               ConfigError);
+  EXPECT_THROW(controller.RunStreams(RequestStreams(none, 2, 17), 1000),
+               ConfigError);
+  // Streams checked against fewer rows are in range for this bank too.
+  EXPECT_NO_THROW(controller.RunStreams(RequestStreams(none, 2, 8), 1000));
+}
+
+TEST(Controller, RunStreamsSharesOneSplitAcrossRunsAndSchedulers) {
+  const TimingParams t = FastTiming();
+  std::vector<Request> requests;
+  Rng rng(11);
+  Cycles at = 0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    at += 1 + rng.UniformInt(40);
+    Request r;
+    r.arrival = at;
+    r.bank = rng.UniformInt(2);
+    r.row = rng.UniformInt(4);  // few rows: FR-FCFS finds row hits
+    r.type = rng.Bernoulli(0.3) ? RequestType::kWrite : RequestType::kRead;
+    requests.push_back(r);
+  }
+  const RequestStreams streams(requests, 2, 16);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kFcfs, SchedulerKind::kFrFcfs}) {
+    MemoryController split(2, 16, t, JedecFactory(16, t.t_refw, 26), kind);
+    MemoryController whole(2, 16, t, JedecFactory(16, t.t_refw, 26), kind);
+    const SimulationStats a = split.RunStreams(streams, 20'000);
+    const SimulationStats b = whole.Run(requests, 20'000);
+    EXPECT_EQ(a.TotalReads() + a.TotalWrites(), requests.size());
+    EXPECT_EQ(a.TotalRowHits(), b.TotalRowHits());
+    EXPECT_EQ(a.TotalActivations(), b.TotalActivations());
+    EXPECT_EQ(a.AverageRequestLatency(), b.AverageRequestLatency());
+    EXPECT_EQ(a.TotalRefreshBusyCycles(), b.TotalRefreshBusyCycles());
+    EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+  }
+}
+
 TEST(Controller, RejectsRowsBeyondTheSlotRowField) {
   const TimingParams t = FastTiming();
   constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();

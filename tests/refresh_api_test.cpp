@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -24,6 +25,7 @@
 #include "dram/scheduler.hpp"
 #include "dram/timing_table.hpp"
 #include "dram/topology.hpp"
+#include "fault/adaptive_policy.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -408,6 +410,275 @@ TEST(RefreshDeferral, VrlSkipSkipsRecentlyRestoredRows) {
   for (const auto& op : ops) {
     if (op.row == 1) {
       EXPECT_FALSE(op.is_full);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Next-proposal contract: skipping the ticks a policy reports idle
+// ---------------------------------------------------------------------------
+
+/// A 16-row bank whose RAIDR/VRL periods span 1x, 2x and 4x a 64-tick base
+/// window: a row comes due at most once per four ticks (every row each
+/// window under JEDEC/DARP/SARP), so most ticks are idle.  MPRSF 0..3
+/// mixes full and partial refreshes.
+dram::PolicyBuildContext IdleTickContext() {
+  dram::PolicyBuildContext ctx;
+  ctx.rows = 16;
+  ctx.t_refi = 100;
+  ctx.base_window = 64 * ctx.t_refi;
+  ctx.trfc_full = 35;
+  ctx.trfc_partial = 20;
+  ctx.defer_window = 3 * ctx.t_refi;
+  for (std::size_t r = 0; r < ctx.rows; ++r) {
+    const Cycles period = ctx.base_window << (r % 3);
+    ctx.binned_plan.period_cycles.push_back(period);
+    ctx.vrl_plan.period_cycles.push_back(period);
+    ctx.vrl_plan.mprsf.push_back(static_cast<std::uint8_t>(r % 4));
+  }
+  return ctx;
+}
+
+/// Every registry policy by name, plus "Adaptive(VRL)", which keeps the
+/// default next-proposal cycle of 0 (ask every tick).
+std::vector<std::string> PolicyNamesWithAdaptive() {
+  std::vector<std::string> names;
+  for (const dram::PolicyInfo& info :
+       dram::PolicyRegistry::Global().entries()) {
+    names.push_back(info.name);
+  }
+  names.emplace_back("Adaptive(VRL)");
+  return names;
+}
+
+std::unique_ptr<dram::RefreshPolicy> BuildNamed(
+    const std::string& name, const dram::PolicyBuildContext& ctx) {
+  const auto& registry = dram::PolicyRegistry::Global();
+  if (name != "Adaptive(VRL)") {
+    return registry.Build(name, ctx);
+  }
+  return std::make_unique<fault::AdaptiveVrlPolicy>(
+      registry.Build("VRL", ctx), ctx.vrl_plan, ctx.trfc_full,
+      ctx.trfc_partial, ctx.base_window, ctx.t_refi);
+}
+
+std::string FormatOps(const std::vector<dram::RefreshOp>& ops) {
+  std::string out;
+  for (const dram::RefreshOp& op : ops) {
+    out += std::to_string(op.row) + (op.is_full ? "F" : "P") +
+           std::to_string(op.trfc) + "/" +
+           dram::RefreshGranularityName(op.granularity) + " ";
+  }
+  return out;
+}
+
+TEST(NextProposal, SkippingIdleTicksGrantsTheEveryTickOpStream) {
+  const dram::PolicyBuildContext ctx = IdleTickContext();
+  const dram::TimingParams timing;
+  constexpr std::size_t kTicks = 1500;  // > two periods of the slowest rows
+  for (const std::string& name : PolicyNamesWithAdaptive()) {
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE(name + " cap " + std::to_string(cap));
+      // `every` goes through GrantRefreshes on every tick; `skipping`
+      // skips the ticks before its next_proposal(), as the controller does.
+      const auto every = BuildNamed(name, ctx);
+      const auto skipping = BuildNamed(name, ctx);
+      every->set_max_ops_per_tick(cap);
+      skipping->set_max_ops_per_tick(cap);
+      // No refresh executes on the bank: it only answers the collision
+      // probes, so demand right behind a tick defers non-urgent proposals.
+      const dram::Bank bank(ctx.rows, timing, dram::RowBufferPolicy::kOpenPage,
+                            4);
+      dram::RefreshGrantStats every_stats;
+      dram::RefreshGrantStats skipping_stats;
+      std::vector<dram::RefreshProposal> every_proposals;
+      std::vector<dram::RefreshProposal> skipping_proposals;
+      std::vector<dram::RefreshOp> every_ops;
+      std::vector<dram::RefreshOp> skipping_ops;
+      // ProposingPolicy keeps the cycle current: with nothing outstanding
+      // it is the next due cycle (past tick 0, never the "ask every tick"
+      // 0), so a cancelled last proposal re-enables the skip.
+      const auto* proposing =
+          dynamic_cast<const dram::ProposingPolicy*>(skipping.get());
+      const auto tight = [&] {
+        return proposing == nullptr || proposing->outstanding() != 0 ||
+               skipping->next_proposal() != 0;
+      };
+      std::size_t idle = 0;
+      for (std::size_t tick = 0; tick < kTicks; ++tick) {
+        const Cycles now = static_cast<Cycles>(tick) * ctx.t_refi;
+        dram::RefreshGrantContext grant;
+        grant.now = now;
+        grant.demand.now = now;
+        grant.bank = &bank;
+        if (tick % 3 != 0) {
+          grant.demand.has_next = true;
+          grant.demand.next_arrival = now + 1;
+          grant.demand.next_row = tick % ctx.rows;
+        }
+        // A policy reporting idle at `now` proposes nothing at `now`.
+        const bool every_idle = now < every->next_proposal();
+        dram::GrantRefreshes(*every, grant, &every_stats, every_ops,
+                             every_proposals);
+        if (every_idle) {
+          ASSERT_TRUE(every_proposals.empty()) << "tick " << tick;
+        }
+        if (now < skipping->next_proposal()) {
+          skipping->SkipIdleTick(now);
+          skipping_ops.clear();
+          ++idle;
+        } else {
+          dram::GrantRefreshes(*skipping, grant, &skipping_stats,
+                               skipping_ops, skipping_proposals);
+        }
+        ASSERT_EQ(FormatOps(skipping_ops), FormatOps(every_ops))
+            << "tick " << tick;
+        EXPECT_TRUE(tight()) << "tick " << tick;
+        // Accesses between ticks, every row once per 80 ticks: VRL-Access
+        // resets counters, VRL-Skip stamps the restore with the policy's
+        // clock (last_now()) and reschedules the row one period later, so
+        // a skipped tick must still advance that clock.  Rows of the
+        // 64-tick period come due between their accesses.
+        if (tick % 5 == 2) {
+          const std::size_t row = tick / 5 * 7 % ctx.rows;
+          every->OnRowAccess(row);
+          skipping->OnRowAccess(row);
+          EXPECT_TRUE(tight()) << "access at tick " << tick;
+        }
+        // An access to a row whose proposal was just deferred: VRL-Skip
+        // cancels the proposal (RearmOutstanding), which may leave nothing
+        // outstanding.
+        for (const dram::RefreshProposal& p : every_proposals) {
+          const bool granted =
+              std::any_of(every_ops.begin(), every_ops.end(),
+                          [&](const dram::RefreshOp& op) {
+                            return op.row == p.op.row;
+                          });
+          if (!granted && tick % 2 == 0) {
+            every->OnRowAccess(p.op.row);
+            skipping->OnRowAccess(p.op.row);
+            EXPECT_TRUE(tight()) << "deferred-row access at tick " << tick;
+            break;
+          }
+        }
+      }
+      EXPECT_EQ(skipping_stats.granted, every_stats.granted);
+      EXPECT_EQ(skipping_stats.deferred, every_stats.deferred);
+      EXPECT_EQ(skipping_stats.urgent_grants, every_stats.urgent_grants);
+      EXPECT_GT(every_stats.granted, kTicks / 20);
+      if (name == "Adaptive(VRL)") {
+        EXPECT_EQ(idle, 0u);  // next_proposal() stays 0: asked every tick
+      } else {
+        EXPECT_GT(idle, kTicks / 4);
+      }
+      if (proposing != nullptr && proposing->defer_window() != 0) {
+        EXPECT_GT(every_stats.deferred, 0u);
+      }
+    }
+  }
+}
+
+/// Forwards every call to the wrapped policy but keeps next_proposal() at
+/// 0, so a controller asks it on every tick.
+class AskEveryTick : public dram::RefreshPolicy {
+ public:
+  explicit AskEveryTick(std::unique_ptr<dram::RefreshPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override {
+    inner_->Propose(now, demand, out);
+  }
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
+    inner_->OnGrant(proposal, at);
+  }
+  void OnDefer(const dram::RefreshProposal& proposal) override {
+    inner_->OnDefer(proposal);
+  }
+  void OnRowAccess(std::size_t row) override { inner_->OnRowAccess(row); }
+  std::string Name() const override { return inner_->Name(); }
+  std::size_t rows() const override { return inner_->rows(); }
+
+ private:
+  std::unique_ptr<dram::RefreshPolicy> inner_;
+};
+
+/// Runs every registry policy over `requests` twice, as built and wrapped
+/// in AskEveryTick, and expects the same stats and command log.
+void ExpectSkippingMatchesAskingEveryTick(
+    const core::VrlSystem& system, const std::vector<dram::Request>& requests,
+    Cycles horizon) {
+  const core::VrlConfig& config = system.config();
+  for (const dram::PolicyInfo& info :
+       dram::PolicyRegistry::Global().entries()) {
+    SCOPED_TRACE(info.name);
+    const dram::PolicyFactory factory = system.MakePolicyFactory(info.name);
+    const auto run = [&](const dram::PolicyFactory& f, dram::CommandLog* log) {
+      dram::MemoryController controller(config.TimingTableFor(),
+                                        config.tech.rows, f, config.scheduler,
+                                        config.page_policy, config.subarrays);
+      controller.EnableAudit();
+      const dram::SimulationStats stats = controller.Run(requests, horizon);
+      *log = controller.TakeAuditLog();
+      return stats;
+    };
+    dram::CommandLog skipped;
+    dram::CommandLog asked;
+    const dram::SimulationStats a = run(factory, &skipped);
+    const dram::SimulationStats b = run(
+        [&] { return std::make_unique<AskEveryTick>(factory()); }, &asked);
+    EXPECT_GT(a.TotalFullRefreshes() + a.TotalPartialRefreshes(), 0u);
+    EXPECT_EQ(a.TotalFullRefreshes(), b.TotalFullRefreshes());
+    EXPECT_EQ(a.TotalPartialRefreshes(), b.TotalPartialRefreshes());
+    EXPECT_EQ(a.TotalRefreshBusyCycles(), b.TotalRefreshBusyCycles());
+    EXPECT_EQ(a.AverageRequestLatency(), b.AverageRequestLatency());
+    EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+    ASSERT_EQ(skipped.commands().size(), asked.commands().size());
+    EXPECT_TRUE(skipped.commands() == asked.commands());
+  }
+}
+
+TEST(NextProposal, ControllerRunMatchesAskingEveryTick) {
+  struct Case {
+    const char* label;
+    dram::TimingPreset preset;
+    dram::SchedulerKind scheduler;
+    std::size_t subarrays;
+  };
+  const Case cases[] = {
+      {"flat FCFS", dram::TimingPreset::kSingleBankEquivalent,
+       dram::SchedulerKind::kFcfs, 1},
+      {"flat FR-FCFS SALP", dram::TimingPreset::kSingleBankEquivalent,
+       dram::SchedulerKind::kFrFcfs, 4},
+      {"DDR4 FR-FCFS", dram::TimingPreset::kDdr4_2400,
+       dram::SchedulerKind::kFrFcfs, 1},
+  };
+  // facesim touches most rows several times per refresh period; the sparse
+  // trace touches a row about once per 64 ms window, so VRL-Skip's restore
+  // stamps (taken from the policy's clock) decide when rows come due.
+  trace::SyntheticWorkloadParams sparse = trace::SuiteWorkload("canneal");
+  sparse.name = "sparse";
+  sparse.mean_gap_cycles = 8000.0;
+  sparse.footprint_fraction = 1.0;
+  sparse.sequential_prob = 0.0;
+  for (const Case& c : cases) {
+    core::VrlConfig config;
+    config.banks = 2;
+    config.ApplyPreset(c.preset);
+    config.scheduler = c.scheduler;
+    config.subarrays = c.subarrays;
+    const core::VrlSystem system(config);
+    const Cycles horizon = system.HorizonForWindows(2);
+    for (const trace::SyntheticWorkloadParams& workload :
+         {trace::SuiteWorkload("facesim"), sparse}) {
+      SCOPED_TRACE(std::string(c.label) + " " + workload.name);
+      Rng rng(7);
+      ExpectSkippingMatchesAskingEveryTick(
+          system,
+          trace::MapToRequests(
+              trace::GenerateTrace(workload, system.Geometry(), horizon, rng),
+              trace::AddressMapper(system.Geometry())),
+          horizon);
     }
   }
 }

@@ -128,6 +128,46 @@ TEST(MapToRequestsTest, PreservesOrderAndTypes) {
   EXPECT_EQ(requests[2].bank, 2u);
 }
 
+TEST(MapToStreamsTest, EqualsSplittingTheMappedRequests) {
+  // A power-of-two geometry (mask decode) and one that divides.
+  for (const AddressGeometry& geometry :
+       {SmallGeometry(), AddressGeometry{3, 20, 5}}) {
+    const AddressMapper mapper(geometry);
+    Rng rng(5);
+    const auto records = GenerateTrace(SuiteWorkload("canneal"), geometry,
+                                       200'000, rng);
+    ASSERT_GT(records.size(), 100u);
+    const dram::RequestStreams direct = MapToStreams(records, mapper);
+    const dram::RequestStreams split(MapToRequests(records, mapper),
+                                     geometry.banks, geometry.rows);
+    ASSERT_EQ(direct.banks(), geometry.banks);
+    EXPECT_EQ(direct.rows(), geometry.rows);
+    ASSERT_EQ(direct.size(), records.size());
+    for (std::size_t b = 0; b <= geometry.banks; ++b) {
+      EXPECT_EQ(direct.offset(b), split.offset(b));
+    }
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      const dram::RequestSlot& a = direct.slots()[i];
+      const dram::RequestSlot& b = split.slots()[i];
+      ASSERT_EQ(a.arrival, b.arrival) << i;
+      ASSERT_EQ(a.row, b.row) << i;
+      ASSERT_EQ(a.write, b.write) << i;
+    }
+  }
+}
+
+TEST(MapToStreamsTest, RejectsUnsortedRecords) {
+  const AddressMapper mapper(SmallGeometry());
+  const std::vector<TraceRecord> records{{20, 0, false}, {10, 1, true}};
+  try {
+    MapToStreams(records, mapper);
+    ADD_FAILURE() << "accepted unsorted records";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "MemoryController::Run: requests must be arrival-sorted");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Trace I/O
 // ---------------------------------------------------------------------------
