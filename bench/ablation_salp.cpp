@@ -37,18 +37,17 @@ int main(int argc, char** argv) {
                 "refresh cyc/bank"});
   for (const std::size_t subarrays :
        {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    core::VrlConfig config;
+    config.banks = 4;
+    config.subarrays = subarrays;
+    const core::VrlSystem system(config);
+    const Cycles horizon = system.HorizonForWindows(8);
+    Rng rng(5);
+    const auto streams = trace::MapToStreams(
+        trace::GenerateTrace(hot, system.Geometry(), horizon, rng),
+        trace::AddressMapper(system.Geometry()));
     for (const char* policy : {"JEDEC", "VRL-Access"}) {
-      core::VrlConfig config;
-      config.banks = 4;
-      config.subarrays = subarrays;
-      const core::VrlSystem system(config);
-      const Cycles horizon = system.HorizonForWindows(8);
-      Rng rng(5);
-      const auto records =
-          trace::GenerateTrace(hot, system.Geometry(), horizon, rng);
-      const auto requests = trace::MapToRequests(
-          records, trace::AddressMapper(system.Geometry()));
-      const auto stats = system.Simulate(policy, requests, horizon);
+      const auto stats = system.SimulateStreams(policy, streams, horizon);
       table.AddRow({std::to_string(subarrays), policy,
                     Fmt(stats.AverageRequestLatency(), 1),
                     Fmt(stats.RefreshOverheadPerBank(), 0)});

@@ -53,11 +53,11 @@ int main(int argc, char** argv) {
       Rng rng(11);
       const auto records =
           trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-      const auto requests = trace::MapToRequests(
+      const auto streams = trace::MapToStreams(
           records, trace::AddressMapper(system.Geometry()));
 
       for (const char* policy : {"JEDEC", "RAIDR", "VRL", "VRL-Access"}) {
-        const auto stats = system.Simulate(policy, requests, horizon);
+        const auto stats = system.SimulateStreams(policy, streams, horizon);
         const double hits = static_cast<double>(stats.TotalRowHits());
         const double accesses =
             hits + static_cast<double>(stats.TotalRowMisses());
@@ -85,9 +85,9 @@ int main(int argc, char** argv) {
     Rng rng(11);
     const auto records = trace::GenerateTrace(trace::SuiteWorkload("canneal"),
                                               system.Geometry(), horizon, rng);
-    const auto requests =
-        trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
-    const auto stats = system.Simulate("VRL-Access", requests, horizon);
+    const auto streams =
+        trace::MapToStreams(records, trace::AddressMapper(system.Geometry()));
+    const auto stats = system.SimulateStreams("VRL-Access", streams, horizon);
     const double hits = static_cast<double>(stats.TotalRowHits());
     const double accesses = hits + static_cast<double>(stats.TotalRowMisses());
     page_table.AddRow(

@@ -51,15 +51,15 @@ int main(int argc, char** argv) {
   Rng rng(3);
   const auto records = trace::GenerateTrace(
       trace::SuiteWorkload("streamcluster"), system.Geometry(), horizon, rng);
-  const auto requests =
-      trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
+  const auto streams =
+      trace::MapToStreams(records, trace::AddressMapper(system.Geometry()));
   TextTable& totals = report.AddTable(
       "total_energy_streamcluster",
       {"policy", "refresh (uJ)", "activate (uJ)", "r/w (uJ)",
        "background (uJ)", "total (uJ)"});
   for (const char* policy : {"RAIDR", "VRL", "VRL-Access"}) {
     const auto breakdown =
-        power_model.Compute(system.Simulate(policy, requests, horizon));
+        power_model.Compute(system.SimulateStreams(policy, streams, horizon));
     totals.AddRow({policy, Fmt(breakdown.refresh_nj * 1e-3, 1),
                    Fmt(breakdown.activate_nj * 1e-3, 1),
                    Fmt(breakdown.read_write_nj * 1e-3, 1),

@@ -5,6 +5,11 @@
 // timing presets, with command logging on and every run's stream audited
 // by dram::TimingAuditor (REFpb activation windows included).
 //
+// Each preset's (policy, workload) legs run through ParallelFor
+// (VRL_THREADS), each into its own slot, and fold serially in policy and
+// suite order: the report and the audit log are byte-identical at any
+// thread count.
+//
 // Reported per (preset, policy): average demand-access latency, refresh
 // counts, energy (power::PowerModel), and the refresh-command lineage
 // (proposals, grants, deferrals, deadline-forced grants, charge-aware
@@ -15,28 +20,32 @@
 //
 //   --preset <name>     run one preset; default sweeps DDR3_1600,
 //                       DDR4_2400 and LPDDR4_3200
-//   --windows <n>       base refresh windows per simulation (default 4)
+//   --windows <n>       base refresh windows per simulation (default 4,
+//                       at least 1)
 //   --workloads <n>     first n suite workloads only (0 = all; CI's
 //                       reduced grid uses a small n)
 //   --subarrays <n>     subarrays per bank (default 4 — SARP's parallelism
-//                       needs more than one)
+//                       needs more than one; at least 1)
 //   --audit-out <path>  write the merged audit logs (CI artifact, checked
 //                       by scripts/check_timing_audit.py)
 //   --gate-latency      exit non-zero unless DARP and SARP beat JEDEC's
 //                       average demand latency on every preset
 //
-// Exit code: 1 on any timing violation, 2 on a failed latency gate or a
-// malformed flag.
+// Exit code: 1 on any timing violation, 2 on a failed latency gate, a
+// malformed flag or a configuration the library rejects (one `error:`
+// line).
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/reporting.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/vrl_system.hpp"
 #include "dram/auditor.hpp"
@@ -49,7 +58,8 @@
 
 namespace {
 
-/// Per (preset, policy) accumulation over the workload grid.
+/// Per (preset, policy) accumulation over the workload grid; one leg's
+/// result is an accumulation of one simulation.
 struct PolicyAgg {
   std::size_t sims = 0;
   double latency_sum = 0.0;  ///< avg latency x requests, summed.
@@ -65,10 +75,32 @@ struct PolicyAgg {
   std::uint64_t urgent_grants = 0;
   std::uint64_t skipped = 0;
   std::uint64_t mprsf_resets = 0;
+  std::size_t commands_checked = 0;
   std::vector<vrl::dram::TimingViolation> violations;  ///< Workload order.
 
   double AvgLatency() const {
     return requests == 0 ? 0.0 : latency_sum / static_cast<double>(requests);
+  }
+
+  /// Adds one leg's result (its violations move).
+  void Add(PolicyAgg&& leg) {
+    sims += leg.sims;
+    latency_sum += leg.latency_sum;
+    requests += leg.requests;
+    full += leg.full;
+    partial += leg.partial;
+    refresh_nj += leg.refresh_nj;
+    total_nj += leg.total_nj;
+    proposals += leg.proposals;
+    granted += leg.granted;
+    deferred += leg.deferred;
+    urgent_grants += leg.urgent_grants;
+    skipped += leg.skipped;
+    mprsf_resets += leg.mprsf_resets;
+    commands_checked += leg.commands_checked;
+    for (auto& v : leg.violations) {
+      violations.push_back(std::move(v));
+    }
   }
 };
 
@@ -84,23 +116,20 @@ std::string Fixed(double value, int decimals) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace vrl;
-
+/// The tournament's own flags.
+struct TournamentFlags {
   std::string audit_out;
   std::size_t windows = 4;
   std::size_t max_workloads = 0;
   std::size_t subarrays = 4;
   bool gate_latency = false;
-  const auto report_options =
-      bench::ParseFlags(argc, argv, bench::kOutput | bench::kPreset,
-                        {{"--audit-out", &audit_out},
-                         {"--windows", &windows},
-                         {"--workloads", &max_workloads},
-                         {"--subarrays", &subarrays},
-                         {"--gate-latency", &gate_latency}});
+};
+
+/// Runs the grid and emits the report; returns the exit code.
+int RunTournament(const vrl::bench::ReportOptions& report_options,
+                  const TournamentFlags& flags) {
+  using namespace vrl;
+
   std::vector<dram::TimingPreset> presets = {dram::TimingPreset::kDdr3_1600,
                                              dram::TimingPreset::kDdr4_2400,
                                              dram::TimingPreset::kLpddr4_3200};
@@ -116,14 +145,14 @@ int main(int argc, char** argv) {
   }
 
   auto workloads = trace::EvaluationSuite();
-  if (max_workloads != 0 && max_workloads < workloads.size()) {
-    workloads.resize(max_workloads);
+  if (flags.max_workloads != 0 && flags.max_workloads < workloads.size()) {
+    workloads.resize(flags.max_workloads);
   }
 
   bench::Report report("refresh_tournament");
-  report.AddMeta("windows", windows);
+  report.AddMeta("windows", flags.windows);
   report.AddMeta("workloads", workloads.size());
-  report.AddMeta("subarrays", subarrays);
+  report.AddMeta("subarrays", flags.subarrays);
   report.AddMeta("policies", dram::PolicyRegistry::Global().NameList());
   // Rows are buffered and the tables added last: Report::AddTable returns a
   // reference that a later AddTable call may invalidate.
@@ -136,62 +165,71 @@ int main(int argc, char** argv) {
   for (const dram::TimingPreset preset : presets) {
     core::VrlConfig config;
     config.ApplyPreset(preset);
-    config.subarrays = subarrays;
+    config.subarrays = flags.subarrays;
     const core::VrlSystem system(config);
     const dram::TimingAuditor auditor(config.TimingTableFor());
     const power::PowerModel power_model({}, config.tech.clock_period_s);
-    const Cycles horizon = system.HorizonForWindows(windows);
+    const Cycles horizon = system.HorizonForWindows(flags.windows);
     const trace::AddressMapper mapper(system.Geometry());
 
-    // Each trace is generated and mapped once and replayed under every
-    // policy.  A policy's sums still run over the workloads in suite order,
-    // and its violations are kept apart and merged in policy order, so the
-    // report and the audit log read as if each policy ran its grid alone.
+    // Each trace is generated and split into per-bank streams once, and
+    // every policy's leg only reads it.  Same trace derivation as the
+    // Fig. 4 grid (core/experiments.cpp), so results line up across
+    // reports.
+    std::vector<std::optional<dram::RequestStreams>> streams(
+        workloads.size());
+    ParallelFor("refresh_tournament.traces", workloads.size(),
+                [&](std::size_t w) {
+                  Rng rng(config.seed ^ 0xABCD'1234ULL);
+                  streams[w].emplace(trace::MapToStreams(
+                      trace::GenerateTrace(workloads[w], system.Geometry(),
+                                           horizon, rng),
+                      mapper));
+                });
+
+    // The (policy, workload) legs fan out into pre-sized slots, leg i
+    // running policy i / workloads on workload i % workloads, each with
+    // its own recorder and command log, audited inside the leg.
+    std::vector<PolicyAgg> legs(policy_names.size() * workloads.size());
+    ParallelFor("refresh_tournament.legs", legs.size(), [&](std::size_t i) {
+      telemetry::Recorder recorder;
+      dram::CommandLog log;
+      const auto stats = system.SimulateStreams(
+          policy_names[i / workloads.size()], *streams[i % workloads.size()],
+          horizon, &recorder, &log);
+      dram::AuditReport audited = auditor.Audit(log);
+
+      PolicyAgg& leg = legs[i];
+      leg.sims = 1;
+      leg.commands_checked = audited.commands_checked;
+      leg.violations = std::move(audited.violations);
+      const std::uint64_t served = stats.TotalReads() + stats.TotalWrites();
+      leg.latency_sum =
+          stats.AverageRequestLatency() * static_cast<double>(served);
+      leg.requests = served;
+      leg.full = stats.TotalFullRefreshes();
+      leg.partial = stats.TotalPartialRefreshes();
+      const auto energy = power_model.Compute(stats);
+      leg.refresh_nj = energy.refresh_nj;
+      leg.total_nj = energy.Total();
+
+      const auto snap = recorder.Snapshot();
+      leg.proposals = CounterOf(snap, "dram.refresh.proposals");
+      leg.granted = CounterOf(snap, "dram.refresh.granted");
+      leg.deferred = CounterOf(snap, "dram.refresh.deferred");
+      leg.urgent_grants = CounterOf(snap, "dram.refresh.urgent_grants");
+      leg.skipped = CounterOf(snap, "policy.skipped_refreshes");
+      leg.mprsf_resets = CounterOf(snap, "policy.mprsf_resets");
+    });
+
+    // Folded serially: a policy's sums run over the workloads in suite
+    // order and its violations merge in policy order, so the report and
+    // the audit log read as if each policy ran its grid alone.
     dram::AuditReport merged;
     std::map<std::string, PolicyAgg> aggs;
-    for (const auto& workload : workloads) {
-      // Same trace derivation as the Fig. 4 grid (core/experiments.cpp)
-      // and the conformance bench, so results line up across reports.
-      Rng rng(config.seed ^ 0xABCD'1234ULL);
-      const auto requests = trace::MapToRequests(
-          trace::GenerateTrace(workload, system.Geometry(), horizon, rng),
-          mapper);
-
-      for (const std::string& name : policy_names) {
-        PolicyAgg& agg = aggs[name];
-        telemetry::Recorder recorder;
-        dram::CommandLog log;
-        const auto stats =
-            system.Simulate(name, requests, horizon, &recorder, &log);
-
-        dram::AuditReport audited = auditor.Audit(log);
-        merged.commands_checked += audited.commands_checked;
-        for (auto& v : audited.violations) {
-          agg.violations.push_back(std::move(v));
-        }
-
-        const std::uint64_t served =
-            stats.TotalReads() + stats.TotalWrites();
-        agg.latency_sum +=
-            stats.AverageRequestLatency() * static_cast<double>(served);
-        agg.requests += served;
-        agg.full += stats.TotalFullRefreshes();
-        agg.partial += stats.TotalPartialRefreshes();
-        const auto energy = power_model.Compute(stats);
-        agg.refresh_nj += energy.refresh_nj;
-        agg.total_nj += energy.Total();
-
-        const auto snap = recorder.Snapshot();
-        agg.proposals += CounterOf(snap, "dram.refresh.proposals");
-        agg.granted += CounterOf(snap, "dram.refresh.granted");
-        agg.deferred += CounterOf(snap, "dram.refresh.deferred");
-        agg.urgent_grants += CounterOf(snap, "dram.refresh.urgent_grants");
-        agg.skipped += CounterOf(snap, "policy.skipped_refreshes");
-        agg.mprsf_resets += CounterOf(snap, "policy.mprsf_resets");
-        ++agg.sims;
-      }
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      aggs[policy_names[i / workloads.size()]].Add(std::move(legs[i]));
     }
-
     for (const std::string& name : policy_names) {
       PolicyAgg& agg = aggs[name];
       tournament_rows.push_back(
@@ -204,6 +242,7 @@ int main(int argc, char** argv) {
            std::to_string(agg.granted), std::to_string(agg.deferred),
            std::to_string(agg.urgent_grants), std::to_string(agg.skipped),
            std::to_string(agg.mprsf_resets)});
+      merged.commands_checked += agg.commands_checked;
       for (auto& v : agg.violations) {
         merged.violations.push_back(std::move(v));
       }
@@ -246,14 +285,15 @@ int main(int argc, char** argv) {
   }
   report.AddMeta("total_violations", total_violations);
   report.AddMeta("clean", total_violations == 0 ? "yes" : "NO");
-  report.AddMeta("latency_gate",
-                 gate_failed ? (gate_latency ? "FAIL" : "fail (not gated)")
-                             : "pass");
-  if (!audit_out.empty()) {
-    std::ofstream out(audit_out, std::ios::binary);
+  report.AddMeta("latency_gate", gate_failed ? (flags.gate_latency
+                                                     ? "FAIL"
+                                                     : "fail (not gated)")
+                                              : "pass");
+  if (!flags.audit_out.empty()) {
+    std::ofstream out(flags.audit_out, std::ios::binary);
     if (!out) {
-      throw ConfigError("refresh_tournament: cannot open '" + audit_out +
-                        "'");
+      throw ConfigError("refresh_tournament: cannot open '" +
+                        flags.audit_out + "'");
     }
     out << audit_text;
   }
@@ -261,5 +301,26 @@ int main(int argc, char** argv) {
   if (total_violations != 0) {
     return 1;
   }
-  return gate_latency && gate_failed ? 2 : 0;
+  return flags.gate_latency && gate_failed ? 2 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace vrl;
+
+  TournamentFlags flags;
+  const auto report_options = bench::ParseFlags(
+      argc, argv, bench::kOutput | bench::kPreset,
+      {{"--audit-out", &flags.audit_out},
+       {"--windows", &flags.windows, bench::kPositive},
+       {"--workloads", &flags.max_workloads},
+       {"--subarrays", &flags.subarrays, bench::kPositive},
+       {"--gate-latency", &flags.gate_latency}});
+  try {
+    return RunTournament(report_options, flags);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
 }

@@ -6,6 +6,9 @@
 //                     [--windows N] [--nbits N] [--banks N] [--seed S]
 //                     [--config FILE]   (key=value file, see core/config_io.hpp)
 //                     [--json PATH] [--csv PATH]
+//
+// --windows takes at least 1.  A malformed flag or a configuration the
+// library rejects prints one `error:` line and exits 2.
 
 #include <cstdio>
 #include <iostream>
@@ -30,7 +33,7 @@ int main(int argc, char** argv) {
       bench::ParseFlags(argc, argv, bench::kOutput,
                         {{"--workload", &workload_name},
                          {"--policy", &policy_name},
-                         {"--windows", &windows},
+                         {"--windows", &windows, bench::kPositive},
                          {"--nbits", &config.nbits},
                          {"--banks", &config.banks},
                          {"--seed", &config.seed},
@@ -49,10 +52,11 @@ int main(int argc, char** argv) {
     Rng rng(config.seed);
     const auto records =
         trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-    const auto requests =
-        trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
+    const auto streams =
+        trace::MapToStreams(records, trace::AddressMapper(system.Geometry()));
 
-    const auto stats = system.Simulate(policy, requests, horizon, &recorder);
+    const auto stats =
+        system.SimulateStreams(policy, streams, horizon, &recorder);
     const power::PowerModel power_model(power::EnergyParams{},
                                         config.tech.clock_period_s);
     const auto energy = power_model.Compute(stats);
@@ -85,7 +89,7 @@ int main(int argc, char** argv) {
     report.Emit(report_options, std::cout);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
+    return 2;
   }
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -53,6 +54,65 @@ void WriteAuditReport(const AuditReport& report, const std::string& label,
   if (!out) {
     throw ConfigError("WriteAuditReport: write to '" + path + "' failed");
   }
+}
+
+namespace {
+
+/// The chunks released by this thread's logs, handed to its next ones: a
+/// run of audited simulations reuses the pages of the logs before it
+/// instead of faulting in fresh memory for every log.  It never holds more
+/// chunks than this thread's logs held at once (plus those of logs moved in
+/// from another thread).
+struct SpareChunks {
+  std::vector<std::vector<Command>> chunks;
+  ~SpareChunks();
+};
+/// Set when this thread's SpareChunks is destroyed: a log released later
+/// (one with static storage) frees its chunks.
+thread_local bool t_spares_gone = false;
+thread_local SpareChunks t_spares;
+SpareChunks::~SpareChunks() { t_spares_gone = true; }
+
+}  // namespace
+
+void CommandLog::AddChunk() {
+  if (!t_spares_gone && !t_spares.chunks.empty()) {
+    chunks_.push_back(std::move(t_spares.chunks.back()));
+    t_spares.chunks.pop_back();
+    chunks_.back().clear();
+  } else {
+    chunks_.emplace_back().reserve(kChunkSize);
+  }
+}
+
+void CommandLog::Clear() noexcept {
+  if (!t_spares_gone) {
+    // Keeping the chunks only saves page faults: when the spare list
+    // cannot grow, they are freed instead.
+    try {
+      t_spares.chunks.reserve(t_spares.chunks.size() + chunks_.size());
+      for (std::vector<Command>& chunk : chunks_) {
+        t_spares.chunks.push_back(std::move(chunk));
+      }
+    } catch (const std::bad_alloc&) {
+    }
+  }
+  chunks_.clear();
+  size_ = 0;
+}
+
+void CommandLog::AppendLog(CommandLog&& tail) {
+  if (empty()) {
+    chunks_.swap(tail.chunks_);
+    std::swap(size_, tail.size_);
+  } else {
+    for (const std::vector<Command>& chunk : tail.chunks_) {
+      for (const Command& command : chunk) {
+        Append(command);
+      }
+    }
+  }
+  tail.Clear();
 }
 
 TimingAuditor::TimingAuditor(const TimingTable& table) : table_(table) {
@@ -151,7 +211,7 @@ void ReplayOrder(std::vector<std::pair<Cycles, std::size_t>>& keys) {
 AuditReport TimingAuditor::Audit(const CommandLog& log) const {
   AuditReport report;
   report.commands_checked = log.size();
-  const std::vector<Command>& commands = log.commands();
+  const CommandLog::View commands = log.commands();
   const Topology& topology = table_.topology;
   const std::size_t banks = addrs_.size();
 

@@ -1,9 +1,13 @@
 #pragma once
 
+#include <algorithm>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -27,15 +31,18 @@
 /// (docs/TOPOLOGY.md).
 ///
 /// Cost model: a logged command is a 24-byte record naming its bank by the
-/// flat index of the table's topology, a finished run hands its log over
-/// (MemoryController::TakeAuditLog) instead of copying it, and the replay
-/// keeps its state in arrays indexed by bank, subarray, rank and bus.  The
-/// replay order, (cycle, log index) keys, comes from an insertion pass that
-/// is linear on a nearly sorted log: the banks append almost in cycle order
-/// (in refresh_tournament's logs, at its defaults and at --subarrays 1
-/// --windows 2, 8-15% of adjacent keys are inverted and no key moves back
-/// more than 81 places).  A key more than 256 places out of order hands the
-/// rest to std::sort, so a log in any order still replays correctly.
+/// flat index of the table's topology.  The log grows in fixed 16 Ki-command
+/// chunks, so an append never copies what is already logged, and a released
+/// log's chunks serve the next log on the same thread.  A finished run hands
+/// its log over (MemoryController::TakeAuditLog) instead of copying it, and
+/// the replay keeps its state in arrays indexed by bank, subarray, rank and
+/// bus.  The replay order, (cycle, log index) keys, comes from an insertion
+/// pass that is linear on a nearly sorted log: the banks append almost in
+/// cycle order (in refresh_tournament's logs, at its defaults and at
+/// --subarrays 1 --windows 2, 8-15% of adjacent keys are inverted and no key
+/// moves back more than 81 places).  A key more than 256 places out of order
+/// hands the rest to std::sort, so a log in any order still replays
+/// correctly.
 
 namespace vrl::dram {
 
@@ -78,28 +85,148 @@ struct Command {
 static_assert(sizeof(Command) == 24, "Command is a 24-byte log record");
 
 /// Append-only command stream, recorded by the banks in issue order.
+///
+/// The commands live in fixed-size chunks of kChunkSize (a power of two),
+/// each allocated at full capacity: an append never moves a recorded
+/// command.  A released log's chunks go to the next log built on the same
+/// thread, so a run of audited simulations writes into pages it has
+/// touched before instead of faulting in fresh ones.  Command i is slot
+/// i % kChunkSize of chunk i / kChunkSize.  Move-only; a move hands the
+/// chunks over and leaves the source empty.
 class CommandLog {
  public:
-  void Append(const Command& command) { commands_.push_back(command); }
-  /// Moves every command of `tail` to the end of this log, in order: a
-  /// swap when this log is empty, one bulk insert otherwise.
-  void AppendLog(CommandLog&& tail) {
-    if (commands_.empty()) {
-      commands_.swap(tail.commands_);
-    } else {
-      commands_.insert(commands_.end(), tail.commands_.begin(),
-                       tail.commands_.end());
+  static constexpr std::size_t kChunkShift = 14;  ///< 16 Ki commands.
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+
+  class View;
+
+  CommandLog() = default;
+  CommandLog(CommandLog&& other) noexcept
+      : chunks_(std::move(other.chunks_)),
+        size_(std::exchange(other.size_, 0)) {}
+  CommandLog& operator=(CommandLog&& other) noexcept {
+    if (this != &other) {
+      Clear();
+      chunks_.swap(other.chunks_);
+      std::swap(size_, other.size_);
     }
-    tail.commands_.clear();
+    return *this;
   }
-  const std::vector<Command>& commands() const { return commands_; }
-  std::size_t size() const { return commands_.size(); }
-  bool empty() const { return commands_.empty(); }
-  void Clear() { commands_.clear(); }
+  ~CommandLog() { Clear(); }
+
+  void Append(const Command& command) {
+    if ((size_ & (kChunkSize - 1)) == 0) {
+      AddChunk();
+    }
+    chunks_.back().push_back(command);
+    ++size_;
+  }
+  /// Moves every command of `tail` to the end of this log, in order: the
+  /// chunks change hands when this log is empty, the commands are appended
+  /// one by one otherwise.  `tail` is left empty.
+  void AppendLog(CommandLog&& tail);
+
+  /// Command `i` (< size()), in O(1).
+  const Command& operator[](std::size_t i) const {
+    return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
+  }
+  /// The commands as a read-only random-access range.
+  View commands() const;
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Empties the log; its chunks go to the thread's spares.
+  void Clear() noexcept;
 
  private:
-  std::vector<Command> commands_;
+  void AddChunk();
+
+  std::vector<std::vector<Command>> chunks_;  ///< Each reserved to kChunkSize.
+  std::size_t size_ = 0;
 };
+
+/// A CommandLog's commands in log order: range-for, size(), operator[],
+/// random-access iterators and equality with another view or a vector of
+/// commands.  Valid while the log lives; appends invalidate no command.
+class CommandLog::View {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = Command;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Command*;
+    using reference = const Command&;
+
+    Iterator() = default;
+    Iterator(const CommandLog* log, std::size_t index)
+        : log_(log), index_(index) {}
+
+    reference operator*() const { return (*log_)[index_]; }
+    pointer operator->() const { return &(*log_)[index_]; }
+    reference operator[](difference_type n) const { return *(*this + n); }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    Iterator operator++(int) { return {log_, index_++}; }
+    Iterator& operator--() {
+      --index_;
+      return *this;
+    }
+    Iterator operator--(int) { return {log_, index_--}; }
+    Iterator& operator+=(difference_type n) {
+      index_ = static_cast<std::size_t>(static_cast<difference_type>(index_) +
+                                        n);
+      return *this;
+    }
+    Iterator& operator-=(difference_type n) { return *this += -n; }
+    friend Iterator operator+(Iterator it, difference_type n) {
+      return it += n;
+    }
+    friend Iterator operator+(difference_type n, Iterator it) {
+      return it += n;
+    }
+    friend Iterator operator-(Iterator it, difference_type n) {
+      return it -= n;
+    }
+    friend difference_type operator-(const Iterator& a, const Iterator& b) {
+      return static_cast<difference_type>(a.index_) -
+             static_cast<difference_type>(b.index_);
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.index_ == b.index_;
+    }
+    friend auto operator<=>(const Iterator& a, const Iterator& b) {
+      return a.index_ <=> b.index_;
+    }
+
+   private:
+    const CommandLog* log_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  explicit View(const CommandLog& log) : log_(&log) {}
+
+  Iterator begin() const { return {log_, 0}; }
+  Iterator end() const { return {log_, log_->size()}; }
+  std::size_t size() const { return log_->size(); }
+  bool empty() const { return log_->empty(); }
+  const Command& operator[](std::size_t i) const { return (*log_)[i]; }
+
+  friend bool operator==(const View& view,
+                         const std::vector<Command>& commands) {
+    return view.size() == commands.size() &&
+           std::equal(commands.begin(), commands.end(), view.begin());
+  }
+  friend bool operator==(const View& a, const View& b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  const CommandLog* log_;
+};
+
+inline CommandLog::View CommandLog::commands() const { return View(*this); }
 
 /// One timing-rule violation found by the auditor.
 struct TimingViolation {

@@ -295,6 +295,11 @@ std::vector<TableCase> Tables() {
   return tables;
 }
 
+/// The commands of `log`, in log order.
+std::vector<Command> CommandsOf(const CommandLog& log) {
+  return {log.commands().begin(), log.commands().end()};
+}
+
 /// A dense, partly shuffled stream: issue times drift upward in small
 /// steps, jump back by up to 40 cycles one time in four and repeat the
 /// previous cycle one time in five, so same-cycle ties and out-of-order
@@ -474,7 +479,7 @@ TEST(DenseAuditorOrder, ReversedShuffledAndSameCycleLogsMatchReference) {
   for (const TableCase& tc : Tables()) {
     SCOPED_TRACE(tc.name);
     const std::vector<Command> stream =
-        RandomStream(tc.table, 2, 31, 2000).commands();
+        CommandsOf(RandomStream(tc.table, 2, 31, 2000));
 
     std::vector<Command> reversed(stream.rbegin(), stream.rend());
     ExpectMatchesReference(tc, reversed);
@@ -499,7 +504,7 @@ TEST(DenseAuditorOrder, DisplacementPastTheShiftBudgetMatchesReference) {
   // whole log run past it into the std::sort fallback.
   for (const TableCase& tc : Tables()) {
     std::vector<Command> sorted =
-        RandomStream(tc.table, 3, 47, 2000).commands();
+        CommandsOf(RandomStream(tc.table, 3, 47, 2000));
     std::stable_sort(sorted.begin(), sorted.end(),
                      [](const Command& a, const Command& b) {
                        return a.at < b.at;
@@ -597,7 +602,7 @@ std::vector<Command> ControllerLog(const core::VrlSystem& system,
                               config.subarrays);
   controller.EnableAudit();
   controller.Run(requests, horizon);
-  return controller.audit_log()->commands();
+  return CommandsOf(*controller.audit_log());
 }
 
 TEST(AuditHandoff, SimulateIntoEmptyLogEqualsControllerLog) {
@@ -656,6 +661,162 @@ TEST(AuditHandoff, AppendLogSwapsIntoEmptyAndInsertsOtherwise) {
   EXPECT_EQ(more.commands()[1].at, 1u);
   EXPECT_EQ(more.commands()[2].at, 2u);
   EXPECT_TRUE(empty.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+// ---------------------------------------------------------------------------
+// The chunked command log
+// ---------------------------------------------------------------------------
+
+/// Command `i` of a test stream: its cycle is its index.
+Command Numbered(std::size_t i) {
+  Command c;
+  c.at = i;
+  c.row = static_cast<std::uint32_t>(i % 1000);
+  c.bank = static_cast<std::uint32_t>(i % 7);
+  c.kind = static_cast<CommandKind>(i % 5);
+  return c;
+}
+
+TEST(CommandLogChunks, AppendIndexAndIterateAcrossChunkBoundaries) {
+  constexpr std::size_t kChunk = CommandLog::kChunkSize;
+  const std::size_t n = 2 * kChunk + 7;
+  CommandLog log;
+  std::vector<Command> expected;
+  for (std::size_t i = 0; i < n; ++i) {
+    log.Append(Numbered(i));
+    expected.push_back(Numbered(i));
+  }
+  ASSERT_EQ(log.size(), n);
+  for (const std::size_t i : {std::size_t{0}, kChunk - 1, kChunk,
+                              2 * kChunk - 1, 2 * kChunk, n - 1}) {
+    EXPECT_EQ(log[i], expected[i]) << i;
+    EXPECT_EQ(log.commands()[i], expected[i]) << i;
+  }
+  std::size_t visited = 0;
+  for (const Command& c : log.commands()) {
+    ASSERT_EQ(c.at, visited);
+    ++visited;
+  }
+  EXPECT_EQ(visited, n);
+  EXPECT_TRUE(log.commands() == expected);
+  const auto begin = log.commands().begin();
+  EXPECT_EQ(log.commands().end() - begin, static_cast<std::ptrdiff_t>(n));
+  EXPECT_EQ((begin + static_cast<std::ptrdiff_t>(kChunk))->at, kChunk);
+  EXPECT_EQ(begin[static_cast<std::ptrdiff_t>(2 * kChunk)].at, 2 * kChunk);
+  // An append never moves a recorded command.
+  const Command* first = &log[0];
+  const Command* last = &log[n - 1];
+  for (std::size_t i = n; i < n + kChunk; ++i) {
+    log.Append(Numbered(i));
+  }
+  EXPECT_EQ(&log[0], first);
+  EXPECT_EQ(&log[n - 1], last);
+}
+
+TEST(CommandLogChunks, AppendLogMovesChunksIntoEmptyAndCopiesOtherwise) {
+  constexpr std::size_t kChunk = CommandLog::kChunkSize;
+  CommandLog tail;
+  for (std::size_t i = 0; i < kChunk + 3; ++i) {
+    tail.Append(Numbered(i));
+  }
+  const Command* moved = &tail[kChunk];
+  CommandLog empty;
+  empty.AppendLog(std::move(tail));
+  EXPECT_TRUE(tail.empty());  // NOLINT(bugprone-use-after-move)
+  ASSERT_EQ(empty.size(), kChunk + 3);
+  EXPECT_EQ(&empty[kChunk], moved);  // the chunks changed hands
+
+  // Five commands first: the appended ones straddle the chunk boundary.
+  CommandLog head;
+  for (std::size_t i = 0; i < 5; ++i) {
+    head.Append(Numbered(1000 + i));
+  }
+  head.AppendLog(std::move(empty));
+  EXPECT_TRUE(empty.empty());  // NOLINT(bugprone-use-after-move)
+  ASSERT_EQ(head.size(), kChunk + 8);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(head[i], Numbered(1000 + i));
+  }
+  for (std::size_t i = 0; i < kChunk + 3; ++i) {
+    ASSERT_EQ(head[5 + i], Numbered(i)) << i;
+  }
+
+  // A moved-from log is empty and logs again from its first slot.
+  CommandLog taken = std::move(head);
+  EXPECT_TRUE(head.empty());  // NOLINT(bugprone-use-after-move)
+  head.Append(Numbered(9));
+  ASSERT_EQ(head.size(), 1u);
+  EXPECT_EQ(head[0], Numbered(9));
+  EXPECT_EQ(taken.size(), kChunk + 8);
+}
+
+TEST(CommandLogChunks, ReleasedChunksServeTheNextLog) {
+  CommandLog first;
+  first.Append(Numbered(1));
+  const Command* slot = &first[0];
+  first.Clear();
+  EXPECT_TRUE(first.empty());
+  CommandLog next;
+  next.Append(Numbered(2));
+  EXPECT_EQ(&next[0], slot);
+  EXPECT_EQ(next[0], Numbered(2));
+}
+
+TEST(CommandLogChunks, TakeAuditLogHandsOverEveryChunk) {
+  const core::VrlSystem system(Ddr4Config());
+  const Cycles horizon = system.HorizonForWindows(1);
+  const auto requests = SuiteRequests(system, horizon, 1).front();
+  const core::VrlConfig& config = system.config();
+  MemoryController controller(config.TimingTableFor(), config.tech.rows,
+                              system.MakePolicyFactory("DARP"),
+                              config.scheduler, config.page_policy,
+                              config.subarrays);
+  const CommandLog& log = controller.EnableAudit();
+  controller.Run(requests, horizon);
+  ASSERT_GT(log.size(), 2 * CommandLog::kChunkSize);
+  const std::vector<Command> expected = CommandsOf(log);
+  const Command* tail = &log[log.size() - 1];
+  const CommandLog taken = controller.TakeAuditLog();
+  EXPECT_TRUE(log.empty());
+  EXPECT_TRUE(taken.commands() == expected);
+  EXPECT_EQ(&taken[taken.size() - 1], tail);
+}
+
+TEST(DenseAuditor, CrowdedFawWindowMatchesReference) {
+  // Twelve ACTs and three REFpb of one rank inside one tFAW window, two
+  // per cycle: the window holds more than four only after violations, and
+  // every one of them stays in it until it expires (the tFAW detail quotes
+  // the oldest).  Later ACTs meet the window as it drains.
+  const TimingTable table = MakeTimingTable(TimingPreset::kDdr4_2400);
+  ASSERT_GT(table.t_faw, 8u);
+  std::vector<Command> commands;
+  for (std::size_t i = 0; i < 15; ++i) {
+    Command c;
+    c.at = 1000 + i / 2;
+    c.bank = static_cast<std::uint32_t>(i % 16);
+    c.row = static_cast<std::uint32_t>(i);
+    if (i % 5 == 4) {
+      c.kind = CommandKind::kRefresh;
+      c.granularity = RefreshGranularity::kPerBank;
+      c.trfc = 40;
+    }
+    commands.push_back(c);
+  }
+  for (std::size_t i = 0; i < 6; ++i) {
+    Command c;
+    c.at = 1000 + table.t_faw + 3 * i;
+    c.bank = static_cast<std::uint32_t>(i % 16);
+    c.row = 100;
+    commands.push_back(c);
+  }
+  const CommandLog log = LogOf(commands);
+  const AuditReport expected = ReferenceAudit(table, log);
+  const AuditReport actual = TimingAuditor(table).Audit(log);
+  EXPECT_EQ(actual.ToText("faw"), expected.ToText("faw"));
+  const auto faw = std::count_if(
+      actual.violations.begin(), actual.violations.end(),
+      [](const TimingViolation& v) { return v.rule == "tFAW"; });
+  EXPECT_GE(faw, 11);
 }
 
 /// Proposes nothing and never checks `now`, so one controller can run

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -602,6 +604,152 @@ class AskEveryTick : public dram::RefreshPolicy {
  private:
   std::unique_ptr<dram::RefreshPolicy> inner_;
 };
+
+// ---------------------------------------------------------------------------
+// DARP under heavy deferral against a reference schedule
+// ---------------------------------------------------------------------------
+
+/// (row, granted) in the order the scheduler decided.
+using Decisions = std::vector<std::pair<std::size_t, bool>>;
+
+/// DARP's schedule written out plainly: a (due, row) min-heap, every
+/// outstanding proposal offered on each Propose, a granted row found by
+/// search and erased, re-armed one period after its due cycle.
+class ReferenceDarp : public dram::RefreshPolicy {
+ public:
+  ReferenceDarp(std::size_t rows, Cycles period, Cycles trfc, Cycles defer)
+      : rows_(rows), period_(period), trfc_(trfc), defer_(defer) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      due_.emplace(period * r / rows, r);
+    }
+  }
+
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override {
+    (void)demand;
+    RequireMonotonicNow(now);
+    while (!due_.empty() && due_.top().first <= now) {
+      const auto [when, row] = due_.top();
+      due_.pop();
+      dram::RefreshProposal proposal;
+      proposal.op = {row, trfc_, true, dram::RefreshGranularity::kPerBank};
+      proposal.due = when;
+      proposal.deadline = when + defer_;
+      outstanding_.push_back(proposal);
+    }
+    out.assign(outstanding_.begin(), outstanding_.end());
+    for (dram::RefreshProposal& proposal : out) {
+      proposal.urgent = now >= proposal.deadline;
+    }
+  }
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
+    (void)at;
+    decisions.emplace_back(proposal.op.row, true);
+    for (auto it = outstanding_.begin(); it != outstanding_.end(); ++it) {
+      if (it->op.row == proposal.op.row) {
+        outstanding_.erase(it);
+        break;
+      }
+    }
+    due_.emplace(proposal.due + period_, proposal.op.row);
+  }
+  void OnDefer(const dram::RefreshProposal& proposal) override {
+    decisions.emplace_back(proposal.op.row, false);
+  }
+  std::string Name() const override { return "reference-darp"; }
+  std::size_t rows() const override { return rows_; }
+
+  Decisions decisions;
+
+ private:
+  std::size_t rows_;
+  Cycles period_;
+  Cycles trfc_;
+  Cycles defer_;
+  std::priority_queue<std::pair<Cycles, std::size_t>,
+                      std::vector<std::pair<Cycles, std::size_t>>,
+                      std::greater<>>
+      due_;
+  std::vector<dram::RefreshProposal> outstanding_;
+};
+
+/// Forwards to `inner`, recording each decision.
+class RecordDecisions : public dram::RefreshPolicy {
+ public:
+  explicit RecordDecisions(std::unique_ptr<dram::RefreshPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override {
+    inner_->Propose(now, demand, out);
+  }
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
+    decisions.emplace_back(proposal.op.row, true);
+    inner_->OnGrant(proposal, at);
+  }
+  void OnDefer(const dram::RefreshProposal& proposal) override {
+    decisions.emplace_back(proposal.op.row, false);
+    inner_->OnDefer(proposal);
+  }
+  std::string Name() const override { return inner_->Name(); }
+  std::size_t rows() const override { return inner_->rows(); }
+
+  Decisions decisions;
+
+ private:
+  std::unique_ptr<dram::RefreshPolicy> inner_;
+};
+
+TEST(RefreshDeferral, DarpUnderHeavyDeferralMatchesTheReferenceSchedule) {
+  // 256 rows due over 64 ticks: four come due per tick.  Demand collides
+  // with every REFpb except on one tick in 13, so proposals pile up (dozens
+  // outstanding), some are granted early on a quiet tick and the rest are
+  // forced at their deadline, eight ticks after they come due.
+  constexpr std::size_t kRows = 256;
+  constexpr Cycles kTrefi = 100;
+  constexpr Cycles kPeriod = 64 * kTrefi;
+  constexpr Cycles kTrfc = 35;
+  constexpr Cycles kDefer = 8 * kTrefi;
+  constexpr std::size_t kTicks = 1000;
+  const dram::TimingParams timing;
+  const dram::Bank bank(kRows, timing, dram::RowBufferPolicy::kOpenPage, 4);
+  ReferenceDarp reference(kRows, kPeriod, kTrfc, kDefer);
+  RecordDecisions darp(
+      std::make_unique<dram::DarpPolicy>(kRows, kPeriod, kTrfc, kDefer));
+  dram::RefreshGrantStats reference_stats;
+  dram::RefreshGrantStats darp_stats;
+  std::vector<dram::RefreshProposal> reference_proposals;
+  std::vector<dram::RefreshProposal> darp_proposals;
+  std::vector<dram::RefreshOp> reference_ops;
+  std::vector<dram::RefreshOp> darp_ops;
+  std::size_t most_offered = 0;
+  for (std::size_t tick = 0; tick < kTicks; ++tick) {
+    dram::RefreshGrantContext ctx;
+    ctx.now = static_cast<Cycles>(tick) * kTrefi;
+    ctx.demand.now = ctx.now;
+    ctx.bank = &bank;
+    if (tick % 13 != 0) {
+      ctx.demand.has_next = true;
+      ctx.demand.next_arrival = ctx.now + 1;
+      ctx.demand.next_row = tick % kRows;
+    }
+    dram::GrantRefreshes(reference, ctx, &reference_stats, reference_ops,
+                         reference_proposals);
+    dram::GrantRefreshes(darp, ctx, &darp_stats, darp_ops, darp_proposals);
+    most_offered = std::max(most_offered, darp_proposals.size());
+    ASSERT_EQ(FormatOps(darp_ops), FormatOps(reference_ops))
+        << "tick " << tick;
+  }
+  EXPECT_EQ(darp.decisions, reference.decisions);
+  EXPECT_EQ(darp_stats.proposals, reference_stats.proposals);
+  EXPECT_EQ(darp_stats.granted, reference_stats.granted);
+  EXPECT_EQ(darp_stats.deferred, reference_stats.deferred);
+  EXPECT_EQ(darp_stats.urgent_grants, reference_stats.urgent_grants);
+  EXPECT_GT(most_offered, 24u);
+  EXPECT_GT(darp_stats.deferred, darp_stats.granted);
+  EXPECT_GT(darp_stats.urgent_grants, darp_stats.granted / 4);
+  EXPECT_LT(darp_stats.urgent_grants, darp_stats.granted);
+}
 
 /// Runs every registry policy over `requests` twice, as built and wrapped
 /// in AskEveryTick, and expects the same stats and command log.

@@ -409,6 +409,16 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
                            "--windows 1 --subarrays"}) {
     EXPECT_EQ(RunBinary("refresh_tournament", args), 2) << args;
   }
+  // Counts the grid cannot run: zero windows or subarrays are flag errors,
+  // more subarrays than rows a library ConfigError; each is one `error:`
+  // line and exit 2, not an abort or a report of nothing.
+  for (const char* args : {"--windows 0", "--subarrays 0",
+                           "--subarrays 9000 --windows 1 --workloads 1"}) {
+    std::string err;
+    EXPECT_EQ(RunBinary("refresh_tournament", args, &err), 2) << args;
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << args;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << args << " " << err;
+  }
   // Every binary rejects a trailing flag and a removed worker-pool flag.
   for (const auto& [binary, path] : Binaries()) {
     for (const char* args : {"--json", "--leg-timeout 9x"}) {
@@ -431,6 +441,7 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
       {"policy_explorer", "--windows"},
       {"policy_explorer", "--seed -1"},
       {"policy_explorer", "--bogus 1"},
+      {"policy_explorer", "--windows 0"},
       {"retention_profiler", "abc"},
       {"retention_profiler", "64 8x"},
       {"retention_profiler", "64 8 -1"},
@@ -447,6 +458,42 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
   for (const auto& [binary, args] : example_cases) {
     EXPECT_EQ(RunBinary(binary, args), 2) << binary << " " << args;
   }
+}
+
+/// Stdout of the built binary `name` run with `args` at VRL_THREADS =
+/// `threads` (stderr discarded); `status` receives the exit status.
+std::string StdoutOf(const std::string& name, const std::string& args,
+                     std::size_t threads, int* status) {
+  const std::string command = "VRL_THREADS=" + std::to_string(threads) +
+                              " timeout 300 " + Binaries().at(name) + " " +
+                              args + " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  std::string text;
+  std::array<char, 4096> buffer;
+  std::size_t got = 0;
+  while (pipe != nullptr &&
+         (got = std::fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
+    text.append(buffer.data(), got);
+  }
+  const int raw = pipe != nullptr ? pclose(pipe) : -1;
+  *status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+  return text;
+}
+
+TEST(RefreshTournament, JsonIsIdenticalAcrossThreadCounts) {
+  // The legs fan out over the threads and fold in policy and suite order.
+  const std::string args =
+      "--preset DDR4_2400 --windows 1 --workloads 2 --json -";
+  int serial_status = -1;
+  int fanned_status = -1;
+  const std::string serial =
+      StdoutOf("refresh_tournament", args, 1, &serial_status);
+  const std::string fanned =
+      StdoutOf("refresh_tournament", args, 3, &fanned_status);
+  EXPECT_EQ(serial_status, 0);
+  EXPECT_EQ(fanned_status, 0);
+  EXPECT_NE(serial.find("\"lineage\""), std::string::npos);
+  EXPECT_EQ(serial, fanned);
 }
 
 TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
