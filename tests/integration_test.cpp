@@ -245,6 +245,114 @@ TEST(IntegrityChecker, GuardbandedMprsfReplayIsPinned) {
       11686, 7316, 230, 5791, 0x1.729fbe76c8b44p-5, -0x1.f317c01b17183p-2);
 }
 
+/// One pinned IntegrityReport: what ExpectReport compares.
+struct ReplayPin {
+  const char* policy;
+  std::size_t checked;
+  std::size_t partials;
+  std::size_t failures;
+  std::size_t first_row;
+  double first_time_s;
+  double min_margin;
+};
+
+void ExpectPins(const core::IntegrityChecker& checker,
+                const std::vector<ReplayPin>& pins) {
+  // Every registry policy is pinned, in registry order.
+  const auto& entries = dram::PolicyRegistry::Global().entries();
+  ASSERT_EQ(pins.size(), entries.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const ReplayPin& pin = pins[i];
+    SCOPED_TRACE(pin.policy);
+    ASSERT_EQ(entries[i].name, pin.policy);
+    ExpectReport(checker.Check(pin.policy, 4), pin.checked, pin.partials,
+                 pin.failures, pin.first_row, pin.first_time_s,
+                 pin.min_margin);
+  }
+}
+
+TEST(IntegrityChecker, EveryPolicyReplayIsPinned) {
+  core::VrlConfig config;
+  config.banks = 1;
+  const core::VrlSystem system(config);
+  ExpectPins(core::IntegrityChecker(system),
+             {
+                 {"JEDEC", 32769, 0, 0, 0, 0x0p+0, 0x1.028525cccf2p-7},
+                 {"RAIDR", 8548, 0, 0, 0, 0x0p+0, 0x1.9897a2dbe7cp-10},
+                 {"VRL", 8548, 4914, 0, 0, 0x0p+0, 0x1.9897a2dbe7cp-10},
+                 {"VRL-Access", 8548, 4914, 0, 0, 0x0p+0, 0x1.9897a2dbe7cp-10},
+                 {"VRL-Skip", 8548, 4914, 0, 0, 0x0p+0, 0x1.9897a2dbe7cp-10},
+                 {"DARP", 32769, 0, 0, 0, 0x0p+0, 0x1.028525cccf2p-7},
+                 {"SARP", 32769, 0, 0, 0, 0x0p+0, 0x1.028525cccf2p-7},
+             });
+  const retention::TemperatureModel temperature;
+  ExpectPins(core::IntegrityChecker(system, temperature.RetentionScale(55.0)),
+             {
+                 {"JEDEC", 32769, 0, 221, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.dfec4fb0b0574p-3},
+                 {"RAIDR", 8548, 0, 1346, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.ef1dcafd34c7p-3},
+                 {"VRL", 8548, 4914, 1346, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.ef1dcafd34c7p-3},
+                 {"VRL-Access", 8548, 4914, 1346, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.ef1dcafd34c7p-3},
+                 {"VRL-Skip", 8548, 4914, 1346, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.ef1dcafd34c7p-3},
+                 {"DARP", 32769, 0, 221, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.dfec4fb0b0574p-3},
+                 {"SARP", 32769, 0, 221, 5737, 0x1.6f2b020c49ba6p-5,
+                  -0x1.dfec4fb0b0574p-3},
+             });
+}
+
+// The explicit runtime-profile constructor: a worst-case VRT snapshot, as
+// sensed at the profiling temperature and scaled to a hotter one.
+TEST(IntegrityChecker, RuntimeProfileReplayIsPinned) {
+  retention::VrtParams vrt;
+  vrt.low_ratio = 0.6;
+  vrt.row_fraction = 0.05;
+  core::VrlConfig config;
+  config.banks = 1;
+  const core::VrlSystem system(config);
+  Rng rng(3);
+  const auto runtime = retention::WorstCaseRuntimeProfile(
+      system.profile(),
+      retention::SampleVrtRows(vrt, system.profile().rows(), rng), vrt);
+  ExpectPins(core::IntegrityChecker(system, runtime),
+             {
+                 {"JEDEC", 32769, 0, 0, 0, 0x0p+0, 0x1.028525cccf2p-7},
+                 {"RAIDR", 8548, 0, 32, 7237, 0x1.cf2b020c49ba6p-4,
+                  -0x1.529b9ca57526ep-3},
+                 {"VRL", 8548, 4914, 32, 7237, 0x1.cf2b020c49ba6p-4,
+                  -0x1.529b9ca57526ep-3},
+                 {"VRL-Access", 8548, 4914, 32, 7237, 0x1.cf2b020c49ba6p-4,
+                  -0x1.529b9ca57526ep-3},
+                 {"VRL-Skip", 8548, 4914, 32, 7237, 0x1.cf2b020c49ba6p-4,
+                  -0x1.529b9ca57526ep-3},
+                 {"DARP", 32769, 0, 0, 0, 0x0p+0, 0x1.028525cccf2p-7},
+                 {"SARP", 32769, 0, 0, 0, 0x0p+0, 0x1.028525cccf2p-7},
+             });
+  const retention::TemperatureModel temperature;
+  ExpectPins(
+      core::IntegrityChecker(system, runtime, temperature.RetentionScale(50.0)),
+      {
+          {"JEDEC", 32769, 0, 93, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.bb458c5cdfe1p-4},
+          {"RAIDR", 8548, 0, 505, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.2af7abeb7708ep-2},
+          {"VRL", 8548, 4914, 545, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.2af7abeb7708ep-2},
+          {"VRL-Access", 8548, 4914, 545, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.2af7abeb7708ep-2},
+          {"VRL-Skip", 8548, 4914, 545, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.2af7abeb7708ep-2},
+          {"DARP", 32769, 0, 93, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.bb458c5cdfe1p-4},
+          {"SARP", 32769, 0, 93, 6766, 0x1.b10624dd2f1aap-5,
+           -0x1.bb458c5cdfe1p-4},
+      });
+}
+
 TEST(IntegrityChecker, RejectsBadInputs) {
   core::VrlConfig config;
   config.banks = 1;
