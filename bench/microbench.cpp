@@ -194,10 +194,14 @@ void BM_ProposingPolicyGrant(benchmark::State& state) {
   std::unique_ptr<dram::RefreshPolicy> policy;
   switch (state.range(0)) {
     case 0:
-      policy = std::make_unique<dram::DarpPolicy>(kRows, kWindow, 26, kDefer);
+      policy = std::make_unique<dram::FullLatencyPolicy>(
+          "DARP", std::vector<Cycles>(kRows, kWindow), 26,
+          dram::RefreshGranularity::kPerBank, kDefer);
       break;
     case 1:
-      policy = std::make_unique<dram::SarpPolicy>(kRows, kWindow, 26, kDefer);
+      policy = std::make_unique<dram::FullLatencyPolicy>(
+          "SARP", std::vector<Cycles>(kRows, kWindow), 26,
+          dram::RefreshGranularity::kSubarray, kDefer);
       break;
     default: {
       const retention::RetentionProfile profile(

@@ -14,9 +14,12 @@
 // counts, energy (power::PowerModel), and the refresh-command lineage
 // (proposals, grants, deferrals, deadline-forced grants, charge-aware
 // skips, activation-driven MPRSF resets).  DARP and SARP run the base
-// 64 ms all-rows schedule — the same refresh *rate* as JEDEC — so their
-// latency ratio against JEDEC isolates what out-of-order deferral and
-// subarray parallelism buy at the retention tail.
+// 64 ms all-rows schedule — the same refresh *rate* as JEDEC.  Their
+// latency ratio against JEDEC does not isolate what deferral and subarray
+// parallelism buy: DARP's win is its REFpb closing every open row of the
+// bank, so the next demand skips its precharge (a closed-page effect).
+// With every policy closed-page, DARP is 1.037x JEDEC on DDR4
+// (EXPERIMENTS.md, docs/POLICIES.md).
 //
 //   --preset <name>     run one preset; default sweeps DDR3_1600,
 //                       DDR4_2400 and LPDDR4_3200
@@ -29,7 +32,8 @@
 //   --audit-out <path>  write the merged audit logs (CI artifact, checked
 //                       by scripts/check_timing_audit.py)
 //   --gate-latency      exit non-zero unless DARP and SARP beat JEDEC's
-//                       average demand latency on every preset
+//                       average demand latency on every preset (holds
+//                       with the default open-page row buffers only)
 //
 // Exit code: 1 on any timing violation, 2 on a failed latency gate, a
 // malformed flag or a configuration the library rejects (one `error:`

@@ -1,28 +1,28 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
-#include <string>
+#include <exception>
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <utility>
 
-#include "common/error.hpp"
 #include "common/parse.hpp"
 
 namespace vrl {
 namespace {
 
 /// Process-wide thread-count override (0 = none).  Setup-time knob: written
-/// by SetThreadCountOverride before fan-outs run, read by every
+/// by ScopedThreadCount before fan-outs run, read by every
 /// DefaultThreadCount call.
 std::atomic<std::size_t> g_thread_override{0};
 
-/// Set while the current thread executes a ThreadPool task; nested
-/// ParallelFor calls see it and run inline.
+/// Set on ParallelFor / ParallelForCommit worker threads; nested calls see
+/// it and run inline.
 thread_local bool t_in_parallel_region = false;
-
-struct ParallelRegionGuard {
-  ParallelRegionGuard() { t_in_parallel_region = true; }
-  ~ParallelRegionGuard() { t_in_parallel_region = false; }
-};
 
 std::size_t ThreadCountFromEnv() {
   const char* env = std::getenv("VRL_THREADS");
@@ -35,6 +35,76 @@ std::size_t ThreadCountFromEnv() {
   }
   return static_cast<std::size_t>(*value);
 }
+
+/// The threads a fan-out of `n` items runs on: 1 means the serial loop.
+std::size_t FanOutThreads(std::size_t n, std::size_t threads) {
+  if (InParallelRegion()) {
+    return 1;
+  }
+  const std::size_t count = threads == 0 ? DefaultThreadCount() : threads;
+  return count < n ? count : n;
+}
+
+/// `count` threads, each running `work` once inside a parallel region.  The
+/// first exception any of them throws is kept and rethrown by Join.  The
+/// threads live from construction to Join, so a thread-local a fan-out
+/// fills (a command log's spare chunks) lives exactly as long as the
+/// fan-out.
+class WorkerThreads {
+ public:
+  WorkerThreads(std::size_t count, std::function<void()> work)
+      : work_(std::move(work)) {
+    threads_.reserve(count);
+    try {
+      for (std::size_t t = 0; t < count; ++t) {
+        threads_.emplace_back([this] { Run(); });
+      }
+    } catch (...) {
+      JoinAll();  // The threads already started claim every item first.
+      throw;
+    }
+  }
+
+  WorkerThreads(const WorkerThreads&) = delete;
+  WorkerThreads& operator=(const WorkerThreads&) = delete;
+
+  /// Joins the threads when Join was not reached.
+  ~WorkerThreads() { JoinAll(); }
+
+  /// Waits for every thread, then rethrows the first exception, if any.
+  void Join() {
+    JoinAll();
+    if (first_error_ != nullptr) {
+      std::rethrow_exception(first_error_);
+    }
+  }
+
+ private:
+  void Run() {
+    t_in_parallel_region = true;
+    try {
+      work_();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (first_error_ == nullptr) {
+        first_error_ = std::current_exception();
+      }
+    }
+  }
+
+  void JoinAll() {
+    for (std::thread& thread : threads_) {
+      if (thread.joinable()) {
+        thread.join();
+      }
+    }
+  }
+
+  std::function<void()> work_;
+  std::mutex mutex_;
+  std::exception_ptr first_error_;  ///< Guarded by mutex_ until JoinAll.
+  std::vector<std::thread> threads_;
+};
 
 }  // namespace
 
@@ -52,107 +122,21 @@ std::size_t DefaultThreadCount() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-void SetThreadCountOverride(std::size_t threads) {
-  g_thread_override.store(threads, std::memory_order_relaxed);
-}
-
 ScopedThreadCount::ScopedThreadCount(std::size_t threads)
-    : previous_(g_thread_override.load(std::memory_order_relaxed)) {
-  SetThreadCountOverride(threads);
-}
+    : previous_(g_thread_override.exchange(threads,
+                                           std::memory_order_relaxed)) {}
 
-ScopedThreadCount::~ScopedThreadCount() { SetThreadCountOverride(previous_); }
+ScopedThreadCount::~ScopedThreadCount() {
+  g_thread_override.store(previous_, std::memory_order_relaxed);
+}
 
 bool InParallelRegion() { return t_in_parallel_region; }
-
-std::uint64_t TaskSeed(std::uint64_t base_seed, std::uint64_t task_index) {
-  // One SplitMix64 step over a Weyl-spread combination of base and index.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (task_index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t count = threads == 0 ? 1 : threads;
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (auto& worker : workers_) {
-    worker.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      throw ConfigError("ThreadPool: Submit after shutdown began");
-    }
-    queue_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    const std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  const ParallelRegionGuard region;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      return;  // stopping_ and drained.
-    }
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error != nullptr && first_error_ == nullptr) {
-      first_error_ = error;
-    }
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) {
-      all_done_.notify_all();
-    }
-  }
-}
 
 void ParallelFor(std::string_view /*label*/, std::size_t n,
                  const std::function<void(std::size_t)>& body,
                  std::size_t threads) {
-  if (n == 0) {
-    return;
-  }
-  std::size_t count = threads == 0 ? DefaultThreadCount() : threads;
-  if (count > n) {
-    count = n;
-  }
-  if (count <= 1 || InParallelRegion()) {
+  const std::size_t count = FanOutThreads(n, threads);
+  if (count <= 1) {
     // Single-thread fallback / nested call: plain serial loop, same index
     // order, same results (the determinism contract makes this exact).
     for (std::size_t i = 0; i < n; ++i) {
@@ -164,27 +148,24 @@ void ParallelFor(std::string_view /*label*/, std::size_t n,
   // The work queue is an atomic index counter: workers claim items in
   // index order.  After any item throws, workers stop claiming new items
   // (remaining items are skipped — the exception aborts the fan-out) and
-  // the first exception is rethrown from Wait().
+  // the first exception is rethrown from Join().
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  ThreadPool pool(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    pool.Submit([&next, &failed, &body, n] {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) {
-          return;
-        }
-        try {
-          body(i);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
+  WorkerThreads workers(count, [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) {
+        return;
       }
-    });
-  }
-  pool.Wait();
+      try {
+        body(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    }
+  });
+  workers.Join();
 }
 
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
@@ -196,14 +177,8 @@ void ParallelForCommit(std::string_view /*label*/, std::size_t n,
                        const std::function<void(std::size_t)>& body,
                        const std::function<void(std::size_t)>& commit,
                        std::size_t threads) {
-  if (n == 0) {
-    return;
-  }
-  std::size_t count = threads == 0 ? DefaultThreadCount() : threads;
-  if (count > n) {
-    count = n;
-  }
-  if (count <= 1 || InParallelRegion()) {
+  const std::size_t count = FanOutThreads(n, threads);
+  if (count <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       body(i);
       commit(i);
@@ -220,37 +195,34 @@ void ParallelForCommit(std::string_view /*label*/, std::size_t n,
   std::condition_variable progress;
   std::vector<char> done(n, 0);
   std::size_t active = count;
-  ThreadPool pool(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    pool.Submit([&] {
-      const auto leave = [&] {
+  WorkerThreads workers(count, [&] {
+    const auto leave = [&] {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        --active;
+      }
+      progress.notify_all();
+    };
+    try {
+      while (!failed.load(std::memory_order_relaxed)) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) {
+          break;
+        }
+        body(i);
         {
           const std::lock_guard<std::mutex> lock(mutex);
-          --active;
+          done[i] = 1;
         }
         progress.notify_all();
-      };
-      try {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) {
-            break;
-          }
-          body(i);
-          {
-            const std::lock_guard<std::mutex> lock(mutex);
-            done[i] = 1;
-          }
-          progress.notify_all();
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        leave();
-        throw;
       }
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
       leave();
-    });
-  }
+      throw;
+    }
+    leave();
+  });
 
   std::size_t committed = 0;
   std::exception_ptr commit_error;
@@ -274,7 +246,7 @@ void ParallelForCommit(std::string_view /*label*/, std::size_t n,
       lock.lock();
     }
   }
-  pool.Wait();  // Rethrows the first body exception, if any.
+  workers.Join();  // Rethrows the first body exception, if any.
   if (commit_error != nullptr) {
     std::rethrow_exception(commit_error);
   }

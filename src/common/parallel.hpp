@@ -1,14 +1,8 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -23,9 +17,9 @@
 ///     Shared inputs must be const and internally cache-free.
 ///  2. Results go into pre-sized slots indexed by the item index, so the
 ///     output layout never depends on completion order.
-///  3. Any randomness inside an item comes from an Rng seeded as a pure
-///     function of the item index (TaskSeed) or of per-item configuration —
-///     never from a generator shared across items.
+///  3. Any randomness inside an item comes from an Rng seeded from per-item
+///     configuration (a sweep point's seed, a campaign leg's own fault
+///     schedule) — never from a generator shared across items.
 ///
 /// Under that contract, ParallelFor(n, body) produces bit-identical results
 /// for every thread count, including the single-thread fallback, and for
@@ -33,8 +27,8 @@
 /// the library's own fan-outs; the CI ThreadSanitizer job checks rule 1.
 ///
 /// Thread-count resolution (first match wins):
-///   explicit `threads` argument > SetThreadCountOverride/ScopedThreadCount
-///   > VRL_THREADS environment variable > std::thread::hardware_concurrency.
+///   explicit `threads` argument > ScopedThreadCount > VRL_THREADS
+///   environment variable > std::thread::hardware_concurrency.
 
 namespace vrl {
 
@@ -43,12 +37,9 @@ namespace vrl {
 /// VRL_THREADS, else hardware_concurrency (at least 1).
 std::size_t DefaultThreadCount();
 
-/// Sets (non-zero) or clears (zero) the process-wide thread-count override.
-/// Intended for program setup and tests; prefer ScopedThreadCount.
-void SetThreadCountOverride(std::size_t threads);
-
-/// RAII override of DefaultThreadCount — the reproducibility harness runs
-/// the same fan-out at 1/2/8 threads through this.
+/// RAII override of DefaultThreadCount: `threads` (0 clears the override)
+/// until the scope ends, then the previous override.  The reproducibility
+/// harness runs the same fan-out at 1/2/8 threads through this.
 class ScopedThreadCount {
  public:
   explicit ScopedThreadCount(std::size_t threads);
@@ -60,62 +51,19 @@ class ScopedThreadCount {
   std::size_t previous_;
 };
 
-/// True on a thread currently executing a ThreadPool task.  ParallelFor
-/// consults this to run nested parallel loops inline (rule: nesting is
-/// safe, never oversubscribed, never deadlocked).
+/// True on a ParallelFor / ParallelForCommit worker thread.  Those consult
+/// this to run nested parallel loops inline (rule: nesting is safe, never
+/// oversubscribed, never deadlocked).
 bool InParallelRegion();
 
-/// SplitMix64-derived seed for work item `task_index` of a fan-out rooted
-/// at `base_seed`.  Pure function of its arguments, so a task's random
-/// stream depends only on its index — not on which thread runs it or when.
-/// Distinct indices give statistically independent Rng streams.
-std::uint64_t TaskSeed(std::uint64_t base_seed, std::uint64_t task_index);
-
-/// A fixed-size worker pool draining a FIFO work queue.  The first
-/// exception thrown by any task is captured and rethrown from Wait();
-/// remaining tasks still run, so Wait() never deadlocks.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (at least 1).
-  explicit ThreadPool(std::size_t threads);
-
-  /// Joins the workers.  Pending tasks are still executed; an unretrieved
-  /// task exception (no Wait() call) is dropped.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// Enqueues a task.  \throws vrl::ConfigError after the pool started
-  /// shutting down (destructor entered).
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished, then rethrows the
-  /// first captured task exception, if any (clearing it).
-  void Wait();
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
-  bool stopping_ = false;
-  std::exception_ptr first_error_;
-};
-
-/// Runs body(0) ... body(n-1), distributing items over `threads` workers
-/// (0 = DefaultThreadCount()).  Items are claimed from an atomic work queue
-/// in index order but may complete in any order — callers must follow the
-/// determinism contract above.  Falls back to a plain serial loop when one
-/// thread suffices (n <= 1, threads == 1) or when called from inside
-/// another parallel region.  The first exception thrown by any item is
-/// rethrown after all workers stop claiming new items.
+/// Runs body(0) ... body(n-1), distributing items over `threads` worker
+/// threads (0 = DefaultThreadCount(), at most n) that the call starts and
+/// joins; the calling thread only waits.  Items are claimed from an atomic
+/// work queue in index order but may complete in any order — callers must
+/// follow the determinism contract above.  Falls back to a plain serial
+/// loop when one thread suffices (n <= 1, threads == 1) or when called
+/// from inside another parallel region.  The first exception thrown by any
+/// item is rethrown after all workers stop claiming new items.
 ///
 /// `label` names the fan-out at the call site; it does not affect
 /// execution.
@@ -127,9 +75,9 @@ void ParallelFor(std::string_view label, std::size_t n,
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t threads = 0);
 
-/// ParallelFor with an ordered commit stream: body(i) runs on pool workers
-/// under the usual determinism contract, while commit(i) runs on the
-/// *calling* thread in strictly increasing index order, as soon as every
+/// ParallelFor with an ordered commit stream: body(i) runs on the worker
+/// threads under the usual determinism contract, while commit(i) runs on
+/// the *calling* thread in strictly increasing index order, as soon as every
 /// body up to and including i has finished.  This is the primitive the
 /// execution runtime journals through (docs/RESILIENCE.md): bodies may
 /// complete in any order, but durable side effects happen in index order,

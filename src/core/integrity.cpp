@@ -1,38 +1,41 @@
 #include "core/integrity.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
-#include "dram/scheduler.hpp"
-#include "fault/charge_tracker.hpp"
+#include "fault/campaign.hpp"
+#include "fault/injector.hpp"
 
 namespace vrl::core {
+namespace {
+
+/// `profile` with every row's retention multiplied by `scale`.
+retention::RetentionProfile Scaled(const retention::RetentionProfile& profile,
+                                   double scale) {
+  if (scale <= 0.0) {
+    throw ConfigError("IntegrityChecker: retention scale must be positive");
+  }
+  std::vector<double> retention = profile.row_retention();
+  for (double& t : retention) {
+    t *= scale;
+  }
+  return retention::RetentionProfile(std::move(retention));
+}
+
+}  // namespace
 
 IntegrityChecker::IntegrityChecker(const VrlSystem& system,
                                    double retention_scale)
-    : system_(system), retention_scale_(retention_scale) {
-  if (retention_scale_ <= 0.0) {
-    throw ConfigError("IntegrityChecker: retention scale must be positive");
-  }
-}
+    : system_(system), runtime_(Scaled(system.profile(), retention_scale)) {}
 
 IntegrityChecker::IntegrityChecker(const VrlSystem& system,
                                    retention::RetentionProfile runtime_profile,
                                    double retention_scale)
-    : system_(system),
-      retention_scale_(retention_scale),
-      runtime_profile_(std::move(runtime_profile)) {
-  if (retention_scale_ <= 0.0) {
-    throw ConfigError("IntegrityChecker: retention scale must be positive");
-  }
-  if (runtime_profile_->rows() != system_.profile().rows()) {
+    : system_(system), runtime_(Scaled(runtime_profile, retention_scale)) {
+  if (runtime_.rows() != system_.profile().rows()) {
     throw ConfigError(
         "IntegrityChecker: runtime profile row count mismatch");
   }
-}
-
-double IntegrityChecker::RuntimeRetention(std::size_t row) const {
-  const auto& profile =
-      runtime_profile_.has_value() ? *runtime_profile_ : system_.profile();
-  return profile.RowRetention(row) * retention_scale_;
 }
 
 IntegrityReport IntegrityChecker::Check(std::string_view policy,
@@ -54,58 +57,23 @@ IntegrityReport IntegrityChecker::Replay(dram::RefreshPolicy& policy,
   if (windows == 0) {
     throw ConfigError("IntegrityChecker: need at least one window");
   }
-  const auto& model = system_.refresh_model();
-  const std::size_t rows = system_.profile().rows();
-  if (policy.rows() != rows) {
-    throw ConfigError("IntegrityChecker: policy row count mismatch");
-  }
-
-  // The per-row physics (leakage, sensing, restore-truncation compounding)
-  // lives in the shared charge tracker, the same code path the online
-  // failure monitor (fault::RunCampaign) replays through.
-  fault::ChargeTracker tracker(model, rows);
+  // A campaign with no injector: every row's fault scale is exactly 1.0,
+  // so each op senses its row at the runtime retention itself.  A failed
+  // sense restores the row so further failures count distinctly.
+  fault::FaultSchedule no_faults;
+  const fault::CampaignReport campaign =
+      fault::RunCampaign(system_.refresh_model(), runtime_, policy, no_faults,
+                         system_.CampaignSetupFor(windows));
 
   IntegrityReport report;
-  const double clock = system_.config().tech.clock_period_s;
-  const Cycles horizon = system_.HorizonForWindows(windows);
-  const Cycles t_refi = system_.config().timing.t_refi;
-
-  std::vector<dram::RefreshProposal> proposals;
-  std::vector<dram::RefreshOp> ops;
-  for (Cycles tick = 0; tick <= horizon; tick += t_refi) {
-    const double now_s = CyclesToSeconds(tick, clock);
-    // Propose/grant with no bank context: every proposal is granted on the
-    // tick it is proposed, so the checker audits each policy's schedule
-    // without demand-driven deferral.
-    dram::RefreshGrantContext grant_ctx;
-    grant_ctx.now = tick;
-    grant_ctx.demand.now = tick;
-    dram::GrantRefreshes(policy, grant_ctx, nullptr, ops, proposals);
-    for (const auto& op : ops) {
-      const double budget_s =
-          op.is_full ? system_.FullTimings().tau_post_s
-                     : system_.PartialTimings().tau_post_s;
-      const auto sense = tracker.Refresh(op.row, now_s,
-                                         RuntimeRetention(op.row),
-                                         op.is_full, budget_s);
-
-      ++report.refreshes_checked;
-      if (!op.is_full) {
-        ++report.partial_refreshes;
-      }
-      if (!sense.sense_ok) {
-        if (report.failures == 0) {
-          report.first_failed_row = op.row;
-          report.first_failure_time_s = now_s;
-        }
-        ++report.failures;
-        // The data is gone; model the (wrong) restore as a fresh full level
-        // so the replay can continue counting further failures distinctly.
-        tracker.Restore(op.row, now_s);
-      }
-    }
+  report.refreshes_checked = campaign.refreshes;
+  report.partial_refreshes = campaign.partial_refreshes;
+  report.failures = campaign.detected_failures;
+  if (!campaign.events.empty()) {
+    report.first_failed_row = campaign.events.front().row;
+    report.first_failure_time_s = campaign.events.front().at_s;
   }
-  report.min_margin = tracker.min_margin();
+  report.min_margin = campaign.min_margin;
   return report;
 }
 

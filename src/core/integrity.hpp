@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -18,6 +17,10 @@
 /// the analytical model including restore-truncation compounding) and
 /// verifies that every refresh operation and every access finds the row
 /// readable.
+///
+/// The replay is the fault campaign's (fault::RunCampaign) with an empty
+/// fault schedule: one tick loop grants the policy's ops and senses each
+/// one through the shared ChargeTracker.
 ///
 /// This is both a validation tool (tests assert VRL/VRL-Access schedules
 /// are loss-free, and that deliberately exceeding MPRSF is not) and the
@@ -67,12 +70,10 @@ class IntegrityChecker {
   IntegrityReport Replay(dram::RefreshPolicy& policy,
                          std::size_t windows) const;
 
-  /// Runtime retention of one row [s].
-  double RuntimeRetention(std::size_t row) const;
-
   const VrlSystem& system_;
-  double retention_scale_;
-  std::optional<retention::RetentionProfile> runtime_profile_;
+  /// Runtime retention of every row [s]: the profile's retention times the
+  /// retention scale, built once.
+  retention::RetentionProfile runtime_;
 };
 
 }  // namespace vrl::core

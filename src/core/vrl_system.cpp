@@ -209,16 +209,21 @@ Cycles VrlSystem::HorizonForWindows(std::size_t windows) const {
   return config_.timing.t_refw * static_cast<Cycles>(windows);
 }
 
-fault::CampaignReport VrlSystem::RunFaultCampaign(
-    std::string_view policy, fault::FaultSchedule& faults,
-    const FaultCampaignOptions& options) const {
+fault::CampaignSetup VrlSystem::CampaignSetupFor(std::size_t windows) const {
   fault::CampaignSetup setup;
   setup.clock_period_s = config_.tech.clock_period_s;
   setup.t_refi = config_.timing.t_refi;
   setup.base_window = config_.timing.t_refw;
-  setup.windows = options.windows;
+  setup.windows = windows;
   setup.tau_post_full_s = tau_full_.tau_post_s;
   setup.tau_post_partial_s = tau_partial_.tau_post_s;
+  return setup;
+}
+
+fault::CampaignReport VrlSystem::RunFaultCampaign(
+    std::string_view policy, fault::FaultSchedule& faults,
+    const FaultCampaignOptions& options) const {
+  fault::CampaignSetup setup = CampaignSetupFor(options.windows);
   setup.telemetry = options.telemetry;
 
   const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(policy);

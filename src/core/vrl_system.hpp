@@ -191,6 +191,11 @@ class VrlSystem {
   /// windows (64 ms each).
   Cycles HorizonForWindows(std::size_t windows) const;
 
+  /// The fault::RunCampaign setup of this system for `windows` base
+  /// windows: its clock, tREFI, base window and τpost budgets, telemetry
+  /// off.  RunFaultCampaign and core::IntegrityChecker replay through it.
+  fault::CampaignSetup CampaignSetupFor(std::size_t windows) const;
+
   /// Runs a fault-injection campaign (see fault/campaign.hpp): one bank of
   /// this system, refreshed by the registry policy `policy`, replayed
   /// against the physics while `faults` perturbs the runtime retention.

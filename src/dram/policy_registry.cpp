@@ -22,37 +22,55 @@ std::string CanonicalPolicyToken(std::string_view name) {
 
 namespace {
 
-void Require(bool ok, const char* policy, const char* what) {
+void Require(bool ok, std::string_view policy, const char* what) {
   if (!ok) {
-    throw ConfigError(std::string("PolicyRegistry: building ") + policy +
+    throw ConfigError("PolicyRegistry: building " + std::string(policy) +
                       " requires " + what);
   }
+}
+
+/// A full-latency baseline's registry entry: FullLatencyPolicy on every
+/// row each base window (RowPlanKind::kNone) or on the binned periods
+/// (kBinned), at one refresh scope, never deferred or deferred within
+/// DeferWindowOrDefault().
+PolicyInfo FullLatencyEntry(std::string name, std::string description,
+                            RowPlanKind plan, RefreshGranularity granularity,
+                            bool deferrable) {
+  auto make = [name, plan, granularity, deferrable](
+                  const PolicyBuildContext& ctx)
+      -> std::unique_ptr<RefreshPolicy> {
+    if (plan == RowPlanKind::kBinned) {
+      Require(!ctx.binned_plan.period_cycles.empty(), name, "binned_plan");
+    } else {
+      Require(ctx.rows != 0, name, "rows");
+      Require(ctx.base_window != 0, name, "base_window");
+    }
+    Require(ctx.trfc_full != 0, name, "trfc_full");
+    if (deferrable) {
+      Require(ctx.DeferWindowOrDefault() != 0, name,
+              "defer_window or t_refi");
+    }
+    return std::make_unique<FullLatencyPolicy>(
+        name,
+        plan == RowPlanKind::kBinned
+            ? ctx.binned_plan.period_cycles
+            : std::vector<Cycles>(ctx.rows, ctx.base_window),
+        ctx.trfc_full, granularity,
+        deferrable ? ctx.DeferWindowOrDefault() : 0);
+  };
+  return {std::move(name), std::move(description), plan, std::move(make)};
 }
 
 }  // namespace
 
 PolicyRegistry::PolicyRegistry() {
-  entries_.push_back(
-      {"JEDEC",
-       "conventional baseline: every row each base window, full latency",
-       RowPlanKind::kNone,
-       [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
-         Require(ctx.rows != 0, "JEDEC", "rows");
-         Require(ctx.base_window != 0, "JEDEC", "base_window");
-         Require(ctx.trfc_full != 0, "JEDEC", "trfc_full");
-         return std::make_unique<JedecPolicy>(ctx.rows, ctx.base_window,
-                                              ctx.trfc_full);
-       }});
-  entries_.push_back(
-      {"RAIDR",
-       "retention-binned multi-rate refresh (Liu et al., ISCA 2012)",
-       RowPlanKind::kBinned,
-       [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
-         Require(!ctx.binned_plan.period_cycles.empty(), "RAIDR",
-                 "binned_plan");
-         Require(ctx.trfc_full != 0, "RAIDR", "trfc_full");
-         return std::make_unique<RaidrPolicy>(ctx.binned_plan, ctx.trfc_full);
-       }});
+  entries_.push_back(FullLatencyEntry(
+      "JEDEC",
+      "conventional baseline: every row each base window, full latency",
+      RowPlanKind::kNone, RefreshGranularity::kSubarray, false));
+  entries_.push_back(FullLatencyEntry(
+      "RAIDR", "retention-binned multi-rate refresh (Liu et al., ISCA 2012)",
+      RowPlanKind::kBinned, RefreshGranularity::kSubarray, false));
   entries_.push_back(
       {"VRL",
        "variable refresh latency: MPRSF-counted partial/full ladder (Alg. 1)",
@@ -90,34 +108,13 @@ PolicyRegistry::PolicyRegistry() {
                                                 ctx.trfc_partial,
                                                 ctx.DeferWindowOrDefault());
        }});
-  entries_.push_back(
-      {"DARP",
-       "deferrable out-of-order per-bank REFpb around demand (1712.07754)",
-       RowPlanKind::kNone,
-       [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
-         Require(ctx.rows != 0, "DARP", "rows");
-         Require(ctx.base_window != 0, "DARP", "base_window");
-         Require(ctx.trfc_full != 0, "DARP", "trfc_full");
-         Require(ctx.DeferWindowOrDefault() != 0, "DARP",
-                 "defer_window or t_refi");
-         return std::make_unique<DarpPolicy>(ctx.rows, ctx.base_window,
-                                             ctx.trfc_full,
-                                             ctx.DeferWindowOrDefault());
-       }});
-  entries_.push_back(
-      {"SARP",
-       "subarray-parallel refresh: only same-subarray demand defers it",
-       RowPlanKind::kNone,
-       [](const PolicyBuildContext& ctx) -> std::unique_ptr<RefreshPolicy> {
-         Require(ctx.rows != 0, "SARP", "rows");
-         Require(ctx.base_window != 0, "SARP", "base_window");
-         Require(ctx.trfc_full != 0, "SARP", "trfc_full");
-         Require(ctx.DeferWindowOrDefault() != 0, "SARP",
-                 "defer_window or t_refi");
-         return std::make_unique<SarpPolicy>(ctx.rows, ctx.base_window,
-                                             ctx.trfc_full,
-                                             ctx.DeferWindowOrDefault());
-       }});
+  entries_.push_back(FullLatencyEntry(
+      "DARP",
+      "deferrable out-of-order per-bank REFpb around demand (1712.07754)",
+      RowPlanKind::kNone, RefreshGranularity::kPerBank, true));
+  entries_.push_back(FullLatencyEntry(
+      "SARP", "subarray-parallel refresh: only same-subarray demand defers it",
+      RowPlanKind::kNone, RefreshGranularity::kSubarray, true));
 }
 
 const PolicyRegistry& PolicyRegistry::Global() {

@@ -287,9 +287,6 @@ void ProposingPolicy::Propose(Cycles now, const DemandView& demand,
     outstanding_.push_back(proposal);
   }
   out.assign(outstanding_.begin(), outstanding_.end());
-  for (RefreshProposal& proposal : out) {
-    proposal.urgent = now >= proposal.deadline;
-  }
   UpdateNextProposal();
 }
 
@@ -321,23 +318,24 @@ bool ProposingPolicy::RearmOutstanding(std::size_t row, Cycles at) {
 }
 
 // ---------------------------------------------------------------------------
-// JedecPolicy / RaidrPolicy
+// FullLatencyPolicy
 // ---------------------------------------------------------------------------
 
-JedecPolicy::JedecPolicy(std::size_t rows, Cycles window_cycles,
-                         Cycles trfc_full)
-    : ProposingPolicy(std::vector<Cycles>(rows, window_cycles), 0),
-      trfc_full_(trfc_full) {
-  if (window_cycles == 0 || trfc_full == 0) {
-    throw ConfigError("JedecPolicy: window and tRFC must be non-zero");
+FullLatencyPolicy::FullLatencyPolicy(std::string name,
+                                     std::vector<Cycles> periods,
+                                     Cycles trfc_full,
+                                     RefreshGranularity granularity,
+                                     Cycles defer_window)
+    : ProposingPolicy(std::move(periods), defer_window),
+      name_(std::move(name)),
+      trfc_full_(trfc_full),
+      granularity_(granularity) {
+  bool zero = trfc_full_ == 0;
+  for (std::size_t r = 0; r < rows() && !zero; ++r) {
+    zero = PeriodOf(r) == 0;
   }
-}
-
-RaidrPolicy::RaidrPolicy(RowRefreshPlan plan, Cycles trfc_full)
-    : ProposingPolicy(std::move(plan.period_cycles), 0),
-      trfc_full_(trfc_full) {
-  if (trfc_full == 0) {
-    throw ConfigError("RaidrPolicy: tRFC must be non-zero");
+  if (zero) {
+    throw ConfigError("FullLatencyPolicy: periods and tRFC must be non-zero");
   }
 }
 
@@ -395,28 +393,6 @@ void VrlAccessPolicy::OnRowAccess(std::size_t row) {
   // refreshes may again be partial: reset the counter (§3.2).
   RecordMprsfReset(row, rcount_[row]);
   rcount_[row] = 0;
-}
-
-// ---------------------------------------------------------------------------
-// DarpPolicy / SarpPolicy
-// ---------------------------------------------------------------------------
-
-DarpPolicy::DarpPolicy(std::size_t rows, Cycles window_cycles,
-                       Cycles trfc_full, Cycles defer_window)
-    : ProposingPolicy(std::vector<Cycles>(rows, window_cycles), defer_window),
-      trfc_full_(trfc_full) {
-  if (window_cycles == 0 || trfc_full == 0) {
-    throw ConfigError("DarpPolicy: window and tRFC must be non-zero");
-  }
-}
-
-SarpPolicy::SarpPolicy(std::size_t rows, Cycles window_cycles,
-                       Cycles trfc_full, Cycles defer_window)
-    : ProposingPolicy(std::vector<Cycles>(rows, window_cycles), defer_window),
-      trfc_full_(trfc_full) {
-  if (window_cycles == 0 || trfc_full == 0) {
-    throw ConfigError("SarpPolicy: window and tRFC must be non-zero");
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -34,24 +34,6 @@ SchedulerKind SchedulerFromName(std::string_view name) {
 }
 
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
-                              std::optional<std::size_t> open_row) {
-  if (pending.empty()) {
-    throw ConfigError("SelectNextRequest: no pending requests");
-  }
-  if (kind == SchedulerKind::kFcfs || !open_row.has_value()) {
-    return 0;  // oldest
-  }
-  // FR-FCFS: oldest row hit, else oldest overall.
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (pending[i].row == *open_row) {
-      return i;
-    }
-  }
-  return 0;
-}
-
-std::size_t SelectNextRequest(SchedulerKind kind,
                               std::span<const RequestSlot> pending,
                               std::span<const std::uint8_t> served,
                               const Bank& bank) {
@@ -133,7 +115,7 @@ void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
   policy.Propose(ctx.now, ctx.demand, proposals);
   GrantProbes probes(ctx);
   for (const RefreshProposal& proposal : proposals) {
-    const bool urgent = proposal.urgent || ctx.now >= proposal.deadline;
+    const bool urgent = ctx.now >= proposal.deadline;
     if (stats != nullptr) {
       ++stats->proposals;
       if (!urgent) {

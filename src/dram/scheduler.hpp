@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,16 +40,12 @@ std::string SchedulerName(SchedulerKind kind);
 /// parse).  \throws vrl::ConfigError on an unknown name.
 SchedulerKind SchedulerFromName(std::string_view name);
 
-/// Picks the index of the next request to service from `pending`
-/// (non-empty, ordered by arrival) given the bank's open row.
-std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
-                              std::optional<std::size_t> open_row);
-
-/// The controller's form: picks from a bank's request stream, consulting
-/// the bank's row buffers directly (covers banks with multiple subarrays,
-/// each with its own open row).  `pending` runs from the oldest pending
-/// slot (unserved, the FCFS pick) to the first slot not yet arrived;
+/// Picks the next request to service from a bank's request stream,
+/// consulting the bank's row buffers directly (covers banks with multiple
+/// subarrays, each with its own open row): FCFS takes the oldest, FR-FCFS
+/// the oldest open-row hit, else the oldest.  `pending` (non-empty) runs
+/// from the oldest pending slot (unserved, the FCFS pick) to the first
+/// slot not yet arrived;
 /// `served` marks, in parallel with `pending`, the slots inside it already
 /// served out of order, which are skipped.  FCFS never serves out of order
 /// and reads no marks (`served` may be empty).  Returns the pick's offset

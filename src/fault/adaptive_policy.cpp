@@ -148,7 +148,7 @@ void AdaptiveVrlPolicy::Propose(Cycles now, const dram::DemandView& demand,
   // Every proposal is urgent (deadline = due): the scheduler grants them
   // all on this tick, and OnGrant records each one.
   const auto propose = [&out](dram::RefreshOp op, Cycles due) {
-    out.push_back({op, due, due, true});
+    out.push_back({op, due, due});
   };
 
   // Recovery write-backs outrank scheduled work.

@@ -164,8 +164,8 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
                             sense.margin});
       }
       // Corrected: the ECC write-back rewrites the row at full charge.
-      // Unrecovered: the data is gone; reset anyway (as the integrity
-      // checker does) so further failures are counted distinctly.
+      // Unrecovered: the data is gone; reset anyway so further failures
+      // are counted distinctly (core::IntegrityChecker counts them).
       tracker.Restore(op.row, now_s);
 
       if (report.events.size() < kMaxLoggedEvents) {

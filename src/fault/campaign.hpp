@@ -20,7 +20,8 @@
 /// ECC scrub flagging a weak read.  When the policy is an
 /// AdaptiveVrlPolicy the event is fed back (demotion / fallback) and the
 /// ECC write-back recovers the data; a plain policy has no detection path,
-/// so every failure is silent data loss.
+/// so every failure is silent data loss.  With an empty FaultSchedule the
+/// campaign is core::IntegrityChecker's schedule replay.
 
 namespace vrl::fault {
 

@@ -13,10 +13,10 @@
 /// whole safety story rests on: the cell decays per its runtime retention,
 /// the sense amplifier either resolves the remaining charge or does not,
 /// and the restore is capped by the consecutive-partial truncation
-/// compounding.  This used to live inline in core::IntegrityChecker's
-/// replay loop; it is factored out here so the *offline* schedule validator
-/// and the *online* failure monitor (fault::RunCampaign) share one
-/// implementation of the math and can never drift apart.
+/// compounding.  The *online* failure monitor (fault::RunCampaign) senses
+/// every granted op through it, and the *offline* schedule validator
+/// (core::IntegrityChecker) is that monitor run with no faults, so both
+/// share one tick loop and one implementation of the math.
 
 namespace vrl::fault {
 

@@ -375,7 +375,7 @@ retention::BinningResult MakeBinning(std::vector<double> retentions) {
 }
 
 TEST(JedecPolicy, RefreshesEveryRowOncePerWindow) {
-  JedecPolicy policy(16, 1600, 26);
+  auto policy = Jedec(16, 1600, 26);
   std::size_t ops = 0;
   for (Cycles t = 0; t < 3200; t += 100) {
     for (const auto& op : GrantAll(policy, t)) {
@@ -394,7 +394,7 @@ TEST(RaidrPolicy, WeakRowsRefreshMoreOften) {
   // Row 0: 64 ms bin; row 1: 256 ms bin.
   const auto binning = MakeBinning({0.07, 1.0});
   const auto plan = MakeRefreshPlan(binning, 2.5e-9);
-  RaidrPolicy policy(plan, 26);
+  auto policy = Raidr(plan, 26);
   std::size_t row0 = 0;
   std::size_t row1 = 0;
   const Cycles period64 = plan.period_cycles[0];
@@ -486,8 +486,9 @@ TEST(RefreshPolicyContract, ProposeRejectsDecreasingNow) {
   const auto plan = MakeRefreshPlan(MakeBinning({1.0, 1.0}), 2.5e-9, {1, 1});
   const auto raidr_plan = MakeRefreshPlan(MakeBinning({1.0, 1.0}), 2.5e-9);
   std::vector<std::unique_ptr<RefreshPolicy>> policies;
-  policies.push_back(std::make_unique<JedecPolicy>(2, 1600, 26));
-  policies.push_back(std::make_unique<RaidrPolicy>(raidr_plan, 26));
+  policies.push_back(std::make_unique<FullLatencyPolicy>(Jedec(2, 1600, 26)));
+  policies.push_back(
+      std::make_unique<FullLatencyPolicy>(Raidr(raidr_plan, 26)));
   policies.push_back(std::make_unique<VrlPolicy>(plan, 26, 15));
   policies.push_back(std::make_unique<VrlAccessPolicy>(plan, 26, 15));
   for (auto& policy : policies) {
@@ -732,7 +733,9 @@ TEST(DueQueue, ArbitraryPushesAndPops) {
 // ---------------------------------------------------------------------------
 
 PolicyFactory JedecFactory(std::size_t rows, Cycles window, Cycles trfc) {
-  return [=]() { return std::make_unique<JedecPolicy>(rows, window, trfc); };
+  return [=]() {
+    return std::make_unique<FullLatencyPolicy>(Jedec(rows, window, trfc));
+  };
 }
 
 TEST(Controller, RefreshOverheadMatchesHandCount) {

@@ -1,7 +1,9 @@
 #pragma once
 
-// Shared test helpers: one refresh tick through the propose/grant contract.
+// Shared test helpers: the full-latency baselines as the policy registry
+// builds them, and one refresh tick through the propose/grant contract.
 
+#include <cstddef>
 #include <vector>
 
 #include "common/units.hpp"
@@ -9,6 +11,34 @@
 #include "dram/scheduler.hpp"
 
 namespace vrl {
+
+/// JEDEC: every row each `window`, subarray scope, never deferred.
+inline dram::FullLatencyPolicy Jedec(std::size_t rows, Cycles window,
+                                     Cycles trfc) {
+  return {"JEDEC", std::vector<Cycles>(rows, window), trfc,
+          dram::RefreshGranularity::kSubarray, 0};
+}
+
+/// RAIDR: the plan's binned periods, subarray scope, never deferred.
+inline dram::FullLatencyPolicy Raidr(const dram::RowRefreshPlan& plan,
+                                     Cycles trfc) {
+  return {"RAIDR", plan.period_cycles, trfc,
+          dram::RefreshGranularity::kSubarray, 0};
+}
+
+/// DARP: every row each `window` as per-bank REFpb, deferrable by `defer`.
+inline dram::FullLatencyPolicy Darp(std::size_t rows, Cycles window,
+                                    Cycles trfc, Cycles defer) {
+  return {"DARP", std::vector<Cycles>(rows, window), trfc,
+          dram::RefreshGranularity::kPerBank, defer};
+}
+
+/// SARP: every row each `window` at subarray scope, deferrable by `defer`.
+inline dram::FullLatencyPolicy Sarp(std::size_t rows, Cycles window,
+                                    Cycles trfc, Cycles defer) {
+  return {"SARP", std::vector<Cycles>(rows, window), trfc,
+          dram::RefreshGranularity::kSubarray, defer};
+}
 
 /// dram::GrantRefreshes with fresh buffers, returning the granted ops.
 inline std::vector<dram::RefreshOp> Grant(

@@ -4,7 +4,7 @@
 // Three layers:
 //  1. Property tests of the executor itself: coverage, completion-order
 //     independence, exception propagation without deadlock, nested use,
-//     thread-count resolution, TaskSeed purity.
+//     thread-count resolution.
 //  2. Determinism regressions: RunSweep and the fault-campaign legs must be
 //     bit-identical at 1, 2 and 8 threads (the docs/PARALLEL.md contract —
 //     exact ==, no tolerances).
@@ -20,13 +20,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "core/experiments.hpp"
 #include "core/sweep.hpp"
 #include "runtime/resilient.hpp"
@@ -161,21 +159,8 @@ TEST(ParallelMap, CollectsIntoIndexSlots) {
   }
 }
 
-TEST(ThreadPool, WaitRethrowsFirstTaskErrorAndPoolStaysUsable) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([&] { ++ran; });
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  pool.Submit([&] { ++ran; });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The error is consumed; the pool accepts and runs further work.
-  pool.Submit([&] { ++ran; });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(ran.load(), 3);
-}
-
 TEST(ThreadCount, ScopedOverrideWinsAndRestores) {
-  SetThreadCountOverride(0);
+  const ScopedThreadCount cleared(0);
   {
     const ScopedThreadCount outer(3);
     EXPECT_EQ(DefaultThreadCount(), 3u);
@@ -189,7 +174,7 @@ TEST(ThreadCount, ScopedOverrideWinsAndRestores) {
 }
 
 TEST(ThreadCount, VrlThreadsEnvironmentVariableIsParsed) {
-  SetThreadCountOverride(0);
+  const ScopedThreadCount cleared(0);
   ::unsetenv("VRL_THREADS");
   const std::size_t hardware = DefaultThreadCount();
   ::setenv("VRL_THREADS", "7", 1);
@@ -205,24 +190,6 @@ TEST(ThreadCount, VrlThreadsEnvironmentVariableIsParsed) {
   ::setenv("VRL_THREADS", "9", 1);
   EXPECT_EQ(DefaultThreadCount(), 2u);
   ::unsetenv("VRL_THREADS");
-}
-
-TEST(TaskSeedTest, PureDistinctAndIndependentStreams) {
-  EXPECT_EQ(TaskSeed(42, 17), TaskSeed(42, 17));  // Pure function.
-  std::set<std::uint64_t> seeds;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    seeds.insert(TaskSeed(42, i));
-  }
-  EXPECT_EQ(seeds.size(), 1000u);  // No collisions across indices.
-  EXPECT_NE(TaskSeed(1, 0), TaskSeed(2, 0));  // Base seed matters.
-  // Adjacent indices give unrelated Rng streams.
-  Rng a(TaskSeed(42, 0));
-  Rng b(TaskSeed(42, 1));
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    equal += (a() == b()) ? 1 : 0;
-  }
-  EXPECT_EQ(equal, 0);
 }
 
 // ---------------------------------------------------------------------------

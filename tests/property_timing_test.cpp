@@ -22,6 +22,8 @@
 #include "dram/topology.hpp"
 #include "retention/profile.hpp"
 
+#include "grant_all.hpp"
+
 namespace vrl::dram {
 namespace {
 
@@ -39,7 +41,9 @@ retention::BinningResult UniformBinning(std::size_t rows, double retention) {
 }
 
 PolicyFactory JedecFactory(std::size_t rows, Cycles window) {
-  return [=]() { return std::make_unique<JedecPolicy>(rows, window, 26); };
+  return [=]() {
+    return std::make_unique<FullLatencyPolicy>(Jedec(rows, window, 26));
+  };
 }
 
 /// A VRL factory so the audited streams carry *variable* refresh latencies —

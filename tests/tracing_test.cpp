@@ -39,6 +39,8 @@
 #include "telemetry/trace_export.hpp"
 #include "trace/synthetic.hpp"
 
+#include "grant_all.hpp"
+
 namespace vrl::telemetry {
 namespace {
 
@@ -455,7 +457,7 @@ TEST(TracingIntegration, HierarchicalRunParentsEachBurstToItsOwnBank) {
   const std::size_t rows = 16;
   const Cycles window = rows * table.core.t_refi;  // one row per tick
   dram::MemoryController controller(table, rows, [&] {
-    return std::make_unique<dram::JedecPolicy>(rows, window, 26);
+    return std::make_unique<dram::FullLatencyPolicy>(Jedec(rows, window, 26));
   });
   ASSERT_TRUE(controller.hierarchical());
   Recorder recorder(TracingOptions());
