@@ -43,9 +43,8 @@ int main(int argc, char** argv) {
     const core::VrlSystem system(config);
     const Cycles horizon = system.HorizonForWindows(8);
     Rng rng(5);
-    const auto streams = trace::MapToStreams(
-        trace::GenerateTrace(hot, system.Geometry(), horizon, rng),
-        trace::AddressMapper(system.Geometry()));
+    const auto streams = trace::GenerateStreams(
+        hot, trace::AddressMapper(system.Geometry()), horizon, rng);
     for (const char* policy : {"JEDEC", "VRL-Access"}) {
       const auto stats = system.SimulateStreams(policy, streams, horizon);
       table.AddRow({std::to_string(subarrays), policy,

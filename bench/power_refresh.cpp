@@ -49,10 +49,9 @@ int main(int argc, char** argv) {
                                       system.config().tech.clock_period_s);
   const Cycles horizon = system.HorizonForWindows(16);
   Rng rng(3);
-  const auto records = trace::GenerateTrace(
-      trace::SuiteWorkload("streamcluster"), system.Geometry(), horizon, rng);
-  const auto streams =
-      trace::MapToStreams(records, trace::AddressMapper(system.Geometry()));
+  const auto streams = trace::GenerateStreams(
+      trace::SuiteWorkload("streamcluster"),
+      trace::AddressMapper(system.Geometry()), horizon, rng);
   TextTable& totals = report.AddTable(
       "total_energy_streamcluster",
       {"policy", "refresh (uJ)", "activate (uJ)", "r/w (uJ)",

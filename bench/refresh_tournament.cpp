@@ -176,8 +176,8 @@ int RunTournament(const vrl::bench::ReportOptions& report_options,
     const Cycles horizon = system.HorizonForWindows(flags.windows);
     const trace::AddressMapper mapper(system.Geometry());
 
-    // Each trace is generated and split into per-bank streams once, and
-    // every policy's leg only reads it.  Same trace derivation as the
+    // Each trace is drawn straight into per-bank streams once, and every
+    // policy's leg only reads it.  Same trace derivation as the
     // Fig. 4 grid (core/experiments.cpp), so results line up across
     // reports.
     std::vector<std::optional<dram::RequestStreams>> streams(
@@ -185,10 +185,8 @@ int RunTournament(const vrl::bench::ReportOptions& report_options,
     ParallelFor("refresh_tournament.traces", workloads.size(),
                 [&](std::size_t w) {
                   Rng rng(config.seed ^ 0xABCD'1234ULL);
-                  streams[w].emplace(trace::MapToStreams(
-                      trace::GenerateTrace(workloads[w], system.Geometry(),
-                                           horizon, rng),
-                      mapper));
+                  streams[w].emplace(trace::GenerateStreams(
+                      workloads[w], mapper, horizon, rng));
                 });
 
     // The (policy, workload) legs fan out into pre-sized slots, leg i

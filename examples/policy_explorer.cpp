@@ -50,10 +50,8 @@ int main(int argc, char** argv) {
 
     const Cycles horizon = system.HorizonForWindows(windows);
     Rng rng(config.seed);
-    const auto records =
-        trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-    const auto streams =
-        trace::MapToStreams(records, trace::AddressMapper(system.Geometry()));
+    const auto streams = trace::GenerateStreams(
+        workload, trace::AddressMapper(system.Geometry()), horizon, rng);
 
     const auto stats =
         system.SimulateStreams(policy, streams, horizon, &recorder);

@@ -56,11 +56,10 @@ int main(int argc, char** argv) {
   const auto workload = trace::SuiteWorkload(workload_name);
   const Cycles horizon = system.HorizonForWindows(8);  // 8 x 64 ms
   Rng rng(1);
-  const auto records =
-      trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-  // Split once into per-bank request streams, which every run only reads.
-  const auto streams =
-      trace::MapToStreams(records, trace::AddressMapper(system.Geometry()));
+  // Drawn straight into per-bank request streams, which every run only
+  // reads.
+  const auto streams = trace::GenerateStreams(
+      workload, trace::AddressMapper(system.Geometry()), horizon, rng);
   report.AddMeta("workload", workload.name);
   report.AddMeta("requests", streams.size());
   report.AddMeta("simulated_ms",

@@ -21,14 +21,12 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
     throw ConfigError("RunWorkload: need at least one refresh window");
   }
   const Cycles horizon = system.HorizonForWindows(options.windows);
-  // The trace is split into per-bank streams once and its records freed
-  // before the runs: the three policies share the one read-only split.
+  // The trace is drawn straight into per-bank streams once: the three
+  // policies share the one read-only draw.
   const dram::RequestStreams streams = [&] {
     Rng rng(system.config().seed ^ 0xABCD'1234ULL);
-    const auto records =
-        trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-    return trace::MapToStreams(records,
-                               trace::AddressMapper(system.Geometry()));
+    return trace::GenerateStreams(
+        workload, trace::AddressMapper(system.Geometry()), horizon, rng);
   }();
 
   const power::PowerModel power_model(options.energy,

@@ -30,13 +30,11 @@ SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
   const VrlSystem system(config);
 
   const Cycles horizon = system.HorizonForWindows(windows);
-  // One split of the trace, shared read-only by the three runs.
+  // One draw of the trace, shared read-only by the three runs.
   const dram::RequestStreams streams = [&] {
     Rng rng(config.seed ^ 0x5111EE7ULL);
-    const auto records =
-        trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-    return trace::MapToStreams(records,
-                               trace::AddressMapper(system.Geometry()));
+    return trace::GenerateStreams(
+        workload, trace::AddressMapper(system.Geometry()), horizon, rng);
   }();
 
   const double raidr = system.SimulateStreams("RAIDR", streams, horizon)

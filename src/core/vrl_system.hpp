@@ -180,8 +180,8 @@ class VrlSystem {
                                  dram::CommandLog* audit = nullptr) const;
 
   /// Simulate over requests already split into per-bank streams
-  /// (trace::MapToStreams with this system's Geometry()), which the run
-  /// only reads: the runs of several policies share one split.
+  /// (trace::GenerateStreams with this system's Geometry()), which the run
+  /// only reads: the runs of several policies share one draw.
   dram::SimulationStats SimulateStreams(
       std::string_view policy, const dram::RequestStreams& streams,
       Cycles horizon, telemetry::Recorder* recorder = nullptr,

@@ -196,23 +196,28 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
                       std::to_string(banks_.size()) + " banks of " +
                       std::to_string(banks_.front().rows()) + " rows");
   }
-  // The run's cursors into the shared, read-only streams: bank b's stream
-  // is [head, end) of `slots`, and its pending requests are the unserved
-  // slots in [head, qi).  FCFS serves the head every time; FR-FCFS may
-  // serve out of order, and marks those slots in its own `served` array so
-  // the head can step over them.
+  // The run's cursors into the shared, read-only streams: bank b reads
+  // its own stream through `slots`, its slots still to come are [head,
+  // end), and its pending requests are the unserved ones in [head, qi).
+  // FCFS serves the head every time; FR-FCFS may serve out of order, and
+  // marks those slots in the run's own `served` array (bank b's marks from
+  // offset(b) on) so the head can step over them.
   struct Stream {
+    const RequestSlot* slots = nullptr;
+    std::uint8_t* served = nullptr;  // null under FCFS
     std::size_t head = 0;  // oldest pending (unserved) slot
     std::size_t qi = 0;    // next slot not yet pending
     std::size_t end = 0;
   };
-  std::vector<Stream> streams(banks_.size());
-  for (std::size_t b = 0; b < streams.size(); ++b) {
-    streams[b] = {input.offset(b), input.offset(b), input.offset(b + 1)};
-  }
-  const RequestSlot* const slots = input.slots().data();
   const bool out_of_order = scheduler_ != SchedulerKind::kFcfs;
   std::vector<std::uint8_t> served(out_of_order ? input.size() : 0);
+  std::vector<Stream> streams(banks_.size());
+  for (std::size_t b = 0; b < streams.size(); ++b) {
+    const std::span<const RequestSlot> stream = input.stream(b);
+    streams[b] = {stream.data(),
+                  out_of_order ? served.data() + input.offset(b) : nullptr, 0,
+                  0, stream.size()};
+  }
 
   const Topology& topo = table_.topology;
   // The service loop is only tens of nanoseconds per request, so the
@@ -297,10 +302,11 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
     const Stream& stream = streams[b];
     Cycles t = banks_[b].busy_until();
     if (stream.head == stream.qi) {
-      if (stream.qi == stream.end || slots[stream.qi].arrival >= limit) {
+      if (stream.qi == stream.end ||
+          stream.slots[stream.qi].arrival >= limit) {
         return kNever;
       }
-      t = std::max(t, slots[stream.qi].arrival);
+      t = std::max(t, stream.slots[stream.qi].arrival);
     }
     return t;
   };
@@ -345,8 +351,8 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
         Stream& stream = streams[b];
         // Everything arrived by then competes for the slot.
         while (stream.qi < stream.end &&
-               slots[stream.qi].arrival <= t_decide &&
-               slots[stream.qi].arrival < limit) {
+               stream.slots[stream.qi].arrival <= t_decide &&
+               stream.slots[stream.qi].arrival < limit) {
           ++stream.qi;
         }
         const std::size_t pending = stream.qi - stream.head;
@@ -354,12 +360,13 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
             stream.head +
             SelectNextRequest(
                 scheduler_,
-                std::span<const RequestSlot>(slots + stream.head, pending),
+                std::span<const RequestSlot>(stream.slots + stream.head,
+                                             pending),
                 out_of_order ? std::span<const std::uint8_t>(
-                                   served.data() + stream.head, pending)
+                                   stream.served + stream.head, pending)
                              : std::span<const std::uint8_t>(),
                 bank);
-        const RequestSlot& slot = slots[pick];
+        const RequestSlot& slot = stream.slots[pick];
         bank.ServiceRequest({slot.arrival, b, slot.row, 0,
                              slot.write ? RequestType::kWrite
                                         : RequestType::kRead});
@@ -370,8 +377,8 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
           reordered_picks_n += pick != stream.head ? 1 : 0;
         }
         if (out_of_order) {
-          served[pick] = 1;
-          while (stream.head < stream.qi && served[stream.head] != 0) {
+          stream.served[pick] = 1;
+          while (stream.head < stream.qi && stream.served[stream.head] != 0) {
             ++stream.head;
           }
         } else {
@@ -407,8 +414,8 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
         const Stream& stream = streams[b];
         if (stream.qi < stream.end) {
           ctx.demand.has_next = true;
-          ctx.demand.next_arrival = slots[stream.qi].arrival;
-          ctx.demand.next_row = slots[stream.qi].row;
+          ctx.demand.next_arrival = stream.slots[stream.qi].arrival;
+          ctx.demand.next_row = stream.slots[stream.qi].row;
         }
         ctx.bank = &banks_[b];
         ctx.engine = engine_.get();

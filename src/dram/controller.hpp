@@ -34,12 +34,16 @@
 ///
 /// Cost model.  A run pays per request and per refresh op, plus one
 /// compare per bank and tREFI tick:
-///  * Requests arrive split into per-bank streams of 16-byte RequestSlots
-///    (RequestStreams, checked once when split).  RunStreams only reads
-///    them, so the runs of several policies over one workload share one
-///    split (core::RunWorkload); Run(vector) splits, then runs.  The run's
-///    own state is a cursor per bank, plus one served mark per request
-///    under FR-FCFS (FCFS always serves a stream's head and needs none).
+///  * Requests arrive as per-bank streams of 16-byte RequestSlots, one
+///    vector per bank (RequestStreams, checked once when built).  A
+///    synthetic trace is drawn straight into them
+///    (trace::GenerateStreams), with no record or Request vector beside
+///    them; Run(vector) splits a Request vector, then runs.  RunStreams
+///    only reads them, so the runs of several policies over one workload
+///    share one draw (core::RunWorkload).  The run's own state is a
+///    cursor per bank over that bank's stream, plus one served mark per
+///    request under FR-FCFS (FCFS always serves a stream's head and needs
+///    none).
 ///  * The loop caches each bank's decision instant and recomputes only the
 ///    served bank's.
 ///  * Refresh follows the next-proposal contract (refresh_policy.hpp): on a

@@ -170,20 +170,24 @@ DueQueue::DueQueue(const std::vector<Cycles>& periods)
   // sized to its rows never grows.
   lanes_.resize(lane_period.size());
   for (std::size_t l = 0; l < lanes_.size(); ++l) {
-    lanes_[l].ring.resize(std::bit_ceil(lane_rows[l]));
+    const std::size_t capacity = std::bit_ceil(lane_rows[l]);
+    lanes_[l].ring.reserve(capacity);
+    lanes_[l].mask = capacity - 1;
   }
 }
 
 void DueQueue::Lane::PushBack(const Entry& entry) {
-  if (count == ring.size()) {
-    std::vector<Entry> grown(2 * ring.size());
+  if (count == mask + 1) {
+    std::vector<Entry> grown;
+    grown.reserve(2 * count);
     for (std::size_t i = 0; i < count; ++i) {
-      grown[i] = ring[(head + i) & (ring.size() - 1)];
+      grown.push_back(ring[(head + i) & mask]);
     }
     ring = std::move(grown);
+    mask = 2 * count - 1;
     head = 0;
   }
-  ring[(head + count) & (ring.size() - 1)] = entry;
+  Put((head + count) & mask, entry);
   ++count;
 }
 

@@ -312,7 +312,7 @@ class DueQueue {
   /// every row of the periods table, each where push would put it, and
   /// looks for the least entry once at the end.  Every FIFO starts at its
   /// ring's slot 0 with room for all its rows, so an in-order entry is one
-  /// store.  \throws vrl::ConfigError unless empty().
+  /// append.  \throws vrl::ConfigError unless empty().
   template <typename DueOf>
   void Fill(DueOf due_of) {
     BeginFill();
@@ -321,7 +321,7 @@ class DueQueue {
       if (lane_of_[row] != kHeap) {
         Lane& lane = lanes_[lane_of_[row]];
         if (lane.count == 0 || !(entry < lane.ring[lane.count - 1])) {
-          lane.ring[lane.count++] = entry;
+          lane.Put(lane.count++, entry);
           continue;
         }
       }
@@ -334,19 +334,30 @@ class DueQueue {
  private:
   static constexpr std::uint8_t kHeap = 0xFF;  ///< No FIFO / fallback heap.
 
-  /// A growable ring buffer of entries in ascending order.
+  /// A growable ring buffer of entries in ascending order.  Its capacity
+  /// is reserved up front but its slots are constructed only as the tail
+  /// first reaches them, so a new ring costs no pass over its memory.  The
+  /// tail never wraps before every slot exists, so it is at most
+  /// ring.size() when written.
   struct Lane {
-    std::vector<Entry> ring;  ///< Power-of-two capacity.
+    std::vector<Entry> ring;  ///< The slots reached so far.
+    std::size_t mask = 0;     ///< Power-of-two capacity - 1.
     std::size_t head = 0;
     std::size_t count = 0;
 
     const Entry& front() const { return ring[head]; }
-    const Entry& back() const {
-      return ring[(head + count - 1) & (ring.size() - 1)];
+    const Entry& back() const { return ring[(head + count - 1) & mask]; }
+    /// Writes slot `i`, constructing it if the tail reaches it first.
+    void Put(std::size_t i, const Entry& entry) {
+      if (i < ring.size()) {
+        ring[i] = entry;
+      } else {
+        ring.push_back(entry);
+      }
     }
     void PushBack(const Entry& entry);
     void PopFront() {
-      head = (head + 1) & (ring.size() - 1);
+      head = (head + 1) & mask;
       --count;
     }
   };

@@ -76,13 +76,4 @@ std::vector<dram::Request> MapToRequests(
   return requests;
 }
 
-dram::RequestStreams MapToStreams(const std::vector<TraceRecord>& records,
-                                  const AddressMapper& mapper) {
-  // Each record is decoded twice (count, then scatter) rather than stored
-  // decoded: on the default geometry a decode is a few masks and shifts.
-  return dram::RequestStreams::Split(
-      records.size(), mapper.geometry().banks, mapper.geometry().rows,
-      [&](std::size_t i) { return MapRecord(records[i], mapper); });
-}
-
 }  // namespace vrl::trace

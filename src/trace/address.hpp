@@ -69,12 +69,4 @@ struct TraceRecord {
 std::vector<dram::Request> MapToRequests(const std::vector<TraceRecord>& records,
                                          const AddressMapper& mapper);
 
-/// Maps raw records straight into per-bank request streams for the
-/// mapper's geometry (banks and rows), without the Request vector: the
-/// form dram::MemoryController::RunStreams takes.  Equal to
-/// dram::RequestStreams(MapToRequests(records, mapper), banks, rows).
-/// \throws vrl::ConfigError when the records are not cycle-sorted.
-dram::RequestStreams MapToStreams(const std::vector<TraceRecord>& records,
-                                  const AddressMapper& mapper);
-
 }  // namespace vrl::trace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -23,9 +24,16 @@ void SyntheticWorkloadParams::Validate() const {
   }
 }
 
-std::vector<TraceRecord> GenerateTrace(const SyntheticWorkloadParams& params,
-                                       const AddressGeometry& geometry,
-                                       Cycles duration, Rng& rng) {
+namespace {
+
+/// The draw every generator shares: validates, forks the workload's own
+/// stream off `rng`, reserves the expected record count plus 10% in
+/// `sink`, then push_backs each record in cycle order.  `Sink` is a
+/// std::vector<TraceRecord> or anything with its reserve and push_back.
+template <typename Sink>
+void DrawTrace(const SyntheticWorkloadParams& params,
+               const AddressGeometry& geometry, Cycles duration, Rng& rng,
+               Sink& sink) {
   params.Validate();
   geometry.Validate();
   Rng stream = rng.Fork(params.seed_salt ^ 0x5eedF00dULL);
@@ -35,8 +43,7 @@ std::vector<TraceRecord> GenerateTrace(const SyntheticWorkloadParams& params,
       1, static_cast<std::uint64_t>(
              params.footprint_fraction * static_cast<double>(total_lines)));
 
-  std::vector<TraceRecord> records;
-  records.reserve(static_cast<std::size_t>(
+  sink.reserve(static_cast<std::size_t>(
       static_cast<double>(duration) / params.mean_gap_cycles * 1.1));
 
   double t = 0.0;
@@ -68,9 +75,59 @@ std::vector<TraceRecord> GenerateTrace(const SyntheticWorkloadParams& params,
     rec.cycle = cycle;
     rec.address = (line + phase_offset) % total_lines;
     rec.is_write = stream.Bernoulli(params.write_fraction);
-    records.push_back(rec);
+    sink.push_back(rec);
   }
+}
+
+/// A DrawTrace sink that decodes each record into its bank's stream.
+class StreamSink {
+ public:
+  explicit StreamSink(const AddressMapper& mapper)
+      : mapper_(mapper), streams_(mapper.geometry().banks) {}
+
+  /// Consecutive lines interleave across the banks (bank bits fastest), so
+  /// each stream expects an even share.  A large reservation stays
+  /// untouched address space until written, so its slack is not resident.
+  void reserve(std::size_t records) {
+    for (std::vector<dram::RequestSlot>& stream : streams_) {
+      stream.reserve(records / streams_.size() + 1);
+    }
+  }
+
+  void push_back(const TraceRecord& rec) {
+    const AddressMapper::Coordinates c = mapper_.Decode(rec.address);
+    // A decoded row is below the geometry's rows, and MemoryController
+    // keeps rows per bank within 32 bits, so the narrowing is exact for
+    // any streams a controller runs.
+    streams_[c.bank].push_back(
+        {rec.cycle, static_cast<std::uint32_t>(c.row), rec.is_write});
+  }
+
+  std::vector<std::vector<dram::RequestSlot>> Take() {
+    return std::move(streams_);
+  }
+
+ private:
+  const AddressMapper& mapper_;
+  std::vector<std::vector<dram::RequestSlot>> streams_;
+};
+
+}  // namespace
+
+std::vector<TraceRecord> GenerateTrace(const SyntheticWorkloadParams& params,
+                                       const AddressGeometry& geometry,
+                                       Cycles duration, Rng& rng) {
+  std::vector<TraceRecord> records;
+  DrawTrace(params, geometry, duration, rng, records);
   return records;
+}
+
+dram::RequestStreams GenerateStreams(const SyntheticWorkloadParams& params,
+                                     const AddressMapper& mapper,
+                                     Cycles duration, Rng& rng) {
+  StreamSink sink(mapper);
+  DrawTrace(params, mapper.geometry(), duration, rng, sink);
+  return dram::RequestStreams(sink.Take(), mapper.geometry().rows);
 }
 
 std::vector<SyntheticWorkloadParams> EvaluationSuite() {

@@ -60,6 +60,16 @@ std::vector<TraceRecord> GenerateTrace(const SyntheticWorkloadParams& params,
                                        const AddressGeometry& geometry,
                                        Cycles duration, Rng& rng);
 
+/// The same draw as GenerateTrace over the mapper's geometry, each record
+/// decoded into its bank's stream as it is drawn, with no record vector:
+/// the form dram::MemoryController::RunStreams takes.  Equal to
+/// dram::RequestStreams(MapToRequests(GenerateTrace(params,
+/// mapper.geometry(), duration, rng), mapper), banks, rows), and it leaves
+/// `rng` in the same state.
+dram::RequestStreams GenerateStreams(const SyntheticWorkloadParams& params,
+                                     const AddressMapper& mapper,
+                                     Cycles duration, Rng& rng);
+
 /// The evaluation suite of the paper: 13 PARSEC-3.0 benchmarks plus the
 /// `bgsave` server workload, parameterized per DESIGN.md.
 std::vector<SyntheticWorkloadParams> EvaluationSuite();

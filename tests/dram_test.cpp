@@ -904,6 +904,46 @@ TEST(RequestStreams, SplitsPerBankInArrivalOrder) {
   EXPECT_TRUE(streams.stream(3).empty());
 }
 
+/// The ConfigError message of taking `streams` over 16 rows ("" when it
+/// took them).
+std::string TakeError(std::vector<std::vector<RequestSlot>> streams) {
+  try {
+    const RequestStreams taken(std::move(streams), 16);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RequestStreams, TakesPerBankStreamsCheckedWithTheSameMessages) {
+  const std::string unsorted =
+      "MemoryController::Run: requests must be arrival-sorted";
+  const std::string bad_row = "Bank: request row out of range";
+  EXPECT_EQ(TakeError({{{5, 0, false}, {4, 1, false}}, {}}), unsorted);
+  EXPECT_EQ(TakeError({{{5, 16, false}}, {{6, 1, false}}}), bad_row);
+  // An unsorted stream anywhere outranks an earlier bad row; each stream
+  // is sorted on its own, not against the others.
+  EXPECT_EQ(TakeError({{{1, 16, false}}, {{5, 0, false}, {4, 0, false}}}),
+            unsorted);
+  EXPECT_EQ(TakeError({{{9, 15, false}}, {{1, 0, true}}}), "");
+
+  const RequestStreams streams(
+      std::vector<std::vector<RequestSlot>>{
+          {{1, 3, false}, {4, 5, true}}, {}, {{2, 7, true}}},
+      16);
+  ASSERT_EQ(streams.banks(), 3u);
+  EXPECT_EQ(streams.rows(), 16u);
+  EXPECT_EQ(streams.size(), 3u);
+  EXPECT_EQ(streams.offset(1), 2u);
+  EXPECT_EQ(streams.offset(2), 2u);
+  EXPECT_EQ(streams.offset(3), 3u);
+  EXPECT_TRUE(streams.stream(1).empty());
+  ASSERT_EQ(streams.stream(2).size(), 1u);
+  EXPECT_EQ(streams.stream(2)[0].arrival, 2u);
+  EXPECT_EQ(streams.stream(2)[0].row, 7u);
+  EXPECT_TRUE(streams.stream(2)[0].write);
+}
+
 TEST(Controller, RunStreamsRejectsStreamsSplitForAnotherGeometry) {
   const TimingParams t = FastTiming();
   MemoryController controller(2, 16, t, JedecFactory(16, t.t_refw, 26));

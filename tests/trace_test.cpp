@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -128,44 +129,79 @@ TEST(MapToRequestsTest, PreservesOrderAndTypes) {
   EXPECT_EQ(requests[2].bank, 2u);
 }
 
-TEST(MapToStreamsTest, EqualsSplittingTheMappedRequests) {
+/// Draws `workload` over `duration` cycles both ways from the same seed,
+/// GenerateStreams against splitting the mapped GenerateTrace, and expects
+/// the same streams slot for slot and the same caller Rng state after.
+/// Returns the number of empty banks.
+std::size_t ExpectStreamsEqualSplitTrace(
+    const SyntheticWorkloadParams& workload, const AddressGeometry& geometry,
+    Cycles duration) {
+  const AddressMapper mapper(geometry);
+  Rng direct_rng(5);
+  Rng split_rng(5);
+  const dram::RequestStreams direct =
+      GenerateStreams(workload, mapper, duration, direct_rng);
+  const dram::RequestStreams split(
+      MapToRequests(GenerateTrace(workload, geometry, duration, split_rng),
+                    mapper),
+      geometry.banks, geometry.rows);
+  EXPECT_EQ(direct_rng(), split_rng()) << workload.name;
+  EXPECT_EQ(direct.rows(), geometry.rows);
+  EXPECT_EQ(direct.size(), split.size()) << workload.name;
+  std::size_t empty = 0;
+  if (direct.banks() != geometry.banks || split.banks() != geometry.banks) {
+    ADD_FAILURE() << workload.name << ": " << direct.banks() << " banks";
+    return empty;
+  }
+  for (std::size_t b = 0; b < geometry.banks; ++b) {
+    EXPECT_EQ(direct.offset(b), split.offset(b)) << workload.name;
+    const auto got = direct.stream(b);
+    const auto want = split.stream(b);
+    EXPECT_EQ(got.size(), want.size()) << workload.name << " bank " << b;
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      if (got[i].arrival != want[i].arrival || got[i].row != want[i].row ||
+          got[i].write != want[i].write) {
+        ADD_FAILURE() << workload.name << " bank " << b << " slot " << i;
+        break;
+      }
+    }
+    empty += got.empty() ? 1 : 0;
+  }
+  EXPECT_EQ(direct.offset(geometry.banks), direct.size());
+  return empty;
+}
+
+TEST(GenerateStreamsTest, EqualsSplittingTheMappedTraceForEverySuiteWorkload) {
   // A power-of-two geometry (mask decode) and one that divides.
   for (const AddressGeometry& geometry :
        {SmallGeometry(), AddressGeometry{3, 20, 5}}) {
-    const AddressMapper mapper(geometry);
-    Rng rng(5);
-    const auto records = GenerateTrace(SuiteWorkload("canneal"), geometry,
-                                       200'000, rng);
-    ASSERT_GT(records.size(), 100u);
-    const dram::RequestStreams direct = MapToStreams(records, mapper);
-    const dram::RequestStreams split(MapToRequests(records, mapper),
-                                     geometry.banks, geometry.rows);
-    ASSERT_EQ(direct.banks(), geometry.banks);
-    EXPECT_EQ(direct.rows(), geometry.rows);
-    ASSERT_EQ(direct.size(), records.size());
-    for (std::size_t b = 0; b <= geometry.banks; ++b) {
-      EXPECT_EQ(direct.offset(b), split.offset(b));
-    }
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      const dram::RequestSlot& a = direct.slots()[i];
-      const dram::RequestSlot& b = split.slots()[i];
-      ASSERT_EQ(a.arrival, b.arrival) << i;
-      ASSERT_EQ(a.row, b.row) << i;
-      ASSERT_EQ(a.write, b.write) << i;
+    for (const SyntheticWorkloadParams& workload : EvaluationSuite()) {
+      EXPECT_EQ(ExpectStreamsEqualSplitTrace(workload, geometry, 200'000),
+                0u)
+          << workload.name;
     }
   }
 }
 
-TEST(MapToStreamsTest, RejectsUnsortedRecords) {
+TEST(GenerateStreamsTest, ShortHorizonLeavesBanksEmpty) {
+  // swaptions draws one request per 1000 cycles on average: a few over
+  // 3000 cycles, none over 0.
+  const SyntheticWorkloadParams swaptions = SuiteWorkload("swaptions");
+  EXPECT_GT(ExpectStreamsEqualSplitTrace(swaptions, SmallGeometry(), 3000),
+            0u);
+  EXPECT_EQ(ExpectStreamsEqualSplitTrace(swaptions, SmallGeometry(), 0),
+            SmallGeometry().banks);
+}
+
+TEST(GenerateStreamsTest, RejectsWhatGenerateTraceRejects) {
   const AddressMapper mapper(SmallGeometry());
-  const std::vector<TraceRecord> records{{20, 0, false}, {10, 1, true}};
-  try {
-    MapToStreams(records, mapper);
-    ADD_FAILURE() << "accepted unsorted records";
-  } catch (const ConfigError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "MemoryController::Run: requests must be arrival-sorted");
-  }
+  SyntheticWorkloadParams params;
+  params.mean_gap_cycles = 0.5;
+  Rng rng(1);
+  EXPECT_THROW(GenerateStreams(params, mapper, 1000, rng), ConfigError);
+  params = SyntheticWorkloadParams{};
+  params.streams = 0;
+  EXPECT_THROW(GenerateStreams(params, mapper, 1000, rng), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
