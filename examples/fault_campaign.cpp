@@ -126,10 +126,10 @@ int main(int argc, char** argv) {
     report.AddMeta("vrt_row_fraction", vrt.row_fraction, 4);
     report.AddMeta("vrt_low_ratio", vrt.low_ratio, 2);
     report.AddMeta("vrt_dwell_s", vrt.mean_dwell_s, 2);
-    {
-      auto probe = make_schedule();
-      report.AddMeta("injectors", probe.Describe());
-    }
+    // The fault realization is drawn once; every leg replays it.
+    const fault::FaultRecording recording =
+        system.RecordFaults(make_schedule(), windows);
+    report.AddMeta("injectors", recording.description());
 
     // The adaptive leg feeds a telemetry recorder; its metrics (campaign.*,
     // adaptive.*, policy.*) travel inside the leg payload and land in the
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
     telemetry::Recorder recorder(recorder_options);
 
     const auto leg_fn = [&](std::size_t leg) {
-      auto faults = make_schedule();
+      auto faults = fault::FaultSchedule::Replay(recording);
       core::FaultCampaignOptions options;
       options.windows = windows;
       options.adaptive = legs[leg].adaptive;

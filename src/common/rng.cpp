@@ -28,6 +28,17 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
+std::uint64_t Rng::BernoulliThreshold(double p) noexcept {
+  constexpr double kScale = 0x1.0p53;
+  if (!(p > 0.0)) {
+    return 0;
+  }
+  if (p >= 1.0) {
+    return std::uint64_t{1} << 53;
+  }
+  return static_cast<std::uint64_t>(std::ceil(p * kScale));
+}
+
 double Rng::Uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * UniformDouble();
 }

@@ -67,6 +67,18 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool Bernoulli(double p) noexcept { return UniformDouble() < p; }
 
+  /// The integer threshold of Bernoulli(p): UniformDouble() is k * 2^-53
+  /// for the draw's 53 high bits k, and k * 2^-53 < p exactly when
+  /// k < ceil(p * 2^53) (the scaling by 2^53 is exact).  0 for p <= 0 or
+  /// NaN, 2^53 for p >= 1.
+  static std::uint64_t BernoulliThreshold(double p) noexcept;
+
+  /// Bernoulli(p) for `threshold` == BernoulliThreshold(p): the same draw,
+  /// the same result, without the conversion to double.
+  bool BernoulliBelow(std::uint64_t threshold) noexcept {
+    return ((*this)() >> 11) < threshold;
+  }
+
   /// Exponential variate with the given rate (lambda > 0).
   double Exponential(double rate) noexcept;
 

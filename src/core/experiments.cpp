@@ -132,15 +132,21 @@ std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy) {
   };
 }
 
-fault::CampaignReport RunResilienceLeg(
-    const VrlSystem& system, const ResilienceLeg& leg,
-    const retention::VrtParams& vrt, const ExperimentOptions& options,
-    telemetry::Recorder* recorder) {
-  // Each leg owns its FaultSchedule, seeded identically and advanced on the
-  // same tick sequence, so the same seed reproduces the identical fault
-  // trace for every leg — which also makes the legs independent tasks.
+namespace {
+
+/// The VRT schedule every resilience leg runs under.
+fault::FaultSchedule VrtSchedule(const retention::VrtParams& vrt,
+                                 const ExperimentOptions& options) {
   fault::FaultSchedule faults(options.fault_seed);
   faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
+  return faults;
+}
+
+fault::CampaignReport RunLegUnder(const VrlSystem& system,
+                                  const ResilienceLeg& leg,
+                                  fault::FaultSchedule& faults,
+                                  const ExperimentOptions& options,
+                                  telemetry::Recorder* recorder) {
   FaultCampaignOptions campaign;
   campaign.windows = options.windows;
   campaign.adaptive = leg.adaptive;
@@ -148,15 +154,30 @@ fault::CampaignReport RunResilienceLeg(
   return system.RunFaultCampaign(leg.policy, faults, campaign);
 }
 
+}  // namespace
+
+fault::CampaignReport RunResilienceLeg(
+    const VrlSystem& system, const ResilienceLeg& leg,
+    const retention::VrtParams& vrt, const ExperimentOptions& options,
+    telemetry::Recorder* recorder) {
+  // The leg draws its own schedule, seeded like every other leg's and
+  // advanced on the same campaign ticks, so it sees the realization
+  // RunResilienceComparison records once and replays.
+  fault::FaultSchedule faults = VrtSchedule(vrt, options);
+  return RunLegUnder(system, leg, faults, options, recorder);
+}
+
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          std::string_view policy,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options) {
-  // Each leg builds its own FaultCampaignOptions (RunResilienceLeg): the
-  // legs used to mutate one shared options struct between runs, an ordering
-  // dependency that would race once the legs overlap.  Telemetry is per-leg
-  // sharded and merged in leg order, like the suite.
+  // The fault realization is drawn once, before the fan-out, and every leg
+  // replays the read-only recording into its own schedule.  Each leg also
+  // owns its FaultCampaignOptions (RunLegUnder) and report slot; telemetry
+  // is per-leg sharded and merged in leg order, like the suite.
   const std::vector<ResilienceLeg> legs = ResilienceLegs(policy);
+  const fault::FaultRecording recording =
+      system.RecordFaults(VrtSchedule(vrt, options), options.windows);
   ResilienceResult result;
   fault::CampaignReport* const outs[] = {&result.jedec, &result.plain,
                                          &result.adaptive};
@@ -168,8 +189,9 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
   ParallelFor(
       "resilience_comparison", legs.size(),
       [&](std::size_t i) {
-        *outs[i] = RunResilienceLeg(system, legs[i], vrt, options,
-                                    shards ? &shards->shard(i) : nullptr);
+        fault::FaultSchedule faults = fault::FaultSchedule::Replay(recording);
+        *outs[i] = RunLegUnder(system, legs[i], faults, options,
+                               shards ? &shards->shard(i) : nullptr);
       },
       options.threads);
   if (shards) {

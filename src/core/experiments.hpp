@@ -119,9 +119,10 @@ struct ResilienceLeg {
 std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy);
 
 /// Runs one resilience leg: builds the leg's own FaultSchedule from
-/// options.fault_seed (so every leg replays the identical fault trace) and
-/// the VRT injector, and campaigns it through the system.  `recorder` (may
-/// be null) receives the leg's telemetry.
+/// options.fault_seed and the VRT injector, draws it live, and campaigns it
+/// through the system.  Its report equals the same leg of
+/// RunResilienceComparison.  `recorder` (may be null) receives the leg's
+/// telemetry.
 fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
                                        const ResilienceLeg& leg,
                                        const retention::VrtParams& vrt,
@@ -131,9 +132,10 @@ fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
 /// Runs the three-way comparison under VRT telegraph-noise injection
 /// (options.fault_seed, options.windows).  Extra injectors can be layered
 /// by building campaigns directly via VrlSystem::RunFaultCampaign.  The
-/// three legs run as parallel tasks, each owning its schedule, options,
-/// telemetry shard and report slot; results are bit-identical across
-/// thread counts and leg completion orders.
+/// fault realization is drawn once (VrlSystem::RecordFaults) and replayed
+/// into every leg; the three legs run as parallel tasks, each owning its
+/// replay schedule, options, telemetry shard and report slot, so results
+/// are bit-identical across thread counts and leg completion orders.
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          std::string_view policy,
                                          const retention::VrtParams& vrt,

@@ -220,6 +220,13 @@ fault::CampaignSetup VrlSystem::CampaignSetupFor(std::size_t windows) const {
   return setup;
 }
 
+fault::FaultRecording VrlSystem::RecordFaults(fault::FaultSchedule schedule,
+                                              std::size_t windows) const {
+  return fault::FaultRecording(std::move(schedule),
+                               CampaignSetupFor(windows).Ticks(),
+                               profile_->rows());
+}
+
 fault::CampaignReport VrlSystem::RunFaultCampaign(
     std::string_view policy, fault::FaultSchedule& faults,
     const FaultCampaignOptions& options) const {

@@ -207,6 +207,13 @@ class VrlSystem {
       std::string_view policy, fault::FaultSchedule& faults,
       const FaultCampaignOptions& options = {}) const;
 
+  /// Draws `schedule`'s fault realization once over the ticks of a
+  /// `windows`-window campaign of this system, for replay into any number
+  /// of RunFaultCampaign calls (fault::FaultSchedule::Replay) with the same
+  /// `windows`.  \throws vrl::ConfigError for an invalid campaign setup.
+  fault::FaultRecording RecordFaults(fault::FaultSchedule schedule,
+                                     std::size_t windows) const;
+
  private:
   /// Shared construction tail: plan (guardband, spares, binning, MPRSF)
   /// from a concrete profile.

@@ -29,6 +29,13 @@ void CampaignSetup::Validate() const {
   }
 }
 
+TickSequence CampaignSetup::Ticks() const {
+  Validate();
+  const Cycles horizon = base_window * static_cast<Cycles>(windows);
+  return {t_refi, static_cast<std::size_t>(horizon / t_refi) + 1,
+          clock_period_s};
+}
+
 double CampaignReport::RefreshOverheadFraction() const {
   if (simulated_cycles == 0) {
     return 0.0;
@@ -105,20 +112,29 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
 
   std::vector<dram::RefreshProposal> proposals;
   std::vector<dram::RefreshOp> ops;
-  for (Cycles tick = 0; tick <= horizon; tick += setup.t_refi) {
+  const TickSequence ticks = setup.Ticks();
+  for (std::size_t k = 0; k < ticks.count; ++k) {
+    const Cycles tick = ticks.cycle(k);
     if (tracer != nullptr) {
       close_windows_until(static_cast<std::size_t>(tick / setup.base_window));
     }
-    const double now_s = CyclesToSeconds(tick, setup.clock_period_s);
+    const double now_s = ticks.seconds(k);
     faults_phase.Start();
     faults.Advance(now_s, rows);
     faults_phase.Stop();
+    refresh_phase.Start();
+    if (tick < policy.next_proposal()) {
+      // Nothing can come due before next_proposal(): only the policy's
+      // clock advances (still one refresh_ops call in the profile).
+      policy.SkipIdleTick(tick);
+      refresh_phase.Stop();
+      continue;
+    }
     // Propose/grant with no bank context: every proposal is granted on the
     // tick it is proposed (the campaign replays physics, not bank timing).
     dram::RefreshGrantContext grant_ctx;
     grant_ctx.now = tick;
     grant_ctx.demand.now = tick;
-    refresh_phase.Start();
     dram::GrantRefreshes(policy, grant_ctx, nullptr, ops, proposals);
     for (const auto& op : ops) {
       const double retention =

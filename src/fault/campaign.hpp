@@ -55,6 +55,11 @@ struct CampaignSetup {
   /// its own recorder (telemetry::ShardedRecorder).
   telemetry::Recorder* telemetry = nullptr;
 
+  /// The campaign's ticks: one per t_refi from cycle 0 through the
+  /// horizon (windows x base_window), inclusive.  \throws vrl::ConfigError
+  /// for an invalid setup (Validate).
+  TickSequence Ticks() const;
+
   void Validate() const;
 };
 
@@ -86,8 +91,10 @@ struct CampaignReport {
 
 /// Runs `setup.windows` base windows of `policy` against `truth` (the
 /// actual per-row retention, before fault scaling) under the fault
-/// schedule.  Detection feedback is wired automatically when `policy` is an
-/// AdaptiveVrlPolicy.
+/// schedule, advanced on every tick of setup.Ticks().  Below the policy's
+/// next_proposal() a tick skips propose/grant (SkipIdleTick), as the
+/// memory controller does.  Detection feedback is wired automatically when
+/// `policy` is an AdaptiveVrlPolicy.
 CampaignReport RunCampaign(const model::RefreshModel& model,
                            const retention::RetentionProfile& truth,
                            dram::RefreshPolicy& policy,

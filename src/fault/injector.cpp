@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -26,18 +29,63 @@ double FaultState::RowScale(std::size_t row) const {
          drift_scale_;
 }
 
+void FaultState::CheckRow(std::size_t row) const {
+  if (row >= vrt_scale_.size()) {
+    throw ConfigError("FaultState: row out of range");
+  }
+}
+
+void FaultState::Write(double& slot, double value, FaultComponent component,
+                       std::size_t row) {
+  if (slot == value) {
+    return;
+  }
+  slot = value;
+  if (log_ != nullptr) {
+    log_->push_back(
+        {log_tick_, component, static_cast<std::uint32_t>(row), value});
+  }
+}
+
+void FaultState::set_vrt_scale(std::size_t row, double scale) {
+  CheckRow(row);
+  Write(vrt_scale_[row], scale, FaultComponent::kVrt, row);
+}
+
+void FaultState::set_corruption_scale(std::size_t row, double scale) {
+  CheckRow(row);
+  Write(corruption_scale_[row], scale, FaultComponent::kCorruption, row);
+}
+
 void FaultState::set_temperature_scale(double scale) {
   if (scale <= 0.0) {
     throw ConfigError("FaultState: temperature scale must be positive");
   }
-  temperature_scale_ = scale;
+  Write(temperature_scale_, scale, FaultComponent::kTemperature, 0);
 }
 
 void FaultState::set_drift_scale(double scale) {
   if (scale <= 0.0) {
     throw ConfigError("FaultState: drift scale must be positive");
   }
-  drift_scale_ = scale;
+  Write(drift_scale_, scale, FaultComponent::kDrift, 0);
+}
+
+void FaultState::Apply(const FaultWrite& write) {
+  switch (write.component) {
+    case FaultComponent::kVrt:
+      set_vrt_scale(write.row, write.value);
+      break;
+    case FaultComponent::kCorruption:
+      set_corruption_scale(write.row, write.value);
+      break;
+    case FaultComponent::kTemperature:
+      set_temperature_scale(write.value);
+      break;
+    case FaultComponent::kDrift:
+      set_drift_scale(write.value);
+      break;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -58,7 +106,7 @@ void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
       if (vrt_rows_[r]) {
         vrt_index_.push_back(r);
         in_low_[r] = rng.Bernoulli(params_.low_state_prob);
-        state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+        state.set_vrt_scale(r, in_low_[r] ? params_.low_ratio : 1.0);
       }
     }
     initialized_ = true;
@@ -88,14 +136,19 @@ void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
     p_enter_low = -std::expm1(-dt / d_high);
   }
   // Only VRT rows draw, in ascending row order: the same draws as a walk
-  // over every row, so the fault trace does not depend on the walk.
+  // over every row, so the fault trace does not depend on the walk.  Each
+  // draw is Bernoulli(p_flip) in its integer form, on a local copy of the
+  // generator that is written back after the walk.
+  const std::uint64_t leave_low = Rng::BernoulliThreshold(p_leave_low);
+  const std::uint64_t enter_low = Rng::BernoulliThreshold(p_enter_low);
+  Rng local = rng;
   for (const std::size_t r : vrt_index_) {
-    const double p_flip = in_low_[r] ? p_leave_low : p_enter_low;
-    if (rng.Bernoulli(p_flip)) {
+    if (local.BernoulliBelow(in_low_[r] ? leave_low : enter_low)) {
       in_low_[r] = !in_low_[r];
-      state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+      state.set_vrt_scale(r, in_low_[r] ? params_.low_ratio : 1.0);
     }
   }
+  rng = local;
 }
 
 // ---------------------------------------------------------------------------
@@ -174,10 +227,10 @@ void ProfileCorruptionInjector::Advance(double now_s, FaultState& state,
   if (fired_ || now_s < at_s_) {
     return;
   }
-  auto& scale = state.corruption_scale();
   for (std::size_t r = 0; r < state.rows(); ++r) {
     if (rng.Bernoulli(row_fraction_)) {
-      scale[r] = std::min(scale[r], true_ratio_);
+      state.set_corruption_scale(
+          r, std::min(state.corruption_scale()[r], true_ratio_));
     }
   }
   fired_ = true;
@@ -189,18 +242,37 @@ void ProfileCorruptionInjector::Advance(double now_s, FaultState& state,
 
 FaultSchedule::FaultSchedule(std::uint64_t seed) : rng_(seed) {}
 
+FaultSchedule FaultSchedule::Replay(const FaultRecording& recording) {
+  FaultSchedule schedule;
+  schedule.replay_ = &recording;
+  return schedule;
+}
+
 FaultSchedule& FaultSchedule::Add(std::unique_ptr<FaultInjector> injector) {
   if (!injector) {
     throw ConfigError("FaultSchedule: null injector");
+  }
+  if (replay_ != nullptr) {
+    throw ConfigError("FaultSchedule: a replay takes no injectors");
   }
   injectors_.push_back(std::move(injector));
   return *this;
 }
 
 void FaultSchedule::Advance(double now_s, std::size_t rows) {
-  if (!state_) {
+  Step(now_s, rows, nullptr, 0);
+}
+
+void FaultSchedule::Step(double now_s, std::size_t rows,
+                         std::vector<FaultWrite>* log, std::uint32_t tick) {
+  if (replay_ != nullptr && rows != replay_->rows()) {
+    throw ConfigError("FaultSchedule: replay advanced for " +
+                      std::to_string(rows) + " rows, recorded for " +
+                      std::to_string(replay_->rows()));
+  }
+  const bool first = !state_;
+  if (first) {
     state_ = std::make_unique<FaultState>(rows);
-    last_now_s_ = now_s;
   } else {
     if (state_->rows() != rows) {
       throw ConfigError("FaultSchedule: row count changed between advances");
@@ -208,11 +280,47 @@ void FaultSchedule::Advance(double now_s, std::size_t rows) {
     if (now_s < last_now_s_) {
       throw ConfigError("FaultSchedule: time must be non-decreasing");
     }
-    last_now_s_ = now_s;
   }
+  if (replay_ != nullptr) {
+    // A repeated instant changes nothing, as it does for the injectors.
+    if (first || now_s != last_now_s_) {
+      ReplayStep(now_s);
+    }
+    last_now_s_ = now_s;
+    return;
+  }
+  last_now_s_ = now_s;
+  state_->LogChangesTo(log, tick);
   for (auto& injector : injectors_) {
     injector->Advance(now_s, *state_, rng_);
   }
+  state_->LogChangesTo(nullptr, 0);
+}
+
+void FaultSchedule::ReplayStep(double now_s) {
+  // The recorded realization depends on the instants it was drawn at (a
+  // VRT flip's probability grows with the step), so a replay must walk the
+  // recorded ticks one by one.
+  const TickSequence& ticks = replay_->ticks();
+  if (next_tick_ >= ticks.count || now_s != ticks.seconds(next_tick_)) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "FaultSchedule: replay advanced to " << now_s << " s, not to ";
+    if (next_tick_ < ticks.count) {
+      os << "its recording's next tick " << next_tick_ << " at "
+         << ticks.seconds(next_tick_) << " s";
+    } else {
+      os << "a tick of its recording (all " << ticks.count << " replayed)";
+    }
+    throw ConfigError(os.str());
+  }
+  const std::vector<FaultWrite>& writes = replay_->writes();
+  while (next_write_ < writes.size() &&
+         writes[next_write_].tick == next_tick_) {
+    state_->Apply(writes[next_write_]);
+    ++next_write_;
+  }
+  ++next_tick_;
 }
 
 double FaultSchedule::RowScale(std::size_t row) const {
@@ -230,6 +338,9 @@ const FaultState& FaultSchedule::state() const {
 }
 
 std::string FaultSchedule::Describe() const {
+  if (replay_ != nullptr) {
+    return replay_->description();
+  }
   std::string out;
   for (const auto& injector : injectors_) {
     if (!out.empty()) {
@@ -238,6 +349,29 @@ std::string FaultSchedule::Describe() const {
     out += injector->Name();
   }
   return out.empty() ? "none" : out;
+}
+
+// ---------------------------------------------------------------------------
+// FaultRecording
+// ---------------------------------------------------------------------------
+
+FaultRecording::FaultRecording(FaultSchedule schedule,
+                               const TickSequence& ticks, std::size_t rows)
+    : ticks_(ticks),
+      rows_(rows),
+      description_(schedule.Describe()) {
+  if (schedule.replay_ != nullptr || schedule.state_) {
+    throw ConfigError(
+        "FaultRecording: needs a live schedule that was not advanced yet");
+  }
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+  if (ticks.count > kMaxIndex || rows > kMaxIndex) {
+    throw ConfigError("FaultRecording: more than 2^32 ticks or rows");
+  }
+  for (std::size_t k = 0; k < ticks.count; ++k) {
+    schedule.Step(ticks.seconds(k), rows, &writes_,
+                  static_cast<std::uint32_t>(k));
+  }
 }
 
 }  // namespace vrl::fault

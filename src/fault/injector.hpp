@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "retention/temperature.hpp"
 #include "retention/vrt.hpp"
 
@@ -31,8 +32,46 @@
 ///  * ProfileCorruptionInjector — rows whose profiled retention overstates
 ///                                the truth from a point in time onward
 ///                                (stale or corrupted profiling data).
+///
+/// A FaultRecording advances a schedule once over a campaign's tick
+/// sequence and keeps the component writes; FaultSchedule::Replay plays
+/// them back into any number of campaigns (docs/FAULTS.md §4).
 
 namespace vrl::fault {
+
+/// The campaign clock: tick k of `count` falls on cycle k * period and at
+/// CyclesToSeconds(k * period, clock_period_s).  fault::RunCampaign walks
+/// it (CampaignSetup::Ticks) and a FaultRecording is taken over it.
+struct TickSequence {
+  Cycles period = 1;
+  std::size_t count = 0;
+  double clock_period_s = 1.0;
+
+  Cycles cycle(std::size_t k) const {
+    return static_cast<Cycles>(k) * period;
+  }
+  double seconds(std::size_t k) const {
+    return CyclesToSeconds(cycle(k), clock_period_s);
+  }
+};
+
+/// The components of a FaultState, one per injector type.
+enum class FaultComponent : std::uint8_t {
+  kVrt,
+  kCorruption,
+  kTemperature,
+  kDrift,
+};
+
+/// One logged change of a FaultState component: from tick `tick` of the
+/// recorded sequence on, the component (of `row`, for the per-row ones;
+/// 0 for the bank-wide ones) holds `value`.
+struct FaultWrite {
+  std::uint32_t tick = 0;
+  FaultComponent component = FaultComponent::kVrt;
+  std::uint32_t row = 0;
+  double value = 1.0;
+};
 
 /// Mutable runtime condition of one bank, written by injectors and read by
 /// the campaign loop.  Effective runtime retention of row r is
@@ -46,19 +85,42 @@ class FaultState {
   /// Product of all fault components for one row.
   double RowScale(std::size_t row) const;
 
-  // Component accessors — one injector type writes each.
-  std::vector<double>& vrt_scale() { return vrt_scale_; }
-  std::vector<double>& corruption_scale() { return corruption_scale_; }
+  // Component accessors — one injector type writes each.  A per-row setter
+  // throws vrl::ConfigError for a row out of range, a bank-wide one for a
+  // scale that is not positive.
+  const std::vector<double>& vrt_scale() const { return vrt_scale_; }
+  const std::vector<double>& corruption_scale() const {
+    return corruption_scale_;
+  }
+  void set_vrt_scale(std::size_t row, double scale);
+  void set_corruption_scale(std::size_t row, double scale);
   void set_temperature_scale(double scale);
   void set_drift_scale(double scale);
   double temperature_scale() const { return temperature_scale_; }
   double drift_scale() const { return drift_scale_; }
 
+  /// From now on, appends every write that changes a component to `log`,
+  /// stamped `tick`; null stops logging.
+  void LogChangesTo(std::vector<FaultWrite>* log, std::uint32_t tick) {
+    log_ = log;
+    log_tick_ = tick;
+  }
+
+  /// Applies one logged write.
+  void Apply(const FaultWrite& write);
+
  private:
+  void CheckRow(std::size_t row) const;
+  /// Sets `slot` to `value`, logging the write when it changes it.
+  void Write(double& slot, double value, FaultComponent component,
+             std::size_t row);
+
   std::vector<double> vrt_scale_;         ///< 1.0 or VrtParams::low_ratio.
   std::vector<double> corruption_scale_;  ///< <= 1.0, sticky once applied.
   double temperature_scale_ = 1.0;
   double drift_scale_ = 1.0;
+  std::vector<FaultWrite>* log_ = nullptr;
+  std::uint32_t log_tick_ = 0;
 };
 
 /// A source of runtime faults, advanced by the campaign clock.
@@ -153,17 +215,28 @@ class ProfileCorruptionInjector : public FaultInjector {
   bool fired_ = false;
 };
 
+class FaultRecording;
+
 /// A composed set of injectors advanced together by the campaign clock.
 /// Owns the fault RNG and the FaultState (sized at the first Advance).
+/// A replay schedule (Replay) runs no injectors: it plays a recording's
+/// writes back instead.
 class FaultSchedule {
  public:
   explicit FaultSchedule(std::uint64_t seed = 0x5EEDFA17ULL);
 
+  /// A schedule that replays `recording`, which must outlive it.  Each
+  /// Advance lands on the recording's next tick (or repeats the last one)
+  /// and leaves the state the recorded schedule had there, bit for bit.
+  static FaultSchedule Replay(const FaultRecording& recording);
+
+  /// \throws vrl::ConfigError on a replay schedule.
   FaultSchedule& Add(std::unique_ptr<FaultInjector> injector);
 
   /// Advances every injector to `now_s` for a bank of `rows` rows.  `now_s`
-  /// must be non-decreasing and `rows` stable across calls.
-  /// \throws vrl::ConfigError otherwise.
+  /// must be non-decreasing and `rows` stable across calls; a replay also
+  /// needs `now_s` to be its recording's next tick time and `rows` its row
+  /// count.  \throws vrl::ConfigError otherwise.
   void Advance(double now_s, std::size_t rows);
 
   /// Effective retention scale of one row; 1.0 before the first Advance.
@@ -172,16 +245,52 @@ class FaultSchedule {
   /// State after the last Advance.  \throws vrl::ConfigError before it.
   const FaultState& state() const;
 
-  std::size_t injector_count() const { return injectors_.size(); }
-
   /// Comma-joined injector names, for reports.
   std::string Describe() const;
 
  private:
+  friend class FaultRecording;
+
+  /// Advance, with every component change logged into `log` stamped
+  /// `tick` (null: no logging).
+  void Step(double now_s, std::size_t rows, std::vector<FaultWrite>* log,
+            std::uint32_t tick);
+  void ReplayStep(double now_s);
+
   Rng rng_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
   std::unique_ptr<FaultState> state_;
   double last_now_s_ = 0.0;
+  const FaultRecording* replay_ = nullptr;
+  std::size_t next_tick_ = 0;   ///< Replay: the next recorded tick.
+  std::size_t next_write_ = 0;  ///< Replay: the first write not applied.
+};
+
+/// One fault realization, drawn once and replayed into many campaigns:
+/// a fresh schedule advanced over a tick sequence, kept as the log of the
+/// component writes that changed a value (no per-tick arrays).  Read-only
+/// once built, so concurrent replays may share it.
+class FaultRecording {
+ public:
+  /// Advances `schedule`, which must be live and not yet advanced, over
+  /// every tick of `ticks` for a bank of `rows` rows.
+  /// \throws vrl::ConfigError otherwise, or for more than 2^32 ticks or
+  /// rows.
+  FaultRecording(FaultSchedule schedule, const TickSequence& ticks,
+                 std::size_t rows);
+
+  const TickSequence& ticks() const { return ticks_; }
+  std::size_t rows() const { return rows_; }
+  /// In (tick, write order) order.
+  const std::vector<FaultWrite>& writes() const { return writes_; }
+  /// The recorded schedule's FaultSchedule::Describe().
+  const std::string& description() const { return description_; }
+
+ private:
+  TickSequence ticks_;
+  std::size_t rows_;
+  std::vector<FaultWrite> writes_;
+  std::string description_;
 };
 
 }  // namespace vrl::fault

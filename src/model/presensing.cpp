@@ -120,20 +120,48 @@ double PreSensingModel::TrackedRhs(double charge_fraction) const {
   return K1() * (cell - tech_.Veq());
 }
 
-double PreSensingModel::ProbeSenseVoltage(const Probe& probe, double rhs_mid,
-                                          std::span<double> scratch) const {
-  // Finish the forward sweep from the tracked row, then back-substitute
-  // down to it; scratch[j] holds row mid + j.
+namespace {
+
+/// The calling thread's probe scratch, grown to at least `size` entries and
+/// kept for its next call: a probe evaluation allocates nothing once the
+/// thread has seen its geometry.
+double* ProbeScratch(std::size_t size) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < size) {
+    scratch.resize(size);
+  }
+  return scratch.data();
+}
+
+}  // namespace
+
+template <std::size_t N>
+std::array<double, N> PreSensingModel::ProbeSenseVoltages(
+    const std::array<const Probe*, N>& probes, double rhs_mid) const {
+  // Finish each forward sweep from the tracked row, then back-substitute
+  // down to it; scratch[j * N + p] holds probe p's row mid + j.  The N
+  // sweeps are independent chains of divisions, so interleaving them lets
+  // their latencies overlap without changing any operation.
   const std::size_t n = tech_.columns;
   const std::size_t mid = n / 2;
-  double carry = factor_.ForwardStep(mid, rhs_mid, probe.d_before_mid);
-  scratch[0] = carry;
+  double* const scratch = ProbeScratch((n - mid) * N);
+  std::array<double, N> carry;
+  for (std::size_t p = 0; p < N; ++p) {
+    carry[p] = factor_.ForwardStep(mid, rhs_mid, probes[p]->d_before_mid);
+    scratch[p] = carry[p];
+  }
   for (std::size_t i = mid + 1; i < n; ++i) {
-    carry = factor_.ForwardStep(i, probe.rhs[i], carry);
-    scratch[i - mid] = carry;
+    double* const row = scratch + (i - mid) * N;
+    for (std::size_t p = 0; p < N; ++p) {
+      carry[p] = factor_.ForwardStep(i, probes[p]->rhs[i], carry[p]);
+      row[p] = carry[p];
+    }
   }
   for (std::size_t i = n - 1; i-- > mid;) {
-    carry = factor_.BackStep(i, scratch[i - mid], carry);
+    const double* const row = scratch + (i - mid) * N;
+    for (std::size_t p = 0; p < N; ++p) {
+      carry[p] = factor_.BackStep(i, row[p], carry[p]);
+    }
   }
   return carry;
 }
@@ -143,17 +171,21 @@ double PreSensingModel::TrackedSenseVoltage(DataPattern pattern,
   const auto it = std::find(kAllDataPatterns.begin(), kAllDataPatterns.end(),
                             pattern);
   const auto p = static_cast<std::size_t>(it - kAllDataPatterns.begin());
-  std::vector<double> scratch(tech_.columns - tech_.columns / 2);
-  return ProbeSenseVoltage(probes_[p], TrackedRhs(charge_fraction), scratch);
+  const std::array<const Probe*, 1> probe = {&probes_[p]};
+  return ProbeSenseVoltages(probe, TrackedRhs(charge_fraction))[0];
 }
 
 double PreSensingModel::WorstTrackedSenseVoltage(
     double charge_fraction) const {
-  const double rhs_mid = TrackedRhs(charge_fraction);
-  std::vector<double> scratch(tech_.columns - tech_.columns / 2);
+  std::array<const Probe*, kAllDataPatterns.size() + 1> all;
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    all[p] = &probes_[p];
+  }
+  const auto voltages = ProbeSenseVoltages(all, TrackedRhs(charge_fraction));
+  // The min runs over the probes in their order, as it did one at a time.
   double worst = std::numeric_limits<double>::max();
-  for (const Probe& probe : probes_) {
-    worst = std::min(worst, ProbeSenseVoltage(probe, rhs_mid, scratch));
+  for (const double v : voltages) {
+    worst = std::min(worst, v);
   }
   return worst;
 }

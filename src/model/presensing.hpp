@@ -1,7 +1,7 @@
 #pragma once
 
 #include <array>
-#include <span>
+#include <cstddef>
 #include <vector>
 
 #include "common/data_pattern.hpp"
@@ -98,10 +98,12 @@ class PreSensingModel {
     double d_before_mid = 0.0;  ///< Forward-sweep d' of row columns/2 - 1.
   };
 
-  /// Sense voltage of the tracked middle cell of `probe` whose right-hand
-  /// side is `rhs_mid`; `scratch` holds columns - columns/2 entries.
-  double ProbeSenseVoltage(const Probe& probe, double rhs_mid,
-                           std::span<double> scratch) const;
+  /// Sense voltages of the tracked middle cell under each of `probes`,
+  /// whose right-hand side is `rhs_mid`.  The probes run in lockstep, row
+  /// by row: each takes exactly the steps it would take alone.
+  template <std::size_t N>
+  std::array<double, N> ProbeSenseVoltages(
+      const std::array<const Probe*, N>& probes, double rhs_mid) const;
 
   /// K1 * (voltage - Veq) of the tracked cell at `charge_fraction`.
   double TrackedRhs(double charge_fraction) const;

@@ -105,6 +105,46 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+TEST(Rng, BernoulliThresholdEqualsBernoulliAtBothEnds) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const struct {
+    double p;
+    std::uint64_t threshold;
+  } cases[] = {
+      {0.0, 0},
+      {0x1.0p-60, 1},
+      {1e-5, 90071992548},  // ceil(1e-5 * 2^53)
+      {std::nextafter(0.5, 0.0), kTop / 2},
+      {0.5, kTop / 2},
+      {1.0 - 0x1.0p-53, kTop - 1},
+      {1.0, kTop},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.p);
+    const std::uint64_t t = Rng::BernoulliThreshold(c.p);
+    EXPECT_EQ(t, c.threshold);
+    // The compare itself, at the threshold and one either side of it: the
+    // draw k is UniformDouble() == k * 2^-53.
+    for (const std::uint64_t k :
+         {std::uint64_t{0}, t == 0 ? 0 : t - 1, t, t + 1, kTop - 1}) {
+      if (k < kTop) {
+        EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < c.p) << k;
+      }
+    }
+    // The same draws as Bernoulli(p), and the same generator state after.
+    Rng a(29);
+    Rng b(29);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(a.BernoulliBelow(t), b.Bernoulli(c.p)) << i;
+    }
+    EXPECT_EQ(a(), b());
+  }
+  // Outside [0, 1]: never below 0 (NaN included), always at or above 1.
+  EXPECT_EQ(Rng::BernoulliThreshold(-0.25), 0u);
+  EXPECT_EQ(Rng::BernoulliThreshold(std::nan("")), 0u);
+  EXPECT_EQ(Rng::BernoulliThreshold(2.0), kTop);
+}
+
 TEST(Rng, ExponentialMeanIsInverseRate) {
   Rng rng(23);
   double sum = 0.0;

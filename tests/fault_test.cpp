@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <tuple>
@@ -11,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 #include "fault/adaptive_policy.hpp"
 #include "fault/campaign.hpp"
 #include "fault/charge_tracker.hpp"
@@ -108,8 +111,8 @@ TEST(ChargeTracker, RejectsBadInputs) {
 TEST(FaultState, RowScaleIsProductOfComponents) {
   FaultState state(4);
   EXPECT_DOUBLE_EQ(state.RowScale(2), 1.0);
-  state.vrt_scale()[2] = 0.6;
-  state.corruption_scale()[2] = 0.8;
+  state.set_vrt_scale(2, 0.6);
+  state.set_corruption_scale(2, 0.8);
   state.set_temperature_scale(0.5);
   state.set_drift_scale(0.9);
   EXPECT_DOUBLE_EQ(state.RowScale(2), 0.6 * 0.8 * 0.5 * 0.9);
@@ -174,7 +177,7 @@ class DenseVrtWalk {
       for (std::size_t r = 0; r < rows; ++r) {
         if (vrt_rows_[r]) {
           in_low_[r] = rng.Bernoulli(params_.low_state_prob);
-          state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+          state.set_vrt_scale(r, in_low_[r] ? params_.low_ratio : 1.0);
         }
       }
       last_now_s_ = now_s;
@@ -200,7 +203,7 @@ class DenseVrtWalk {
       }
       if (rng.Bernoulli(in_low_[r] ? p_leave_low : p_enter_low)) {
         in_low_[r] = !in_low_[r];
-        state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+        state.set_vrt_scale(r, in_low_[r] ? params_.low_ratio : 1.0);
       }
     }
   }
@@ -212,14 +215,14 @@ class DenseVrtWalk {
   double last_now_s_ = 0.0;
 };
 
-class VrtSparseWalkTest
-    : public ::testing::TestWithParam<std::tuple<double, double>> {};
-
-TEST_P(VrtSparseWalkTest, SameScalesAndRngStreamAsDenseWalk) {
+/// Advances VrtFlipInjector and DenseVrtWalk side by side and expects the
+/// same scales and the same generator state after every step.
+void ExpectSparseWalkMatchesDense(double row_fraction, double low_state_prob,
+                                  double mean_dwell_s) {
   retention::VrtParams params;
-  params.row_fraction = std::get<0>(GetParam());
-  params.low_state_prob = std::get<1>(GetParam());
-  params.mean_dwell_s = 0.05;  // fast telegraph so rows flip in-test
+  params.row_fraction = row_fraction;
+  params.low_state_prob = low_state_prob;
+  params.mean_dwell_s = mean_dwell_s;
   constexpr std::size_t kRows = 300;
 
   VrtFlipInjector sparse(params);
@@ -237,10 +240,36 @@ TEST_P(VrtSparseWalkTest, SameScalesAndRngStreamAsDenseWalk) {
   }
 }
 
+class VrtSparseWalkTest
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(VrtSparseWalkTest, SameScalesAndRngStreamAsDenseWalk) {
+  // A fast telegraph (0.05 s dwell) so rows flip in-test.
+  ExpectSparseWalkMatchesDense(std::get<0>(GetParam()),
+                               std::get<1>(GetParam()), 0.05);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RowFractionByLowProb, VrtSparseWalkTest,
     ::testing::Combine(::testing::Values(0.0, 0.02, 1.0),
                        ::testing::Values(0.0, 0.3, 1.0)));
+
+/// The integer-threshold draw at both ends of the flip probability: a 1 ms
+/// dwell, far below the 10-150 ms steps (p from 1 - 5e-5 up to exactly 1,
+/// thresholds at or just below 2^53), and a 1e5 s one far above them
+/// (p ~ 1e-7, a threshold of ~1e9 out of 2^53).
+class VrtSparseWalkDwellTest
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(VrtSparseWalkDwellTest, SameScalesAndRngStreamAsDenseWalk) {
+  ExpectSparseWalkMatchesDense(0.5, std::get<0>(GetParam()),
+                               std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LowProbByDwell, VrtSparseWalkDwellTest,
+    ::testing::Combine(::testing::Values(0.3, 0.5),
+                       ::testing::Values(1e-3, 1e5)));
 
 TEST(VrtFlipInjectorTest, RejectsRowCountChangeBetweenAdvances) {
   VrtFlipInjector injector(retention::VrtParams{});
@@ -326,6 +355,108 @@ TEST(FaultScheduleTest, EnforcesContract) {
   EXPECT_THROW(schedule.Advance(2.0, 16), ConfigError);  // rows changed
   EXPECT_NO_THROW(schedule.Advance(1.0, 8));             // equal time is fine
   EXPECT_EQ(schedule.Describe(), "retention-drift");
+}
+
+// ---------------------------------------------------------------------------
+// FaultRecording and replay
+// ---------------------------------------------------------------------------
+
+/// All four injectors, timed so the ticks below cross each one's changes:
+/// a fast VRT telegraph, a hot window from 0.3 s to 0.6 s, drift reaching
+/// its floor at 0.4 s and a corruption firing at 0.5 s.
+FaultSchedule FourInjectors(std::uint64_t seed) {
+  retention::VrtParams vrt;
+  vrt.row_fraction = 0.2;
+  vrt.mean_dwell_s = 0.05;
+  FaultSchedule schedule(seed);
+  schedule.Add(std::make_unique<VrtFlipInjector>(vrt));
+  schedule.Add(std::make_unique<TemperatureExcursionInjector>(
+      retention::TemperatureModel{}, 0.3, 0.3, 85.0));
+  schedule.Add(std::make_unique<RetentionDriftInjector>(0.5, 0.8));
+  schedule.Add(std::make_unique<ProfileCorruptionInjector>(0.1, 0.8, 0.5));
+  return schedule;
+}
+
+/// 100 ticks of 10 ms (4 M cycles at 2.5 ns).
+constexpr TickSequence kTenMsTicks = {4'000'000, 100, 2.5e-9};
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(FaultRecording, ReplayGivesTheLiveRowScalesAtEveryTick) {
+  constexpr std::size_t kRows = 256;
+  FaultSchedule live = FourInjectors(9);
+  const FaultRecording recording(FourInjectors(9), kTenMsTicks, kRows);
+  FaultSchedule replay = FaultSchedule::Replay(recording);
+  EXPECT_EQ(replay.Describe(), live.Describe());
+
+  std::size_t changed_rows = 0;
+  std::vector<double> previous(kRows, 1.0);
+  for (std::size_t k = 0; k < kTenMsTicks.count; ++k) {
+    live.Advance(kTenMsTicks.seconds(k), kRows);
+    replay.Advance(kTenMsTicks.seconds(k), kRows);
+    for (std::size_t row = 0; row < kRows; ++row) {
+      ASSERT_EQ(Bits(replay.RowScale(row)), Bits(live.RowScale(row)))
+          << "tick " << k << " row " << row;
+      changed_rows += live.RowScale(row) != previous[row] ? 1 : 0;
+      previous[row] = live.RowScale(row);
+    }
+  }
+  EXPECT_GT(changed_rows, kRows);
+
+  // Every component was written, and only its changes were logged.
+  std::size_t by_component[4] = {};
+  for (const FaultWrite& write : recording.writes()) {
+    ++by_component[static_cast<std::size_t>(write.component)];
+  }
+  for (const std::size_t count : by_component) {
+    EXPECT_GT(count, 0u);
+  }
+  EXPECT_EQ(by_component[static_cast<std::size_t>(
+                FaultComponent::kTemperature)],
+            2u);  // into the hot window and out of it
+  EXPECT_LT(recording.writes().size(), kTenMsTicks.count * kRows / 10);
+  EXPECT_TRUE(std::is_sorted(recording.writes().begin(),
+                             recording.writes().end(),
+                             [](const FaultWrite& a, const FaultWrite& b) {
+                               return a.tick < b.tick;
+                             }));
+}
+
+TEST(FaultRecording, ReplayRejectsTimesNotInTheRecording) {
+  constexpr std::size_t kRows = 64;
+  const FaultRecording recording(FourInjectors(3), kTenMsTicks, kRows);
+  const auto at = [](std::size_t k) { return kTenMsTicks.seconds(k); };
+  {
+    FaultSchedule replay = FaultSchedule::Replay(recording);
+    replay.Advance(at(0), kRows);
+    EXPECT_NO_THROW(replay.Advance(at(0), kRows));  // a repeated instant
+    EXPECT_THROW(replay.Advance(0.015, kRows), ConfigError);  // off-tick
+    EXPECT_THROW(replay.Advance(at(2), kRows), ConfigError);  // skips one
+    EXPECT_NO_THROW(replay.Advance(at(1), kRows));
+    EXPECT_THROW(replay.Advance(at(2), kRows + 1), ConfigError);  // rows
+  }
+  {
+    FaultSchedule replay = FaultSchedule::Replay(recording);
+    EXPECT_THROW(replay.Advance(at(1), kRows), ConfigError);  // not tick 0
+  }
+  {
+    FaultSchedule replay = FaultSchedule::Replay(recording);
+    for (std::size_t k = 0; k < kTenMsTicks.count; ++k) {
+      replay.Advance(at(k), kRows);
+    }
+    EXPECT_THROW(replay.Advance(at(kTenMsTicks.count), kRows), ConfigError);
+  }
+  FaultSchedule replay = FaultSchedule::Replay(recording);
+  EXPECT_THROW(replay.Add(std::make_unique<RetentionDriftInjector>(0.1, 0.5)),
+               ConfigError);
+  // A recording draws a fresh live schedule only.
+  EXPECT_THROW(FaultRecording(FaultSchedule::Replay(recording), kTenMsTicks,
+                              kRows),
+               ConfigError);
+  FaultSchedule advanced = FourInjectors(3);
+  advanced.Advance(0.0, kRows);
+  EXPECT_THROW(FaultRecording(std::move(advanced), kTenMsTicks, kRows),
+               ConfigError);
 }
 
 // ---------------------------------------------------------------------------
@@ -645,6 +776,14 @@ TEST(Campaign, SetupValidates) {
   setup.tau_post_partial_s = 1e-9;
   setup.t_refi = 0;
   EXPECT_THROW(setup.Validate(), ConfigError);
+  EXPECT_THROW(setup.Ticks(), ConfigError);
+  // Ticks run from cycle 0 through the horizon inclusive.
+  setup.t_refi = 3125;
+  setup.windows = 2;
+  const TickSequence ticks = setup.Ticks();
+  EXPECT_EQ(ticks.count, 2 * setup.base_window / setup.t_refi + 1);
+  EXPECT_EQ(ticks.cycle(ticks.count - 1), 2 * setup.base_window);
+  EXPECT_EQ(ticks.seconds(1), CyclesToSeconds(3125, setup.clock_period_s));
 }
 
 TEST(Campaign, AdaptiveSurvivesVrtWherePlainVrlLosesData) {
@@ -684,6 +823,30 @@ TEST(Campaign, AdaptiveSurvivesVrtWherePlainVrlLosesData) {
             result.jedec.refresh_busy_cycles);
 }
 
+/// Field-for-field equality of two reports, margins compared bit for bit.
+void ExpectSameReport(const CampaignReport& a, const CampaignReport& b) {
+  EXPECT_EQ(a.refreshes, b.refreshes);
+  EXPECT_EQ(a.partial_refreshes, b.partial_refreshes);
+  EXPECT_EQ(a.detected_failures, b.detected_failures);
+  EXPECT_EQ(a.corrected_failures, b.corrected_failures);
+  EXPECT_EQ(a.unrecovered_failures, b.unrecovered_failures);
+  EXPECT_EQ(Bits(a.min_margin), Bits(b.min_margin));
+  EXPECT_EQ(a.refresh_busy_cycles, b.refresh_busy_cycles);
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+  EXPECT_TRUE(a.adaptive == b.adaptive);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const SensingFailureEvent& x = a.events[i];
+    const SensingFailureEvent& y = b.events[i];
+    EXPECT_EQ(x.row, y.row) << i;
+    EXPECT_EQ(x.at_cycle, y.at_cycle) << i;
+    EXPECT_EQ(Bits(x.at_s), Bits(y.at_s)) << i;
+    EXPECT_EQ(Bits(x.margin), Bits(y.margin)) << i;
+    EXPECT_EQ(x.was_full, y.was_full) << i;
+    EXPECT_EQ(x.corrected, y.corrected) << i;
+  }
+}
+
 TEST(Campaign, ThreeLegsShareTheFaultTrace) {
   core::VrlConfig config;
   config.banks = 1;
@@ -692,13 +855,78 @@ TEST(Campaign, ThreeLegsShareTheFaultTrace) {
   core::ExperimentOptions options;
   options.windows = 4;
   options.fault_seed = 77;
-  const auto a = core::RunResilienceComparison(system, "VRL", vrt, options);
-  const auto b = core::RunResilienceComparison(system, "VRL", vrt, options);
-  // Deterministic end to end.
-  EXPECT_EQ(a.plain.detected_failures, b.plain.detected_failures);
-  EXPECT_EQ(a.adaptive.detected_failures, b.adaptive.detected_failures);
-  EXPECT_EQ(a.adaptive.refresh_busy_cycles, b.adaptive.refresh_busy_cycles);
-  EXPECT_DOUBLE_EQ(a.plain.min_margin, b.plain.min_margin);
+  // Each leg drawing its own schedule live is the reference for the
+  // comparison's one recorded draw, replayed into every leg.
+  const std::vector<core::ResilienceLeg> legs = core::ResilienceLegs("VRL");
+  std::vector<CampaignReport> live;
+  for (const core::ResilienceLeg& leg : legs) {
+    live.push_back(core::RunResilienceLeg(system, leg, vrt, options, nullptr));
+  }
+  EXPECT_GT(live[1].unrecovered_failures, 0u);
+  EXPECT_GT(live[2].corrected_failures, 0u);
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    SCOPED_TRACE(threads);
+    options.threads = threads;
+    const auto result =
+        core::RunResilienceComparison(system, "VRL", vrt, options);
+    ExpectSameReport(result.jedec, live[0]);
+    ExpectSameReport(result.plain, live[1]);
+    ExpectSameReport(result.adaptive, live[2]);
+  }
+}
+
+TEST(Campaign, IdleTickSkipMatchesAskingEveryTick) {
+  core::VrlConfig config;
+  config.banks = 1;
+  const core::VrlSystem system(config);
+  constexpr std::size_t kWindows = 2;
+  const CampaignSetup setup = system.CampaignSetupFor(kWindows);
+  retention::VrtParams vrt;
+  vrt.row_fraction = 0.05;
+  FaultSchedule schedule(5);
+  schedule.Add(std::make_unique<VrtFlipInjector>(vrt));
+  const FaultRecording recording =
+      system.RecordFaults(std::move(schedule), kWindows);
+  const auto campaign = [&](dram::RefreshPolicy& policy) {
+    FaultSchedule faults = FaultSchedule::Replay(recording);
+    return RunCampaign(system.refresh_model(), system.profile(), policy,
+                       faults, setup);
+  };
+  const std::size_t ticks = setup.Ticks().count;
+
+  for (const dram::PolicyInfo& info :
+       dram::PolicyRegistry::Global().entries()) {
+    SCOPED_TRACE(info.name);
+    const dram::PolicyFactory factory = system.MakePolicyFactory(info.name);
+    const auto skipping = factory();
+    AskEveryTick asking(factory());
+    const CampaignReport a = campaign(*skipping);
+    const CampaignReport b = campaign(asking);
+    EXPECT_GT(a.refreshes, 0u);
+    ExpectSameReport(a, b);
+    EXPECT_EQ(asking.proposes(), ticks);
+  }
+
+  // Adaptive(VRL): RunCampaign must see the adaptive wrapper itself to feed
+  // it failures, so the skip is switched off on its inner policy.
+  const auto adaptive = [&](std::unique_ptr<dram::RefreshPolicy> inner) {
+    return AdaptiveVrlPolicy(
+        std::move(inner),
+        dram::MakeRefreshPlan(system.binning(), config.tech.clock_period_s,
+                              system.row_mprsf()),
+        system.TauFullCycles(), system.TauPartialCycles(),
+        config.timing.t_refw, config.timing.t_refi);
+  };
+  const dram::PolicyFactory vrl = system.MakePolicyFactory("VRL");
+  auto direct = adaptive(vrl());
+  auto counted = std::make_unique<AskEveryTick>(vrl());
+  const AskEveryTick& inner = *counted;
+  auto asking = adaptive(std::move(counted));
+  const CampaignReport a = campaign(direct);
+  const CampaignReport b = campaign(asking);
+  EXPECT_GT(a.detected_failures, 0u);
+  ExpectSameReport(a, b);
+  EXPECT_EQ(inner.proposes(), ticks);
 }
 
 TEST(Campaign, RejectsJedecAsComparisonPolicy) {

@@ -1,9 +1,13 @@
 #pragma once
 
 // Shared test helpers: the full-latency baselines as the policy registry
-// builds them, and one refresh tick through the propose/grant contract.
+// builds them, one refresh tick through the propose/grant contract, and a
+// wrapper that switches off a policy's idle-tick skip.
 
 #include <cstddef>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -59,5 +63,35 @@ inline std::vector<dram::RefreshOp> GrantAll(dram::RefreshPolicy& policy,
   ctx.demand.now = now;
   return Grant(policy, ctx);
 }
+
+/// Forwards every call to the wrapped policy but keeps next_proposal() at
+/// 0, so a controller or a campaign asks it on every tick.  Counts the
+/// Propose calls it forwards.
+class AskEveryTick : public dram::RefreshPolicy {
+ public:
+  explicit AskEveryTick(std::unique_ptr<dram::RefreshPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override {
+    ++proposes_;
+    inner_->Propose(now, demand, out);
+  }
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
+    inner_->OnGrant(proposal, at);
+  }
+  void OnDefer(const dram::RefreshProposal& proposal) override {
+    inner_->OnDefer(proposal);
+  }
+  void OnRowAccess(std::size_t row) override { inner_->OnRowAccess(row); }
+  std::string Name() const override { return inner_->Name(); }
+  std::size_t rows() const override { return inner_->rows(); }
+
+  std::size_t proposes() const { return proposes_; }
+
+ private:
+  std::unique_ptr<dram::RefreshPolicy> inner_;
+  std::size_t proposes_ = 0;
+};
 
 }  // namespace vrl

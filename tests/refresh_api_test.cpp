@@ -578,31 +578,6 @@ TEST(NextProposal, SkippingIdleTicksGrantsTheEveryTickOpStream) {
   }
 }
 
-/// Forwards every call to the wrapped policy but keeps next_proposal() at
-/// 0, so a controller asks it on every tick.
-class AskEveryTick : public dram::RefreshPolicy {
- public:
-  explicit AskEveryTick(std::unique_ptr<dram::RefreshPolicy> inner)
-      : inner_(std::move(inner)) {}
-
-  void Propose(Cycles now, const dram::DemandView& demand,
-               std::vector<dram::RefreshProposal>& out) override {
-    inner_->Propose(now, demand, out);
-  }
-  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
-    inner_->OnGrant(proposal, at);
-  }
-  void OnDefer(const dram::RefreshProposal& proposal) override {
-    inner_->OnDefer(proposal);
-  }
-  void OnRowAccess(std::size_t row) override { inner_->OnRowAccess(row); }
-  std::string Name() const override { return inner_->Name(); }
-  std::size_t rows() const override { return inner_->rows(); }
-
- private:
-  std::unique_ptr<dram::RefreshPolicy> inner_;
-};
-
 // ---------------------------------------------------------------------------
 // DARP under heavy deferral against a reference schedule
 // ---------------------------------------------------------------------------
