@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench/reporting.hpp"
 #include "core/vrl_system.hpp"
@@ -35,19 +36,24 @@ int main(int argc, char** argv) {
   TextTable& table = report.AddTable(
       "sweep", {"subarrays", "policy", "avg latency (cyc)",
                 "refresh cyc/bank"});
+  std::vector<core::VrlSystem> systems;
   for (const std::size_t subarrays :
        {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     core::VrlConfig config;
     config.banks = 4;
     config.subarrays = subarrays;
-    const core::VrlSystem system(config);
-    const Cycles horizon = system.HorizonForWindows(8);
-    Rng rng(5);
-    const auto streams = trace::GenerateStreams(
-        hot, trace::AddressMapper(system.Geometry()), horizon, rng);
+    systems.emplace_back(config);
+  }
+  // Subarrays change neither Geometry() nor the horizon: one draw serves
+  // every system.
+  const Cycles horizon = systems.front().HorizonForWindows(8);
+  Rng rng(5);
+  const auto streams = trace::GenerateStreams(
+      hot, trace::AddressMapper(systems.front().Geometry()), horizon, rng);
+  for (const core::VrlSystem& system : systems) {
     for (const char* policy : {"JEDEC", "VRL-Access"}) {
       const auto stats = system.SimulateStreams(policy, streams, horizon);
-      table.AddRow({std::to_string(subarrays), policy,
+      table.AddRow({std::to_string(system.config().subarrays), policy,
                     Fmt(stats.AverageRequestLatency(), 1),
                     Fmt(stats.RefreshOverheadPerBank(), 0)});
     }

@@ -21,9 +21,10 @@ int main(int argc, char** argv) {
   core::VrlConfig config;
   core::VrlSystem system(config);
   telemetry::RecorderOptions recorder_options;
-  // --profile: the suite fans out across ParallelMap shards, so this is
-  // the thread-count byte-identity vehicle for attribution trees — the
-  // shard profilers merge in task-index order (docs/PROFILING.md).
+  // --profile: the suite fans its workloads out with ParallelFor, one
+  // recorder shard per workload, so this is the thread-count byte-identity
+  // vehicle for attribution trees — the shard profilers merge in
+  // task-index order (docs/PROFILING.md).
   recorder_options.profile_phases = report_options.profile;
   telemetry::Recorder recorder(recorder_options);
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,10 +65,20 @@ int main(int argc, char** argv) {
   // Page-policy comparison on the random-access workload: closed-page
   // turns conflicts into row-empty activations (precharge happens in the
   // shadow of the previous access), which wins when hits are rare.  Its
-  // rows are buffered while canneal's draw is live and the table added
-  // last: Report::AddTable returns a reference that a later AddTable call
-  // may invalidate.
+  // open-page row is canneal's FCFS VRL-Access run of the first table.
+  // The rows are buffered and the table added last: Report::AddTable
+  // returns a reference that a later AddTable call may invalidate.
+  const auto hit_rate = [](const dram::SimulationStats& stats) {
+    const double hits = static_cast<double>(stats.TotalRowHits());
+    const double accesses = hits + static_cast<double>(stats.TotalRowMisses());
+    return FmtPercent(accesses > 0 ? hits / accesses : 0.0, 1);
+  };
   std::vector<std::vector<std::string>> page_rows;
+  const auto add_page_row = [&](const char* page,
+                                const dram::SimulationStats& stats) {
+    page_rows.push_back(
+        {page, Fmt(stats.AverageRequestLatency(), 1), hit_rate(stats)});
+  };
   for (const auto& workload : workloads) {
     TextTable& table = report.AddTable(
         workload.name, {"scheduler", "policy", "avg latency (cyc)",
@@ -75,35 +86,23 @@ int main(int argc, char** argv) {
     Rng rng(11);
     const auto streams =
         trace::GenerateStreams(workload, mapper, horizon, rng);
+    const bool page_study = workload.name == "canneal";
 
     for (const core::VrlSystem* system : {&fcfs, &fr_fcfs}) {
       for (const char* policy : {"JEDEC", "RAIDR", "VRL", "VRL-Access"}) {
         const auto stats = system->SimulateStreams(policy, streams, horizon);
-        const double hits = static_cast<double>(stats.TotalRowHits());
-        const double accesses =
-            hits + static_cast<double>(stats.TotalRowMisses());
         table.AddRow({dram::SchedulerName(system->config().scheduler), policy,
-                      Fmt(stats.AverageRequestLatency(), 1),
-                      FmtPercent(accesses > 0 ? hits / accesses : 0.0, 1),
+                      Fmt(stats.AverageRequestLatency(), 1), hit_rate(stats),
                       Fmt(stats.RefreshOverheadPerBank(), 0)});
+        if (page_study && system == &fcfs &&
+            std::string_view(policy) == "VRL-Access") {
+          add_page_row("open", stats);
+        }
       }
     }
-
-    if (workload.name != "canneal") {
-      continue;
-    }
-    for (const core::VrlSystem* system : {&fcfs, &closed_page}) {
-      const auto stats =
-          system->SimulateStreams("VRL-Access", streams, horizon);
-      const double hits = static_cast<double>(stats.TotalRowHits());
-      const double accesses =
-          hits + static_cast<double>(stats.TotalRowMisses());
-      page_rows.push_back(
-          {system->config().page_policy == dram::RowBufferPolicy::kOpenPage
-               ? "open"
-               : "closed",
-           Fmt(stats.AverageRequestLatency(), 1),
-           FmtPercent(accesses > 0 ? hits / accesses : 0.0, 1)});
+    if (page_study) {
+      add_page_row("closed", closed_page.SimulateStreams("VRL-Access",
+                                                         streams, horizon));
     }
   }
   TextTable& page_table = report.AddTable(

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // honest caveat on any refresh-energy headline.
   const power::PowerModel power_model(options.energy,
                                       system.config().tech.clock_period_s);
-  const Cycles horizon = system.HorizonForWindows(16);
+  const Cycles horizon = system.HorizonForWindows(options.windows);
   Rng rng(3);
   const auto streams = trace::GenerateStreams(
       trace::SuiteWorkload("streamcluster"),

@@ -25,8 +25,8 @@
 //                       DDR4_2400 and LPDDR4_3200
 //   --windows <n>       base refresh windows per simulation (default 4,
 //                       at least 1)
-//   --workloads <n>     first n suite workloads only (0 = all; CI's
-//                       reduced grid uses a small n)
+//   --workloads <n>     first n suite workloads only (0 = all; at most
+//                       the suite's 14; CI's reduced grid uses a small n)
 //   --subarrays <n>     subarrays per bank (default 4 — SARP's parallelism
 //                       needs more than one; at least 1)
 //   --audit-out <path>  write the merged audit logs (CI artifact, checked
@@ -149,7 +149,12 @@ int RunTournament(const vrl::bench::ReportOptions& report_options,
   }
 
   auto workloads = trace::EvaluationSuite();
-  if (flags.max_workloads != 0 && flags.max_workloads < workloads.size()) {
+  if (flags.max_workloads > workloads.size()) {
+    throw ConfigError("--workloads " + std::to_string(flags.max_workloads) +
+                      " exceeds the suite's " +
+                      std::to_string(workloads.size()) + " workloads");
+  }
+  if (flags.max_workloads != 0) {
     workloads.resize(flags.max_workloads);
   }
 

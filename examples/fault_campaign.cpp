@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
     telemetry::Recorder recorder(recorder_options);
 
     const auto leg_fn = [&](std::size_t leg) {
-      auto faults = fault::FaultSchedule::Replay(recording);
       core::FaultCampaignOptions options;
       options.windows = windows;
       options.adaptive = legs[leg].adaptive;
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
           legs[leg].adaptive ? &recorder : &local;
       options.telemetry = leg_recorder;
       const fault::CampaignReport leg_report =
-          system.RunFaultCampaign(legs[leg].policy, faults, options);
+          system.RunFaultCampaign(legs[leg].policy, recording, options);
       std::ostringstream os;
       runtime::EncodeCampaignReport(os, leg_report);
       runtime::EncodeSnapshot(os, leg_recorder->Snapshot());

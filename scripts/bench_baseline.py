@@ -31,18 +31,8 @@ import os
 import subprocess
 import sys
 
-def ratio_regressed(value, base_value, threshold):
-    """True when `value` regressed past `base_value` by more than `threshold`.
-
-    "10% regression" means the metric itself grew by >10% relative to the
-    baseline (e.g. a 1.01 overhead ratio rising past 1.111), not an absolute
-    +0.10.  Shared with scripts/diff_runs.py so both gates agree on what a
-    regression is.  Baselines at (or below) zero cannot be ratio-gated:
-    any positive value counts as a regression, zero/negative never does.
-    """
-    if base_value <= 0.0:
-        return value > 0.0
-    return value > base_value * (1.0 + threshold)
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from diff_runs import ratio_regressed  # noqa: E402
 
 
 RATIO_KEYS = [

@@ -12,7 +12,7 @@ series, and gates two things:
 
   * **Trajectory regression**: for every ratio present in two or more
     baselines, the latest value must not exceed the earliest by more
-    than ``--threshold`` (ratio_regressed from bench_baseline.py).
+    than ``--threshold`` (ratio_regressed from diff_runs.py).
     Point-to-point wobble between recordings is expected — different
     machines, different loads — but the first->last drift is the cost
     the instrumentation has actually accumulated over the PR sequence.
@@ -37,7 +37,7 @@ import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_baseline import ratio_regressed  # noqa: E402
+from diff_runs import ratio_regressed  # noqa: E402
 
 # (ratio key, ceiling) — the budget lines the docs quote.  Checked on the
 # newest baseline that records the ratio; older baselines predate the

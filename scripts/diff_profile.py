@@ -28,7 +28,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_baseline import ratio_regressed  # noqa: E402
+from diff_runs import ratio_regressed  # noqa: E402
 
 
 def load(path):

@@ -15,8 +15,9 @@ foo.jsonl`.  Every numeric value is extracted into a flat metric map:
                                         a JSONL trace, plus per-type line
                                         counts
 
-The gate reuses ``ratio_regressed`` from scripts/bench_baseline.py,
-applied in BOTH directions: a metric regresses when it moved by more than
+The gate is ``ratio_regressed`` (defined here; scripts/diff_profile.py,
+bench_baseline.py and bench_trajectory.py import it), applied in BOTH
+directions: a metric regresses when it moved by more than
 ``--threshold`` relative to the baseline either way.  The default
 threshold is 0 — the simulator is deterministic (docs/EXPERIMENTS.md), so
 two runs of the same configuration must produce identical metrics and any
@@ -30,11 +31,22 @@ Keys present on only one side are reported; they fail the gate unless
 
 import argparse
 import json
-import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_baseline import ratio_regressed  # noqa: E402
+
+def ratio_regressed(value, base_value, threshold):
+    """True when `value` regressed past `base_value` by more than `threshold`.
+
+    "10% regression" means the metric itself grew by >10% relative to the
+    baseline (e.g. a 1.01 overhead ratio rising past 1.111), not an absolute
+    +0.10.  Every gate in scripts/ imports it from here, so they all agree
+    on what a regression is.  Baselines at (or below) zero cannot be
+    ratio-gated: any positive value counts as a regression, zero/negative
+    never does.
+    """
+    if base_value <= 0.0:
+        return value > 0.0
+    return value > base_value * (1.0 + threshold)
 
 
 def to_number(text):

@@ -144,7 +144,7 @@ fault::FaultSchedule VrtSchedule(const retention::VrtParams& vrt,
 
 fault::CampaignReport RunLegUnder(const VrlSystem& system,
                                   const ResilienceLeg& leg,
-                                  fault::FaultSchedule& faults,
+                                  const fault::FaultRecording& faults,
                                   const ExperimentOptions& options,
                                   telemetry::Recorder* recorder) {
   FaultCampaignOptions campaign;
@@ -160,11 +160,12 @@ fault::CampaignReport RunResilienceLeg(
     const VrlSystem& system, const ResilienceLeg& leg,
     const retention::VrtParams& vrt, const ExperimentOptions& options,
     telemetry::Recorder* recorder) {
-  // The leg draws its own schedule, seeded like every other leg's and
-  // advanced on the same campaign ticks, so it sees the realization
-  // RunResilienceComparison records once and replays.
-  fault::FaultSchedule faults = VrtSchedule(vrt, options);
-  return RunLegUnder(system, leg, faults, options, recorder);
+  // The leg records its own draw of the schedule every leg shares, so it
+  // sees the realization RunResilienceComparison records once.
+  return RunLegUnder(system, leg,
+                     system.RecordFaults(VrtSchedule(vrt, options),
+                                         options.windows),
+                     options, recorder);
 }
 
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
@@ -172,7 +173,7 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options) {
   // The fault realization is drawn once, before the fan-out, and every leg
-  // replays the read-only recording into its own schedule.  Each leg also
+  // replays the read-only recording into its own campaign.  Each leg also
   // owns its FaultCampaignOptions (RunLegUnder) and report slot; telemetry
   // is per-leg sharded and merged in leg order, like the suite.
   const std::vector<ResilienceLeg> legs = ResilienceLegs(policy);
@@ -189,8 +190,7 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
   ParallelFor(
       "resilience_comparison", legs.size(),
       [&](std::size_t i) {
-        fault::FaultSchedule faults = fault::FaultSchedule::Replay(recording);
-        *outs[i] = RunLegUnder(system, legs[i], faults, options,
+        *outs[i] = RunLegUnder(system, legs[i], recording, options,
                                shards ? &shards->shard(i) : nullptr);
       },
       options.threads);

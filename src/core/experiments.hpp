@@ -118,9 +118,9 @@ struct ResilienceLeg {
 /// to compare).
 std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy);
 
-/// Runs one resilience leg: builds the leg's own FaultSchedule from
-/// options.fault_seed and the VRT injector, draws it live, and campaigns it
-/// through the system.  Its report equals the same leg of
+/// Runs one resilience leg: records the leg's own draw of the
+/// FaultSchedule built from options.fault_seed and the VRT injector, and
+/// campaigns it through the system.  Its report equals the same leg of
 /// RunResilienceComparison.  `recorder` (may be null) receives the leg's
 /// telemetry.
 fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
@@ -134,7 +134,7 @@ fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
 /// by building campaigns directly via VrlSystem::RunFaultCampaign.  The
 /// fault realization is drawn once (VrlSystem::RecordFaults) and replayed
 /// into every leg; the three legs run as parallel tasks, each owning its
-/// replay schedule, options, telemetry shard and report slot, so results
+/// campaign, options, telemetry shard and report slot, so results
 /// are bit-identical across thread counts and leg completion orders.
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          std::string_view policy,

@@ -60,10 +60,11 @@ IntegrityReport IntegrityChecker::Replay(dram::RefreshPolicy& policy,
   // A campaign with no injector: every row's fault scale is exactly 1.0,
   // so each op senses its row at the runtime retention itself.  A failed
   // sense restores the row so further failures count distinctly.
-  fault::FaultSchedule no_faults;
-  const fault::CampaignReport campaign =
-      fault::RunCampaign(system_.refresh_model(), runtime_, policy, no_faults,
-                         system_.CampaignSetupFor(windows));
+  const fault::CampaignSetup setup = system_.CampaignSetupFor(windows);
+  const fault::FaultRecording no_faults(fault::FaultSchedule{}, setup.Ticks(),
+                                        runtime_.rows());
+  const fault::CampaignReport campaign = fault::RunCampaign(
+      system_.refresh_model(), runtime_, policy, no_faults, setup);
 
   IntegrityReport report;
   report.refreshes_checked = campaign.refreshes;

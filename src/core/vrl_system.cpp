@@ -228,7 +228,7 @@ fault::FaultRecording VrlSystem::RecordFaults(fault::FaultSchedule schedule,
 }
 
 fault::CampaignReport VrlSystem::RunFaultCampaign(
-    std::string_view policy, fault::FaultSchedule& faults,
+    std::string_view policy, const fault::FaultRecording& faults,
     const FaultCampaignOptions& options) const {
   fault::CampaignSetup setup = CampaignSetupFor(options.windows);
   setup.telemetry = options.telemetry;

@@ -198,19 +198,20 @@ class VrlSystem {
 
   /// Runs a fault-injection campaign (see fault/campaign.hpp): one bank of
   /// this system, refreshed by the registry policy `policy`, replayed
-  /// against the physics while `faults` perturbs the runtime retention.
-  /// With options.adaptive the policy is wrapped in
+  /// against the physics while the recorded `faults` perturb the runtime
+  /// retention.  With options.adaptive the policy is wrapped in
   /// fault::AdaptiveVrlPolicy and detected failures feed the degradation
   /// state machine; the returned report carries the failure event log and
-  /// the state-machine counters.
+  /// the state-machine counters.  \throws vrl::ConfigError when `faults`
+  /// was not recorded (RecordFaults) for options.windows.
   fault::CampaignReport RunFaultCampaign(
-      std::string_view policy, fault::FaultSchedule& faults,
+      std::string_view policy, const fault::FaultRecording& faults,
       const FaultCampaignOptions& options = {}) const;
 
   /// Draws `schedule`'s fault realization once over the ticks of a
-  /// `windows`-window campaign of this system, for replay into any number
-  /// of RunFaultCampaign calls (fault::FaultSchedule::Replay) with the same
-  /// `windows`.  \throws vrl::ConfigError for an invalid campaign setup.
+  /// `windows`-window campaign of this system, for any number of
+  /// RunFaultCampaign calls with the same `windows`.
+  /// \throws vrl::ConfigError for an invalid campaign setup.
   fault::FaultRecording RecordFaults(fault::FaultSchedule schedule,
                                      std::size_t windows) const;
 

@@ -1,5 +1,7 @@
 #include "fault/campaign.hpp"
 
+#include <sstream>
+
 #include "common/error.hpp"
 #include "dram/scheduler.hpp"
 #include "fault/charge_tracker.hpp"
@@ -47,12 +49,26 @@ double CampaignReport::RefreshOverheadFraction() const {
 CampaignReport RunCampaign(const model::RefreshModel& model,
                            const retention::RetentionProfile& truth,
                            dram::RefreshPolicy& policy,
-                           FaultSchedule& faults,
+                           const FaultRecording& faults,
                            const CampaignSetup& setup) {
-  setup.Validate();
+  const TickSequence ticks = setup.Ticks();
   const std::size_t rows = truth.rows();
   if (policy.rows() != rows) {
     throw ConfigError("RunCampaign: policy row count mismatch");
+  }
+  // The recording fixes the instants and the bank it was drawn for (a VRT
+  // flip's probability grows with the step), so it replays only into a
+  // campaign of the same ticks and rows.
+  if (!(faults.ticks() == ticks) || faults.rows() != rows) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "RunCampaign: fault recording of " << faults.ticks().count
+       << " ticks every " << faults.ticks().period << " cycles of "
+       << faults.ticks().clock_period_s << " s over " << faults.rows()
+       << " rows; the campaign has " << ticks.count << " ticks every "
+       << ticks.period << " cycles of " << ticks.clock_period_s
+       << " s over " << rows << " rows";
+    throw ConfigError(os.str());
   }
   auto* adaptive = dynamic_cast<AdaptiveVrlPolicy*>(&policy);
 
@@ -85,7 +101,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
   }
   const std::uint32_t campaign_cause =
       rec == nullptr ? 0 : rec->lineage().Intern("campaign:" + policy.Name());
-  // Attribution (--profile, docs/PROFILING.md): the per-tick fault clock
+  // Attribution (--profile, docs/PROFILING.md): the per-tick fault replay
   // and the grant + ChargeTracker op loop are timed on a 1-in-N sample
   // (exact counts) and folded under one "campaign.run" frame at the end.
   telemetry::Profiler* profiler = rec == nullptr ? nullptr : rec->profiler();
@@ -110,9 +126,10 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     }
   };
 
+  FaultState state(rows);
+  ReplayCursor cursor(faults);
   std::vector<dram::RefreshProposal> proposals;
   std::vector<dram::RefreshOp> ops;
-  const TickSequence ticks = setup.Ticks();
   for (std::size_t k = 0; k < ticks.count; ++k) {
     const Cycles tick = ticks.cycle(k);
     if (tracer != nullptr) {
@@ -120,7 +137,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     }
     const double now_s = ticks.seconds(k);
     faults_phase.Start();
-    faults.Advance(now_s, rows);
+    cursor.ApplyThrough(k, state);
     faults_phase.Stop();
     refresh_phase.Start();
     if (tick < policy.next_proposal()) {
@@ -138,7 +155,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
     dram::GrantRefreshes(policy, grant_ctx, nullptr, ops, proposals);
     for (const auto& op : ops) {
       const double retention =
-          truth.RowRetention(op.row) * faults.RowScale(op.row);
+          truth.RowRetention(op.row) * state.RowScale(op.row);
       const auto sense = tracker.Refresh(
           op.row, now_s, retention, op.is_full,
           op.is_full ? setup.tau_post_full_s : setup.tau_post_partial_s);

@@ -14,14 +14,14 @@
 /// Fault-injection campaign: the online failure monitor.
 ///
 /// Replays a refresh policy tick-by-tick against the physics while a
-/// FaultSchedule perturbs the runtime retention underneath it.  Every
+/// FaultRecording perturbs the runtime retention underneath it.  Every
 /// refresh operation senses its row through the shared ChargeTracker; a
 /// failed sense is a SensingFailureEvent — the simulator analogue of an
 /// ECC scrub flagging a weak read.  When the policy is an
 /// AdaptiveVrlPolicy the event is fed back (demotion / fallback) and the
 /// ECC write-back recovers the data; a plain policy has no detection path,
-/// so every failure is silent data loss.  With an empty FaultSchedule the
-/// campaign is core::IntegrityChecker's schedule replay.
+/// so every failure is silent data loss.  With the recording of an empty
+/// FaultSchedule the campaign is core::IntegrityChecker's schedule replay.
 
 namespace vrl::fault {
 
@@ -90,15 +90,17 @@ struct CampaignReport {
 };
 
 /// Runs `setup.windows` base windows of `policy` against `truth` (the
-/// actual per-row retention, before fault scaling) under the fault
-/// schedule, advanced on every tick of setup.Ticks().  Below the policy's
-/// next_proposal() a tick skips propose/grant (SkipIdleTick), as the
-/// memory controller does.  Detection feedback is wired automatically when
-/// `policy` is an AdaptiveVrlPolicy.
+/// actual per-row retention, before fault scaling) under the recorded
+/// faults, whose writes for tick k land on tick k of setup.Ticks().  Below
+/// the policy's next_proposal() a tick skips propose/grant
+/// (SkipIdleTick), as the memory controller does.  Detection feedback is
+/// wired automatically when `policy` is an AdaptiveVrlPolicy.
+/// \throws vrl::ConfigError when `faults` was taken over other ticks than
+/// setup.Ticks() or another row count than `truth`'s.
 CampaignReport RunCampaign(const model::RefreshModel& model,
                            const retention::RetentionProfile& truth,
                            dram::RefreshPolicy& policy,
-                           FaultSchedule& faults,
+                           const FaultRecording& faults,
                            const CampaignSetup& setup);
 
 }  // namespace vrl::fault

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
@@ -240,107 +239,17 @@ void ProfileCorruptionInjector::Advance(double now_s, FaultState& state,
 // FaultSchedule
 // ---------------------------------------------------------------------------
 
-FaultSchedule::FaultSchedule(std::uint64_t seed) : rng_(seed) {}
-
-FaultSchedule FaultSchedule::Replay(const FaultRecording& recording) {
-  FaultSchedule schedule;
-  schedule.replay_ = &recording;
-  return schedule;
-}
+FaultSchedule::FaultSchedule(std::uint64_t seed) : seed_(seed) {}
 
 FaultSchedule& FaultSchedule::Add(std::unique_ptr<FaultInjector> injector) {
   if (!injector) {
     throw ConfigError("FaultSchedule: null injector");
   }
-  if (replay_ != nullptr) {
-    throw ConfigError("FaultSchedule: a replay takes no injectors");
-  }
   injectors_.push_back(std::move(injector));
   return *this;
 }
 
-void FaultSchedule::Advance(double now_s, std::size_t rows) {
-  Step(now_s, rows, nullptr, 0);
-}
-
-void FaultSchedule::Step(double now_s, std::size_t rows,
-                         std::vector<FaultWrite>* log, std::uint32_t tick) {
-  if (replay_ != nullptr && rows != replay_->rows()) {
-    throw ConfigError("FaultSchedule: replay advanced for " +
-                      std::to_string(rows) + " rows, recorded for " +
-                      std::to_string(replay_->rows()));
-  }
-  const bool first = !state_;
-  if (first) {
-    state_ = std::make_unique<FaultState>(rows);
-  } else {
-    if (state_->rows() != rows) {
-      throw ConfigError("FaultSchedule: row count changed between advances");
-    }
-    if (now_s < last_now_s_) {
-      throw ConfigError("FaultSchedule: time must be non-decreasing");
-    }
-  }
-  if (replay_ != nullptr) {
-    // A repeated instant changes nothing, as it does for the injectors.
-    if (first || now_s != last_now_s_) {
-      ReplayStep(now_s);
-    }
-    last_now_s_ = now_s;
-    return;
-  }
-  last_now_s_ = now_s;
-  state_->LogChangesTo(log, tick);
-  for (auto& injector : injectors_) {
-    injector->Advance(now_s, *state_, rng_);
-  }
-  state_->LogChangesTo(nullptr, 0);
-}
-
-void FaultSchedule::ReplayStep(double now_s) {
-  // The recorded realization depends on the instants it was drawn at (a
-  // VRT flip's probability grows with the step), so a replay must walk the
-  // recorded ticks one by one.
-  const TickSequence& ticks = replay_->ticks();
-  if (next_tick_ >= ticks.count || now_s != ticks.seconds(next_tick_)) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "FaultSchedule: replay advanced to " << now_s << " s, not to ";
-    if (next_tick_ < ticks.count) {
-      os << "its recording's next tick " << next_tick_ << " at "
-         << ticks.seconds(next_tick_) << " s";
-    } else {
-      os << "a tick of its recording (all " << ticks.count << " replayed)";
-    }
-    throw ConfigError(os.str());
-  }
-  const std::vector<FaultWrite>& writes = replay_->writes();
-  while (next_write_ < writes.size() &&
-         writes[next_write_].tick == next_tick_) {
-    state_->Apply(writes[next_write_]);
-    ++next_write_;
-  }
-  ++next_tick_;
-}
-
-double FaultSchedule::RowScale(std::size_t row) const {
-  if (!state_) {
-    return 1.0;
-  }
-  return state_->RowScale(row);
-}
-
-const FaultState& FaultSchedule::state() const {
-  if (!state_) {
-    throw ConfigError("FaultSchedule: not advanced yet");
-  }
-  return *state_;
-}
-
 std::string FaultSchedule::Describe() const {
-  if (replay_ != nullptr) {
-    return replay_->description();
-  }
   std::string out;
   for (const auto& injector : injectors_) {
     if (!out.empty()) {
@@ -360,17 +269,17 @@ FaultRecording::FaultRecording(FaultSchedule schedule,
     : ticks_(ticks),
       rows_(rows),
       description_(schedule.Describe()) {
-  if (schedule.replay_ != nullptr || schedule.state_) {
-    throw ConfigError(
-        "FaultRecording: needs a live schedule that was not advanced yet");
-  }
   constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
   if (ticks.count > kMaxIndex || rows > kMaxIndex) {
     throw ConfigError("FaultRecording: more than 2^32 ticks or rows");
   }
+  FaultState state(rows);
+  Rng rng(schedule.seed_);
   for (std::size_t k = 0; k < ticks.count; ++k) {
-    schedule.Step(ticks.seconds(k), rows, &writes_,
-                  static_cast<std::uint32_t>(k));
+    state.LogChangesTo(&writes_, static_cast<std::uint32_t>(k));
+    for (auto& injector : schedule.injectors_) {
+      injector->Advance(ticks.seconds(k), state, rng);
+    }
   }
 }
 

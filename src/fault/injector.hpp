@@ -34,8 +34,8 @@
 ///                                (stale or corrupted profiling data).
 ///
 /// A FaultRecording advances a schedule once over a campaign's tick
-/// sequence and keeps the component writes; FaultSchedule::Replay plays
-/// them back into any number of campaigns (docs/FAULTS.md §4).
+/// sequence and keeps the component writes; every campaign plays them back
+/// through a ReplayCursor (docs/FAULTS.md §4).
 
 namespace vrl::fault {
 
@@ -46,6 +46,8 @@ struct TickSequence {
   Cycles period = 1;
   std::size_t count = 0;
   double clock_period_s = 1.0;
+
+  bool operator==(const TickSequence&) const = default;
 
   Cycles cycle(std::size_t k) const {
     return static_cast<Cycles>(k) * period;
@@ -215,35 +217,14 @@ class ProfileCorruptionInjector : public FaultInjector {
   bool fired_ = false;
 };
 
-class FaultRecording;
-
-/// A composed set of injectors advanced together by the campaign clock.
-/// Owns the fault RNG and the FaultState (sized at the first Advance).
-/// A replay schedule (Replay) runs no injectors: it plays a recording's
-/// writes back instead.
+/// A composed set of injectors and the seed of the fault RNG they draw
+/// from.  Only a FaultRecording advances it, once, over a campaign's ticks.
 class FaultSchedule {
  public:
   explicit FaultSchedule(std::uint64_t seed = 0x5EEDFA17ULL);
 
-  /// A schedule that replays `recording`, which must outlive it.  Each
-  /// Advance lands on the recording's next tick (or repeats the last one)
-  /// and leaves the state the recorded schedule had there, bit for bit.
-  static FaultSchedule Replay(const FaultRecording& recording);
-
-  /// \throws vrl::ConfigError on a replay schedule.
+  /// \throws vrl::ConfigError for a null injector.
   FaultSchedule& Add(std::unique_ptr<FaultInjector> injector);
-
-  /// Advances every injector to `now_s` for a bank of `rows` rows.  `now_s`
-  /// must be non-decreasing and `rows` stable across calls; a replay also
-  /// needs `now_s` to be its recording's next tick time and `rows` its row
-  /// count.  \throws vrl::ConfigError otherwise.
-  void Advance(double now_s, std::size_t rows);
-
-  /// Effective retention scale of one row; 1.0 before the first Advance.
-  double RowScale(std::size_t row) const;
-
-  /// State after the last Advance.  \throws vrl::ConfigError before it.
-  const FaultState& state() const;
 
   /// Comma-joined injector names, for reports.
   std::string Describe() const;
@@ -251,31 +232,20 @@ class FaultSchedule {
  private:
   friend class FaultRecording;
 
-  /// Advance, with every component change logged into `log` stamped
-  /// `tick` (null: no logging).
-  void Step(double now_s, std::size_t rows, std::vector<FaultWrite>* log,
-            std::uint32_t tick);
-  void ReplayStep(double now_s);
-
-  Rng rng_;
+  std::uint64_t seed_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
-  std::unique_ptr<FaultState> state_;
-  double last_now_s_ = 0.0;
-  const FaultRecording* replay_ = nullptr;
-  std::size_t next_tick_ = 0;   ///< Replay: the next recorded tick.
-  std::size_t next_write_ = 0;  ///< Replay: the first write not applied.
 };
 
 /// One fault realization, drawn once and replayed into many campaigns:
-/// a fresh schedule advanced over a tick sequence, kept as the log of the
+/// a schedule advanced over a tick sequence, kept as the log of the
 /// component writes that changed a value (no per-tick arrays).  Read-only
 /// once built, so concurrent replays may share it.
 class FaultRecording {
  public:
-  /// Advances `schedule`, which must be live and not yet advanced, over
-  /// every tick of `ticks` for a bank of `rows` rows.
-  /// \throws vrl::ConfigError otherwise, or for more than 2^32 ticks or
-  /// rows.
+  /// Advances every injector of `schedule`, in order and from one
+  /// generator seeded with its seed, on every tick of `ticks` for a bank
+  /// of `rows` rows.  \throws vrl::ConfigError for no rows, or for more
+  /// than 2^32 ticks or rows.
   FaultRecording(FaultSchedule schedule, const TickSequence& ticks,
                  std::size_t rows);
 
@@ -291,6 +261,27 @@ class FaultRecording {
   std::size_t rows_;
   std::vector<FaultWrite> writes_;
   std::string description_;
+};
+
+/// Plays a recording, which must outlive the cursor, back into a
+/// FaultState of its row count: after ApplyThrough(k, state) for
+/// k = 0, 1, ... in turn, `state` holds what the recorded schedule's state
+/// held at tick k, bit for bit.
+class ReplayCursor {
+ public:
+  explicit ReplayCursor(const FaultRecording& recording)
+      : writes_(&recording.writes()) {}
+
+  /// Applies every write recorded at or before tick `k` not applied yet.
+  void ApplyThrough(std::size_t k, FaultState& state) {
+    for (; next_ < writes_->size() && (*writes_)[next_].tick <= k; ++next_) {
+      state.Apply((*writes_)[next_]);
+    }
+  }
+
+ private:
+  const std::vector<FaultWrite>* writes_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace vrl::fault

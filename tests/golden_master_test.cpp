@@ -214,8 +214,8 @@ std::string AdaptiveCampaignProfile() {
   retention::VrtParams vrt;
   vrt.row_fraction = 0.15;
   vrt.low_ratio = 0.4;
-  fault::FaultSchedule faults(0xFA11);
-  faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
+  fault::FaultSchedule schedule(0xFA11);
+  schedule.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
 
   telemetry::RecorderOptions options;
   options.profile_phases = true;
@@ -223,7 +223,9 @@ std::string AdaptiveCampaignProfile() {
   core::FaultCampaignOptions campaign;
   campaign.windows = 2;
   campaign.telemetry = &recorder;
-  system.RunFaultCampaign("VRL", faults, campaign);
+  system.RunFaultCampaign(
+      "VRL", system.RecordFaults(std::move(schedule), campaign.windows),
+      campaign);
 
   std::ostringstream profile;
   telemetry::WriteProfileJson(

@@ -297,12 +297,13 @@ TEST(SharedState, ResilienceLegsMatchIndependentlyBuiltCampaigns) {
       core::RunResilienceComparison(system, "VRL", vrt, experiment);
 
   const auto run_leg = [&](const char* policy, bool adaptive) {
-    fault::FaultSchedule faults(kSeed);
-    faults.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
+    fault::FaultSchedule schedule(kSeed);
+    schedule.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
     core::FaultCampaignOptions options;
     options.windows = kWindows;
     options.adaptive = adaptive;
-    return system.RunFaultCampaign(policy, faults, options);
+    return system.RunFaultCampaign(
+        policy, system.RecordFaults(std::move(schedule), kWindows), options);
   };
   ExpectReportBitIdentical(comparison.jedec, run_leg("JEDEC", false));
   ExpectReportBitIdentical(comparison.plain, run_leg("VRL", false));

@@ -410,9 +410,10 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
     EXPECT_EQ(RunBinary("refresh_tournament", args), 2) << args;
   }
   // Counts the grid cannot run: zero windows or subarrays are flag errors,
-  // more subarrays than rows a library ConfigError; each is one `error:`
-  // line and exit 2, not an abort or a report of nothing.
-  for (const char* args : {"--windows 0", "--subarrays 0",
+  // more workloads than the suite holds or more subarrays than rows a
+  // ConfigError; each is one `error:` line and exit 2, not an abort or a
+  // report of nothing.
+  for (const char* args : {"--windows 0", "--subarrays 0", "--workloads 15",
                            "--subarrays 9000 --windows 1 --workloads 1"}) {
     std::string err;
     EXPECT_EQ(RunBinary("refresh_tournament", args, &err), 2) << args;
