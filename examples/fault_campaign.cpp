@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
           config.banks = 1;  // the campaign replays one bank's schedule
         }},
        {"--policy", &policy_name},
-       {"--windows", &windows},
+       {"--windows", &windows, bench::kPositive},
        {"--seed", &seed},
        {"--row-fraction", &vrt.row_fraction},
        {"--low-ratio", &vrt.low_ratio},
@@ -148,18 +148,14 @@ int main(int argc, char** argv) {
     telemetry::Recorder recorder(recorder_options);
 
     const auto leg_fn = [&](std::size_t leg) {
-      core::FaultCampaignOptions options;
-      options.windows = windows;
-      options.adaptive = legs[leg].adaptive;
       // The adaptive leg uses the process recorder (trace/profile export
       // reads it afterwards); other legs get a local recorder so the
       // payload format stays uniform.
       telemetry::Recorder local;
       telemetry::Recorder* leg_recorder =
           legs[leg].adaptive ? &recorder : &local;
-      options.telemetry = leg_recorder;
       const fault::CampaignReport leg_report =
-          system.RunFaultCampaign(legs[leg].policy, recording, options);
+          system.RunFaultCampaign(legs[leg], recording, leg_recorder);
       std::ostringstream os;
       runtime::EncodeCampaignReport(os, leg_report);
       runtime::EncodeSnapshot(os, leg_recorder->Snapshot());

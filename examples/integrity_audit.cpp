@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
           config.banks = 1;  // the audit replays one bank's schedule
         }},
        {"--policy", &policy_name},
-       {"--windows", &windows},
+       {"--windows", &windows, bench::kPositive},
        {"--max-celsius", &max_celsius},
        {"--vrt", &with_vrt}});
 

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
+
+#include "common/error.hpp"
 
 /// \file units.hpp
 /// Plain-typedef unit conventions used throughout the library.
@@ -61,6 +65,18 @@ constexpr Cycles SecondsToCyclesCeil(double seconds, double clock_period_s) {
 /// Convert cycles to seconds.
 constexpr double CyclesToSeconds(Cycles cycles, double clock_period_s) {
   return static_cast<double>(cycles) * clock_period_s;
+}
+
+/// `windows` windows of `window` cycles.  \throws vrl::ConfigError when
+/// that overflows Cycles.
+inline Cycles WindowsToCycles(Cycles window, std::size_t windows) {
+  Cycles cycles = 0;
+  if (__builtin_mul_overflow(window, windows, &cycles)) {
+    throw ConfigError(std::to_string(windows) + " windows of " +
+                      std::to_string(window) +
+                      " cycles overflow the 64-bit cycle count");
+  }
+  return cycles;
 }
 
 }  // namespace vrl

@@ -142,18 +142,6 @@ fault::FaultSchedule VrtSchedule(const retention::VrtParams& vrt,
   return faults;
 }
 
-fault::CampaignReport RunLegUnder(const VrlSystem& system,
-                                  const ResilienceLeg& leg,
-                                  const fault::FaultRecording& faults,
-                                  const ExperimentOptions& options,
-                                  telemetry::Recorder* recorder) {
-  FaultCampaignOptions campaign;
-  campaign.windows = options.windows;
-  campaign.adaptive = leg.adaptive;
-  campaign.telemetry = recorder;
-  return system.RunFaultCampaign(leg.policy, faults, campaign);
-}
-
 }  // namespace
 
 fault::CampaignReport RunResilienceLeg(
@@ -162,10 +150,9 @@ fault::CampaignReport RunResilienceLeg(
     telemetry::Recorder* recorder) {
   // The leg records its own draw of the schedule every leg shares, so it
   // sees the realization RunResilienceComparison records once.
-  return RunLegUnder(system, leg,
-                     system.RecordFaults(VrtSchedule(vrt, options),
-                                         options.windows),
-                     options, recorder);
+  return system.RunFaultCampaign(
+      leg, system.RecordFaults(VrtSchedule(vrt, options), options.windows),
+      recorder);
 }
 
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
@@ -173,9 +160,8 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options) {
   // The fault realization is drawn once, before the fan-out, and every leg
-  // replays the read-only recording into its own campaign.  Each leg also
-  // owns its FaultCampaignOptions (RunLegUnder) and report slot; telemetry
-  // is per-leg sharded and merged in leg order, like the suite.
+  // replays the read-only recording into its own campaign and report slot;
+  // telemetry is per-leg sharded and merged in leg order, like the suite.
   const std::vector<ResilienceLeg> legs = ResilienceLegs(policy);
   const fault::FaultRecording recording =
       system.RecordFaults(VrtSchedule(vrt, options), options.windows);
@@ -190,8 +176,8 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
   ParallelFor(
       "resilience_comparison", legs.size(),
       [&](std::size_t i) {
-        *outs[i] = RunLegUnder(system, legs[i], recording, options,
-                               shards ? &shards->shard(i) : nullptr);
+        *outs[i] = system.RunFaultCampaign(
+            legs[i], recording, shards ? &shards->shard(i) : nullptr);
       },
       options.threads);
   if (shards) {

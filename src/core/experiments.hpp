@@ -103,17 +103,10 @@ struct ResilienceResult {
   }
 };
 
-/// One leg of the three-way comparison — which policy (canonical registry
-/// name) to replay the shared fault realization under, and whether the
-/// adaptive wrapper is on.
-struct ResilienceLeg {
-  std::string policy;
-  bool adaptive = false;
-};
-
 /// The canonical leg order of RunResilienceComparison: JEDEC baseline,
-/// plain `policy` (silent data loss), adaptive `policy`.  Exposed so the
-/// execution runtime (src/runtime/) can journal the legs one by one.
+/// plain `policy` (silent data loss), adaptive `policy`, each naming its
+/// policy by the canonical registry name.  Exposed so the execution
+/// runtime (src/runtime/) can journal the legs one by one.
 /// \throws vrl::ConfigError when `policy` is unknown or is JEDEC (nothing
 /// to compare).
 std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy);
@@ -134,8 +127,8 @@ fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
 /// by building campaigns directly via VrlSystem::RunFaultCampaign.  The
 /// fault realization is drawn once (VrlSystem::RecordFaults) and replayed
 /// into every leg; the three legs run as parallel tasks, each owning its
-/// campaign, options, telemetry shard and report slot, so results
-/// are bit-identical across thread counts and leg completion orders.
+/// campaign, telemetry shard and report slot, so results are bit-identical
+/// across thread counts and leg completion orders.
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          std::string_view policy,
                                          const retention::VrtParams& vrt,

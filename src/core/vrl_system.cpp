@@ -206,7 +206,7 @@ dram::SimulationStats VrlSystem::SimulateStreams(
 }
 
 Cycles VrlSystem::HorizonForWindows(std::size_t windows) const {
-  return config_.timing.t_refw * static_cast<Cycles>(windows);
+  return WindowsToCycles(config_.timing.t_refw, windows);
 }
 
 fault::CampaignSetup VrlSystem::CampaignSetupFor(std::size_t windows) const {
@@ -228,14 +228,23 @@ fault::FaultRecording VrlSystem::RecordFaults(fault::FaultSchedule schedule,
 }
 
 fault::CampaignReport VrlSystem::RunFaultCampaign(
-    std::string_view policy, const fault::FaultRecording& faults,
-    const FaultCampaignOptions& options) const {
-  fault::CampaignSetup setup = CampaignSetupFor(options.windows);
-  setup.telemetry = options.telemetry;
+    const ResilienceLeg& leg, const fault::FaultRecording& faults,
+    telemetry::Recorder* recorder) const {
+  // The campaign runs the tREFW windows up to the recording's last tick,
+  // rounded up: the N that RecordFaults(schedule, N) recorded.  Ticks of
+  // another tREFI or clock set up a campaign RunCampaign's entry check
+  // refuses.
+  const fault::TickSequence& ticks = faults.ticks();
+  const Cycles last = ticks.count == 0 ? 0 : ticks.cycle(ticks.count - 1);
+  const Cycles t_refw = config_.timing.t_refw;
+  fault::CampaignSetup setup =
+      CampaignSetupFor(last / t_refw + (last % t_refw != 0));
+  setup.telemetry = recorder;
 
-  const dram::PolicyInfo& info = dram::PolicyRegistry::Global().Get(policy);
+  const dram::PolicyInfo& info =
+      dram::PolicyRegistry::Global().Get(leg.policy);
   auto inner = MakePolicyFactory(info.name)();
-  if (!options.adaptive) {
+  if (!leg.adaptive) {
     return fault::RunCampaign(*model_, *profile_, *inner, faults, setup);
   }
 

@@ -49,18 +49,12 @@ using PolicyKind = std::string;
 /// \throws vrl::ConfigError on an unknown name.
 std::string PolicyFromName(std::string_view name);
 
-/// Options for VrlSystem::RunFaultCampaign.
-struct FaultCampaignOptions {
-  std::size_t windows = 8;
-  /// Wrap the policy in fault::AdaptiveVrlPolicy (online detection +
-  /// degradation); false replays the plain policy, where every sensing
-  /// failure is silent data loss.
-  bool adaptive = true;
-
-  /// Recorder the campaign feeds (`campaign.*`, `policy.*`, `adaptive.*`
-  /// metrics and failure events); null means telemetry is off.  Parallel
-  /// drivers pass a per-task recorder (telemetry::ShardedRecorder).
-  telemetry::Recorder* telemetry = nullptr;
+/// One fault-campaign leg (VrlSystem::RunFaultCampaign): the registry
+/// policy replaying the fault recording, and whether the adaptive wrapper
+/// detects and degrades; a plain leg loses data silently on every failure.
+struct ResilienceLeg {
+  std::string policy;
+  bool adaptive = false;
 };
 
 /// Everything needed to build a VrlSystem.  Defaults reproduce the paper's
@@ -188,7 +182,8 @@ class VrlSystem {
       dram::CommandLog* audit = nullptr) const;
 
   /// Convenience: simulation horizon covering `windows` base refresh
-  /// windows (64 ms each).
+  /// windows (64 ms each).  \throws vrl::ConfigError when it does not fit
+  /// in Cycles.
   Cycles HorizonForWindows(std::size_t windows) const;
 
   /// The fault::RunCampaign setup of this system for `windows` base
@@ -196,21 +191,20 @@ class VrlSystem {
   /// off.  RunFaultCampaign and core::IntegrityChecker replay through it.
   fault::CampaignSetup CampaignSetupFor(std::size_t windows) const;
 
-  /// Runs a fault-injection campaign (see fault/campaign.hpp): one bank of
-  /// this system, refreshed by the registry policy `policy`, replayed
-  /// against the physics while the recorded `faults` perturb the runtime
-  /// retention.  With options.adaptive the policy is wrapped in
-  /// fault::AdaptiveVrlPolicy and detected failures feed the degradation
-  /// state machine; the returned report carries the failure event log and
-  /// the state-machine counters.  \throws vrl::ConfigError when `faults`
-  /// was not recorded (RecordFaults) for options.windows.
+  /// Runs one fault-injection campaign leg (see fault/campaign.hpp): one
+  /// bank of this system, refreshed by `leg.policy` (wrapped in
+  /// fault::AdaptiveVrlPolicy when leg.adaptive), replayed against the
+  /// physics for the windows `faults` was recorded over (RecordFaults).
+  /// `recorder` (null = telemetry off; one per parallel leg) receives the
+  /// campaign's metrics and failure events.  \throws vrl::ConfigError
+  /// when `faults` is not a recording of this system's campaign ticks.
   fault::CampaignReport RunFaultCampaign(
-      std::string_view policy, const fault::FaultRecording& faults,
-      const FaultCampaignOptions& options = {}) const;
+      const ResilienceLeg& leg, const fault::FaultRecording& faults,
+      telemetry::Recorder* recorder = nullptr) const;
 
   /// Draws `schedule`'s fault realization once over the ticks of a
   /// `windows`-window campaign of this system, for any number of
-  /// RunFaultCampaign calls with the same `windows`.
+  /// RunFaultCampaign legs of that length.
   /// \throws vrl::ConfigError for an invalid campaign setup.
   fault::FaultRecording RecordFaults(fault::FaultSchedule schedule,
                                      std::size_t windows) const;

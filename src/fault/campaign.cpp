@@ -33,7 +33,7 @@ void CampaignSetup::Validate() const {
 
 TickSequence CampaignSetup::Ticks() const {
   Validate();
-  const Cycles horizon = base_window * static_cast<Cycles>(windows);
+  const Cycles horizon = WindowsToCycles(base_window, windows);
   return {t_refi, static_cast<std::size_t>(horizon / t_refi) + 1,
           clock_period_s};
 }
@@ -88,8 +88,7 @@ CampaignReport RunCampaign(const model::RefreshModel& model,
 
   ChargeTracker tracker(model, rows);
   CampaignReport report;
-  const Cycles horizon =
-      setup.base_window * static_cast<Cycles>(setup.windows);
+  const Cycles horizon = WindowsToCycles(setup.base_window, setup.windows);
 
   // Campaign spans: one track group, one "window" span per refresh window
   // (payloads: refreshes, detected failures).  Sensing failures land in the

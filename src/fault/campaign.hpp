@@ -57,7 +57,8 @@ struct CampaignSetup {
 
   /// The campaign's ticks: one per t_refi from cycle 0 through the
   /// horizon (windows x base_window), inclusive.  \throws vrl::ConfigError
-  /// for an invalid setup (Validate).
+  /// for an invalid setup (Validate) or a horizon past the 64-bit cycle
+  /// count.
   TickSequence Ticks() const;
 
   void Validate() const;

@@ -482,13 +482,20 @@ TEST(FaultRecording, ReplayRejectsTimesNotInTheRecording) {
     EXPECT_THROW(campaign(other), ConfigError);
   }
 
-  // Through the system, a recording of other windows is refused too.
-  core::FaultCampaignOptions options;
-  options.windows = kWindows;
-  EXPECT_THROW(system.RunFaultCampaign(
-                   "VRL", system.RecordFaults(FaultSchedule{}, kWindows + 1),
-                   options),
-               ConfigError);
+  // Through the system, a recording by a system of another tREFI or clock
+  // is refused too: the campaign takes its length from the recording, but
+  // not its ticks.
+  core::VrlConfig double_refi_config = config;
+  double_refi_config.timing.t_refi *= 2;
+  core::VrlConfig other_clock_config = config;
+  other_clock_config.tech.clock_period_s *= 2.0;
+  for (const core::VrlConfig& other :
+       {double_refi_config, other_clock_config}) {
+    const core::VrlSystem recorder(other);
+    EXPECT_THROW(system.RunFaultCampaign(
+                     {"VRL"}, recorder.RecordFaults(FaultSchedule{}, kWindows)),
+                 ConfigError);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -904,6 +911,30 @@ TEST(Campaign, ThreeLegsShareTheFaultTrace) {
     ExpectSameReport(result.jedec, own[0]);
     ExpectSameReport(result.plain, own[1]);
     ExpectSameReport(result.adaptive, own[2]);
+  }
+}
+
+TEST(Campaign, RecordingSetsTheCampaignLength) {
+  core::VrlConfig config;
+  config.banks = 1;
+  const core::VrlSystem system(config);
+  for (const std::size_t windows : {1u, 3u}) {
+    SCOPED_TRACE(windows);
+    telemetry::RecorderOptions options;
+    options.enable_tracing = true;
+    telemetry::Recorder recorder(options);
+    const CampaignReport report = system.RunFaultCampaign(
+        {"VRL"}, system.RecordFaults(FaultSchedule{}, windows), &recorder);
+    EXPECT_EQ(report.simulated_cycles, system.HorizonForWindows(windows));
+    const auto metrics = recorder.Snapshot().metrics;
+    ASSERT_EQ(metrics.count("campaign.windows"), 1u);
+    EXPECT_EQ(metrics.at("campaign.windows").count, windows);
+    const telemetry::Tracer& tracer = *recorder.tracer();
+    EXPECT_EQ(std::count_if(tracer.spans().begin(), tracer.spans().end(),
+                            [&](const telemetry::SpanRecord& span) {
+                              return tracer.label(span.name) == "window";
+                            }),
+              static_cast<std::ptrdiff_t>(windows));
   }
 }
 

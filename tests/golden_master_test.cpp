@@ -220,12 +220,9 @@ std::string AdaptiveCampaignProfile() {
   telemetry::RecorderOptions options;
   options.profile_phases = true;
   telemetry::Recorder recorder(options);
-  core::FaultCampaignOptions campaign;
-  campaign.windows = 2;
-  campaign.telemetry = &recorder;
-  system.RunFaultCampaign(
-      "VRL", system.RecordFaults(std::move(schedule), campaign.windows),
-      campaign);
+  system.RunFaultCampaign({"VRL", /*adaptive=*/true},
+                          system.RecordFaults(std::move(schedule), 2),
+                          &recorder);
 
   std::ostringstream profile;
   telemetry::WriteProfileJson(

@@ -8,8 +8,8 @@
 //  2. Determinism regressions: RunSweep and the fault-campaign legs must be
 //     bit-identical at 1, 2 and 8 threads (the docs/PARALLEL.md contract —
 //     exact ==, no tolerances).
-//  3. Pinned shared-state fixes: the resilience legs each own their options
-//     and schedule (they used to mutate one shared options struct between
+//  3. Pinned shared-state fixes: the resilience legs each own their leg
+//     and report (they used to mutate one shared options struct between
 //     legs, an ordering dependency that would race once legs overlap).
 
 #include "common/parallel.hpp"
@@ -277,10 +277,10 @@ TEST(Determinism, FaultCampaignLegsBitIdenticalAtOneTwoAndEightThreads) {
 // ---------------------------------------------------------------------------
 
 // The resilience legs must behave as if each were the only leg: identical
-// to running the three campaigns by hand with per-leg schedules and
-// options.  Before the parallel conversion the legs shared one mutable
-// FaultCampaignOptions struct (adaptive toggled between runs), so leg
-// results depended on execution order.
+// to running the three campaigns by hand, each leg with its own schedule.
+// Before the parallel conversion the legs shared one mutable
+// campaign-options struct (adaptive toggled between runs), so leg results
+// depended on execution order.
 TEST(SharedState, ResilienceLegsMatchIndependentlyBuiltCampaigns) {
   core::VrlConfig config;
   config.banks = 1;
@@ -299,19 +299,17 @@ TEST(SharedState, ResilienceLegsMatchIndependentlyBuiltCampaigns) {
   const auto run_leg = [&](const char* policy, bool adaptive) {
     fault::FaultSchedule schedule(kSeed);
     schedule.Add(std::make_unique<fault::VrtFlipInjector>(vrt));
-    core::FaultCampaignOptions options;
-    options.windows = kWindows;
-    options.adaptive = adaptive;
     return system.RunFaultCampaign(
-        policy, system.RecordFaults(std::move(schedule), kWindows), options);
+        {policy, adaptive},
+        system.RecordFaults(std::move(schedule), kWindows));
   };
   ExpectReportBitIdentical(comparison.jedec, run_leg("JEDEC", false));
   ExpectReportBitIdentical(comparison.plain, run_leg("VRL", false));
   ExpectReportBitIdentical(comparison.adaptive, run_leg("VRL", true));
 
-  // The non-adaptive legs carry no adaptive state: the shared options
-  // struct can no longer leak adaptive=true into them, whatever order the
-  // legs completed in.
+  // The non-adaptive legs carry no adaptive state: each leg states its own
+  // adaptive flag, so none can leak into another, whatever order the legs
+  // completed in.
   EXPECT_EQ(comparison.jedec.adaptive.demotions, 0u);
   EXPECT_EQ(comparison.jedec.adaptive.failures_signalled, 0u);
   EXPECT_EQ(comparison.plain.adaptive.demotions, 0u);

@@ -420,6 +420,15 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
     EXPECT_EQ(err.rfind("error: ", 0), 0u) << args;
     EXPECT_EQ(err.find('\n'), err.size() - 1) << args << " " << err;
   }
+  // A window count whose horizon overflows the 64-bit cycle count is a
+  // ConfigError, not a horizon wrapped to a few milliseconds.
+  for (const char* binary : {"fault_campaign", "integrity_audit",
+                             "policy_explorer", "refresh_tournament"}) {
+    std::string err;
+    EXPECT_EQ(RunBinary(binary, "--windows 720575940380", &err), 2) << binary;
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << binary;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << binary << " " << err;
+  }
   // Every binary rejects a trailing flag and a removed worker-pool flag.
   for (const auto& [binary, path] : Binaries()) {
     for (const char* args : {"--json", "--leg-timeout 9x"}) {
@@ -450,6 +459,8 @@ TEST(BenchFlags, MalformedCountsAndTrailingFlagsAreUsageErrors) {
       {"integrity_audit", "--max-celsius abc"},
       {"integrity_audit", "--windows"},
       {"integrity_audit", "--bogus 1"},
+      {"integrity_audit", "--windows 0"},
+      {"fault_campaign", "--windows 0"},
       {"trace_tools", "generate facesim abc /dev/null"},
       {"trace_tools", "generate facesim -5 /dev/null"},
       {"trace_tools", "generate facesim 0 /dev/null"},
