@@ -17,14 +17,19 @@
 // adaptive_vrl_campaign.profile.json pins the campaign's attribution tree
 // the same way: phase names, order, call and unit counts.
 //
+// design_space.json and the two fault_campaign*.json fixtures pin the
+// reports of the two leg-structured binaries: the design-space sweep and
+// the three-leg fault campaign, at its defaults and under composed faults.
+//
 // The refresh_op_streams.* fixtures pin the refresh contract itself: the
 // op stream GrantRefreshes grants for every registered policy plus the
 // Adaptive(VRL) wrapper, with and without a one-op burst cap, under
 // periodic row activations (and one sensing failure for the wrapper),
 // together with the policy's telemetry and lineage exports.
 //
-// The bench and fixture directories arrive as compile definitions
-// (VRL_BENCH_DIR, VRL_GOLDEN_DIR) from tests/CMakeLists.txt.
+// The bench and fixture directories and the fault_campaign example arrive
+// as compile definitions (VRL_BENCH_DIR, VRL_GOLDEN_DIR,
+// VRL_FAULT_CAMPAIGN) from tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -58,11 +63,12 @@ namespace {
 std::string BenchDir() { return VRL_BENCH_DIR; }
 std::string GoldenDir() { return VRL_GOLDEN_DIR; }
 
-/// Runs `<bench>/<name> --json -` and captures stdout.  Text-mode tables go
-/// to stdout too when --json targets a file, so `-` keeps the pipe pure
+/// Runs `<binary> <args> --json -` and captures stdout.  Text-mode tables
+/// go to stdout too when --json targets a file, so `-` keeps the pipe pure
 /// JSON.
-std::string RunBench(const std::string& name) {
-  const std::string command = BenchDir() + "/" + name + " --json - 2>/dev/null";
+std::string RunJson(const std::string& binary, const std::string& args = "") {
+  const std::string command =
+      binary + " " + args + " --json - 2>/dev/null";
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) {
     ADD_FAILURE() << "popen failed for " << command;
@@ -117,7 +123,8 @@ void ExpectMatchesFixture(std::string actual, const std::string& file,
 }
 
 void ExpectMatchesGolden(const std::string& name, bool scrub = false) {
-  ExpectMatchesFixture(RunBench(name), name + ".json", scrub);
+  ExpectMatchesFixture(RunJson(BenchDir() + "/" + name), name + ".json",
+                       scrub);
 }
 
 TEST(GoldenMaster, Fig1aRestoreCurve) {
@@ -142,6 +149,20 @@ TEST(GoldenMaster, Fig5Equalization) {
 
 TEST(GoldenMaster, Table1Accuracy) {
   ExpectMatchesGolden("table1_accuracy", /*scrub=*/true);
+}
+
+TEST(GoldenMaster, DesignSpace) { ExpectMatchesGolden("design_space"); }
+
+TEST(GoldenMaster, FaultCampaign) {
+  ExpectMatchesFixture(RunJson(VRL_FAULT_CAMPAIGN), "fault_campaign.json");
+}
+
+TEST(GoldenMaster, FaultCampaignComposedFaults) {
+  ExpectMatchesFixture(
+      RunJson(VRL_FAULT_CAMPAIGN,
+              "--windows 2 --temp-excursion 85 --drift 0.05 "
+              "--corruption 0.01"),
+      "fault_campaign_composed.json");
 }
 
 /// The four exports of one flat 8-bank VRL-Access run with every observer
