@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "circuit/banded.hpp"
@@ -117,6 +118,16 @@ struct RcCase {
   double dt_s;
   Integration method;
 };
+
+// Names each case in the test list ("R1000_C1000fF_Trapezoidal"); gtest's
+// default is a byte dump that includes the struct's padding, which
+// changes from build to build.
+void PrintTo(const RcCase& c, std::ostream* os) {
+  *os << 'R' << std::llround(c.r_ohms) << "_C"
+      << std::llround(c.c_farads * 1e15) << "fF_"
+      << (c.method == Integration::kTrapezoidal ? "Trapezoidal"
+                                                : "BackwardEuler");
+}
 
 class RcProperty : public ::testing::TestWithParam<RcCase> {};
 

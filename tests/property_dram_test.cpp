@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -108,6 +109,14 @@ struct TrafficCase {
   std::size_t requests;
   SchedulerKind scheduler;
 };
+
+// Names each case in the test list ("Banks4_Requests2000_FrFcfs"); gtest's
+// default is a byte dump that includes the struct's padding, which
+// changes from build to build.
+void PrintTo(const TrafficCase& c, std::ostream* os) {
+  *os << "Banks" << c.banks << "_Requests" << c.requests
+      << (c.scheduler == SchedulerKind::kFcfs ? "_Fcfs" : "_FrFcfs");
+}
 
 class ControllerAccounting : public ::testing::TestWithParam<TrafficCase> {};
 
