@@ -4,12 +4,7 @@
 //
 // The paper's design point (nbits=2, 95% target, no guardband, plain bank)
 // sits at the overhead knee; this table shows what each neighbouring choice
-// buys and costs.
-//
-// The sweep runs through the crash-tolerant runtime (docs/RESILIENCE.md):
-// `--resume <journal>` journals each completed point so an interrupted
-// sweep picks up where it crashed, with a table byte-identical to an
-// uninterrupted run.
+// buys and costs.  The points run in parallel (core::RunSweep).
 
 #include <cstdio>
 #include <iostream>
@@ -17,13 +12,11 @@
 #include "bench/reporting.hpp"
 #include "common/parallel.hpp"
 #include "core/sweep.hpp"
-#include "runtime/resilient.hpp"
 
 int main(int argc, char** argv) {
   using namespace vrl;
 
-  const auto report_options = bench::ParseFlags(
-      argc, argv, bench::kOutput | bench::kRuntime);
+  const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
   bench::Report report("design_space");
   report.AddMeta("workload", "facesim");
   report.AddMeta("windows", std::size_t{8});
@@ -36,8 +29,7 @@ int main(int argc, char** argv) {
     const auto grid = core::DefaultGrid();
 
     const auto results =
-        runtime::RunSweep(base, grid, trace::SuiteWorkload("facesim"), 8,
-                          report_options.resume_path);
+        core::RunSweep(base, grid, trace::SuiteWorkload("facesim"), 8);
 
     TextTable& table = report.AddTable(
         "sweep", {"point", "VRL", "VRL-Access", "area um^2", "% bank",

@@ -114,9 +114,6 @@ std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
       options->preset = dram::PresetFromName(name);
     });
   }
-  if ((groups & kRuntime) != 0) {
-    rows.emplace_back("--resume", &options->resume_path);
-  }
   return rows;
 }
 

@@ -60,8 +60,6 @@ struct ReportOptions {
   /// --preset: timing-table preset (dram::PresetFromName); none = the
   /// binary's default.
   std::optional<dram::TimingPreset> preset;
-  // kRuntime (docs/RESILIENCE.md)
-  std::string resume_path;    ///< --resume: leg journal; empty = none.
 };
 
 /// The shared flag groups.  A binary adds a group to its table only if it
@@ -71,7 +69,6 @@ enum FlagGroup : unsigned {
   kProfile = 1u << 1,  ///< --profile, --profile-out, --profile-scrub
   kTrace = 1u << 2,    ///< --trace-out
   kPreset = 1u << 3,   ///< --preset
-  kRuntime = 1u << 4,  ///< --resume
 };
 
 /// A row's value check: kPositive rejects a zero count or a number <= 0.

@@ -10,35 +10,27 @@
 //                    [--json PATH] [--csv PATH]
 //                    [--trace-out PATH] [--profile] [--profile-out PATH]
 //                    [--profile-scrub]
-//                    [--resume JOURNAL]
 //
-// Three legs run under the identical fault realization: the JEDEC
-// full-rate baseline, the plain policy (no detection — silent loss), and
-// the adaptive wrapper (detection + demotion / fallback).  Exit code 0
+// Three legs run concurrently under the identical fault realization: the
+// JEDEC full-rate baseline, the plain policy (no detection — silent loss),
+// and the adaptive wrapper (detection + demotion / fallback).  Exit code 0
 // when the adaptive leg ends with zero unrecovered failures.
-//
-// The legs execute through the crash-tolerant runtime (docs/RESILIENCE.md):
-// with --resume the campaign journals each completed leg and a rerun after
-// a crash skips the committed ones, producing byte-identical reports.
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/reporting.hpp"
+#include "common/parallel.hpp"
 #include "core/config_io.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
 #include "fault/injector.hpp"
 #include "retention/temperature.hpp"
 #include "retention/vrt.hpp"
-#include "runtime/codec.hpp"
-#include "runtime/journal.hpp"
-#include "runtime/runner.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace {
@@ -73,7 +65,7 @@ int main(int argc, char** argv) {
 
   const auto report_options = bench::ParseFlags(
       argc, argv,
-      bench::kOutput | bench::kProfile | bench::kTrace | bench::kRuntime,
+      bench::kOutput | bench::kProfile | bench::kTrace,
       {{"--config",
         [&](const std::string& path) {
           config = core::LoadVrlConfigFile(path);
@@ -91,8 +83,8 @@ int main(int argc, char** argv) {
 
   try {
     const core::VrlSystem system(config);
-    // The three legs of the comparison (JEDEC baseline, plain, adaptive),
-    // as journalable runtime legs; legs[1].policy is the canonical name.
+    // The three legs of the comparison (JEDEC baseline, plain, adaptive);
+    // legs[1].policy is the canonical name.
     const std::vector<core::ResilienceLeg> legs =
         core::ResilienceLegs(policy_name);
     const std::string& policy = legs[1].policy;
@@ -131,14 +123,11 @@ int main(int argc, char** argv) {
         system.RecordFaults(make_schedule(), windows);
     report.AddMeta("injectors", recording.description());
 
-    // The adaptive leg feeds a telemetry recorder; its metrics (campaign.*,
-    // adaptive.*, policy.*) travel inside the leg payload and land in the
-    // report's telemetry table — via the codec for fresh and resumed legs
-    // alike, so journaled and resumed runs emit byte-identical reports.
-    // --trace-out / --profile add the campaign's span + lineage trace and
-    // the wall-time phase table (docs/TRACING.md) for the same leg; both
-    // are wall-clock/process-local extras, populated only when the adaptive
-    // leg actually executes in this process.
+    // The adaptive leg feeds a telemetry recorder: its metrics (campaign.*,
+    // adaptive.*, policy.*) land in the report's telemetry table, and
+    // --trace-out / --profile add the leg's span + lineage trace and its
+    // wall-time phase table (docs/TRACING.md).  The other legs run
+    // unobserved.
     telemetry::RecorderOptions recorder_options;
     recorder_options.enable_tracing = !report_options.trace_path.empty();
     // Full-fidelity lineage: a traced campaign wants every refresh op,
@@ -147,61 +136,14 @@ int main(int argc, char** argv) {
     recorder_options.profile_phases = report_options.profile;
     telemetry::Recorder recorder(recorder_options);
 
-    const auto leg_fn = [&](std::size_t leg) {
-      // The adaptive leg uses the process recorder (trace/profile export
-      // reads it afterwards); other legs get a local recorder so the
-      // payload format stays uniform.
-      telemetry::Recorder local;
-      telemetry::Recorder* leg_recorder =
-          legs[leg].adaptive ? &recorder : &local;
-      const fault::CampaignReport leg_report =
-          system.RunFaultCampaign(legs[leg], recording, leg_recorder);
-      std::ostringstream os;
-      runtime::EncodeCampaignReport(os, leg_report);
-      runtime::EncodeSnapshot(os, leg_recorder->Snapshot());
-      return os.str();
-    };
-
-    // Campaign identity for the journal: the configuration and every knob
-    // that shapes the legs' results.  A journal written under different
-    // knobs is refused rather than silently merged.
-    std::uint64_t config_digest = 0;
-    {
-      std::ostringstream os;
-      core::WriteVrlConfig(config, os);
-      os << "policy " << policy << '\n'
-         << "windows " << windows << '\n'
-         << "seed " << seed << '\n'
-         << "vrt " << runtime::EncodeDouble(vrt.row_fraction) << ' '
-         << runtime::EncodeDouble(vrt.low_ratio) << ' '
-         << runtime::EncodeDouble(vrt.low_state_prob) << ' '
-         << runtime::EncodeDouble(vrt.mean_dwell_s) << '\n'
-         << "excursion " << runtime::EncodeDouble(temp_excursion_celsius)
-         << '\n'
-         << "drift " << runtime::EncodeDouble(drift_rate) << '\n'
-         << "corruption " << runtime::EncodeDouble(corruption_fraction)
-         << '\n';
-      config_digest = runtime::Fnv1a64(os.str());
-    }
-
-    const auto payloads = runtime::RunJournaledLegs(
-        "fault_campaign", config_digest, legs.size(), leg_fn,
-        report_options.resume_path);
-
-    fault::CampaignReport jedec;
-    fault::CampaignReport plain;
-    fault::CampaignReport adaptive;
-    fault::CampaignReport* const outs[] = {&jedec, &plain, &adaptive};
-    telemetry::MetricsSnapshot adaptive_metrics;
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      runtime::LineCursor cursor(payloads[i]);
-      *outs[i] = runtime::DecodeCampaignReport(cursor);
-      const telemetry::MetricsSnapshot snapshot =
-          runtime::DecodeSnapshot(cursor);
-      if (i == 2) {
-        adaptive_metrics = snapshot;
-      }
-    }
+    const std::vector<fault::CampaignReport> reports =
+        ParallelMap("fault_campaign_legs", legs.size(), [&](std::size_t leg) {
+          return system.RunFaultCampaign(
+              legs[leg], recording, legs[leg].adaptive ? &recorder : nullptr);
+        });
+    const fault::CampaignReport& jedec = reports[0];
+    const fault::CampaignReport& plain = reports[1];
+    const fault::CampaignReport& adaptive = reports[2];
 
     TextTable& table = report.AddTable(
         "legs", {"policy", "refreshes", "partials", "detected", "corrected",
@@ -232,7 +174,7 @@ int main(int argc, char** argv) {
                          event.corrected ? "corrected" : "UNRECOVERED"});
       }
     }
-    report.AddTelemetry(adaptive_metrics);
+    report.AddTelemetry(recorder.Snapshot());
     if (report_options.profile) {
       report.AddProfile(recorder);
       bench::WriteProfileOutput(report_options, recorder);

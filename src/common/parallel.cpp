@@ -1,7 +1,6 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -20,8 +19,7 @@ namespace {
 /// DefaultThreadCount call.
 std::atomic<std::size_t> g_thread_override{0};
 
-/// Set on ParallelFor / ParallelForCommit worker threads; nested calls see
-/// it and run inline.
+/// Set on ParallelFor worker threads; nested calls see it and run inline.
 thread_local bool t_in_parallel_region = false;
 
 std::size_t ThreadCountFromEnv() {
@@ -171,85 +169,6 @@ void ParallelFor(std::string_view /*label*/, std::size_t n,
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t threads) {
   ParallelFor("parallel_for", n, body, threads);
-}
-
-void ParallelForCommit(std::string_view /*label*/, std::size_t n,
-                       const std::function<void(std::size_t)>& body,
-                       const std::function<void(std::size_t)>& commit,
-                       std::size_t threads) {
-  const std::size_t count = FanOutThreads(n, threads);
-  if (count <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      body(i);
-      commit(i);
-    }
-    return;
-  }
-
-  // Same atomic work queue as ParallelFor, plus a completion bitmap the
-  // calling thread watches: it commits the contiguous done-prefix while
-  // workers keep claiming items behind it.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex mutex;
-  std::condition_variable progress;
-  std::vector<char> done(n, 0);
-  std::size_t active = count;
-  WorkerThreads workers(count, [&] {
-    const auto leave = [&] {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        --active;
-      }
-      progress.notify_all();
-    };
-    try {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) {
-          break;
-        }
-        body(i);
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          done[i] = 1;
-        }
-        progress.notify_all();
-      }
-    } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
-      leave();
-      throw;
-    }
-    leave();
-  });
-
-  std::size_t committed = 0;
-  std::exception_ptr commit_error;
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    while (committed < n) {
-      progress.wait(lock, [&] { return done[committed] != 0 || active == 0; });
-      if (done[committed] == 0) {
-        break;  // Workers gone without finishing: a body threw.
-      }
-      lock.unlock();
-      try {
-        commit(committed);
-      } catch (...) {
-        commit_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        lock.lock();
-        break;
-      }
-      ++committed;
-      lock.lock();
-    }
-  }
-  workers.Join();  // Rethrows the first body exception, if any.
-  if (commit_error != nullptr) {
-    std::rethrow_exception(commit_error);
-  }
 }
 
 }  // namespace vrl

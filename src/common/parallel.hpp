@@ -51,8 +51,8 @@ class ScopedThreadCount {
   std::size_t previous_;
 };
 
-/// True on a ParallelFor / ParallelForCommit worker thread.  Those consult
-/// this to run nested parallel loops inline (rule: nesting is safe, never
+/// True on a ParallelFor worker thread.  ParallelFor consults this to run
+/// nested parallel loops inline (rule: nesting is safe, never
 /// oversubscribed, never deadlocked).
 bool InParallelRegion();
 
@@ -74,23 +74,6 @@ void ParallelFor(std::string_view label, std::size_t n,
 /// Unlabelled ParallelFor (label "parallel_for").
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t threads = 0);
-
-/// ParallelFor with an ordered commit stream: body(i) runs on the worker
-/// threads under the usual determinism contract, while commit(i) runs on
-/// the *calling* thread in strictly increasing index order, as soon as every
-/// body up to and including i has finished.  This is the primitive the
-/// execution runtime journals through (docs/RESILIENCE.md): bodies may
-/// complete in any order, but durable side effects happen in index order,
-/// preserving the journal's contiguous-prefix invariant.
-///
-/// Falls back to the serial `body(i); commit(i)` loop under the same
-/// conditions as ParallelFor (n <= 1, one thread, nested region).  A body
-/// exception aborts the fan-out and is rethrown after workers drain; a
-/// commit exception stops further claims and commits, then propagates.
-void ParallelForCommit(std::string_view label, std::size_t n,
-                       const std::function<void(std::size_t)>& body,
-                       const std::function<void(std::size_t)>& commit,
-                       std::size_t threads = 0);
 
 /// ParallelFor collecting fn(i) into slot i of the returned vector — the
 /// pre-sized-slot pattern of the determinism contract, packaged.  The

@@ -7,10 +7,9 @@
 /// \file parse.hpp
 /// The one text-to-number conversion behind every input boundary: command
 /// line flags (bench/reporting.hpp), config files (core/config_io.hpp),
-/// trace files (trace/io.hpp), the leg journal and the VRL_THREADS /
-/// VRL_CRASH_AFTER_LEG settings.  Both parsers take the whole text or
-/// nothing; each boundary turns "no value" into its own error type and
-/// message.
+/// trace files (trace/io.hpp) and the VRL_THREADS setting.  Both parsers
+/// take the whole text or nothing; each boundary turns "no value" into its
+/// own error type and message.
 
 namespace vrl {
 

@@ -105,8 +105,8 @@ struct ResilienceResult {
 
 /// The canonical leg order of RunResilienceComparison: JEDEC baseline,
 /// plain `policy` (silent data loss), adaptive `policy`, each naming its
-/// policy by the canonical registry name.  Exposed so the execution
-/// runtime (src/runtime/) can journal the legs one by one.
+/// policy by the canonical registry name.  Exposed so `fault_campaign` can
+/// run the legs one by one.
 /// \throws vrl::ConfigError when `policy` is unknown or is JEDEC (nothing
 /// to compare).
 std::vector<ResilienceLeg> ResilienceLegs(std::string_view policy);

@@ -4,6 +4,7 @@
 
 #include "area/area_model.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "trace/address.hpp"
 
 namespace vrl::core {
@@ -60,6 +61,17 @@ SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
       mprsf_sum / static_cast<double>(system.row_mprsf().size());
   result.clamped_rows = system.guardband_clamped_rows();
   return result;
+}
+
+std::vector<SweepResult> RunSweep(
+    const VrlConfig& base, const std::vector<SweepPoint>& points,
+    const trace::SyntheticWorkloadParams& workload, std::size_t windows) {
+  if (points.empty() || windows == 0) {
+    throw ConfigError("RunSweep: need points and a non-zero window count");
+  }
+  return ParallelMap("sweep", points.size(), [&](std::size_t i) {
+    return RunSweepPoint(base, points[i], workload, windows);
+  });
 }
 
 std::vector<SweepPoint> DefaultGrid() {

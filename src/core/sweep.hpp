@@ -14,11 +14,10 @@
 /// subarray organization together — the knobs interact: a deeper partial
 /// target raises MPRSF but narrows the latency gap, a guardband inflates
 /// every bin, wider counters only help if MPRSF can use them.  A sweep
-/// (runtime::RunSweep, runtime/resilient.hpp) evaluates a list of
-/// candidate points under one workload, one RunSweepPoint each, and
-/// reports the metrics needed to choose: normalized refresh overhead (VRL
-/// and VRL-Access), area cost, and the planning health (clamped rows, mean
-/// MPRSF).
+/// (RunSweep) evaluates a list of candidate points under one workload,
+/// one RunSweepPoint each, and reports the metrics needed to choose:
+/// normalized refresh overhead (VRL and VRL-Access), area cost, and the
+/// planning health (clamped rows, mean MPRSF).
 
 namespace vrl::core {
 
@@ -48,12 +47,21 @@ struct SweepResult {
 
 /// Evaluates a single sweep point under `workload` for `windows` base
 /// refresh windows, against a base configuration (geometry, seed, banks):
-/// one leg of runtime::RunSweep.  The point derives its RNG streams from
-/// its own configuration and shares nothing mutable with other points, so
-/// points run in parallel bit-identically.
+/// one point of RunSweep.  The point derives its RNG streams from its own
+/// configuration and shares nothing mutable with other points, so points
+/// run in parallel bit-identically.
 SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
                           const trace::SyntheticWorkloadParams& workload,
                           std::size_t windows);
+
+/// Evaluates every point under `workload` for `windows` base refresh
+/// windows, against a base configuration.  Points run in parallel
+/// (VRL_THREADS / ScopedThreadCount sets how many) and the results, in
+/// point order, are bit-identical at any thread count.
+/// \throws vrl::ConfigError on an empty grid or a zero window count.
+std::vector<SweepResult> RunSweep(
+    const VrlConfig& base, const std::vector<SweepPoint>& points,
+    const trace::SyntheticWorkloadParams& workload, std::size_t windows);
 
 /// A compact default grid around the paper's design point.
 std::vector<SweepPoint> DefaultGrid();

@@ -18,7 +18,6 @@
 #include "retention/distribution.hpp"
 #include "retention/mprsf.hpp"
 #include "retention/profile.hpp"
-#include "runtime/resilient.hpp"
 
 namespace vrl::core {
 namespace {
@@ -248,7 +247,7 @@ TEST(Sweep, RunSweepEvaluatesEveryPoint) {
   std::vector<SweepPoint> points(2);
   points[1].nbits = 1;
   const auto results =
-      runtime::RunSweep(base, points, trace::SuiteWorkload("swaptions"), 2);
+      RunSweep(base, points, trace::SuiteWorkload("swaptions"), 2);
   ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) {
     EXPECT_LT(r.vrl_normalized, 1.0);
@@ -262,11 +261,10 @@ TEST(Sweep, RunSweepEvaluatesEveryPoint) {
 
 TEST(Sweep, RejectsEmptyInput) {
   VrlConfig base;
-  EXPECT_THROW(runtime::RunSweep(base, {}, trace::SuiteWorkload("vips"), 2),
+  EXPECT_THROW(RunSweep(base, {}, trace::SuiteWorkload("vips"), 2),
                ConfigError);
-  EXPECT_THROW(
-      runtime::RunSweep(base, {SweepPoint{}}, trace::SuiteWorkload("vips"), 0),
-      ConfigError);
+  EXPECT_THROW(RunSweep(base, {SweepPoint{}}, trace::SuiteWorkload("vips"), 0),
+               ConfigError);
 }
 
 // ---------------------------------------------------------------------------

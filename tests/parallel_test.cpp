@@ -27,7 +27,6 @@
 #include "common/error.hpp"
 #include "core/experiments.hpp"
 #include "core/sweep.hpp"
-#include "runtime/resilient.hpp"
 
 namespace vrl {
 namespace {
@@ -222,7 +221,7 @@ TEST(Determinism, RunSweepBitIdenticalAtOneTwoAndEightThreads) {
   std::vector<std::vector<core::SweepResult>> runs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     const ScopedThreadCount scoped(threads);
-    runs.push_back(runtime::RunSweep(base, points, workload, 1));
+    runs.push_back(core::RunSweep(base, points, workload, 1));
   }
   ExpectSweepBitIdentical(runs[0], runs[1]);
   ExpectSweepBitIdentical(runs[0], runs[2]);

@@ -28,8 +28,7 @@
 namespace vrl::bench {
 namespace {
 
-constexpr unsigned kAllGroups =
-    kOutput | kProfile | kTrace | kPreset | kRuntime;
+constexpr unsigned kAllGroups = kOutput | kProfile | kTrace | kPreset;
 
 // argv helper: parses `args` like main would, against the rows of the
 // shared `groups` plus the binary's own `rows`.
@@ -220,29 +219,13 @@ TEST(FlagTable, FlagValueMayLookLikeAFlag) {
   EXPECT_FALSE(options.profile);
 }
 
-TEST(FlagTable, ResilienceFlagsParseAndValidate) {
-  const ReportOptions defaults = Parse({});
-  EXPECT_TRUE(defaults.resume_path.empty());
-
-  std::string workload;
-  const ReportOptions options =
-      Parse({"--resume", "run.journal", "VRL"}, {{"workload", &workload}});
-  EXPECT_EQ(options.resume_path, "run.journal");
-  EXPECT_EQ(workload, "VRL");
-
-  EXPECT_THROW(Parse({"--resume"}), ConfigError);
-  // Legs run in-process only: the worker-pool flags are unknown.
-  EXPECT_THROW(Parse({"--workers", "2"}), ConfigError);
-  EXPECT_THROW(Parse({"--leg-timeout", "9"}), ConfigError);
-  EXPECT_THROW(Parse({"--max-retries", "1"}), ConfigError);
-}
-
-// There is no monitor server: every group table rejects its former flags
-// as unknown, whatever follows them.
+// There is no monitor server, no leg journal and no worker pool: every
+// group table rejects their former flags as unknown, whatever follows
+// them.
 void ExpectUnknownFlag(const std::vector<std::string>& args,
-                       const std::string& flag) {
+                       const std::string& flag, unsigned groups = kAllGroups) {
   try {
-    Parse(args);
+    Parse(args, {}, groups);
     ADD_FAILURE() << "expected ConfigError for " << flag;
   } catch (const ConfigError& error) {
     EXPECT_EQ(std::string(error.what()).rfind("unknown flag '" + flag + "'", 0),
@@ -260,6 +243,21 @@ TEST(FlagTable, ServeIsAnUnknownFlag) {
 TEST(FlagTable, WatchdogIsAnUnknownFlag) {
   ExpectUnknownFlag({"--watchdog"}, "--watchdog");
   ExpectUnknownFlag({"--watchdog", "rules.json"}, "--watchdog");
+}
+
+TEST(FlagTable, NoGroupTakesResumeOrWorkerFlags) {
+  // Legs run in-process, with no journal to resume.  ~0u turns on every
+  // group bit, declared or not.
+  for (const unsigned groups :
+       {unsigned{kOutput}, unsigned{kProfile}, unsigned{kTrace},
+        unsigned{kPreset}, ~0u}) {
+    SCOPED_TRACE(groups);
+    ExpectUnknownFlag({"--resume"}, "--resume", groups);
+    ExpectUnknownFlag({"--resume", "run.journal"}, "--resume", groups);
+    ExpectUnknownFlag({"--workers", "2"}, "--workers", groups);
+    ExpectUnknownFlag({"--leg-timeout", "9"}, "--leg-timeout", groups);
+    ExpectUnknownFlag({"--max-retries", "1"}, "--max-retries", groups);
+  }
 }
 
 TEST(FlagTable, AcceptsOnlyTheDeclaredGroupsAndRows) {
@@ -517,26 +515,30 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
       {"trace_tools", "generate facesim 1 /dev/null"},
       {"circuit_waveform", "deck eq /dev/null"},
   };
-  // A shared flag the binary does not read; default --trace-out.
-  const std::map<std::string, std::string> unread = {
-      {"fig3_retention_binning", "--preset DDR4_2400"},
-      {"quickstart", "--resume q.journal"},
-      {"fault_campaign", "--preset DDR4_2400"},
-      {"design_space", "--profile"},
-      {"microbench", "--json x"},
+  // Flags the binary does not read; default --trace-out.  --resume is
+  // gone from the two binaries that took it.
+  const std::map<std::string, std::vector<std::string>> unread = {
+      {"fig3_retention_binning", {"--preset DDR4_2400"}},
+      {"quickstart", {"--resume q.journal"}},
+      {"fault_campaign", {"--preset DDR4_2400", "--resume x"}},
+      {"design_space", {"--profile", "--resume x"}},
+      {"microbench", {"--json x"}},
   };
   for (const auto& [binary, path] : Binaries()) {
     const auto filled = positionals.find(binary);
     const auto probe = unread.find(binary);
     // The output flags check the file extension as they parse: a binary
     // that reads them rejects these paths before it runs.
-    for (const std::string& args :
-         {std::string("--bogus 1"),
-          (filled != positionals.end() ? filled->second + " " : "") +
-              "extra",
-          probe != unread.end() ? probe->second : "--trace-out x",
-          std::string("--trace-out t.txt"),
-          std::string("--profile-out p.jsn")}) {
+    std::vector<std::string> cases = {
+        "--bogus 1",
+        (filled != positionals.end() ? filled->second + " " : "") + "extra",
+        "--trace-out t.txt", "--profile-out p.jsn"};
+    if (probe != unread.end()) {
+      cases.insert(cases.end(), probe->second.begin(), probe->second.end());
+    } else {
+      cases.emplace_back("--trace-out x");
+    }
+    for (const std::string& args : cases) {
       std::string err;
       EXPECT_EQ(RunBinary(binary, args, &err), 2) << binary << " " << args;
       // One `error:` line.

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,8 +181,12 @@ TEST(MetricsSnapshot, GaugeTakesLatestOnMerge) {
 TEST(Export, FormatDoubleRoundTripsAndIsStable) {
   EXPECT_EQ(FormatDouble(0.0), "0");
   EXPECT_EQ(FormatDouble(1.5), "1.5");
-  EXPECT_EQ(FormatDouble(FormatDouble(1.0 / 3.0) == "" ? 0.0 : 1.0 / 3.0),
-            FormatDouble(1.0 / 3.0));
+  // Shortest round trip: strtod recovers the exact bits, so an exported
+  // value reads back as the value the run computed.
+  for (const double value : {0.1, 1.0 / 3.0, -1.5e-300, 3.0e300}) {
+    const std::string text = FormatDouble(value);
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), value) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------
