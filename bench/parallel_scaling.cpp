@@ -8,7 +8,6 @@
 // numbers for the reference runner.
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -17,29 +16,7 @@
 #include "common/parallel.hpp"
 #include "core/sweep.hpp"
 
-namespace {
-
 using namespace vrl;
-
-bool BitIdentical(const std::vector<core::SweepResult>& a,
-                  const std::vector<core::SweepResult>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].vrl_normalized != b[i].vrl_normalized ||
-        a[i].vrl_access_normalized != b[i].vrl_access_normalized ||
-        a[i].logic_area_um2 != b[i].logic_area_um2 ||
-        a[i].area_fraction != b[i].area_fraction ||
-        a[i].mean_mprsf != b[i].mean_mprsf ||
-        a[i].clamped_rows != b[i].clamped_rows) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto report_options = bench::ParseFlags(argc, argv, bench::kOutput);
@@ -76,7 +53,7 @@ int main(int argc, char** argv) {
       serial = results;
       wall_serial = wall;
     } else {
-      identical = BitIdentical(serial, results);
+      identical = serial == results;
     }
     table.AddRow({std::to_string(threads), Fmt(wall, 2),
                   Fmt(wall_serial / wall, 2), identical ? "yes" : "NO"});

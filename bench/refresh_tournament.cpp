@@ -5,10 +5,10 @@
 // timing presets, with command logging on and every run's stream audited
 // by dram::TimingAuditor (REFpb activation windows included).
 //
-// Each preset's (policy, workload) legs run through ParallelFor
-// (VRL_THREADS), each into its own slot, and fold serially in policy and
-// suite order: the report and the audit log are byte-identical at any
-// thread count.
+// Each preset runs one task per workload (core::RunWorkloadGrid, over
+// VRL_THREADS) that draws the trace, runs every policy's leg over it into
+// its own slot and frees it; the slots fold serially in policy and suite
+// order, so the report and the audit log match at any thread count.
 //
 // Reported per (preset, policy): average demand-access latency, refresh
 // counts, energy (power::PowerModel), and the refresh-command lineage
@@ -43,21 +43,18 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/reporting.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "common/rng.hpp"
+#include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
 #include "dram/auditor.hpp"
 #include "dram/policy_registry.hpp"
 #include "dram/timing_table.hpp"
 #include "power/power_model.hpp"
 #include "telemetry/recorder.hpp"
-#include "trace/address.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -179,63 +176,57 @@ int RunTournament(const vrl::bench::ReportOptions& report_options,
     const dram::TimingAuditor auditor(config.TimingTableFor());
     const power::PowerModel power_model({}, config.tech.clock_period_s);
     const Cycles horizon = system.HorizonForWindows(flags.windows);
-    const trace::AddressMapper mapper(system.Geometry());
 
-    // Each trace is drawn straight into per-bank streams once, and every
-    // policy's leg only reads it.  Same trace derivation as the
-    // Fig. 4 grid (core/experiments.cpp), so results line up across
-    // reports.
-    std::vector<std::optional<dram::RequestStreams>> streams(
-        workloads.size());
-    ParallelFor("refresh_tournament.traces", workloads.size(),
-                [&](std::size_t w) {
-                  Rng rng(config.seed ^ 0xABCD'1234ULL);
-                  streams[w].emplace(trace::GenerateStreams(
-                      workloads[w], mapper, horizon, rng));
-                });
+    // One task per workload runs every policy's leg over its draw into
+    // slot [workload][policy], each leg with its own recorder and command
+    // log, audited inside the leg.
+    std::vector<std::vector<PolicyAgg>> legs(workloads.size());
+    core::RunWorkloadGrid(
+        system, workloads, horizon, nullptr, 0,
+        [&](std::size_t w, const dram::RequestStreams& streams,
+            telemetry::Recorder*) {
+          legs[w].resize(policy_names.size());
+          for (std::size_t p = 0; p < policy_names.size(); ++p) {
+            telemetry::Recorder recorder;
+            dram::CommandLog log;
+            const auto stats = system.SimulateStreams(
+                policy_names[p], streams, horizon, &recorder, &log);
+            dram::AuditReport audited = auditor.Audit(log);
 
-    // The (policy, workload) legs fan out into pre-sized slots, leg i
-    // running policy i / workloads on workload i % workloads, each with
-    // its own recorder and command log, audited inside the leg.
-    std::vector<PolicyAgg> legs(policy_names.size() * workloads.size());
-    ParallelFor("refresh_tournament.legs", legs.size(), [&](std::size_t i) {
-      telemetry::Recorder recorder;
-      dram::CommandLog log;
-      const auto stats = system.SimulateStreams(
-          policy_names[i / workloads.size()], *streams[i % workloads.size()],
-          horizon, &recorder, &log);
-      dram::AuditReport audited = auditor.Audit(log);
+            PolicyAgg& leg = legs[w][p];
+            leg.sims = 1;
+            leg.commands_checked = audited.commands_checked;
+            leg.violations = std::move(audited.violations);
+            const std::uint64_t served =
+                stats.TotalReads() + stats.TotalWrites();
+            leg.latency_sum =
+                stats.AverageRequestLatency() * static_cast<double>(served);
+            leg.requests = served;
+            leg.full = stats.TotalFullRefreshes();
+            leg.partial = stats.TotalPartialRefreshes();
+            const auto energy = power_model.Compute(stats);
+            leg.refresh_nj = energy.refresh_nj;
+            leg.total_nj = energy.Total();
 
-      PolicyAgg& leg = legs[i];
-      leg.sims = 1;
-      leg.commands_checked = audited.commands_checked;
-      leg.violations = std::move(audited.violations);
-      const std::uint64_t served = stats.TotalReads() + stats.TotalWrites();
-      leg.latency_sum =
-          stats.AverageRequestLatency() * static_cast<double>(served);
-      leg.requests = served;
-      leg.full = stats.TotalFullRefreshes();
-      leg.partial = stats.TotalPartialRefreshes();
-      const auto energy = power_model.Compute(stats);
-      leg.refresh_nj = energy.refresh_nj;
-      leg.total_nj = energy.Total();
-
-      const auto snap = recorder.Snapshot();
-      leg.proposals = CounterOf(snap, "dram.refresh.proposals");
-      leg.granted = CounterOf(snap, "dram.refresh.granted");
-      leg.deferred = CounterOf(snap, "dram.refresh.deferred");
-      leg.urgent_grants = CounterOf(snap, "dram.refresh.urgent_grants");
-      leg.skipped = CounterOf(snap, "policy.skipped_refreshes");
-      leg.mprsf_resets = CounterOf(snap, "policy.mprsf_resets");
-    });
+            const auto snap = recorder.Snapshot();
+            leg.proposals = CounterOf(snap, "dram.refresh.proposals");
+            leg.granted = CounterOf(snap, "dram.refresh.granted");
+            leg.deferred = CounterOf(snap, "dram.refresh.deferred");
+            leg.urgent_grants = CounterOf(snap, "dram.refresh.urgent_grants");
+            leg.skipped = CounterOf(snap, "policy.skipped_refreshes");
+            leg.mprsf_resets = CounterOf(snap, "policy.mprsf_resets");
+          }
+        });
 
     // Folded serially: a policy's sums run over the workloads in suite
     // order and its violations merge in policy order, so the report and
     // the audit log read as if each policy ran its grid alone.
     dram::AuditReport merged;
     std::map<std::string, PolicyAgg> aggs;
-    for (std::size_t i = 0; i < legs.size(); ++i) {
-      aggs[policy_names[i / workloads.size()]].Add(std::move(legs[i]));
+    for (std::size_t p = 0; p < policy_names.size(); ++p) {
+      for (std::vector<PolicyAgg>& row : legs) {
+        aggs[policy_names[p]].Add(std::move(row[p]));
+      }
     }
     for (const std::string& name : policy_names) {
       PolicyAgg& agg = aggs[name];

@@ -73,19 +73,13 @@ int main(int argc, char** argv) {
 
   // --profile: attribute wall time to the transient circuit solves — the
   // dominant cost of this harness (docs/PROFILING.md).  Every parallel task
-  // profiles into its own shard; shards merge in index order, so the tree
-  // is identical at any thread count.
+  // profiles into its own shard (telemetry::ParallelForShards); shards
+  // merge in index order, so the tree is identical at any thread count.
   std::unique_ptr<telemetry::Recorder> profile_sink;
-  std::unique_ptr<telemetry::ShardedRecorder> part_a_shards;
-  std::unique_ptr<telemetry::ShardedRecorder> part_b_shards;
   if (report_options.profile) {
     telemetry::RecorderOptions recorder_options;
     recorder_options.profile_phases = true;
     profile_sink = std::make_unique<telemetry::Recorder>(recorder_options);
-    part_a_shards =
-        std::make_unique<telemetry::ShardedRecorder>(3, recorder_options);
-    part_b_shards =
-        std::make_unique<telemetry::ShardedRecorder>(4, recorder_options);
   }
 
   // ---- Part A: geometry sweep --------------------------------------------
@@ -97,17 +91,17 @@ int main(int argc, char** argv) {
       {"bank", "t_eq model (ns)", "t_eq circuit (ns)", "dv model (mV)",
        "dv circuit (mV)"});
   const std::array<std::size_t, 3> geometries = {2048, 8192, 16384};
-  const auto part_a_rows = vrl::ParallelMap(
-      "circuit_equalization", geometries.size(),
-      [&](std::size_t g) -> std::vector<std::string> {
+  std::vector<std::vector<std::string>> part_a_rows(geometries.size());
+  telemetry::ParallelForShards(
+      "circuit_equalization", geometries.size(), profile_sink.get(),
+      [&](std::size_t g, telemetry::Recorder* shard) {
         TechnologyParams tech;
         tech.rows = geometries[g];
         tech.columns = 8;
         tech.cbw_ratio = 0.0;  // see header comment
 
         const telemetry::ScopedPhase solve_phase(
-            part_a_shards ? part_a_shards->shard(g).profiler() : nullptr,
-            "circuit.solve");
+            shard ? shard->profiler() : nullptr, "circuit.solve");
         const model::EqualizationModel eq(tech);
         auto eq_circuit = circuit::BuildEqualizationCircuit(tech, 0.0);
         circuit::TransientOptions options;
@@ -133,9 +127,9 @@ int main(int argc, char** argv) {
         const double dv_circuit =
             share_wave.FinalValue(array.bitline_nodes[mid]) - tech.Veq();
 
-        return {tech.GeometryLabel(), Fmt(t_model * 1e9, 2),
-                Fmt(t_circuit * 1e9, 2), Fmt(dv_model * 1e3, 1),
-                Fmt(dv_circuit * 1e3, 1)};
+        part_a_rows[g] = {tech.GeometryLabel(), Fmt(t_model * 1e9, 2),
+                          Fmt(t_circuit * 1e9, 2), Fmt(dv_model * 1e3, 1),
+                          Fmt(dv_circuit * 1e3, 1)};
       });
   for (const auto& row : part_a_rows) {
     part_a.AddRow(row);
@@ -148,9 +142,10 @@ int main(int argc, char** argv) {
       "sa_offset_vs_readable",
       {"offset (mV)", "circuit readable fraction", "model readable fraction"});
   const std::array<double, 4> offsets_mv = {0.0, 5.0, 10.0, 20.0};
-  const auto part_b_rows = vrl::ParallelMap(
-      "circuit_sa_offset", offsets_mv.size(),
-      [&](std::size_t o) -> std::vector<std::string> {
+  std::vector<std::vector<std::string>> part_b_rows(offsets_mv.size());
+  telemetry::ParallelForShards(
+      "circuit_sa_offset", offsets_mv.size(), profile_sink.get(),
+      [&](std::size_t o, telemetry::Recorder* shard) {
         const double offset_mv = offsets_mv[o];
         TechnologyParams margin_tech = tech;
         // The model's margin parameter corresponds to the latch offset; a
@@ -158,11 +153,11 @@ int main(int argc, char** argv) {
         margin_tech.v_sense_min = std::max(1e-3, offset_mv * 1e-3);
         const model::RefreshModel margin_model(margin_tech);
         const telemetry::ScopedPhase solve_phase(
-            part_b_shards ? part_b_shards->shard(o).profiler() : nullptr,
-            "circuit.solve");
-        return {Fmt(offset_mv, 0),
-                Fmt(CircuitReadableFraction(tech, offset_mv * 1e-3), 3),
-                Fmt(margin_model.MinReadableFraction(), 3)};
+            shard ? shard->profiler() : nullptr, "circuit.solve");
+        part_b_rows[o] = {
+            Fmt(offset_mv, 0),
+            Fmt(CircuitReadableFraction(tech, offset_mv * 1e-3), 3),
+            Fmt(margin_model.MinReadableFraction(), 3)};
       });
   for (const auto& row : part_b_rows) {
     part_b.AddRow(row);
@@ -172,8 +167,6 @@ int main(int argc, char** argv) {
                  "latch offset; both put the readable threshold a few points "
                  "above 50%");
   if (profile_sink) {
-    part_a_shards->MergeInto(*profile_sink);
-    part_b_shards->MergeInto(*profile_sink);
     report.AddProfile(*profile_sink);
     bench::WriteProfileOutput(report_options, *profile_sink);
   }

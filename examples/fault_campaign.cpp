@@ -183,15 +183,17 @@ int main(int argc, char** argv) {
       telemetry::WriteTraceFile(report_options.trace_path,
                                 *recorder.tracer(), recorder.lineage());
     }
+    char verdict[256];
+    std::snprintf(verdict, sizeof verdict,
+                  "plain %s loses %zu rows' worth of data; adaptive ends "
+                  "with %zu unrecovered failures at %.1f%% of JEDEC refresh "
+                  "overhead",
+                  policy.c_str(), plain.unrecovered_failures,
+                  adaptive.unrecovered_failures,
+                  100.0 * static_cast<double>(adaptive.refresh_busy_cycles) /
+                      static_cast<double>(jedec.refresh_busy_cycles));
+    report.AddMeta("verdict", verdict);
     report.Emit(report_options, std::cout);
-
-    std::printf("\nverdict: plain %s loses %zu rows' worth of data; "
-                "adaptive ends with %zu unrecovered failures at %.1f%% of "
-                "JEDEC refresh overhead\n",
-                policy.c_str(), plain.unrecovered_failures,
-                adaptive.unrecovered_failures,
-                100.0 * static_cast<double>(adaptive.refresh_busy_cycles) /
-                    static_cast<double>(jedec.refresh_busy_cycles));
     return adaptive.unrecovered_failures == 0 ? 0 : 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

@@ -57,9 +57,10 @@ int main(int argc, char** argv) {
     report.AddMeta("spare_rows", config.spare_rows);
     report.AddMeta("worst_case_vrt", with_vrt ? "yes" : "no");
     if (system.guardband_clamped_rows() > 0) {
-      std::printf("warning: %zu rows not protected by the guardband "
-                  "(consider spare_rows)\n",
-                  system.guardband_clamped_rows());
+      std::fprintf(stderr,
+                   "warning: %zu rows not protected by the guardband "
+                   "(consider spare_rows)\n",
+                   system.guardband_clamped_rows());
     }
 
     retention::VrtParams vrt;

@@ -80,6 +80,6 @@ int main(int argc, char** argv) {
     csv << r << ',' << profile.RowRetention(r) * 1e3 << ','
         << bins.RowPeriod(r) * 1e3 << ',' << mprsf[r] << '\n';
   }
-  std::printf("\nper-row profile written to %s\n", csv_path.c_str());
+  std::fprintf(stderr, "per-row profile written to %s\n", csv_path.c_str());
   return 0;
 }

@@ -1,35 +1,31 @@
 #include "core/experiments.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "dram/policy_registry.hpp"
 
 namespace vrl::core {
-namespace {
 
-/// RunWorkload body with an explicit recorder, so the parallel suite can
-/// hand each task its own shard.  `recorder` may be null (telemetry off).
-WorkloadResult RunWorkloadInto(const VrlSystem& system,
-                               const trace::SyntheticWorkloadParams& workload,
-                               const ExperimentOptions& options,
-                               telemetry::Recorder* recorder) {
-  if (options.windows == 0) {
+dram::RequestStreams DrawWorkload(const VrlSystem& system,
+                                  const trace::SyntheticWorkloadParams& workload,
+                                  Cycles horizon, std::uint64_t salt) {
+  Rng rng(system.config().seed ^ salt);
+  return trace::GenerateStreams(
+      workload, trace::AddressMapper(system.Geometry()), horizon, rng);
+}
+
+WorkloadResult RunWorkloadOn(const VrlSystem& system,
+                             const trace::SyntheticWorkloadParams& workload,
+                             const dram::RequestStreams& streams,
+                             Cycles horizon,
+                             const power::EnergyParams& energy,
+                             telemetry::Recorder* recorder) {
+  if (horizon == 0) {
     throw ConfigError("RunWorkload: need at least one refresh window");
   }
-  const Cycles horizon = system.HorizonForWindows(options.windows);
-  // The trace is drawn straight into per-bank streams once: the three
-  // policies share the one read-only draw.
-  const dram::RequestStreams streams = [&] {
-    Rng rng(system.config().seed ^ 0xABCD'1234ULL);
-    return trace::GenerateStreams(
-        workload, trace::AddressMapper(system.Geometry()), horizon, rng);
-  }();
-
-  const power::PowerModel power_model(options.energy,
+  const power::PowerModel power_model(energy,
                                       system.config().tech.clock_period_s);
 
   WorkloadResult result;
@@ -69,52 +65,47 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
   return result;
 }
 
-}  // namespace
-
 WorkloadResult RunWorkload(const VrlSystem& system,
                            const trace::SyntheticWorkloadParams& workload,
                            const ExperimentOptions& options) {
-  return RunWorkloadInto(system, workload, options, options.telemetry);
+  const Cycles horizon = system.HorizonForWindows(options.windows);
+  return RunWorkloadOn(system, workload,
+                       DrawWorkload(system, workload, horizon), horizon,
+                       options.energy, options.telemetry);
+}
+
+void RunWorkloadGrid(
+    const VrlSystem& system,
+    const std::vector<trace::SyntheticWorkloadParams>& workloads,
+    Cycles horizon, telemetry::Recorder* sink, std::size_t threads,
+    const std::function<void(std::size_t, const dram::RequestStreams&,
+                             telemetry::Recorder*)>& legs) {
+  std::vector<std::size_t> order(workloads.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return workloads[a].mean_gap_cycles <
+                            workloads[b].mean_gap_cycles;
+                   });
+  telemetry::ParallelForShards(
+      "workload_grid", workloads.size(), sink,
+      [&](std::size_t i, telemetry::Recorder* shard) {
+        legs(i, DrawWorkload(system, workloads[i], horizon), shard);
+      },
+      threads, order);
 }
 
 std::vector<WorkloadResult> RunEvaluationSuite(
     const VrlSystem& system, const ExperimentOptions& options) {
-  // One task per workload: RunWorkload builds all of its mutable state
-  // (trace RNG, controller, power model) locally and only reads the shared
-  // const system, so the suite parallelizes bit-identically.  Telemetry
-  // follows the same contract: task i writes only shard i, and the shards
-  // merge into the sink in index order after the fan-out.
+  const Cycles horizon = system.HorizonForWindows(options.windows);
   const auto suite = trace::EvaluationSuite();
   std::vector<WorkloadResult> results(suite.size());
-  std::unique_ptr<telemetry::ShardedRecorder> shards;
-  if (options.telemetry != nullptr) {
-    shards = std::make_unique<telemetry::ShardedRecorder>(
-        suite.size(), options.telemetry->options());
-  }
-  // Heaviest first: a workload's requests, and so its run time, grow as its
-  // mean gap shrinks, so the tasks are claimed in ascending mean gap (ties
-  // in suite order).  Otherwise the heaviest (bgsave, last in the suite)
-  // starts last and leaves the other threads idle at the end.  The order
-  // only decides which task a thread takes next: results land in slot i
-  // and shards merge in index order, so no output depends on it.
-  std::vector<std::size_t> order(suite.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return suite[a].mean_gap_cycles <
-                            suite[b].mean_gap_cycles;
-                   });
-  ParallelFor(
-      "evaluation_suite", suite.size(),
-      [&](std::size_t k) {
-        const std::size_t i = order[k];
-        results[i] = RunWorkloadInto(system, suite[i], options,
-                                     shards ? &shards->shard(i) : nullptr);
-      },
-      options.threads);
-  if (shards) {
-    shards->MergeInto(*options.telemetry);
-  }
+  RunWorkloadGrid(system, suite, horizon, options.telemetry, options.threads,
+                  [&](std::size_t i, const dram::RequestStreams& streams,
+                      telemetry::Recorder* shard) {
+                    results[i] = RunWorkloadOn(system, suite[i], streams,
+                                               horizon, options.energy, shard);
+                  });
   return results;
 }
 
@@ -168,21 +159,12 @@ ResilienceResult RunResilienceComparison(const VrlSystem& system,
   ResilienceResult result;
   fault::CampaignReport* const outs[] = {&result.jedec, &result.plain,
                                          &result.adaptive};
-  std::unique_ptr<telemetry::ShardedRecorder> shards;
-  if (options.telemetry != nullptr) {
-    shards = std::make_unique<telemetry::ShardedRecorder>(
-        legs.size(), options.telemetry->options());
-  }
-  ParallelFor(
-      "resilience_comparison", legs.size(),
-      [&](std::size_t i) {
-        *outs[i] = system.RunFaultCampaign(
-            legs[i], recording, shards ? &shards->shard(i) : nullptr);
+  telemetry::ParallelForShards(
+      "resilience_comparison", legs.size(), options.telemetry,
+      [&](std::size_t i, telemetry::Recorder* shard) {
+        *outs[i] = system.RunFaultCampaign(legs[i], recording, shard);
       },
       options.threads);
-  if (shards) {
-    shards->MergeInto(*options.telemetry);
-  }
   return result;
 }
 

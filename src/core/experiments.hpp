@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,11 +33,9 @@ struct ExperimentOptions {
   /// (VRL_THREADS / hardware).  Results are bit-identical either way.
   std::size_t threads = 0;
 
-  /// Aggregate telemetry sink.  Parallel drivers give every task its own
-  /// shard (telemetry::ShardedRecorder) and merge the shards into this
-  /// recorder in task-index order, so the merged snapshot — and any export
-  /// of it — is bit-identical at every thread count.  Null means
-  /// telemetry is off.
+  /// Aggregate telemetry sink (null = off).  Parallel drivers shard it per
+  /// task (telemetry::ParallelForShards), so the merged snapshot — and any
+  /// export of it — is bit-identical at every thread count.
   telemetry::Recorder* telemetry = nullptr;
 };
 
@@ -59,16 +58,49 @@ struct WorkloadResult {
   bool operator==(const WorkloadResult&) const = default;
 };
 
+/// Draws `workload` over `horizon` into per-bank streams mapped by the
+/// system's geometry, from Rng(system seed ^ `salt`).  The default salt is
+/// the suite's trace seed, so the Fig. 4 grid and the refresh tournament
+/// replay the same requests.
+dram::RequestStreams DrawWorkload(const VrlSystem& system,
+                                  const trace::SyntheticWorkloadParams& workload,
+                                  Cycles horizon,
+                                  std::uint64_t salt = 0xABCD'1234ULL);
+
+/// RAIDR, VRL and VRL-Access over one read-only draw of `workload` for
+/// `horizon` (> 0) cycles: overheads, refresh power under `energy`, and
+/// telemetry into `recorder` (may be null).  The body of RunWorkload,
+/// RunEvaluationSuite and RunSweepPoint (core/sweep.hpp).
+WorkloadResult RunWorkloadOn(const VrlSystem& system,
+                             const trace::SyntheticWorkloadParams& workload,
+                             const dram::RequestStreams& streams,
+                             Cycles horizon,
+                             const power::EnergyParams& energy,
+                             telemetry::Recorder* recorder);
+
 /// Runs one workload under RAIDR, VRL and VRL-Access for options.windows
 /// base refresh windows and reports overheads plus refresh power.
 WorkloadResult RunWorkload(const VrlSystem& system,
                            const trace::SyntheticWorkloadParams& workload,
                            const ExperimentOptions& options);
 
+/// One fan-out over a grid of workloads on one system: task i draws
+/// workloads[i] (DrawWorkload), calls legs(i, streams, shard) and frees
+/// the draw, so only the draws in flight are resident.  Tasks are claimed
+/// heaviest first (ascending mean_gap_cycles, ties in input order), so no
+/// heavy workload starts last and leaves the other threads idle.  `legs`
+/// fills slot i and records into shard i of `sink` (null = off), merged in
+/// index order: no output depends on the order or on `threads`.
+void RunWorkloadGrid(
+    const VrlSystem& system,
+    const std::vector<trace::SyntheticWorkloadParams>& workloads,
+    Cycles horizon, telemetry::Recorder* sink, std::size_t threads,
+    const std::function<void(std::size_t, const dram::RequestStreams&,
+                             telemetry::Recorder*)>& legs);
+
 /// Runs the full evaluation suite (Fig. 4): every PARSEC workload plus
-/// bgsave.  Workloads run in parallel (common/parallel.hpp) with
-/// bit-identical results — including the merged telemetry — at any thread
-/// count.
+/// bgsave, one RunWorkloadGrid task each, with bit-identical results —
+/// including the merged telemetry — at any thread count.
 std::vector<WorkloadResult> RunEvaluationSuite(
     const VrlSystem& system, const ExperimentOptions& options);
 

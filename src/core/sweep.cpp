@@ -5,7 +5,7 @@
 #include "area/area_model.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "trace/address.hpp"
+#include "core/experiments.hpp"
 
 namespace vrl::core {
 
@@ -31,25 +31,16 @@ SweepResult RunSweepPoint(const VrlConfig& base, const SweepPoint& point,
   const VrlSystem system(config);
 
   const Cycles horizon = system.HorizonForWindows(windows);
-  // One draw of the trace, shared read-only by the three runs.
-  const dram::RequestStreams streams = [&] {
-    Rng rng(config.seed ^ 0x5111EE7ULL);
-    return trace::GenerateStreams(
-        workload, trace::AddressMapper(system.Geometry()), horizon, rng);
-  }();
-
-  const double raidr = system.SimulateStreams("RAIDR", streams, horizon)
-                           .RefreshOverheadPerBank();
-  const double vrl =
-      system.SimulateStreams("VRL", streams, horizon).RefreshOverheadPerBank();
-  const double vrl_access =
-      system.SimulateStreams("VRL-Access", streams, horizon)
-          .RefreshOverheadPerBank();
+  // One draw of the trace, shared read-only by the three runs; the sweep
+  // salts its own trace seed.
+  const WorkloadResult runs = RunWorkloadOn(
+      system, workload, DrawWorkload(system, workload, horizon, 0x5111EE7ULL),
+      horizon, {}, nullptr);
 
   SweepResult result;
   result.point = point;
-  result.vrl_normalized = vrl / raidr;
-  result.vrl_access_normalized = vrl_access / raidr;
+  result.vrl_normalized = runs.VrlNormalized();
+  result.vrl_access_normalized = runs.VrlAccessNormalized();
   result.logic_area_um2 = area_model.LogicAreaUm2(point.nbits);
   result.area_fraction = area_model.OverheadFraction(
       point.nbits, config.tech.rows, config.tech.columns);

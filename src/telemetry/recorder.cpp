@@ -1,5 +1,7 @@
 #include "telemetry/recorder.hpp"
 
+#include "common/parallel.hpp"
+
 namespace vrl::telemetry {
 
 Recorder::Recorder(RecorderOptions options) : options_(options) {
@@ -32,6 +34,25 @@ ShardedRecorder::ShardedRecorder(std::size_t shards, RecorderOptions options) {
 void ShardedRecorder::MergeInto(Recorder& sink) const {
   for (const auto& shard : shards_) {
     sink.Absorb(*shard);
+  }
+}
+
+void ParallelForShards(
+    std::string_view label, std::size_t n, Recorder* sink,
+    const std::function<void(std::size_t, Recorder*)>& body,
+    std::size_t threads, const std::vector<std::size_t>& claim_order) {
+  const std::unique_ptr<ShardedRecorder> shards =
+      sink == nullptr ? nullptr
+                      : std::make_unique<ShardedRecorder>(n, sink->options());
+  ParallelFor(
+      label, n,
+      [&](std::size_t k) {
+        const std::size_t i = claim_order.empty() ? k : claim_order[k];
+        body(i, shards ? &shards->shard(i) : nullptr);
+      },
+      threads);
+  if (shards) {
+    shards->MergeInto(*sink);
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -12,8 +13,8 @@
 
 /// \file recorder.hpp
 /// Recorder — the telemetry session object the instrumented layers write
-/// into — plus ShardedRecorder (deterministic aggregation across parallel
-/// tasks).
+/// into — plus ShardedRecorder and ParallelForShards (deterministic
+/// aggregation across parallel tasks).
 ///
 /// A Recorder is deliberately single-threaded: determinism comes from
 /// giving every parallel task its own shard and merging shards in
@@ -102,9 +103,7 @@ class ShardedRecorder {
  public:
   ShardedRecorder(std::size_t shards, RecorderOptions options = {});
 
-  std::size_t size() const { return shards_.size(); }
   Recorder& shard(std::size_t index) { return *shards_[index]; }
-  const Recorder& shard(std::size_t index) const { return *shards_[index]; }
 
   /// Absorbs every shard into `sink`, index order.
   void MergeInto(Recorder& sink) const;
@@ -112,5 +111,15 @@ class ShardedRecorder {
  private:
   std::vector<std::unique_ptr<Recorder>> shards_;
 };
+
+/// ParallelFor (common/parallel.hpp) running body(i, shard) for i in
+/// [0, n), `shard` being task i's own Recorder (null when `sink` is null),
+/// merged into `sink` in index order after the fan-out.  Tasks are claimed
+/// in index order, or in `claim_order` (a permutation of [0, n)) if given;
+/// neither the order nor the thread count moves a byte of the sink.
+void ParallelForShards(
+    std::string_view label, std::size_t n, Recorder* sink,
+    const std::function<void(std::size_t, Recorder*)>& body,
+    std::size_t threads = 0, const std::vector<std::size_t>& claim_order = {});
 
 }  // namespace vrl::telemetry

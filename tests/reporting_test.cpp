@@ -1,8 +1,9 @@
 // Tests for the shared report writer (bench/reporting.hpp): CSV quoting,
 // the --profile attribution table, the flag table and its checked numeric
 // value parsers, the command-line contract of every bench and example
-// binary, and the policy-name resolver the reporting binaries feed their
-// arguments through.
+// binary, `--json -` writing one JSON document to stdout, and the
+// policy-name resolver the reporting binaries feed their arguments
+// through.
 //
 // The binaries' paths arrive as one comma-separated compile definition
 // (VRL_BINARIES) from tests/CMakeLists.txt.
@@ -12,8 +13,10 @@
 #include <sys/wait.h>
 
 #include <array>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "bench/reporting.hpp"
 #include "common/error.hpp"
 #include "core/vrl_system.hpp"
+#include "dram/policy_registry.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace vrl::bench {
@@ -491,9 +495,10 @@ std::string StdoutOf(const std::string& name, const std::string& args,
 }
 
 TEST(RefreshTournament, JsonIsIdenticalAcrossThreadCounts) {
-  // The legs fan out over the threads and fold in policy and suite order.
+  // One task per workload, claimed heaviest first, folded in policy and
+  // suite order: more workloads than threads exercise both orders.
   const std::string args =
-      "--preset DDR4_2400 --windows 1 --workloads 2 --json -";
+      "--preset DDR4_2400 --windows 1 --workloads 5 --json -";
   int serial_status = -1;
   int fanned_status = -1;
   const std::string serial =
@@ -504,6 +509,119 @@ TEST(RefreshTournament, JsonIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(fanned_status, 0);
   EXPECT_NE(serial.find("\"lineage\""), std::string::npos);
   EXPECT_EQ(serial, fanned);
+}
+
+void SkipJsonSpace(const std::string& text, std::size_t& pos) {
+  while (pos < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
+    ++pos;
+  }
+}
+
+/// Advances `pos` past one JSON value (leading whitespace skipped); false
+/// when none parses there.  Enough grammar to tell one document from a
+/// document with other text before or after it.
+bool SkipJsonValue(const std::string& text, std::size_t& pos) {
+  SkipJsonSpace(text, pos);
+  if (pos >= text.size()) {
+    return false;
+  }
+  const char open = text[pos];
+  if (open == '"') {
+    for (++pos; pos < text.size(); ++pos) {
+      if (text[pos] == '\\') {
+        ++pos;
+      } else if (text[pos] == '"') {
+        ++pos;
+        return true;
+      }
+    }
+    return false;
+  }
+  if (open == '{' || open == '[') {
+    const char close = open == '{' ? '}' : ']';
+    ++pos;
+    SkipJsonSpace(text, pos);
+    if (pos < text.size() && text[pos] == close) {
+      ++pos;
+      return true;
+    }
+    for (;;) {
+      if (open == '{') {
+        SkipJsonSpace(text, pos);
+        if (pos >= text.size() || text[pos] != '"' ||
+            !SkipJsonValue(text, pos)) {
+          return false;
+        }
+        SkipJsonSpace(text, pos);
+        if (pos >= text.size() || text[pos++] != ':') {
+          return false;
+        }
+      }
+      if (!SkipJsonValue(text, pos)) {
+        return false;
+      }
+      SkipJsonSpace(text, pos);
+      if (pos >= text.size()) {
+        return false;
+      }
+      if (text[pos] == close) {
+        ++pos;
+        return true;
+      }
+      if (text[pos++] != ',') {
+        return false;
+      }
+    }
+  }
+  const std::size_t start = pos;
+  while (pos < text.size() &&
+         (std::isalnum(static_cast<unsigned char>(text[pos])) != 0 ||
+          text[pos] == '-' || text[pos] == '+' || text[pos] == '.')) {
+    ++pos;
+  }
+  const std::string token = text.substr(start, pos - start);
+  char* end = nullptr;
+  std::strtod(token.c_str(), &end);
+  return token == "true" || token == "false" || token == "null" ||
+         (!token.empty() && end == token.c_str() + token.size());
+}
+
+/// True when `text` is one JSON object and nothing else but whitespace.
+bool IsOneJsonObject(const std::string& text) {
+  std::size_t pos = 0;
+  SkipJsonSpace(text, pos);
+  if (pos >= text.size() || text[pos] != '{' || !SkipJsonValue(text, pos)) {
+    return false;
+  }
+  SkipJsonSpace(text, pos);
+  return pos == text.size();
+}
+
+TEST(JsonStdout, IsExactlyOneJsonObject) {
+  // The check itself: text before or after the report is not one document.
+  EXPECT_TRUE(IsOneJsonObject("{\"a\":[\"b\\\"\",{},1.5e-3,true]}\n"));
+  EXPECT_FALSE(IsOneJsonObject("{}\n\nverdict: lost\n"));
+  EXPECT_FALSE(IsOneJsonObject("warning: 3 rows\n{}\n"));
+  EXPECT_FALSE(IsOneJsonObject("{\"a\":}"));
+
+  // `--json -` writes the report and nothing else to stdout: the campaign
+  // verdict is a meta entry, the guardband warning (a guardband of 4 leaves
+  // rows unprotected) and the profile's CSV path go to stderr.
+  const std::string config = testing::TempDir() + "vrl_guardband_4.cfg";
+  std::ofstream(config) << "retention_guardband = 4\n";
+  const std::pair<std::string, std::string> runs[] = {
+      {"fault_campaign", "--json -"},
+      {"integrity_audit", "--config " + config + " --json -"},
+      {"retention_profiler", "--json -"},
+  };
+  for (const auto& [binary, args] : runs) {
+    int status = -1;
+    const std::string out = StdoutOf(binary, args, 1, &status);
+    EXPECT_EQ(status, 0) << binary;
+    EXPECT_TRUE(IsOneJsonObject(out)) << binary << " " << args << ":\n"
+                                      << out;
+  }
 }
 
 TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
@@ -598,13 +716,15 @@ TEST(ReportEmit, StdoutJsonReplacesTextRendering) {
 // -- PolicyFromName -----------------------------------------------------------
 
 TEST(PolicyFromName, CanonicalizesCaseAndSeparators) {
-  EXPECT_EQ(core::PolicyFromName("JEDEC"), "JEDEC");
+  // The identity on every registry name.
+  for (const dram::PolicyInfo& info :
+       dram::PolicyRegistry::Global().entries()) {
+    EXPECT_EQ(core::PolicyFromName(info.name), info.name);
+  }
   EXPECT_EQ(core::PolicyFromName("jedec"), "JEDEC");
-  EXPECT_EQ(core::PolicyFromName("RAIDR"), "RAIDR");
-  EXPECT_EQ(core::PolicyFromName("VRL"), "VRL");
-  EXPECT_EQ(core::PolicyFromName("VRL-Access"), "VRL-Access");
   EXPECT_EQ(core::PolicyFromName("vrl_access"), "VRL-Access");
   EXPECT_EQ(core::PolicyFromName("VrlAccess"), "VRL-Access");
+  EXPECT_EQ(core::PolicyFromName("VRLACCESS"), "VRL-Access");
 }
 
 TEST(PolicyFromName, UnknownAndEmptyNamesThrow) {

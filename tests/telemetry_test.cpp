@@ -7,7 +7,8 @@
 //  2. The determinism contract end to end: the merged telemetry of
 //     RunEvaluationSuite and of the fault-campaign comparison must export
 //     byte-identically at 1, 2 and 8 threads.
-//  3. The name seam: PolicyFromName is the identity on registry names.
+//  3. System instrumentation: VrlSystem::Simulate feeds the policy and
+//     DRAM metrics.
 
 #include "telemetry/recorder.hpp"
 
@@ -22,7 +23,6 @@
 #include "common/error.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
-#include "dram/policy_registry.hpp"
 #include "retention/vrt.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trace_export.hpp"
@@ -279,19 +279,8 @@ TEST(Determinism, ShardMergeMatchesSerialRecording) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Name seam
+// 3. System instrumentation
 // ---------------------------------------------------------------------------
-
-TEST(PolicyFromName, InvertsPolicyNameAndNormalizes) {
-  for (const dram::PolicyInfo& info : dram::PolicyRegistry::Global().entries()) {
-    EXPECT_EQ(core::PolicyFromName(info.name), info.name);
-  }
-  EXPECT_EQ(core::PolicyFromName("vrl_access"), "VRL-Access");
-  EXPECT_EQ(core::PolicyFromName("VRLACCESS"), "VRL-Access");
-  EXPECT_EQ(core::PolicyFromName("jedec"), "JEDEC");
-  EXPECT_THROW(core::PolicyFromName("ddr5"), ConfigError);
-  EXPECT_THROW(core::PolicyFromName(""), ConfigError);
-}
 
 TEST(VrlSystemTelemetry, SimulatePopulatesPolicyAndDramMetrics) {
   core::VrlConfig config;
