@@ -11,20 +11,21 @@
 //                    [--trace-out PATH] [--profile] [--profile-out PATH]
 //                    [--profile-scrub]
 //
-// Three legs run concurrently under the identical fault realization: the
-// JEDEC full-rate baseline, the plain policy (no detection — silent loss),
-// and the adaptive wrapper (detection + demotion / fallback).  Exit code 0
-// when the adaptive leg ends with zero unrecovered failures.
+// Three legs run concurrently under the identical fault realization, which
+// they replay while it is drawn: the JEDEC full-rate baseline, the plain
+// policy (no detection — silent loss), and the adaptive wrapper (detection
+// + demotion / fallback).  Exit code 0 when the adaptive leg ends with zero
+// unrecovered failures.
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/reporting.hpp"
-#include "common/parallel.hpp"
 #include "core/config_io.hpp"
 #include "core/experiments.hpp"
 #include "core/vrl_system.hpp"
@@ -118,10 +119,8 @@ int main(int argc, char** argv) {
     report.AddMeta("vrt_row_fraction", vrt.row_fraction, 4);
     report.AddMeta("vrt_low_ratio", vrt.low_ratio, 2);
     report.AddMeta("vrt_dwell_s", vrt.mean_dwell_s, 2);
-    // The fault realization is drawn once; every leg replays it.
-    const fault::FaultRecording recording =
-        system.RecordFaults(make_schedule(), windows);
-    report.AddMeta("injectors", recording.description());
+    fault::FaultSchedule schedule = make_schedule();
+    report.AddMeta("injectors", schedule.Describe());
 
     // The adaptive leg feeds a telemetry recorder: its metrics (campaign.*,
     // adaptive.*, policy.*) land in the report's telemetry table, and
@@ -136,9 +135,14 @@ int main(int argc, char** argv) {
     recorder_options.profile_phases = report_options.profile;
     telemetry::Recorder recorder(recorder_options);
 
-    const std::vector<fault::CampaignReport> reports =
-        ParallelMap("fault_campaign_legs", legs.size(), [&](std::size_t leg) {
-          return system.RunFaultCampaign(
+    // The fault realization is drawn once, and every leg replays it while
+    // it is drawn.
+    std::vector<fault::CampaignReport> reports(legs.size());
+    core::RunFaultLegs(
+        system, std::move(schedule), windows, legs.size(), nullptr, 0,
+        [&](std::size_t leg, const fault::FaultRecording& recording,
+            telemetry::Recorder*) {
+          reports[leg] = system.RunFaultCampaign(
               legs[leg], recording, legs[leg].adaptive ? &recorder : nullptr);
         });
     const fault::CampaignReport& jedec = reports[0];

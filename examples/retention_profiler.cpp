@@ -3,14 +3,19 @@
 //
 //   ./retention_profiler [rows] [cells_per_row] [seed] [--json PATH] [--csv PATH]
 //
-// Prints the binning summary and an MPRSF histogram, and writes the per-row
-// profile as CSV to stdout-adjacent file /tmp/vrl_profile.csv.
+// Prints the binning summary and an MPRSF histogram.  --csv writes the
+// per-row profile (row, retention, bin period, MPRSF) to PATH ("-" =
+// stdout, in place of the text report) instead of the report's tables;
+// without it no file is written.  A path that cannot be written is one
+// `error:` line and exit 2.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <ostream>
 #include <string>
+#include <utility>
 
 #include "bench/reporting.hpp"
 #include "common/rng.hpp"
@@ -26,11 +31,23 @@ int main(int argc, char** argv) {
   std::size_t rows = 8192;
   std::size_t cells = 32;
   std::uint64_t seed = 42;
-  const auto report_options = bench::ParseFlags(
+  auto report_options = bench::ParseFlags(
       argc, argv, bench::kOutput,
       {{"rows", &rows, bench::kPositive},
        {"cells", &cells, bench::kPositive},
        {"seed", &seed}});
+  // --csv names the per-row profile here, opened before any work so a bad
+  // path fails first.
+  const std::string csv_path = std::exchange(report_options.csv_path, "");
+  std::ofstream csv_file;
+  if (!csv_path.empty() && csv_path != "-") {
+    csv_file.open(csv_path);
+    if (!csv_file) {
+      std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                   csv_path.c_str());
+      return 2;
+    }
+  }
 
   Rng rng(seed);
   const RetentionDistribution dist;
@@ -71,15 +88,28 @@ int main(int argc, char** argv) {
          FmtPercent(static_cast<double>(count) / static_cast<double>(rows),
                     1)});
   }
-  report.Emit(report_options, std::cout);
-
-  const std::string csv_path = "/tmp/vrl_profile.csv";
-  std::ofstream csv(csv_path);
+  // "--csv -" takes stdout's text report's place, as in every binary.
+  std::ostream discard(nullptr);
+  const bool csv_on_stdout = csv_path == "-";
+  report.Emit(report_options,
+              csv_on_stdout && report_options.json_path != "-" ? discard
+                                                               : std::cout);
+  if (csv_path.empty()) {
+    return 0;
+  }
+  std::ostream& csv = csv_on_stdout ? std::cout : csv_file;
   csv << "row,retention_ms,bin_period_ms,mprsf\n";
   for (std::size_t r = 0; r < rows; ++r) {
     csv << r << ',' << profile.RowRetention(r) * 1e3 << ','
         << bins.RowPeriod(r) * 1e3 << ',' << mprsf[r] << '\n';
   }
-  std::fprintf(stderr, "per-row profile written to %s\n", csv_path.c_str());
+  if (!csv.flush()) {
+    std::fprintf(stderr, "error: cannot write the per-row profile to '%s'\n",
+                 csv_path.c_str());
+    return 2;
+  }
+  if (!csv_on_stdout) {
+    std::fprintf(stderr, "per-row profile written to %s\n", csv_path.c_str());
+  }
   return 0;
 }

@@ -146,25 +146,45 @@ fault::CampaignReport RunResilienceLeg(
       recorder);
 }
 
+void RunFaultLegs(
+    const VrlSystem& system, fault::FaultSchedule schedule,
+    std::size_t windows, std::size_t legs, telemetry::Recorder* sink,
+    std::size_t threads,
+    const std::function<void(std::size_t, const fault::FaultRecording&,
+                             telemetry::Recorder*)>& leg) {
+  fault::FaultRecording recording(std::move(schedule),
+                                  system.CampaignSetupFor(windows).Ticks(),
+                                  system.profile().rows(),
+                                  fault::DeferDraw{});
+  telemetry::ParallelForShards(
+      "fault_legs", legs + 1, sink,
+      [&](std::size_t i, telemetry::Recorder* shard) {
+        if (i == 0) {
+          recording.Draw();
+        } else {
+          leg(i - 1, recording, shard);
+        }
+      },
+      threads);
+}
+
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          std::string_view policy,
                                          const retention::VrtParams& vrt,
                                          const ExperimentOptions& options) {
-  // The fault realization is drawn once, before the fan-out, and every leg
-  // replays the read-only recording into its own campaign and report slot;
-  // telemetry is per-leg sharded and merged in leg order, like the suite.
+  // Every leg replays the one realization into its own campaign and report
+  // slot; telemetry is per-leg sharded and merged in leg order, like the
+  // suite.
   const std::vector<ResilienceLeg> legs = ResilienceLegs(policy);
-  const fault::FaultRecording recording =
-      system.RecordFaults(VrtSchedule(vrt, options), options.windows);
   ResilienceResult result;
   fault::CampaignReport* const outs[] = {&result.jedec, &result.plain,
                                          &result.adaptive};
-  telemetry::ParallelForShards(
-      "resilience_comparison", legs.size(), options.telemetry,
-      [&](std::size_t i, telemetry::Recorder* shard) {
-        *outs[i] = system.RunFaultCampaign(legs[i], recording, shard);
-      },
-      options.threads);
+  RunFaultLegs(system, VrtSchedule(vrt, options), options.windows,
+               legs.size(), options.telemetry, options.threads,
+               [&](std::size_t i, const fault::FaultRecording& recording,
+                   telemetry::Recorder* shard) {
+                 *outs[i] = system.RunFaultCampaign(legs[i], recording, shard);
+               });
   return result;
 }
 

@@ -154,13 +154,32 @@ fault::CampaignReport RunResilienceLeg(const VrlSystem& system,
                                        const ExperimentOptions& options,
                                        telemetry::Recorder* recorder);
 
+/// The fault campaign's one fan-out: a telemetry::ParallelForShards over
+/// `legs` + 1 items.  Item 0, claimed first, draws `schedule` over the
+/// ticks of a `windows`-window campaign of `system` (a deferred
+/// fault::FaultRecording); item i + 1 runs leg(i, recording, shard), which
+/// replays the recording while it is drawn, each cursor waiting only for
+/// blocks not yet published.  Items are claimed in index order, so a leg
+/// waits only on a draw already running; at one thread, or nested, the
+/// draw ends before the first leg starts.  Shards merge into `sink` in
+/// index order (the draw's stays empty).  If the draw throws, every
+/// waiting leg rethrows its error and so does this call.
+/// \throws vrl::ConfigError for an invalid campaign setup, before any
+/// item runs.
+void RunFaultLegs(
+    const VrlSystem& system, fault::FaultSchedule schedule,
+    std::size_t windows, std::size_t legs, telemetry::Recorder* sink,
+    std::size_t threads,
+    const std::function<void(std::size_t, const fault::FaultRecording&,
+                             telemetry::Recorder*)>& leg);
+
 /// Runs the three-way comparison under VRT telegraph-noise injection
 /// (options.fault_seed, options.windows).  Extra injectors can be layered
 /// by building campaigns directly via VrlSystem::RunFaultCampaign.  The
-/// fault realization is drawn once (VrlSystem::RecordFaults) and replayed
-/// into every leg; the three legs run as parallel tasks, each owning its
-/// campaign, telemetry shard and report slot, so results are bit-identical
-/// across thread counts and leg completion orders.
+/// fault realization is drawn once and replayed into every leg while it
+/// is drawn (RunFaultLegs); each leg owns its campaign, telemetry shard
+/// and report slot, so results are bit-identical across thread counts and
+/// leg completion orders.
 ResilienceResult RunResilienceComparison(const VrlSystem& system,
                                          std::string_view policy,
                                          const retention::VrtParams& vrt,

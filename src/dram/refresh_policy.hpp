@@ -141,7 +141,7 @@ class RefreshPolicy {
   /// of propose/grant on those ticks.  A policy keeps it current whenever
   /// its due rows or outstanding proposals change (ProposingPolicy does).
   /// 0, the default, means "ask every tick": a policy that does not
-  /// maintain it (fault::AdaptiveVrlPolicy) is asked on every tick.
+  /// maintain it is asked on every tick.
   Cycles next_proposal() const { return next_proposal_; }
 
   /// Stands in for Propose on a tick `now` below next_proposal(): proposes

@@ -202,6 +202,23 @@ void AdaptiveVrlPolicy::Propose(Cycles now, const dram::DemandView& demand,
       propose({row, trfc_full_, true}, when);
     }
   }
+  UpdateNextProposal();
+}
+
+void AdaptiveVrlPolicy::UpdateNextProposal() {
+  if (in_fallback_ || !pending_forced_.empty() ||
+      !forced_in_flight_.empty()) {
+    set_next_proposal(0);
+    return;
+  }
+  // The next base-window boundary keeps RollWindows on time; a stale
+  // demoted-queue entry only brings a Propose forward.
+  Cycles next = base_window_ * static_cast<Cycles>(current_window_ + 1);
+  next = std::min(next, inner_->next_proposal());
+  if (!demoted_due_.empty()) {
+    next = std::min(next, std::get<0>(demoted_due_.top()));
+  }
+  set_next_proposal(next);
 }
 
 void AdaptiveVrlPolicy::OnGrant(const dram::RefreshProposal& proposal,
@@ -222,6 +239,7 @@ void AdaptiveVrlPolicy::OnGrant(const dram::RefreshProposal& proposal,
                       static_cast<std::uint64_t>(row), cause_label(), 0,
                       0.0});
     }
+    UpdateNextProposal();
     return;
   }
   const auto forwarded = std::find_if(
@@ -231,15 +249,20 @@ void AdaptiveVrlPolicy::OnGrant(const dram::RefreshProposal& proposal,
     inner_->OnGrant(*forwarded, at);
     forwarded_.erase(forwarded);
   }
+  UpdateNextProposal();
 }
 
 void AdaptiveVrlPolicy::OnRowAccess(std::size_t row) {
+  // The inner policy's clock stops on the ticks this wrapper skips; catch
+  // it up first, as a Propose on every tick would have (VRL-Skip reads it).
+  inner_->SkipIdleTick(last_now());
   inner_->OnRowAccess(row);
   const auto it = demoted_.find(row);
   if (it != demoted_.end()) {
     // The activation fully restored the row; partials are safe again.
     it->second.rcount = 0;
   }
+  UpdateNextProposal();
 }
 
 FailureResponse AdaptiveVrlPolicy::OnSensingFailure(std::size_t row,
@@ -275,6 +298,7 @@ FailureResponse AdaptiveVrlPolicy::OnSensingFailure(std::size_t row,
       pending_forced_.push_back(row);
       pending_forced_flag_[row] = true;
     }
+    UpdateNextProposal();
     return FailureResponse::kSaturated;
   }
 
@@ -301,12 +325,15 @@ FailureResponse AdaptiveVrlPolicy::OnSensingFailure(std::size_t row,
                     static_cast<std::int64_t>(next_level),
                     static_cast<double>(failures_this_window_)});
   }
+  UpdateNextProposal();
   return FailureResponse::kCorrected;
 }
 
 void AdaptiveVrlPolicy::OnCleanFullRefresh(std::size_t row, Cycles now) {
   CheckRow(row);
   RollWindows(now);
+  // RollWindows may have moved the window boundary (and left fallback).
+  UpdateNextProposal();
   const auto it = demoted_.find(row);
   if (it == demoted_.end()) {
     return;
@@ -342,6 +369,7 @@ void AdaptiveVrlPolicy::OnCleanFullRefresh(std::size_t row, Cycles now) {
   demoted.generation = next_generation_++;
   demoted.last_event_window = current_window_;
   demoted_due_.emplace(now + period, row, demoted.generation);
+  UpdateNextProposal();
 }
 
 AdaptiveStats AdaptiveVrlPolicy::stats() const {

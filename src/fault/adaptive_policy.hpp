@@ -37,6 +37,9 @@
 ///    failure-free windows (hysteresis).  Demoted rows keep their own
 ///    (faster) schedules even in fallback.
 ///
+/// The wrapper keeps next_proposal() current, so a campaign skips the
+/// ticks on which neither it nor the inner policy has anything due.
+///
 /// Detection is fed by the failure monitor (fault::RunCampaign): every
 /// executed refresh senses the row, and the monitor reports the outcome via
 /// OnSensingFailure / OnCleanFullRefresh — the simulator analogue of an
@@ -152,6 +155,11 @@ class AdaptiveVrlPolicy : public dram::RefreshPolicy {
   /// Processes base-window boundaries up to `now`: failure-rate reset and
   /// fallback exit hysteresis.
   void RollWindows(Cycles now);
+  /// Recomputes next_proposal(): 0 while a forced write-back is pending or
+  /// in flight, or in fallback; otherwise the earliest of the inner
+  /// policy's next_proposal(), the demoted queue's top and the next
+  /// base-window boundary.  Called after every change to any of them.
+  void UpdateNextProposal();
   /// (mprsf, period) after `level` demotions from the row's base setting;
   /// false when the ladder is exhausted (period would drop below the floor).
   bool SettingAtLevel(std::size_t row, std::size_t level,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <string>
 
@@ -266,21 +267,70 @@ std::string FaultSchedule::Describe() const {
 
 FaultRecording::FaultRecording(FaultSchedule schedule,
                                const TickSequence& ticks, std::size_t rows)
-    : ticks_(ticks),
-      rows_(rows),
-      description_(schedule.Describe()) {
+    : FaultRecording(std::move(schedule), ticks, rows, DeferDraw{}) {
+  Draw();
+}
+
+FaultRecording::FaultRecording(FaultSchedule schedule,
+                               const TickSequence& ticks, std::size_t rows,
+                               DeferDraw)
+    : ticks_(ticks), rows_(rows), description_(schedule.Describe()) {
   constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
   if (ticks.count > kMaxIndex || rows > kMaxIndex) {
     throw ConfigError("FaultRecording: more than 2^32 ticks or rows");
   }
-  FaultState state(rows);
-  Rng rng(schedule.seed_);
-  for (std::size_t k = 0; k < ticks.count; ++k) {
-    state.LogChangesTo(&writes_, static_cast<std::uint32_t>(k));
-    for (auto& injector : schedule.injectors_) {
-      injector->Advance(ticks.seconds(k), state, rng);
-    }
+  pending_.emplace(Pending{std::move(schedule), FaultState(rows)});
+  blocks_.resize((ticks.count + kBlockTicks - 1) / kBlockTicks);
+}
+
+void FaultRecording::Draw() {
+  if (!pending_) {
+    throw ConfigError("FaultRecording: already drawn");
   }
+  Pending pending = std::move(*pending_);
+  pending_.reset();
+  FaultState& state = pending.state;
+  try {
+    Rng rng(pending.schedule.seed_);
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      const std::size_t end = std::min(ticks_.count, (b + 1) * kBlockTicks);
+      for (std::size_t k = b * kBlockTicks; k < end; ++k) {
+        state.LogChangesTo(&blocks_[b], static_cast<std::uint32_t>(k));
+        for (auto& injector : pending.schedule.injectors_) {
+          injector->Advance(ticks_.seconds(k), state, rng);
+        }
+      }
+      published_.store(static_cast<std::uint32_t>(b + 1),
+                       std::memory_order_release);
+      published_.notify_all();
+    }
+  } catch (...) {
+    error_ = std::current_exception();
+    published_.store(kFailed, std::memory_order_release);
+    published_.notify_all();
+    throw;
+  }
+}
+
+std::size_t FaultRecording::AwaitBlocks(std::size_t blocks) const {
+  std::uint32_t published = published_.load(std::memory_order_acquire);
+  while (published < blocks) {
+    published_.wait(published, std::memory_order_acquire);
+    published = published_.load(std::memory_order_acquire);
+  }
+  if (published == kFailed) {
+    std::rethrow_exception(error_);
+  }
+  return published;
+}
+
+std::vector<FaultWrite> FaultRecording::writes() const {
+  AwaitBlocks(blocks_.size());
+  std::vector<FaultWrite> out;
+  for (const std::vector<FaultWrite>& block : blocks_) {
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  return out;
 }
 
 }  // namespace vrl::fault

@@ -1,8 +1,13 @@
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +40,8 @@
 ///
 /// A FaultRecording advances a schedule once over a campaign's tick
 /// sequence and keeps the component writes; every campaign plays them back
-/// through a ReplayCursor (docs/FAULTS.md §4).
+/// through a ReplayCursor, which may follow the draw while it runs
+/// (docs/FAULTS.md §4).
 
 namespace vrl::fault {
 
@@ -236,31 +242,88 @@ class FaultSchedule {
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
 };
 
+/// Tag of the FaultRecording constructor that sizes a recording without
+/// drawing it; FaultRecording::Draw then draws it.
+struct DeferDraw {};
+
 /// One fault realization, drawn once and replayed into many campaigns:
 /// a schedule advanced over a tick sequence, kept as the log of the
-/// component writes that changed a value (no per-tick arrays).  Read-only
-/// once built, so concurrent replays may share it.
+/// component writes that changed a value (no per-tick arrays).
+///
+/// The draw publishes its log in blocks of kBlockTicks ticks.  A published
+/// block is immutable and never moves (the block table is sized from the
+/// tick count before the draw starts), so a ReplayCursor on another thread
+/// may replay the blocks already published while the draw goes on, and
+/// waits (std::atomic::wait, not a spin) for the ones it has not reached.
+/// A recording whose draw has ended is read-only and never waits.
 class FaultRecording {
  public:
+  /// Ticks per published block of writes.
+  static constexpr std::size_t kBlockTicks = 256;
+
   /// Advances every injector of `schedule`, in order and from one
   /// generator seeded with its seed, on every tick of `ticks` for a bank
-  /// of `rows` rows.  \throws vrl::ConfigError for no rows, or for more
-  /// than 2^32 ticks or rows.
+  /// of `rows` rows: the deferred constructor, then Draw on this thread.
+  /// \throws vrl::ConfigError for no rows, or for more than 2^32 ticks or
+  /// rows.
   FaultRecording(FaultSchedule schedule, const TickSequence& ticks,
                  std::size_t rows);
 
+  /// Takes the schedule, allocates the state it advances and sizes the
+  /// block table, drawing nothing: until Draw publishes a tick, a cursor
+  /// waiting on it blocks.  Run Draw as a fan-out item claimed before every
+  /// item that replays the recording.
+  /// \throws vrl::ConfigError as the drawing constructor does.
+  FaultRecording(FaultSchedule schedule, const TickSequence& ticks,
+                 std::size_t rows, DeferDraw);
+
+  FaultRecording(const FaultRecording&) = delete;
+  FaultRecording& operator=(const FaultRecording&) = delete;
+
+  /// Draws the realization to the end on this thread, publishing each
+  /// block as it completes.  Call it once.  If an injector throws, the
+  /// recording ends in a failed state holding the exception, every waiting
+  /// or later cursor rethrows it, and Draw rethrows it too.
+  /// \throws vrl::ConfigError when the recording was already drawn.
+  void Draw();
+
   const TickSequence& ticks() const { return ticks_; }
   std::size_t rows() const { return rows_; }
-  /// In (tick, write order) order.
-  const std::vector<FaultWrite>& writes() const { return writes_; }
+  /// A copy of every write, in (tick, write order) order, once the draw
+  /// has ended (waiting for it until then).
+  std::vector<FaultWrite> writes() const;
   /// The recorded schedule's FaultSchedule::Describe().
   const std::string& description() const { return description_; }
 
  private:
+  friend class ReplayCursor;
+
+  /// Published-block count of a failed draw.
+  static constexpr std::uint32_t kFailed =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Blocks until at least `blocks` blocks are published; returns the
+  /// published count.  \throws what the draw threw, once it has failed.
+  std::size_t AwaitBlocks(std::size_t blocks) const;
+
   TickSequence ticks_;
   std::size_t rows_;
-  std::vector<FaultWrite> writes_;
   std::string description_;
+  /// What the draw advances, allocated with the recording (on the thread
+  /// that builds it) and released when the draw ends.
+  struct Pending {
+    FaultSchedule schedule;
+    FaultState state;
+  };
+  std::optional<Pending> pending_;
+  /// Block b holds the writes of ticks b * kBlockTicks up to (b + 1) *
+  /// kBlockTicks.  Only the draw writes a block, and only before it
+  /// publishes it.
+  std::vector<std::vector<FaultWrite>> blocks_;
+  /// Blocks published so far (release), or kFailed.
+  std::atomic<std::uint32_t> published_{0};
+  /// What the draw threw; written before kFailed is published.
+  std::exception_ptr error_;
 };
 
 /// Plays a recording, which must outlive the cursor, back into a
@@ -270,18 +333,34 @@ class FaultRecording {
 class ReplayCursor {
  public:
   explicit ReplayCursor(const FaultRecording& recording)
-      : writes_(&recording.writes()) {}
+      : recording_(&recording) {}
 
-  /// Applies every write recorded at or before tick `k` not applied yet.
+  /// Applies every write recorded at or before tick `k` not applied yet,
+  /// first waiting, if the draw is still running, until it has published
+  /// the block of tick k.  \throws what the draw threw, if it failed.
   void ApplyThrough(std::size_t k, FaultState& state) {
-    for (; next_ < writes_->size() && (*writes_)[next_].tick <= k; ++next_) {
-      state.Apply((*writes_)[next_]);
+    const std::vector<std::vector<FaultWrite>>& blocks = recording_->blocks_;
+    const std::size_t through =
+        std::min(k / FaultRecording::kBlockTicks + 1, blocks.size());
+    if (through > published_) {
+      published_ = recording_->AwaitBlocks(through);
+    }
+    for (; block_ < through; ++block_, next_ = 0) {
+      const std::vector<FaultWrite>& writes = blocks[block_];
+      for (; next_ < writes.size() && writes[next_].tick <= k; ++next_) {
+        state.Apply(writes[next_]);
+      }
+      if (next_ < writes.size()) {
+        return;  // The rest of this block lies after tick k.
+      }
     }
   }
 
  private:
-  const std::vector<FaultWrite>* writes_;
-  std::size_t next_ = 0;
+  const FaultRecording* recording_;
+  std::size_t published_ = 0;  ///< Blocks known to be published.
+  std::size_t block_ = 0;      ///< The block being applied.
+  std::size_t next_ = 0;       ///< Its next write.
 };
 
 }  // namespace vrl::fault

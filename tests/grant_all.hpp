@@ -94,4 +94,44 @@ class AskEveryTick : public dram::RefreshPolicy {
   std::size_t proposes_ = 0;
 };
 
+/// Forwards every call to the wrapped policy and reports its
+/// next_proposal(), so a caller skips the ticks the wrapped policy would
+/// skip.  Counts the Propose calls that reach it.
+class CountProposes : public dram::RefreshPolicy {
+ public:
+  explicit CountProposes(std::unique_ptr<dram::RefreshPolicy> inner)
+      : inner_(std::move(inner)) {
+    Sync();
+  }
+
+  void Propose(Cycles now, const dram::DemandView& demand,
+               std::vector<dram::RefreshProposal>& out) override {
+    ++proposes_;
+    inner_->Propose(now, demand, out);
+    Sync();
+  }
+  void OnGrant(const dram::RefreshProposal& proposal, Cycles at) override {
+    inner_->OnGrant(proposal, at);
+    Sync();
+  }
+  void OnDefer(const dram::RefreshProposal& proposal) override {
+    inner_->OnDefer(proposal);
+    Sync();
+  }
+  void OnRowAccess(std::size_t row) override {
+    inner_->OnRowAccess(row);
+    Sync();
+  }
+  std::string Name() const override { return inner_->Name(); }
+  std::size_t rows() const override { return inner_->rows(); }
+
+  std::size_t proposes() const { return proposes_; }
+
+ private:
+  void Sync() { set_next_proposal(inner_->next_proposal()); }
+
+  std::unique_ptr<dram::RefreshPolicy> inner_;
+  std::size_t proposes_ = 0;
+};
+
 }  // namespace vrl

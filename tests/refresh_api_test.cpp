@@ -439,8 +439,9 @@ dram::PolicyBuildContext IdleTickContext() {
   return ctx;
 }
 
-/// Every registry policy by name, plus "Adaptive(VRL)", which keeps the
-/// default next-proposal cycle of 0 (ask every tick).
+/// Every registry policy by name, plus "Adaptive(VRL)", which keeps its
+/// next-proposal cycle from its inner policy's, its demoted rows' and the
+/// next base-window boundary.
 std::vector<std::string> PolicyNamesWithAdaptive() {
   std::vector<std::string> names;
   for (const dram::PolicyInfo& info :
@@ -566,11 +567,7 @@ TEST(NextProposal, SkippingIdleTicksGrantsTheEveryTickOpStream) {
       EXPECT_EQ(skipping_stats.deferred, every_stats.deferred);
       EXPECT_EQ(skipping_stats.urgent_grants, every_stats.urgent_grants);
       EXPECT_GT(every_stats.granted, kTicks / 20);
-      if (name == "Adaptive(VRL)") {
-        EXPECT_EQ(idle, 0u);  // next_proposal() stays 0: asked every tick
-      } else {
-        EXPECT_GT(idle, kTicks / 4);
-      }
+      EXPECT_GT(idle, kTicks / 4);
       if (proposing != nullptr && proposing->defer_window() != 0) {
         EXPECT_GT(every_stats.deferred, 0u);
       }

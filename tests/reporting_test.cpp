@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -374,6 +377,55 @@ int RunBinary(const std::string& name, const std::string& args,
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+TEST(RetentionProfiler, WritesTheRowProfileOnlyToTheCsvPath) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(testing::TempDir()) /
+      ("vrl_retention_profiler_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // The default run writes no file: not in its working directory, and not
+  // the shared path every run used to overwrite.
+  const fs::path former_default = "/tmp/vrl_profile.csv";
+  const bool existed = fs::exists(former_default);
+  const auto stamp = existed ? fs::last_write_time(former_default)
+                             : fs::file_time_type{};
+  const std::string command = "cd '" + dir.string() + "' && timeout 60 " +
+                              Binaries().at("retention_profiler") +
+                              " 64 8 7 > /dev/null 2>&1";
+  EXPECT_EQ(std::system(command.c_str()), 0);
+  EXPECT_TRUE(fs::is_empty(dir));
+  EXPECT_EQ(fs::exists(former_default), existed);
+  if (existed) {
+    EXPECT_EQ(fs::last_write_time(former_default), stamp);
+  }
+
+  // --csv PATH gets the header and one line per row.
+  const fs::path csv = dir / "profile.csv";
+  EXPECT_EQ(RunBinary("retention_profiler", "64 8 7 --csv " + csv.string()),
+            0);
+  std::ifstream in(csv);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "row,retention_ms,bin_period_ms,mprsf");
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, 64u);
+
+  // A path that cannot be opened, or written, is one error line and exit 2.
+  for (const std::string path :
+       {(dir / "missing" / "profile.csv").string(), std::string("/dev/full")}) {
+    std::string err;
+    EXPECT_EQ(RunBinary("retention_profiler", "64 8 7 --csv " + path, &err), 2)
+        << path;
+    EXPECT_TRUE(err.starts_with("error: ")) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(FaultCampaignFlags, ValidFlagsRun) {
   EXPECT_EQ(RunBinary("fault_campaign", "--windows 1 --seed 7 --low-ratio 0.5"),
             0);
@@ -606,8 +658,8 @@ TEST(JsonStdout, IsExactlyOneJsonObject) {
   EXPECT_FALSE(IsOneJsonObject("{\"a\":}"));
 
   // `--json -` writes the report and nothing else to stdout: the campaign
-  // verdict is a meta entry, the guardband warning (a guardband of 4 leaves
-  // rows unprotected) and the profile's CSV path go to stderr.
+  // verdict is a meta entry and the guardband warning (a guardband of 4
+  // leaves rows unprotected) goes to stderr.
   const std::string config = testing::TempDir() + "vrl_guardband_4.cfg";
   std::ofstream(config) << "retention_guardband = 4\n";
   const std::pair<std::string, std::string> runs[] = {
