@@ -310,7 +310,11 @@ int main(int argc, char** argv) {
   TournamentFlags flags;
   const auto report_options = bench::ParseFlags(
       argc, argv, bench::kOutput | bench::kPreset,
-      {{"--audit-out", &flags.audit_out},
+      {{"--audit-out",
+        [&flags](const std::string& path) {
+          bench::CheckOutputPath("--audit-out", path);
+          flags.audit_out = path;
+        }},
        {"--windows", &flags.windows, bench::kPositive},
        {"--workloads", &flags.max_workloads},
        {"--subarrays", &flags.subarrays, bench::kPositive},

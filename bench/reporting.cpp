@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <ostream>
 #include <string_view>
+#include <system_error>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
@@ -88,16 +92,50 @@ Flag::Flag(std::string flag, bool* on)
       store([on](const std::string&, const std::string&) { *on = true; }),
       takes_value(false) {}
 
+void CheckOutputPath(const std::string& flag, const std::string& path) {
+  if (path.empty() || path == "-") {
+    return;
+  }
+  const std::filesystem::path file(path);
+  std::error_code error;
+  const auto status = std::filesystem::status(file, error);
+  if (std::filesystem::exists(status)) {
+    if (std::filesystem::is_directory(status)) {
+      throw ConfigError(flag + " " + path + ": is a directory");
+    }
+    if (::access(path.c_str(), W_OK) != 0) {
+      throw ConfigError(flag + " " + path + ": file is not writable");
+    }
+    return;
+  }
+  const std::string dir =
+      file.has_parent_path() ? file.parent_path().string() : ".";
+  if (!std::filesystem::is_directory(dir, error) ||
+      ::access(dir.c_str(), W_OK | X_OK) != 0) {
+    throw ConfigError(flag + " " + path + ": directory " + dir +
+                      " does not exist or is not writable");
+  }
+}
+
 std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
   std::vector<Flag> rows;
+  // A file-valued row checks its path as it parses, so an unwritable one
+  // fails before the run rather than after it.
+  const auto path_row = [](const std::string& flag, std::string* path) {
+    return Flag(flag, [flag, path](const std::string& value) {
+      CheckOutputPath(flag, value);
+      *path = value;
+    });
+  };
   if ((groups & kOutput) != 0) {
-    rows.emplace_back("--json", &options->json_path);
-    rows.emplace_back("--csv", &options->csv_path);
+    rows.push_back(path_row("--json", &options->json_path));
+    rows.push_back(path_row("--csv", &options->csv_path));
   }
   if ((groups & kProfile) != 0) {
     rows.emplace_back("--profile", &options->profile);
     rows.emplace_back("--profile-out", [options](const std::string& path) {
       telemetry::ProfileFileWriter(path);  // Rejects an unknown extension.
+      CheckOutputPath("--profile-out", path);
       options->profile_path = path;
       options->profile = true;  // An output file implies profiling.
     });
@@ -106,6 +144,7 @@ std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups) {
   if ((groups & kTrace) != 0) {
     rows.emplace_back("--trace-out", [options](const std::string& path) {
       telemetry::TraceFileWriter(path);  // Rejects an unknown extension.
+      CheckOutputPath("--trace-out", path);
       options->trace_path = path;
     });
   }

@@ -110,7 +110,15 @@ struct Flag {
   bool takes_value = true;  ///< False for a switch or a pass-through.
 };
 
-/// The rows of the shared `groups`, storing into `options`.
+/// Checks an output path as its flag parses.  "-" (stdout) and "" (no
+/// output) always pass; any other path must name a writable file or a new
+/// file in an existing, writable directory.
+/// \throws vrl::ConfigError naming `flag` and `path` otherwise.
+void CheckOutputPath(const std::string& flag, const std::string& path);
+
+/// The rows of the shared `groups`, storing into `options`.  The
+/// file-valued ones (--json, --csv, --trace-out, --profile-out) check
+/// their path with CheckOutputPath.
 std::vector<Flag> ReportFlags(ReportOptions* options, unsigned groups);
 
 /// Parses argv (argv[0] excluded) against `table`.  A value may look like

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -126,11 +125,7 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
                                    std::size_t subarrays)
     : table_(table), scheduler_(scheduler) {
   table_.Validate();
-  if (rows > std::numeric_limits<std::uint32_t>::max()) {
-    throw ConfigError("MemoryController: " + std::to_string(rows) +
-                      " rows per bank exceed a request slot's 32-bit row "
-                      "field");
-  }
+  CheckSlotRows("MemoryController", rows);
   const std::size_t banks = table_.topology.TotalBanks();
   banks_.reserve(banks);
   policies_.reserve(banks);
@@ -203,7 +198,7 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
   // marks those slots in the run's own `served` array (bank b's marks from
   // offset(b) on) so the head can step over them.
   struct Stream {
-    const RequestSlot* slots = nullptr;
+    BankStream requests;
     std::uint8_t* served = nullptr;  // null under FCFS
     std::size_t head = 0;  // oldest pending (unserved) slot
     std::size_t qi = 0;    // next slot not yet pending
@@ -213,8 +208,8 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
   std::vector<std::uint8_t> served(out_of_order ? input.size() : 0);
   std::vector<Stream> streams(banks_.size());
   for (std::size_t b = 0; b < streams.size(); ++b) {
-    const std::span<const RequestSlot> stream = input.stream(b);
-    streams[b] = {stream.data(),
+    const BankStream stream = input.stream(b);
+    streams[b] = {stream,
                   out_of_order ? served.data() + input.offset(b) : nullptr, 0,
                   0, stream.size()};
   }
@@ -302,11 +297,14 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
     const Stream& stream = streams[b];
     Cycles t = banks_[b].busy_until();
     if (stream.head == stream.qi) {
-      if (stream.qi == stream.end ||
-          stream.slots[stream.qi].arrival >= limit) {
+      if (stream.qi == stream.end) {
         return kNever;
       }
-      t = std::max(t, stream.slots[stream.qi].arrival);
+      const Cycles arrival = stream.requests.arrival(stream.qi);
+      if (arrival >= limit) {
+        return kNever;
+      }
+      t = std::max(t, arrival);
     }
     return t;
   };
@@ -350,9 +348,11 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
         Bank& bank = banks_[b];
         Stream& stream = streams[b];
         // Everything arrived by then competes for the slot.
-        while (stream.qi < stream.end &&
-               stream.slots[stream.qi].arrival <= t_decide &&
-               stream.slots[stream.qi].arrival < limit) {
+        while (stream.qi < stream.end) {
+          const Cycles arrival = stream.requests.arrival(stream.qi);
+          if (arrival > t_decide || arrival >= limit) {
+            break;
+          }
           ++stream.qi;
         }
         const std::size_t pending = stream.qi - stream.head;
@@ -360,17 +360,16 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
             stream.head +
             SelectNextRequest(
                 scheduler_,
-                std::span<const RequestSlot>(stream.slots + stream.head,
-                                             pending),
+                stream.requests.slots().subspan(stream.head, pending),
                 out_of_order ? std::span<const std::uint8_t>(
                                    stream.served + stream.head, pending)
                              : std::span<const std::uint8_t>(),
                 bank);
-        const RequestSlot& slot = stream.slots[pick];
-        bank.ServiceRequest({slot.arrival, b, slot.row, 0,
-                             slot.write ? RequestType::kWrite
-                                        : RequestType::kRead});
-        policies_[b]->OnRowAccess(slot.row);
+        const RequestSlot& slot = stream.requests[pick];
+        bank.ServiceRequest({stream.requests.arrival(pick), b, slot.row(), 0,
+                             slot.write() ? RequestType::kWrite
+                                          : RequestType::kRead});
+        policies_[b]->OnRowAccess(slot.row());
         if (telemetry_ != nullptr) {
           // The head is the oldest pending request, so any other pick is
           // the scheduler reordering for row locality.
@@ -414,8 +413,8 @@ SimulationStats MemoryController::RunStreams(const RequestStreams& input,
         const Stream& stream = streams[b];
         if (stream.qi < stream.end) {
           ctx.demand.has_next = true;
-          ctx.demand.next_arrival = stream.slots[stream.qi].arrival;
-          ctx.demand.next_row = stream.slots[stream.qi].row;
+          ctx.demand.next_arrival = stream.requests.arrival(stream.qi);
+          ctx.demand.next_row = stream.requests[stream.qi].row();
         }
         ctx.bank = &banks_[b];
         ctx.engine = engine_.get();

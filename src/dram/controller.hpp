@@ -34,8 +34,9 @@
 ///
 /// Cost model.  A run pays per request and per refresh op, plus one
 /// compare per bank and tREFI tick:
-///  * Requests arrive as per-bank streams of 16-byte RequestSlots, one
-///    vector per bank (RequestStreams, checked once when built).  A
+///  * Requests arrive as per-bank streams of 8-byte RequestSlots, one
+///    vector per bank (RequestStreams, checked once when built); every
+///    arrival the run reads goes through BankStream::arrival.  A
 ///    synthetic trace is drawn straight into them
 ///    (trace::GenerateStreams), with no record or Request vector beside
 ///    them; Run(vector) splits a Request vector, then runs.  RunStreams
@@ -107,7 +108,8 @@ class MemoryController {
   /// as its own group, byte-for-byte the flat constructor; anything else
   /// runs all banks as one group with the table's inter-bank constraints
   /// enforced by a ConstraintEngine.  \throws vrl::ConfigError when `rows`
-  /// exceeds UINT32_MAX (the width of a RequestSlot's row field).
+  /// exceeds RequestSlot::kMaxRows (2^31 - 1: a slot's row field is 31
+  /// bits).
   MemoryController(const TimingTable& table, std::size_t rows,
                    const PolicyFactory& factory,
                    SchedulerKind scheduler = SchedulerKind::kFcfs,

@@ -1,5 +1,8 @@
 #include "dram/request.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -7,77 +10,83 @@
 namespace vrl::dram {
 namespace {
 
-void ThrowUnsorted() {
+[[noreturn]] void ThrowUnsorted() {
   throw ConfigError("MemoryController::Run: requests must be arrival-sorted");
 }
 
-void ThrowBadRow() { throw ConfigError("Bank: request row out of range"); }
-
-}  // namespace
-
-RequestStreams::RequestStreams(const std::vector<Request>& requests,
-                               std::size_t banks, std::size_t rows)
-    : streams_(banks), rows_(rows) {
-  // A counting pass checks the input and sizes each stream once; the
-  // scatter then appends without reallocating.
+/// The builder of `requests`' streams, checked for arrival order across
+/// the banks.
+RequestStreamBuilder Split(const std::vector<Request>& requests,
+                           std::size_t banks, std::size_t rows) {
+  RequestStreamBuilder builder(banks, rows);
+  // A counting pass checks the order and sizes each stream once; the
+  // appends then never reallocate.
   std::vector<std::size_t> counts(banks, 0);
-  bool bad_bank = false;
-  bool bad_row = false;
   Cycles previous = 0;
   for (const Request& r : requests) {
     if (r.arrival < previous) {
       ThrowUnsorted();
     }
     previous = r.arrival;
-    if (r.bank >= banks) {
-      bad_bank = true;
-      continue;
+    if (r.bank < banks) {
+      ++counts[r.bank];
     }
-    bad_row = bad_row || r.row >= rows;
-    ++counts[r.bank];
-  }
-  if (bad_bank) {
-    throw ConfigError("MemoryController::Run: request bank out of range");
-  }
-  if (bad_row) {
-    ThrowBadRow();
   }
   for (std::size_t b = 0; b < banks; ++b) {
-    streams_[b].reserve(counts[b]);
+    builder.Reserve(b, counts[b]);
   }
   for (const Request& r : requests) {
-    // The rows passed the range check above, and MemoryController keeps
-    // rows per bank within 32 bits, so the narrowing is exact.
-    streams_[r.bank].push_back({r.arrival, static_cast<std::uint32_t>(r.row),
-                                r.type == RequestType::kWrite});
+    builder.Append(r.bank, r.arrival, r.row, r.type == RequestType::kWrite);
   }
-  Index();
+  return builder;
 }
 
-RequestStreams::RequestStreams(std::vector<std::vector<RequestSlot>> streams,
-                               std::size_t rows)
-    : streams_(std::move(streams)), rows_(rows) {
-  bool bad_row = false;
-  for (const std::vector<RequestSlot>& stream : streams_) {
-    Cycles previous = 0;
-    for (const RequestSlot& slot : stream) {
-      if (slot.arrival < previous) {
-        ThrowUnsorted();
-      }
-      previous = slot.arrival;
-      bad_row = bad_row || slot.row >= rows;
-    }
+}  // namespace
+
+void CheckSlotRows(std::string_view who, std::size_t rows) {
+  if (rows > RequestSlot::kMaxRows) {
+    throw ConfigError(std::string(who) + ": " + std::to_string(rows) +
+                      " rows per bank exceed a request slot's 31-bit row "
+                      "field");
   }
-  if (bad_row) {
-    ThrowBadRow();
-  }
-  Index();
 }
 
-void RequestStreams::Index() {
+Cycles BankStream::BaseOf(std::size_t i) const {
+  // The last step at or before slot i; none means the high bits are 0.
+  const auto after = std::upper_bound(
+      steps_.begin(), steps_.end(), i,
+      [](std::size_t slot, const Step& step) { return slot < step.first; });
+  return after == steps_.begin() ? 0 : std::prev(after)->base;
+}
+
+RequestStreamBuilder::RequestStreamBuilder(std::size_t banks,
+                                           std::size_t rows)
+    : streams_(banks), tails_(banks), rows_(rows) {
+  CheckSlotRows("RequestStreams", rows);
+}
+
+void RequestStreamBuilder::Reserve(std::size_t bank, std::size_t slots) {
+  std::vector<RequestSlot>& stream = streams_[bank].slots;
+  stream.reserve(stream.size() + slots);
+}
+
+void RequestStreamBuilder::ThrowUnsorted() { dram::ThrowUnsorted(); }
+
+RequestStreams::RequestStreams(const std::vector<Request>& requests,
+                               std::size_t banks, std::size_t rows)
+    : RequestStreams(Split(requests, banks, rows)) {}
+
+RequestStreams::RequestStreams(RequestStreamBuilder&& builder)
+    : streams_(std::move(builder.streams_)), rows_(builder.rows_) {
+  if (builder.bad_bank_) {
+    throw ConfigError("MemoryController::Run: request bank out of range");
+  }
+  if (builder.bad_row_) {
+    throw ConfigError("Bank: request row out of range");
+  }
   offsets_.assign(streams_.size() + 1, 0);
   for (std::size_t b = 0; b < streams_.size(); ++b) {
-    offsets_[b + 1] = offsets_[b] + streams_[b].size();
+    offsets_[b + 1] = offsets_[b] + streams_[b].slots.size();
   }
 }
 

@@ -44,7 +44,7 @@ std::size_t SelectNextRequest(SchedulerKind kind,
     return 0;
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (served[i] == 0 && bank.IsRowOpen(pending[i].row)) {
+    if (served[i] == 0 && bank.IsRowOpen(pending[i].row())) {
       return i;
     }
   }

@@ -83,33 +83,31 @@ void DrawTrace(const SyntheticWorkloadParams& params,
 class StreamSink {
  public:
   explicit StreamSink(const AddressMapper& mapper)
-      : mapper_(mapper), streams_(mapper.geometry().banks) {}
+      : mapper_(mapper),
+        builder_(mapper.geometry().banks, mapper.geometry().rows) {}
 
   /// Consecutive lines interleave across the banks (bank bits fastest), so
   /// each stream expects an even share.  A large reservation stays
   /// untouched address space until written, so its slack is not resident.
   void reserve(std::size_t records) {
-    for (std::vector<dram::RequestSlot>& stream : streams_) {
-      stream.reserve(records / streams_.size() + 1);
+    const std::size_t banks = mapper_.geometry().banks;
+    for (std::size_t b = 0; b < banks; ++b) {
+      builder_.Reserve(b, records / banks + 1);
     }
   }
 
   void push_back(const TraceRecord& rec) {
     const AddressMapper::Coordinates c = mapper_.Decode(rec.address);
-    // A decoded row is below the geometry's rows, and MemoryController
-    // keeps rows per bank within 32 bits, so the narrowing is exact for
-    // any streams a controller runs.
-    streams_[c.bank].push_back(
-        {rec.cycle, static_cast<std::uint32_t>(c.row), rec.is_write});
+    builder_.Append(c.bank, rec.cycle, c.row, rec.is_write);
   }
 
-  std::vector<std::vector<dram::RequestSlot>> Take() {
-    return std::move(streams_);
+  dram::RequestStreams Take() {
+    return dram::RequestStreams(std::move(builder_));
   }
 
  private:
   const AddressMapper& mapper_;
-  std::vector<std::vector<dram::RequestSlot>> streams_;
+  dram::RequestStreamBuilder builder_;
 };
 
 }  // namespace
@@ -127,7 +125,7 @@ dram::RequestStreams GenerateStreams(const SyntheticWorkloadParams& params,
                                      Cycles duration, Rng& rng) {
   StreamSink sink(mapper);
   DrawTrace(params, mapper.geometry(), duration, rng, sink);
-  return dram::RequestStreams(sink.Take(), mapper.geometry().rows);
+  return sink.Take();
 }
 
 std::vector<SyntheticWorkloadParams> EvaluationSuite() {

@@ -894,9 +894,9 @@ TEST(RequestStreams, SplitsPerBankInArrivalOrder) {
     EXPECT_EQ(streams.offset(b), total);
     ASSERT_EQ(stream.size(), want.size()) << "bank " << b;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(stream[i].arrival, want[i].arrival);
-      EXPECT_EQ(stream[i].row, want[i].row);
-      EXPECT_EQ(stream[i].write, want[i].type == RequestType::kWrite);
+      EXPECT_EQ(stream.arrival(i), want[i].arrival);
+      EXPECT_EQ(stream[i].row(), want[i].row);
+      EXPECT_EQ(stream[i].write(), want[i].type == RequestType::kWrite);
     }
     total += stream.size();
   }
@@ -904,11 +904,31 @@ TEST(RequestStreams, SplitsPerBankInArrivalOrder) {
   EXPECT_TRUE(streams.stream(3).empty());
 }
 
-/// The ConfigError message of taking `streams` over 16 rows ("" when it
-/// took them).
-std::string TakeError(std::vector<std::vector<RequestSlot>> streams) {
+/// A request as a test appends it to one bank's stream.
+struct Appended {
+  Cycles arrival = 0;
+  std::size_t row = 0;
+  bool write = false;
+};
+
+/// The streams a builder over `rows` rows gets from appending `streams`,
+/// one bank after another.
+RequestStreams Build(const std::vector<std::vector<Appended>>& streams,
+                     std::size_t rows = 16) {
+  RequestStreamBuilder builder(streams.size(), rows);
+  for (std::size_t b = 0; b < streams.size(); ++b) {
+    for (const Appended& a : streams[b]) {
+      builder.Append(b, a.arrival, a.row, a.write);
+    }
+  }
+  return RequestStreams(std::move(builder));
+}
+
+/// The ConfigError message of building `streams` over 16 rows ("" when it
+/// built them).
+std::string TakeError(const std::vector<std::vector<Appended>>& streams) {
   try {
-    const RequestStreams taken(std::move(streams), 16);
+    Build(streams);
   } catch (const ConfigError& e) {
     return e.what();
   }
@@ -918,6 +938,8 @@ std::string TakeError(std::vector<std::vector<RequestSlot>> streams) {
 TEST(RequestStreams, TakesPerBankStreamsCheckedWithTheSameMessages) {
   const std::string unsorted =
       "MemoryController::Run: requests must be arrival-sorted";
+  const std::string bad_bank =
+      "MemoryController::Run: request bank out of range";
   const std::string bad_row = "Bank: request row out of range";
   EXPECT_EQ(TakeError({{{5, 0, false}, {4, 1, false}}, {}}), unsorted);
   EXPECT_EQ(TakeError({{{5, 16, false}}, {{6, 1, false}}}), bad_row);
@@ -926,11 +948,28 @@ TEST(RequestStreams, TakesPerBankStreamsCheckedWithTheSameMessages) {
   EXPECT_EQ(TakeError({{{1, 16, false}}, {{5, 0, false}, {4, 0, false}}}),
             unsorted);
   EXPECT_EQ(TakeError({{{9, 15, false}}, {{1, 0, true}}}), "");
+  // A bad bank outranks an earlier bad row, and an unsorted stream a
+  // bad bank.
+  const auto append_error = [](bool unsorted_after) {
+    RequestStreamBuilder builder(2, 16);
+    try {
+      builder.Append(0, 5, 16, false);
+      builder.Append(2, 6, 0, false);
+      if (unsorted_after) {
+        builder.Append(1, 7, 0, false);
+        builder.Append(1, 3, 0, false);
+      }
+      const RequestStreams streams(std::move(builder));
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(append_error(false), bad_bank);
+  EXPECT_EQ(append_error(true), unsorted);
 
-  const RequestStreams streams(
-      std::vector<std::vector<RequestSlot>>{
-          {{1, 3, false}, {4, 5, true}}, {}, {{2, 7, true}}},
-      16);
+  const RequestStreams streams =
+      Build({{{1, 3, false}, {4, 5, true}}, {}, {{2, 7, true}}});
   ASSERT_EQ(streams.banks(), 3u);
   EXPECT_EQ(streams.rows(), 16u);
   EXPECT_EQ(streams.size(), 3u);
@@ -939,9 +978,91 @@ TEST(RequestStreams, TakesPerBankStreamsCheckedWithTheSameMessages) {
   EXPECT_EQ(streams.offset(3), 3u);
   EXPECT_TRUE(streams.stream(1).empty());
   ASSERT_EQ(streams.stream(2).size(), 1u);
-  EXPECT_EQ(streams.stream(2)[0].arrival, 2u);
-  EXPECT_EQ(streams.stream(2)[0].row, 7u);
-  EXPECT_TRUE(streams.stream(2)[0].write);
+  EXPECT_EQ(streams.stream(2).arrival(0), 2u);
+  EXPECT_EQ(streams.stream(2)[0].row(), 7u);
+  EXPECT_TRUE(streams.stream(2)[0].write());
+}
+
+TEST(RequestSlot, IsEightBytesAndRoundTripsItsFieldLimits) {
+  static_assert(sizeof(RequestSlot) == 8);
+  constexpr std::uint32_t kTopRow = (std::uint32_t{1} << 31) - 1;
+  EXPECT_EQ(RequestSlot::kMaxRows, kTopRow);
+  for (const std::uint32_t row : {std::uint32_t{0}, std::uint32_t{1},
+                                  kTopRow - 1, kTopRow}) {
+    for (const bool write : {false, true}) {
+      for (const std::uint32_t low :
+           {std::uint32_t{0}, std::numeric_limits<std::uint32_t>::max()}) {
+        const RequestSlot slot(low, row, write);
+        EXPECT_EQ(slot.arrival_low(), low);
+        EXPECT_EQ(slot.row(), row);
+        EXPECT_EQ(slot.write(), write);
+      }
+    }
+  }
+}
+
+TEST(RequestStreams, ArrivalsStraddling2To32And2To33DecodeExactly) {
+  constexpr Cycles k32 = Cycles{1} << 32;
+  constexpr Cycles k33 = Cycles{1} << 33;
+  // Bank 0 crosses both boundaries, bank 1 starts above 2^32, bank 2
+  // jumps from below 2^32 to above 2^33 in one step, bank 3 stays low.
+  const std::vector<std::vector<Cycles>> arrivals = {
+      {0, k32 - 1, k32, k32, k32 + 1, k33 - 1, k33, k33 + 5, 3 * k32},
+      {k32 + 7, k32 + 7, k33 - 2},
+      {k32 - 2, k33 + 1, k33 + 1, ~Cycles{0}},
+      {0, 1, k32 - 1}};
+  std::vector<std::vector<Appended>> appended(arrivals.size());
+  std::vector<Request> requests;
+  for (std::size_t b = 0; b < arrivals.size(); ++b) {
+    for (std::size_t i = 0; i < arrivals[b].size(); ++i) {
+      appended[b].push_back({arrivals[b][i], i % 16, i % 2 == 1});
+      Request r;
+      r.arrival = arrivals[b][i];
+      r.bank = b;
+      r.row = i % 16;
+      r.type = i % 2 == 1 ? RequestType::kWrite : RequestType::kRead;
+      requests.push_back(r);
+    }
+  }
+  std::stable_sort(requests.begin(), requests.end(),
+                   [](const Request& a, const Request& b) {
+                     return a.arrival < b.arrival;
+                   });
+  const RequestStreams built = Build(appended);
+  const RequestStreams split(requests, arrivals.size(), 16);
+  for (const RequestStreams* streams : {&built, &split}) {
+    ASSERT_EQ(streams->banks(), arrivals.size());
+    for (std::size_t b = 0; b < arrivals.size(); ++b) {
+      const BankStream stream = streams->stream(b);
+      ASSERT_EQ(stream.size(), arrivals[b].size()) << "bank " << b;
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        EXPECT_EQ(stream.arrival(i), arrivals[b][i])
+            << "bank " << b << " slot " << i;
+        EXPECT_EQ(stream[i].row(), i % 16);
+        EXPECT_EQ(stream[i].write(), i % 2 == 1);
+      }
+    }
+  }
+}
+
+TEST(RequestStreams, RowsUpToTheSlotRowFieldRoundTrip) {
+  constexpr std::size_t kMaxRows = RequestSlot::kMaxRows;
+  const RequestStreams streams =
+      Build({{{0, 0, false}, {1, kMaxRows - 1, true}}}, kMaxRows);
+  EXPECT_EQ(streams.rows(), kMaxRows);
+  EXPECT_EQ(streams.stream(0)[0].row(), 0u);
+  EXPECT_FALSE(streams.stream(0)[0].write());
+  EXPECT_EQ(streams.stream(0)[1].row(), kMaxRows - 1);
+  EXPECT_TRUE(streams.stream(0)[1].write());
+  try {
+    const RequestStreams rejected(std::vector<Request>{}, 1, kMaxRows + 1);
+    ADD_FAILURE() << "accepted " << kMaxRows + 1 << " rows";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "RequestStreams: 2147483648 rows per bank exceed a request "
+              "slot's 31-bit row field");
+  }
+  EXPECT_THROW(RequestStreamBuilder(1, kMaxRows + 1), ConfigError);
 }
 
 TEST(Controller, RunStreamsRejectsStreamsSplitForAnotherGeometry) {
@@ -988,18 +1109,70 @@ TEST(Controller, RunStreamsSharesOneSplitAcrossRunsAndSchedulers) {
 
 TEST(Controller, RejectsRowsBeyondTheSlotRowField) {
   const TimingParams t = FastTiming();
-  constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();
   const PolicyFactory unused = []() -> std::unique_ptr<RefreshPolicy> {
     ADD_FAILURE() << "factory called for a rejected row count";
     return nullptr;
   };
-  try {
-    MemoryController controller(1, kMax32 + 1, t, unused);
-    ADD_FAILURE() << "accepted " << kMax32 + 1 << " rows";
-  } catch (const ConfigError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "MemoryController: 4294967296 rows per bank exceed a request "
-              "slot's 32-bit row field");
+  for (const std::size_t rows :
+       {RequestSlot::kMaxRows + 1,
+        std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1}) {
+    try {
+      MemoryController controller(1, rows, t, unused);
+      ADD_FAILURE() << "accepted " << rows << " rows";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "MemoryController: " + std::to_string(rows) +
+                    " rows per bank exceed a request slot's 31-bit row "
+                    "field");
+    }
+  }
+}
+
+TEST(Controller, ArrivalsAbove2To32RunAlikeFromRequestsAndABuilder) {
+  // Few ticks over a horizon past 2^33: a refresh every 2^20 cycles.
+  TimingParams t;
+  t.t_refi = Cycles{1} << 20;
+  t.t_refw = Cycles{1} << 26;
+  constexpr Cycles k32 = Cycles{1} << 32;
+  constexpr Cycles k33 = Cycles{1} << 33;
+  std::vector<Request> requests;
+  std::vector<std::vector<Appended>> appended(2);
+  Rng rng(13);
+  Cycles at = k32 + 123;
+  for (std::size_t i = 0; i < 400; ++i) {
+    // The middle of the run jumps to just below 2^33, so the streams cross
+    // it too.
+    at = i == 200 ? k33 - 3000 : at + 1 + rng.UniformInt(40);
+    Request r;
+    r.arrival = at;
+    r.bank = rng.UniformInt(2);
+    r.row = rng.UniformInt(4);
+    r.type = rng.Bernoulli(0.3) ? RequestType::kWrite : RequestType::kRead;
+    requests.push_back(r);
+    appended[r.bank].push_back(
+        {r.arrival, r.row, r.type == RequestType::kWrite});
+  }
+  const Cycles horizon = k33 + t.t_refw;
+  const RequestStreams built = Build(appended);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kFcfs, SchedulerKind::kFrFcfs}) {
+    MemoryController from_requests(2, 16, t, JedecFactory(16, t.t_refw, 26),
+                                   kind);
+    MemoryController from_builder(2, 16, t, JedecFactory(16, t.t_refw, 26),
+                                  kind);
+    const SimulationStats a = from_requests.Run(requests, horizon);
+    const SimulationStats b = from_builder.RunStreams(built, horizon);
+    EXPECT_EQ(a.TotalReads() + a.TotalWrites(), requests.size());
+    EXPECT_EQ(a.TotalRowHits(), b.TotalRowHits());
+    EXPECT_EQ(a.TotalActivations(), b.TotalActivations());
+    EXPECT_EQ(a.AverageRequestLatency(), b.AverageRequestLatency());
+    EXPECT_EQ(a.TotalRefreshBusyCycles(), b.TotalRefreshBusyCycles());
+    EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+    // A request served against a misdecoded arrival would wait, or have
+    // waited, about 2^32 cycles.
+    EXPECT_GT(a.AverageRequestLatency(), 0.0);
+    EXPECT_LT(a.AverageRequestLatency(), 1e6);
+    EXPECT_EQ(a.simulated_cycles, horizon);
   }
 }
 

@@ -210,6 +210,36 @@ TEST(FlagTable, OutputPathsAreCheckedByExtension) {
   EXPECT_THROW(Parse({"--trace-out", "t.txt"}), ConfigError);
 }
 
+TEST(FlagTable, OutputPathsMustBeWritableAsTheyParse) {
+  for (const char* flag : {"--json", "--csv", "--trace-out", "--profile-out"}) {
+    const std::string path = "/nonexistent-dir/x.json";
+    try {
+      Parse({flag, path});
+      ADD_FAILURE() << "expected ConfigError for " << flag;
+    } catch (const ConfigError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string(flag) + " " + path +
+                    ": directory /nonexistent-dir does not exist or is not "
+                    "writable");
+    }
+  }
+  const std::string dir = testing::TempDir();
+  try {
+    Parse({"--json", dir});
+    ADD_FAILURE() << "expected ConfigError for " << dir;
+  } catch (const ConfigError& error) {
+    EXPECT_EQ(std::string(error.what()), "--json " + dir + ": is a directory");
+  }
+  // Stdout, a new file in the working directory and one in an existing
+  // directory all pass.
+  const ReportOptions options =
+      Parse({"--json", "-", "--csv", "new.csv", "--trace-out",
+             (std::filesystem::path(dir) / "t.jsonl").string()});
+  EXPECT_EQ(options.json_path, "-");
+  EXPECT_EQ(options.csv_path, "new.csv");
+  EXPECT_FALSE(std::filesystem::exists("new.csv"));
+}
+
 TEST(FlagTable, MissingValueThrows) {
   std::string first;
   EXPECT_THROW(Parse({"--json"}), ConfigError);
@@ -414,12 +444,15 @@ TEST(RetentionProfiler, WritesTheRowProfileOnlyToTheCsvPath) {
   }
   EXPECT_EQ(rows, 64u);
 
-  // A path that cannot be opened, or written, is one error line and exit 2.
-  for (const std::string path :
-       {(dir / "missing" / "profile.csv").string(), std::string("/dev/full")}) {
+  // A path that cannot be opened, or written, is one error line and exit 2,
+  // and so is a --json report whose directory is missing.
+  for (const std::string args :
+       {"--csv " + (dir / "missing" / "profile.csv").string(),
+        std::string("--csv /dev/full"),
+        "--json " + (dir / "missing" / "report.json").string()}) {
     std::string err;
-    EXPECT_EQ(RunBinary("retention_profiler", "64 8 7 --csv " + path, &err), 2)
-        << path;
+    EXPECT_EQ(RunBinary("retention_profiler", "64 8 7 " + args, &err), 2)
+        << args;
     EXPECT_TRUE(err.starts_with("error: ")) << err;
     EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
   }
@@ -707,6 +740,12 @@ TEST(Cli, EveryBinaryAcceptsExactlyTheFlagsItReads) {
       cases.insert(cases.end(), probe->second.begin(), probe->second.end());
     } else {
       cases.emplace_back("--trace-out x");
+    }
+    // Every binary that reads --json checks its directory before it runs.
+    if (binary != "microbench") {
+      cases.push_back(
+          (filled != positionals.end() ? filled->second + " " : "") +
+          "--json /nonexistent-dir/x.json");
     }
     for (const std::string& args : cases) {
       std::string err;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -131,8 +132,9 @@ TEST(MapToRequestsTest, PreservesOrderAndTypes) {
 
 /// Draws `workload` over `duration` cycles both ways from the same seed,
 /// GenerateStreams against splitting the mapped GenerateTrace, and expects
-/// the same streams slot for slot and the same caller Rng state after.
-/// Returns the number of empty banks.
+/// the same streams slot for slot, each slot decoding to its mapped
+/// request's full arrival, and the same caller Rng state after.  Returns
+/// the number of empty banks.
 std::size_t ExpectStreamsEqualSplitTrace(
     const SyntheticWorkloadParams& workload, const AddressGeometry& geometry,
     Cycles duration) {
@@ -141,10 +143,9 @@ std::size_t ExpectStreamsEqualSplitTrace(
   Rng split_rng(5);
   const dram::RequestStreams direct =
       GenerateStreams(workload, mapper, duration, direct_rng);
-  const dram::RequestStreams split(
-      MapToRequests(GenerateTrace(workload, geometry, duration, split_rng),
-                    mapper),
-      geometry.banks, geometry.rows);
+  const std::vector<dram::Request> requests = MapToRequests(
+      GenerateTrace(workload, geometry, duration, split_rng), mapper);
+  const dram::RequestStreams split(requests, geometry.banks, geometry.rows);
   EXPECT_EQ(direct_rng(), split_rng()) << workload.name;
   EXPECT_EQ(direct.rows(), geometry.rows);
   EXPECT_EQ(direct.size(), split.size()) << workload.name;
@@ -155,12 +156,19 @@ std::size_t ExpectStreamsEqualSplitTrace(
   }
   for (std::size_t b = 0; b < geometry.banks; ++b) {
     EXPECT_EQ(direct.offset(b), split.offset(b)) << workload.name;
-    const auto got = direct.stream(b);
-    const auto want = split.stream(b);
+    const dram::BankStream got = direct.stream(b);
+    std::vector<dram::Request> want;
+    std::copy_if(requests.begin(), requests.end(), std::back_inserter(want),
+                 [b](const dram::Request& r) { return r.bank == b; });
     EXPECT_EQ(got.size(), want.size()) << workload.name << " bank " << b;
+    EXPECT_EQ(split.stream(b).size(), want.size()) << workload.name;
     for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-      if (got[i].arrival != want[i].arrival || got[i].row != want[i].row ||
-          got[i].write != want[i].write) {
+      const bool write = want[i].type == dram::RequestType::kWrite;
+      if (got.arrival(i) != want[i].arrival || got[i].row() != want[i].row ||
+          got[i].write() != write ||
+          split.stream(b).arrival(i) != want[i].arrival ||
+          split.stream(b)[i].row() != want[i].row ||
+          split.stream(b)[i].write() != write) {
         ADD_FAILURE() << workload.name << " bank " << b << " slot " << i;
         break;
       }
@@ -191,6 +199,28 @@ TEST(GenerateStreamsTest, ShortHorizonLeavesBanksEmpty) {
             0u);
   EXPECT_EQ(ExpectStreamsEqualSplitTrace(swaptions, SmallGeometry(), 0),
             SmallGeometry().banks);
+}
+
+TEST(GenerateStreamsTest, ArrivalsStraddling2To32And2To33DecodeExactly) {
+  // About 200 requests over 3 * 2^32 cycles: every bank's stream crosses
+  // 2^32 and 2^33.
+  SyntheticWorkloadParams sparse;
+  sparse.name = "sparse";
+  sparse.mean_gap_cycles = static_cast<double>(Cycles{1} << 26);
+  const Cycles duration = 3 * (Cycles{1} << 32);
+  EXPECT_EQ(ExpectStreamsEqualSplitTrace(sparse, SmallGeometry(), duration),
+            0u);
+  const AddressMapper mapper(SmallGeometry());
+  Rng rng(5);
+  const dram::RequestStreams streams =
+      GenerateStreams(sparse, mapper, duration, rng);
+  for (std::size_t b = 0; b < streams.banks(); ++b) {
+    const dram::BankStream stream = streams.stream(b);
+    ASSERT_FALSE(stream.empty());
+    EXPECT_LT(stream.arrival(0), Cycles{1} << 32) << "bank " << b;
+    EXPECT_GT(stream.arrival(stream.size() - 1), Cycles{1} << 33)
+        << "bank " << b;
+  }
 }
 
 TEST(GenerateStreamsTest, RejectsWhatGenerateTraceRejects) {
